@@ -17,6 +17,7 @@ from .billing import (
     CostWeights,
     NO_COMPRESSION_PROFILE,
 )
+from .events import CHUNK_SIZE, EventBatch, TimedEvent, iter_batches, merge_batches
 from .objects import (
     DataPartition,
     Dataset,
@@ -41,7 +42,6 @@ from .simulator import (
     CompiledPlacement,
     PlacementDecision,
     SimulationResult,
-    TimedEvent,
     percent_cost_benefit,
 )
 from .tiers import (
@@ -82,6 +82,10 @@ __all__ = [
     "PlacementDecision",
     "SimulationResult",
     "TimedEvent",
+    "EventBatch",
+    "CHUNK_SIZE",
+    "iter_batches",
+    "merge_batches",
     "percent_cost_benefit",
     "NEW_DATA_TIER",
     "StorageTier",

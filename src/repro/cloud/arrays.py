@@ -47,6 +47,9 @@ class PartitionArrays:
     current_codec: tuple[str | None, ...]
     file_ids: tuple[frozenset[str], ...]
     _index: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    _lookups: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def from_partitions(cls, partitions: Sequence[DataPartition]) -> "PartitionArrays":
@@ -136,6 +139,23 @@ class PartitionArrays:
         if self._index is None:
             self._index = {n: i for i, n in enumerate(self.names)}
         return self._index[name]
+
+    def codes_for(self, vocab: tuple[str, ...]) -> np.ndarray:
+        """Row index of every name in ``vocab`` (``-1`` where unknown).
+
+        The gather table that maps an :class:`~repro.cloud.EventBatch`'s
+        name codes onto these rows; built once per vocab and cached.
+        """
+        lookup = self._lookups.get(vocab)
+        if lookup is None:
+            if self._index is None:
+                self._index = {n: i for i, n in enumerate(self.names)}
+            index = self._index
+            lookup = np.array([index.get(name, -1) for name in vocab], dtype=np.intp)
+            if len(self._lookups) >= 64:
+                self._lookups.clear()
+            self._lookups[vocab] = lookup
+        return lookup
 
     # -- derived columns (mirror the DataPartition properties) ----------------
     @property

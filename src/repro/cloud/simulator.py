@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .arrays import PartitionArrays
+from .events import EventBatch
 from .billing import CompressionProfile, CostBreakdown, CostModel, NO_COMPRESSION_PROFILE
 from .objects import DataPartition
 from .tiers import NEW_DATA_TIER, TierCatalog
@@ -51,41 +52,6 @@ class AccessEvent:
             raise ValueError("month must be non-negative")
         if self.reads < 0:
             raise ValueError("reads must be non-negative")
-
-
-@dataclass(frozen=True)
-class TimedEvent:
-    """:class:`AccessEvent`'s continuous-time sibling: one access at time ``t``.
-
-    ``t`` is a virtual wall clock measured in (fractional) months, the same
-    unit every price in the catalog is quoted against; ``t = 2.5`` is the
-    middle of billing month 2.  Continuous workload generators
-    (:mod:`repro.workloads.streams`) yield these on the fly, and the
-    epoch-free trigger windows (:mod:`repro.engine.events`) group them into
-    billable batches without ever materializing a schedule.  The billing fast
-    path (:meth:`CompiledPlacement.step`) accepts either event type — it only
-    reads ``partition`` and ``reads``.
-
-    ``tenant`` optionally attributes the event to a fleet tenant; merged
-    multi-tenant streams use it to split shared trigger windows back into
-    per-tenant batches.
-    """
-
-    t: float
-    partition: str
-    reads: float = 1.0
-    tenant: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("event time must be non-negative")
-        if self.reads < 0:
-            raise ValueError("reads must be non-negative")
-
-    @property
-    def month(self) -> int:
-        """The billing month this event falls into (``floor(t)``)."""
-        return int(self.t)
 
 
 @dataclass(frozen=True)
@@ -442,7 +408,7 @@ class CompiledPlacement:
 
     def step(
         self,
-        access_events: Iterable[AccessEvent],
+        access_events: EventBatch | Iterable[AccessEvent],
         storage_months: float = 1.0,
         include_per_partition: bool = False,
     ) -> SimulationResult:
@@ -458,25 +424,23 @@ class CompiledPlacement:
         """
         if storage_months < 0:
             raise ValueError("storage_months must be non-negative")
-        indices: list[int] = []
-        reads: list[float] = []
-        rounded: list[int] = []
-        for event in access_events:
-            try:
-                index = self.arrays.index_of(event.partition)
-            except KeyError:
-                raise KeyError(
-                    f"access event references unknown partition {event.partition!r}"
-                ) from None
-            indices.append(index)
-            reads.append(event.reads)
-            rounded.append(int(round(event.reads)))
-
+        events = (
+            access_events
+            if isinstance(access_events, EventBatch)
+            else EventBatch.from_events(access_events)
+        )
         storage_total = float(np.sum(self.storage_per_month) * storage_months)
-        if indices:
-            index_array = np.asarray(indices, dtype=np.int64)
-            reads_array = np.asarray(reads, dtype=np.float64)
-            rounds_array = np.asarray(rounded, dtype=np.int64)
+        if len(events):
+            index_array = self.arrays.codes_for(events.vocab)[events.code]
+            unknown = index_array < 0
+            if unknown.any():
+                name = events.vocab[events.code[np.argmax(unknown)]]
+                raise KeyError(
+                    f"access event references unknown partition {name!r}"
+                )
+            reads_array = events.reads
+            # np.rint rounds half to even, exactly like round().
+            rounds_array = np.rint(reads_array).astype(np.int64)
             read_total = float(self.read_cost_per_read[index_array] @ reads_array)
             decompression_total = float(
                 self.decompression_cost_per_read[index_array] @ reads_array
@@ -493,7 +457,7 @@ class CompiledPlacement:
         per_partition: dict[str, CostBreakdown] = {}
         if include_per_partition:
             reads_dense = np.zeros(len(self.arrays), dtype=np.float64)
-            if indices:
+            if len(events):
                 np.add.at(reads_dense, index_array, reads_array)
             storage_each = (self.storage_per_month * storage_months).tolist()
             read_each = (self.read_cost_per_read * reads_dense).tolist()

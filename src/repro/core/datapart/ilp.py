@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .partitions import FileUniverse, InitialPartition, Merge, MergeConstraints
 
@@ -100,6 +99,10 @@ def solve_merge_ilp(
     MergeIlpInfeasibleError
         If the candidates cannot cover every partition within the budget.
     """
+    # Imported here: scipy.optimize adds ~40 MB of resident memory, which
+    # only callers that solve an ILP should pay.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     if not partitions:
         raise ValueError("at least one initial partition is required")
     if not candidates:

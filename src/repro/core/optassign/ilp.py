@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import InfeasibleError
 from .problem import CandidateOption, OptAssignProblem
@@ -40,6 +39,10 @@ def solve_ilp(problem: OptAssignProblem, time_limit_s: float | None = None) -> A
         simultaneously.  The caller (``solve_optassign``) handles iterative
         latency relaxation, mirroring the paper's prescription.
     """
+    # Imported here: scipy.optimize adds ~40 MB of resident memory, which
+    # only callers that solve an ILP should pay.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     options_by_partition = problem.all_options()
     empty = [name for name, options in options_by_partition.items() if not options]
     if empty:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .problem import CandidateOption, OptAssignProblem
 from .result import Assignment
@@ -57,6 +56,10 @@ def solve_matching(
         If the total tier capacity cannot hold all partitions, or a partition
         has no latency-feasible tier.
     """
+    # Imported here: scipy.optimize adds ~40 MB of resident memory, which
+    # only callers that solve a matching should pay.
+    from scipy.optimize import linear_sum_assignment
+
     span = _check_applicable(problem, size_tolerance)
     n_partitions = len(problem.partitions)
     tiers = problem.cost_model.tiers

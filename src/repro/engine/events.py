@@ -30,18 +30,23 @@ a pluggable **trigger** —
   score threshold against a baseline forecast;
 * :class:`AnyTrigger` composes several (first to fire wins).
 
-:func:`windowed` is the lazy driver (O(window) memory) and
-:func:`monthly_batches` adapts a timed stream back onto the dense monthly
-grid for oracle comparisons.
+:func:`windowed` cuts windows lazily: it works on columnar
+:class:`repro.cloud.EventBatch` chunks (see :class:`TriggerWindow`) in
+O(chunk + window) memory.  :func:`monthly_batches` adapts a timed stream
+back onto the dense monthly grid for oracle comparisons.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ..cloud import AccessEvent, DatasetCatalog, TimedEvent
+import numpy as np
+
+from ..cloud import AccessEvent, DatasetCatalog, EventBatch, TimedEvent, iter_batches
+from ..cloud.events import first_occurrence
 from .policies import drift_score
 
 __all__ = [
@@ -196,12 +201,15 @@ class StreamWindow:
     ``"horizon"`` or ``"flush"``).  Storage is billed for
     ``duration_months``, reads for the events — the same arithmetic as a
     dense epoch, just over an arbitrary-width slice of virtual time.
+    ``events`` is a columnar :class:`repro.cloud.EventBatch`; any other
+    iterable of events is converted with
+    :meth:`~repro.cloud.EventBatch.from_events`.
     """
 
     index: int
     start_month: float
     end_month: float
-    events: tuple[TimedEvent, ...]
+    events: EventBatch
     cause: str
 
     def __post_init__(self) -> None:
@@ -209,6 +217,8 @@ class StreamWindow:
             raise ValueError("window index must be non-negative")
         if self.end_month < self.start_month:
             raise ValueError("window must not end before it starts")
+        if not isinstance(self.events, EventBatch):
+            object.__setattr__(self, "events", EventBatch.from_events(self.events))
 
     @property
     def duration_months(self) -> float:
@@ -216,26 +226,26 @@ class StreamWindow:
 
     @property
     def total_reads(self) -> float:
-        return float(sum(event.reads for event in self.events))
+        return self.events.total_reads
 
     def reads_by_partition(self) -> dict[str, float]:
         """Aggregated read counts per partition for this window."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            totals[event.partition] = totals.get(event.partition, 0.0) + event.reads
-        return totals
+        return self.events.reads_by_partition()
 
 
 class TriggerWindow(Protocol):
     """Decides where a continuous event stream is cut into windows.
 
-    The :func:`windowed` driver calls ``open(start)`` when a window opens,
-    then for every event first drains time boundaries **strictly before** the
-    event (``boundary_before`` — lets a pure wall-clock trigger emit empty
-    windows across quiet stretches), appends the event, and asks
-    ``close_after`` whether the window ends **at** this event.  ``cause`` is
-    read right after a trigger fires and names it in the resulting
-    :class:`StreamWindow`.
+    :func:`windowed` works a chunk (an
+    :class:`repro.cloud.EventBatch`) at a time.  It calls ``open(start)``
+    when a window opens.  ``deadline()`` is a wall-clock boundary: an event
+    at ``t >= deadline`` first closes the window **at** the deadline —
+    possibly empty — and re-opens it there, which lets a pure wall-clock
+    trigger emit empty windows across quiet stretches.  For the events of a
+    chunk before the deadline, ``cut`` names the event **at** which the
+    window closes (the event joins the window first) and ``advance`` folds
+    events into the open window.  ``cause`` is read right after a deadline
+    or a cut fires and names it in the resulting :class:`StreamWindow`.
     """
 
     cause: str
@@ -244,17 +254,20 @@ class TriggerWindow(Protocol):
         """A new window opens at ``start_month``; reset per-window state."""
         ...
 
-    def boundary_before(self, t: float) -> float | None:
-        """The earliest boundary ``<= t`` the window must close at, if any.
+    def deadline(self) -> float:
+        """The time the open window must close at (``math.inf`` for none)."""
+        ...
 
-        Called before an event at time ``t`` joins the window (and once more
-        at the horizon).  Returning a boundary closes the current window at
-        that time — possibly empty — and re-opens from it.
+    def cut(self, events: EventBatch, begin: int, stop: int) -> int | None:
+        """The first index in ``[begin, stop)`` whose event closes the window.
+
+        ``None`` when none does.  Reads the window state, changes none of it:
+        :func:`windowed` folds the events up to the cut in with :meth:`advance`.
         """
         ...
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        """The close time if this just-appended event completes the window."""
+    def advance(self, events: EventBatch, begin: int, end: int) -> None:
+        """Fold ``events[begin:end]`` into the open window."""
         ...
 
 
@@ -262,8 +275,8 @@ class CountTrigger:
     """Close a window after ``max_events`` events (cause ``"count"``).
 
     Events sharing the closing event's exact timestamp stay in the same
-    window (the driver defers a close that would make a zero-width window),
-    so windows always advance the clock.
+    window (:func:`windowed` defers a close that would make a zero-width
+    window), so windows always advance the clock.
     """
 
     cause = "count"
@@ -277,14 +290,15 @@ class CountTrigger:
     def open(self, start_month: float) -> None:
         self._count = 0
 
-    def boundary_before(self, t: float) -> float | None:
-        return None
+    def deadline(self) -> float:
+        return math.inf
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        self._count += 1
-        if self._count >= self.max_events:
-            return event.t
-        return None
+    def cut(self, events: EventBatch, begin: int, stop: int) -> int | None:
+        index = begin + max(self.max_events - self._count - 1, 0)
+        return index if index < stop else None
+
+    def advance(self, events: EventBatch, begin: int, end: int) -> None:
+        self._count += end - begin
 
 
 class TimeTrigger:
@@ -309,13 +323,14 @@ class TimeTrigger:
     def open(self, start_month: float) -> None:
         self._deadline = start_month + self.width_months
 
-    def boundary_before(self, t: float) -> float | None:
-        if t >= self._deadline:
-            return self._deadline
+    def deadline(self) -> float:
+        return self._deadline
+
+    def cut(self, events: EventBatch, begin: int, stop: int) -> int | None:
         return None
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        return None
+    def advance(self, events: EventBatch, begin: int, end: int) -> None:
+        pass
 
 
 class DriftTrigger:
@@ -326,7 +341,8 @@ class DriftTrigger:
     wide, scores the observed **rates** (counts / elapsed months) against
     ``baseline`` with :func:`repro.engine.policies.drift_score`; at or above
     ``threshold`` the window closes (cause ``"drift"``) so the policy can
-    react *now* instead of at the next grid point.
+    react *now* instead of at the next grid point.  ``last_score`` is the
+    score of the most recent check among the events the window took in.
 
     The baseline is what the engine last *planned against*:
     :meth:`repro.engine.OnlineTieringEngine.run_stream` wires
@@ -358,44 +374,87 @@ class DriftTrigger:
         self.baseline_provider = baseline_provider
         self.last_score: float | None = None
         self._start = 0.0
+        # Window counts in first-occurrence order, plus the advanced events
+        # not folded into them yet (folding waits for the next check).
         self._counts: dict[str, float] = {}
+        self._unfolded: list[EventBatch] = []
         self._since_check = 0
+        # (event index, score) of the checks the latest cut evaluated.
+        self._scores: list[tuple[int, float]] = []
 
     def open(self, start_month: float) -> None:
         self._start = start_month
         self._counts = {}
+        self._unfolded = []
         self._since_check = 0
 
-    def boundary_before(self, t: float) -> float | None:
-        return None
+    def deadline(self) -> float:
+        return math.inf
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        self._counts[event.partition] = (
-            self._counts.get(event.partition, 0.0) + event.reads
-        )
-        self._since_check += 1
-        if self._since_check < self.check_every:
-            return None
-        self._since_check = 0
-        elapsed = event.t - self._start
-        if elapsed < self.min_width_months:
+    def cut(self, events: EventBatch, begin: int, stop: int) -> int | None:
+        self._scores = []
+        first = begin + self.check_every - self._since_check - 1
+        checks = np.arange(first, stop, self.check_every)
+        checks = checks[events.t[checks] - self._start >= self.min_width_months]
+        if not checks.size:
             return None
         baseline = self.baseline_provider() if self.baseline_provider else None
         if not baseline:
             return None
-        observed = {name: count / elapsed for name, count in self._counts.items()}
-        self.last_score = drift_score(baseline, observed)
-        if self.last_score >= self.threshold:
-            return event.t
+        for batch in self._unfolded:
+            _fold(self._counts, batch)
+        self._unfolded = []
+        counts = dict(self._counts)
+        position = begin
+        for check in checks.tolist():
+            _fold(counts, events[position : check + 1])
+            position = check + 1
+            elapsed = float(events.t[check]) - self._start
+            observed = {name: count / elapsed for name, count in counts.items()}
+            score = drift_score(baseline, observed)
+            self._scores.append((check, score))
+            if score >= self.threshold:
+                return check
         return None
+
+    def advance(self, events: EventBatch, begin: int, end: int) -> None:
+        for check, score in self._scores:
+            if check < end:
+                self.last_score = score
+        self._scores = []
+        self._unfolded.append(events[begin:end])
+        self._since_check = (self._since_check + end - begin) % self.check_every
+
+
+def _fold(counts: dict[str, float], events: EventBatch) -> None:
+    """Add ``events``' reads into ``counts``, per name in event order.
+
+    The existing total leads each ``bincount`` bin, so every name's sum is
+    accumulated in exactly the order a per-event loop would add it; new
+    names are appended in first-occurrence order.
+    """
+    if not len(events):
+        return
+    codes = first_occurrence(events.code)
+    vocab = events.vocab
+    names = [vocab[code] for code in codes.tolist()]
+    local = np.empty(len(vocab), dtype=np.intp)
+    local[codes] = np.arange(len(codes))
+    totals = np.bincount(
+        np.concatenate([np.arange(len(codes)), local[events.code]]),
+        weights=np.concatenate(
+            [[counts.get(name, 0.0) for name in names], events.reads]
+        ),
+    )
+    counts.update(zip(names, totals.tolist()))
 
 
 class AnyTrigger:
     """Compose triggers: the first one to fire closes the window.
 
-    Time boundaries take the earliest deadline across members;
-    ``close_after`` asks members in construction order and adopts the firing
-    member's ``cause``.
+    The deadline is the earliest across members; a cut is the earliest
+    member cut, ties going to the member listed first.  The winning member's
+    ``cause`` is adopted.
     """
 
     def __init__(self, *triggers: TriggerWindow) -> None:
@@ -408,39 +467,47 @@ class AnyTrigger:
         for trigger in self.triggers:
             trigger.open(start_month)
 
-    def boundary_before(self, t: float) -> float | None:
-        best: float | None = None
+    def deadline(self) -> float:
+        best = math.inf
         for trigger in self.triggers:
-            boundary = trigger.boundary_before(t)
-            if boundary is not None and (best is None or boundary < best):
-                best = boundary
+            deadline = trigger.deadline()
+            if deadline < best:
+                best = deadline
                 self.cause = trigger.cause
         return best
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        close: float | None = None
+    def cut(self, events: EventBatch, begin: int, stop: int) -> int | None:
+        best: int | None = None
         for trigger in self.triggers:
-            fired = trigger.close_after(event)
-            if fired is not None and close is None:
-                close = fired
+            # Members see the winning event too (their checks at it count),
+            # but only an earlier cut takes the window from the first winner.
+            index = trigger.cut(events, begin, stop if best is None else best + 1)
+            if index is not None and (best is None or index < best):
+                best = index
                 self.cause = trigger.cause
-        return close
+        return best
+
+    def advance(self, events: EventBatch, begin: int, end: int) -> None:
+        for trigger in self.triggers:
+            trigger.advance(events, begin, end)
 
 
 def windowed(
-    events: Iterable[TimedEvent],
+    events: object,
     trigger: TriggerWindow,
     *,
     start_month: float = 0.0,
     horizon_months: float | None = None,
 ) -> Iterator[StreamWindow]:
-    """Cut a time-ordered stream of timed events into trigger windows, lazily.
+    """Cut a time-ordered event stream into trigger windows, lazily.
 
-    Yields consecutive, gap-free :class:`StreamWindow`\\ s covering
-    ``[start_month, ...)``.  Only the currently open window is held in
-    memory, so a million-event stream costs O(window) RAM.  Validates
-    time-ordering (raises on a backwards event) and that events do not
-    precede ``start_month``.
+    ``events`` is anything :func:`repro.cloud.iter_batches` reads: a stream
+    with ``chunks()``, an :class:`~repro.cloud.EventBatch`, or an iterable
+    of batches or event objects.  Yields consecutive, gap-free
+    :class:`StreamWindow`\\ s covering ``[start_month, ...)``.  Only the
+    current chunk and the open window are held in memory, so a
+    million-event stream costs O(chunk + window) RAM.  Raises on an event
+    before ``start_month`` and on a backwards event.
 
     With ``horizon_months`` set, events at or past the horizon are ignored,
     remaining time boundaries are drained (empty windows across the quiet
@@ -455,79 +522,72 @@ def windowed(
     """
     index = 0
     start = start_month
-    pending: list[TimedEvent] = []
+    pending: list[EventBatch] = []
     last_t = start_month
-    end = None if horizon_months is None else start_month + horizon_months
+    end = math.inf if horizon_months is None else start_month + horizon_months
     trigger.open(start)
-    for event in events:
-        if event.t < last_t:
-            raise ValueError(
-                f"events must be time-ordered: {event.t} after {last_t}"
-            )
-        last_t = event.t
-        if end is not None and event.t >= end:
-            break
-        while True:
-            boundary = trigger.boundary_before(event.t)
-            if boundary is None:
-                break
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=boundary,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = boundary
-            pending = []
-            trigger.open(start)
-        pending.append(event)
-        close = trigger.close_after(event)
-        if close is not None and close > start:
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=close,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = close
-            pending = []
-            trigger.open(start)
-    if end is not None:
-        while True:
-            boundary = trigger.boundary_before(end)
-            if boundary is None or boundary >= end:
-                break
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=boundary,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = boundary
-            pending = []
-            trigger.open(start)
-        if pending or start < end:
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=end,
-                events=tuple(pending),
-                cause="horizon",
-            )
-    elif pending:
-        yield StreamWindow(
+
+    def close(end_month: float, cause: str) -> StreamWindow:
+        nonlocal index, start, pending
+        window = StreamWindow(
             index=index,
             start_month=start,
-            end_month=last_t,
-            events=tuple(pending),
-            cause="flush",
+            end_month=end_month,
+            events=EventBatch.concat(pending),
+            cause=cause,
         )
+        index += 1
+        start = end_month
+        pending = []
+        trigger.open(start)
+        return window
+
+    for batch in iter_batches(events):
+        t = batch.t
+        # Validate through the first event at or past the horizon.
+        past = np.flatnonzero(t >= end)
+        size = int(past[0]) if past.size else len(batch)
+        checked = t[: size + 1]
+        early = checked < start_month
+        backwards = checked < np.concatenate(([last_t], checked[:-1]))
+        bad = np.flatnonzero(early | backwards)
+        if bad.size:
+            at = int(bad[0])
+            if early[at]:
+                raise ValueError(
+                    f"event at t={checked[at]} precedes start_month={start_month}"
+                )
+            before = checked[at - 1] if at else last_t
+            raise ValueError(
+                f"events must be time-ordered: {checked[at]} after {before}"
+            )
+        last_t = float(checked[-1])
+
+        position = 0
+        while position < size:
+            deadline = trigger.deadline()
+            while t[position] >= deadline:
+                yield close(deadline, trigger.cause)
+                deadline = trigger.deadline()
+            stop = position + int(
+                np.searchsorted(t[position:size], deadline, side="left")
+            )
+            cut = trigger.cut(batch, position, stop)
+            upto = stop if cut is None else cut + 1
+            trigger.advance(batch, position, upto)
+            pending.append(batch[position:upto])
+            position = upto
+            if cut is not None and t[cut] > start:
+                yield close(float(t[cut]), trigger.cause)
+        if size < len(batch):
+            break
+    if horizon_months is not None:
+        while (deadline := trigger.deadline()) < end:
+            yield close(deadline, trigger.cause)
+        if pending or start < end:
+            yield close(end, "horizon")
+    elif pending:
+        yield close(last_t, "flush")
 
 
 def monthly_batches(

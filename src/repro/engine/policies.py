@@ -49,7 +49,10 @@ def drift_score(
         return 0.0
     if predicted_total <= 0.0 or observed_total <= 0.0:
         return 1.0
-    names = set(predicted_monthly) | set(observed)
+    # A deterministic union (predicted keys, then observed-only keys): set
+    # order follows the string hash seed, and float sums follow the order.
+    names = list(predicted_monthly)
+    names.extend(name for name in observed if name not in predicted_monthly)
     shape = 0.5 * sum(
         abs(
             predicted_monthly.get(name, 0.0) / predicted_total

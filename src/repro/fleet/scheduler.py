@@ -30,15 +30,20 @@ beats carving the pool into static per-tenant slices (see
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import replace
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
-from ..cloud import PoolSet, TierCatalog, TimedEvent
+from ..cloud import (
+    EventBatch,
+    PoolSet,
+    TierCatalog,
+    TimedEvent,
+    iter_batches,
+    merge_batches,
+)
 from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
 from ..core.optassign import (
@@ -619,7 +624,7 @@ class FleetScheduler:
                     index=index,
                     start_month=start,
                     end_month=end,
-                    events=(),
+                    events=EventBatch.empty(name),
                     cause=cause,
                 )
 
@@ -678,16 +683,16 @@ class FleetScheduler:
     ) -> FleetReport:
         """Drive the fleet over continuous per-tenant event streams.
 
-        ``streams`` maps every current tenant to a time-ordered iterable of
-        :class:`repro.cloud.TimedEvent` (e.g. per-tenant
-        :class:`~repro.workloads.PoissonZipfStream`\\ s with
-        :func:`~repro.workloads.tenant_rate_skew` rates).  The streams are
-        merged into one fleet-wide time-ordered stream (each event tagged
-        with its tenant), cut by the *shared* ``trigger``, and every closed
-        window is split back into per-tenant windows for
+        ``streams`` maps every current tenant to a time-ordered event source
+        (e.g. per-tenant :class:`~repro.workloads.PoissonZipfStream`\\ s
+        with :func:`~repro.workloads.tenant_rate_skew` rates; anything
+        :func:`repro.cloud.iter_batches` reads).  The streams are merged
+        chunk by chunk into one fleet-wide time-ordered stream (each chunk
+        attributed to its mapping key), cut by the *shared* ``trigger``, and
+        every closed window is split back into per-tenant windows for
         :meth:`step_window` — so a count trigger counts fleet-wide events
         and a time trigger keeps the familiar lock-step grid.  Memory stays
-        O(open window), never O(stream).
+        O(streams x chunk + open window), never O(stream).
 
         A :class:`~repro.engine.DriftTrigger` used here needs an explicit
         ``baseline_provider``: the merged stream spans tenants, and which
@@ -697,27 +702,26 @@ class FleetScheduler:
         if missing:
             raise ValueError(f"streams missing tenants: {missing}")
 
-        def tagged(name: str, stream: Iterable[TimedEvent]):
-            for event in stream:
-                yield event if event.tenant == name else replace(event, tenant=name)
+        # Each stream's chunks are attributed to its mapping key, so the
+        # merged windows split back per tenant by a stable selection.
+        def attributed(name: str, stream: object):
+            for batch in iter_batches(stream):
+                yield batch.with_tenant(name)
 
-        merged = heapq.merge(
-            *(tagged(name, streams[name]) for name in streams),
-            key=lambda event: event.t,
+        merged = merge_batches(
+            [attributed(name, stream) for name, stream in streams.items()]
         )
         for window in windowed(
             merged, trigger, start_month=start_month, horizon_months=horizon_months
         ):
-            per_tenant: dict[str, list[TimedEvent]] = {}
-            for event in window.events:
-                per_tenant.setdefault(event.tenant, []).append(event)
+            events = window.events
             self.step_window(
                 {
                     name: StreamWindow(
                         index=window.index,
                         start_month=window.start_month,
                         end_month=window.end_month,
-                        events=tuple(per_tenant.get(name, ())),
+                        events=events.for_tenant(name),
                         cause=window.cause,
                     )
                     # Live roster at window close: join/leave may have changed

@@ -12,7 +12,6 @@ ensembles on these tabular prediction tasks).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["AveragingRegressor", "RidgeRegressor", "SupportVectorRegressor"]
 
@@ -151,6 +150,10 @@ class SupportVectorRegressor:
 
     # -- fitting -----------------------------------------------------------------
     def fit(self, X, y) -> "SupportVectorRegressor":
+        # Imported here: scipy.optimize adds ~40 MB of resident memory, which
+        # only callers that fit an SVR should pay.
+        from scipy import optimize
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:

@@ -2,9 +2,11 @@
 
 The monthly generators in :mod:`repro.workloads.access_logs` materialize a
 full read-count series up front; fine at a 6–24 month horizon, hopeless at
-"millions of users".  This module instead produces **iterables of timestamped
-events** (:class:`repro.cloud.TimedEvent`) that are generated on the fly, so
-memory stays flat no matter how many events the horizon holds:
+"millions of users".  This module instead produces **streams of timestamped
+events** that are generated on the fly, so memory stays flat no matter how
+many events the horizon holds.  A stream hands out columnar
+:class:`repro.cloud.EventBatch` chunks through ``chunks()``; iterating it
+yields :class:`repro.cloud.TimedEvent` objects on demand:
 
 * :class:`PoissonZipfStream` — Poisson arrivals at a configurable rate with
   Zipf popularity over partitions, optionally modulated by a time-varying
@@ -12,7 +14,7 @@ memory stays flat no matter how many events the horizon holds:
 * :class:`TraceStream` — a trace-driven adapter replaying an external CSV
   access log (schema in ``schemas/access_trace.schema.json``) one row at a
   time;
-* :func:`merge_streams` — a heap merge of several streams into one
+* :func:`merge_streams` — a chunked k-way merge of several streams into one
   time-ordered stream (e.g. one stream per tenant with
   :func:`tenant_rate_skew` rates).
 
@@ -29,15 +31,15 @@ diurnal period below follows that convention.
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..cloud import TimedEvent
+from ..cloud import CHUNK_SIZE, EventBatch, TimedEvent, merge_batches
 
 __all__ = [
     "RateModulation",
@@ -151,10 +153,11 @@ class PoissonZipfStream:
     Events arrive as a Poisson process at ``rate_per_month`` (optionally
     modulated — see :class:`RateModulation`); each event reads one partition
     drawn from a Zipf(``zipf_exponent``) popularity distribution whose rank
-    order is a seeded shuffle of ``partitions``.  Iteration yields
-    :class:`repro.cloud.TimedEvent` in non-decreasing time order and keeps
-    only one chunk (default 8192 candidate arrivals) in memory at a time, so
-    a billion-event horizon costs the same RAM as a thousand-event one.
+    order is a seeded shuffle of ``partitions``.  :meth:`chunks` yields one
+    :class:`repro.cloud.EventBatch` per draw of ``chunk_size`` (default
+    8192) candidate arrivals, in non-decreasing time order, and keeps only
+    that chunk in memory, so a billion-event horizon costs the same RAM as a
+    thousand-event one.
 
     Arrivals under a modulated rate use Lewis–Shedler thinning: candidates
     are drawn at the envelope rate ``rate_per_month * modulation.ceiling``
@@ -174,7 +177,7 @@ class PoissonZipfStream:
         reads_per_event: float = 1.0,
         start_month: float = 0.0,
         tenant: str | None = None,
-        chunk_size: int = 8192,
+        chunk_size: int = CHUNK_SIZE,
     ) -> None:
         if not partitions:
             raise ValueError("at least one partition is required")
@@ -209,6 +212,15 @@ class PoissonZipfStream:
         weights = self._zipf_weights(setup_rng)
         self._cumulative = np.cumsum(weights)
         self._cumulative[-1] = 1.0  # guard against float round-off at the tail
+        # Batches name partitions by code into a vocab of unique names; a
+        # partition listed twice keeps both popularity ranks under one code.
+        self._vocab = tuple(dict.fromkeys(self.partitions))
+        self._codes = None
+        if len(self._vocab) != len(self.partitions):
+            index = {name: code for code, name in enumerate(self._vocab)}
+            self._codes = np.array(
+                [index[name] for name in self.partitions], dtype=np.intp
+            )
 
     def _zipf_weights(self, rng: np.random.Generator) -> np.ndarray:
         ranks = np.arange(1, len(self.partitions) + 1, dtype=float)
@@ -225,9 +237,12 @@ class PoissonZipfStream:
         """Mean number of events over the horizon at the *base* rate."""
         return self.rate_per_month * self.horizon_months
 
-    def __iter__(self) -> Iterator[TimedEvent]:
-        # A fresh generator per pass, derived from the stored seed, makes the
-        # stream re-iterable with an identical sequence.
+    def chunks(self) -> Iterator[EventBatch]:
+        """The stream as :class:`~repro.cloud.EventBatch` chunks, one per draw.
+
+        A fresh generator per pass, derived from the stored seed, makes the
+        stream re-iterable with an identical sequence.
+        """
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, 0xA11CE]).generate_state(4)
         )
@@ -235,9 +250,8 @@ class PoissonZipfStream:
         envelope_rate = self.rate_per_month * ceiling
         end = self.start_month + self.horizon_months
         t = self.start_month
-        names = self.partitions
-        reads = self.reads_per_event
-        tenant = self.tenant
+        vocab = self._vocab
+        tenants = (self.tenant,)
         while t < end:
             gaps = rng.exponential(1.0 / envelope_rate, size=self.chunk_size)
             times = t + np.cumsum(gaps)
@@ -256,10 +270,18 @@ class PoissonZipfStream:
             choices = np.searchsorted(
                 self._cumulative, rng.uniform(size=times.size), side="right"
             )
-            for when, index in zip(times.tolist(), choices.tolist()):
-                yield TimedEvent(
-                    t=when, partition=names[index], reads=reads, tenant=tenant
-                )
+            if self._codes is not None:
+                choices = self._codes[choices]
+            yield EventBatch(
+                times,
+                choices,
+                np.full(times.size, self.reads_per_event),
+                vocab,
+                tenants=tenants,
+            )
+
+    def __iter__(self) -> Iterator[TimedEvent]:
+        return chain.from_iterable(self.chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +384,10 @@ def write_trace_csv(path: str | Path, events: Iterable[TimedEvent]) -> int:
 class merge_streams:
     """Merge several time-ordered streams into one, lazily, by event time.
 
-    A re-iterable wrapper over :func:`heapq.merge`: each pass re-iterates the
-    underlying streams, so the merge inherits their re-iterability.  Ties are
-    broken by stream position (stable), which keeps merged sequences
-    deterministic.  Memory is O(number of streams).
+    A re-iterable wrapper over :func:`repro.cloud.merge_batches`: each pass
+    re-reads the underlying streams, so the merge inherits their
+    re-iterability.  Ties are broken by stream position (stable), which
+    keeps merged sequences deterministic.  Memory is O(streams x chunk).
     """
 
     def __init__(self, *streams: Iterable[TimedEvent]) -> None:
@@ -373,8 +395,11 @@ class merge_streams:
             raise ValueError("at least one stream is required")
         self.streams = streams
 
+    def chunks(self) -> Iterator[EventBatch]:
+        return merge_batches(self.streams)
+
     def __iter__(self) -> Iterator[TimedEvent]:
-        return heapq.merge(*self.streams, key=lambda event: event.t)
+        return chain.from_iterable(self.chunks())
 
 
 def tenant_rate_skew(

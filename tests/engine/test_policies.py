@@ -1,5 +1,10 @@
 """Policy trigger logic: StaticOnce, PeriodicReoptimize, DriftTriggered."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine import (
@@ -8,6 +13,10 @@ from repro.engine import (
     StaticOnce,
     drift_score,
     partition_drift_scores,
+)
+
+POLICIES = str(
+    Path(__file__).resolve().parents[2] / "src" / "repro" / "engine" / "policies.py"
 )
 
 
@@ -52,6 +61,35 @@ class TestDriftScore:
         assert drift_score({"a": 10.0}, {}) == 1.0
         assert drift_score({}, {"a": 10.0}) == 1.0
         assert drift_score({}, {}) == 0.0
+
+    def test_score_does_not_depend_on_the_hash_seed(self):
+        # Summing over a set of names would follow the string hash seed, and
+        # float sums follow their order: one input, one score, every process.
+        # The module has no package dependencies: load it alone, skipping
+        # the package import in each child process.
+        script = (
+            "import importlib.util, sys\n"
+            "import numpy as np\n"
+            "spec = importlib.util.spec_from_file_location('policies', sys.argv[1])\n"
+            "policies = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(policies)\n"
+            "rng = np.random.default_rng(5)\n"
+            "names = [f'part-{i}' for i in range(60)]\n"
+            "predicted = {n: float(v) for n, v in zip(names[:45], rng.random(45))}\n"
+            "observed = {n: float(v) for n, v in zip(names[15:], rng.random(45))}\n"
+            "print(repr(policies.drift_score(predicted, observed)))\n"
+        )
+        scores = set()
+        for hash_seed in ("1", "2", "3"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, POLICIES],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            scores.add(result.stdout.strip())
+        assert len(scores) == 1
 
 
 class TestDriftTriggered:

@@ -9,7 +9,7 @@ windowed timeline is a strict generalization, not a reimplementation.
 import numpy as np
 import pytest
 
-from repro.cloud import DataPartition, TimedEvent, azure_tier_catalog
+from repro.cloud import DataPartition, EventBatch, TimedEvent, azure_tier_catalog
 from repro.engine import (
     AnyTrigger,
     CountTrigger,
@@ -175,6 +175,20 @@ class TestWindowedDriver:
         events = [TimedEvent(t=1.0, partition="a"), TimedEvent(t=0.5, partition="a")]
         with pytest.raises(ValueError, match="time-ordered"):
             list(windowed(events, CountTrigger(10)))
+
+    def test_rejects_backwards_events_across_chunks(self):
+        chunks = [EventBatch.from_events(timed(1.0)), EventBatch.from_events(timed(0.5))]
+        with pytest.raises(ValueError, match="time-ordered: 0.5 after 1.0"):
+            list(windowed(chunks, CountTrigger(10)))
+
+    def test_rejects_event_before_start_month(self):
+        with pytest.raises(ValueError, match="precedes start_month=1.0"):
+            list(windowed(timed(0.5, 1.5), CountTrigger(10), start_month=1.0))
+
+    def test_rejects_chunk_event_before_start_month(self):
+        chunk = EventBatch.from_events(timed(1.2, 0.5, 1.5))
+        with pytest.raises(ValueError, match="t=0.5 precedes start_month=1.0"):
+            list(windowed(chunk, CountTrigger(10), start_month=1.0))
 
     def test_no_horizon_flushes_trailing_partial_window(self):
         wins = list(windowed(timed(0.1, 0.7), TimeTrigger(1.0)))

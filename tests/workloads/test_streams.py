@@ -1,11 +1,13 @@
 """Continuous event streams: re-iterability, thinning, traces, merging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cloud import TimedEvent
+from repro.engine import CountTrigger, windowed
 from repro.workloads import (
     PoissonZipfStream,
     RateModulation,
@@ -314,6 +316,33 @@ class TestMergeStreams:
     def test_merge_requires_streams(self):
         with pytest.raises(ValueError):
             merge_streams()
+
+    def test_merged_windowing_memory_is_bounded_by_chunks_not_stream(self):
+        # 4 x 250k events.  Their columns alone take 32 MB (t, code, reads,
+        # tenant); the merge buffers one 8192-candidate chunk per stream and
+        # the window holds 10k events, which peaks near 6 MB.
+        streams = [
+            PoissonZipfStream(
+                [f"p{i}" for i in range(64)],
+                rate_per_month=250_000.0,
+                horizon_months=1.0,
+                seed=seed,
+                tenant=f"t{seed}",
+            )
+            for seed in range(4)
+        ]
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            windowed_events = sum(
+                len(window.events)
+                for window in windowed(merge_streams(*streams), CountTrigger(10_000))
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert windowed_events > 990_000
+        assert peak - baseline < 10e6
 
 
 class TestTenantRateSkew:
