@@ -442,17 +442,21 @@ class CostModel:
     def _batch_codec_allowed(
         arrays: PartitionArrays, schemes: Sequence[str]
     ) -> np.ndarray:
-        """(N, K) mask of codec pinning: pinned partitions allow only their codec."""
-        allowed = np.ones((len(arrays), len(schemes)), dtype=bool)
+        """(N, K) mask of codec pinning: pinned partitions allow only their codec.
+
+        Each row's codec becomes a code — its scheme's column, ``-1`` when
+        unpinned, ``K`` when pinned to a scheme off the axis (nothing
+        allowed) — and the mask is one broadcast compare against the columns.
+        """
+        codecs = arrays.current_codec
+        count = len(schemes)
         scheme_index = {scheme: k for k, scheme in enumerate(schemes)}
-        for n, codec in enumerate(arrays.current_codec):
-            if codec is None:
-                continue
-            allowed[n] = False
-            pinned = scheme_index.get(codec)
-            if pinned is not None:
-                allowed[n, pinned] = True
-        return allowed
+        code_of = {codec: scheme_index.get(codec, count) for codec in set(codecs)}
+        code_of[None] = -1
+        code = np.fromiter(
+            map(code_of.__getitem__, codecs), dtype=np.intp, count=len(codecs)
+        )
+        return (code[:, None] == np.arange(count)) | (code == -1)[:, None]
 
     # -- codec pinning -------------------------------------------------------
     def is_codec_allowed(self, partition: DataPartition, scheme: str) -> bool:

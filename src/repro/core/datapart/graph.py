@@ -10,11 +10,12 @@ algorithm does through its heap.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .partitions import FileUniverse, InitialPartition, Merge, MergeConstraints
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["fractional_overlap", "build_overlap_graph", "merge_statistics"]
 
@@ -47,6 +48,10 @@ def build_overlap_graph(
     evaluated against ``constraints`` (always True when no constraints are
     given).  Zero-overlap pairs get no edge.
     """
+    # Imported here: networkx adds ~18 MB of resident memory, which only
+    # callers that build an overlap graph should pay.
+    import networkx as nx
+
     graph = nx.Graph()
     for partition in partitions:
         graph.add_node(partition.name, partition=partition)

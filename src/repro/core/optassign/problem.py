@@ -33,6 +33,24 @@ __all__ = ["CandidateOption", "OptAssignProblem", "ProfileTable"]
 #: Per-partition compression profiles, keyed by partition name then scheme name.
 ProfileTable = Mapping[str, Mapping[str, CompressionProfile]]
 
+#: ``(schemes, ratio (N,K), decompression_s_per_gb (N,K), available (N,K))``.
+ProfileColumns = tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
+
+
+def check_pinned_codecs(
+    names: Sequence[str],
+    codecs: Sequence[str | None],
+    profiles: Mapping[str, Mapping[str, CompressionProfile]],
+) -> None:
+    """Raise unless every pinned (already-compressed) row has a profile for
+    its codec."""
+    for name, pinned in zip(names, codecs):
+        if pinned is not None and pinned not in profiles[name]:
+            raise ValueError(
+                f"partition {name!r} is pinned to codec {pinned!r} "
+                "but no profile for that codec was provided"
+            )
+
 
 @dataclass(frozen=True)
 class CandidateOption:
@@ -109,42 +127,38 @@ class OptAssignProblem:
         if isinstance(partitions, PartitionArrays):
             arrays = partitions
             partitions = arrays.to_partitions()
+        partitions = list(partitions)
         names = [partition.name for partition in partitions]
         if len(set(names)) != len(names):
             raise ValueError("partition names must be unique")
         if not partitions:
             raise ValueError("at least one partition is required")
-        self._partitions_list: list[DataPartition] | None = list(partitions)
-        self.cost_model = cost_model
-        self._profiles: dict[str, dict[str, CompressionProfile]] = {}
-        for partition in self.partitions:
-            partition_profiles = dict(profiles.get(partition.name, {})) if profiles else {}
+        validated_profiles: dict[str, dict[str, CompressionProfile]] = {}
+        for name in names:
+            partition_profiles = dict(profiles.get(name, {})) if profiles else {}
             for scheme, profile in partition_profiles.items():
                 if scheme != profile.scheme:
                     raise ValueError(
                         f"profile keyed {scheme!r} has scheme {profile.scheme!r} "
-                        f"for partition {partition.name!r}"
+                        f"for partition {name!r}"
                     )
             partition_profiles.setdefault("none", NO_COMPRESSION_PROFILE)
-            self._profiles[partition.name] = partition_profiles
-        # Validate that pinned codecs actually have a profile.
-        for partition in self.partitions:
-            pinned = partition.current_codec
-            if pinned is not None and pinned not in self._profiles[partition.name]:
-                raise ValueError(
-                    f"partition {partition.name!r} is pinned to codec {pinned!r} "
-                    "but no profile for that codec was provided"
-                )
+            validated_profiles[name] = partition_profiles
+        check_pinned_codecs(
+            names,
+            [partition.current_codec for partition in partitions],
+            validated_profiles,
+        )
         known = set(names)
-        self._latency_slo: dict[str, float] = {}
+        latency_slo: dict[str, float] = {}
         for name, cap in (latency_slo_s or {}).items():
             if name not in known:
                 raise ValueError(f"latency_slo_s names unknown partition {name!r}")
             if cap < 0:
                 raise ValueError(f"SLO cap for {name!r} must be non-negative")
-            self._latency_slo[name] = float(cap)
+            latency_slo[name] = float(cap)
         catalog_providers = set(cost_model.tiers.provider_names)
-        self._provider_affinity: dict[str, frozenset[str]] = {}
+        affinity: dict[str, frozenset[str]] = {}
         for name, wanted in (provider_affinity or {}).items():
             if name not in known:
                 raise ValueError(f"provider_affinity names unknown partition {name!r}")
@@ -158,23 +172,81 @@ class OptAssignProblem:
                     f"catalog: {sorted(unknown_providers)} "
                     f"(catalog has {sorted(catalog_providers)})"
                 )
-            self._provider_affinity[name] = allowed
-        self._banned_tiers: frozenset[int] = frozenset(
-            int(index) for index in (banned_tiers or ())
-        )
+            affinity[name] = allowed
+        banned = frozenset(int(index) for index in (banned_tiers or ()))
         tier_count = len(cost_model.tiers)
-        out_of_range = [i for i in self._banned_tiers if i < 0 or i >= tier_count]
+        out_of_range = [i for i in banned if i < 0 or i >= tier_count]
         if out_of_range:
             raise ValueError(
                 f"banned_tiers out of range for a {tier_count}-tier catalog: "
                 f"{sorted(out_of_range)}"
             )
-        if len(self._banned_tiers) == tier_count:
+        if len(banned) == tier_count:
             raise ValueError("banned_tiers may not cover the whole catalog")
+        self._set_state(
+            cost_model,
+            arrays,
+            validated_profiles,
+            latency_slo,
+            affinity,
+            banned,
+            partitions=partitions,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        cost_model: CostModel,
+        arrays: PartitionArrays,
+        profiles: dict[str, dict[str, CompressionProfile]],
+        latency_slo: dict[str, float],
+        provider_affinity: dict[str, frozenset[str]],
+        banned_tiers: frozenset[int],
+        profile_columns: ProfileColumns | None = None,
+    ) -> "OptAssignProblem":
+        """An instance from already-validated parts, skipping ``__init__``.
+
+        The one construction shortcut behind :meth:`carve`, :meth:`relaxed`,
+        :meth:`~repro.core.optassign.StackedProblem.stack` and the online
+        engine's columnar build.  Every part must already have passed
+        ``__init__``'s validation against this catalog (profiles carrying the
+        ``"none"`` scheme, SLO/affinity keyed by known names, banned tiers in
+        range); re-validating per row is exactly the cost these callers exist
+        to avoid.  ``profile_columns`` may pre-seed the :meth:`_profile_columns`
+        cache when the caller already holds columns for this row order.
+        """
+        problem = cls.__new__(cls)
+        problem._set_state(
+            cost_model,
+            arrays,
+            profiles,
+            latency_slo,
+            provider_affinity,
+            banned_tiers,
+            profile_columns=profile_columns,
+        )
+        return problem
+
+    def _set_state(
+        self,
+        cost_model: CostModel,
+        arrays: PartitionArrays | None,
+        profiles: dict[str, dict[str, CompressionProfile]],
+        latency_slo: dict[str, float],
+        provider_affinity: dict[str, frozenset[str]],
+        banned_tiers: frozenset[int],
+        partitions: list[DataPartition] | None = None,
+        profile_columns: ProfileColumns | None = None,
+    ) -> None:
+        """Set every instance field; shared by ``__init__`` and :meth:`_assemble`."""
+        self._partitions_list: list[DataPartition] | None = partitions
+        self.cost_model = cost_model
+        self._profiles = profiles
+        self._latency_slo = latency_slo
+        self._provider_affinity = provider_affinity
+        self._banned_tiers = banned_tiers
         self._arrays: PartitionArrays | None = arrays
-        self._profile_columns_cache: (
-            tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
+        self._profile_columns_cache: ProfileColumns | None = profile_columns
         self._tensors: BatchCostTensors | None = None
 
     # -- accessors -------------------------------------------------------------
@@ -294,9 +366,7 @@ class OptAssignProblem:
         """
         return self._profile_columns()[0]
 
-    def _profile_columns(
-        self,
-    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    def _profile_columns(self) -> ProfileColumns:
         """(schemes, ratio (N,K), decompression_s_per_gb (N,K), available (N,K))."""
         if self._profile_columns_cache is None:
             names = self.partition_arrays().names
@@ -483,11 +553,10 @@ class OptAssignProblem:
     def carve(self, rows: Sequence[int] | np.ndarray) -> "OptAssignProblem":
         """The given rows as a standalone instance (shared profile tables).
 
-        Assembled through ``__new__`` like :meth:`relaxed` and
-        :meth:`~repro.core.optassign.StackedProblem.stack`: every row was
-        already validated by this problem's constructor, so re-validation
-        (and the per-partition profile-table copies) would only burn the time
-        the carve exists to save.  Row order is preserved, and the carved
+        Assembled through :meth:`_assemble`: every row was already validated
+        by this problem's constructor, so re-validation (and the
+        per-partition profile-table copies) would only burn the time the
+        carve exists to save.  Row order is preserved, and the carved
         instance's (smaller) scheme union restricted to one partition's
         available schemes keeps the sorted enumeration order — so vectorized
         argmin tie-breaks on the carve match the full instance exactly.  Both
@@ -495,25 +564,23 @@ class OptAssignProblem:
         solver's pool-arbitration reduce (rows in pooled tiers) rely on that.
         """
         sub_arrays = self.partition_arrays().take(rows)
-        sub = OptAssignProblem.__new__(OptAssignProblem)
-        sub._partitions_list = None
-        sub.cost_model = self.cost_model
-        sub._profiles = {name: self._profiles[name] for name in sub_arrays.names}
-        sub._latency_slo = {
-            name: cap
-            for name in sub_arrays.names
-            if (cap := self._latency_slo.get(name)) is not None
-        }
-        sub._provider_affinity = {
-            name: allowed
-            for name in sub_arrays.names
-            if (allowed := self._provider_affinity.get(name)) is not None
-        }
-        sub._banned_tiers = self._banned_tiers
-        sub._arrays = sub_arrays
-        sub._profile_columns_cache = None
-        sub._tensors = None
-        return sub
+        names = sub_arrays.names
+        return OptAssignProblem._assemble(
+            self.cost_model,
+            sub_arrays,
+            {name: self._profiles[name] for name in names},
+            {
+                name: cap
+                for name in names
+                if (cap := self._latency_slo.get(name)) is not None
+            },
+            {
+                name: allowed
+                for name in names
+                if (allowed := self._provider_affinity.get(name)) is not None
+            },
+            self._banned_tiers,
+        )
 
     def relaxed(self, latency_factor: float) -> "OptAssignProblem":
         """A copy of the problem with every latency threshold multiplied by ``latency_factor``.
@@ -534,20 +601,18 @@ class OptAssignProblem:
             arrays,
             latency_threshold_s=arrays.latency_threshold_s * latency_factor,
         )
-        problem = OptAssignProblem.__new__(OptAssignProblem)
-        problem._partitions_list = None
-        problem.cost_model = self.cost_model
-        problem._profiles = self._profiles
         # SLO caps, provider affinity and banned tiers are *hard* constraints:
         # latency relaxation widens the SLA thresholds but never the
-        # tier-eligibility masks, so all three carry over unchanged.
-        problem._latency_slo = self._latency_slo
-        problem._provider_affinity = self._provider_affinity
-        problem._banned_tiers = self._banned_tiers
-        problem._arrays = relaxed_arrays
-        # The profile columns depend only on the (shared) profile table and
-        # the partition order, so the relaxed copy can reuse them; the cost
-        # tensors depend on the latency thresholds and must be recomputed.
-        problem._profile_columns_cache = self._profile_columns_cache
-        problem._tensors = None
-        return problem
+        # tier-eligibility masks, so all three carry over unchanged.  The
+        # profile columns depend only on the (shared) profile table and the
+        # partition order, so the relaxed copy reuses them; the cost tensors
+        # depend on the latency thresholds and are recomputed.
+        return OptAssignProblem._assemble(
+            self.cost_model,
+            relaxed_arrays,
+            self._profiles,
+            self._latency_slo,
+            self._provider_affinity,
+            self._banned_tiers,
+            profile_columns=self._profile_columns_cache,
+        )

@@ -17,19 +17,19 @@ against bill for bill.
 
 Partition names are tagged ``tenant::name`` (:data:`TENANT_SEPARATOR`) so
 identically-named partitions of different tenants cannot collide, and
-:meth:`StackedProblem.split_placements` untags the solved assignment back
-into per-tenant placement maps.
+:meth:`StackedProblem.split_placements` slices the solved assignment back
+into per-tenant placement maps by each tenant's row span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from ...cloud import PartitionArrays, PlacementDecision
-from .problem import CandidateOption, OptAssignProblem
+from .problem import CandidateOption, OptAssignProblem, ProfileColumns
 from .result import Assignment
 
 __all__ = ["TENANT_SEPARATOR", "StackedProblem"]
@@ -77,9 +77,11 @@ class StackedProblem:
     problem: OptAssignProblem
     tenants: tuple[str, ...]
     #: Per-tenant row spans ``(start, stop)`` in the stacked row order, one
-    #: per entry of ``tenants`` — what the sharded fleet solver aligns its
-    #: shard boundaries to.  Empty for hand-built instances.
-    tenant_spans: tuple[tuple[int, int], ...] = field(default=())
+    #: per entry of ``tenants`` — what the splits slice by and the sharded
+    #: fleet solver aligns its shard boundaries to.
+    tenant_spans: tuple[tuple[int, int], ...]
+    #: Per-tenant untagged partition names, row-aligned with each span.
+    tenant_names: tuple[tuple[str, ...], ...]
 
     @classmethod
     def stack(cls, problems: Mapping[str, OptAssignProblem]) -> "StackedProblem":
@@ -110,9 +112,8 @@ class StackedProblem:
         # have profiles) and SLO / affinity maps against this same catalog,
         # and the tenant tags keep names unique across tenants, so
         # OptAssignProblem.__init__'s re-validation (and its per-partition
-        # profile-table copies) is skipped — the same construction shortcut
-        # OptAssignProblem.relaxed uses.  At fleet scale this is what keeps
-        # stacking overhead below the solve itself.
+        # profile-table copies) is skipped.  At fleet scale this is what
+        # keeps stacking overhead below the solve itself.
         profiles: dict[str, dict] = {}
         latency_slo: dict[str, float] = {}
         affinity: dict[str, frozenset[str]] = {}
@@ -154,24 +155,28 @@ class StackedProblem:
             current_codec=tuple(codecs),
             file_ids=tuple(file_ids),
         )
-        model = next(iter(problems.values())).cost_model
-        stacked = OptAssignProblem.__new__(OptAssignProblem)
-        stacked._partitions_list = None
-        stacked.cost_model = model
-        stacked._profiles = profiles
-        stacked._latency_slo = latency_slo
-        stacked._provider_affinity = affinity
-        # Banned tiers describe the shared catalog's state (a provider
-        # outage), not any one tenant, so the union is the fleet's view; in
-        # practice every sub-problem carries the same set.
-        stacked._banned_tiers = frozenset().union(
-            *(problem.banned_tiers for problem in problems.values())
+        stacked = OptAssignProblem._assemble(
+            next(iter(problems.values())).cost_model,
+            stacked_arrays,
+            profiles,
+            latency_slo,
+            affinity,
+            # Banned tiers describe the shared catalog's state (a provider
+            # outage), not any one tenant, so the union is the fleet's view;
+            # in practice every sub-problem carries the same set.
+            frozenset().union(
+                *(problem.banned_tiers for problem in problems.values())
+            ),
+            profile_columns=_stack_profile_columns(
+                [problem._profile_columns() for problem in problems.values()],
+                spans,
+            ),
         )
-        stacked._arrays = stacked_arrays
-        stacked._profile_columns_cache = None
-        stacked._tensors = None
         return cls(
-            problem=stacked, tenants=tuple(problems), tenant_spans=tuple(spans)
+            problem=stacked,
+            tenants=tuple(problems),
+            tenant_spans=tuple(spans),
+            tenant_names=tuple(arrays.names for arrays in per_tenant),
         )
 
     @staticmethod
@@ -182,29 +187,63 @@ class StackedProblem:
             raise ValueError(f"partition name {tagged_name!r} carries no tenant tag")
         return tenant, name
 
+    def _tenant_rows(self):
+        """``(tenant, (tagged, name) pairs)`` per tenant, in stacked row order."""
+        tagged_names = self.problem.partition_arrays().names
+        for tenant, (start, stop), names in zip(
+            self.tenants, self.tenant_spans, self.tenant_names
+        ):
+            yield tenant, zip(tagged_names[start:stop], names)
+
     def split_choices(
         self, assignment: Assignment
     ) -> dict[str, dict[str, CandidateOption]]:
         """Per-tenant choice maps, with original (untagged) partition names."""
-        split: dict[str, dict[str, CandidateOption]] = {
-            tenant: {} for tenant in self.tenants
+        choices = assignment.choices
+        return {
+            tenant: {
+                name: replace(choices[tagged], partition=name) for tagged, name in rows
+            }
+            for tenant, rows in self._tenant_rows()
         }
-        for tagged, option in assignment.choices.items():
-            tenant, name = self.untag(tagged)
-            split[tenant][name] = replace(option, partition=name)
-        return split
 
     def split_placements(
         self, assignment: Assignment
     ) -> dict[str, dict[str, PlacementDecision]]:
         """Per-tenant placement maps ready for the engines' executors."""
-        split: dict[str, dict[str, PlacementDecision]] = {
-            tenant: {} for tenant in self.tenants
-        }
-        for tagged, option in assignment.choices.items():
-            tenant, name = self.untag(tagged)
-            split[tenant][name] = PlacementDecision(
-                tier_index=option.tier_index,
-                profile=self.problem.profile_for(tagged, option.scheme),
-            )
+        choices = assignment.choices
+        profiles = self.problem._profiles
+        split: dict[str, dict[str, PlacementDecision]] = {}
+        for tenant, rows in self._tenant_rows():
+            placements = split[tenant] = {}
+            for tagged, name in rows:
+                option = choices[tagged]
+                placements[name] = PlacementDecision(
+                    tier_index=option.tier_index,
+                    profile=profiles[tagged][option.scheme],
+                )
         return split
+
+
+def _stack_profile_columns(columns, spans) -> ProfileColumns:
+    """Each tenant's cached profile columns, placed onto the sorted union.
+
+    Cells outside a tenant's own schemes keep the per-row build's defaults
+    (ratio 1.0, decompression 0.0, unavailable), so the result equals what
+    :meth:`OptAssignProblem._profile_columns` would compute row by row over
+    the stacked profile table.
+    """
+    schemes = tuple(sorted({scheme for tenant in columns for scheme in tenant[0]}))
+    index = {scheme: k for k, scheme in enumerate(schemes)}
+    shape = (spans[-1][1], len(schemes))
+    ratio = np.ones(shape, dtype=np.float64)
+    decompression = np.zeros(shape, dtype=np.float64)
+    available = np.zeros(shape, dtype=bool)
+    for (start, stop), (own, own_ratio, own_decompression, own_available) in zip(
+        spans, columns
+    ):
+        cols = [index[scheme] for scheme in own]
+        ratio[start:stop, cols] = own_ratio
+        decompression[start:stop, cols] = own_decompression
+        available[start:stop, cols] = own_available
+    return schemes, ratio, decompression, available

@@ -48,6 +48,7 @@ from ..core.optassign import (
     ProfileTable,
     solve_optassign,
 )
+from ..core.optassign.problem import check_pinned_codecs
 from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
 from .events import EpochBatch, StreamWindow, TriggerWindow, windowed
@@ -62,6 +63,21 @@ __all__ = [
     "EngineReport",
     "OnlineTieringEngine",
 ]
+
+
+def _snapshot(constraints: tuple) -> tuple:
+    """A copy of ``(profiles, slo, affinity, banned)`` that compares equal to
+    the live inputs only while none of them has changed — rebinding and
+    in-place edits alike."""
+    profiles, slo, affinity, banned = constraints
+    return (
+        None
+        if profiles is None
+        else {name: dict(table) for name, table in profiles.items()},
+        None if slo is None else dict(slo),
+        None if affinity is None else dict(affinity),
+        banned,
+    )
 
 
 @dataclass(frozen=True)
@@ -281,6 +297,9 @@ class OnlineTieringEngine:
         self.chaos = chaos
         self._banned_tiers: frozenset[int] = frozenset()
         self._lifted_affinity: dict[str, object] = {}
+        # (snapshot of the constraint inputs, their validated form + profile
+        # columns) behind the last build; see _assemble_problem.
+        self._validated: tuple[tuple, tuple] | None = None
         self.simulator = CloudStorageSimulator(
             tiers, compute_cost_per_s=self.config.compute_cost_per_s
         )
@@ -865,15 +884,49 @@ class OnlineTieringEngine:
     def _assemble_problem(
         self, epoch: int, predicted_monthly: Mapping[str, float]
     ) -> OptAssignProblem:
+        """The instance as columns over the engine's cached partition arrays.
+
+        Only three columns change between builds: the horizon forecast, the
+        warm-start tier (where the data lives today, so staying put is free
+        and every move must earn back its own cost over the horizon) and the
+        live codec.  The constraint state — profile table, SLO caps,
+        provider affinity, banned tiers — is validated by the full
+        ``OptAssignProblem.__init__`` once, and its validated form (plus the
+        profile columns) is reused for as long as every input compares equal
+        to what was validated; any change, however it was made, re-validates.
+        """
         config = self.config
-        horizon_partitions = [
-            replace(
-                partition,
-                predicted_accesses=predicted_monthly[partition.name]
-                * config.horizon_months,
+        base = self._arrays
+        names = base.names
+        partitions = self._partitions
+        predicted = (
+            np.fromiter(
+                (predicted_monthly[name] for name in names),
+                dtype=np.float64,
+                count=len(names),
             )
-            for partition in self._partitions
-        ]
+            * config.horizon_months
+        )
+        if (predicted < 0).any():
+            raise ValueError("predicted_accesses must be non-negative")
+        placement = self.placement or {}
+        current_tier = np.fromiter(
+            (
+                partition.current_tier
+                if (decision := placement.get(partition.name)) is None
+                else decision.tier_index
+                for partition in partitions
+            ),
+            dtype=np.int64,
+            count=len(partitions),
+        )
+        codecs = tuple(partition.current_codec for partition in partitions)
+        arrays = replace(
+            base,
+            predicted_accesses=predicted,
+            current_tier=current_tier,
+            current_codec=codecs,
+        )
         cost_model = self.simulator.cost_model(
             duration_months=config.horizon_months, weights=config.weights
         )
@@ -882,19 +935,42 @@ class OnlineTieringEngine:
             if self._profile_provider is not None
             else self._profiles
         )
+        constraints = (
+            profiles,
+            self._latency_slo,
+            self._provider_affinity,
+            self._banned_tiers,
+        )
+        if self._validated is not None and self._validated[0] == constraints:
+            valid_profiles, slo, affinity, banned, columns = self._validated[1]
+            check_pinned_codecs(names, codecs, valid_profiles)
+            return OptAssignProblem._assemble(
+                cost_model,
+                arrays,
+                valid_profiles,
+                slo,
+                affinity,
+                banned,
+                profile_columns=columns,
+            )
         problem = OptAssignProblem(
-            horizon_partitions,
+            arrays,
             cost_model,
             profiles,
             latency_slo_s=self._latency_slo,
             provider_affinity=self._provider_affinity,
             banned_tiers=self._banned_tiers or None,
         )
-        if self.placement is not None:
-            # Warm start: price the objective's tier-change term from where
-            # the data actually lives today, so staying put is free and every
-            # move must earn back its own cost over the horizon.
-            problem = problem.with_current_placement(self.placement)
+        self._validated = (
+            _snapshot(constraints),
+            (
+                problem._profiles,
+                problem._latency_slo,
+                problem._provider_affinity,
+                problem._banned_tiers,
+                problem._profile_columns(),
+            ),
+        )
         return problem
 
     def apply_assignment(

@@ -183,9 +183,27 @@ class DriftTriggered(TieringPolicy):
         self.threshold = threshold
         self.min_gap_months = min_gap_months
         self.last_score = 0.0
-        self.last_partition_scores: dict[str, float] = {}
         self._predicted: dict[str, float] | None = None
         self._last_reoptimized: int | None = None
+        # The last scored (predicted, observed) pair; per-partition scores are
+        # derived from it on first use (only delta re-solves read them).
+        # notify_reoptimized rebinds _predicted rather than mutating it, so
+        # the captured pair keeps scoring against the forecast it was seen
+        # with.
+        self._scored_pair: (
+            tuple[Mapping[str, float], Mapping[str, float]] | None
+        ) = None
+        self._partition_scores: dict[str, float] | None = None
+
+    @property
+    def last_partition_scores(self) -> dict[str, float]:
+        """Per-partition drift of the last scored window (see
+        :func:`partition_drift_scores`); empty before the first score."""
+        if self._partition_scores is None:
+            if self._scored_pair is None:
+                return {}
+            self._partition_scores = partition_drift_scores(*self._scored_pair)
+        return self._partition_scores
 
     def should_reoptimize(
         self, epoch: int, observed: Mapping[str, float] | None
@@ -195,9 +213,8 @@ class DriftTriggered(TieringPolicy):
         if observed is None:
             return False
         self.last_score = drift_score(self._predicted, observed)
-        self.last_partition_scores = partition_drift_scores(
-            self._predicted, observed
-        )
+        self._scored_pair = (self._predicted, observed)
+        self._partition_scores = None
         if (
             self._last_reoptimized is not None
             and epoch - self._last_reoptimized < self.min_gap_months

@@ -164,6 +164,31 @@ class TestDriftTriggeredPartitionHints:
         assert not policy.should_reoptimize(2, {"a": 100.0})  # gap suppresses
         assert policy.drifted_partitions(0.1) == {"a"}
 
+    def test_hint_after_a_later_reoptimization_matches_eager_scoring(self):
+        # Scores are derived on the first hint request; a re-optimization
+        # landing in between must not re-base them on the new forecast.
+        predicted = {"a": 10.0, "b": 10.0, "c": 4.0}
+        observed = {"a": 11.0, "b": 30.0, "d": 2.0}
+        policy = DriftTriggered(threshold=0.4)
+        policy.notify_reoptimized(0, predicted)
+        policy.should_reoptimize(1, observed)
+        policy.notify_reoptimized(1, {"a": 11.0, "b": 30.0, "c": 0.0, "d": 2.0})
+        eager = partition_drift_scores(predicted, observed)
+        for threshold in (0.05, 0.2, 0.9):
+            assert policy.drifted_partitions(threshold) == {
+                name for name, score in eager.items() if score > threshold
+            }
+        assert policy.last_partition_scores == eager
+
+    def test_scores_are_derived_once_per_window(self):
+        policy = DriftTriggered(threshold=0.4)
+        policy.notify_reoptimized(0, {"a": 10.0})
+        policy.should_reoptimize(1, {"a": 20.0})
+        first = policy.last_partition_scores
+        assert policy.last_partition_scores is first
+        policy.should_reoptimize(2, {"a": 10.0})
+        assert policy.last_partition_scores == {"a": 0.0}
+
     def test_base_policy_has_no_per_partition_signal(self):
         assert StaticOnce().drifted_partitions(0.1) is None
         assert PeriodicReoptimize(2).drifted_partitions(0.1) is None
