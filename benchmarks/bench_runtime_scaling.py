@@ -250,9 +250,10 @@ def sweep_delta(
     3x — far past the drift threshold — keep every other row bit-identical,
     and time (a) one delta solve against the warm cache vs (b) one full
     ``solve_optassign`` on the same instance.  Both timings get a prebuilt
-    columnar instance with cold cost tensors, mirroring what a fresh
-    re-optimization epoch actually pays; the delta cache is re-primed before
-    every timed repeat so each measurement sees the same warm state.
+    columnar instance whose cost tensors and profile columns are reset to
+    cold before every timed repeat, mirroring what a fresh re-optimization
+    epoch actually pays; the delta cache is restored (inside the timed
+    region) before every repeat so each measurement sees the same state.
 
     Because the undrifted rows are bit-unchanged, pinning them reproduces the
     full solve's argmin exactly — the delta assignment must be identical, not
@@ -302,20 +303,26 @@ def sweep_delta(
         snapshot = (
             {key: column.copy() for key, column in solver._features.items()},
             solver._tier.copy(),
+            solver._scheme.copy(),
+            solver._priced.copy(),
             solver._stored.copy(),
-            dict(solver._options),
         )
 
         # The instance is prebuilt for both contenders (problem construction
         # is an epoch-setup cost neither path's solve should be charged for);
-        # cost tensors stay cold, exactly as at a fresh re-optimization.
+        # cost tensors and profile columns are reset to cold before every
+        # repeat of either contender, exactly as at a fresh re-optimization.
         delta_problem = make_problem(drifted_arrays)
 
         def _delta_once():
+            delta_problem._arrays = drifted_arrays
+            delta_problem._tensors = None
+            delta_problem._profile_columns_cache = None
             solver._features = {k: c.copy() for k, c in snapshot[0].items()}
             solver._tier = snapshot[1].copy()
-            solver._stored = snapshot[2].copy()
-            solver._options = dict(snapshot[3])
+            solver._scheme = snapshot[2].copy()
+            solver._priced = snapshot[3].copy()
+            solver._stored = snapshot[4].copy()
             return solver.solve(delta_problem)
 
         delta_s = _best_of(_delta_once, repeats)

@@ -40,6 +40,7 @@ from .simulator import (
     AccessEvent,
     CloudStorageSimulator,
     CompiledPlacement,
+    PlacementColumns,
     PlacementDecision,
     SimulationResult,
     percent_cost_benefit,
@@ -80,6 +81,7 @@ __all__ = [
     "CloudStorageSimulator",
     "CompiledPlacement",
     "PlacementDecision",
+    "PlacementColumns",
     "SimulationResult",
     "TimedEvent",
     "EventBatch",

@@ -134,11 +134,15 @@ class PartitionArrays:
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
-    def index_of(self, name: str) -> int:
-        """Row index of ``name``; raises ``KeyError`` if unknown."""
+    def row_index(self) -> dict[str, int]:
+        """``name -> row index`` (built once, cached)."""
         if self._index is None:
             self._index = {n: i for i, n in enumerate(self.names)}
-        return self._index[name]
+        return self._index
+
+    def index_of(self, name: str) -> int:
+        """Row index of ``name``; raises ``KeyError`` if unknown."""
+        return self.row_index()[name]
 
     def codes_for(self, vocab: tuple[str, ...]) -> np.ndarray:
         """Row index of every name in ``vocab`` (``-1`` where unknown).
@@ -148,9 +152,7 @@ class PartitionArrays:
         """
         lookup = self._lookups.get(vocab)
         if lookup is None:
-            if self._index is None:
-                self._index = {n: i for i, n in enumerate(self.names)}
-            index = self._index
+            index = self.row_index()
             lookup = np.array([index.get(name, -1) for name in vocab], dtype=np.intp)
             if len(self._lookups) >= 64:
                 self._lookups.clear()

@@ -27,6 +27,7 @@ from .tiers import NEW_DATA_TIER, TierCatalog
 __all__ = [
     "AccessEvent",
     "PlacementDecision",
+    "PlacementColumns",
     "SimulationResult",
     "CloudStorageSimulator",
     "CompiledPlacement",
@@ -64,6 +65,137 @@ class PlacementDecision:
     def __post_init__(self) -> None:
         if self.tier_index < 0:
             raise ValueError("tier_index must be a valid tier (>= 0)")
+
+
+class PlacementColumns(Mapping):
+    """A placement as row-aligned columns: one tier and one profile per row.
+
+    The form a solved placement travels in from the solver to the executor
+    and the compiled billing step: ``tier`` (int64) and ``scheme`` (int64
+    codes into ``schemes``) per row of ``names``, plus the chosen profile's
+    ``ratio`` and ``decompression_s_per_gb`` as float64 columns.  ``profiles``
+    (``name -> scheme -> profile``) holds the profile objects themselves.
+    ``placed`` marks which rows carry a decision (``None`` = every row); only
+    a partial mapping converted by :meth:`from_mapping` leaves rows unplaced.
+
+    It is also a read-only ``Mapping[str, PlacementDecision]`` over the
+    placed rows in row order, building each decision when it is read.
+    """
+
+    __slots__ = (
+        "names",
+        "tier",
+        "scheme",
+        "schemes",
+        "ratio",
+        "decompression_s_per_gb",
+        "profiles",
+        "placed",
+        "_index",
+    )
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        tier: np.ndarray,
+        scheme: np.ndarray,
+        schemes: tuple[str, ...],
+        ratio: np.ndarray,
+        decompression_s_per_gb: np.ndarray,
+        profiles: Mapping[str, Mapping[str, CompressionProfile]],
+        placed: np.ndarray | None = None,
+    ):
+        self.names = names
+        self.tier = tier
+        self.scheme = scheme
+        self.schemes = schemes
+        self.ratio = ratio
+        self.decompression_s_per_gb = decompression_s_per_gb
+        self.profiles = profiles
+        self.placed = placed
+        self._index: dict[str, int] | None = None
+
+    @classmethod
+    def from_mapping(
+        cls,
+        names: Sequence[str],
+        placement: Mapping[str, PlacementDecision],
+    ) -> "PlacementColumns":
+        """``placement`` as columns over ``names`` (the one adapter).
+
+        Columns already in ``names`` order pass through unchanged; any other
+        mapping is read once per row.  Names the mapping lacks stay unplaced;
+        names outside ``names`` are ignored.
+        """
+        names = tuple(names)
+        if isinstance(placement, PlacementColumns) and placement.names == names:
+            return placement
+        count = len(names)
+        tier = np.full(count, -1, dtype=np.int64)
+        scheme = np.full(count, -1, dtype=np.int64)
+        ratio = np.ones(count, dtype=np.float64)
+        decompression = np.zeros(count, dtype=np.float64)
+        placed = np.zeros(count, dtype=bool)
+        vocabulary: dict[str, int] = {}
+        profiles: dict[str, dict[str, CompressionProfile]] = {}
+        for row, name in enumerate(names):
+            decision = placement.get(name)
+            if decision is None:
+                continue
+            profile = decision.profile
+            placed[row] = True
+            tier[row] = decision.tier_index
+            scheme[row] = vocabulary.setdefault(profile.scheme, len(vocabulary))
+            ratio[row] = profile.ratio
+            decompression[row] = profile.decompression_s_per_gb
+            profiles[name] = {profile.scheme: profile}
+        return cls(
+            names,
+            tier,
+            scheme,
+            tuple(vocabulary),
+            ratio,
+            decompression,
+            profiles,
+            None if placed.all() else placed,
+        )
+
+    def unplaced(self) -> list[str]:
+        """Names without a decision, in row order."""
+        if self.placed is None:
+            return []
+        return [self.names[row] for row in np.flatnonzero(~self.placed).tolist()]
+
+    def _row(self, name: str) -> int:
+        if self._index is None:
+            self._index = {n: row for row, n in enumerate(self.names)}
+        row = self._index[name]
+        if self.placed is not None and not self.placed[row]:
+            raise KeyError(name)
+        return row
+
+    # -- Mapping protocol --------------------------------------------------------
+    def __getitem__(self, name: str) -> PlacementDecision:
+        row = self._row(name)
+        scheme = self.schemes[int(self.scheme[row])]
+        return PlacementDecision(
+            tier_index=int(self.tier[row]), profile=self.profiles[name][scheme]
+        )
+
+    def __contains__(self, name) -> bool:
+        try:
+            self._row(name)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        if self.placed is None:
+            return iter(self.names)
+        return (self.names[row] for row in np.flatnonzero(self.placed).tolist())
+
+    def __len__(self) -> int:
+        return len(self.names) if self.placed is None else int(self.placed.sum())
 
 
 @dataclass
@@ -361,23 +493,16 @@ class CompiledPlacement:
         arrays: PartitionArrays,
         placement: Mapping[str, PlacementDecision],
     ):
-        missing = [name for name in arrays.names if name not in placement]
+        columns = PlacementColumns.from_mapping(arrays.names, placement)
+        missing = columns.unplaced()
         if missing:
             raise KeyError(f"placement missing partitions: {missing}")
         self.simulator = simulator
         self.arrays = arrays
-        tiers = simulator.tiers
-        costs = tiers.cost_arrays()
-        count = len(arrays)
-
-        tier_index = np.empty(count, dtype=np.int64)
-        ratio = np.empty(count, dtype=np.float64)
-        decompression_per_gb = np.empty(count, dtype=np.float64)
-        for i, name in enumerate(arrays.names):
-            decision = placement[name]
-            tier_index[i] = decision.tier_index
-            ratio[i] = decision.profile.ratio
-            decompression_per_gb[i] = decision.profile.decompression_s_per_gb
+        costs = simulator.tiers.cost_arrays()
+        tier_index = columns.tier
+        ratio = columns.ratio
+        decompression_per_gb = columns.decompression_s_per_gb
         self.tier_index = tier_index
 
         stored_gb = arrays.size_gb / ratio

@@ -54,7 +54,7 @@ def ideal_tier_labels(
     ]
     problem = OptAssignProblem(partitions, cost_model)
     assignment = solve_greedy(problem)
-    return [assignment.choices[dataset.name].tier_index for dataset in catalog]
+    return assignment.tier.tolist()  # rows follow the catalog order
 
 
 def placement_cost(

@@ -177,4 +177,4 @@ def rule_previous_optimal(
         )
     problem = OptAssignProblem(partitions, cost_model)
     assignment = solve_greedy(problem)
-    return {name: option.tier_index for name, option in assignment.choices.items()}
+    return dict(zip(problem.partition_names, assignment.tier.tolist()))

@@ -17,7 +17,7 @@ batch cost tensors — so the facade's old promise that the greedy fallback
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,16 @@ from .errors import InfeasibleError
 from .greedy import solve_greedy
 from .ilp import solve_ilp
 from .problem import OptAssignProblem
-from .result import Assignment
+from .result import (
+    DECOMPRESSION,
+    LATENCY,
+    OBJECTIVE,
+    READ,
+    STORAGE,
+    WRITE,
+    Assignment,
+    recode,
+)
 
 __all__ = [
     "solve_optassign",
@@ -112,21 +121,11 @@ def _repair_groups_impl(
     """
     problem = assignment.problem
     tensors = problem.batch_tensors()
-    arrays = problem.partition_arrays()
     num_groups = len(capacities)
     num_partitions = tensors.num_partitions
 
-    scheme_index = {scheme: k for k, scheme in enumerate(tensors.schemes)}
-    current_tier = np.fromiter(
-        (assignment.choices[name].tier_index for name in arrays.names),
-        dtype=np.int64,
-        count=num_partitions,
-    )
-    current_scheme = np.fromiter(
-        (scheme_index[assignment.choices[name].scheme] for name in arrays.names),
-        dtype=np.int64,
-        count=num_partitions,
-    )
+    current_tier = assignment.tier.copy()
+    current_scheme = recode(assignment.scheme, assignment.schemes, tensors.schemes)
     rows = np.arange(num_partitions)
     stored = tensors.stored_gb[rows, current_scheme]
     tier_usage = np.bincount(current_tier, weights=stored, minlength=tensors.num_tiers)
@@ -192,24 +191,26 @@ def _repair_groups_impl(
         if need > tolerance:
             raise InfeasibleError(describe_failure(target, float(need)))
 
-    choices = dict(assignment.choices)
-    for index in moved:
-        name = arrays.names[index]
-        tier = int(current_tier[index])
-        scheme = int(current_scheme[index])
-        choices[name] = replace(
-            assignment.choices[name],
-            tier_index=tier,
-            scheme=tensors.schemes[scheme],
-            objective=float(tensors.objective[index, tier, scheme]),
-            breakdown=tensors.breakdown_at(index, tier, scheme),
-            latency_s=float(tensors.latency_s[index, tier, scheme]),
-        )
+    # Only the moved rows are re-priced, straight from the cached tensors;
+    # every other row keeps the cents it was chosen at.
+    priced = assignment.priced.copy()
+    index = np.fromiter(sorted(moved), dtype=np.int64, count=len(moved))
+    tier = current_tier[index]
+    scheme = current_scheme[index]
+    priced[OBJECTIVE, index] = tensors.objective[index, tier, scheme]
+    priced[STORAGE, index] = tensors.storage[index, tier, scheme]
+    priced[READ, index] = tensors.read[index, tier, scheme]
+    priced[WRITE, index] = tensors.write[index, tier, scheme]
+    priced[DECOMPRESSION, index] = tensors.decompression[index, scheme]
+    priced[LATENCY, index] = tensors.latency_s[index, tier, scheme]
     return (
         Assignment(
-            problem=problem,
-            choices=choices,
-            solver=f"{assignment.solver}{solver_suffix}",
+            problem,
+            current_tier,
+            current_scheme,
+            tensors.schemes,
+            priced,
+            f"{assignment.solver}{solver_suffix}",
         ),
         rounds,
         len(moved),

@@ -3,7 +3,7 @@
 Every re-optimization so far rebuilt and re-solved the full
 partitions × tiers × schemes tensor even when drift touched a handful of
 partitions.  :class:`DeltaSolver` keeps the previous epoch's per-partition
-features and chosen options between solves and, on the next instance,
+features and chosen columns between solves and, on the next instance,
 
 1. detects the **changed rows** — partitions whose windowed access forecast
    moved past a configurable relative drift threshold, plus every partition
@@ -13,7 +13,8 @@ features and chosen options between solves and, on the next instance,
    :class:`~repro.engine.DriftTriggered` policy's per-partition scores);
 2. solves a carved-out subproblem over only those rows (the same vectorized
    masked-argmin greedy as the full path, so tie-breaks are identical);
-3. **pins** every other partition to its standing choice from the cache;
+3. **pins** every other partition to its standing choice from the cache
+   (gathered and scattered as columns, never per row);
 4. checks tier capacities and shared pool budgets against the composed
    placement with one vectorized pass and runs
    :func:`~repro.core.optassign.repair_capacity` /
@@ -54,18 +55,23 @@ masks.
 Pricing staleness
 -----------------
 
-A pinned row's :class:`~repro.core.optassign.CandidateOption` carries the
-objective/breakdown at which it was *last solved* — re-pricing the unchanged
-majority every epoch would cost exactly the full tensor build the delta path
-exists to avoid.  The **placement** (tier + scheme) is what downstream
-consumers use (the engine's executor and simulator bill from it truthfully);
-treat the per-option cents on pinned rows as approximate within the bound
-above, and re-price against a fresh problem where exact accounting matters.
+The cache keeps, per row, the tier, the scheme code (into a vocabulary the
+solver owns), the stored GB and the priced block — objective, billed
+breakdown and latency — at which the row was *last solved*.  A pinned row's
+entry in the composed :class:`~repro.core.optassign.Assignment` is gathered
+from those columns, so its cents are the ones it was solved at: re-pricing
+the unchanged majority every epoch would cost exactly the full tensor build
+the delta path exists to avoid.  The **placement** (tier + scheme) is what
+downstream consumers use (the engine's executor and simulator bill from it
+truthfully); treat the per-row cents on pinned rows as approximate within
+the bound above, and re-price against a fresh problem where exact accounting
+matters.  A repair pass re-prices only the rows it moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -74,7 +80,7 @@ from ...obs import get_metrics, get_tracer
 from .capacity import SolveReport, repair_capacity, repair_pools, solve_optassign
 from .errors import InfeasibleError
 from .greedy import solve_greedy
-from .problem import CandidateOption, OptAssignProblem
+from .problem import OptAssignProblem
 from .result import Assignment
 
 __all__ = ["DeltaSolver", "DeltaSolveReport"]
@@ -166,8 +172,13 @@ class DeltaSolver:
         self._features: dict[str, np.ndarray] = {}
         self._codec: tuple[str | None, ...] = ()
         self._tier: np.ndarray | None = None
+        self._scheme: np.ndarray | None = None
+        self._priced: np.ndarray | None = None
         self._stored: np.ndarray | None = None
-        self._options: dict[str, CandidateOption] = {}
+        #: The solver's own scheme vocabulary (append-only): cached scheme
+        #: codes index it, and every composed assignment carries it.
+        self._scheme_code: dict[str, int] = {}
+        self._schemes: tuple[str, ...] = ()
         self._slo: dict[str, float] = {}
         self._affinity: dict[str, frozenset] = {}
         self._profiles: dict[str, dict] = {}
@@ -199,7 +210,6 @@ class DeltaSolver:
             return
         drop = wanted & set(self._names)
         for name in wanted:
-            self._options.pop(name, None)
             self._slo.pop(name, None)
             self._affinity.pop(name, None)
             self._profiles.pop(name, None)
@@ -215,6 +225,8 @@ class DeltaSolver:
             key: column[rows] for key, column in self._features.items()
         }
         self._tier = self._tier[rows]
+        self._scheme = self._scheme[rows]
+        self._priced = self._priced[:, rows]
         self._stored = self._stored[rows]
         self._codec = tuple(self._codec[i] for i in keep)
         self._names = tuple(self._names[i] for i in keep)
@@ -252,9 +264,7 @@ class DeltaSolver:
         affected = np.isin(
             self._tier, np.fromiter(sorted(tier_indices), dtype=np.int64)
         )
-        self._forced.update(
-            name for name, hit in zip(self._names, affected.tolist()) if hit
-        )
+        self._forced.update(self._names[i] for i in np.flatnonzero(affected).tolist())
 
     # -- public entry point -----------------------------------------------------
     def solve(
@@ -305,8 +315,10 @@ class DeltaSolver:
         pool_set: PoolSet | None = None,
         reserved_gb: np.ndarray | None = None,
     ) -> DeltaSolveReport:
+        arrays = problem.partition_arrays()
+        row_index = arrays.row_index()
         if changed is not None:
-            unknown = set(changed) - set(problem.partition_names)
+            unknown = [name for name in changed if name not in row_index]
             if unknown:
                 raise ValueError(
                     f"changed names unknown to the problem: {sorted(unknown)[:5]}"
@@ -318,47 +330,43 @@ class DeltaSolver:
             self.reset()
             return self._full(problem, pool_set, reserved_gb, "pricing changed")
 
-        arrays = problem.partition_arrays()
-        names = arrays.names
-        changed_mask, pinned_tier, pinned_stored = self._detect_changes(
-            problem, arrays, set(changed) if changed else None
+        changed_mask, rows, missing = self._detect_changes(
+            problem, arrays, changed or None
         )
         num_changed = int(changed_mask.sum())
-        total = len(names)
+        total = len(arrays)
         if num_changed == total:
             return self._full(problem, pool_set, reserved_gb, "every row changed")
 
-        # Solve the changed rows on a carved-out subproblem; the pinned rows
-        # keep their standing options.  The subproblem uses the same
-        # vectorized masked-argmin greedy as the full path (per-partition
-        # argmins are independent, and restricting the sorted scheme union to
-        # one partition's available schemes preserves enumeration order), so
-        # its choices are exactly what the full solve would pick pre-repair.
-        tier = pinned_tier
-        stored = pinned_stored
-        choices: dict[str, CandidateOption] = {}
+        # Pinned rows are gathered from the cache; the changed rows are solved
+        # on a carved-out subproblem and scattered over them.  The subproblem
+        # uses the same vectorized masked-argmin greedy as the full path
+        # (per-partition argmins are independent, and restricting the sorted
+        # scheme union to one partition's available schemes preserves
+        # enumeration order), so its choices are exactly what the full solve
+        # would pick pre-repair.
+        tier = self._tier[rows]
+        scheme = self._scheme[rows]
+        priced = self._priced[:, rows]
+        stored = self._stored[rows]
         changed_rows = np.flatnonzero(changed_mask)
         if changed_rows.size:
-            sub = self._subproblem(problem, arrays, changed_rows)
+            sub = problem.carve(changed_rows)
             try:
-                sub_assignment = solve_greedy(sub, enforce_unbounded=False)
+                solved = solve_greedy(sub, enforce_unbounded=False)
             except InfeasibleError:
                 return self._full(
                     problem, pool_set, reserved_gb, "changed rows infeasible"
                 )
-            tensors = sub.batch_tensors()
-            scheme_index = {scheme: k for k, scheme in enumerate(tensors.schemes)}
-            for row, name in enumerate(sub.partition_names):
-                option = sub_assignment.choices[name]
-                index = int(changed_rows[row])
-                tier[index] = option.tier_index
-                stored[index] = tensors.stored_gb[row, scheme_index[option.scheme]]
-                choices[name] = option
-        for index in np.flatnonzero(~changed_mask).tolist():
-            name = names[index]
-            choices[name] = self._options[name]
+            tier[changed_rows] = solved.tier
+            scheme[changed_rows] = self._codes_for(solved.schemes)[solved.scheme]
+            priced[:, changed_rows] = solved.priced
+            stored[changed_rows] = sub.batch_tensors().stored_gb[
+                np.arange(changed_rows.size), solved.scheme
+            ]
 
-        assignment = Assignment(problem=problem, choices=choices, solver="delta")
+        assignment = Assignment(problem, tier, scheme, self._schemes, priced, "delta")
+        updated = changed_mask
         repaired = False
         if self._budgets_violated(problem, tier, stored, pool_set, reserved_gb):
             try:
@@ -376,19 +384,27 @@ class DeltaSolver:
                     problem, pool_set, reserved_gb, "budget repair infeasible"
                 )
             repaired = True
-            tier, stored = self._vectors_from_choices(problem, assignment.choices)
-
-        updated = changed_mask
-        if repaired:
             # Repair may evict a pinned row to a fresh, fresh-priced option;
             # such a row's feature baseline rebases to this epoch too.
-            updated = changed_mask.copy()
-            for index in np.flatnonzero(~changed_mask).tolist():
-                name = names[index]
-                if assignment.choices[name] is not self._options[name]:
-                    updated[index] = True
+            repaired_scheme = self._codes_for(assignment.schemes)[assignment.scheme]
+            updated = (
+                changed_mask
+                | (assignment.tier != tier)
+                | (repaired_scheme != scheme)
+            )
+            tier, scheme, priced = assignment.tier, repaired_scheme, assignment.priced
+            stored = assignment.stored_gb()
+
         self._remember(
-            problem, arrays, assignment.choices, tier, stored, pricing, updated=updated
+            problem,
+            arrays,
+            tier,
+            scheme,
+            priced,
+            stored,
+            pricing,
+            updated=updated,
+            gathered=(rows, missing),
         )
         return DeltaSolveReport(
             assignment=assignment,
@@ -417,34 +433,24 @@ class DeltaSolver:
         self,
         problem: OptAssignProblem,
         arrays,
-        flagged: set[str] | None,
+        flagged,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(changed mask, pinned tier vector, pinned stored-GB vector).
+        """(changed mask, cache row of every instance row, novel-row mask).
 
-        The tier/stored vectors are aligned to the *new* row order and only
-        meaningful where the mask is False; changed rows are filled in by the
-        subproblem solve.
+        The cache rows gather the pinned columns into the *new* row order;
+        they are only meaningful where the novel mask is False.
         """
         names = arrays.names
         total = len(names)
         if names == self._names:
             rows = np.arange(total)
-            cached = {key: column for key, column in self._features.items()}
+            cached = self._features
             cached_codec = self._codec
             missing = np.zeros(total, dtype=bool)
         else:
-            index = self._name_index()
-            gathered = np.fromiter(
-                (index.get(name, -1) for name in names),
-                dtype=np.int64,
-                count=total,
-            )
-            missing = gathered < 0
-            rows = np.where(missing, 0, gathered)
-            cached = {
-                key: column[rows] for key, column in self._features.items()
-            }
-            cached_codec = tuple(self._codec[i] for i in rows.tolist())
+            rows, missing = self._gather(names)
+            cached = {key: column[rows] for key, column in self._features.items()}
+            cached_codec = tuple(map(self._codec.__getitem__, rows.tolist()))
 
         new_accesses = arrays.predicted_accesses
         old_accesses = cached["predicted_accesses"]
@@ -463,8 +469,7 @@ class DeltaSolver:
             | (arrays.pushdown_fraction != cached["pushdown_fraction"])
             | (arrays.current_tier != cached["current_tier"])
         )
-        pinned_tier = self._tier[rows].copy()
-        pinned_stored = self._stored[rows].copy()
+        pinned_tier = self._tier[rows]
         moved = arrays.current_tier != pinned_tier
 
         changed = missing | drifted | structural | moved
@@ -477,30 +482,30 @@ class DeltaSolver:
         # Hard-constraint edits (SLO caps, provider affinity) can invalidate a
         # standing placement, and a refreshed compression profile reprices a
         # row's entire candidate set, so an edited row is always re-solved.
-        # The whole-dict comparisons are the cheap common case (constraints
-        # and profile tables are usually static objects, and dict equality
-        # short-circuits on per-value identity); only a mismatch pays the
-        # per-name pass.  Fleet instances cover a name subset, so the gates
-        # compare against the cache restricted to this instance's names.
-        if problem._latency_slo != self._slo or problem._provider_affinity != self._affinity:
+        # Fleet instances cover a name subset, so each gate compares the
+        # instance against the cache *restricted to its names*: the common
+        # case (constraints and profile tables are usually the same objects)
+        # is a C-level items() containment, and only a mismatch pays a
+        # per-name pass — over the sparse constraint maps, not every row.
+        row_index = arrays.row_index()
+        for fresh, cached_map in (
+            (problem._latency_slo, self._slo),
+            (problem._provider_affinity, self._affinity),
+        ):
+            for name in _restricted_differences(fresh, cached_map, row_index):
+                changed[row_index[name]] = True
+        profiles = problem._profiles
+        if not profiles.items() <= self._profiles.items():
+            cached_profiles = self._profiles
             for i, name in enumerate(names):
-                if (
-                    problem._latency_slo.get(name) != self._slo.get(name)
-                    or problem._provider_affinity.get(name) != self._affinity.get(name)
-                ):
-                    changed[i] = True
-        if problem._profiles != self._profiles:
-            for i, name in enumerate(names):
-                if problem._profiles[name] != self._profiles.get(name):
+                if profiles[name] != cached_profiles.get(name):
                     changed[i] = True
         if flagged:
-            for i, name in enumerate(names):
-                if name in flagged:
-                    changed[i] = True
-        if self._forced:
-            for i, name in enumerate(names):
-                if name in self._forced:
-                    changed[i] = True
+            changed[np.fromiter(map(row_index.__getitem__, flagged), dtype=np.int64)] = True
+        for name in self._forced:
+            row = row_index.get(name)
+            if row is not None:
+                changed[row] = True
         banned = problem.banned_tiers
         if self._banned - banned:
             # Bans were lifted (provider recovery): a newly available tier
@@ -513,25 +518,33 @@ class DeltaSolver:
             changed |= np.isin(
                 pinned_tier, np.fromiter(sorted(banned), dtype=np.int64)
             )
-        return changed, pinned_tier, pinned_stored
+        return changed, rows, missing
+
+    def _gather(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(cache row of each name, novel-name mask); novel names map to 0."""
+        gathered = np.fromiter(
+            map(self._name_index().get, names, repeat(-1)),
+            dtype=np.int64,
+            count=len(names),
+        )
+        missing = gathered < 0
+        return np.where(missing, 0, gathered), missing
 
     def _name_index(self) -> dict[str, int]:
         if self._index is None:
             self._index = {name: i for i, name in enumerate(self._names)}
         return self._index
 
-    # -- subproblem & budgets ----------------------------------------------------
-    def _subproblem(
-        self, problem: OptAssignProblem, arrays, rows: np.ndarray
-    ) -> OptAssignProblem:
-        """The changed rows as a standalone instance (shared profile tables).
+    def _codes_for(self, schemes: tuple[str, ...]) -> np.ndarray:
+        """The solver's code of each of ``schemes``, growing the vocabulary."""
+        vocabulary = self._scheme_code
+        if any(scheme not in vocabulary for scheme in schemes):
+            for scheme in schemes:
+                vocabulary.setdefault(scheme, len(vocabulary))
+            self._schemes = tuple(vocabulary)
+        return np.array([vocabulary[scheme] for scheme in schemes], dtype=np.int64)
 
-        Delegates to :meth:`OptAssignProblem.carve` — the shared carve used
-        here for changed rows and by the sharded fleet solver's reduce step.
-        """
-        del arrays  # the problem's cached arrays are the same object
-        return problem.carve(rows)
-
+    # -- budgets -------------------------------------------------------------------
     def _budgets_violated(
         self,
         problem: OptAssignProblem,
@@ -557,23 +570,6 @@ class DeltaSolver:
                 return True
         return False
 
-    def _vectors_from_choices(
-        self, problem: OptAssignProblem, choices: dict[str, CandidateOption]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tier / stored-GB vectors of an arbitrary choice map (repair path)."""
-        arrays = problem.partition_arrays()
-        tensors = problem.batch_tensors()
-        scheme_index = {scheme: k for k, scheme in enumerate(tensors.schemes)}
-        total = len(arrays)
-        tier = np.empty(total, dtype=np.int64)
-        scheme = np.empty(total, dtype=np.int64)
-        for i, name in enumerate(arrays.names):
-            option = choices[name]
-            tier[i] = option.tier_index
-            scheme[i] = scheme_index[option.scheme]
-        stored = tensors.stored_gb[np.arange(total), scheme]
-        return tier, stored
-
     # -- full solve & cache update ----------------------------------------------
     def _full(
         self,
@@ -593,24 +589,24 @@ class DeltaSolver:
             report = solve_optassign(
                 problem, prefer=self.prefer, post_repair=post_repair
             )
-        arrays = problem.partition_arrays()
-        tier, stored = self._vectors_from_choices(problem, report.assignment.choices)
+        assignment = report.assignment
         self._remember(
             problem,
-            arrays,
-            report.assignment.choices,
-            tier,
-            stored,
+            problem.partition_arrays(),
+            assignment.tier,
+            self._codes_for(assignment.schemes)[assignment.scheme],
+            assignment.priced,
+            assignment.stored_gb(),
             self._pricing_signature(problem),
         )
-        total = len(arrays)
+        total = len(problem.partition_arrays())
         return DeltaSolveReport(
-            assignment=report.assignment,
+            assignment=assignment,
             mode="full",
             reason=reason,
             num_changed=total,
             num_pinned=0,
-            repaired=report.assignment.solver.endswith(("+repair", "+pools")),
+            repaired=assignment.solver.endswith(("+repair", "+pools")),
             full_report=report,
         )
 
@@ -618,28 +614,34 @@ class DeltaSolver:
         self,
         problem: OptAssignProblem,
         arrays,
-        choices: dict[str, CandidateOption],
         tier: np.ndarray,
+        scheme: np.ndarray,
+        priced: np.ndarray,
         stored: np.ndarray,
         pricing: tuple,
         updated: np.ndarray | None = None,
+        gathered: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """Fold the solved instance into the cache (wholesale or merge).
+        """Fold the solved instance's columns into the cache (wholesale or merge).
 
         ``updated`` (a per-row bool mask) restricts *feature* writes to the
         rows that were actually re-solved: a pinned row must keep the feature
         reference it was last solved under, or a forecast drifting slowly —
         just under the threshold every epoch — would ratchet the baseline
         along with it and never trigger a re-solve.  Everything else in the
-        cache (chosen tier/stored vectors, options, codecs, constraints) is
-        written wholesale: for pinned rows the new values equal the cached
-        ones by construction, so only features differ.
+        cache (tier, scheme, priced and stored columns, codecs, constraints)
+        is written wholesale: for pinned rows the new values equal the cached
+        ones by construction, so only features differ.  ``gathered`` is the
+        ``(cache rows, novel mask)`` pair change detection already computed.
+        The cache owns copies: the caller's assignment keeps its columns.
         """
         self._pricing = pricing
         self._banned = problem.banned_tiers
+        row_index = arrays.row_index()
         # Rows covered by this instance were just (re-)solved; forced marks
         # for names outside it stay armed until their tenant next fires.
-        self._forced -= set(arrays.names)
+        if self._forced:
+            self._forced = {name for name in self._forced if name not in row_index}
         features = {
             "size_gb": arrays.size_gb,
             "predicted_accesses": arrays.predicted_accesses,
@@ -661,8 +663,9 @@ class DeltaSolver:
             self._names = names
             self._codec = arrays.current_codec
             self._tier = tier.copy()
+            self._scheme = scheme.copy()
+            self._priced = priced.copy()
             self._stored = stored.copy()
-            self._options = dict(choices)
             self._slo = dict(problem._latency_slo)
             self._affinity = dict(problem._provider_affinity)
             self._profiles = dict(problem._profiles)
@@ -670,60 +673,73 @@ class DeltaSolver:
         # Merge path: the instance covers a different name set (the fleet's
         # firing subset).  Known rows are overwritten in place, novel rows
         # appended; rows outside the instance keep their cached state.
-        index = self._name_index()
-        known_positions: list[int] = []
-        known_rows: list[int] = []
-        novel_rows: list[int] = []
-        for row, name in enumerate(names):
-            position = index.get(name)
-            if position is None:
-                novel_rows.append(row)
-            else:
-                known_positions.append(position)
-                known_rows.append(row)
-        if known_rows:
-            positions = np.asarray(known_positions, dtype=np.int64)
-            rows = np.asarray(known_rows, dtype=np.int64)
+        positions, missing = gathered if gathered is not None else self._gather(names)
+        known = np.flatnonzero(~missing)
+        if known.size:
+            at = positions[known]
             if updated is not None:
-                keep = updated[rows]
-                feature_positions, feature_rows = positions[keep], rows[keep]
+                keep = updated[known]
+                feature_positions, feature_rows = at[keep], known[keep]
             else:
-                feature_positions, feature_rows = positions, rows
+                feature_positions, feature_rows = at, known
             for key, column in features.items():
                 self._features[key][feature_positions] = column[feature_rows]
-            self._tier[positions] = tier[rows]
-            self._stored[positions] = stored[rows]
-            if any(
-                arrays.current_codec[row] != self._codec[position]
-                for position, row in zip(known_positions, known_rows)
-            ):
-                codecs = list(self._codec)
-                for position, row in zip(known_positions, known_rows):
-                    codecs[position] = arrays.current_codec[row]
-                self._codec = tuple(codecs)
-        if novel_rows:
-            rows = np.asarray(novel_rows, dtype=np.int64)
+            self._tier[at] = tier[known]
+            self._scheme[at] = scheme[known]
+            self._priced[:, at] = priced[:, known]
+            self._stored[at] = stored[known]
+            positions_list = at.tolist()
+            fresh = list(map(arrays.current_codec.__getitem__, known.tolist()))
+            if fresh != list(map(self._codec.__getitem__, positions_list)):
+                merged = list(self._codec)
+                for position, codec in zip(positions_list, fresh):
+                    merged[position] = codec
+                self._codec = tuple(merged)
+        novel = np.flatnonzero(missing)
+        if novel.size:
             for key, column in features.items():
                 self._features[key] = np.concatenate(
-                    [self._features[key], column[rows]]
+                    [self._features[key], column[novel]]
                 )
-            self._tier = np.concatenate([self._tier, tier[rows]])
-            self._stored = np.concatenate([self._stored, stored[rows]])
+            self._tier = np.concatenate([self._tier, tier[novel]])
+            self._scheme = np.concatenate([self._scheme, scheme[novel]])
+            self._priced = np.concatenate([self._priced, priced[:, novel]], axis=1)
+            self._stored = np.concatenate([self._stored, stored[novel]])
+            novel_rows = novel.tolist()
             self._codec = self._codec + tuple(
                 arrays.current_codec[row] for row in novel_rows
             )
             self._names = self._names + tuple(names[row] for row in novel_rows)
             self._index = None
-        self._options.update(choices)
         self._profiles.update(problem._profiles)
-        for name in names:
-            cap = problem._latency_slo.get(name)
-            if cap is None:
-                self._slo.pop(name, None)
-            else:
-                self._slo[name] = cap
-            allowed = problem._provider_affinity.get(name)
-            if allowed is None:
-                self._affinity.pop(name, None)
-            else:
-                self._affinity[name] = allowed
+        for fresh, cached in (
+            (problem._latency_slo, self._slo),
+            (problem._provider_affinity, self._affinity),
+        ):
+            for name in _restricted_differences(fresh, cached, row_index):
+                value = fresh.get(name)
+                if value is None:
+                    del cached[name]
+                else:
+                    cached[name] = value
+
+
+def _restricted_differences(
+    fresh: dict, cached: dict, row_index: dict[str, int]
+) -> list[str]:
+    """Instance names whose ``fresh`` entry differs from ``cached``.
+
+    ``fresh`` is keyed by instance names only, while ``cached`` may hold
+    names of other instances; the comparison is against ``cached``
+    restricted to the instance (``row_index``'s keys).  The equal case is
+    one C-level containment test plus a key intersection; a difference is
+    then located by visiting only names present in either map.
+    """
+    if not fresh and not cached:
+        return []
+    shared = cached.keys() & row_index.keys()
+    if len(shared) == len(fresh) and fresh.items() <= cached.items():
+        return []
+    return [
+        name for name in fresh.keys() | shared if fresh.get(name) != cached.get(name)
+    ]

@@ -11,7 +11,8 @@ Two implementations are provided and kept in lock-step:
 
 * the **vectorized** default — a masked argmin over the problem's
   :meth:`~repro.core.optassign.OptAssignProblem.batch_tensors` cost tensor,
-  one numpy pass for the whole instance;
+  one numpy pass for the whole instance, whose chosen cells are gathered
+  straight into the columnar :class:`~repro.core.optassign.Assignment`;
 * the **scalar** reference (``vectorized=False``) — the original per-partition
   ``min(options_for(...))`` loop, kept as the oracle the fast path is
   validated against (same assignments bit for bit, see
@@ -28,11 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...cloud import CostBreakdown
 from ...obs import get_tracer
 from .errors import InfeasibleError
 from .problem import CandidateOption, OptAssignProblem
-from .result import Assignment
+from .result import (
+    DECOMPRESSION,
+    LATENCY,
+    OBJECTIVE,
+    PRICED_FIELDS,
+    READ,
+    STORAGE,
+    WRITE,
+    Assignment,
+)
 
 __all__ = ["solve_greedy"]
 
@@ -78,7 +87,7 @@ def solve_greedy(
         problem.batch_tensors()
     with get_tracer().span("optassign.greedy", vectorized=vectorized):
         if vectorized:
-            choices, infeasible = _vectorized_choices(problem)
+            assignment, infeasible = _vectorized_assignment(problem)
         else:
             choices, infeasible = _scalar_choices(problem)
     if infeasible:
@@ -88,7 +97,9 @@ def solve_greedy(
             "relax latency thresholds, loosen SLO/affinity constraints or "
             "add faster tiers"
         )
-    return Assignment(problem=problem, choices=choices, solver="greedy")
+    if not vectorized:
+        return Assignment.from_choices(problem, choices, solver="greedy")
+    return assignment
 
 
 def _scalar_choices(
@@ -106,12 +117,11 @@ def _scalar_choices(
     return choices, infeasible
 
 
-def _vectorized_choices(
+def _vectorized_assignment(
     problem: OptAssignProblem,
-) -> tuple[dict[str, CandidateOption], list[str]]:
-    """Masked argmin over the (N, T, K) objective tensor."""
+) -> tuple[Assignment | None, list[str]]:
+    """Masked argmin over the (N, T, K) objective tensor, gathered as columns."""
     tensors = problem.batch_tensors()
-    arrays = problem.partition_arrays()
     num_partitions = tensors.num_partitions
     num_schemes = tensors.num_schemes
 
@@ -123,52 +133,16 @@ def _vectorized_choices(
     rows = np.arange(num_partitions)
     best_objective = flat[rows, best]
     if not np.isfinite(best_objective).all():
-        return {}, [arrays.names[i] for i in np.flatnonzero(~np.isfinite(best_objective))]
+        names = problem.partition_arrays().names
+        return None, [names[i] for i in np.flatnonzero(~np.isfinite(best_objective))]
 
-    tier_index = best // num_schemes
-    scheme_index = best % num_schemes
-    storage = tensors.storage[rows, tier_index, scheme_index].tolist()
-    read = tensors.read[rows, tier_index, scheme_index].tolist()
-    write = tensors.write[rows, tier_index, scheme_index].tolist()
-    decompression = tensors.decompression[rows, scheme_index].tolist()
-    latency = tensors.latency_s[rows, tier_index, scheme_index].tolist()
-    objective = best_objective.tolist()
-    tiers = tier_index.tolist()
-    scheme_names = [tensors.schemes[k] for k in scheme_index.tolist()]
-
-    # Frozen-dataclass __init__ routes every field through object.__setattr__,
-    # which at tens of thousands of options costs more than the whole numpy
-    # pass; assembling the instance __dict__ directly builds identical objects
-    # (same fields, eq, hash) without that per-field overhead.  Neither class
-    # has a __post_init__ to skip.
-    new_breakdown = CostBreakdown.__new__
-    new_option = CandidateOption.__new__
-    set_dict = object.__setattr__
-    choices: dict[str, CandidateOption] = {}
-    for i, name in enumerate(arrays.names):
-        breakdown = new_breakdown(CostBreakdown)
-        breakdown.__dict__ = {
-            "storage": storage[i],
-            "read": read[i],
-            "write": write[i],
-            "decompression": decompression[i],
-        }
-        option = new_option(CandidateOption)
-        set_dict(
-            option,
-            "__dict__",
-            {
-                "partition": name,
-                "tier_index": tiers[i],
-                "scheme": scheme_names[i],
-                "objective": objective[i],
-                "breakdown": breakdown,
-                "latency_s": latency[i],
-                "latency_feasible": True,
-                "codec_allowed": True,
-                "slo_feasible": True,
-                "provider_allowed": True,
-            },
-        )
-        choices[name] = option
-    return choices, []
+    tier = best // num_schemes
+    scheme = best % num_schemes
+    priced = np.empty((len(PRICED_FIELDS), num_partitions), dtype=np.float64)
+    priced[OBJECTIVE] = best_objective
+    priced[STORAGE] = tensors.storage[rows, tier, scheme]
+    priced[READ] = tensors.read[rows, tier, scheme]
+    priced[WRITE] = tensors.write[rows, tier, scheme]
+    priced[DECOMPRESSION] = tensors.decompression[rows, scheme]
+    priced[LATENCY] = tensors.latency_s[rows, tier, scheme]
+    return Assignment(problem, tier, scheme, tensors.schemes, priced, "greedy"), []

@@ -123,4 +123,4 @@ def solve_ilp(problem: OptAssignProblem, time_limit_s: float | None = None) -> A
             best = max(indices, key=lambda index: result.x[index])
             selected = [variables[best]]
         choices[partition.name] = selected[0]
-    return Assignment(problem=problem, choices=choices, solver="ilp")
+    return Assignment.from_choices(problem, choices, solver="ilp")

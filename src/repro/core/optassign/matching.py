@@ -112,4 +112,4 @@ def solve_matching(
         partition = problem.partitions[row]
         tier_index = copies[column]
         choices[partition.name] = options_by_partition[partition.name][tier_index]
-    return Assignment(problem=problem, choices=choices, solver="matching")
+    return Assignment.from_choices(problem, choices, solver="matching")

@@ -562,9 +562,25 @@ class OptAssignProblem:
         argmin tie-breaks on the carve match the full instance exactly.  Both
         the incremental delta solver (changed rows) and the sharded fleet
         solver's pool-arbitration reduce (rows in pooled tiers) rely on that.
+
+        When this problem's profile columns are cached the carve slices them
+        (the rows, then the schemes any carved row has) instead of rebuilding
+        them row by row; the slice equals the per-row build.
         """
         sub_arrays = self.partition_arrays().take(rows)
         names = sub_arrays.names
+        columns = None
+        if self._profile_columns_cache is not None:
+            schemes, ratio, decompression, available = self._profile_columns_cache
+            index = np.asarray(rows, dtype=np.int64)
+            sub_available = available[index]
+            keep = np.flatnonzero(sub_available.any(axis=0))
+            columns = (
+                tuple(schemes[k] for k in keep.tolist()),
+                ratio[np.ix_(index, keep)],
+                decompression[np.ix_(index, keep)],
+                sub_available[:, keep],
+            )
         return OptAssignProblem._assemble(
             self.cost_model,
             sub_arrays,
@@ -580,6 +596,7 @@ class OptAssignProblem:
                 if (allowed := self._provider_affinity.get(name)) is not None
             },
             self._banned_tiers,
+            profile_columns=columns,
         )
 
     def relaxed(self, latency_factor: float) -> "OptAssignProblem":

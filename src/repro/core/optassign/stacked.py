@@ -17,8 +17,8 @@ against bill for bill.
 
 Partition names are tagged ``tenant::name`` (:data:`TENANT_SEPARATOR`) so
 identically-named partitions of different tenants cannot collide, and
-:meth:`StackedProblem.split_placements` slices the solved assignment back
-into per-tenant placement maps by each tenant's row span.
+:meth:`StackedProblem.split_placements` slices the solved assignment's
+columns back into per-tenant placements by each tenant's row span.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ...cloud import PartitionArrays, PlacementDecision
+from ...cloud import CompressionProfile, PartitionArrays, PlacementColumns
 from .problem import CandidateOption, OptAssignProblem, ProfileColumns
 from .result import Assignment
 
@@ -82,6 +82,9 @@ class StackedProblem:
     tenant_spans: tuple[tuple[int, int], ...]
     #: Per-tenant untagged partition names, row-aligned with each span.
     tenant_names: tuple[tuple[str, ...], ...]
+    #: Per-tenant validated profile tables (untagged names), whose profile
+    #: objects the split placements hand out.
+    tenant_profiles: tuple[Mapping[str, Mapping[str, CompressionProfile]], ...]
 
     @classmethod
     def stack(cls, problems: Mapping[str, OptAssignProblem]) -> "StackedProblem":
@@ -177,6 +180,7 @@ class StackedProblem:
             tenants=tuple(problems),
             tenant_spans=tuple(spans),
             tenant_names=tuple(arrays.names for arrays in per_tenant),
+            tenant_profiles=tuple(problem._profiles for problem in problems.values()),
         )
 
     @staticmethod
@@ -187,42 +191,44 @@ class StackedProblem:
             raise ValueError(f"partition name {tagged_name!r} carries no tenant tag")
         return tenant, name
 
-    def _tenant_rows(self):
-        """``(tenant, (tagged, name) pairs)`` per tenant, in stacked row order."""
-        tagged_names = self.problem.partition_arrays().names
-        for tenant, (start, stop), names in zip(
-            self.tenants, self.tenant_spans, self.tenant_names
-        ):
-            yield tenant, zip(tagged_names[start:stop], names)
-
     def split_choices(
         self, assignment: Assignment
     ) -> dict[str, dict[str, CandidateOption]]:
         """Per-tenant choice maps, with original (untagged) partition names."""
-        choices = assignment.choices
         return {
             tenant: {
-                name: replace(choices[tagged], partition=name) for tagged, name in rows
+                name: replace(assignment.option_at(row), partition=name)
+                for row, name in zip(range(start, stop), names)
             }
-            for tenant, rows in self._tenant_rows()
+            for tenant, (start, stop), names in zip(
+                self.tenants, self.tenant_spans, self.tenant_names
+            )
         }
 
-    def split_placements(
-        self, assignment: Assignment
-    ) -> dict[str, dict[str, PlacementDecision]]:
-        """Per-tenant placement maps ready for the engines' executors."""
-        choices = assignment.choices
-        profiles = self.problem._profiles
-        split: dict[str, dict[str, PlacementDecision]] = {}
-        for tenant, rows in self._tenant_rows():
-            placements = split[tenant] = {}
-            for tagged, name in rows:
-                option = choices[tagged]
-                placements[name] = PlacementDecision(
-                    tier_index=option.tier_index,
-                    profile=profiles[tagged][option.scheme],
-                )
-        return split
+    def split_placements(self, assignment: Assignment) -> dict[str, PlacementColumns]:
+        """Per-tenant placements ready for the engines' executors.
+
+        Each tenant gets its row span of the assignment's columns, with the
+        chosen profile's ratio and decompression gathered from the stacked
+        profile columns; no per-row object is built.
+        """
+        placement = assignment.to_placement()
+        return {
+            tenant: PlacementColumns(
+                names=names,
+                tier=placement.tier[start:stop].copy(),
+                scheme=placement.scheme[start:stop].copy(),
+                schemes=placement.schemes,
+                ratio=placement.ratio[start:stop].copy(),
+                decompression_s_per_gb=placement.decompression_s_per_gb[
+                    start:stop
+                ].copy(),
+                profiles=profiles,
+            )
+            for tenant, (start, stop), names, profiles in zip(
+                self.tenants, self.tenant_spans, self.tenant_names, self.tenant_profiles
+            )
+        }
 
 
 def _stack_profile_columns(columns, spans) -> ProfileColumns:

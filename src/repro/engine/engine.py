@@ -26,6 +26,7 @@ compared apples to apples on the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from ..cloud import (
     CostWeights,
     DataPartition,
     PartitionArrays,
+    PlacementColumns,
     PlacementDecision,
     TierCatalog,
     TimedEvent,
@@ -124,9 +126,12 @@ class EngineConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochRecord:
-    """What one epoch cost and what the engine did during it."""
+    """What one epoch cost and what the engine did during it.
+
+    Slotted: a long run keeps one record per tenant per window.
+    """
 
     epoch: int
     reoptimized: bool
@@ -153,7 +158,7 @@ class EpochRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowRecord(EpochRecord):
     """An :class:`EpochRecord` for one epoch-free trigger window.
 
@@ -319,7 +324,7 @@ class OnlineTieringEngine:
             },
             epoch=-1,
         )
-        self.placement: dict[str, PlacementDecision] | None = None
+        self._placement: PlacementColumns | None = None
         self.months_in_tier: dict[str, float] = {
             partition.name: (0.0 if partition.is_new else float("inf"))
             for partition in self._partitions
@@ -336,6 +341,21 @@ class OnlineTieringEngine:
             else None
         )
         self.last_delta_report = None
+
+    @property
+    def placement(self) -> PlacementColumns | None:
+        """The applied placement, a ``Mapping[str, PlacementDecision]`` kept
+        as columns in partition order (``None`` before the first apply)."""
+        return self._placement
+
+    @placement.setter
+    def placement(self, placement: Mapping[str, PlacementDecision] | None) -> None:
+        self._placement = (
+            None
+            if placement is None
+            else PlacementColumns.from_mapping(self._arrays.names, placement)
+        )
+        self._compiled = None
 
     # -- the control loop -------------------------------------------------------
     def run(self, stream: Iterable[EpochBatch]) -> EngineReport:
@@ -792,14 +812,14 @@ class OnlineTieringEngine:
 
     def partitions_on_tiers(self, tier_indices: Iterable[int]) -> list[str]:
         """Names of partitions currently placed on any of the given tiers."""
-        wanted = set(int(index) for index in tier_indices)
-        if not wanted or self.placement is None:
+        wanted = sorted(set(int(index) for index in tier_indices))
+        placement = self._placement
+        if not wanted or placement is None:
             return []
-        return [
-            name
-            for name, decision in self.placement.items()
-            if int(decision.tier_index) in wanted
-        ]
+        hit = np.isin(placement.tier, np.asarray(wanted, dtype=np.int64))
+        if placement.placed is not None:
+            hit &= placement.placed
+        return [placement.names[row] for row in np.flatnonzero(hit).tolist()]
 
     def lift_provider_affinity(self, names: Iterable[str]) -> list[str]:
         """Suspend residency pins for ``names``; returns the names lifted.
@@ -909,18 +929,21 @@ class OnlineTieringEngine:
         )
         if (predicted < 0).any():
             raise ValueError("predicted_accesses must be non-negative")
-        placement = self.placement or {}
-        current_tier = np.fromiter(
-            (
-                partition.current_tier
-                if (decision := placement.get(partition.name)) is None
-                else decision.tier_index
-                for partition in partitions
-            ),
-            dtype=np.int64,
-            count=len(partitions),
-        )
-        codecs = tuple(partition.current_codec for partition in partitions)
+        # Where the data lives today: the placement's tier column, and the
+        # live partition for any row the placement does not cover.
+        placement = self._placement
+        if placement is None:
+            current_tier = np.fromiter(
+                map(attrgetter("current_tier"), partitions),
+                dtype=np.int64,
+                count=len(partitions),
+            )
+        else:
+            current_tier = placement.tier.copy()
+            if placement.placed is not None:
+                for row in np.flatnonzero(~placement.placed).tolist():
+                    current_tier[row] = partitions[row].current_tier
+        codecs = tuple(map(attrgetter("current_codec"), partitions))
         arrays = replace(
             base,
             predicted_accesses=predicted,
@@ -993,20 +1016,20 @@ class OnlineTieringEngine:
                 "forecast the applied placement was planned from)"
             )
         with get_tracer().span("engine.migrate", epoch=epoch) as span:
+            placement = PlacementColumns.from_mapping(self._arrays.names, new_placement)
             # Moves *off* a banned (dead) tier are forced evacuations, not
             # voluntary early deletions — the minimum-residency penalty is
             # waived for them.  Empty banned set (every calm run): no waiver.
             migration = self.executor.apply(
                 self._partitions,
-                self.placement,
-                dict(new_placement),
+                self._placement,
+                placement,
                 self.months_in_tier,
                 epoch=epoch,
                 waive_early_deletion_tiers=self._banned_tiers or None,
             )
             span.set(num_moved=migration.num_moved)
-        self.placement = dict(new_placement)
-        self._compiled = None
+        self.placement = placement
         self.policy.notify_reoptimized(epoch, self._pending_forecast)
         # The forecast this placement was planned from doubles as the drift
         # baseline for epoch-free DriftTriggers (see run_stream).

@@ -24,11 +24,15 @@ engine conservatively against churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, MutableMapping, Sequence
 
-from ..cloud import DataPartition, PlacementDecision, TierCatalog
+import numpy as np
+
+from ..cloud import DataPartition, PlacementColumns, PlacementDecision, TierCatalog
 from ..cloud.objects import NO_COMPRESSION
 from ..cloud.tiers import NEW_DATA_TIER
+from ..core.optassign.result import recode
 from ..obs import get_metrics
 
 __all__ = ["MigrationRecord", "MigrationReport", "MigrationExecutor"]
@@ -119,70 +123,95 @@ class MigrationExecutor:
         recovery), would double-bill the outage.  The residency clock still
         resets — the waiver changes who eats the penalty, not where the data
         is.
-        """
-        missing = [
-            partition.name
-            for partition in partitions
-            if partition.name not in new_placement
-        ]
-        if missing:
-            # Validate before the loop mutates any live state: a partial
-            # apply would leave moves un-billed and residency clocks wrong.
-            raise KeyError(f"new placement missing partitions: {missing}")
-        moves: list[MigrationRecord] = []
-        for partition in partitions:
-            name = partition.name
-            new = new_placement[name]
-            old = old_placement.get(name) if old_placement is not None else None
-            from_tier = partition.current_tier if old is None else old.tier_index
-            # Without an old placement the partition's own codec says how the
-            # data is stored today — a pre-compressed partition keeping its
-            # tier and scheme is not a move.
-            old_scheme = (
-                (partition.current_codec or NO_COMPRESSION)
-                if old is None
-                else old.profile.scheme
-            )
 
-            if from_tier == NEW_DATA_TIER:
-                stored_gb = new.profile.compressed_gb(partition.size_gb)
-                cost = self.tiers[new.tier_index].write_cost_for(stored_gb)
+        Both placements are read as :class:`~repro.cloud.PlacementColumns`
+        (mappings convert once here); the moved rows come from one vectorized
+        compare, and the per-move arithmetic runs only for them, in row order.
+        """
+        names = tuple(map(attrgetter("name"), partitions))
+        new = PlacementColumns.from_mapping(names, new_placement)
+        missing = new.unplaced()
+        if missing:
+            # Validate before anything mutates live state: a partial apply
+            # would leave moves un-billed and residency clocks wrong.
+            raise KeyError(f"new placement missing partitions: {missing}")
+        old = (
+            None
+            if old_placement is None
+            else PlacementColumns.from_mapping(names, old_placement)
+        )
+        # Where each row lives today and how it is stored, with the stored
+        # scheme as a code into the new placement's vocabulary (-1 = a
+        # scheme the new placement does not use, which is always a move).
+        if old is None:
+            from_tier = np.empty(len(names), dtype=np.int64)
+            old_scheme = np.empty(len(names), dtype=np.int64)
+            unplaced = range(len(names))
+        else:
+            from_tier = old.tier.copy()
+            old_scheme = recode(old.scheme, old.schemes, new.schemes)
+            unplaced = (
+                () if old.placed is None else np.flatnonzero(~old.placed).tolist()
+            )
+        # Without an old entry the partition's own tier and codec say where
+        # and how the data is stored today — a pre-compressed partition
+        # keeping its tier and scheme is not a move.
+        new_codes = {scheme: code for code, scheme in enumerate(new.schemes)}
+        for row in unplaced:
+            partition = partitions[row]
+            from_tier[row] = partition.current_tier
+            old_scheme[row] = new_codes.get(
+                partition.current_codec or NO_COMPRESSION, -1
+            )
+        # New data (NEW_DATA_TIER) always differs from the destination tier.
+        moving = np.flatnonzero((from_tier != new.tier) | (old_scheme != new.scheme))
+
+        moves: list[MigrationRecord] = []
+        for row, source_tier, to_tier, same_scheme, new_ratio, code in zip(
+            moving.tolist(),
+            from_tier[moving].tolist(),
+            new.tier[moving].tolist(),
+            (old_scheme[moving] == new.scheme[moving]).tolist(),
+            new.ratio[moving].tolist(),
+            new.scheme[moving].tolist(),
+        ):
+            partition = partitions[row]
+            name = partition.name
+            write_gb = partition.size_gb / new_ratio
+            if source_tier == NEW_DATA_TIER:
                 moves.append(
                     MigrationRecord(
                         partition=name,
                         from_tier=NEW_DATA_TIER,
-                        to_tier=new.tier_index,
-                        moved_gb=stored_gb,
-                        cost=cost,
+                        to_tier=to_tier,
+                        moved_gb=write_gb,
+                        cost=self.tiers[to_tier].write_cost_for(write_gb),
                         early_deletion_penalty=0.0,
                     )
                 )
-            elif from_tier != new.tier_index or old_scheme != new.profile.scheme:
-                source = self.tiers[from_tier]
-                destination = self.tiers[new.tier_index]
-                if old is not None:
-                    read_gb = old.profile.compressed_gb(partition.size_gb)
-                elif old_scheme == new.profile.scheme:
+            else:
+                source = self.tiers[source_tier]
+                destination = self.tiers[to_tier]
+                if old is not None and (old.placed is None or old.placed[row]):
+                    read_gb = partition.size_gb / float(old.ratio[row])
+                elif same_scheme:
                     # Same scheme, tier move only: the stored size is the new
                     # profile's compressed size.
-                    read_gb = new.profile.compressed_gb(partition.size_gb)
+                    read_gb = write_gb
                 else:
                     # Old representation unknown — charge the uncompressed
                     # size (conservative upper bound).
                     read_gb = partition.size_gb
-                write_gb = new.profile.compressed_gb(partition.size_gb)
                 cost = source.read_cost_for(read_gb) + destination.write_cost_for(
                     write_gb
                 )
                 # Cross-provider moves additionally pay the source provider's
                 # network egress on the bytes read out (stored size at source).
-                egress = (
-                    self.tiers.egress_cost_per_gb(from_tier, new.tier_index) * read_gb
-                )
+                egress = self.tiers.egress_cost_per_gb(source_tier, to_tier) * read_gb
                 penalty = 0.0
-                if from_tier != new.tier_index and not (
+                if source_tier != to_tier and not (
                     waive_early_deletion_tiers
-                    and from_tier in waive_early_deletion_tiers
+                    and source_tier in waive_early_deletion_tiers
                 ):
                     resident = months_in_tier.get(name, float("inf"))
                     if resident < source.early_deletion_months:
@@ -192,23 +221,20 @@ class MigrationExecutor:
                 moves.append(
                     MigrationRecord(
                         partition=name,
-                        from_tier=from_tier,
-                        to_tier=new.tier_index,
+                        from_tier=source_tier,
+                        to_tier=to_tier,
                         moved_gb=read_gb,
                         cost=cost,
                         early_deletion_penalty=penalty,
                         egress_cost=egress,
                     )
                 )
-            else:
-                continue  # same tier, same scheme: nothing to do, nothing to pay
-
-            partition.current_tier = new.tier_index
+            partition.current_tier = to_tier
             # Record the applied scheme as the partition's current codec: the
             # paper pins already-compressed partitions to their scheme, so the
             # next warm-started re-optimization cannot flip codecs at a billed
             # cost the objective never priced.
-            scheme = new.profile.scheme
+            scheme = new.schemes[code]
             partition.current_codec = None if scheme == NO_COMPRESSION else scheme
             months_in_tier[name] = 0.0
         report = MigrationReport(epoch=epoch, moves=moves)

@@ -377,7 +377,8 @@ class FleetScheduler:
                     f"{name}{TENANT_SEPARATOR}{partition}" for partition in hint
                 )
         if changed:
-            changed &= set(stacked.problem.partition_names)
+            rows = stacked.problem.partition_arrays().row_index()
+            changed = {name for name in changed if name in rows}
         report = self._delta.solve(
             stacked.problem,
             changed=changed or None,

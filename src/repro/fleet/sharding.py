@@ -35,27 +35,26 @@ orchestration:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..cloud import CostBreakdown, CostModel, PartitionArrays, PoolSet
+from ..cloud import CostModel, PartitionArrays, PoolSet
 from ..core.optassign import InfeasibleError
 from ..core.optassign.capacity import (
     SolveReport,
     check_fail_fast_certificates,
     repair_pools,
 )
-from ..core.optassign.problem import CandidateOption, OptAssignProblem
-from ..core.optassign.result import Assignment
+from ..core.optassign.problem import OptAssignProblem
+from ..core.optassign.result import Assignment, recode
 from ..obs import get_metrics, get_tracer
 from ..obs.trace import SpanRecord, Tracer
+
+if TYPE_CHECKING:  # imported where used: a run that never shards skips them
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ShardedFleetSolver", "plan_row_shards", "plan_tenant_shards"]
 
@@ -460,6 +459,8 @@ class ShardedFleetSolver:
         self.max_relaxation_rounds = int(max_relaxation_rounds)
         self.relaxation_step = float(relaxation_step)
         self.tolerance = float(tolerance)
+        import multiprocessing
+
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else None
@@ -474,6 +475,8 @@ class ShardedFleetSolver:
 
     # -- lifecycle ---------------------------------------------------------------
     def _pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=self._mp_context
@@ -732,6 +735,8 @@ class ShardedFleetSolver:
                         fault=self._inject_fault,
                     )
                 )
+            from concurrent.futures.process import BrokenProcessPool
+
             pool = self._pool()
             try:
                 futures = [pool.submit(_solve_shard, task) for task in tasks]
@@ -770,20 +775,18 @@ class ShardedFleetSolver:
         out = out.reshape(_OUT_COLS, len(arrays))
         candidate = problem if factor == 1.0 else problem.relaxed(factor)
         with tracer.span("fleet.shard.compose", rows=len(arrays)):
-            # The workers' results stay columnar: LazyChoices materializes a
-            # CandidateOption only when somebody asks for that row.  At fleet
-            # scale this is the difference between a solve bounded by numpy
-            # and one bounded by building millions of per-row Python objects
-            # most consumers (pool repair, spot checks) never read.  The
-            # snapshot copy is what outlives the shared block's unlink below.
-            choices = LazyChoices(arrays.names, schemes, np.array(out))
-        tier_vec = out[_OUT_TIER].astype(np.int64)
-        stored_vec = out[_OUT_STORED].copy()
+            # The workers' results are already the assignment's columns: the
+            # priced rows of the output block are laid out in PRICED_FIELDS
+            # order.  The copies are what outlive the shared block's unlink.
+            tier = out[_OUT_TIER].astype(np.int64)
+            scheme = out[_OUT_SCHEME].astype(np.int64)
+            priced = out[_OUT_OBJECTIVE : _OUT_LATENCY + 1].copy()
+            stored = out[_OUT_STORED].copy()
         del out  # release the buffer view before the caller unlinks
         solver = "greedy+shards"
-        assignment = Assignment(problem=candidate, choices=choices, solver=solver)
+        assignment = Assignment(candidate, tier, scheme, schemes, priced, solver)
         if pool_set is not None and self._pools_violated(
-            pool_set, tier_vec, stored_vec, reserved_gb
+            pool_set, tier, stored, reserved_gb
         ):
             with tracer.span("fleet.shard.reduce") as reduce_span:
                 # Only rows sitting in pooled tiers can ever become
@@ -792,22 +795,29 @@ class ShardedFleetSolver:
                 # bit-identical to arbitration over the full instance —
                 # global row order is preserved, and each member's candidate
                 # schemes are all present in the carve's (smaller) union.
-                pooled = np.flatnonzero(pool_set.pool_of_tier[tier_vec] >= 0)
-                carved = candidate.carve(pooled)
+                pooled = np.flatnonzero(pool_set.pool_of_tier[tier] >= 0)
                 sub = Assignment(
-                    problem=carved,
-                    choices=choices.take(pooled),
-                    solver=solver,
+                    candidate.carve(pooled),
+                    tier[pooled],
+                    scheme[pooled],
+                    schemes,
+                    priced[:, pooled],
+                    solver,
                 )
                 repaired = repair_pools(
                     sub, pool_set, reserved_gb=reserved_gb, tolerance=self.tolerance
                 )
                 if repaired is not sub:
-                    choices = choices.overlaid(repaired.choices)
+                    tier = tier.copy()
+                    scheme = scheme.copy()
+                    priced = priced.copy()
+                    tier[pooled] = repaired.tier
+                    scheme[pooled] = recode(
+                        repaired.scheme, repaired.schemes, schemes
+                    )
+                    priced[:, pooled] = repaired.priced
                     assignment = Assignment(
-                        problem=candidate,
-                        choices=choices,
-                        solver=repaired.solver,
+                        candidate, tier, scheme, schemes, priced, repaired.solver
                     )
                 reduce_span.set(
                     pooled_rows=int(pooled.size),
@@ -831,111 +841,3 @@ class ShardedFleetSolver:
             reserved_gb = np.asarray(reserved_gb, dtype=np.float64)
             budgets = np.maximum(budgets - reserved_gb, 0.0)
         return bool((pool_set.usage(tier_usage) > budgets + self.tolerance).any())
-
-
-def _materialize_option(
-    name: str, schemes: tuple[str, ...], out: np.ndarray, row: int
-) -> CandidateOption:
-    """Assemble one choice from the workers' numeric results.
-
-    Identical object assembly to the single-process ``_vectorized_choices``
-    (same ``__dict__`` construction, same feasibility flags — a chosen cell
-    is feasible by construction), just fed from the columnar output block
-    instead of in-process gathers.
-    """
-    breakdown = CostBreakdown.__new__(CostBreakdown)
-    breakdown.__dict__ = {
-        "storage": float(out[_OUT_STORAGE, row]),
-        "read": float(out[_OUT_READ, row]),
-        "write": float(out[_OUT_WRITE, row]),
-        "decompression": float(out[_OUT_DECOMP, row]),
-    }
-    option = CandidateOption.__new__(CandidateOption)
-    object.__setattr__(
-        option,
-        "__dict__",
-        {
-            "partition": name,
-            "tier_index": int(out[_OUT_TIER, row]),
-            "scheme": schemes[int(out[_OUT_SCHEME, row])],
-            "objective": float(out[_OUT_OBJECTIVE, row]),
-            "breakdown": breakdown,
-            "latency_s": float(out[_OUT_LATENCY, row]),
-            "latency_feasible": True,
-            "codec_allowed": True,
-            "slo_feasible": True,
-            "provider_allowed": True,
-        },
-    )
-    return option
-
-
-class LazyChoices(Mapping):
-    """A choice map that materializes ``CandidateOption``s on demand.
-
-    The sharded solve's results come back columnar (one float64 row per
-    output field).  Building a Python object per partition eagerly is the
-    single most expensive step of a fleet-scale solve — it costs more than
-    all the shard workers' numeric work combined, and it is pure overhead
-    for consumers that only touch a few rows (pool arbitration reads only
-    pooled rows; bill accounting reads per-tenant slices at apply time).
-    This Mapping keeps the columns and builds an option the first time its
-    partition is looked up, caching it so repeated reads stay cheap and
-    object-identical.
-
-    Materialized options are bit-identical to the eager path: same field
-    values, same construction, same iteration order (the stacked problem's
-    global row order).  ``overlaid`` layers repaired options on top without
-    copying the columns, which is how pool arbitration's rewrites win over
-    the workers' unconstrained argmin rows.
-    """
-
-    __slots__ = ("_names", "_schemes", "_data", "_index", "_cache")
-
-    def __init__(
-        self,
-        names: Sequence[str],
-        schemes: tuple[str, ...],
-        data: np.ndarray,
-        cache: dict[str, CandidateOption] | None = None,
-    ):
-        self._names = tuple(names)
-        self._schemes = schemes
-        self._data = data
-        self._index: dict[str, int] | None = None
-        self._cache: dict[str, CandidateOption] = dict(cache) if cache else {}
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __contains__(self, name) -> bool:
-        return name in self._cache or name in self._row_index()
-
-    def _row_index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {name: i for i, name in enumerate(self._names)}
-        return self._index
-
-    def __getitem__(self, name: str) -> CandidateOption:
-        option = self._cache.get(name)
-        if option is None:
-            row = self._row_index()[name]
-            option = _materialize_option(name, self._schemes, self._data, row)
-            self._cache[name] = option
-        return option
-
-    def take(self, rows: np.ndarray) -> dict[str, CandidateOption]:
-        """Eagerly materialize the options at the given global row indices."""
-        names = self._names
-        return {names[row]: self[names[row]] for row in rows.tolist()}
-
-    def overlaid(self, options: Mapping) -> "LazyChoices":
-        """A new map where ``options`` shadow the lazy columnar rows."""
-        merged = dict(self._cache)
-        merged.update(options)
-        clone = LazyChoices(self._names, self._schemes, self._data, cache=merged)
-        clone._index = self._index
-        return clone

@@ -16,7 +16,12 @@ from repro.cloud import (
     PartitionArrays,
     azure_tier_catalog,
 )
-from repro.core.optassign import OptAssignProblem, StackedProblem, solve_greedy
+from repro.core.optassign import (
+    Assignment,
+    OptAssignProblem,
+    StackedProblem,
+    solve_greedy,
+)
 from repro.engine import OnlineTieringEngine, PeriodicReoptimize, SeriesStream
 from oracles.problems import codec_allowed_loop, untag_split_placements
 
@@ -119,8 +124,12 @@ class TestSplitBySpans:
         )
 
     def test_choice_order_does_not_matter(self, stacked):
-        assignment = solve_greedy(stacked.problem)
-        assignment.choices = dict(reversed(list(assignment.choices.items())))
+        solved = solve_greedy(stacked.problem)
+        assignment = Assignment.from_choices(
+            stacked.problem,
+            dict(reversed(list(solved.choices.items()))),
+            solver="manual",
+        )
         split = stacked.split_placements(assignment)
         assert split == untag_split_placements(stacked, assignment)
         for tenant, names in zip(stacked.tenants, stacked.tenant_names):

@@ -140,4 +140,4 @@ class TestAssignment:
         from repro.core.optassign import Assignment
 
         with pytest.raises(ValueError):
-            Assignment(problem=problem, choices=incomplete, solver="manual")
+            Assignment.from_choices(problem, incomplete, solver="manual")
