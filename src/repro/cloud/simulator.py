@@ -28,6 +28,7 @@ __all__ = [
     "AccessEvent",
     "PlacementDecision",
     "PlacementColumns",
+    "recode",
     "SimulationResult",
     "CloudStorageSimulator",
     "CompiledPlacement",
@@ -65,6 +66,20 @@ class PlacementDecision:
     def __post_init__(self) -> None:
         if self.tier_index < 0:
             raise ValueError("tier_index must be a valid tier (>= 0)")
+
+
+def recode(
+    codes: np.ndarray, source: Sequence[str], target: Sequence[str]
+) -> np.ndarray:
+    """Scheme ``codes`` into ``source`` as a new array of codes into
+    ``target`` (``-1`` for a scheme ``target`` lacks; a ``-1`` code stays
+    ``-1``)."""
+    if tuple(source) == tuple(target):
+        return codes.copy()
+    index = {scheme: k for k, scheme in enumerate(target)}
+    # The trailing entry is what a -1 code gathers.
+    table = [index.get(scheme, -1) for scheme in source] + [-1]
+    return np.array(table, dtype=np.int64)[codes]
 
 
 class PlacementColumns(Mapping):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...cloud import PoolSet
+from ...cloud.simulator import recode
 from ...obs import get_metrics, get_tracer
 from .errors import InfeasibleError
 from .greedy import solve_greedy
@@ -35,7 +36,6 @@ from .result import (
     STORAGE,
     WRITE,
     Assignment,
-    recode,
 )
 
 __all__ = [

@@ -361,9 +361,7 @@ class DeltaSolver:
             tier[changed_rows] = solved.tier
             scheme[changed_rows] = self._codes_for(solved.schemes)[solved.scheme]
             priced[:, changed_rows] = solved.priced
-            stored[changed_rows] = sub.batch_tensors().stored_gb[
-                np.arange(changed_rows.size), solved.scheme
-            ]
+            stored[changed_rows] = solved.stored_gb()
 
         assignment = Assignment(problem, tier, scheme, self._schemes, priced, "delta")
         updated = changed_mask

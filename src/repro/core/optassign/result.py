@@ -12,11 +12,12 @@ paper prints in its pipeline tables are computed from the columns.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ...cloud import CostBreakdown, PlacementColumns
+from ...cloud.simulator import recode
 from .problem import CandidateOption, OptAssignProblem
 
 __all__ = ["Assignment", "PRICED_FIELDS"]
@@ -27,23 +28,10 @@ PRICED_FIELDS = ("objective", "storage", "read", "write", "decompression", "late
 OBJECTIVE, STORAGE, READ, WRITE, DECOMPRESSION, LATENCY = range(len(PRICED_FIELDS))
 
 
-def recode(
-    codes: np.ndarray, source: Sequence[str], target: Sequence[str]
-) -> np.ndarray:
-    """Scheme ``codes`` into ``source`` as a new array of codes into
-    ``target`` (``-1`` for a scheme ``target`` lacks; a ``-1`` code stays
-    ``-1``)."""
-    if tuple(source) == tuple(target):
-        return codes.copy()
-    index = {scheme: k for k, scheme in enumerate(target)}
-    # The trailing entry is what a -1 code gathers.
-    table = [index.get(scheme, -1) for scheme in source] + [-1]
-    return np.array(table, dtype=np.int64)[codes]
-
-
 def _sequential_sum(values: np.ndarray) -> float:
     """``0.0 + values[0] + values[1] + ...`` with one float add per row, in
-    row order — the same rounding as summing row by row in Python."""
+    row order — the rounding of a ``+=`` loop over the rows (the built-in
+    ``sum`` compensates on Python 3.12+)."""
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
@@ -147,8 +135,10 @@ class Assignment:
     # -- aggregates ---------------------------------------------------------------
     @property
     def objective(self) -> float:
-        """Total weighted objective value (Eq. 1)."""
-        return _sequential_sum(self.priced[OBJECTIVE])
+        """Total weighted objective value (Eq. 1): the built-in ``sum`` over
+        the rows in order, so it rounds like ``sum`` over the options on every
+        Python version (compensated on 3.12+, plain adds before)."""
+        return float(sum(self.priced[OBJECTIVE].tolist()))
 
     @property
     def breakdown(self) -> CostBreakdown:

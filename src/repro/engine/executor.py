@@ -31,8 +31,8 @@ import numpy as np
 
 from ..cloud import DataPartition, PlacementColumns, PlacementDecision, TierCatalog
 from ..cloud.objects import NO_COMPRESSION
+from ..cloud.simulator import recode
 from ..cloud.tiers import NEW_DATA_TIER
-from ..core.optassign.result import recode
 from ..obs import get_metrics
 
 __all__ = ["MigrationRecord", "MigrationReport", "MigrationExecutor"]

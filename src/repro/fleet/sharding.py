@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..cloud import CostModel, PartitionArrays, PoolSet
+from ..cloud.simulator import recode
 from ..core.optassign import InfeasibleError
 from ..core.optassign.capacity import (
     SolveReport,
@@ -49,7 +50,16 @@ from ..core.optassign.capacity import (
     repair_pools,
 )
 from ..core.optassign.problem import OptAssignProblem
-from ..core.optassign.result import Assignment, recode
+from ..core.optassign.result import (
+    DECOMPRESSION,
+    LATENCY,
+    OBJECTIVE,
+    PRICED_FIELDS,
+    READ,
+    STORAGE,
+    WRITE,
+    Assignment,
+)
 from ..obs import get_metrics, get_tracer
 from ..obs.trace import SpanRecord, Tracer
 
@@ -63,19 +73,13 @@ __all__ = ["ShardedFleetSolver", "plan_row_shards", "plan_tenant_shards"]
 _SHM_PREFIX = "reproshard"
 
 # Output block columns, one float64 row vector per quantity (int-valued
-# columns round-trip exactly through float64 for any realistic index).
-(
-    _OUT_TIER,
-    _OUT_SCHEME,
-    _OUT_OBJECTIVE,
-    _OUT_STORAGE,
-    _OUT_READ,
-    _OUT_WRITE,
-    _OUT_DECOMP,
-    _OUT_LATENCY,
-    _OUT_STORED,
-) = range(9)
-_OUT_COLS = 9
+# columns round-trip exactly through float64 for any realistic index): the
+# tier, the scheme code, the assignment's priced block in ``PRICED_FIELDS``
+# order, then the stored GB.
+_OUT_TIER, _OUT_SCHEME = 0, 1
+_OUT_PRICED = slice(2, 2 + len(PRICED_FIELDS))
+_OUT_STORED = _OUT_PRICED.stop
+_OUT_COLS = _OUT_STORED + 1
 
 # Input block base columns (float64, shape (7, n)).
 (
@@ -287,12 +291,16 @@ def _solve_shard_views(task: _ShardTask, in_buf, out_buf) -> _ShardResult:
             scheme_index = best % task.num_schemes
             out[_OUT_TIER, sel] = tier_index
             out[_OUT_SCHEME, sel] = scheme_index
-            out[_OUT_OBJECTIVE, sel] = best_objective
-            out[_OUT_STORAGE, sel] = tensors.storage[picks, tier_index, scheme_index]
-            out[_OUT_READ, sel] = tensors.read[picks, tier_index, scheme_index]
-            out[_OUT_WRITE, sel] = tensors.write[picks, tier_index, scheme_index]
-            out[_OUT_DECOMP, sel] = tensors.decompression[picks, scheme_index]
-            out[_OUT_LATENCY, sel] = tensors.latency_s[picks, tier_index, scheme_index]
+            priced = _OUT_PRICED.start
+            cell = (picks, tier_index, scheme_index)
+            out[priced + OBJECTIVE, sel] = best_objective
+            out[priced + STORAGE, sel] = tensors.storage[cell]
+            out[priced + READ, sel] = tensors.read[cell]
+            out[priced + WRITE, sel] = tensors.write[cell]
+            out[priced + DECOMPRESSION, sel] = tensors.decompression[
+                picks, scheme_index
+            ]
+            out[priced + LATENCY, sel] = tensors.latency_s[cell]
             out[_OUT_STORED, sel] = tensors.stored_gb[picks, scheme_index]
     return _ShardResult(
         shard=task.shard,
@@ -775,12 +783,11 @@ class ShardedFleetSolver:
         out = out.reshape(_OUT_COLS, len(arrays))
         candidate = problem if factor == 1.0 else problem.relaxed(factor)
         with tracer.span("fleet.shard.compose", rows=len(arrays)):
-            # The workers' results are already the assignment's columns: the
-            # priced rows of the output block are laid out in PRICED_FIELDS
-            # order.  The copies are what outlive the shared block's unlink.
+            # The workers' results are already the assignment's columns.
+            # The copies are what outlive the shared block's unlink.
             tier = out[_OUT_TIER].astype(np.int64)
             scheme = out[_OUT_SCHEME].astype(np.int64)
-            priced = out[_OUT_OBJECTIVE : _OUT_LATENCY + 1].copy()
+            priced = out[_OUT_PRICED].copy()
             stored = out[_OUT_STORED].copy()
         del out  # release the buffer view before the caller unlinks
         solver = "greedy+shards"

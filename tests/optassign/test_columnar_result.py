@@ -137,6 +137,24 @@ class TestGreedyView:
         assert assignment.max_read_latency_s() == want["max_read_latency_s"]
         assert assignment.latency_violations() == []
 
+    def test_aggregates_keep_the_per_option_rounding(self):
+        # 1e16 + 1.0 - 1e16 is 0.0 with plain adds but 1.0 with the built-in
+        # sum on Python 3.12+, which compensates: the objective must round
+        # like sum() and the breakdown like its += loop on every interpreter.
+        problem = random_problem(3, 3)
+        greedy = solve_greedy(problem)
+        priced = np.empty_like(greedy.priced)
+        priced[:] = [1e16, 1.0, -1e16]
+        crafted = Assignment(
+            problem, greedy.tier, greedy.scheme, greedy.schemes, priced, "crafted"
+        )
+        want = dict_aggregates(problem, crafted.choices)
+        assert bits(crafted.objective) == bits(want["objective"])
+        assert bits(crafted.objective) == bits(sum([1e16, 1.0, -1e16]))
+        assert [bits(v) for v in astuple(crafted.breakdown)] == [
+            bits(v) for v in astuple(want["breakdown"])
+        ]
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), count=st.integers(1, 25))
     def test_from_choices_round_trips_the_scalar_oracle(self, seed, count):
