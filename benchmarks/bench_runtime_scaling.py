@@ -12,7 +12,8 @@ struct-of-arrays fast paths against their scalar reference oracles —
   batch cost tensor) at 463 / 5k / 10k / 50k partitions,
 * ``CloudStorageSimulator.step_month`` vs the precompiled
   :class:`~repro.cloud.CompiledPlacement` epoch step,
-* :class:`~repro.engine.ScalarFeatureStore` vs the numpy ring-buffer
+* the sparse-deque ``ScalarFeatureStore`` test oracle
+  (``tests/oracles/engine_state.py``) vs the numpy ring-buffer
   :class:`~repro.engine.FeatureStore` ingest + window aggregation,
 * incremental :class:`~repro.core.optassign.DeltaSolver` epochs vs the full
   vectorized solve at 10k partitions over drift fractions 1% / 5% / 20% /
@@ -38,9 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro import obs  # noqa: E402
 from repro.cloud import (  # noqa: E402
@@ -58,7 +60,8 @@ from repro.core.optassign import (  # noqa: E402
     solve_greedy,
     solve_optassign,
 )
-from repro.engine import FeatureStore, ScalarFeatureStore  # noqa: E402
+from repro.engine import FeatureStore  # noqa: E402
+from oracles.engine_state import ScalarFeatureStore  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_optassign_scaling.json"
 OUTPUT_DELTA = Path(__file__).resolve().parent.parent / "BENCH_optassign_delta.json"

@@ -551,6 +551,7 @@ class CompiledPlacement:
         access_events: EventBatch | Iterable[AccessEvent],
         storage_months: float = 1.0,
         include_per_partition: bool = False,
+        rows: np.ndarray | None = None,
     ) -> SimulationResult:
         """One epoch of storage plus this epoch's accesses, vectorized.
 
@@ -560,7 +561,9 @@ class CompiledPlacement:
         early-deletion penalties.  ``include_per_partition`` populates
         :attr:`SimulationResult.per_partition` (off by default — building one
         Python object per partition per epoch is exactly what this fast path
-        exists to avoid).
+        exists to avoid).  ``rows`` are the events' partition rows
+        (:meth:`~repro.cloud.PartitionArrays.event_rows`) when the caller has
+        them already.
         """
         if storage_months < 0:
             raise ValueError("storage_months must be non-negative")
@@ -571,13 +574,7 @@ class CompiledPlacement:
         )
         storage_total = float(np.sum(self.storage_per_month) * storage_months)
         if len(events):
-            index_array = self.arrays.codes_for(events.vocab)[events.code]
-            unknown = index_array < 0
-            if unknown.any():
-                name = events.vocab[events.code[np.argmax(unknown)]]
-                raise KeyError(
-                    f"access event references unknown partition {name!r}"
-                )
+            index_array = self.arrays.event_rows(events) if rows is None else rows
             reads_array = events.reads
             # np.rint rounds half to even, exactly like round().
             rounds_array = np.rint(reads_array).astype(np.int64)

@@ -43,10 +43,11 @@ from .events import (
     windowed,
 )
 from .executor import MigrationExecutor, MigrationRecord, MigrationReport
-from .features import FeatureStore, PartitionFeatures, ScalarFeatureStore
+from .features import FeatureStore, PartitionFeatures
 from .policies import (
     DriftTriggered,
     PeriodicReoptimize,
+    RateColumns,
     StaticOnce,
     TieringPolicy,
     drift_score,
@@ -76,11 +77,11 @@ __all__ = [
     "MigrationReport",
     "FeatureStore",
     "PartitionFeatures",
-    "ScalarFeatureStore",
     "TieringPolicy",
     "StaticOnce",
     "PeriodicReoptimize",
     "DriftTriggered",
+    "RateColumns",
     "drift_score",
     "partition_drift_scores",
 ]

@@ -17,6 +17,16 @@ control loop.  Per epoch (billing month) it:
    (storage + the epoch's actual reads) and folds the epoch's events into the
    :class:`~repro.engine.features.FeatureStore` in O(new events).
 
+Per-partition state lives in row-aligned numpy columns, in the row order of
+the engine's cached :class:`~repro.cloud.PartitionArrays`: the engine
+resolves its partitions to feature-store and forecaster rows once, at
+construction.  Settling a window gathers each event's row once (the same
+gather bills it), sums the reads per row with one ``bincount`` and hands the
+touched rows to the feature store, the forecaster and the policy as
+:class:`~repro.engine.policies.RateColumns`; forecasts come back as one
+column, and the residency clocks (``months_in_tier``) are one float64 column
+that ticks with a single vector add.
+
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
 ``StaticOnce`` / ``PeriodicReoptimize`` / ``DriftTriggered`` policies can be
@@ -42,6 +52,7 @@ from ..cloud import (
     TierCatalog,
     TimedEvent,
 )
+from ..cloud.events import EventBatch, first_occurrence
 from ..core.access_predict import WindowedAccessForecaster
 from ..core.optassign import (
     DeltaSolver,
@@ -56,7 +67,7 @@ from ..obs.clock import monotonic_s
 from .events import EpochBatch, StreamWindow, TriggerWindow, windowed
 from .executor import MigrationExecutor, MigrationReport
 from .features import FeatureStore
-from .policies import TieringPolicy
+from .policies import RateColumns, TieringPolicy
 
 __all__ = [
     "EngineConfig",
@@ -290,7 +301,6 @@ class OnlineTieringEngine:
         self.tiers = tiers
         self.policy = policy
         self._partitions = [replace(partition) for partition in partitions]
-        self._by_name = {partition.name: partition for partition in self._partitions}
         self._arrays = PartitionArrays.from_partitions(self._partitions)
         self._compiled: CompiledPlacement | None = None
         self._profiles = profiles
@@ -309,7 +319,10 @@ class OnlineTieringEngine:
             tiers, compute_cost_per_s=self.config.compute_cost_per_s
         )
         self.executor = MigrationExecutor(tiers)
-        self.feature_store = FeatureStore(window_months=self.config.window_months)
+        self.feature_store = FeatureStore(
+            window_months=self.config.window_months,
+            initial_capacity=len(self._partitions),
+        )
         self.forecaster = forecaster or WindowedAccessForecaster(
             alpha=self.config.forecast_alpha, blend=self.config.forecast_blend
         )
@@ -324,17 +337,21 @@ class OnlineTieringEngine:
             },
             epoch=-1,
         )
+        # Engine row -> feature-store row and forecaster row, resolved once.
+        names = self._arrays.names
+        self._store_rows = self.feature_store.register(names)
+        self._forecast_rows = self.forecaster.rows(names)
         self._placement: PlacementColumns | None = None
-        self.months_in_tier: dict[str, float] = {
-            partition.name: (0.0 if partition.is_new else float("inf"))
-            for partition in self._partitions
-        }
+        # Months each partition has resided in its current tier, in row order.
+        self.months_in_tier = np.array(
+            [0.0 if partition.is_new else float("inf") for partition in self._partitions]
+        )
         self._last_epoch = -1
         self._last_window = -1
         self._window_clock = 0.0
-        self._last_observed: dict[str, float] | None = None
-        self._pending_forecast: dict[str, float] | None = None
-        self._last_applied_forecast: dict[str, float] | None = None
+        self._last_observed: RateColumns | None = None
+        self._pending_forecast: RateColumns | None = None
+        self._last_applied_forecast: RateColumns | None = None
         self._delta: DeltaSolver | None = (
             DeltaSolver(drift_threshold=self.config.delta_drift_threshold)
             if self.config.reopt_mode == "delta"
@@ -490,7 +507,7 @@ class OnlineTieringEngine:
     def _wire_drift_baseline(self, trigger: TriggerWindow) -> None:
         """Point baseline-less drift triggers at the last applied forecast."""
 
-        def provider() -> Mapping[str, float] | None:
+        def provider() -> RateColumns | None:
             return self._last_applied_forecast
 
         members = [trigger, *getattr(trigger, "triggers", ())]
@@ -616,23 +633,23 @@ class OnlineTieringEngine:
                 self._compiled = self.simulator.compile_placement(
                     self._arrays, self.placement
                 )
+            events = window.events
             with tracer.span("engine.ingest") as ingest_span:
-                step = self._compiled.step(window.events, storage_months=duration)
-                ingest_span.set(events=len(window.events))
+                rows = self._arrays.event_rows(events)
+                step = self._compiled.step(
+                    events, storage_months=duration, rows=rows
+                )
+                ingest_span.set(events=len(events))
 
-            counts = window.reads_by_partition()
-            if duration > 0:
-                observed = {
-                    name: count / duration for name, count in counts.items()
-                }
-            else:
-                observed = counts
+            observed = self._observed(rows, events.reads, duration)
             with tracer.span("engine.feature_store"):
-                self.feature_store.observe_counts(index, observed)
-                self.forecaster.update(index, observed)
-            MigrationExecutor.tick(
-                self.months_in_tier, list(self._by_name), months=duration
-            )
+                self.feature_store.observe_rows(
+                    index, self._store_rows[observed.rows], observed.rates
+                )
+                self.forecaster.update_rows(
+                    index, self._forecast_rows[observed.rows], observed.rates
+                )
+            MigrationExecutor.tick(self.months_in_tier, months=duration)
             self._last_observed = observed
             self._last_window = index
             self._window_clock = window.end_month
@@ -668,9 +685,24 @@ class OnlineTieringEngine:
         return self._window_clock
 
     @property
-    def last_applied_forecast(self) -> Mapping[str, float] | None:
+    def last_applied_forecast(self) -> RateColumns | None:
         """The monthly-rate forecast behind the most recent applied placement."""
         return self._last_applied_forecast
+
+    def _observed(
+        self, rows: np.ndarray, reads: np.ndarray, duration: float
+    ) -> RateColumns:
+        """The reads of each row the events touched, per month of
+        ``duration``, in first-read order (raw counts for a zero-width
+        window).
+
+        ``bincount`` adds each row's reads in event order, as a per-event
+        loop would.
+        """
+        touched = first_occurrence(rows)
+        counts = np.bincount(rows, weights=reads)[touched]
+        rates = counts / duration if duration > 0 else counts
+        return RateColumns(self._arrays.names, rates, touched)
 
     # -- external-scheduling hooks ----------------------------------------------
     # The fleet scheduler (:mod:`repro.fleet`) epoch-locks many engines and
@@ -744,15 +776,21 @@ class OnlineTieringEngine:
                 self._compiled = self.simulator.compile_placement(
                     self._arrays, self.placement
                 )
+            events = EventBatch.from_events(batch.events)
             with tracer.span("engine.ingest") as ingest_span:
-                step = self._compiled.step(batch.events)
-                ingest_span.set(events=len(batch.events))
+                rows = self._arrays.event_rows(events)
+                step = self._compiled.step(events, rows=rows)
+                ingest_span.set(events=len(events))
 
-            observed = batch.reads_by_partition()
+            observed = self._observed(rows, events.reads, 1.0)
             with tracer.span("engine.feature_store"):
+                # Event by event: a batch may read a partition many times,
+                # and each lifetime total adds its reads in event order.
                 self.feature_store.observe(batch)
-                self.forecaster.update(epoch, observed)
-            MigrationExecutor.tick(self.months_in_tier, list(self._by_name))
+                self.forecaster.update_rows(
+                    epoch, self._forecast_rows[observed.rows], observed.rates
+                )
+            MigrationExecutor.tick(self.months_in_tier)
             self._last_observed = observed
             self._last_epoch = epoch
             # A forecast built for this epoch is stale once the epoch
@@ -872,16 +910,18 @@ class OnlineTieringEngine:
         return self._compiled.tier_usage_gb()
 
     # -- re-optimization ---------------------------------------------------------
-    def forecast_monthly(self, epoch: int) -> dict[str, float]:
+    def forecast_monthly(self, epoch: int) -> RateColumns:
         """Projected monthly reads per partition, from windowed features.
 
         Uses only information available *before* ``epoch``: the feature
         store's sliding window and the forecaster's warm EWMA state (seeded
-        with the priors at construction).
+        with the priors at construction).  One column over every row.
         """
-        names = list(self._by_name)
-        windows = self.feature_store.window_series_map(names)
-        return self.forecaster.forecast_monthly(names, windows, epoch=epoch - 1)
+        window = self.feature_store.window_matrix(self._store_rows)
+        rates = self.forecaster.forecast_rows(
+            self._forecast_rows, window, epoch=epoch - 1
+        )
+        return RateColumns(self._arrays.names, rates)
 
     def build_problem(self, epoch: int) -> OptAssignProblem:
         """The OPTASSIGN instance this epoch's re-optimization would solve.
@@ -902,9 +942,11 @@ class OnlineTieringEngine:
         return problem
 
     def _assemble_problem(
-        self, epoch: int, predicted_monthly: Mapping[str, float]
+        self, epoch: int, predicted_monthly: RateColumns
     ) -> OptAssignProblem:
         """The instance as columns over the engine's cached partition arrays.
+
+        ``predicted_monthly`` is a forecast over every row.
 
         Only three columns change between builds: the horizon forecast, the
         warm-start tier (where the data lives today, so staying put is free
@@ -919,14 +961,7 @@ class OnlineTieringEngine:
         base = self._arrays
         names = base.names
         partitions = self._partitions
-        predicted = (
-            np.fromiter(
-                (predicted_monthly[name] for name in names),
-                dtype=np.float64,
-                count=len(names),
-            )
-            * config.horizon_months
-        )
+        predicted = predicted_monthly.dense() * config.horizon_months
         if (predicted < 0).any():
             raise ValueError("predicted_accesses must be non-negative")
         # Where the data lives today: the placement's tier column, and the
@@ -1032,8 +1067,9 @@ class OnlineTieringEngine:
         self.placement = placement
         self.policy.notify_reoptimized(epoch, self._pending_forecast)
         # The forecast this placement was planned from doubles as the drift
-        # baseline for epoch-free DriftTriggers (see run_stream).
-        self._last_applied_forecast = dict(self._pending_forecast)
+        # baseline for epoch-free DriftTriggers (see run_stream).  It is
+        # read-only, so policy and trigger share it without a copy.
+        self._last_applied_forecast = self._pending_forecast
         self._pending_forecast = None
         get_metrics().counter("engine.reoptimizations").add()
         return migration

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, MutableMapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class MigrationExecutor:
         partitions: Sequence[DataPartition],
         old_placement: Mapping[str, PlacementDecision] | None,
         new_placement: Mapping[str, PlacementDecision],
-        months_in_tier: MutableMapping[str, float],
+        months_in_tier: np.ndarray,
         epoch: int = 0,
         waive_early_deletion_tiers: "frozenset[int] | set[int] | None" = None,
     ) -> MigrationReport:
@@ -111,9 +111,10 @@ class MigrationExecutor:
 
         ``old_placement`` is ``None`` for the initial placement of newly
         ingested data (everything pays only its destination write cost).
-        Mutates each partition's ``current_tier`` and resets
-        ``months_in_tier`` for moved partitions; unmoved partitions (same
-        tier, same scheme) cost nothing.
+        ``months_in_tier`` is the residency clock column, one float64 per
+        partition in ``partitions`` order.  Mutates each partition's
+        ``current_tier`` and resets the clock of moved partitions; unmoved
+        partitions (same tier, same scheme) cost nothing.
 
         ``waive_early_deletion_tiers`` names source tiers whose outbound
         moves skip the early-deletion penalty.  A *forced evacuation* off a
@@ -135,6 +136,8 @@ class MigrationExecutor:
             # Validate before anything mutates live state: a partial apply
             # would leave moves un-billed and residency clocks wrong.
             raise KeyError(f"new placement missing partitions: {missing}")
+        if months_in_tier.shape != (len(names),):
+            raise ValueError("months_in_tier needs one clock per partition")
         old = (
             None
             if old_placement is None
@@ -213,7 +216,7 @@ class MigrationExecutor:
                     waive_early_deletion_tiers
                     and source_tier in waive_early_deletion_tiers
                 ):
-                    resident = months_in_tier.get(name, float("inf"))
+                    resident = float(months_in_tier[row])
                     if resident < source.early_deletion_months:
                         penalty = source.storage_cost_for(
                             partition.size_gb, source.early_deletion_months - resident
@@ -236,7 +239,7 @@ class MigrationExecutor:
             # cost the objective never priced.
             scheme = new.schemes[code]
             partition.current_codec = None if scheme == NO_COMPRESSION else scheme
-            months_in_tier[name] = 0.0
+        months_in_tier[moving] = 0.0
         report = MigrationReport(epoch=epoch, moves=moves)
         metrics = get_metrics()
         if metrics.enabled and report.num_moved:
@@ -250,11 +253,7 @@ class MigrationExecutor:
         return report
 
     @staticmethod
-    def tick(
-        months_in_tier: MutableMapping[str, float],
-        names: Sequence[str],
-        months: float = 1.0,
-    ) -> None:
+    def tick(months_in_tier: np.ndarray, months: float = 1.0) -> None:
         """Advance every partition's tier-residency clock by ``months``.
 
         The dense epoch loop ticks one month at a time; the epoch-free
@@ -262,5 +261,4 @@ class MigrationExecutor:
         """
         if months < 0:
             raise ValueError("months must be non-negative")
-        for name in names:
-            months_in_tier[name] = months_in_tier.get(name, 0.0) + months
+        months_in_tier += months

@@ -2,36 +2,35 @@
 
 A production tiering service observes millions of access events; recomputing
 every partition's windowed features from the full trace each epoch would make
-the control loop O(trace length).  Two implementations maintain the same
-windowed features:
+the control loop O(trace length).  :class:`FeatureStore` keeps **preallocated
+numpy ring buffers** instead: one ``(partitions, window)`` matrix whose column
+``e % window`` holds epoch ``e``'s reads, plus lifetime/last-access vectors,
+one row per registered partition.
 
-* :class:`FeatureStore` (the default) keeps **preallocated numpy ring
-  buffers**: one ``(partitions, window)`` matrix whose column ``e % window``
-  holds epoch ``e``'s reads, plus lifetime/last-access vectors.  Epoch ingest
-  is O(new events) (a vectorized scatter-add after name-to-row resolution,
-  plus zeroing the ring columns that slide out), and window aggregation at
-  re-optimization points is a handful of vectorized reductions instead of
-  per-partition Python loops.
-* :class:`ScalarFeatureStore` is the original per-partition sparse-deque
-  implementation with lazy eviction, kept as the **reference oracle**: the
-  equivalence suite (``tests/engine/test_feature_store.py``) drives both on
-  the same streams and requires identical answers.
+The engine registers its partitions once and then works on rows only: it
+folds a window's per-row reads in with :meth:`FeatureStore.observe_rows` (a
+fancy add over the rows read, plus zeroing the ring columns that slide out)
+and reads the window back with :meth:`FeatureStore.window_matrix` (one
+gather).  The name-keyed methods (:meth:`~FeatureStore.observe`,
+:meth:`~FeatureStore.observe_counts`, :meth:`~FeatureStore.accumulate` and
+the per-name queries) resolve names to rows and call the same code.
 
-The invariant tested against both is exact equivalence with a brute-force
-recompute over the full history.
+The per-partition sparse-deque ``ScalarFeatureStore`` in
+``tests/oracles/engine_state.py`` is the reference oracle: the equivalence
+suites drive both on the same streams and require identical answers, and
+both must equal a brute-force recompute over the full history.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .events import EpochBatch
 
-__all__ = ["PartitionFeatures", "FeatureStore", "ScalarFeatureStore"]
+__all__ = ["PartitionFeatures", "FeatureStore"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,13 @@ class PartitionFeatures:
         return self.window_reads / len(self.window_series)
 
 
+def _reject_negative(counts: np.ndarray, name_at: Callable[[int], str]) -> None:
+    """Raise on the first negative count, naming its partition."""
+    if counts.size and counts.min() < 0:
+        first = int(np.flatnonzero(counts < 0)[0])
+        raise ValueError(f"negative read count for {name_at(first)!r}")
+
+
 class FeatureStore:
     """Sliding-window access features on preallocated numpy ring buffers.
 
@@ -68,6 +74,10 @@ class FeatureStore:
     initial_capacity:
         Rows preallocated for distinct partitions; the buffers double when
         exceeded, so ingest stays amortized O(new events).
+
+    Every call validates its whole input before it changes any state: a
+    rejected call leaves the buffers and the epoch as they were, so the
+    corrected call for the same epoch is accepted.
     """
 
     def __init__(self, window_months: int = 6, initial_capacity: int = 1024):
@@ -78,6 +88,7 @@ class FeatureStore:
         self.window_months = window_months
         self._epoch = -1
         self._index: dict[str, int] = {}
+        self._names: list[str] = []
         self._capacity = initial_capacity
         self._window = np.zeros((initial_capacity, window_months), dtype=np.float64)
         self._lifetime = np.zeros(initial_capacity, dtype=np.float64)
@@ -97,108 +108,24 @@ class FeatureStore:
         """
         return min(self.window_months, self._epoch + 1) / self.window_months
 
-    # -- ingestion -------------------------------------------------------------
-    def observe(self, batch: EpochBatch) -> None:
-        """Fold one epoch's *complete* batch in.  One batch per epoch.
+    # -- rows --------------------------------------------------------------------
+    def register(self, names: Iterable[str]) -> np.ndarray:
+        """The store rows of ``names``, adding rows for the new ones.
 
-        Epochs must be strictly increasing: re-observing the current epoch
-        would silently double-fold its reads (the forecaster already rejects
-        the same mistake), so it raises.  Streaming callers that fold an
-        epoch in several partial batches must use :meth:`accumulate`, which
-        opts into same-epoch addition explicitly.
+        A registered row reads as cold until its first positive read; it
+        does not show up in :meth:`tracked_partitions` before that.
         """
-        self._check_complete_batch(batch.epoch)
-        self._advance(batch.epoch)
-        self._add_many(
-            batch.epoch,
-            [event.partition for event in batch.events],
-            [event.reads for event in batch.events],
-        )
-
-    def observe_counts(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
-        """Like :meth:`observe` but from pre-aggregated per-partition counts."""
-        self._check_complete_batch(epoch)
-        self._advance(epoch)
-        self._add_many(
-            epoch, list(reads_by_partition), list(reads_by_partition.values())
-        )
-
-    def accumulate(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
-        """Fold a *partial* (sub-epoch) batch; same-epoch calls add up.
-
-        The explicit streaming path: a caller slicing one epoch into many
-        micro-batches calls this repeatedly with the same ``epoch`` and the
-        reads accumulate — the semantics :meth:`observe` deliberately rejects
-        so one-batch-per-epoch callers cannot double-fold by accident.
-        Epochs must still be non-decreasing.
-        """
-        if epoch < self._epoch:
-            raise ValueError(
-                f"epochs must be non-decreasing (got {epoch} after {self._epoch})"
-            )
-        self._advance(epoch)
-        self._add_many(
-            epoch, list(reads_by_partition), list(reads_by_partition.values())
-        )
-
-    def _check_complete_batch(self, epoch: int) -> None:
-        """The observe/observe_counts contract: strictly increasing epochs."""
-        if epoch < self._epoch:
-            raise ValueError(
-                f"epochs must be non-decreasing (got {epoch} after {self._epoch})"
-            )
-        if epoch == self._epoch and self._epoch >= 0:
-            raise ValueError(
-                f"epoch {epoch} was already observed; observe()/observe_counts() "
-                "take one complete batch per epoch — use accumulate() to fold "
-                "sub-epoch partial batches"
-            )
-
-    def _advance(self, epoch: int) -> None:
-        """Slide the ring forward: zero the columns whose epochs expired."""
-        if self._epoch < 0 or epoch == self._epoch:
-            self._epoch = epoch
-            return
-        gap = epoch - self._epoch
-        window = self.window_months
-        if gap >= window:
-            self._window[: len(self._index)] = 0.0
-        else:
-            columns = [(e % window) for e in range(self._epoch + 1, epoch + 1)]
-            self._window[: len(self._index), columns] = 0.0
-        self._epoch = epoch
-
-    def _add_many(
-        self, epoch: int, names: Sequence[str], reads: Sequence[float]
-    ) -> None:
-        if not names:
-            return
-        for name, count in zip(names, reads):
-            if count < 0:
-                raise ValueError(f"negative read count for {name!r}")
-        pairs = [(name, count) for name, count in zip(names, reads) if count > 0]
-        if not pairs:
-            return
-        indices = np.fromiter(
-            (self._ensure(name) for name, _ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        counts = np.fromiter(
-            (count for _, count in pairs), dtype=np.float64, count=len(pairs)
-        )
-        column = epoch % self.window_months
-        np.add.at(self._window[:, column], indices, counts)
-        np.add.at(self._lifetime, indices, counts)
-        self._last_access[indices] = epoch
-
-    def _ensure(self, name: str) -> int:
-        index = self._index.get(name)
-        if index is not None:
-            return index
-        index = len(self._index)
-        if index >= self._capacity:
+        index = self._index
+        rows = []
+        for name in names:
+            row = index.get(name)
+            if row is None:
+                row = index[name] = len(self._names)
+                self._names.append(name)
+            rows.append(row)
+        while len(self._names) > self._capacity:
             self._grow()
-        self._index[name] = index
-        return index
+        return np.asarray(rows, dtype=np.intp)
 
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
@@ -211,69 +138,179 @@ class FeatureStore:
         self._window, self._lifetime, self._last_access = window, lifetime, last_access
         self._capacity = new_capacity
 
+    # -- ingestion -------------------------------------------------------------
+    def observe_rows(self, epoch: int, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Fold one epoch's *complete* per-row reads in: ``counts[k]`` reads
+        of row ``rows[k]``.  One call per epoch; ``rows`` are distinct rows
+        from :meth:`register`.
+
+        Epochs must be strictly increasing: re-observing the current epoch
+        would silently double-fold its reads (the forecaster already rejects
+        the same mistake), so it raises.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.float64)
+        self._check_complete_batch(epoch)
+        if rows.shape != counts.shape:
+            raise ValueError("rows and counts must have the same length")
+        # Viewed unsigned, a negative row is out of range too.
+        if rows.size and rows.view(np.uintp).max() >= len(self._names):
+            raise ValueError("row outside the registered partitions")
+        _reject_negative(counts, lambda k: self._names[rows[k]])
+        self._fold(epoch, rows, counts, distinct=True)
+
+    def observe(self, batch: EpochBatch) -> None:
+        """Fold one epoch's *complete* batch in.  One batch per epoch.
+
+        Streaming callers that fold an epoch in several partial batches must
+        use :meth:`accumulate`, which opts into same-epoch addition
+        explicitly.  A batch may read one partition many times; its reads
+        add up in event order.
+        """
+        names = [event.partition for event in batch.events]
+        counts = np.fromiter(
+            (event.reads for event in batch.events), dtype=np.float64, count=len(names)
+        )
+        self._check_complete_batch(batch.epoch)
+        _reject_negative(counts, names.__getitem__)
+        self._fold(batch.epoch, self.register(names), counts, distinct=False)
+
+    def observe_counts(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
+        """Like :meth:`observe` but from pre-aggregated per-partition counts."""
+        names, counts = self._named_counts(reads_by_partition)
+        self._check_complete_batch(epoch)
+        _reject_negative(counts, names.__getitem__)
+        self._fold(epoch, self.register(names), counts, distinct=True)
+
+    def accumulate(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
+        """Fold a *partial* (sub-epoch) batch; same-epoch calls add up.
+
+        The explicit streaming path: a caller slicing one epoch into many
+        micro-batches calls this repeatedly with the same ``epoch`` and the
+        reads accumulate — the semantics :meth:`observe` deliberately rejects
+        so one-batch-per-epoch callers cannot double-fold by accident.
+        Epochs must still be non-decreasing.
+        """
+        names, counts = self._named_counts(reads_by_partition)
+        self._check_epoch_order(epoch)
+        _reject_negative(counts, names.__getitem__)
+        self._fold(epoch, self.register(names), counts, distinct=True)
+
+    @staticmethod
+    def _named_counts(
+        reads_by_partition: Mapping[str, float],
+    ) -> tuple[list[str], np.ndarray]:
+        names = list(reads_by_partition)
+        counts = np.fromiter(
+            reads_by_partition.values(), dtype=np.float64, count=len(names)
+        )
+        return names, counts
+
+    def _check_epoch_order(self, epoch: int) -> None:
+        if epoch < self._epoch:
+            raise ValueError(
+                f"epochs must be non-decreasing (got {epoch} after {self._epoch})"
+            )
+
+    def _check_complete_batch(self, epoch: int) -> None:
+        """The observe contract: strictly increasing epochs."""
+        self._check_epoch_order(epoch)
+        if epoch == self._epoch and self._epoch >= 0:
+            raise ValueError(
+                f"epoch {epoch} was already observed; observe()/observe_counts() "
+                "take one complete batch per epoch — use accumulate() to fold "
+                "sub-epoch partial batches"
+            )
+
+    def _fold(
+        self, epoch: int, rows: np.ndarray, counts: np.ndarray, distinct: bool
+    ) -> None:
+        """Slide the ring to ``epoch`` and add ``counts`` into ``rows``.
+
+        Validated input only.  ``distinct`` rows take one fancy add; a batch
+        that may repeat a row adds event by event (``np.add.at``), in order.
+        """
+        self._advance(epoch)
+        if not rows.size:
+            return
+        read = counts > 0
+        if not read.all():
+            rows, counts = rows[read], counts[read]
+        column = self._window[:, epoch % self.window_months]
+        if distinct:
+            column[rows] += counts
+            self._lifetime[rows] += counts
+        else:
+            np.add.at(column, rows, counts)
+            np.add.at(self._lifetime, rows, counts)
+        self._last_access[rows] = epoch
+
+    def _advance(self, epoch: int) -> None:
+        """Slide the ring forward: zero the columns whose epochs expired."""
+        if self._epoch < 0 or epoch == self._epoch:
+            self._epoch = epoch
+            return
+        gap = epoch - self._epoch
+        window = self.window_months
+        used = len(self._names)
+        if gap >= window:
+            self._window[:used] = 0.0
+        else:
+            for expired in range(self._epoch + 1, epoch + 1):
+                self._window[:used, expired % window] = 0.0
+        self._epoch = epoch
+
     # -- queries ----------------------------------------------------------------
     def window_reads(self, name: str) -> float:
         """Total reads of ``name`` within the current window."""
-        index = self._index.get(name)
-        if index is None:
+        row = self._index.get(name)
+        if row is None:
             return 0.0
-        return float(self._window[index].sum())
+        return float(self._window[row].sum())
 
     def lifetime_reads(self, name: str) -> float:
-        index = self._index.get(name)
-        return float(self._lifetime[index]) if index is not None else 0.0
+        row = self._index.get(name)
+        return float(self._lifetime[row]) if row is not None else 0.0
 
     def epochs_since_access(self, name: str) -> float:
         """Epochs since the last read (``inf`` if never accessed)."""
-        index = self._index.get(name)
-        if index is None or self._last_access[index] < 0:
+        row = self._index.get(name)
+        if row is None or self._last_access[row] < 0:
             return float("inf")
-        return float(self._epoch - self._last_access[index])
+        return float(self._epoch - self._last_access[row])
 
-    def _window_columns(self) -> tuple[int, list[int]]:
-        """(series length, ring columns oldest-epoch-first) for the current window."""
-        length = min(self.window_months, self._epoch + 1)
-        if length <= 0:
-            return 0, []
-        window = self.window_months
-        columns = [e % window for e in range(self._epoch - length + 1, self._epoch + 1)]
-        return length, columns
+    def _window_columns(self) -> list[int]:
+        """Ring columns of the current window, oldest epoch first.
 
-    def window_series(self, name: str) -> tuple[float, ...]:
-        """Dense per-epoch reads over the window, oldest epoch first.
-
-        Before ``window_months`` epochs have elapsed the series is shorter
+        Before ``window_months`` epochs have elapsed the window is shorter
         (only the epochs that exist so far), so window means are not diluted
         by non-existent history.
         """
-        length, columns = self._window_columns()
-        if length == 0:
-            return ()
-        index = self._index.get(name)
-        if index is None:
-            return (0.0,) * length
-        return tuple(self._window[index, columns].tolist())
+        length = min(self.window_months, self._epoch + 1)
+        window = self.window_months
+        return [e % window for e in range(self._epoch - length + 1, self._epoch + 1)]
+
+    def window_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """Dense per-epoch reads over the window for ``rows``: a
+        ``(len(rows), months)`` matrix, oldest epoch first (zero columns
+        before the first observation)."""
+        return self._window.take(rows, axis=0).take(self._window_columns(), axis=1)
+
+    def window_series(self, name: str) -> tuple[float, ...]:
+        """Dense per-epoch reads over the window, oldest epoch first."""
+        return self.window_series_map([name])[name]
 
     def window_series_map(
         self, names: Iterable[str]
     ) -> dict[str, tuple[float, ...]]:
         """:meth:`window_series` for many partitions in one vectorized gather."""
         names = list(names)
-        length, columns = self._window_columns()
-        if length == 0:
-            return {name: () for name in names}
-        matrix = np.zeros((len(names), length), dtype=np.float64)
-        positions = []
-        rows = []
-        for position, name in enumerate(names):
-            index = self._index.get(name)
-            if index is not None:
-                positions.append(position)
-                rows.append(index)
-        if rows:
-            matrix[positions] = self._window[np.ix_(rows, columns)]
-        series = matrix.tolist()
-        return {name: tuple(series[i]) for i, name in enumerate(names)}
+        rows = np.fromiter(
+            (self._index.get(name, -1) for name in names), dtype=np.intp, count=len(names)
+        )
+        matrix = self.window_matrix(np.maximum(rows, 0))
+        matrix[rows < 0] = 0.0
+        return dict(zip(names, map(tuple, matrix.tolist())))
 
     def snapshot(self, names: Iterable[str]) -> dict[str, PartitionFeatures]:
         """Windowed features for ``names`` (used at re-optimization points)."""
@@ -292,177 +329,7 @@ class FeatureStore:
         return features
 
     def tracked_partitions(self) -> list[str]:
-        """Names of every partition that has ever been accessed."""
-        return sorted(self._index)
-
-
-class _PartitionState:
-    """Sparse per-partition window state (internal to the scalar oracle)."""
-
-    __slots__ = ("entries", "window_total", "lifetime_total", "last_access_epoch")
-
-    def __init__(self) -> None:
-        self.entries: deque[list[float]] = deque()  # [epoch, reads] pairs
-        self.window_total = 0.0
-        self.lifetime_total = 0.0
-        self.last_access_epoch = -1
-
-
-class ScalarFeatureStore:
-    """The original per-partition sparse implementation (reference oracle).
-
-    Maintains, per partition, a sparse deque of (epoch, reads) entries
-    restricted to the sliding window plus running aggregates, with lazy
-    eviction: each entry is evicted at most once over its lifetime and cold
-    partitions are never touched.  Kept so the vectorized
-    :class:`FeatureStore` has an independent implementation to be checked
-    against; the two expose the same API and must return identical answers.
-    """
-
-    def __init__(self, window_months: int = 6):
-        if window_months <= 0:
-            raise ValueError("window_months must be positive")
-        self.window_months = window_months
-        self._states: dict[str, _PartitionState] = {}
-        self._epoch = -1
-
-    @property
-    def current_epoch(self) -> int:
-        """The most recent epoch observed (-1 before any observation)."""
-        return self._epoch
-
-    @property
-    def window_fill(self) -> float:
-        """Fraction of the sliding window backed by elapsed epochs (0..1)."""
-        return min(self.window_months, self._epoch + 1) / self.window_months
-
-    # -- ingestion -------------------------------------------------------------
-    def observe(self, batch: EpochBatch) -> None:
-        """Fold one epoch's *complete* batch in.  One batch per epoch.
-
-        Mirrors :meth:`FeatureStore.observe`: strictly increasing epochs;
-        use :meth:`accumulate` for sub-epoch partial batches.
-        """
-        self._check_complete_batch(batch.epoch)
-        self._epoch = batch.epoch
-        for event in batch.events:
-            self._add(event.partition, batch.epoch, event.reads)
-
-    def observe_counts(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
-        """Like :meth:`observe` but from pre-aggregated per-partition counts."""
-        self._check_complete_batch(epoch)
-        self._epoch = epoch
-        for name, reads in reads_by_partition.items():
-            self._add(name, epoch, reads)
-
-    def accumulate(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
-        """Fold a *partial* (sub-epoch) batch; same-epoch calls add up.
-
-        Mirrors :meth:`FeatureStore.accumulate` (the explicit streaming
-        path); epochs must still be non-decreasing.
-        """
-        if epoch < self._epoch:
-            raise ValueError(
-                f"epochs must be non-decreasing (got {epoch} after {self._epoch})"
-            )
-        self._epoch = epoch
-        for name, reads in reads_by_partition.items():
-            self._add(name, epoch, reads)
-
-    def _check_complete_batch(self, epoch: int) -> None:
-        """The observe/observe_counts contract: strictly increasing epochs."""
-        if epoch < self._epoch:
-            raise ValueError(
-                f"epochs must be non-decreasing (got {epoch} after {self._epoch})"
-            )
-        if epoch == self._epoch and self._epoch >= 0:
-            raise ValueError(
-                f"epoch {epoch} was already observed; observe()/observe_counts() "
-                "take one complete batch per epoch — use accumulate() to fold "
-                "sub-epoch partial batches"
-            )
-
-    def _add(self, name: str, epoch: int, reads: float) -> None:
-        if reads < 0:
-            raise ValueError(f"negative read count for {name!r}")
-        if reads == 0:
-            return
-        state = self._states.get(name)
-        if state is None:
-            state = self._states[name] = _PartitionState()
-        self._evict(state)
-        if state.entries and state.entries[-1][0] == epoch:
-            state.entries[-1][1] += reads
-        else:
-            state.entries.append([epoch, reads])
-        state.window_total += reads
-        state.lifetime_total += reads
-        state.last_access_epoch = max(state.last_access_epoch, epoch)
-
-    def _evict(self, state: _PartitionState) -> None:
-        """Drop entries that have slid out of the window (lazy, amortized O(1))."""
-        boundary = self._epoch - self.window_months
-        entries = state.entries
-        while entries and entries[0][0] <= boundary:
-            _, reads = entries.popleft()
-            state.window_total -= reads
-        if not entries:
-            state.window_total = 0.0  # clamp float residue when empty
-
-    # -- queries ----------------------------------------------------------------
-    def window_reads(self, name: str) -> float:
-        """Total reads of ``name`` within the current window."""
-        state = self._states.get(name)
-        if state is None:
-            return 0.0
-        self._evict(state)
-        return state.window_total
-
-    def lifetime_reads(self, name: str) -> float:
-        state = self._states.get(name)
-        return state.lifetime_total if state is not None else 0.0
-
-    def epochs_since_access(self, name: str) -> float:
-        """Epochs since the last read (``inf`` if never accessed)."""
-        state = self._states.get(name)
-        if state is None or state.last_access_epoch < 0:
-            return float("inf")
-        return float(self._epoch - state.last_access_epoch)
-
-    def window_series(self, name: str) -> tuple[float, ...]:
-        """Dense per-epoch reads over the window, oldest epoch first."""
-        length = min(self.window_months, self._epoch + 1)
-        if length <= 0:
-            return ()
-        start = self._epoch - length + 1
-        series = [0.0] * length
-        state = self._states.get(name)
-        if state is not None:
-            self._evict(state)
-            for epoch, reads in state.entries:
-                if epoch >= start:
-                    series[epoch - start] = reads
-        return tuple(series)
-
-    def window_series_map(
-        self, names: Iterable[str]
-    ) -> dict[str, tuple[float, ...]]:
-        """:meth:`window_series` for many partitions (loop; oracle parity API)."""
-        return {name: self.window_series(name) for name in names}
-
-    def snapshot(self, names: Iterable[str]) -> dict[str, PartitionFeatures]:
-        """Windowed features for ``names`` (used at re-optimization points)."""
-        features: dict[str, PartitionFeatures] = {}
-        for name in names:
-            features[name] = PartitionFeatures(
-                name=name,
-                window_reads=self.window_reads(name),
-                window_series=self.window_series(name),
-                lifetime_reads=self.lifetime_reads(name),
-                epochs_since_access=self.epochs_since_access(name),
-            )
-        return features
-
-    def tracked_partitions(self) -> list[str]:
-        """Names of every partition that has ever been accessed."""
-        return sorted(self._states)
+        """Names of every partition that has ever been read."""
+        used = len(self._names)
+        read = np.flatnonzero(self._last_access[:used] >= 0).tolist()
+        return sorted(self._names[row] for row in read)

@@ -20,16 +20,159 @@ information: the epoch number and the previous epoch's observed accesses.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "TieringPolicy",
     "StaticOnce",
     "PeriodicReoptimize",
     "DriftTriggered",
+    "RateColumns",
     "drift_score",
     "partition_drift_scores",
 ]
+
+
+class RateColumns(Mapping):
+    """Per-partition rates as row-aligned columns: a read-only
+    ``Mapping[str, float]``.
+
+    ``rates[k]`` (float64) belongs to partition ``names[rows[k]]``; ``rows``
+    (intp, ``None`` = every row of ``names`` in order) also fixes the
+    iteration order.  ``names`` is the row space — an engine's partition
+    names, shared without a copy.  An engine's forecast covers every row;
+    a window's observed rates cover the rows read, in the order they were
+    first read, which is the order :func:`drift_score` sums them in.
+
+    The form an engine's observed and forecast rates travel in to its policy
+    and its problem build, as :class:`~repro.cloud.PlacementColumns` is for
+    placements.  :meth:`from_mapping` is the one adapter for other mappings.
+    """
+
+    __slots__ = ("names", "rates", "rows", "_positions")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        rates: np.ndarray,
+        rows: np.ndarray | None = None,
+    ):
+        self.names = names
+        self.rates = rates
+        self.rows = rows
+        self._positions: dict[str, int] | None = None
+
+    @classmethod
+    def from_mapping(
+        cls, names: Sequence[str], rates: Mapping[str, float]
+    ) -> "RateColumns":
+        """``rates`` as columns over the row space ``names``, keeping the
+        mapping's own order; every key must be one of ``names``."""
+        names = tuple(names)
+        index = dict(zip(names, range(len(names))))
+        return cls(
+            names,
+            np.fromiter(rates.values(), dtype=np.float64, count=len(rates)),
+            np.fromiter(map(index.__getitem__, rates), dtype=np.intp, count=len(rates)),
+        )
+
+    def dense(self) -> np.ndarray:
+        """The rates over every row of ``names`` (0.0 where there is none)."""
+        if self.rows is None:
+            return self.rates
+        dense = np.zeros(len(self.names), dtype=np.float64)
+        dense[self.rows] = self.rates
+        return dense
+
+    def keys_where(self, mask: np.ndarray) -> list[str]:
+        """The names of the entries ``mask`` selects, in order."""
+        rows = np.flatnonzero(mask) if self.rows is None else self.rows[mask]
+        names = self.names
+        return [names[row] for row in rows.tolist()]
+
+    # -- Mapping protocol --------------------------------------------------------
+    def _position(self) -> dict[str, int]:
+        if self._positions is None:
+            self._positions = dict(zip(self, range(len(self))))
+        return self._positions
+
+    def __getitem__(self, name: str) -> float:
+        return float(self.rates[self._position()[name]])
+
+    def __contains__(self, name) -> bool:
+        return name in self._position()
+
+    def __iter__(self):
+        if self.rows is None:
+            return iter(self.names)
+        return map(self.names.__getitem__, self.rows.tolist())
+
+    def __len__(self) -> int:
+        return len(self.names) if self.rows is None else len(self.rows)
+
+    def items(self) -> ItemsView:
+        return _RateItems(self)
+
+    def values(self) -> ValuesView:
+        return _RateValues(self)
+
+    def __repr__(self) -> str:
+        return f"RateColumns({dict(self.items())!r})"
+
+
+class _RateItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.rates.tolist())
+
+
+class _RateValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.rates.tolist())
+
+
+def _one_space(
+    predicted: Mapping[str, float], observed: Mapping[str, float]
+) -> tuple[RateColumns, RateColumns]:
+    """Both rate sets as columns over one row space.
+
+    Columns over the same names pass through.  Anything else is adapted once
+    over the union of the names — the predicted names first, then the
+    observed-only ones (a deterministic order: set order would follow the
+    string hash seed, and float sums follow the order).
+    """
+    if (
+        isinstance(predicted, RateColumns)
+        and isinstance(observed, RateColumns)
+        and predicted.names == observed.names
+    ):
+        return predicted, observed
+    union = dict.fromkeys(predicted)
+    union.update(dict.fromkeys(observed))
+    names = tuple(union)
+    return (
+        RateColumns.from_mapping(names, predicted),
+        RateColumns.from_mapping(names, observed),
+    )
+
+
+def _aligned(
+    predicted: RateColumns, observed: RateColumns
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(rows, predicted, observed)`` over the union of two rate sets on one
+    row space: the predicted rows, then the observed-only rows (``rows`` is
+    ``None`` when the predicted rates cover every row)."""
+    if predicted.rows is None:
+        return None, predicted.rates, observed.dense()
+    seen = np.zeros(len(predicted.names), dtype=bool)
+    seen[predicted.rows] = True
+    observed_rows = (
+        np.arange(len(observed.names)) if observed.rows is None else observed.rows
+    )
+    rows = np.concatenate([predicted.rows, observed_rows[~seen[observed_rows]]])
+    return rows, predicted.dense()[rows], observed.dense()[rows]
 
 
 def drift_score(
@@ -42,23 +185,20 @@ def drift_score(
     *volume* is the relative difference in total reads.  0 means the epoch
     looked exactly as predicted; 1 means completely different partitions were
     read (or activity appeared from / vanished into silence).
+
+    Each sum is the built-in ``sum`` over the entries in order (from Python
+    3.12 on it compensates), exactly as a per-name loop would add them.
     """
-    predicted_total = float(sum(predicted_monthly.values()))
-    observed_total = float(sum(observed.values()))
+    predicted, seen = _one_space(predicted_monthly, observed)
+    predicted_total = float(sum(predicted.rates.tolist()))
+    observed_total = float(sum(seen.rates.tolist()))
     if predicted_total <= 0.0 and observed_total <= 0.0:
         return 0.0
     if predicted_total <= 0.0 or observed_total <= 0.0:
         return 1.0
-    # A deterministic union (predicted keys, then observed-only keys): set
-    # order follows the string hash seed, and float sums follow the order.
-    names = list(predicted_monthly)
-    names.extend(name for name in observed if name not in predicted_monthly)
+    _, predicted_rates, seen_rates = _aligned(predicted, seen)
     shape = 0.5 * sum(
-        abs(
-            predicted_monthly.get(name, 0.0) / predicted_total
-            - observed.get(name, 0.0) / observed_total
-        )
-        for name in names
+        np.abs(predicted_rates / predicted_total - seen_rates / observed_total).tolist()
     )
     volume = abs(observed_total - predicted_total) / max(
         observed_total, predicted_total
@@ -68,7 +208,7 @@ def drift_score(
 
 def partition_drift_scores(
     predicted_monthly: Mapping[str, float], observed: Mapping[str, float]
-) -> dict[str, float]:
+) -> RateColumns:
     """Per-partition drift in [0, 1]: relative access-count divergence.
 
     ``|observed - predicted| / max(observed, predicted)`` per partition over
@@ -77,13 +217,12 @@ def partition_drift_scores(
     incremental :class:`~repro.core.optassign.DeltaSolver` thresholds on, so
     a policy's scores can feed the delta solver's changed-row set directly.
     """
-    scores: dict[str, float] = {}
-    for name in set(predicted_monthly) | set(observed):
-        predicted = float(predicted_monthly.get(name, 0.0))
-        seen = float(observed.get(name, 0.0))
-        top = max(abs(predicted), abs(seen))
-        scores[name] = abs(seen - predicted) / top if top > 0.0 else 0.0
-    return scores
+    predicted, seen = _one_space(predicted_monthly, observed)
+    rows, predicted_rates, seen_rates = _aligned(predicted, seen)
+    top = np.maximum(np.abs(predicted_rates), np.abs(seen_rates))
+    scores = np.zeros(len(top), dtype=np.float64)
+    np.divide(np.abs(seen_rates - predicted_rates), top, out=scores, where=top > 0.0)
+    return RateColumns(predicted.names, scores, rows)
 
 
 class TieringPolicy(ABC):
@@ -183,20 +322,21 @@ class DriftTriggered(TieringPolicy):
         self.threshold = threshold
         self.min_gap_months = min_gap_months
         self.last_score = 0.0
-        self._predicted: dict[str, float] | None = None
+        # The forecast of the last re-optimization, stored as given (an
+        # engine hands over read-only RateColumns).
+        self._predicted: Mapping[str, float] | None = None
         self._last_reoptimized: int | None = None
         # The last scored (predicted, observed) pair; per-partition scores are
         # derived from it on first use (only delta re-solves read them).
-        # notify_reoptimized rebinds _predicted rather than mutating it, so
-        # the captured pair keeps scoring against the forecast it was seen
-        # with.
+        # notify_reoptimized rebinds _predicted, so the captured pair keeps
+        # scoring against the forecast it was seen with.
         self._scored_pair: (
             tuple[Mapping[str, float], Mapping[str, float]] | None
         ) = None
-        self._partition_scores: dict[str, float] | None = None
+        self._partition_scores: RateColumns | None = None
 
     @property
-    def last_partition_scores(self) -> dict[str, float]:
+    def last_partition_scores(self) -> Mapping[str, float]:
         """Per-partition drift of the last scored window (see
         :func:`partition_drift_scores`); empty before the first score."""
         if self._partition_scores is None:
@@ -227,16 +367,15 @@ class DriftTriggered(TieringPolicy):
         relative to the last optimization's forecast — the changed-row hint
         for an incremental re-solve.  ``None`` until the first scores exist
         (bootstrap epochs re-solve everything anyway)."""
-        if not self.last_partition_scores:
+        scores = self.last_partition_scores
+        if not scores:
             return None
-        return {
-            name
-            for name, score in self.last_partition_scores.items()
-            if score > threshold
-        }
+        return set(scores.keys_where(scores.rates > threshold))
 
     def notify_reoptimized(
         self, epoch: int, predicted_monthly: Mapping[str, float]
     ) -> None:
-        self._predicted = dict(predicted_monthly)
+        """Keeps ``predicted_monthly`` as given, without a copy: pass a
+        mapping that will not change afterwards."""
+        self._predicted = predicted_monthly
         self._last_reoptimized = epoch

@@ -2,6 +2,7 @@
 re-admission, price-shock billing, graceful degradation and the
 early-deletion waiver regression."""
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -295,11 +296,11 @@ class TestEarlyDeletionWaiverRegression:
             "frozen", size_gb=100.0, predicted_accesses=0.0, current_tier=archive
         )
         executor = MigrationExecutor(archive_tiers)
-        months = {"frozen": 1.0}  # well inside the 6-month minimum
+        months = np.array([1.0])  # well inside the 6-month minimum
         old = {"frozen": PlacementDecision(tier_index=archive)}
         new = {"frozen": PlacementDecision(tier_index=0)}
         waived = executor.apply(
-            [partition], old, new, dict(months),
+            [partition], old, new, months.copy(),
             waive_early_deletion_tiers={archive},
         )
         assert waived.early_deletion_penalty == 0.0
@@ -309,7 +310,7 @@ class TestEarlyDeletionWaiverRegression:
         partition2 = DataPartition(
             "frozen", size_gb=100.0, predicted_accesses=0.0, current_tier=archive
         )
-        charged = executor.apply([partition2], old, new, dict(months))
+        charged = executor.apply([partition2], old, new, months.copy())
         assert charged.early_deletion_penalty > 0.0
 
     def test_round_trip_after_recovery_bills_each_leg_once(self, archive_tiers):
@@ -322,7 +323,7 @@ class TestEarlyDeletionWaiverRegression:
             "frozen", size_gb=100.0, predicted_accesses=0.0, current_tier=archive
         )
         executor = MigrationExecutor(archive_tiers)
-        months = {"frozen": 1.0}
+        months = np.array([1.0])
         out = executor.apply(
             [partition],
             {"frozen": PlacementDecision(tier_index=archive)},
@@ -361,7 +362,7 @@ class TestEarlyDeletionWaiverRegression:
             [partition],
             {"frozen": PlacementDecision(tier_index=archive)},
             {"frozen": PlacementDecision(tier_index=0)},
-            {"frozen": 1.0},
+            np.array([1.0]),
             waive_early_deletion_tiers={0},  # some other tier, not the source
         )
         assert report.early_deletion_penalty > 0.0

@@ -223,7 +223,7 @@ class TestEgressBilling:
         executor = MigrationExecutor(catalog)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=1)}
-        report = executor.apply([partition], old, new, months_in_tier={"p": 99.0})
+        report = executor.apply([partition], old, new, months_in_tier=np.array([99.0]))
         (move,) = report.moves
         assert move.egress_cost == pytest.approx(5.0 * 10.0)
         assert move.cost == pytest.approx(0.1 * 10.0 + 0.1 * 10.0)
@@ -240,7 +240,7 @@ class TestEgressBilling:
             [partition],
             {"p": PlacementDecision(tier_index=i)},
             {"p": PlacementDecision(tier_index=j)},
-            months_in_tier={"p": 99.0},
+            months_in_tier=np.array([99.0]),
         )
         assert report.egress_cost == 0.0
         assert report.num_moved == 1
@@ -257,7 +257,7 @@ class TestEgressBilling:
             [partition],
             {"p": PlacementDecision(tier_index=0, profile=gzip)},
             {"p": PlacementDecision(tier_index=1, profile=gzip)},
-            months_in_tier={"p": 99.0},
+            months_in_tier=np.array([99.0]),
         )
         (move,) = report.moves
         # Egress is charged on the 2.5 GB actually read out, not the 10 GB span.

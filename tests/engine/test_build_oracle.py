@@ -28,6 +28,7 @@ from repro.engine import (
     EngineConfig,
     OnlineTieringEngine,
     PeriodicReoptimize,
+    RateColumns,
     SeriesStream,
 )
 from oracles.problems import object_build_problem
@@ -302,9 +303,11 @@ class TestBuildErrors:
 
     def test_negative_forecast_rejected(self):
         engine = make_engine()
-        forecast = engine.forecast_monthly(0)
+        forecast = dict(engine.forecast_monthly(0))
         forecast["p1"] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            engine._assemble_problem(0, forecast)
+            engine._assemble_problem(
+                0, RateColumns.from_mapping(engine._arrays.names, forecast)
+            )
         with pytest.raises(ValueError, match="non-negative"):
             object_build_problem(engine, 0, forecast)

@@ -106,6 +106,7 @@ class TestExecutorColumns:
         tiers = CATALOGS[catalog_name]
         want_partitions = copy.deepcopy(partitions)
         want_months = dict(months)
+        clocks = np.array([months.get(p.name, float("inf")) for p in partitions])
         want = scan_apply(
             tiers,
             want_partitions,
@@ -116,24 +117,27 @@ class TestExecutorColumns:
             waive_early_deletion_tiers=waive,
         )
         got = MigrationExecutor(tiers).apply(
-            partitions, old, new, months, epoch=epoch, waive_early_deletion_tiers=waive
+            partitions, old, new, clocks, epoch=epoch, waive_early_deletion_tiers=waive
         )
         assert got.epoch == want.epoch
         assert [record_bits(m) for m in got.moves] == [record_bits(m) for m in want.moves]
         assert [(p.current_tier, p.current_codec) for p in partitions] == [
             (p.current_tier, p.current_codec) for p in want_partitions
         ]
-        assert months == want_months
+        assert clocks.tolist() == [
+            want_months.get(p.name, float("inf")) for p in want_partitions
+        ]
 
     def test_missing_rows_raise_before_any_mutation(self):
         partitions = [DataPartition("a", size_gb=1.0, predicted_accesses=1.0),
                       DataPartition("b", size_gb=1.0, predicted_accesses=1.0)]
-        months: dict[str, float] = {}
+        months = np.array([3.0, 4.0])
         with pytest.raises(KeyError, match="new placement missing partitions"):
             MigrationExecutor(azure_tier_catalog()).apply(
                 partitions, None, {"a": PlacementDecision(0)}, months
             )
-        assert [p.current_tier for p in partitions] == [-1, -1] and not months
+        assert [p.current_tier for p in partitions] == [-1, -1]
+        assert months.tolist() == [3.0, 4.0]
 
 
 class TestCompiledColumns:

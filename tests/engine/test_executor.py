@@ -1,5 +1,6 @@
 """MigrationExecutor: billing moves, residency clocks, early-deletion penalties."""
 
+import numpy as np
 import pytest
 
 from repro.cloud import (
@@ -23,11 +24,19 @@ def make_partition(name="p", tier=0, size_gb=100.0):
     )
 
 
+def clocks(*months: float) -> np.ndarray:
+    """A residency clock column, one entry per partition."""
+    return np.array(months, dtype=np.float64)
+
+
+INF = float("inf")
+
+
 class TestApply:
     def test_new_data_pays_destination_write_only(self, tiers):
         partition = make_partition(tier=NEW_DATA_TIER)
         executor = MigrationExecutor(tiers)
-        months = {}
+        months = clocks(INF)
         report = executor.apply(
             [partition], None, {"p": PlacementDecision(tier_index=1)}, months
         )
@@ -37,24 +46,24 @@ class TestApply:
         )
         assert report.early_deletion_penalty == 0.0
         assert partition.current_tier == 1
-        assert months["p"] == 0.0
+        assert months[0] == 0.0
 
     def test_staying_put_is_free(self, tiers):
         partition = make_partition(tier=0)
         executor = MigrationExecutor(tiers)
-        months = {"p": 7.0}
+        months = clocks(7.0)
         placement = {"p": PlacementDecision(tier_index=0)}
         report = executor.apply([partition], placement, placement, months)
         assert report.num_moved == 0
         assert report.total_cost == 0.0
-        assert months["p"] == 7.0  # residency clock untouched
+        assert months[0] == 7.0  # residency clock untouched
 
     def test_tier_move_pays_source_read_plus_destination_write(self, tiers):
         partition = make_partition(tier=0)
         executor = MigrationExecutor(tiers)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=1)}
-        report = executor.apply([partition], old, new, {"p": float("inf")})
+        report = executor.apply([partition], old, new, clocks(INF))
         assert report.migration_cost == pytest.approx(
             tiers[0].read_cost_for(100.0) + tiers[1].write_cost_for(100.0)
         )
@@ -66,7 +75,7 @@ class TestApply:
         gzip = CompressionProfile(scheme="gzip", ratio=4.0, decompression_s_per_gb=1.0)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=0, profile=gzip)}
-        report = executor.apply([partition], old, new, {"p": float("inf")})
+        report = executor.apply([partition], old, new, clocks(INF))
         assert report.num_moved == 1
         # read 100 GB uncompressed out, write 25 GB compressed back
         assert report.migration_cost == pytest.approx(
@@ -77,7 +86,7 @@ class TestApply:
         archive = tiers.index_of("archive")
         partition = make_partition(tier=archive)
         executor = MigrationExecutor(tiers)
-        months = {"p": 2.0}  # archive demands 6 months residency
+        months = clocks(2.0)  # archive demands 6 months residency
         report = executor.apply(
             [partition],
             {"p": PlacementDecision(tier_index=archive)},
@@ -96,7 +105,7 @@ class TestApply:
             [partition],
             {"p": PlacementDecision(tier_index=archive)},
             {"p": PlacementDecision(tier_index=0)},
-            {"p": 12.0},
+            clocks(12.0),
         )
         assert report.early_deletion_penalty == 0.0
 
@@ -105,14 +114,19 @@ class TestApply:
         executor = MigrationExecutor(tiers)
         gzip = CompressionProfile(scheme="gzip", ratio=4.0, decompression_s_per_gb=1.0)
         executor.apply(
-            [partition], None, {"p": PlacementDecision(tier_index=0, profile=gzip)}, {}
+            [partition],
+            None,
+            {"p": PlacementDecision(tier_index=0, profile=gzip)},
+            clocks(INF),
         )
         assert partition.current_codec == "gzip"
 
     def test_uncompressed_placement_leaves_codec_unpinned(self, tiers):
         partition = make_partition(tier=NEW_DATA_TIER)
         executor = MigrationExecutor(tiers)
-        executor.apply([partition], None, {"p": PlacementDecision(tier_index=0)}, {})
+        executor.apply(
+            [partition], None, {"p": PlacementDecision(tier_index=0)}, clocks(INF)
+        )
         assert partition.current_codec is None
 
     def test_precompressed_partition_staying_put_without_old_placement_is_free(
@@ -129,13 +143,13 @@ class TestApply:
             current_codec="gzip",
         )
         executor = MigrationExecutor(tiers)
-        months = {"p": 9.0}
+        months = clocks(9.0)
         report = executor.apply(
             [partition], None, {"p": PlacementDecision(tier_index=0, profile=gzip)}, months
         )
         assert report.num_moved == 0
         assert report.total_cost == 0.0
-        assert months["p"] == 9.0  # residency clock untouched
+        assert months[0] == 9.0  # residency clock untouched
 
     def test_bootstrap_tier_move_of_precompressed_data_reads_compressed_size(
         self, tiers
@@ -153,7 +167,7 @@ class TestApply:
             [partition],
             None,
             {"p": PlacementDecision(tier_index=1, profile=gzip)},
-            {"p": float("inf")},
+            clocks(INF),
         )
         # the data moves tiers at its stored (compressed) 25 GB, not 100 GB
         assert report.moved_gb == pytest.approx(25.0)
@@ -164,7 +178,7 @@ class TestApply:
     def test_missing_partition_in_new_placement_raises(self, tiers):
         executor = MigrationExecutor(tiers)
         with pytest.raises(KeyError):
-            executor.apply([make_partition()], None, {}, {})
+            executor.apply([make_partition()], None, {}, clocks(INF))
 
     def test_incomplete_placement_raises_before_mutating_anything(self, tiers):
         """Validation must precede mutation — a partial apply would leave
@@ -172,16 +186,20 @@ class TestApply:
         first = make_partition("a", tier=0)
         second = make_partition("b", tier=0)
         executor = MigrationExecutor(tiers)
-        months = {"a": 5.0, "b": 5.0}
+        months = clocks(5.0, 5.0)
         with pytest.raises(KeyError):
             executor.apply(
                 [first, second], None, {"a": PlacementDecision(tier_index=1)}, months
             )
         assert first.current_tier == 0
-        assert months == {"a": 5.0, "b": 5.0}
+        assert months.tolist() == [5.0, 5.0]
 
 
 def test_tick_advances_all_clocks():
-    months = {"a": 1.0}
-    MigrationExecutor.tick(months, ["a", "b"])
-    assert months == {"a": 2.0, "b": 1.0}
+    months = clocks(1.0, 0.0, INF)
+    MigrationExecutor.tick(months)
+    assert months.tolist() == [2.0, 1.0, INF]
+    MigrationExecutor.tick(months, months=0.25)
+    assert months.tolist() == [2.25, 1.25, INF]
+    with pytest.raises(ValueError, match="non-negative"):
+        MigrationExecutor.tick(months, months=-1.0)

@@ -1,10 +1,13 @@
 """FeatureStore: incremental window maintenance must equal a full recompute."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.cloud import AccessEvent
-from repro.engine import EpochBatch, FeatureStore, ScalarFeatureStore, SeriesStream
+from repro.engine import EpochBatch, FeatureStore, SeriesStream
+from oracles.engine_state import ScalarFeatureStore
 
 
 def brute_force_window(trace: dict[str, list[float]], epoch: int, window: int):
@@ -346,3 +349,111 @@ class TestHotPathIsIncremental:
         for state in scalar._states.values():
             assert len(state.entries) <= 4
         assert ring._window.shape[1] == 4
+
+
+def store_state(store: FeatureStore) -> tuple:
+    """Everything a fold can change: the epoch, the name index and the buffers."""
+    return (
+        store.current_epoch,
+        dict(store._index),
+        store._window.tobytes(),
+        store._lifetime.tobytes(),
+        store._last_access.tobytes(),
+    )
+
+
+class TestRejectedInputChangesNothing:
+    """Input is validated whole before any state changes: a rejected call
+    leaves the buffers and the epoch as they were, so the corrected call for
+    the same epoch is accepted."""
+
+    @staticmethod
+    def warm_store() -> FeatureStore:
+        store = FeatureStore(window_months=3, initial_capacity=2)
+        store.observe_counts(0, {"a": 2.0})
+        store.observe_counts(1, {"a": 5.0, "b": 1.0})
+        return store
+
+    def test_observe_counts(self):
+        store = self.warm_store()
+        before = store_state(store)
+        with pytest.raises(ValueError, match="negative read count for 'b'"):
+            store.observe_counts(4, {"a": 1.0, "b": -1.0, "new": 3.0})
+        assert store_state(store) == before
+        assert store.window_series("a") == (2.0, 5.0)
+        store.observe_counts(4, {"a": 1.0, "b": 1.0, "new": 3.0})
+        assert store.window_series("a") == (0.0, 0.0, 1.0)
+        assert store.tracked_partitions() == ["a", "b", "new"]
+
+    def test_accumulate(self):
+        store = self.warm_store()
+        before = store_state(store)
+        with pytest.raises(ValueError, match="negative read count"):
+            store.accumulate(1, {"a": 1.0, "c": -0.5})
+        assert store_state(store) == before
+        store.accumulate(1, {"a": 1.0, "c": 0.5})
+        assert store.window_series("a") == (2.0, 6.0)
+
+    def test_observe(self):
+        store = self.warm_store()
+        before = store_state(store)
+        bad = EpochBatch(
+            epoch=2,
+            events=(
+                AccessEvent(2, "a", 1.0),
+                SimpleNamespace(partition="fresh", reads=-1.0),
+            ),
+        )
+        with pytest.raises(ValueError, match="negative read count for 'fresh'"):
+            store.observe(bad)
+        assert store_state(store) == before
+        store.observe(EpochBatch(epoch=2, events=(AccessEvent(2, "a", 1.0),)))
+        assert store.window_series("a") == (2.0, 5.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "rows, counts, message",
+        [
+            ([0, 1], [1.0, -2.0], "negative read count for 'b'"),
+            ([0, 2], [1.0, 1.0], "row outside"),
+            ([0, -1], [1.0, 1.0], "row outside"),
+            ([0, 1], [1.0], "same length"),
+        ],
+    )
+    def test_observe_rows(self, rows, counts, message):
+        store = self.warm_store()
+        before = store_state(store)
+        with pytest.raises(ValueError, match=message):
+            store.observe_rows(3, np.array(rows, dtype=np.intp), np.array(counts))
+        assert store_state(store) == before
+        store.observe_rows(3, store.register(["b", "a"]), np.array([4.0, 0.0]))
+        assert store.window_series("b") == (1.0, 0.0, 4.0)
+        assert store.epochs_since_access("a") == 2.0
+
+    def test_same_epoch_rejected_by_observe_rows(self):
+        store = self.warm_store()
+        before = store_state(store)
+        with pytest.raises(ValueError, match="already observed"):
+            store.observe_rows(1, store.register(["a"]), np.array([1.0]))
+        assert store_state(store) == before
+
+
+class TestRows:
+    def test_registered_rows_stay_untracked_until_read(self):
+        store = FeatureStore(window_months=2, initial_capacity=1)
+        rows = store.register(["x", "y", "z"])
+        assert rows.tolist() == [0, 1, 2]
+        assert store.register(["z", "w"]).tolist() == [2, 3]
+        store.observe_rows(0, rows[[1, 0]], np.array([2.0, 0.0]))
+        assert store.tracked_partitions() == ["y"]
+        assert store.epochs_since_access("x") == float("inf")
+
+    def test_window_matrix_is_the_series_of_each_row(self):
+        store = FeatureStore(window_months=3)
+        rows = store.register(["a", "b", "c"])
+        store.observe_rows(0, rows[:2], np.array([1.5, 2.0]))
+        store.observe_rows(2, rows[1:], np.array([0.25, 7.0]))
+        matrix = store.window_matrix(rows[::-1])
+        assert matrix.tolist() == [
+            list(store.window_series(name)) for name in ("c", "b", "a")
+        ]
+        assert FeatureStore(window_months=3).window_matrix(rows[:0]).shape == (0, 0)

@@ -16,7 +16,13 @@ import sys
 from pathlib import Path
 
 from repro.cloud import DataPartition, PoolSet, multi_cloud_catalog
-from repro.engine import CountTrigger, DriftTriggered, EngineConfig, PeriodicReoptimize
+from repro.engine import (
+    CountTrigger,
+    DriftTriggered,
+    EngineConfig,
+    PeriodicReoptimize,
+    StaticOnce,
+)
 from repro.fleet import FleetScheduler, TenantSpec
 from repro.workloads import PoissonZipfStream, tenant_rate_skew
 
@@ -60,11 +66,11 @@ def run_fleet(reopt_mode: str, policy: str) -> int:
         TenantSpec(
             name=tenant,
             partitions=tenant_partitions(tenant),
-            policy=(
-                PeriodicReoptimize(period_months=1)
-                if policy == "periodic"
-                else DriftTriggered(threshold=0.05)
-            ),
+            policy={
+                "periodic": lambda: PeriodicReoptimize(period_months=1),
+                "drift": lambda: DriftTriggered(threshold=0.05),
+                "static": StaticOnce,
+            }[policy](),
             stream=iter(()),
             config=config,
         )
