@@ -50,7 +50,6 @@ class PartitionArrays:
     _lookups: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _last_lookup: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_partitions(cls, partitions: Sequence[DataPartition]) -> "PartitionArrays":
@@ -149,13 +148,8 @@ class PartitionArrays:
         """Row index of every name in ``vocab`` (``-1`` where unknown).
 
         The gather table that maps an :class:`~repro.cloud.EventBatch`'s
-        name codes onto these rows; built once per vocab and cached.  A
-        stream's windows usually share one vocab object, which skips even
-        hashing the names.
+        name codes onto these rows; built once per vocab and cached.
         """
-        last = self._last_lookup
-        if last is not None and last[0] is vocab:
-            return last[1]
         lookup = self._lookups.get(vocab)
         if lookup is None:
             index = self.row_index()
@@ -163,7 +157,6 @@ class PartitionArrays:
             if len(self._lookups) >= 64:
                 self._lookups.clear()
             self._lookups[vocab] = lookup
-        self._last_lookup = (vocab, lookup)
         return lookup
 
     def event_rows(self, events) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import (
     CHUNK_SIZE,
@@ -15,6 +17,7 @@ from repro.cloud import (
     iter_batches,
     merge_batches,
 )
+from repro.cloud.events import first_occurrence
 
 
 def events(*rows, tenant=None):
@@ -62,6 +65,13 @@ class TestConstruction:
 
 
 class TestAggregation:
+    @settings(max_examples=200, deadline=None)
+    @given(codes=st.lists(st.integers(0, 12), max_size=40))
+    def test_first_occurrence_keeps_the_order_of_first_sight(self, codes):
+        got = first_occurrence(np.array(codes, dtype=np.intp))
+        assert got.dtype == np.intp
+        assert got.tolist() == list(dict.fromkeys(codes))
+
     def test_reads_by_partition_in_first_occurrence_order(self):
         batch = EventBatch.from_events(
             events((0.1, "b", 0.1), (0.2, "a", 0.2), (0.3, "b", 0.2), (0.4, "c", 0.0))

@@ -263,14 +263,13 @@ class TestFeatureStore:
         ring = FeatureStore(window_months=window, initial_capacity=2)
         scalar = ScalarFeatureStore(window_months=window)
         for kind, gap, counts, events in ops:
-            epoch = ring.current_epoch + gap
+            epoch = max(ring.current_epoch + gap, 0)
+            if kind != "accumulate":
+                epoch = max(epoch, ring.current_epoch + 1)
             if kind == "accumulate":
-                epoch = max(epoch, 0)
                 ring.accumulate(epoch, counts)
                 scalar.accumulate(epoch, counts)
-                continue
-            epoch = max(epoch, ring.current_epoch + 1)
-            if kind == "batch":
+            elif kind == "batch":
                 batch = EpochBatch(
                     epoch=epoch,
                     events=tuple(AccessEvent(epoch, name, reads) for name, reads in events),
