@@ -276,15 +276,8 @@ class EventBatch:
 
 def first_occurrence(codes: np.ndarray) -> np.ndarray:
     """The distinct values of ``codes`` in order of first occurrence."""
-    if not codes.size:
-        return codes[:0]
-    # A stable sort keeps each value's first occurrence at the head of its run.
-    order = np.argsort(codes, kind="stable")
-    ordered = codes[order]
-    heads = np.empty(len(codes), dtype=bool)
-    heads[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
-    return codes[np.sort(order[heads])]
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first, kind="stable")]
 
 
 class _Table:

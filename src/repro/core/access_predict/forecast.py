@@ -22,8 +22,7 @@ powers, so every row decays exactly as ``value * (1 - alpha) ** gap`` does.
 
 from __future__ import annotations
 
-import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,27 +33,16 @@ __all__ = ["WindowedAccessForecaster"]
 _POWER_TABLE_LIMIT = 4096
 
 
-def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    """``sum(row)`` of every row of a matrix with at least one column, as
-    the built-in ``sum`` adds it.
+def reject_negative(
+    values: np.ndarray, what: str, name_at: Callable[[int], str]
+) -> None:
+    """Raise on the first negative value, naming its partition.
 
-    Before Python 3.12 the built-in adds floats left to right from the
-    integer 0, which one vector add per column reproduces; from 3.12 on it
-    compensates, so there each row goes through the built-in.
+    NaN is not negative and passes, but does not hide a negative beside it.
     """
-    if sys.version_info >= (3, 12):
-        return np.fromiter(map(sum, matrix.tolist()), np.float64, len(matrix))
-    total = 0.0 + matrix[:, 0]
-    for column in range(1, matrix.shape[1]):
-        total = total + matrix[:, column]
-    return total
-
-
-def _reject_negative(values: np.ndarray, what: str, name_at) -> None:
-    """Raise on the first negative value, naming its partition."""
-    if values.size and values.min() < 0:
-        first = int(np.flatnonzero(values < 0)[0])
-        raise ValueError(f"negative {what} for {name_at(first)!r}")
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        raise ValueError(f"negative {what} for {name_at(int(negative[0]))!r}")
 
 
 class WindowedAccessForecaster:
@@ -157,7 +145,7 @@ class WindowedAccessForecaster:
         # Viewed unsigned, a negative row is out of range too.
         if rows.size and rows.view(np.uintp).max() >= len(self._names):
             raise ValueError("row outside the forecaster's state")
-        _reject_negative(observed, "read count", lambda k: self._names[rows[k]])
+        reject_negative(observed, "read count", lambda k: self._names[rows[k]])
         self._fold(epoch, rows, observed)
 
     def update(self, epoch: int, observed: Mapping[str, float]) -> None:
@@ -166,7 +154,7 @@ class WindowedAccessForecaster:
         names = list(observed)
         counts = np.fromiter(observed.values(), dtype=np.float64, count=len(names))
         self._check_epoch(epoch)
-        _reject_negative(counts, "read count", names.__getitem__)
+        reject_negative(counts, "read count", names.__getitem__)
         self._fold(epoch, self._rows_creating(names), counts)
 
     def _check_epoch(self, epoch: int) -> None:
@@ -201,7 +189,10 @@ class WindowedAccessForecaster:
         """
         rates = self._rates(rows, epoch)
         if window is not None and window.shape[1]:
-            rates = self._blend(rates, _row_sums(window) / window.shape[1])
+            # The built-in ``sum`` per row, in order: from Python 3.12 on it
+            # compensates, which no plain numpy sum reproduces.
+            sums = np.fromiter(map(sum, window.tolist()), np.float64, len(window))
+            rates = self._blend(rates, sums / window.shape[1])
         return np.maximum(rates, 0.0)
 
     def _blend(self, rates: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -251,7 +242,7 @@ class WindowedAccessForecaster:
         """Warm-start the running rates from prior knowledge (e.g. batch history)."""
         names = list(priors)
         rates = np.fromiter(priors.values(), dtype=np.float64, count=len(names))
-        _reject_negative(rates, "prior rate", names.__getitem__)
+        reject_negative(rates, "prior rate", names.__getitem__)
         rows = self._rows_creating(names)
         self._value[rows] = rates
         self._at[rows] = epoch

@@ -24,10 +24,11 @@ both must equal a brute-force recompute over the full history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from ..core.access_predict.forecast import reject_negative
 from .events import EpochBatch
 
 __all__ = ["PartitionFeatures", "FeatureStore"]
@@ -53,13 +54,6 @@ class PartitionFeatures:
         if not self.window_series:
             return 0.0
         return self.window_reads / len(self.window_series)
-
-
-def _reject_negative(counts: np.ndarray, name_at: Callable[[int], str]) -> None:
-    """Raise on the first negative count, naming its partition."""
-    if counts.size and counts.min() < 0:
-        first = int(np.flatnonzero(counts < 0)[0])
-        raise ValueError(f"negative read count for {name_at(first)!r}")
 
 
 class FeatureStore:
@@ -156,7 +150,7 @@ class FeatureStore:
         # Viewed unsigned, a negative row is out of range too.
         if rows.size and rows.view(np.uintp).max() >= len(self._names):
             raise ValueError("row outside the registered partitions")
-        _reject_negative(counts, lambda k: self._names[rows[k]])
+        reject_negative(counts, "read count", lambda k: self._names[rows[k]])
         self._fold(epoch, rows, counts, distinct=True)
 
     def observe(self, batch: EpochBatch) -> None:
@@ -172,14 +166,14 @@ class FeatureStore:
             (event.reads for event in batch.events), dtype=np.float64, count=len(names)
         )
         self._check_complete_batch(batch.epoch)
-        _reject_negative(counts, names.__getitem__)
+        reject_negative(counts, "read count", names.__getitem__)
         self._fold(batch.epoch, self.register(names), counts, distinct=False)
 
     def observe_counts(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
         """Like :meth:`observe` but from pre-aggregated per-partition counts."""
         names, counts = self._named_counts(reads_by_partition)
         self._check_complete_batch(epoch)
-        _reject_negative(counts, names.__getitem__)
+        reject_negative(counts, "read count", names.__getitem__)
         self._fold(epoch, self.register(names), counts, distinct=True)
 
     def accumulate(self, epoch: int, reads_by_partition: Mapping[str, float]) -> None:
@@ -193,7 +187,7 @@ class FeatureStore:
         """
         names, counts = self._named_counts(reads_by_partition)
         self._check_epoch_order(epoch)
-        _reject_negative(counts, names.__getitem__)
+        reject_negative(counts, "read count", names.__getitem__)
         self._fold(epoch, self.register(names), counts, distinct=True)
 
     @staticmethod

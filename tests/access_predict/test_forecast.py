@@ -125,6 +125,7 @@ class TestRejectedInputChangesNothing:
         "rows, observed, message",
         [
             ([0, 1], [1.0, -1.0], "negative read count for 'b'"),
+            ([0, 1], [np.nan, -1.0], "negative read count for 'b'"),
             ([0, 2], [1.0, 1.0], "row outside"),
             ([-1], [1.0], "row outside"),
             ([0], [1.0, 2.0], "same length"),
@@ -150,6 +151,17 @@ class TestRejectedInputChangesNothing:
         assert "c" not in forecaster
         forecaster.seed({"c": 3.0, "d": 2.0})
         assert forecaster.rate("c", epoch=0) == 3.0
+
+    def test_nan_does_not_hide_a_negative(self):
+        forecaster = self.warm()
+        before = forecaster_state(forecaster)
+        with pytest.raises(ValueError, match="negative read count for 'b'"):
+            forecaster.update(1, {"a": np.nan, "b": -1.0})
+        with pytest.raises(ValueError, match="negative prior rate for 'd'"):
+            forecaster.seed({"c": np.nan, "d": -2.0})
+        assert forecaster_state(forecaster) == before
+        forecaster.update(1, {"a": 100.0, "b": 1.0})
+        assert forecaster.rate("b") == 0.4 * 1.0 + 0.6 * (1.0 * 0.6**1)
 
 
 class TestRows:

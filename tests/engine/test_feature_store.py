@@ -394,6 +394,17 @@ class TestRejectedInputChangesNothing:
         store.accumulate(1, {"a": 1.0, "c": 0.5})
         assert store.window_series("a") == (2.0, 6.0)
 
+    def test_nan_does_not_hide_a_negative(self):
+        store = self.warm_store()
+        before = store_state(store)
+        with pytest.raises(ValueError, match="negative read count for 'b'"):
+            store.observe_counts(4, {"a": np.nan, "b": -1.0})
+        with pytest.raises(ValueError, match="negative read count for 'c'"):
+            store.accumulate(1, {"a": np.nan, "c": -0.5})
+        assert store_state(store) == before
+        store.observe_counts(4, {"a": 1.0, "b": 1.0})
+        assert store.window_series("b") == (0.0, 0.0, 1.0)
+
     def test_observe(self):
         store = self.warm_store()
         before = store_state(store)
@@ -414,6 +425,7 @@ class TestRejectedInputChangesNothing:
         "rows, counts, message",
         [
             ([0, 1], [1.0, -2.0], "negative read count for 'b'"),
+            ([0, 1], [np.nan, -2.0], "negative read count for 'b'"),
             ([0, 2], [1.0, 1.0], "row outside"),
             ([0, -1], [1.0, 1.0], "row outside"),
             ([0, 1], [1.0], "same length"),

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.cloud import AccessEvent, DataPartition, TimedEvent, azure_tier_catalog
 from repro.core.access_predict import WindowedAccessForecaster
-from repro.core.access_predict.forecast import _row_sums
 from repro.engine import (
     DriftTrigger,
     DriftTriggered,
@@ -189,16 +188,14 @@ def window_matrices(draw):
 
 
 class TestForecaster:
-    @settings(max_examples=150, deadline=None)
-    @given(matrix=window_matrices())
-    def test_row_sums_are_the_built_in_sum(self, matrix):
-        want = [sum(row) for row in matrix.tolist()]
-        assert [bits(v) for v in _row_sums(matrix).tolist()] == [bits(v) for v in want]
-
-    def test_row_sums_of_the_summation_traps(self):
+    def test_window_mean_of_the_summation_traps(self):
+        # With blend 0 the forecast is each row's window mean alone.
+        forecaster = WindowedAccessForecaster(blend=0.0)
         for trap in (SUMMATION_TRAP, BLOCKED_TRAP):
             matrix = np.array([trap, trap[::-1]])
-            assert _row_sums(matrix).tolist() == [sum(trap), sum(trap[::-1])]
+            got = forecaster.forecast_rows(np.zeros(2, dtype=np.intp), matrix)
+            want = [sum(trap) / len(trap), sum(trap[::-1]) / len(trap)]
+            assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
 
     @settings(max_examples=120, deadline=None)
     @given(
