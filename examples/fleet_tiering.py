@@ -23,9 +23,11 @@ Two ways to enforce the shared budget are compared on the same streams:
   hot tenant takes the capacity the cold tenants do not want.
 
 Same total capacity, same workloads — arbitration wins by a large margin
-(about 45% on the default sizes).  A final phase verifies the slack-pool
+(about 45% on the default sizes).  The final phases verify the slack-pool
 oracle: with a big enough pool the fleet run is bill-exact against
-independent single-tenant engine runs.
+independent single-tenant engine runs, on the dense monthly timeline and on
+the windowed one, where the fleet settles every tenant in one pass per
+window and each independent engine settles alone.
 
 Run with:  python examples/fleet_tiering.py [--quick]
 """
@@ -37,9 +39,16 @@ import math
 
 from repro import obs
 from repro.cloud import CapacityPool, DataPartition, PoolSet, multi_cloud_catalog
-from repro.engine import EngineConfig, OnlineTieringEngine, PeriodicReoptimize, SeriesStream
+from repro.engine import (
+    DriftTriggered,
+    EngineConfig,
+    OnlineTieringEngine,
+    PeriodicReoptimize,
+    SeriesStream,
+    TimeTrigger,
+)
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
-from repro.workloads import generate_fleet_workload
+from repro.workloads import PoissonZipfStream, generate_fleet_workload
 
 MONTHS = 12
 ENGINE_CONFIG = EngineConfig(horizon_months=6.0, window_months=6)
@@ -214,6 +223,76 @@ def main() -> None:
         )
         assert fleet_bill == oracle.total_bill
     print("\nslack-pool fleet == independent per-tenant engines, to the cent.")
+
+    print()
+    print("=" * 72)
+    print("Phase 3 — slack pool, windowed: one settle pass vs independent runs")
+    print("=" * 72)
+    for label, make_policy in (
+        ("periodic", lambda: PeriodicReoptimize(3)),
+        ("drift", lambda: DriftTriggered(0.4)),
+    ):
+        check_windowed(catalog, fleet, slack_pool, label, make_policy)
+    print("\nwindowed slack-pool fleet == independent per-tenant engines, to the bit.")
+
+
+def tenant_stream(tenant, index: int) -> PoissonZipfStream:
+    return PoissonZipfStream(
+        [partition.name for partition in tenant.partitions],
+        rate_per_month=400.0 * (index + 1),
+        horizon_months=float(MONTHS),
+        seed=100 + index,
+    )
+
+
+def check_windowed(catalog, fleet, pools, label, make_policy) -> None:
+    """``run_streams`` under a 0.25-month time trigger against each tenant's
+    own ``run_stream``: every record's bill must agree to the bit."""
+    trigger_months = 0.25
+    specs = [
+        TenantSpec(
+            name=tenant.name,
+            partitions=tenant.partitions,
+            policy=make_policy(),
+            stream=iter(()),
+            profiles=tenant.profiles,
+            config=ENGINE_CONFIG,
+            latency_slo_s=tenant.workload.latency_slo_s,
+        )
+        for tenant in fleet
+    ]
+    scheduler = FleetScheduler(
+        specs, catalog, pools=pools, config=FleetConfig(engine=ENGINE_CONFIG)
+    )
+    fleet_report = scheduler.run_streams(
+        {tenant.name: tenant_stream(tenant, k) for k, tenant in enumerate(fleet)},
+        TimeTrigger(trigger_months),
+        horizon_months=float(MONTHS),
+    )
+    for k, tenant in enumerate(fleet):
+        engine = OnlineTieringEngine(
+            tenant.partitions,
+            catalog,
+            make_policy(),
+            ENGINE_CONFIG,
+            profiles=tenant.profiles,
+            latency_slo_s=tenant.workload.latency_slo_s,
+        )
+        oracle = engine.run_stream(
+            tenant_stream(tenant, k),
+            TimeTrigger(trigger_months),
+            horizon_months=float(MONTHS),
+        )
+        records = fleet_report.tenant_reports[tenant.name].records
+        exact = [record.bill_total for record in records] == [
+            record.bill_total for record in oracle.records
+        ]
+        print(
+            f"{label:>8} {tenant.name}: {len(records)} windows, fleet "
+            f"{sum(r.bill_total for r in records):,.4f} vs independent "
+            f"{oracle.total_bill:,.4f} -> {'exact' if exact else 'MISMATCH'}"
+        )
+        assert exact and len(records) == MONTHS / trigger_months
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@
 :class:`~repro.engine.OnlineTieringEngine` or a
 :class:`~repro.fleet.FleetScheduler`.  The hosts call a small fixed hook
 surface at their epoch boundaries (``before_engine_epoch`` /
-``before_fleet_epoch``, ``take_forced_tenants``, ``degrade_fleet_solve``,
-``record_frozen_placement``, ``note_migration``, ``note_relaxation``);
+``before_fleet_epoch``, ``joiners_in_window``, ``take_forced_tenants``,
+``degrade_fleet_solve``, ``record_frozen_placement``, ``note_migration``,
+``note_relaxation``);
 everything else — outage bookkeeping, affinity lifting, catalog re-pricing,
 pool resizing, tenant churn, DegradationReport accumulation and ``chaos.*``
 observability — lives here.
@@ -366,6 +367,17 @@ class ChaosInjector:
         """
         for epoch in self._epochs_in_window(start_month, end_month):
             self.before_fleet_epoch(scheduler, epoch)
+
+    def joiners_in_window(self, start_month: float, end_month: float) -> list:
+        """The specs of the tenants :meth:`before_fleet_window` admits for
+        the span ``[start_month, end_month)``, in mark order.  Pure: the
+        fleet checks their windows before any disruption applies."""
+        return [
+            event.spec
+            for epoch in self._epochs_in_window(start_month, end_month)
+            for event in self.schedule.at(epoch)
+            if isinstance(event, TenantJoin)
+        ]
 
     def _apply_fleet_event(
         self, scheduler, epoch: int, event: DisruptionEvent

@@ -319,8 +319,8 @@ class CostModel:
         ratio: np.ndarray,
         decompression_s_per_gb: np.ndarray,
         scheme_available: np.ndarray | None = None,
-        latency_slo_s: np.ndarray | None = None,
         tier_allowed: np.ndarray | None = None,
+        codec_allowed: np.ndarray | None = None,
     ) -> BatchCostTensors:
         """Evaluate every (partition, tier, scheme) placement in one pass.
 
@@ -339,15 +339,13 @@ class CostModel:
         scheme_available:
             Optional ``(N, K)`` bool mask of which schemes have a profile for
             which partition; ``None`` means all are available.
-        latency_slo_s:
-            Optional ``(N,)`` per-partition cap on the tier's *published*
-            read-latency SLO (``StorageTier.effective_slo_s``); ``inf``
-            entries are unconstrained.  Unlike the latency SLA (which bounds
-            expected access latency including decompression), this constrains
-            the tier's guarantee alone, so it masks whole tiers.
         tier_allowed:
             Optional ``(N, T)`` bool mask of which tiers each partition may
-            occupy — how provider-affinity constraints reach the tensor path.
+            occupy — how SLO caps on a tier's published read-latency SLO,
+            provider affinity and banned tiers reach the tensor path.
+        codec_allowed:
+            Optional ``(N, K)`` codec-pinning mask over ``schemes``, when the
+            caller holds it already; computed from ``arrays`` otherwise.
 
         The arithmetic mirrors :meth:`placement_breakdown` /
         :meth:`placement_objective` operation for operation, so each tensor
@@ -402,20 +400,15 @@ class CostModel:
         latency = decompression_s[:, None, :] + costs["latency_s"][None, :, None]
         feasible = latency <= arrays.latency_threshold_s[:, None, None]
 
-        allowed = self._batch_codec_allowed(arrays, schemes)
+        allowed = (
+            self._batch_codec_allowed(arrays, schemes)
+            if codec_allowed is None
+            else codec_allowed
+        )
         if scheme_available is not None:
             allowed = allowed & scheme_available
         feasible = feasible & allowed[:, None, :]
 
-        if latency_slo_s is not None:
-            latency_slo_s = np.asarray(latency_slo_s, dtype=np.float64)
-            if latency_slo_s.shape != (len(arrays),):
-                raise ValueError(
-                    f"latency_slo_s must have shape ({len(arrays)},), "
-                    f"got {latency_slo_s.shape}"
-                )
-            slo_ok = costs["effective_slo_s"][None, :] <= latency_slo_s[:, None]
-            feasible = feasible & slo_ok[:, :, None]
         if tier_allowed is not None:
             tier_allowed = np.asarray(tier_allowed, dtype=bool)
             if tier_allowed.shape != (len(arrays), len(self.tiers)):

@@ -14,6 +14,7 @@ traces, event lists, :class:`~repro.cloud.AccessEvent` epochs) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -60,6 +61,11 @@ class TimedEvent:
             raise ValueError("event time must be non-negative")
         if self.reads < 0:
             raise ValueError("reads must be non-negative")
+        # NaN passes the comparisons above.
+        if not math.isfinite(self.t):
+            raise ValueError("event time must be finite")
+        if not math.isfinite(self.reads):
+            raise ValueError("reads must be finite")
 
     @property
     def month(self) -> int:
@@ -110,6 +116,11 @@ class EventBatch:
             raise ValueError("event time must be non-negative")
         if np.any(reads < 0):
             raise ValueError("reads must be non-negative")
+        # NaN passes the comparisons above.
+        if not np.isfinite(t).all():
+            raise ValueError("event time must be finite")
+        if not np.isfinite(reads).all():
+            raise ValueError("reads must be finite")
         if tenant is None:
             if len(tenants) != 1:
                 raise ValueError("a batch without a tenant column has one tenant")
@@ -251,6 +262,25 @@ class EventBatch:
         return EventBatch._of(
             self.t[keep], self.code[keep], self.reads[keep], self.vocab, None, (tenant,)
         )
+
+    def by_tenant(self) -> dict[str | None, "EventBatch"]:
+        """Every tenant's events, in order, keyed by tenant; tenants without
+        events are left out.  One stable sort on the tenant column splits
+        the batch, where :meth:`for_tenant` selects one tenant at a time."""
+        if self.tenant is None:
+            return {self.tenants[0]: self} if len(self) else {}
+        order = np.argsort(self.tenant, kind="stable")
+        ends = np.cumsum(np.bincount(self.tenant, minlength=len(self.tenants)))
+        t, code, reads = self.t[order], self.code[order], self.reads[order]
+        parts = {}
+        start = 0
+        for name, end in zip(self.tenants, ends.tolist()):
+            if end > start:
+                parts[name] = EventBatch._of(
+                    t[start:end], code[start:end], reads[start:end], self.vocab, None, (name,)
+                )
+            start = end
+        return parts
 
     # -- aggregation ----------------------------------------------------------
     @property

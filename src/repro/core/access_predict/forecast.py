@@ -13,7 +13,9 @@ epoch at which that value was current.  The engine resolves its partitions
 to rows once and then updates and forecasts whole columns
 (:meth:`~WindowedAccessForecaster.update_rows`,
 :meth:`~WindowedAccessForecaster.forecast_rows`); the name-keyed methods
-resolve names and run the same arithmetic.  A row that goes silent is not
+resolve names and run the same arithmetic.  A :class:`ForecastBlock`
+concatenates the columns of several forecasters and folds one epoch into all
+of them at once, through the same EWMA step.  A row that goes silent is not
 touched at all — the geometric decay of the skipped zero-months is applied
 when the row is next read, so warm-starting across thousands of epochs costs
 nothing for cold data.  The decay factors come from a table of Python float
@@ -22,6 +24,7 @@ powers, so every row decays exactly as ``value * (1 - alpha) ** gap`` does.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -73,8 +76,7 @@ class WindowedAccessForecaster:
         self._value = np.zeros(0, dtype=np.float64)
         self._at = np.zeros(0, dtype=np.int64)
         self._last_epoch: int | None = None
-        # _powers[g] == (1.0 - alpha) ** g, grown on demand.
-        self._powers = np.ones(1, dtype=np.float64)
+        self._decay = _PowerTable(alpha)
 
     # -- rows --------------------------------------------------------------------
     def rows(self, names: Iterable[str]) -> np.ndarray:
@@ -98,25 +100,6 @@ class WindowedAccessForecaster:
             self._at = np.concatenate([self._at, np.zeros(added, dtype=np.int64)])
         return np.asarray(rows, dtype=np.intp)
 
-    def _decay(self, gaps: np.ndarray) -> np.ndarray:
-        """``(1.0 - alpha) ** gap`` per element (``gaps >= 0``), as Python's
-        float power computes it; NumPy's vectorized ``pow`` may differ in the
-        last bit."""
-        if not gaps.size:
-            return np.ones(0, dtype=np.float64)
-        base = 1.0 - self.alpha
-        table = self._powers
-        top = int(gaps.max())
-        if len(table) <= top < _POWER_TABLE_LIMIT:
-            size = min(max(top + 1, 2 * len(table)), _POWER_TABLE_LIMIT)
-            table = self._powers = np.array([base**g for g in range(size)])
-        if top < len(table):
-            return table[gaps]
-        factors = table[np.minimum(gaps, len(table) - 1)]
-        far = np.flatnonzero(gaps >= len(table))
-        factors[far] = [base**g for g in gaps[far].tolist()]
-        return factors
-
     def _rates(self, rows: np.ndarray, through: int | None) -> np.ndarray:
         """The EWMA of ``rows`` as of epoch ``through`` (default: the last
         update; zero before any), decayed over the silent epochs since each
@@ -125,7 +108,7 @@ class WindowedAccessForecaster:
             through = self._last_epoch
             if through is None:
                 return np.zeros(len(rows), dtype=np.float64)
-        return self._value[rows] * self._decay(np.maximum(through - self._at[rows], 0))
+        return _decayed(self._value, self._at, rows, through, self._decay)
 
     # -- warm-start updates ---------------------------------------------------
     def update_rows(self, epoch: int, rows: np.ndarray, observed: np.ndarray) -> None:
@@ -166,9 +149,7 @@ class WindowedAccessForecaster:
 
     def _fold(self, epoch: int, rows: np.ndarray, observed: np.ndarray) -> None:
         """The EWMA step for validated input."""
-        previous = self._rates(rows, epoch - 1)
-        self._value[rows] = self.alpha * observed + (1.0 - self.alpha) * previous
-        self._at[rows] = epoch
+        _ewma_step(self._value, self._at, rows, observed, epoch, self.alpha, self._decay)
         self._last_epoch = epoch
 
     # -- forecasting -----------------------------------------------------------
@@ -246,3 +227,94 @@ class WindowedAccessForecaster:
         rows = self._rows_creating(names)
         self._value[rows] = rates
         self._at[rows] = epoch
+
+
+class ForecastBlock:
+    """The EWMA value and epoch columns of several forecasters, folded as one.
+
+    The block concatenates the forecasters' row state, each forecaster's
+    rows after the previous one's (forecaster ``k`` owns block rows
+    ``starts[k]`` to ``starts[k + 1]``), and rebinds every forecaster to its
+    row range (a view): each keeps its object and its own last epoch while
+    one :meth:`fold` updates all of them.  The forecasters must be distinct
+    objects sharing one ``alpha``; the block reads its decay factors from one
+    table of powers for that alpha.
+    """
+
+    def __init__(self, forecasters: Sequence[WindowedAccessForecaster]):
+        self.forecasters = tuple(forecasters)
+        self.alpha = forecasters[0].alpha
+        self._decay = _PowerTable(self.alpha)
+        self.starts = [0, *accumulate(len(f._value) for f in forecasters)]
+        self._value = np.concatenate([forecaster._value for forecaster in forecasters])
+        self._at = np.concatenate([forecaster._at for forecaster in forecasters])
+        for forecaster, start, stop in zip(forecasters, self.starts, self.starts[1:]):
+            forecaster._value = self._value[start:stop]
+            forecaster._at = self._at[start:stop]
+
+    def intact(self) -> bool:
+        """True while every forecaster still holds its rows of these columns
+        (one that gained rows, or joined another block, does not)."""
+        value = self._value
+        for forecaster in self.forecasters:
+            if forecaster._value.base is not value:
+                return False
+        return True
+
+    def fold(self, epoch: int, rows: np.ndarray, observed: np.ndarray) -> None:
+        """Fold one epoch of observed reads into every forecaster:
+        ``observed[k]`` reads of the distinct block row ``rows[k]``.
+        Validated input only."""
+        _ewma_step(self._value, self._at, rows, observed, epoch, self.alpha, self._decay)
+        for forecaster in self.forecasters:
+            forecaster._last_epoch = epoch
+
+
+class _PowerTable:
+    """``(1.0 - alpha) ** gap`` per element of ``gaps >= 0``, as Python's
+    float power computes it; NumPy's vectorized ``pow`` may differ in the
+    last bit.  The table grows on demand."""
+
+    def __init__(self, alpha: float):
+        self._base = 1.0 - alpha
+        # _powers[g] == (1.0 - alpha) ** g.
+        self._powers = np.ones(1, dtype=np.float64)
+
+    def __call__(self, gaps: np.ndarray) -> np.ndarray:
+        if not gaps.size:
+            return np.ones(0, dtype=np.float64)
+        base = self._base
+        table = self._powers
+        top = int(gaps.max())
+        if len(table) <= top < _POWER_TABLE_LIMIT:
+            size = min(max(top + 1, 2 * len(table)), _POWER_TABLE_LIMIT)
+            table = self._powers = np.array([base**g for g in range(size)])
+        if top < len(table):
+            return table[gaps]
+        factors = table[np.minimum(gaps, len(table) - 1)]
+        far = np.flatnonzero(gaps >= len(table))
+        factors[far] = [base**g for g in gaps[far].tolist()]
+        return factors
+
+
+def _decayed(
+    value: np.ndarray, at: np.ndarray, rows: np.ndarray, through: int, decay: _PowerTable
+) -> np.ndarray:
+    """The EWMA of ``rows`` as of epoch ``through``: each value decayed over
+    the silent epochs since it was current."""
+    return value[rows] * decay(np.maximum(through - at[rows], 0))
+
+
+def _ewma_step(
+    value: np.ndarray,
+    at: np.ndarray,
+    rows: np.ndarray,
+    observed: np.ndarray,
+    epoch: int,
+    alpha: float,
+    decay: _PowerTable,
+) -> None:
+    """Fold ``epoch``'s ``observed`` reads of ``rows`` into their EWMA."""
+    previous = _decayed(value, at, rows, epoch - 1, decay)
+    value[rows] = alpha * observed + (1.0 - alpha) * previous
+    at[rows] = epoch

@@ -36,6 +36,9 @@ ProfileTable = Mapping[str, Mapping[str, CompressionProfile]]
 #: ``(schemes, ratio (N,K), decompression_s_per_gb (N,K), available (N,K))``.
 ProfileColumns = tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
 
+#: Marks a tier mask not built yet (``None`` means unconstrained).
+_UNBUILT = object()
+
 
 def check_pinned_codecs(
     names: Sequence[str],
@@ -203,6 +206,7 @@ class OptAssignProblem:
         provider_affinity: dict[str, frozenset[str]],
         banned_tiers: frozenset[int],
         profile_columns: ProfileColumns | None = None,
+        tier_mask: np.ndarray | None | object = _UNBUILT,
     ) -> "OptAssignProblem":
         """An instance from already-validated parts, skipping ``__init__``.
 
@@ -212,8 +216,9 @@ class OptAssignProblem:
         ``__init__``'s validation against this catalog (profiles carrying the
         ``"none"`` scheme, SLO/affinity keyed by known names, banned tiers in
         range); re-validating per row is exactly the cost these callers exist
-        to avoid.  ``profile_columns`` may pre-seed the :meth:`_profile_columns`
-        cache when the caller already holds columns for this row order.
+        to avoid.  ``profile_columns`` and ``tier_mask`` may pre-seed the
+        :meth:`_profile_columns` and :meth:`_tier_mask` caches when the
+        caller already holds them for this row order.
         """
         problem = cls.__new__(cls)
         problem._set_state(
@@ -224,6 +229,7 @@ class OptAssignProblem:
             provider_affinity,
             banned_tiers,
             profile_columns=profile_columns,
+            tier_mask=tier_mask,
         )
         return problem
 
@@ -237,6 +243,7 @@ class OptAssignProblem:
         banned_tiers: frozenset[int],
         partitions: list[DataPartition] | None = None,
         profile_columns: ProfileColumns | None = None,
+        tier_mask: np.ndarray | None | object = _UNBUILT,
     ) -> None:
         """Set every instance field; shared by ``__init__`` and :meth:`_assemble`."""
         self._partitions_list: list[DataPartition] | None = partitions
@@ -247,6 +254,8 @@ class OptAssignProblem:
         self._banned_tiers = banned_tiers
         self._arrays: PartitionArrays | None = arrays
         self._profile_columns_cache: ProfileColumns | None = profile_columns
+        self._tier_mask_cache = tier_mask
+        self._codec_mask_cache: np.ndarray | None = None
         self._tensors: BatchCostTensors | None = None
 
     # -- accessors -------------------------------------------------------------
@@ -421,6 +430,32 @@ class OptAssignProblem:
             mask[:, sorted(self._banned_tiers)] = False
         return mask
 
+    def _tier_mask(self) -> np.ndarray | None:
+        """(N, T) tier eligibility under the hard constraints — SLO caps,
+        provider affinity and banned tiers combined — or ``None`` when no
+        constraint applies (cached).
+
+        It does not depend on prices: re-pricing the catalog leaves its
+        latencies and SLOs alone.
+        """
+        if self._tier_mask_cache is _UNBUILT:
+            mask = self._tier_allowed_mask()
+            slo = self._slo_vector()
+            if slo is not None:
+                effective = self.cost_model.tiers.cost_arrays()["effective_slo_s"]
+                slo_ok = effective[None, :] <= slo[:, None]
+                mask = slo_ok if mask is None else slo_ok & mask
+            self._tier_mask_cache = mask
+        return self._tier_mask_cache
+
+    def _codec_mask(self) -> np.ndarray:
+        """(N, K) codec pinning over :meth:`scheme_union` (cached)."""
+        if self._codec_mask_cache is None:
+            self._codec_mask_cache = CostModel._batch_codec_allowed(
+                self.partition_arrays(), self.scheme_union()
+            )
+        return self._codec_mask_cache
+
     def min_stored_gb(self) -> np.ndarray:
         """(N,) smallest on-disk footprint each partition can reach.
 
@@ -430,10 +465,8 @@ class OptAssignProblem:
         certificate in ``solve_optassign`` relies on that, because latency
         relaxation can unlock any available scheme.
         """
-        schemes, ratio, _, available = self._profile_columns()
-        usable = available & CostModel._batch_codec_allowed(
-            self.partition_arrays(), schemes
-        )
+        _, ratio, _, available = self._profile_columns()
+        usable = available & self._codec_mask()
         stored = np.where(
             usable, self.partition_arrays().size_gb[:, None] / ratio, np.inf
         )
@@ -449,19 +482,11 @@ class OptAssignProblem:
         fails fast with a pointed error instead of burning relaxation rounds.
         """
         arrays = self.partition_arrays()
-        tier_ok = np.ones((len(arrays), self.tier_count), dtype=bool)
-        slo = self._slo_vector()
-        if slo is not None:
-            effective = self.cost_model.tiers.cost_arrays()["effective_slo_s"]
-            tier_ok &= effective[None, :] <= slo[:, None]
-        allowed = self._tier_allowed_mask()
-        if allowed is not None:
-            tier_ok &= allowed
-        schemes, _, _, available = self._profile_columns()
-        scheme_ok = available & CostModel._batch_codec_allowed(
-            self.partition_arrays(), schemes
-        )
-        empty = ~tier_ok.any(axis=1) | ~scheme_ok.any(axis=1)
+        _, _, _, available = self._profile_columns()
+        empty = ~(available & self._codec_mask()).any(axis=1)
+        tier_ok = self._tier_mask()
+        if tier_ok is not None:
+            empty |= ~tier_ok.any(axis=1)
         return [arrays.names[i] for i in np.flatnonzero(empty)]
 
     def batch_tensors(self) -> BatchCostTensors:
@@ -482,8 +507,8 @@ class OptAssignProblem:
                     ratio,
                     decompression,
                     available,
-                    latency_slo_s=self._slo_vector(),
-                    tier_allowed=self._tier_allowed_mask(),
+                    tier_allowed=self._tier_mask(),
+                    codec_allowed=self._codec_mask(),
                 )
                 span.set(
                     partitions=self._tensors.num_partitions,
@@ -569,10 +594,13 @@ class OptAssignProblem:
         """
         sub_arrays = self.partition_arrays().take(rows)
         names = sub_arrays.names
+        index = np.asarray(rows, dtype=np.int64)
+        tier_mask = self._tier_mask()
+        if tier_mask is not None:
+            tier_mask = tier_mask[index]
         columns = None
         if self._profile_columns_cache is not None:
             schemes, ratio, decompression, available = self._profile_columns_cache
-            index = np.asarray(rows, dtype=np.int64)
             sub_available = available[index]
             keep = np.flatnonzero(sub_available.any(axis=0))
             columns = (
@@ -597,6 +625,7 @@ class OptAssignProblem:
             },
             self._banned_tiers,
             profile_columns=columns,
+            tier_mask=tier_mask,
         )
 
     def relaxed(self, latency_factor: float) -> "OptAssignProblem":
@@ -620,11 +649,12 @@ class OptAssignProblem:
         )
         # SLO caps, provider affinity and banned tiers are *hard* constraints:
         # latency relaxation widens the SLA thresholds but never the
-        # tier-eligibility masks, so all three carry over unchanged.  The
-        # profile columns depend only on the (shared) profile table and the
+        # tier-eligibility masks, so all three carry over unchanged, and so
+        # does their combined mask.  The profile columns and the codec mask
+        # depend only on the (shared) profile table, the codecs and the
         # partition order, so the relaxed copy reuses them; the cost tensors
         # depend on the latency thresholds and are recomputed.
-        return OptAssignProblem._assemble(
+        problem = OptAssignProblem._assemble(
             self.cost_model,
             relaxed_arrays,
             self._profiles,
@@ -632,4 +662,7 @@ class OptAssignProblem:
             self._provider_affinity,
             self._banned_tiers,
             profile_columns=self._profile_columns_cache,
+            tier_mask=self._tier_mask_cache,
         )
+        problem._codec_mask_cache = self._codec_mask_cache
+        return problem

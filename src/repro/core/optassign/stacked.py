@@ -158,21 +158,27 @@ class StackedProblem:
             current_codec=tuple(codecs),
             file_ids=tuple(file_ids),
         )
+        # Banned tiers describe the shared catalog's state (a provider
+        # outage), not any one tenant, so the union is the fleet's view;
+        # in practice every sub-problem carries the same set.
+        banned = frozenset().union(
+            *(problem.banned_tiers for problem in problems.values())
+        )
         stacked = OptAssignProblem._assemble(
             next(iter(problems.values())).cost_model,
             stacked_arrays,
             profiles,
             latency_slo,
             affinity,
-            # Banned tiers describe the shared catalog's state (a provider
-            # outage), not any one tenant, so the union is the fleet's view;
-            # in practice every sub-problem carries the same set.
-            frozenset().union(
-                *(problem.banned_tiers for problem in problems.values())
-            ),
+            banned,
             profile_columns=_stack_profile_columns(
                 [problem._profile_columns() for problem in problems.values()],
                 spans,
+            ),
+            tier_mask=_stack_tier_masks(
+                [problem._tier_mask() for problem in problems.values()],
+                spans,
+                banned,
             ),
         )
         return cls(
@@ -253,3 +259,23 @@ def _stack_profile_columns(columns, spans) -> ProfileColumns:
         decompression[start:stop, cols] = own_decompression
         available[start:stop, cols] = own_available
     return schemes, ratio, decompression, available
+
+
+def _stack_tier_masks(masks, spans, banned: frozenset[int]) -> np.ndarray | None:
+    """Each tenant's tier mask, concatenated (``None`` when no tenant has
+    one); an unconstrained tenant contributes all-true rows.  The union of
+    the banned tiers applies to every row, as it would to a mask built over
+    the stacked constraints."""
+    present = [mask for mask in masks if mask is not None]
+    if not present:
+        return None
+    tiers = present[0].shape[1]
+    mask = np.concatenate(
+        [
+            np.ones((stop - start, tiers), dtype=bool) if own is None else own
+            for own, (start, stop) in zip(masks, spans)
+        ]
+    )
+    if banned:
+        mask[:, sorted(banned)] = False
+    return mask

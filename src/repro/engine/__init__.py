@@ -26,6 +26,7 @@ from .engine import (
     EngineReport,
     EpochRecord,
     OnlineTieringEngine,
+    SettleBlock,
     WindowRecord,
 )
 from .events import (
@@ -60,6 +61,7 @@ __all__ = [
     "EpochRecord",
     "WindowRecord",
     "OnlineTieringEngine",
+    "SettleBlock",
     "EpochBatch",
     "ReplayStream",
     "SeriesStream",

@@ -20,12 +20,25 @@ control loop.  Per epoch (billing month) it:
 Per-partition state lives in row-aligned numpy columns, in the row order of
 the engine's cached :class:`~repro.cloud.PartitionArrays`: the engine
 resolves its partitions to feature-store and forecaster rows once, at
-construction.  Settling a window gathers each event's row once (the same
-gather bills it), sums the reads per row with one ``bincount`` and hands the
-touched rows to the feature store, the forecaster and the policy as
+construction.  On the windowed timeline those columns belong to a
+:class:`SettleBlock`, which concatenates the state of one or more engines —
+the feature-store ring, lifetime and last-access columns, the forecaster's
+value and epoch columns, the residency clocks (``months_in_tier``) and the
+compiled per-row prices — and settles all of them in one pass: it maps every
+event to its block row, bills each engine with one dot product per engine
+over that engine's events, sums the reads per row with one ``bincount`` and
+folds the feature store, the forecaster and the clocks with one vector
+operation each.  The ring and EWMA folds are those of
+:class:`~repro.engine.features.StoreBlock` and
+:class:`~repro.core.access_predict.forecast.ForecastBlock`, which share
+their arithmetic with a single store's and forecaster's own folds.  Each
+engine's :class:`FeatureStore`, forecaster and
+``months_in_tier`` keep their objects and their own epochs, but hold row
+ranges (views) of the block's columns.  A lone engine settles through a
+block of one; a fleet settles every tenant that shares a ring width and an
+EWMA alpha in one block.  The touched rows reach each policy as
 :class:`~repro.engine.policies.RateColumns`; forecasts come back as one
-column, and the residency clocks (``months_in_tier``) are one float64 column
-that ticks with a single vector add.
+column.
 
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
@@ -35,7 +48,9 @@ compared apples to apples on the same stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -54,6 +69,7 @@ from ..cloud import (
 )
 from ..cloud.events import EventBatch, first_occurrence
 from ..core.access_predict import WindowedAccessForecaster
+from ..core.access_predict.forecast import ForecastBlock
 from ..core.optassign import (
     DeltaSolver,
     InfeasibleError,
@@ -66,7 +82,7 @@ from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
 from .events import EpochBatch, StreamWindow, TriggerWindow, windowed
 from .executor import MigrationExecutor, MigrationReport
-from .features import FeatureStore
+from .features import FeatureStore, StoreBlock
 from .policies import RateColumns, TieringPolicy
 
 __all__ = [
@@ -75,7 +91,10 @@ __all__ = [
     "WindowRecord",
     "EngineReport",
     "OnlineTieringEngine",
+    "SettleBlock",
 ]
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _snapshot(constraints: tuple) -> tuple:
@@ -140,6 +159,11 @@ class EngineConfig:
 @dataclass(slots=True)
 class EpochRecord:
     """What one epoch cost and what the engine did during it.
+
+    ``wall_clock_s`` is the engine's own time for the epoch.  A window that a
+    :class:`SettleBlock` settled together with other engines' windows counts
+    the shared pass split evenly across the engines it settled, so a fleet's
+    summed settle time is the time its passes took.
 
     Slotted: a long run keeps one record per tenant per window.
     """
@@ -313,7 +337,7 @@ class OnlineTieringEngine:
         self._banned_tiers: frozenset[int] = frozenset()
         self._lifted_affinity: dict[str, object] = {}
         # (snapshot of the constraint inputs, their validated form + profile
-        # columns) behind the last build; see _assemble_problem.
+        # columns + tier mask) behind the last build; see _assemble_problem.
         self._validated: tuple[tuple, tuple] | None = None
         self.simulator = CloudStorageSimulator(
             tiers, compute_cost_per_s=self.config.compute_cost_per_s
@@ -342,6 +366,8 @@ class OnlineTieringEngine:
         self._store_rows = self.feature_store.register(names)
         self._forecast_rows = self.forecaster.rows(names)
         self._placement: PlacementColumns | None = None
+        # The block of one this engine settles windows through on its own.
+        self._own_block: SettleBlock | None = None
         # Months each partition has resided in its current tier, in row order.
         self.months_in_tier = np.array(
             [0.0 if partition.is_new else float("inf") for partition in self._partitions]
@@ -525,8 +551,11 @@ class OnlineTieringEngine:
         if the policy would not fire — the trigger has already detected drift
         against the engine's own applied forecast, and closing the window
         *was* the decision to react now rather than at the next grid point.
+        A window out of order or naming an unknown partition raises before
+        any policy decision, migration or fold.
         """
         started = monotonic_s()
+        rows = self._window_rows(window)
         with get_tracer().span(
             "engine.window", index=window.index, cause=window.cause
         ) as span:
@@ -557,9 +586,7 @@ class OnlineTieringEngine:
                         self.chaos.note_migration(
                             window.index, migration, self._banned_tiers
                         )
-            record = self.settle_window(
-                window, migration=migration, reoptimized=reoptimized, started=started
-            )
+            record = self._settle_window(window, rows, migration, reoptimized, started)
             span.set(reoptimized=reoptimized)
         get_metrics().counter("engine.window_closes", cause=window.cause).add()
         return record
@@ -578,6 +605,21 @@ class OnlineTieringEngine:
                 f"after {self._last_window}); windowed() yields gap-free "
                 "indices"
             )
+
+    def _window_rows(self, window: StreamWindow) -> np.ndarray:
+        """The row of every event in ``window``, once the window is known to
+        continue this engine's timeline, its feature store's and its
+        forecaster's.  Changes nothing: raises ``ValueError`` for a window
+        out of order and ``KeyError`` for an event naming an unknown
+        partition."""
+        index = window.index
+        self._validate_window(index)
+        self.feature_store._check_complete_batch(index)
+        self.forecaster._check_epoch(index)
+        events = window.events
+        if not len(events):
+            return _NO_ROWS
+        return self._arrays.event_rows(events)
 
     def begin_window(self, index: int) -> bool:
         """Validate the window and ask the policy whether to re-optimize.
@@ -621,63 +663,28 @@ class OnlineTieringEngine:
         so windows of different widths remain comparable; for the degenerate
         zero-width flush window raw counts are folded as-is.  Residency
         clocks advance by the window's fractional duration.
+
+        The engine settles as a :class:`SettleBlock` of one, the same pass a
+        fleet runs over all of its tenants.
         """
-        index = window.index
-        self._validate_window(index)
-        tracer = get_tracer()
-        duration = window.duration_months
-        with tracer.span(
-            "engine.settle", window=index, duration_months=duration
-        ):
-            if self._compiled is None:
-                self._compiled = self.simulator.compile_placement(
-                    self._arrays, self.placement
-                )
-            events = window.events
-            with tracer.span("engine.ingest") as ingest_span:
-                rows = self._arrays.event_rows(events)
-                step = self._compiled.step(
-                    events, storage_months=duration, rows=rows
-                )
-                ingest_span.set(events=len(events))
-
-            observed = self._observed(rows, events.reads, duration)
-            with tracer.span("engine.feature_store"):
-                self.feature_store.observe_rows(
-                    index, self._store_rows[observed.rows], observed.rates
-                )
-                self.forecaster.update_rows(
-                    index, self._forecast_rows[observed.rows], observed.rates
-                )
-            MigrationExecutor.tick(self.months_in_tier, months=duration)
-            self._last_observed = observed
-            self._last_window = index
-            self._window_clock = window.end_month
-            self._pending_forecast = None
-            if tracer.enabled:
-                get_metrics().gauge("engine.window_fill").set(
-                    self.feature_store.window_fill
-                )
-
-        return WindowRecord(
-            epoch=index,
-            reoptimized=reoptimized,
-            storage_cost=step.bill.storage,
-            read_cost=step.bill.read,
-            decompression_cost=step.bill.decompression,
-            migration_cost=migration.migration_cost if migration else 0.0,
-            early_deletion_penalty=(
-                migration.early_deletion_penalty if migration else 0.0
-            ),
-            num_moved=migration.num_moved if migration else 0,
-            moved_gb=migration.moved_gb if migration else 0.0,
-            access_count=step.access_count,
-            latency_violations=step.latency_violations,
-            wall_clock_s=monotonic_s() - started if started is not None else 0.0,
-            start_month=window.start_month,
-            end_month=window.end_month,
-            cause=window.cause,
+        return self._settle_window(
+            window, self._window_rows(window), migration, reoptimized, started
         )
+
+    def _settle_window(
+        self,
+        window: StreamWindow,
+        rows: np.ndarray,
+        migration: MigrationReport | None,
+        reoptimized: bool,
+        started: float | None,
+    ) -> WindowRecord:
+        """:meth:`settle_window` for a window whose event ``rows`` are
+        resolved already (:meth:`_window_rows`)."""
+        block = self._own_block
+        if block is None or not block.intact():
+            block = self._own_block = SettleBlock([self])
+        return block.settle([window], [rows], [migration], [reoptimized], started)[0]
 
     @property
     def window_clock(self) -> float:
@@ -693,15 +700,8 @@ class OnlineTieringEngine:
         self, rows: np.ndarray, reads: np.ndarray, duration: float
     ) -> RateColumns:
         """The reads of each row the events touched, per month of
-        ``duration``, in first-read order (raw counts for a zero-width
-        window).
-
-        ``bincount`` adds each row's reads in event order, as a per-event
-        loop would.
-        """
-        touched = first_occurrence(rows)
-        counts = np.bincount(rows, weights=reads)[touched]
-        rates = counts / duration if duration > 0 else counts
+        ``duration``, in first-read order (:func:`_observed_rates`)."""
+        touched, rates = _observed_rates(rows, reads, duration)
         return RateColumns(self._arrays.names, rates, touched)
 
     # -- external-scheduling hooks ----------------------------------------------
@@ -769,17 +769,10 @@ class OnlineTieringEngine:
         self._validate_epoch(epoch)
         tracer = get_tracer()
         with tracer.span("engine.settle", epoch=epoch):
-            # The compiled placement answers step_month queries with
-            # vectorized gathers; it is invalidated whenever a
-            # re-optimization moves data.
-            if self._compiled is None:
-                self._compiled = self.simulator.compile_placement(
-                    self._arrays, self.placement
-                )
             events = EventBatch.from_events(batch.events)
             with tracer.span("engine.ingest") as ingest_span:
                 rows = self._arrays.event_rows(events)
-                step = self._compiled.step(events, rows=rows)
+                step = self._compiled_placement().step(events, rows=rows)
                 ingest_span.set(events=len(events))
 
             observed = self._observed(rows, events.reads, 1.0)
@@ -903,11 +896,20 @@ class OnlineTieringEngine:
         """
         if self.placement is None:
             return np.zeros(len(self.tiers), dtype=np.float64)
+        return self._compiled_placement().tier_usage_gb()
+
+    def _compiled_placement(self) -> CompiledPlacement:
+        """The applied placement compiled for billing (cached).
+
+        The compiled placement answers billing queries with vectorized
+        gathers; it is dropped whenever a re-optimization moves data or the
+        catalog is re-priced, and rebuilt here on next use.
+        """
         if self._compiled is None:
             self._compiled = self.simulator.compile_placement(
                 self._arrays, self.placement
             )
-        return self._compiled.tier_usage_gb()
+        return self._compiled
 
     # -- re-optimization ---------------------------------------------------------
     def forecast_monthly(self, epoch: int) -> RateColumns:
@@ -954,8 +956,10 @@ class OnlineTieringEngine:
         live codec.  The constraint state — profile table, SLO caps,
         provider affinity, banned tiers — is validated by the full
         ``OptAssignProblem.__init__`` once, and its validated form (plus the
-        profile columns) is reused for as long as every input compares equal
-        to what was validated; any change, however it was made, re-validates.
+        profile columns and the combined tier-eligibility mask, which no
+        re-pricing changes) is reused for as long as every input compares
+        equal to what was validated; any change, however it was made,
+        re-validates.
         """
         config = self.config
         base = self._arrays
@@ -1000,7 +1004,7 @@ class OnlineTieringEngine:
             self._banned_tiers,
         )
         if self._validated is not None and self._validated[0] == constraints:
-            valid_profiles, slo, affinity, banned, columns = self._validated[1]
+            valid_profiles, slo, affinity, banned, columns, mask = self._validated[1]
             check_pinned_codecs(names, codecs, valid_profiles)
             return OptAssignProblem._assemble(
                 cost_model,
@@ -1010,6 +1014,7 @@ class OnlineTieringEngine:
                 affinity,
                 banned,
                 profile_columns=columns,
+                tier_mask=mask,
             )
         problem = OptAssignProblem(
             arrays,
@@ -1027,6 +1032,7 @@ class OnlineTieringEngine:
                 problem._provider_affinity,
                 problem._banned_tiers,
                 problem._profile_columns(),
+                problem._tier_mask(),
             ),
         )
         return problem
@@ -1073,3 +1079,253 @@ class OnlineTieringEngine:
         self._pending_forecast = None
         get_metrics().counter("engine.reoptimizations").add()
         return migration
+
+
+class SettleBlock:
+    """Row-aligned settle state of one or more engines, settled in one pass.
+
+    The block holds its engines' feature stores in one
+    :class:`~repro.engine.features.StoreBlock` (ring, lifetime and
+    last-access columns), their forecasters in one
+    :class:`~repro.core.access_predict.forecast.ForecastBlock` (EWMA value
+    and epoch columns) and their residency clocks in one column.  Each
+    engine keeps its :class:`FeatureStore`, forecaster and
+    ``months_in_tier`` objects (and their own epochs), but they hold row
+    ranges (views) of the block's columns, so one fold updates all of them.
+    The block also holds each engine's compiled per-row read and
+    decompression prices and SLA-violation flags, copied in whenever the
+    engine's compiled placement was rebuilt — after an apply, or after
+    :meth:`OnlineTieringEngine.invalidate_pricing`.
+
+    The engines must share a feature-store window width and an EWMA alpha,
+    the two values one ring slide and one EWMA step assume.  A block stays
+    valid while every engine still holds the arrays it handed out
+    (:meth:`intact`); an engine adopted by another block, or whose store or
+    forecaster grew, leaves it stale, and its owner builds a new one.
+    """
+
+    def __init__(self, engines: Sequence[OnlineTieringEngine]):
+        if not engines:
+            raise ValueError("a settle block needs at least one engine")
+        stores = [engine.feature_store for engine in engines]
+        forecasters = [engine.forecaster for engine in engines]
+        width, alpha = stores[0].window_months, forecasters[0].alpha
+        if any(
+            store.window_months != width or forecaster.alpha != alpha
+            for store, forecaster in zip(stores, forecasters)
+        ):
+            raise ValueError(
+                "engines settled in one block must share window_months and "
+                "the forecaster's alpha"
+            )
+        if len({id(forecaster) for forecaster in forecasters}) != len(engines):
+            raise ValueError("engines settled in one block need their own forecasters")
+        self.engines = tuple(engines)
+        # Engine k owns block rows _starts[k]:_starts[k + 1]; _owner and
+        # _shift give each block row's engine and that engine's first row.
+        sizes = [len(engine._arrays) for engine in engines]
+        self._starts = [0, *accumulate(sizes)]
+        self._offsets = np.asarray(self._starts[:-1], dtype=np.intp)
+        self._owner = np.repeat(np.arange(len(engines)), sizes)
+        self._shift = self._offsets[self._owner]
+        # Engine rows: residency clocks and compiled prices.
+        self.months_in_tier = np.concatenate(
+            [engine.months_in_tier for engine in engines]
+        )
+        for engine, start, stop in zip(engines, self._starts, self._starts[1:]):
+            engine.months_in_tier = self.months_in_tier[start:stop]
+        total = len(self.months_in_tier)
+        self._read_price = np.zeros(total, dtype=np.float64)
+        self._decompression_price = np.zeros(total, dtype=np.float64)
+        self._violates = np.zeros(total, dtype=bool)
+        # Per engine: the storage sum of its compiled placement, and the
+        # last window's (duration, storage bill), whose float object windows
+        # of the same width share (a long run keeps one record per window).
+        self._storage: list[float] = [0.0] * len(engines)
+        self._storage_bill: list[tuple[float, float]] = [(math.nan, 0.0)] * len(engines)
+        self._priced: list[CompiledPlacement | None] = [None] * len(engines)
+        # The stores and forecasters, and each engine row's row in them.
+        self._stores = StoreBlock(stores)
+        self._forecasts = ForecastBlock(forecasters)
+        self._store_row = np.concatenate(
+            [
+                start + engine._store_rows
+                for start, engine in zip(self._stores.starts, engines)
+            ]
+        )
+        self._forecast_row = np.concatenate(
+            [
+                start + engine._forecast_rows
+                for start, engine in zip(self._forecasts.starts, engines)
+            ]
+        )
+
+    def intact(self) -> bool:
+        """True while every engine still holds the arrays this block bound."""
+        clocks = self.months_in_tier
+        for engine in self.engines:
+            if engine.months_in_tier.base is not clocks:
+                return False
+        return self._stores.intact() and self._forecasts.intact()
+
+    def _refresh_prices(self) -> None:
+        """Copy in the prices of every engine whose compiled placement was
+        rebuilt since the last pass."""
+        starts = self._starts
+        for k, engine in enumerate(self.engines):
+            compiled = engine._compiled_placement()
+            if compiled is self._priced[k]:
+                continue
+            rows = slice(starts[k], starts[k + 1])
+            self._read_price[rows] = compiled.read_cost_per_read
+            self._decompression_price[rows] = compiled.decompression_cost_per_read
+            self._violates[rows] = compiled.violates_sla
+            self._storage[k] = np.sum(compiled.storage_per_month)
+            self._storage_bill[k] = (math.nan, 0.0)
+            self._priced[k] = compiled
+
+    def settle(
+        self,
+        windows: Sequence[StreamWindow],
+        rows: Sequence[np.ndarray],
+        migrations: Sequence[MigrationReport | None],
+        reoptimized: Sequence[bool],
+        started: float | None = None,
+    ) -> list[WindowRecord]:
+        """Bill every engine's window and fold its reads in: one pass.
+
+        ``windows[k]`` is engine ``k``'s window — all of them share one span
+        — with its events' rows (:meth:`OnlineTieringEngine._window_rows`,
+        which validated the window), the migration its re-optimization
+        applied, if any, and whether it re-optimized.  Returns each
+        engine's record; ``started`` (the pass's start time) gives every
+        record the pass's wall time split evenly across the engines.
+
+        Each engine's read and decompression totals are one dot product over
+        its own events in event order, so they equal the per-engine bill bit
+        for bit; counts are integer sums.  One ``bincount`` over block rows
+        adds each row's reads in event order, and ``first_occurrence`` over
+        the engine-ordered events keeps each engine's first-read order.
+        """
+        tracer = get_tracer()
+        first = windows[0]
+        index = first.index
+        duration = first.duration_months
+        engines = self.engines
+        with tracer.span(
+            "engine.settle",
+            window=index,
+            duration_months=duration,
+            engines=len(engines),
+        ):
+            with tracer.span("engine.ingest") as ingest_span:
+                self._refresh_prices()
+                lengths = [len(engine_rows) for engine_rows in rows]
+                bounds = [0, *accumulate(lengths)]
+                block_rows = np.concatenate(rows) + np.repeat(self._offsets, lengths)
+                reads = np.concatenate([window.events.reads for window in windows])
+                read_cost = self._read_price[block_rows]
+                decompression_cost = self._decompression_price[block_rows]
+                # np.rint rounds half to even, exactly like round().
+                accesses = np.rint(reads).astype(np.int64)
+                accessed = _segment_sums(accesses, bounds)
+                violated = _segment_sums(accesses * self._violates[block_rows], bounds)
+                bills = [
+                    (
+                        self._storage_cents(k, duration),
+                        float(read_cost[start:stop] @ reads[start:stop]),
+                        float(decompression_cost[start:stop] @ reads[start:stop]),
+                    )
+                    for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+                ]
+                ingest_span.set(events=len(reads))
+
+            with tracer.span("engine.feature_store"):
+                touched, rates = _observed_rates(block_rows, reads, duration)
+                self._stores.fold(index, self._store_row[touched], rates)
+                self._forecasts.fold(index, self._forecast_row[touched], rates)
+                MigrationExecutor.tick(self.months_in_tier, months=duration)
+                ends = [
+                    0,
+                    *accumulate(
+                        np.bincount(self._owner[touched], minlength=len(engines)).tolist()
+                    ),
+                ]
+                local = touched - self._shift[touched]
+                for k, engine in enumerate(engines):
+                    engine._last_observed = RateColumns(
+                        engine._arrays.names,
+                        rates[ends[k] : ends[k + 1]],
+                        local[ends[k] : ends[k + 1]],
+                    )
+                    engine._last_window = index
+                    engine._window_clock = first.end_month
+                    engine._pending_forecast = None
+                if tracer.enabled:
+                    gauge = get_metrics().gauge("engine.window_fill")
+                    for engine in engines:
+                        gauge.set(engine.feature_store.window_fill)
+
+        wall = (monotonic_s() - started) / len(engines) if started is not None else 0.0
+        records = []
+        for k, window in enumerate(windows):
+            storage, read, decompression = bills[k]
+            migration = migrations[k]
+            records.append(
+                WindowRecord(
+                    epoch=index,
+                    reoptimized=reoptimized[k],
+                    storage_cost=storage,
+                    read_cost=read,
+                    decompression_cost=decompression,
+                    migration_cost=migration.migration_cost if migration else 0.0,
+                    early_deletion_penalty=(
+                        migration.early_deletion_penalty if migration else 0.0
+                    ),
+                    num_moved=migration.num_moved if migration else 0,
+                    moved_gb=migration.moved_gb if migration else 0.0,
+                    access_count=accessed[k],
+                    latency_violations=violated[k],
+                    wall_clock_s=wall,
+                    start_month=window.start_month,
+                    end_month=window.end_month,
+                    cause=window.cause,
+                )
+            )
+        return records
+
+    def _storage_cents(self, k: int, duration: float) -> float:
+        """Engine ``k``'s storage bill for ``duration`` months, as
+        ``CompiledPlacement.step`` computes it."""
+        last, cents = self._storage_bill[k]
+        if last != duration:
+            cents = float(self._storage[k] * duration)
+            self._storage_bill[k] = (duration, cents)
+        return cents
+
+
+def _observed_rates(
+    rows: np.ndarray, reads: np.ndarray, duration: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the events touched, in first-read order, and each one's
+    reads per month of ``duration`` (raw counts for a zero-width window).
+
+    ``bincount`` adds each row's reads in event order, as a per-event loop
+    would.
+    """
+    touched = first_occurrence(rows)
+    counts = np.bincount(rows, weights=reads)[touched]
+    return touched, (counts / duration if duration > 0 else counts)
+
+
+def _segment_sums(values: np.ndarray, bounds: list[int]) -> list[int]:
+    """The integer sum of ``values[bounds[k]:bounds[k + 1]]`` for every
+    ``k``, 0 for an empty segment: one ``reduceat`` over the segments that
+    have values."""
+    sums = [0] * (len(bounds) - 1)
+    filled = [k for k in range(len(sums)) if bounds[k + 1] > bounds[k]]
+    if filled:
+        totals = np.add.reduceat(values, [bounds[k] for k in filled])
+        for k, total in zip(filled, totals.tolist()):
+            sums[k] = total
+    return sums

@@ -7,13 +7,16 @@ numpy ring buffers** instead: one ``(partitions, window)`` matrix whose column
 ``e % window`` holds epoch ``e``'s reads, plus lifetime/last-access vectors,
 one row per registered partition.
 
-The engine registers its partitions once and then works on rows only: it
-folds a window's per-row reads in with :meth:`FeatureStore.observe_rows` (a
-fancy add over the rows read, plus zeroing the ring columns that slide out)
-and reads the window back with :meth:`FeatureStore.window_matrix` (one
-gather).  The name-keyed methods (:meth:`~FeatureStore.observe`,
+The engine registers its partitions once and then works on rows only, and
+reads the window back with :meth:`FeatureStore.window_matrix` (one gather).
+On the windowed timeline the engine's store joins a :class:`StoreBlock`,
+which concatenates the columns of several stores and folds a window's
+per-row reads into all of them at once (zeroing the ring column that slides
+out, plus a fancy add over the rows read).  :meth:`FeatureStore.observe_rows`
+and the name-keyed methods (:meth:`~FeatureStore.observe`,
 :meth:`~FeatureStore.observe_counts`, :meth:`~FeatureStore.accumulate` and
-the per-name queries) resolve names to rows and call the same code.
+the per-name queries) fold one store the same way: the slide and the add
+are the module functions ``_slide`` and ``_add_reads``, shared by both.
 
 The per-partition sparse-deque ``ScalarFeatureStore`` in
 ``tests/oracles/engine_state.py`` is the reference oracle: the equivalence
@@ -24,7 +27,8 @@ both must equal a brute-force recompute over the full history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -225,33 +229,21 @@ class FeatureStore:
         that may repeat a row adds event by event (``np.add.at``), in order.
         """
         self._advance(epoch)
-        if not rows.size:
-            return
-        read = counts > 0
-        if not read.all():
-            rows, counts = rows[read], counts[read]
-        column = self._window[:, epoch % self.window_months]
-        if distinct:
-            column[rows] += counts
-            self._lifetime[rows] += counts
-        else:
-            np.add.at(column, rows, counts)
-            np.add.at(self._lifetime, rows, counts)
-        self._last_access[rows] = epoch
+        if rows.size:
+            _add_reads(
+                self._window,
+                self._lifetime,
+                self._last_access,
+                epoch,
+                rows,
+                counts,
+                distinct,
+            )
 
     def _advance(self, epoch: int) -> None:
         """Slide the ring forward: zero the columns whose epochs expired."""
-        if self._epoch < 0 or epoch == self._epoch:
-            self._epoch = epoch
-            return
-        gap = epoch - self._epoch
-        window = self.window_months
-        used = len(self._names)
-        if gap >= window:
-            self._window[:used] = 0.0
-        else:
-            for expired in range(self._epoch + 1, epoch + 1):
-                self._window[:used, expired % window] = 0.0
+        if self._epoch >= 0 and epoch != self._epoch:
+            _slide(self._window[: len(self._names)], self._epoch, epoch)
         self._epoch = epoch
 
     # -- queries ----------------------------------------------------------------
@@ -327,3 +319,91 @@ class FeatureStore:
         used = len(self._names)
         read = np.flatnonzero(self._last_access[:used] >= 0).tolist()
         return sorted(self._names[row] for row in read)
+
+
+class StoreBlock:
+    """The ring, lifetime and last-access columns of several stores, folded
+    as one.
+
+    The block concatenates the stores' row state, each store's rows after
+    the previous store's (store ``k`` owns block rows ``starts[k]`` to
+    ``starts[k + 1]``), and rebinds every store to its row range (a view):
+    each store keeps its object and its own epoch while one :meth:`fold`
+    updates all of them.  The stores must share one window width.
+    """
+
+    def __init__(self, stores: Sequence[FeatureStore]):
+        self.stores = tuple(stores)
+        self.starts = [0, *accumulate(len(store._lifetime) for store in stores)]
+        self._window = np.concatenate([store._window for store in stores])
+        self._lifetime = np.concatenate([store._lifetime for store in stores])
+        self._last_access = np.concatenate([store._last_access for store in stores])
+        for store, start, stop in zip(stores, self.starts, self.starts[1:]):
+            store._window = self._window[start:stop]
+            store._lifetime = self._lifetime[start:stop]
+            store._last_access = self._last_access[start:stop]
+
+    def intact(self) -> bool:
+        """True while every store still holds its rows of these columns
+        (a store that grew, or joined another block, does not)."""
+        window = self._window
+        for store in self.stores:
+            if store._window.base is not window:
+                return False
+        return True
+
+    def fold(self, epoch: int, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Fold one epoch's reads into every store: ``counts[k]`` reads of
+        the distinct block row ``rows[k]``.  Validated input only.
+
+        Zeroing the expiring ring column is exact across the whole block,
+        because a store that has never observed holds zeros.  A store
+        whose last epoch lags further behind (folded outside the block)
+        first slides on its own.
+        """
+        for store in self.stores:
+            if store._epoch not in (-1, epoch - 1):
+                store._advance(epoch)
+            store._epoch = epoch
+        _slide(self._window, epoch - 1, epoch)
+        _add_reads(self._window, self._lifetime, self._last_access, epoch, rows, counts)
+
+
+def _slide(window: np.ndarray, last_epoch: int, epoch: int) -> None:
+    """Zero the ring columns of the epochs after ``last_epoch`` through
+    ``epoch`` (every column once the gap spans the ring)."""
+    width = window.shape[1]
+    if epoch - last_epoch >= width:
+        window[:] = 0.0
+    else:
+        for expired in range(last_epoch + 1, epoch + 1):
+            window[:, expired % width] = 0.0
+
+
+def _add_reads(
+    window: np.ndarray,
+    lifetime: np.ndarray,
+    last_access: np.ndarray,
+    epoch: int,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    distinct: bool = True,
+) -> None:
+    """Add ``epoch``'s ``counts`` of ``rows`` into the ring column of the
+    epoch and the lifetime totals, and mark the rows read at ``epoch``; rows
+    without a positive read are left alone.
+
+    ``distinct`` rows take one fancy add; rows that may repeat add event by
+    event (``np.add.at``), in order.
+    """
+    read = counts > 0
+    if not read.all():
+        rows, counts = rows[read], counts[read]
+    column = window[:, epoch % window.shape[1]]
+    if distinct:
+        column[rows] += counts
+        lifetime[rows] += counts
+    else:
+        np.add.at(column, rows, counts)
+        np.add.at(lifetime, rows, counts)
+    last_access[rows] = epoch

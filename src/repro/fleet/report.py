@@ -17,9 +17,12 @@ from ..engine import EngineReport
 __all__ = ["PoolUsageRecord", "FleetReport"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolUsageRecord:
-    """One epoch's shared-capacity snapshot."""
+    """One epoch's shared-capacity snapshot.
+
+    Slotted: a long run keeps one record per window.
+    """
 
     epoch: int
     used_gb: dict[str, float]

@@ -15,9 +15,11 @@ per tenant epoch-locked over the same monthly timeline.  Per epoch it
    of non-firing tenants subtracted from each pool's budget first — then
    splits the placements back and lets each tenant's executor apply and bill
    its own moves;
-4. settles every tenant (simulator step, feature store, forecaster) through a
-   :mod:`concurrent.futures` thread pool, since settled tenants share no
-   mutable state.
+4. settles every tenant (simulator step, feature store, forecaster).  On the
+   windowed timeline the fleet settles all tenants that share a ring width
+   and an EWMA alpha in one pass over one
+   :class:`~repro.engine.SettleBlock`; the dense epoch loop settles each
+   engine in turn.
 
 With slack pools the arbitration is a no-op and every partition keeps its
 individually-cheapest option, so a fleet run is **bill-exact** against N
@@ -38,6 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..cloud import (
     EventBatch,
+    PartitionArrays,
     PoolSet,
     TierCatalog,
     TimedEvent,
@@ -58,6 +61,7 @@ from ..engine import (
     EngineReport,
     EpochBatch,
     OnlineTieringEngine,
+    SettleBlock,
     StreamWindow,
     TriggerWindow,
     windowed,
@@ -162,6 +166,10 @@ class FleetScheduler:
         # pulls their batches itself since run()'s iterators predate them.
         self._chaos_streams: dict[str, object] = {}
         self._pool_records: list[PoolUsageRecord] = []
+        # The live roster's settle blocks with their tenant names, one per
+        # (window width, alpha) group; rebuilt on first use after a roster
+        # change.
+        self._blocks: list[tuple[tuple[str, ...], SettleBlock]] = []
         # Incremental fleet solves: one DeltaSolver across epochs, keyed by
         # tenant-tagged names so the varying firing subsets merge into a
         # single fleet-wide cache.  Governed by the *shared* engine config —
@@ -252,6 +260,7 @@ class FleetScheduler:
         self.engines[spec.name] = engine
         self._records[spec.name] = []
         self._policy_names[spec.name] = spec.policy.name
+        self._blocks = []
         if stream is not None:
             self._chaos_streams[spec.name] = iter(stream)
         return engine
@@ -269,6 +278,7 @@ class FleetScheduler:
             raise KeyError(f"unknown tenant {name!r}")
         engine = self.engines.pop(name)
         self.tenants = tuple(spec for spec in self.tenants if spec.name != name)
+        self._blocks = []
         self._chaos_streams.pop(name, None)
         if self._delta is not None:
             prefix = f"{name}{TENANT_SEPARATOR}"
@@ -277,7 +287,7 @@ class FleetScheduler:
             )
 
     def _map(self, function: Callable[[str], _T], names: Sequence[str]) -> list[_T]:
-        """Apply ``function`` per tenant, threaded when configured.
+        """Build per tenant, threaded when configured.
 
         Tenant engines share no mutable state with each other, so the results
         are identical for any worker count; the pool only buys wall-clock.
@@ -415,6 +425,9 @@ class FleetScheduler:
         reports of an applied solve (empty when placements froze).
         """
         migrations: dict[str, object] = {}
+        # The last solve's report holds its stacked problem and cost
+        # tensors; drop it before this solve builds its own.
+        self.last_solve_report = self.last_delta_report = None
 
         def build(name: str):
             with tracer.span(
@@ -524,20 +537,17 @@ class FleetScheduler:
                 )
             solve_seconds = monotonic_s() - solve_started
 
-            def settle(name: str):
+            for name in order:
                 started = monotonic_s()
-                with tracer.span(
-                    "fleet.settle", parent_id=epoch_span_id, tenant=name
-                ):
-                    return self.engines[name].settle(
-                        batches[name],
-                        migration=migrations.get(name),
-                        reoptimized=name in migrations,
-                        started=started,
+                with tracer.span("fleet.settle", tenant=name):
+                    self._records[name].append(
+                        self.engines[name].settle(
+                            batches[name],
+                            migration=migrations.get(name),
+                            reoptimized=name in migrations,
+                            started=started,
+                        )
                     )
-
-            for name, record in zip(order, self._map(settle, order)):
-                self._records[name].append(record)
 
             self._note_pool_usage(
                 epoch, order, len(firing), solve_seconds, tracer, epoch_span
@@ -562,6 +572,10 @@ class FleetScheduler:
             if self.pools is not None
             else {}
         )
+        if self._pool_records and self._pool_records[-1].capacity_gb == capacity:
+            # Unchanged since the last record: share its snapshot, since a
+            # long run keeps one record per window.
+            capacity = self._pool_records[-1].capacity_gb
         if tracer.enabled:
             epoch_span.set(num_reoptimized=num_fired)
             metrics = get_metrics()
@@ -595,11 +609,23 @@ class FleetScheduler:
         monthly grid.  Live tenants missing from ``windows`` (e.g. just
         admitted by a chaos ``TenantJoin``, whose dense spec streams have no
         place on the windowed timeline) settle an empty window: storage
-        accrues, no reads.
+        accrues, no reads.  Windows may carry different vocabularies; each
+        tenant's events are resolved through its own engine's rows.
+
+        Every live tenant's window is validated — its place on the tenant's
+        timeline and every event's partition — before any disruption,
+        policy decision, migration or fold, and so is the window of a tenant
+        a chaos ``TenantJoin`` admits in this window, against its spec's
+        partitions.  A bad window raises with the whole fleet unchanged and
+        the corrected window is accepted after.
 
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
         drift, and the stacked solve re-arbitrates the pools for everyone.
+        After the solve, one pass per :class:`~repro.engine.SettleBlock`
+        settles every tenant: the tenants that share a ring width and an
+        EWMA alpha (all of them, unless tenant configs differ there) are
+        billed and folded together.
         """
         if not windows:
             raise ValueError("at least one tenant window is required")
@@ -613,34 +639,49 @@ class FleetScheduler:
             )
         index, start, end = spans.pop()
         cause = next(iter(windows.values())).cause
-        if self.chaos is not None:
-            # Disruptions whose month marks fall inside this window land at
-            # its boundary, before any policy decision or billing.
-            self.chaos.before_fleet_window(self, index, start, end)
-        order = [spec.name for spec in self.tenants]
-        windows = dict(windows)
-        for name in order:
-            if name not in windows:
-                windows[name] = StreamWindow(
-                    index=index,
-                    start_month=start,
-                    end_month=end,
-                    events=EventBatch.empty(name),
-                    cause=cause,
-                )
-
+        engines = self.engines
         tracer = get_tracer()
         with tracer.span(
             "fleet.window", index=index, cause=cause
         ) as epoch_span:
             epoch_span_id = tracer.current_span_id
+            rows = {
+                name: engines[name]._window_rows(window)
+                for name, window in windows.items()
+                if name in engines
+            }
+            if self.chaos is not None:
+                # A tenant this window admits has no engine yet: check its
+                # events against its spec's partitions.
+                for spec in self.chaos.joiners_in_window(start, end):
+                    joining = windows.get(spec.name)
+                    if joining is not None and len(joining.events):
+                        arrays = PartitionArrays.from_partitions(spec.partitions)
+                        arrays.event_rows(joining.events)
+                # Disruptions whose month marks fall inside this window land
+                # at its boundary, before any policy decision or billing.
+                self.chaos.before_fleet_window(self, index, start, end)
+            order = [spec.name for spec in self.tenants]
+            windows = dict(windows)
+            for name in order:
+                if name not in windows:
+                    windows[name] = StreamWindow(
+                        index=index,
+                        start_month=start,
+                        end_month=end,
+                        events=EventBatch.empty(name),
+                        cause=cause,
+                    )
+                if name not in rows:
+                    rows[name] = engines[name]._window_rows(windows[name])
+
             force_all = cause == "drift"
             firing = [
                 name
                 for name in order
                 # begin_window runs for every tenant (timeline validation +
                 # policy bookkeeping) even when a drift close forces firing.
-                if self.engines[name].begin_window(index) or force_all
+                if engines[name].begin_window(index) or force_all
             ]
             if self.chaos is not None:
                 forced = self.chaos.take_forced_tenants() & set(order)
@@ -655,24 +696,40 @@ class FleetScheduler:
                 )
             solve_seconds = monotonic_s() - solve_started
 
-            def settle(name: str):
-                started = monotonic_s()
-                with tracer.span(
-                    "fleet.settle", parent_id=epoch_span_id, tenant=name
-                ):
-                    return self.engines[name].settle_window(
-                        windows[name],
-                        migration=migrations.get(name),
-                        reoptimized=name in migrations,
-                        started=started,
+            with tracer.span("fleet.settle", tenants=len(order)):
+                for names, block in self._settle_blocks():
+                    records = block.settle(
+                        [windows[name] for name in names],
+                        [rows[name] for name in names],
+                        [migrations.get(name) for name in names],
+                        [name in migrations for name in names],
+                        started=monotonic_s(),
                     )
-
-            for name, record in zip(order, self._map(settle, order)):
-                self._records[name].append(record)
+                    for name, record in zip(names, records):
+                        self._records[name].append(record)
 
             self._note_pool_usage(
                 index, order, len(firing), solve_seconds, tracer, epoch_span
             )
+
+    def _settle_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
+        """The live roster's settle blocks, with each block's tenants.
+
+        Tenants are grouped by feature-store window width and forecaster
+        alpha, in roster order.  The blocks are rebuilt after a roster
+        change, or when an engine no longer holds a block's columns.
+        """
+        if not self._blocks or not all(block.intact() for _, block in self._blocks):
+            groups: dict[tuple, list[str]] = {}
+            for spec in self.tenants:
+                engine = self.engines[spec.name]
+                key = (engine.feature_store.window_months, engine.forecaster.alpha)
+                groups.setdefault(key, []).append(spec.name)
+            self._blocks = [
+                (tuple(names), SettleBlock([self.engines[name] for name in names]))
+                for names in groups.values()
+            ]
+        return self._blocks
 
     def run_streams(
         self,
@@ -691,9 +748,10 @@ class FleetScheduler:
         chunk by chunk into one fleet-wide time-ordered stream (each chunk
         attributed to its mapping key), cut by the *shared* ``trigger``, and
         every closed window is split back into per-tenant windows for
-        :meth:`step_window` — so a count trigger counts fleet-wide events
-        and a time trigger keeps the familiar lock-step grid.  Memory stays
-        O(streams x chunk + open window), never O(stream).
+        :meth:`step_window` by one stable sort on the tenant column — so a
+        count trigger counts fleet-wide events and a time trigger keeps the
+        familiar lock-step grid.  Memory stays O(streams x chunk + open
+        window), never O(stream).
 
         A :class:`~repro.engine.DriftTrigger` used here needs an explicit
         ``baseline_provider``: the merged stream spans tenants, and which
@@ -704,7 +762,7 @@ class FleetScheduler:
             raise ValueError(f"streams missing tenants: {missing}")
 
         # Each stream's chunks are attributed to its mapping key, so the
-        # merged windows split back per tenant by a stable selection.
+        # merged windows split back per tenant by a stable sort.
         def attributed(name: str, stream: object):
             for batch in iter_batches(stream):
                 yield batch.with_tenant(name)
@@ -715,14 +773,14 @@ class FleetScheduler:
         for window in windowed(
             merged, trigger, start_month=start_month, horizon_months=horizon_months
         ):
-            events = window.events
+            by_tenant = window.events.by_tenant()
             self.step_window(
                 {
                     name: StreamWindow(
                         index=window.index,
                         start_month=window.start_month,
                         end_month=window.end_month,
-                        events=events.for_tenant(name),
+                        events=by_tenant.get(name) or EventBatch.empty(name),
                         cause=window.cause,
                     )
                     # Live roster at window close: join/leave may have changed

@@ -9,7 +9,7 @@ orchestration:
 
 * **No cost-tensor pickling.**  The parent packs the stacked problem's
   numeric columns (partition features, codec pins, per-scheme profile
-  columns, SLO caps, tier-eligibility masks) into one
+  columns, the tier-eligibility mask of SLO caps, affinity and bans) into one
   :class:`multiprocessing.shared_memory.SharedMemory` block; workers attach
   by name, build their shard's ``(n, T, K)`` cost tensors locally with the
   same :meth:`~repro.cloud.CostModel.batch_tensors` arithmetic as the
@@ -129,7 +129,6 @@ class _ShardTask:
     n: int
     num_schemes: int
     num_tiers: int
-    has_slo: bool
     has_mask: bool
     shard: int
     start: int
@@ -149,8 +148,8 @@ class _ShardResult:
     spans: list[SpanRecord]
 
 
-def _input_views(buf, n: int, k: int, t: int, has_slo: bool, has_mask: bool):
-    """(base, ratio, decompression, available, slo, mask) views over ``buf``."""
+def _input_views(buf, n: int, k: int, t: int, has_mask: bool):
+    """(base, ratio, decompression, available, mask) views over ``buf``."""
     offset = 0
     base = np.frombuffer(buf, dtype=np.float64, count=_IN_COLS * n, offset=offset)
     base = base.reshape(_IN_COLS, n)
@@ -164,21 +163,15 @@ def _input_views(buf, n: int, k: int, t: int, has_slo: bool, has_mask: bool):
     available = np.frombuffer(buf, dtype=np.uint8, count=n * k, offset=offset)
     available = available.reshape(n, k)
     offset += n * k
-    slo = None
-    if has_slo:
-        slo = np.frombuffer(buf, dtype=np.float64, count=n, offset=offset)
-        offset += n * 8
     mask = None
     if has_mask:
         mask = np.frombuffer(buf, dtype=np.uint8, count=n * t, offset=offset)
         mask = mask.reshape(n, t)
-    return base, ratio, decompression, available, slo, mask
+    return base, ratio, decompression, available, mask
 
 
-def _input_nbytes(n: int, k: int, t: int, has_slo: bool, has_mask: bool) -> int:
+def _input_nbytes(n: int, k: int, t: int, has_mask: bool) -> int:
     total = _IN_COLS * n * 8 + 2 * n * k * 8 + n * k
-    if has_slo:
-        total += n * 8
     if has_mask:
         total += n * t
     return total
@@ -206,8 +199,8 @@ def _solve_shard(task: _ShardTask) -> _ShardResult:
 
 def _solve_shard_views(task: _ShardTask, in_buf, out_buf) -> _ShardResult:
     tracer = Tracer() if task.trace else None
-    base, ratio, decompression, available, slo, mask = _input_views(
-        in_buf, task.n, task.num_schemes, task.num_tiers, task.has_slo, task.has_mask
+    base, ratio, decompression, available, mask = _input_views(
+        in_buf, task.n, task.num_schemes, task.num_tiers, task.has_mask
     )
     out = np.frombuffer(out_buf, dtype=np.float64, count=_OUT_COLS * task.n)
     out = out.reshape(_OUT_COLS, task.n)
@@ -258,7 +251,6 @@ def _solve_shard_views(task: _ShardTask, in_buf, out_buf) -> _ShardResult:
                 ratio[sel],
                 decompression[sel],
                 available[sel].astype(bool),
-                latency_slo_s=None if slo is None else slo[sel],
                 tier_allowed=None if mask is None else mask[sel].astype(bool),
             )
         argmin_cm = (
@@ -574,8 +566,7 @@ class ShardedFleetSolver:
         from multiprocessing import shared_memory
 
         schemes, ratio, decompression, available = problem._profile_columns()
-        slo = problem._slo_vector()
-        mask = problem._tier_allowed_mask()
+        mask = problem._tier_mask()
         n = len(arrays)
         k = len(schemes)
         t = problem.tier_count
@@ -584,19 +575,19 @@ class ShardedFleetSolver:
         in_shm = shared_memory.SharedMemory(
             create=True,
             name=f"{stem}_in",
-            size=_input_nbytes(n, k, t, slo is not None, mask is not None),
+            size=_input_nbytes(n, k, t, mask is not None),
         )
         out_shm = shared_memory.SharedMemory(
             create=True, name=f"{stem}_out", size=_OUT_COLS * n * 8
         )
-        self._write_inputs(problem, arrays, in_shm.buf, slo, mask)
+        self._write_inputs(problem, arrays, in_shm.buf, mask)
         return in_shm, out_shm
 
-    def _write_inputs(self, problem, arrays, buf, slo, mask) -> None:
+    def _write_inputs(self, problem, arrays, buf, mask) -> None:
         schemes, ratio, decompression, available = problem._profile_columns()
         n = len(arrays)
-        base, ratio_v, decomp_v, avail_v, slo_v, mask_v = _input_views(
-            buf, n, len(schemes), problem.tier_count, slo is not None, mask is not None
+        base, ratio_v, decomp_v, avail_v, mask_v = _input_views(
+            buf, n, len(schemes), problem.tier_count, mask is not None
         )
         scheme_position = {scheme: k for k, scheme in enumerate(schemes)}
         base[_IN_SIZE] = arrays.size_gb
@@ -616,8 +607,6 @@ class ShardedFleetSolver:
         ratio_v[:] = ratio
         decomp_v[:] = decompression
         avail_v[:] = available
-        if slo_v is not None:
-            slo_v[:] = slo
         if mask_v is not None:
             mask_v[:] = mask
 
@@ -636,8 +625,7 @@ class ShardedFleetSolver:
         from contextlib import nullcontext
 
         schemes = problem.scheme_union()
-        slo = problem._slo_vector()
-        mask = problem._tier_allowed_mask()
+        has_mask = problem._tier_mask() is not None
         n = len(arrays)
         factor = 1.0
         last_error: Exception | None = None
@@ -658,8 +646,7 @@ class ShardedFleetSolver:
                         n,
                         len(schemes),
                         problem.tier_count,
-                        slo is not None,
-                        mask is not None,
+                        has_mask,
                         schemes,
                         problem.cost_model,
                         factor,
@@ -704,7 +691,6 @@ class ShardedFleetSolver:
         n,
         num_schemes,
         num_tiers,
-        has_slo,
         has_mask,
         schemes,
         cost_model,
@@ -730,7 +716,6 @@ class ShardedFleetSolver:
                         n=n,
                         num_schemes=num_schemes,
                         num_tiers=num_tiers,
-                        has_slo=has_slo,
                         has_mask=has_mask,
                         shard=shard,
                         start=start,

@@ -83,10 +83,12 @@ class FleetConfig:
 
     ``engine`` is the shared :class:`~repro.engine.EngineConfig` for tenants
     whose spec carries none.  ``max_workers`` sizes the
-    :mod:`concurrent.futures` thread pool that builds problems and settles
-    independent tenants in parallel (``None`` or ``1`` = serial); tenants
-    share no mutable state outside the stacked solve, so any worker count
-    produces identical results.
+    :mod:`concurrent.futures` thread pool that builds the firing tenants'
+    problems in parallel (``None`` or ``1`` = serial); tenants share no
+    mutable state while they build, so any worker count produces identical
+    results.  Settling is not threaded: the windowed loop settles every
+    tenant in one vectorized pass, and the dense loop settles tenants in
+    turn.
 
     ``shards`` switches the stacked solve itself to the multiprocess
     :class:`~repro.fleet.sharding.ShardedFleetSolver` with that many shards

@@ -157,9 +157,12 @@ class _BaseTree:
             gain = gains[best_position]
             if gain > best_gain + 1e-12:
                 best_gain = float(gain)
-                threshold = 0.5 * (
-                    x_sorted[best_position] + x_sorted[best_position + 1]
-                )
+                below, above = x_sorted[best_position], x_sorted[best_position + 1]
+                threshold = 0.5 * (below + above)
+                # Between neighbouring floats the midpoint can round up to
+                # the upper value, which would send every sample left.
+                if not threshold < above:
+                    threshold = below
                 best = (int(feature), float(threshold))
         return best
 

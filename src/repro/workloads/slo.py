@@ -17,6 +17,7 @@ and :class:`~repro.engine.OnlineTieringEngine` accept directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,7 +167,8 @@ def generate_slo_workload(
     class_of: dict[str, str] = {}
     for index in range(num_partitions):
         cls = classes[int(rng.choice(len(classes), p=weights))]
-        name = f"{cls.name}_{index:04d}"
+        # Accounts generated alike reuse names; interned, each is one string.
+        name = sys.intern(f"{cls.name}_{index:04d}")
         low, high = cls.size_gb_range
         size_gb = float(rng.uniform(low, high))
         low, high = cls.monthly_reads_range

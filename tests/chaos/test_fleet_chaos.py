@@ -14,8 +14,8 @@ from repro.chaos import (
     TenantJoin,
     TenantLeave,
 )
-from repro.cloud import PoolSet, multi_cloud_catalog
-from repro.engine import EngineConfig
+from repro.cloud import DataPartition, PoolSet, multi_cloud_catalog
+from repro.engine import EngineConfig, StaticOnce, StreamWindow
 from repro.engine.policies import PeriodicReoptimize
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
 from repro.workloads import generate_fleet_workload
@@ -269,3 +269,53 @@ class TestDeltaEquivalenceUnderChaos:
             )
 
         self.assert_equivalent(schedule)
+
+
+class TestDegradedWindowReportsItsOwnRelaxation:
+    def test_unpooled_retry_after_a_relaxed_window(self):
+        """Window 0's pooled solve widens tenant a's latency SLA; window 1's
+        pooled solve (tenant b alone) fails under shrunken pools and the
+        unpooled retry needs no relaxation.  Window 1's report holds the
+        retry's outcome only, not window 0's factor."""
+        catalog = multi_cloud_catalog()
+        # Faster than any tier: feasible only once the SLA is widened x2.
+        fast = DataPartition(
+            "fast", size_gb=50.0, predicted_accesses=5.0, latency_threshold_s=0.003
+        )
+        slow = [
+            DataPartition(f"b{i}", size_gb=40.0, predicted_accesses=1.0)
+            for i in range(2)
+        ]
+        specs = [
+            TenantSpec("a", [fast], StaticOnce(), stream=iter(())),
+            TenantSpec("b", slow, PeriodicReoptimize(1), stream=iter(())),
+        ]
+        chaos = ChaosInjector(
+            DisruptionSchedule(
+                [
+                    PoolShock(epoch=1, pool=name, capacity_gb=1.0)
+                    for name in catalog.provider_names
+                ]
+            )
+        )
+        scheduler = FleetScheduler(
+            specs,
+            catalog,
+            pools=PoolSet.per_provider(
+                catalog, {name: SLACK for name in catalog.provider_names}
+            ),
+            config=FleetConfig(engine=EngineConfig(horizon_months=3.0)),
+            chaos=chaos,
+        )
+        for index in range(2):
+            scheduler.step_window(
+                {
+                    name: StreamWindow(index, float(index), index + 1.0, (), "time")
+                    for name in ("a", "b")
+                }
+            )
+        first, second = chaos.reports
+        assert first.epoch == 0
+        assert [(a.kind, a.amount) for a in first.actions] == [("latency_relaxed", 2.0)]
+        assert second.epoch == 1
+        assert [a.kind for a in second.actions] == ["pool_budget_suspended"]

@@ -31,6 +31,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="reads must be non-negative"):
             EventBatch([0.1], [0], [-1.0], ["a"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_and_reads_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="event time must be"):
+            EventBatch([0.1, bad], [0, 0], [1.0, 1.0], ["a"])
+        with pytest.raises(ValueError, match="reads must be"):
+            EventBatch([0.1, 0.2], [0, 0], [1.0, bad], ["a"])
+        with pytest.raises(ValueError, match="event time must be"):
+            TimedEvent(t=bad, partition="a")
+        with pytest.raises(ValueError, match="reads must be"):
+            TimedEvent(t=0.1, partition="a", reads=bad)
+
     def test_shape_and_code_checks(self):
         with pytest.raises(ValueError, match="equal length"):
             EventBatch([0.1, 0.2], [0], [1.0], ["a"])
@@ -87,6 +98,37 @@ class TestAggregation:
         assert list(batch.for_tenant("y")) == rows[1:]
         assert len(batch.for_tenant("nobody")) == 0
         assert {event.tenant for event in batch.with_tenant("z")} == {"z"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tenant_codes=st.lists(st.integers(0, 3), max_size=30),
+        tenants=st.sampled_from([("x", "y", "z", "w"), (None, "y", "z", "w")]),
+    )
+    def test_by_tenant_equals_a_selection_per_tenant(self, tenant_codes, tenants):
+        size = len(tenant_codes)
+        batch = EventBatch(
+            np.arange(size) / 8,
+            np.arange(size) % 3,
+            np.arange(size) * 0.5,
+            ("a", "b", "c"),
+            tenant=tenant_codes,
+            tenants=tenants,
+        )
+        split = batch.by_tenant()
+        assert list(split) == [t for t in tenants if t in split]
+        for tenant in tenants:
+            selected = batch.for_tenant(tenant)
+            if not len(selected):
+                assert tenant not in split
+                continue
+            part = split[tenant]
+            assert part.tenants == (tenant,) and part.vocab == batch.vocab
+            assert list(part) == list(selected)
+
+    def test_by_tenant_of_a_one_tenant_batch_is_the_batch(self):
+        batch = EventBatch.from_events(events((0.1, "a", 1.0), tenant="x"))
+        assert batch.by_tenant() == {"x": batch}
+        assert EventBatch.empty("x").by_tenant() == {}
 
     def test_concat_recodes_different_vocabs(self):
         first = EventBatch.from_events(events((0.1, "a", 1.0), tenant="x"))

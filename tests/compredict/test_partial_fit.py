@@ -28,6 +28,16 @@ class TestPartialFit:
         profile = predictor.predict_profile(make_samples(2)[0], "gzip", Layout.CSV)
         assert profile.ratio >= 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_tree_leaf_is_empty(self, codec):
+        """This training data holds neighbouring floats whose midpoint rounds
+        up to the larger one; a split there must not leave an empty leaf
+        (whose mean warns and predicts NaN)."""
+        predictor = CompressionPredictor()
+        predictor.partial_fit(make_samples(1), [codec])
+        profile = predictor.predict_profile(make_samples(2)[0], "gzip", Layout.CSV)
+        assert np.isfinite(profile.ratio) and profile.ratio >= 1.0
+
     def test_window_accumulates_across_calls(self, codec):
         predictor = CompressionPredictor()
         predictor.partial_fit(make_samples(1, count=4), [codec])

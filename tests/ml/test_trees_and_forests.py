@@ -57,6 +57,14 @@ class TestDecisionTreeRegressor:
         with pytest.raises(RuntimeError):
             DecisionTreeRegressor().predict(np.zeros((1, 2)))
 
+    def test_split_between_neighbouring_floats_keeps_both_children(self):
+        # 0.5 * (a + b) rounds up to b for these neighbours.
+        a, b = 27.727556343612715, 27.72755634361272
+        assert 0.5 * (a + b) == b
+        model = DecisionTreeRegressor(max_depth=3, min_samples_split=2, min_samples_leaf=1)
+        model.fit(np.array([[a], [b]]), np.array([0.0, 10.0]))
+        assert model.predict(np.array([[a], [b], [30.0]])).tolist() == [0.0, 10.0, 10.0]
+
     def test_wrong_feature_count_rejected(self, regression_data):
         X_train, y_train, _, _ = regression_data
         model = DecisionTreeRegressor().fit(X_train, y_train)

@@ -15,6 +15,7 @@ from repro.cloud import (
     DataPartition,
     PartitionArrays,
     azure_tier_catalog,
+    multi_cloud_catalog,
 )
 from repro.core.optassign import (
     Assignment,
@@ -114,6 +115,86 @@ class TestStackedProfileColumns:
         got, want = stacked.problem.batch_tensors(), uncached.batch_tensors()
         assert got.objective.tobytes() == want.objective.tobytes()
         assert got.feasible.tobytes() == want.feasible.tobytes()
+
+
+def constrained_problem(model, seed, slo=None, affinity=None, banned=None):
+    """A tenant problem with SLO caps, residency pins and banned tiers."""
+    base = tenant_problem(model, ("gzip", "lz4"), seed)
+    return OptAssignProblem(
+        base.partition_arrays(),
+        model,
+        base._profiles,
+        latency_slo_s=slo,
+        provider_affinity=affinity,
+        banned_tiers=banned,
+    )
+
+
+def uncached(problem: OptAssignProblem) -> OptAssignProblem:
+    """The same instance with every cache empty: masks rebuilt from the
+    name-keyed constraint maps."""
+    return OptAssignProblem._assemble(
+        problem.cost_model,
+        problem.partition_arrays(),
+        problem._profiles,
+        problem._latency_slo,
+        problem._provider_affinity,
+        problem.banned_tiers,
+    )
+
+
+class TestTierMasks:
+    @pytest.fixture
+    def multi_model(self):
+        return CostModel(multi_cloud_catalog(), duration_months=6.0)
+
+    @pytest.fixture
+    def constrained(self, multi_model):
+        tiers = multi_model.tiers
+        slo = sorted(tier.effective_slo_s for tier in tiers)[len(tiers) // 2]
+        return {
+            "capped": constrained_problem(multi_model, 1, slo={"p0": slo, "p4": 0.0}),
+            "plain": constrained_problem(multi_model, 2),
+            "pinned": constrained_problem(
+                multi_model, 3, affinity={"p1": "aws_s3", "p2": ["gcp_gcs", "aws_s3"]}
+            ),
+            # Only this tenant sees the ban; the stack applies it to every row.
+            "banned": constrained_problem(multi_model, 4, banned=[1]),
+        }
+
+    def test_stack_concatenates_the_tenant_masks(self, constrained):
+        stacked = StackedProblem.stack(constrained).problem
+        want = uncached(stacked)
+        assert stacked._tier_mask().tobytes() == want._tier_mask().tobytes()
+        assert not stacked._tier_mask()[:, 1].any()
+        got_tensors, want_tensors = stacked.batch_tensors(), want.batch_tensors()
+        assert got_tensors.feasible.tobytes() == want_tensors.feasible.tobytes()
+        assert got_tensors.objective.tobytes() == want_tensors.objective.tobytes()
+        assert stacked.hard_mask_empty_partitions() == want.hard_mask_empty_partitions()
+        assert "capped::p4" in stacked.hard_mask_empty_partitions()
+
+    def test_unconstrained_stack_has_no_mask(self, multi_model):
+        stacked = StackedProblem.stack(
+            {"a": constrained_problem(multi_model, 5), "b": constrained_problem(multi_model, 6)}
+        ).problem
+        assert stacked._tier_mask() is None
+        assert uncached(stacked)._tier_mask() is None
+
+    def test_carve_slices_and_relaxed_carries_the_masks(self, constrained):
+        stacked = StackedProblem.stack(constrained).problem
+        rows = [0, 4, 9, 15, 16, 27]
+        carved = stacked.carve(rows)
+        assert carved._tier_mask().tobytes() == uncached(carved)._tier_mask().tobytes()
+        assert carved.batch_tensors().feasible.tobytes() == (
+            uncached(carved).batch_tensors().feasible.tobytes()
+        )
+        stacked.batch_tensors()
+        relaxed = stacked.relaxed(2.0)
+        assert relaxed._tier_mask() is stacked._tier_mask()
+        assert relaxed._codec_mask() is stacked._codec_mask()
+        assert relaxed.batch_tensors().feasible.tobytes() == (
+            uncached(relaxed).batch_tensors().feasible.tobytes()
+        )
 
 
 class TestSplitBySpans:

@@ -6,6 +6,11 @@ implementations they replaced, one Python object or dict entry per
 partition: the sparse-deque :class:`ScalarFeatureStore`, the dict-keyed
 :class:`DictForecaster` and the dict drift scores.  The columnar paths must
 reproduce them bit for bit (``tests/engine/test_state_oracle.py``).
+
+:func:`reference_settle_window` is the per-engine window settle that one
+:class:`~repro.engine.SettleBlock` pass over many engines replaced, and
+:func:`settle_each_engine` makes a fleet settle through it
+(``tests/engine/test_settle_block.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +18,90 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from repro.engine import EpochBatch, PartitionFeatures
+from repro.engine import (
+    EpochBatch,
+    MigrationExecutor,
+    PartitionFeatures,
+    StreamWindow,
+    WindowRecord,
+)
+from repro.obs.clock import monotonic_s
+
+
+def reference_settle_window(
+    engine,
+    window: StreamWindow,
+    migration=None,
+    reoptimized: bool = False,
+    started: float | None = None,
+) -> WindowRecord:
+    """Bill one engine's window and fold its events into that engine's
+    state, alone: the compiled billing step, then ``observe_rows``,
+    ``update_rows`` and a clock tick on the engine's own objects."""
+    index = window.index
+    engine._validate_window(index)
+    duration = window.duration_months
+    events = window.events
+    rows = engine._arrays.event_rows(events)
+    step = engine._compiled_placement().step(events, storage_months=duration, rows=rows)
+    observed = engine._observed(rows, events.reads, duration)
+    engine.feature_store.observe_rows(
+        index, engine._store_rows[observed.rows], observed.rates
+    )
+    engine.forecaster.update_rows(
+        index, engine._forecast_rows[observed.rows], observed.rates
+    )
+    MigrationExecutor.tick(engine.months_in_tier, months=duration)
+    engine._last_observed = observed
+    engine._last_window = index
+    engine._window_clock = window.end_month
+    engine._pending_forecast = None
+    return WindowRecord(
+        epoch=index,
+        reoptimized=reoptimized,
+        storage_cost=step.bill.storage,
+        read_cost=step.bill.read,
+        decompression_cost=step.bill.decompression,
+        migration_cost=migration.migration_cost if migration else 0.0,
+        early_deletion_penalty=(
+            migration.early_deletion_penalty if migration else 0.0
+        ),
+        num_moved=migration.num_moved if migration else 0,
+        moved_gb=migration.moved_gb if migration else 0.0,
+        access_count=step.access_count,
+        latency_violations=step.latency_violations,
+        wall_clock_s=monotonic_s() - started if started is not None else 0.0,
+        start_month=window.start_month,
+        end_month=window.end_month,
+        cause=window.cause,
+    )
+
+
+class _OneEngine:
+    """A stand-in settle block that settles one engine alone."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def settle(self, windows, rows, migrations, reoptimized, started=None):
+        return [
+            reference_settle_window(
+                self.engine, windows[0], migrations[0], reoptimized[0], started
+            )
+        ]
+
+
+def settle_each_engine(scheduler) -> None:
+    """Make ``scheduler`` settle every tenant's window alone through
+    :func:`reference_settle_window`, in roster order."""
+
+    def blocks():
+        return [
+            ((spec.name,), _OneEngine(scheduler.engines[spec.name]))
+            for spec in scheduler.tenants
+        ]
+
+    scheduler._settle_blocks = blocks
 
 
 def dict_drift_score(

@@ -1,7 +1,10 @@
 """Continuous event streams: re-iterability, thinning, traces, merging."""
 
+import importlib.util
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +256,33 @@ class TestTraceStream:
         path = tmp_path / "trace.csv"
         path.write_text("t,partition,reads\n0.5,a,1\n")
         assert list(TraceStream(path, tenant="acme"))[0].tenant == "acme"
+
+    @pytest.mark.parametrize(
+        "row", ["nan,p,1", "inf,p,1", "0.3,p,nan", "0.4,p,inf", "0.5,p,-inf"]
+    )
+    def test_non_finite_rows_are_rejected(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,partition,reads\n0.1,p,1\n{row}\n")
+        with pytest.raises(ValueError, match="must be (finite|non-negative)"):
+            list(TraceStream(path))
+
+    def test_validator_rejects_non_finite_cells(self, tmp_path):
+        tool = Path(__file__).resolve().parents[2] / "tools" / "validate_trace_csv.py"
+        spec = importlib.util.spec_from_file_location("validate_trace_csv", tool)
+        validator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(validator)
+        schema = json.loads(validator.DEFAULT_SCHEMA.read_text())
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "t,partition,reads\n0.1,p,1\nnan,p,1\n0.3,p,nan\n0.4,p,inf\n0.5,p,-inf\n"
+        )
+        errors = validator.validate_trace(path, schema)
+        assert [error.split(": ", 1)[1] for error in errors] == [
+            "line 3: t=nan is not finite",
+            "line 4: reads=nan is not finite",
+            "line 5: reads=inf is not finite",
+            "line 6: reads=-inf is not finite",
+        ]
 
     def test_unsorted_trace_reports_line_number(self, tmp_path):
         path = tmp_path / "trace.csv"

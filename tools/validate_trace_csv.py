@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,6 +61,10 @@ def row_to_object(row: dict, line: int) -> tuple[dict | None, list[str]]:
             obj["reads"] = float(raw_reads)
         except ValueError:
             errors.append(f"line {line}: reads={raw_reads!r} is not a number")
+    # The schema's "minimum: 0" is a comparison that NaN passes.
+    for key in ("t", "reads"):
+        if key in obj and not math.isfinite(obj[key]):
+            errors.append(f"line {line}: {key}={obj[key]!r} is not finite")
     return (None, errors) if errors else (obj, [])
 
 
