@@ -19,3 +19,6 @@ def pytest_configure(config):
         "slow: long-running property/scenario suites; deselect with "
         '-m "not slow" for a fast inner loop',
     )
+    # numpy's invalid-value, divide and empty-slice warnings mean NaN or inf
+    # reached arithmetic that should never see them: fail the test.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

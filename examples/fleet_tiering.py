@@ -113,7 +113,7 @@ def run_shared(catalog, capacity_gb, hot_parts, cold_parts):
         build_specs(hot_parts, cold_parts),
         catalog,
         pools=performance_pool(catalog, capacity_gb),
-        config=FleetConfig(engine=ENGINE_CONFIG, max_workers=4),
+        config=FleetConfig(engine=ENGINE_CONFIG),
     )
     return scheduler.run(num_epochs=MONTHS)
 

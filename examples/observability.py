@@ -44,7 +44,7 @@ from repro.cloud import (
     multi_cloud_catalog,
 )
 from repro.core.optassign import OptAssignProblem, solve_optassign
-from repro.engine import DriftTriggered, EngineConfig
+from repro.engine import DriftTriggered, EngineConfig, OnlineTieringEngine
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
 
 #: The solver/fleet phases the traced run must cover (the same span names the
@@ -164,7 +164,7 @@ def build_fleet(months: int) -> FleetScheduler:
         specs,
         catalog,
         pools=pools,
-        config=FleetConfig(engine=config, max_workers=2),
+        config=FleetConfig(engine=config),
     )
 
 
@@ -191,13 +191,22 @@ def main(argv: list[str] | None = None) -> None:
         _banner("2. Drift-triggered fleet run on a contended capacity pool")
         scheduler = build_fleet(months)
         report = scheduler.run(num_epochs=months)
+        # The fleet plans its tenants together; a lone engine builds and
+        # applies its own instance (engine.build_problem, engine.migrate).
+        spec = scheduler.tenants[0]
+        OnlineTieringEngine(
+            spec.partitions,
+            scheduler.tiers,
+            DriftTriggered(threshold=0.3),
+            config=spec.config,
+        ).run(spec.make_stream(months))
     snap = run.snapshot()
 
     print(f"\ncapacitated solve over {count} partitions:\n")
     print(obs.render_span_tree(solver_spans))
 
     # The span tree of one epoch that actually re-optimized: fleet.epoch ->
-    # build/stack/solve/apply plus the thread-pooled per-tenant settles.
+    # build/stack/solve/apply plus the per-tenant settles.
     fleet_epochs = [
         record
         for record in snap.spans

@@ -498,14 +498,9 @@ class ChaosInjector:
         """Attribute evacuation traffic (moves off banned tiers) to chaos."""
         if migration is None or not banned_tiers:
             return
-        evacuations = [
-            move for move in migration.moves if move.from_tier in banned_tiers
-        ]
-        if not evacuations:
+        cost = migration.evacuation_cost(banned_tiers)
+        if cost is None:
             return
-        cost = float(
-            sum(move.cost + move.egress_cost for move in evacuations)
-        )
         self.report_for(epoch).bill_impact_cents += cost
         metrics = get_metrics()
         if metrics.enabled:

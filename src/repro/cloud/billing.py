@@ -52,10 +52,11 @@ class CompressionProfile:
     decompression_s_per_gb: float
 
     def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise ValueError("compression ratio must be positive")
-        if self.decompression_s_per_gb < 0:
-            raise ValueError("decompression time must be non-negative")
+        # Comparisons that NaN fails.
+        if not 0 < self.ratio < math.inf:
+            raise ValueError("compression ratio must be positive and finite")
+        if not 0 <= self.decompression_s_per_gb < math.inf:
+            raise ValueError("decompression time must be non-negative and finite")
 
     def compressed_gb(self, uncompressed_gb: float) -> float:
         """Size on disk of ``uncompressed_gb`` after applying this scheme."""

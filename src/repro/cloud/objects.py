@@ -17,6 +17,8 @@ construct in the millions.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -100,11 +102,17 @@ class DataPartition:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("partition name must be non-empty")
-        if self.size_gb < 0:
-            raise ValueError("size_gb must be non-negative")
-        if self.predicted_accesses < 0:
-            raise ValueError("predicted_accesses must be non-negative")
-        if self.latency_threshold_s < 0:
+        # Comparisons that NaN fails: a NaN or infinite size or prior would
+        # surface much later as an infeasible solve that names the wrong
+        # cause.  An infinite latency threshold is the "no SLA" default.
+        if not 0 <= self.size_gb < math.inf:
+            raise ValueError("size_gb must be non-negative and finite")
+        # Float, like the engine's columns, so a move's stored size has one
+        # type however the partition was built.
+        self.size_gb = float(self.size_gb)
+        if not 0 <= self.predicted_accesses < math.inf:
+            raise ValueError("predicted_accesses must be non-negative and finite")
+        if not 0 <= self.latency_threshold_s:
             raise ValueError("latency_threshold_s must be non-negative")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")

@@ -32,6 +32,7 @@ __all__ = [
     "SimulationResult",
     "CloudStorageSimulator",
     "CompiledPlacement",
+    "compile_prices",
     "percent_cost_benefit",
 ]
 
@@ -488,6 +489,36 @@ class CloudStorageSimulator:
         )
 
 
+def compile_prices(
+    costs: Mapping[str, np.ndarray],
+    compute_cost_per_s: float,
+    tier: np.ndarray,
+    ratio: np.ndarray,
+    decompression_s_per_gb: np.ndarray,
+    size_gb: np.ndarray,
+    read_gb_per_access: np.ndarray,
+    latency_threshold_s: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The per-row billing columns of a placement: ``(stored_gb,
+    storage_per_month, read_cost_per_read, decompression_cost_per_read,
+    latency_s, violates_sla)``.
+
+    The one price-compile rule: :class:`CompiledPlacement` and the engine's
+    block columns both call it.  ``costs`` is a catalog's
+    :meth:`~repro.cloud.TierCatalog.cost_arrays`; every other argument is a
+    row-aligned column (``tier``, ``ratio`` and ``decompression_s_per_gb``
+    from the placement, the rest from the partitions).  Every cell is
+    computed elementwise, so a row's prices do not depend on its neighbours.
+    """
+    stored_gb = size_gb / ratio
+    storage = costs["storage_cost"][tier] * stored_gb
+    read = costs["read_cost"][tier] * (read_gb_per_access / ratio)
+    decompression_s = decompression_s_per_gb * read_gb_per_access
+    decompression = compute_cost_per_s * decompression_s
+    latency = decompression_s + costs["latency_s"][tier]
+    return stored_gb, storage, read, decompression, latency, latency > latency_threshold_s
+
+
 class CompiledPlacement:
     """Vectorized per-epoch billing for one fixed (partitions, placement) pair.
 
@@ -512,26 +543,49 @@ class CompiledPlacement:
         missing = columns.unplaced()
         if missing:
             raise KeyError(f"placement missing partitions: {missing}")
+        self._bind(
+            simulator,
+            arrays,
+            columns.tier,
+            compile_prices(
+                simulator.tiers.cost_arrays(),
+                simulator.compute_cost_per_s,
+                columns.tier,
+                columns.ratio,
+                columns.decompression_s_per_gb,
+                arrays.size_gb,
+                arrays.read_gb_per_access,
+                arrays.latency_threshold_s,
+            ),
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        simulator: CloudStorageSimulator,
+        arrays: PartitionArrays,
+        tier_index: np.ndarray,
+        prices: Sequence[np.ndarray],
+    ) -> "CompiledPlacement":
+        """A compiled placement over columns :func:`compile_prices` already
+        computed (``prices`` in its return order), kept as given — views
+        stay views."""
+        compiled = cls.__new__(cls)
+        compiled._bind(simulator, arrays, tier_index, prices)
+        return compiled
+
+    def _bind(self, simulator, arrays, tier_index, prices) -> None:
         self.simulator = simulator
         self.arrays = arrays
-        costs = simulator.tiers.cost_arrays()
-        tier_index = columns.tier
-        ratio = columns.ratio
-        decompression_per_gb = columns.decompression_s_per_gb
         self.tier_index = tier_index
-
-        stored_gb = arrays.size_gb / ratio
-        self.stored_gb = stored_gb
-        self.storage_per_month = costs["storage_cost"][tier_index] * stored_gb
-        read_gb_uncompressed = arrays.read_gb_per_access
-        read_gb = read_gb_uncompressed / ratio
-        self.read_cost_per_read = costs["read_cost"][tier_index] * read_gb
-        decompression_s = decompression_per_gb * read_gb_uncompressed
-        self.decompression_cost_per_read = (
-            simulator.compute_cost_per_s * decompression_s
-        )
-        self.latency_s = decompression_s + costs["latency_s"][tier_index]
-        self.violates_sla = self.latency_s > arrays.latency_threshold_s
+        (
+            self.stored_gb,
+            self.storage_per_month,
+            self.read_cost_per_read,
+            self.decompression_cost_per_read,
+            self.latency_s,
+            self.violates_sla,
+        ) = prices
 
     def tier_usage_gb(self) -> np.ndarray:
         """Stored GB per catalog tier under this placement.

@@ -77,17 +77,25 @@ class StorageTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tier name must be non-empty")
+        # Comparisons that NaN fails: a NaN price or latency would make a
+        # tier silently infeasible or every solve fail for the wrong reason.
         for label, value in (
             ("storage_cost", self.storage_cost),
             ("read_cost", self.read_cost),
             ("write_cost", self.write_cost),
             ("latency_s", self.latency_s),
-            ("capacity_gb", self.capacity_gb),
             ("early_deletion_months", self.early_deletion_months),
         ):
-            if value < 0:
-                raise ValueError(f"{label} must be non-negative, got {value!r}")
-        if self.slo_latency_s is not None and self.slo_latency_s < 0:
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{label} must be non-negative and finite, got {value!r}"
+                )
+        # An infinite capacity is an unbounded tier.
+        if not 0 <= self.capacity_gb:
+            raise ValueError(
+                f"capacity_gb must be non-negative, got {self.capacity_gb!r}"
+            )
+        if self.slo_latency_s is not None and not 0 <= self.slo_latency_s:
             raise ValueError(
                 f"slo_latency_s must be non-negative, got {self.slo_latency_s!r}"
             )
@@ -313,8 +321,8 @@ class TierCatalog:
             ("read_factor", read_factor),
             ("write_factor", write_factor),
         ):
-            if not factor > 0:
-                raise ValueError(f"{label} must be positive, got {factor!r}")
+            if not 0 < factor < math.inf:
+                raise ValueError(f"{label} must be positive and finite, got {factor!r}")
         if tier_names is None:
             affected = set(range(len(self._tiers)))
         else:

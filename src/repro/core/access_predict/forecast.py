@@ -168,16 +168,7 @@ class WindowedAccessForecaster:
         otherwise it is the EWMA alone.  Multiply by the horizon length to
         get ``predicted_accesses`` for OPTASSIGN.
         """
-        rates = self._rates(rows, epoch)
-        if window is not None and window.shape[1]:
-            # The built-in ``sum`` per row, in order: from Python 3.12 on it
-            # compensates, which no plain numpy sum reproduces.
-            sums = np.fromiter(map(sum, window.tolist()), np.float64, len(window))
-            rates = self._blend(rates, sums / window.shape[1])
-        return np.maximum(rates, 0.0)
-
-    def _blend(self, rates: np.ndarray, means: np.ndarray) -> np.ndarray:
-        return self.blend * rates + (1.0 - self.blend) * means
+        return window_rates(self._rates(rows, epoch), window, self.blend)
 
     def rate(self, name: str, epoch: int | None = None) -> float:
         """Current estimated monthly read rate of one partition."""
@@ -212,7 +203,7 @@ class WindowedAccessForecaster:
                 [sum(values) / len(values) if values else 0.0 for values in series],
                 dtype=np.float64,
             )
-            rates = np.where(windowed, self._blend(rates, means), rates)
+            rates = np.where(windowed, _blend(self.blend, rates, means), rates)
         return dict(zip(names, np.maximum(rates, 0.0).tolist()))
 
     def __contains__(self, name: str) -> bool:
@@ -227,6 +218,30 @@ class WindowedAccessForecaster:
         rows = self._rows_creating(names)
         self._value[rows] = rates
         self._at[rows] = epoch
+
+
+def window_rates(
+    rates: np.ndarray, window: np.ndarray | None, blend: float | np.ndarray
+) -> np.ndarray:
+    """The forecast rule: EWMA ``rates`` blended with each row's window mean
+    (when ``window`` has a month in it), clamped at zero.
+
+    ``window`` holds one row per rate (oldest month first); ``blend`` is one
+    weight or one per row.  A forecaster's :meth:`~WindowedAccessForecaster.
+    forecast_rows` and the engine's block forecast both end here.
+    """
+    if window is not None and window.shape[1]:
+        # The built-in ``sum`` per row, in order: from Python 3.12 on it
+        # compensates, which no plain numpy sum reproduces.
+        sums = np.fromiter(map(sum, window.tolist()), np.float64, len(window))
+        rates = _blend(blend, rates, sums / window.shape[1])
+    return np.maximum(rates, 0.0)
+
+
+def _blend(
+    blend: float | np.ndarray, rates: np.ndarray, means: np.ndarray
+) -> np.ndarray:
+    return blend * rates + (1.0 - blend) * means
 
 
 class ForecastBlock:

@@ -19,6 +19,11 @@ Partition names are tagged ``tenant::name`` (:data:`TENANT_SEPARATOR`) so
 identically-named partitions of different tenants cannot collide, and
 :meth:`StackedProblem.split_placements` slices the solved assignment's
 columns back into per-tenant placements by each tenant's row span.
+
+The fleet scheduler assembles the same instance straight from its engines'
+block columns (:class:`repro.engine.WindowPlan`); :meth:`StackedProblem.
+stack` combines instances built one by one, and is the oracle of that
+assembly.
 """
 
 from __future__ import annotations

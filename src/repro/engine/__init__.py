@@ -27,6 +27,7 @@ from .engine import (
     EpochRecord,
     OnlineTieringEngine,
     SettleBlock,
+    WindowPlan,
     WindowRecord,
 )
 from .events import (
@@ -62,6 +63,7 @@ __all__ = [
     "WindowRecord",
     "OnlineTieringEngine",
     "SettleBlock",
+    "WindowPlan",
     "EpochBatch",
     "ReplayStream",
     "SeriesStream",

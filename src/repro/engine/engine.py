@@ -40,6 +40,20 @@ EWMA alpha in one block.  The touched rows reach each policy as
 :class:`~repro.engine.policies.RateColumns`; forecasts come back as one
 column.
 
+The block also owns its engines' placement, codec and compiled price
+columns, and plans with them.  A fleet window re-optimizes its firing
+tenants in one :class:`WindowPlan`: one forecast pass over every firing row
+of a block (the EWMA gather and decay, then one window gather and blend per
+store epoch, through :func:`~repro.core.access_predict.forecast.
+window_rates`, the rule a forecaster's own ``forecast_rows`` ends in), the
+stacked instance assembled from the parts the block caches per validated
+constraint state, and after the solve one move pass over every firing row
+(:meth:`MigrationExecutor.migrate`) whose moves write the placement, codec,
+clock and price columns.  A lone engine keeps :meth:`~OnlineTieringEngine.
+build_problem` and :meth:`~OnlineTieringEngine.apply_assignment` for its
+untagged instance; its build assembles through its block too, and its
+apply (:meth:`MigrationExecutor.apply`) moves through the same ``migrate``.
+
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
 ``StaticOnce`` / ``PeriodicReoptimize`` / ``DriftTriggered`` policies can be
@@ -50,8 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,20 +81,24 @@ from ..cloud import (
     TimedEvent,
 )
 from ..cloud.events import EventBatch, first_occurrence
+from ..cloud.objects import NO_COMPRESSION
+from ..cloud.simulator import compile_prices
 from ..core.access_predict import WindowedAccessForecaster
-from ..core.access_predict.forecast import ForecastBlock
+from ..core.access_predict.forecast import ForecastBlock, _decayed, window_rates
 from ..core.optassign import (
+    TENANT_SEPARATOR,
     DeltaSolver,
     InfeasibleError,
     OptAssignProblem,
     ProfileTable,
+    StackedProblem,
     solve_optassign,
 )
-from ..core.optassign.problem import check_pinned_codecs
+from ..core.optassign.stacked import _stack_profile_columns, _stack_tier_masks
 from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
 from .events import EpochBatch, StreamWindow, TriggerWindow, windowed
-from .executor import MigrationExecutor, MigrationReport
+from .executor import MigrationExecutor, MigrationReport, count_moves
 from .features import FeatureStore, StoreBlock
 from .policies import RateColumns, TieringPolicy
 
@@ -92,9 +109,13 @@ __all__ = [
     "EngineReport",
     "OnlineTieringEngine",
     "SettleBlock",
+    "WindowPlan",
 ]
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+
+#: A block's record of an engine placement it has not copied in yet.
+_UNSYNCED = object()
 
 
 def _snapshot(constraints: tuple) -> tuple:
@@ -337,7 +358,7 @@ class OnlineTieringEngine:
         self._banned_tiers: frozenset[int] = frozenset()
         self._lifted_affinity: dict[str, object] = {}
         # (snapshot of the constraint inputs, their validated form + profile
-        # columns + tier mask) behind the last build; see _assemble_problem.
+        # columns + tier mask) behind the last build; see _constraint_parts.
         self._validated: tuple[tuple, tuple] | None = None
         self.simulator = CloudStorageSimulator(
             tiers, compute_cost_per_s=self.config.compute_cost_per_s
@@ -366,7 +387,10 @@ class OnlineTieringEngine:
         self._store_rows = self.feature_store.register(names)
         self._forecast_rows = self.forecaster.rows(names)
         self._placement: PlacementColumns | None = None
-        # The block of one this engine settles windows through on its own.
+        # The block whose columns this engine holds (and its index there),
+        # and the block of one it settles windows through on its own.
+        self._block: SettleBlock | None = None
+        self._block_k = 0
         self._own_block: SettleBlock | None = None
         # Months each partition has resided in its current tier, in row order.
         self.months_in_tier = np.array(
@@ -388,7 +412,10 @@ class OnlineTieringEngine:
     @property
     def placement(self) -> PlacementColumns | None:
         """The applied placement, a ``Mapping[str, PlacementDecision]`` kept
-        as columns in partition order (``None`` before the first apply)."""
+        as columns in partition order (``None`` before the first apply).
+
+        Its columns are its own: the next re-optimization replaces the
+        placement, so one kept from before still reads as it was."""
         return self._placement
 
     @placement.setter
@@ -705,12 +732,13 @@ class OnlineTieringEngine:
         return RateColumns(self._arrays.names, rates, touched)
 
     # -- external-scheduling hooks ----------------------------------------------
-    # The fleet scheduler (:mod:`repro.fleet`) epoch-locks many engines and
-    # replaces the per-engine solve with one stacked, pool-arbitrated solve.
-    # Per epoch it must call, in order: ``begin_epoch`` (validation + policy
-    # check, no state change), then for firing engines ``build_problem`` and
+    # ``step`` composes these hooks: ``begin_epoch`` (validation + policy
+    # check, no state change), then on firing ``build_problem`` and
     # ``apply_assignment`` with an externally computed placement, then
-    # ``settle`` for *every* engine.  ``step`` composes exactly these hooks.
+    # ``settle``.  The fleet scheduler (:mod:`repro.fleet`) epoch-locks many
+    # engines and calls ``begin_epoch`` and ``settle`` per engine, but plans
+    # its firing engines together in one :class:`WindowPlan` instead of
+    # their ``build_problem`` and ``apply_assignment``.
 
     def _validate_epoch(self, epoch: int) -> None:
         """Raise unless ``epoch`` continues the dense monthly timeline."""
@@ -906,9 +934,13 @@ class OnlineTieringEngine:
         catalog is re-priced, and rebuilt here on next use.
         """
         if self._compiled is None:
-            self._compiled = self.simulator.compile_placement(
-                self._arrays, self.placement
-            )
+            block = self._block
+            if block is not None and block.intact():
+                block._refresh_prices([self._block_k])
+            else:
+                self._compiled = self.simulator.compile_placement(
+                    self._arrays, self.placement
+                )
         return self._compiled
 
     # -- re-optimization ---------------------------------------------------------
@@ -934,7 +966,6 @@ class OnlineTieringEngine:
         move must earn back its own cost over the horizon).  The forecast is
         remembered so that :meth:`apply_assignment` can hand it to the policy.
         """
-        config = self.config
         tracer = get_tracer()
         with tracer.span("engine.build_problem", epoch=epoch):
             with tracer.span("engine.forecast"):
@@ -946,52 +977,43 @@ class OnlineTieringEngine:
     def _assemble_problem(
         self, epoch: int, predicted_monthly: RateColumns
     ) -> OptAssignProblem:
-        """The instance as columns over the engine's cached partition arrays.
+        """The instance as columns over the engine's rows of its block.
 
-        ``predicted_monthly`` is a forecast over every row.
-
-        Only three columns change between builds: the horizon forecast, the
-        warm-start tier (where the data lives today, so staying put is free
-        and every move must earn back its own cost over the horizon) and the
-        live codec.  The constraint state — profile table, SLO caps,
-        provider affinity, banned tiers — is validated by the full
-        ``OptAssignProblem.__init__`` once, and its validated form (plus the
-        profile columns and the combined tier-eligibility mask, which no
-        re-pricing changes) is reused for as long as every input compares
-        equal to what was validated; any change, however it was made,
-        re-validates.
+        ``predicted_monthly`` is a forecast over every row.  The block
+        assembles it (:meth:`SettleBlock.problem`) as it assembles a fleet's
+        stacked instance: the horizon forecast, the warm-start tier (where
+        the data lives today, so staying put is free and every move must
+        earn back its own cost over the horizon) and the live codecs, which
+        a lone build re-reads from the partitions, beside the validated
+        constraint state (:meth:`_constraint_parts`).
         """
-        config = self.config
-        base = self._arrays
-        names = base.names
-        partitions = self._partitions
-        predicted = predicted_monthly.dense() * config.horizon_months
+        predicted = predicted_monthly.dense() * self.config.horizon_months
         if (predicted < 0).any():
             raise ValueError("predicted_accesses must be non-negative")
-        # Where the data lives today: the placement's tier column, and the
-        # live partition for any row the placement does not cover.
-        placement = self._placement
-        if placement is None:
-            current_tier = np.fromiter(
-                map(attrgetter("current_tier"), partitions),
-                dtype=np.int64,
-                count=len(partitions),
-            )
-        else:
-            current_tier = placement.tier.copy()
-            if placement.placed is not None:
-                for row in np.flatnonzero(~placement.placed).tolist():
-                    current_tier[row] = partitions[row].current_tier
-        codecs = tuple(map(attrgetter("current_codec"), partitions))
-        arrays = replace(
-            base,
-            predicted_accesses=predicted,
-            current_tier=current_tier,
-            current_codec=codecs,
-        )
-        cost_model = self.simulator.cost_model(
-            duration_months=config.horizon_months, weights=config.weights
-        )
+        block, k = self._bound_block()
+        block.read_codecs([k])
+        return block.problem(epoch, k, predicted)
+
+    def _bound_block(self) -> tuple[SettleBlock, int]:
+        """The intact block holding this engine, and its index there — a
+        block of one of its own when no block holds it."""
+        block = self._block
+        if block is None or not block.intact():
+            block = self._own_block = SettleBlock([self])
+        return block, self._block_k
+
+    def _constraint_parts(self, epoch: int, codecs: Callable[[], tuple]) -> tuple:
+        """``(profiles, slo, affinity, banned, profile columns, tier mask)``
+        validated for ``epoch``'s build; ``codecs`` gives the live codec of
+        every row.
+
+        The constraint state — profile table, SLO caps, provider affinity,
+        banned tiers — is validated by the full ``OptAssignProblem.__init__``
+        once, and its validated form (plus the profile columns and the
+        combined tier-eligibility mask, which no re-pricing changes) is
+        reused for as long as every input compares equal to what was
+        validated; any change, however it was made, re-validates.
+        """
         profiles = (
             self._profile_provider(epoch)
             if self._profile_provider is not None
@@ -1004,38 +1026,28 @@ class OnlineTieringEngine:
             self._banned_tiers,
         )
         if self._validated is not None and self._validated[0] == constraints:
-            valid_profiles, slo, affinity, banned, columns, mask = self._validated[1]
-            check_pinned_codecs(names, codecs, valid_profiles)
-            return OptAssignProblem._assemble(
-                cost_model,
-                arrays,
-                valid_profiles,
-                slo,
-                affinity,
-                banned,
-                profile_columns=columns,
-                tier_mask=mask,
-            )
+            return self._validated[1]
+        config = self.config
         problem = OptAssignProblem(
-            arrays,
-            cost_model,
+            replace(self._arrays, current_codec=codecs()),
+            self.simulator.cost_model(
+                duration_months=config.horizon_months, weights=config.weights
+            ),
             profiles,
             latency_slo_s=self._latency_slo,
             provider_affinity=self._provider_affinity,
             banned_tiers=self._banned_tiers or None,
         )
-        self._validated = (
-            _snapshot(constraints),
-            (
-                problem._profiles,
-                problem._latency_slo,
-                problem._provider_affinity,
-                problem._banned_tiers,
-                problem._profile_columns(),
-                problem._tier_mask(),
-            ),
+        parts = (
+            problem._profiles,
+            problem._latency_slo,
+            problem._provider_affinity,
+            problem._banned_tiers,
+            problem._profile_columns(),
+            problem._tier_mask(),
         )
-        return problem
+        self._validated = (_snapshot(constraints), parts)
+        return parts
 
     def apply_assignment(
         self, epoch: int, new_placement: Mapping[str, PlacementDecision]
@@ -1043,9 +1055,10 @@ class OnlineTieringEngine:
         """Apply and bill a solved placement, completing a re-optimization.
 
         ``new_placement`` is usually ``report.assignment.to_placement()`` of
-        a solve over :meth:`build_problem`'s instance — or, in the fleet
-        setting, this engine's slice of a stacked, pool-arbitrated solve.
-        The policy is notified with the forecast the problem was built from,
+        a solve over :meth:`build_problem`'s instance.  (A fleet applies its
+        tenants' slices of a stacked solve in one :class:`WindowPlan` pass
+        instead.)  The policy is notified with the forecast the problem was
+        built from,
         so every ``apply_assignment`` requires a fresh preceding
         :meth:`build_problem` (notifying with a stale forecast would corrupt
         a drift policy's baseline silently).
@@ -1071,18 +1084,24 @@ class OnlineTieringEngine:
             )
             span.set(num_moved=migration.num_moved)
         self.placement = placement
+        self._notify_applied(epoch)
+        get_metrics().counter("engine.reoptimizations").add()
+        return migration
+
+    def _notify_applied(self, epoch: int) -> None:
+        """Hand the policy the forecast the just-applied placement was
+        planned from."""
         self.policy.notify_reoptimized(epoch, self._pending_forecast)
         # The forecast this placement was planned from doubles as the drift
         # baseline for epoch-free DriftTriggers (see run_stream).  It is
         # read-only, so policy and trigger share it without a copy.
         self._last_applied_forecast = self._pending_forecast
         self._pending_forecast = None
-        get_metrics().counter("engine.reoptimizations").add()
-        return migration
 
 
 class SettleBlock:
-    """Row-aligned settle state of one or more engines, settled in one pass.
+    """Row-aligned state of one or more engines, settled and planned in one
+    pass each.
 
     The block holds its engines' feature stores in one
     :class:`~repro.engine.features.StoreBlock` (ring, lifetime and
@@ -1092,19 +1111,37 @@ class SettleBlock:
     engine keeps its :class:`FeatureStore`, forecaster and
     ``months_in_tier`` objects (and their own epochs), but they hold row
     ranges (views) of the block's columns, so one fold updates all of them.
-    The block also holds each engine's compiled per-row read and
-    decompression prices and SLA-violation flags, copied in whenever the
-    engine's compiled placement was rebuilt — after an apply, or after
-    :meth:`OnlineTieringEngine.invalidate_pricing`.
+
+    The block also owns each engine's placement columns — tier, scheme code,
+    ratio, decompression — the live codec of every row, and the compiled
+    price columns (:func:`~repro.cloud.simulator.compile_prices`: stored GB,
+    storage per month, read and decompression cost per read, latency and the
+    SLA flag).  The plan pass (:class:`WindowPlan`) writes them for the rows
+    it places, hands each engine a :class:`~repro.cloud.PlacementColumns` of
+    its own (copies of its rows) and keeps a
+    :class:`~repro.cloud.CompiledPlacement` over its row range of the price
+    columns.  A placement an engine got any other way (its own
+    ``apply_assignment``, the ``placement`` setter) is copied in, and its
+    prices compiled, at the block's next use; so are the prices of an
+    engine whose pricing was invalidated.  Beside them the block keeps each
+    engine's validated constraint parts (profile table, SLO and affinity
+    maps, banned tiers, profile columns, tier mask) and, for named tenants,
+    its tagged names and maps.
 
     The engines must share a feature-store window width and an EWMA alpha,
     the two values one ring slide and one EWMA step assume.  A block stays
     valid while every engine still holds the arrays it handed out
     (:meth:`intact`); an engine adopted by another block, or whose store or
     forecaster grew, leaves it stale, and its owner builds a new one.
+    ``tenants`` names the engines when the block plans a fleet's stacked,
+    tenant-tagged instances.
     """
 
-    def __init__(self, engines: Sequence[OnlineTieringEngine]):
+    def __init__(
+        self,
+        engines: Sequence[OnlineTieringEngine],
+        tenants: Sequence[str] | None = None,
+    ):
         if not engines:
             raise ValueError("a settle block needs at least one engine")
         stores = [engine.feature_store for engine in engines]
@@ -1124,26 +1161,79 @@ class SettleBlock:
         # Engine k owns block rows _starts[k]:_starts[k + 1]; _owner and
         # _shift give each block row's engine and that engine's first row.
         sizes = [len(engine._arrays) for engine in engines]
+        self._sizes = sizes
         self._starts = [0, *accumulate(sizes)]
         self._offsets = np.asarray(self._starts[:-1], dtype=np.intp)
         self._owner = np.repeat(np.arange(len(engines)), sizes)
         self._shift = self._offsets[self._owner]
-        # Engine rows: residency clocks and compiled prices.
+        self._ranges = [
+            np.arange(start, stop) for start, stop in zip(self._starts, self._starts[1:])
+        ]
+        # Engine rows: residency clocks.
         self.months_in_tier = np.concatenate(
             [engine.months_in_tier for engine in engines]
         )
-        for engine, start, stop in zip(engines, self._starts, self._starts[1:]):
+        for k, (engine, start, stop) in enumerate(
+            zip(engines, self._starts, self._starts[1:])
+        ):
             engine.months_in_tier = self.months_in_tier[start:stop]
+            engine._block, engine._block_k = self, k
         total = len(self.months_in_tier)
-        self._read_price = np.zeros(total, dtype=np.float64)
-        self._decompression_price = np.zeros(total, dtype=np.float64)
-        self._violates = np.zeros(total, dtype=bool)
-        # Per engine: the storage sum of its compiled placement, and the
-        # last window's (duration, storage bill), whose float object windows
-        # of the same width share (a long run keeps one record per window).
+        # The partitions, and their static columns.
+        self._partitions = [
+            partition for engine in engines for partition in engine._partitions
+        ]
+        arrays = [engine._arrays for engine in engines]
+        self._size = np.concatenate([a.size_gb for a in arrays])
+        self._read_gb = np.concatenate([a.read_gb_per_access for a in arrays])
+        self._threshold = np.concatenate([a.latency_threshold_s for a in arrays])
+        self._read_fraction = np.concatenate([a.read_fraction for a in arrays])
+        self._pushdown = np.concatenate([a.pushdown_fraction for a in arrays])
+        # Placement columns (``tier`` is where each row lives today: the
+        # placement's tier, else its partition's) and each row's live codec,
+        # as codes into the append-only scheme vocabulary (-1 = none).
+        self._schemes: list[str] = []
+        self._scheme_code: dict[str, int] = {}
+        self._codec_names: np.ndarray | None = None
+        self.tier = np.empty(total, dtype=np.int64)
+        self.scheme = np.full(total, -1, dtype=np.int64)
+        self.ratio = np.ones(total, dtype=np.float64)
+        self.decompression = np.zeros(total, dtype=np.float64)
+        self.placed = np.zeros(total, dtype=bool)
+        self._codec = np.full(total, -1, dtype=np.int64)
+        self._placements: list[object] = [_UNSYNCED] * len(engines)
+        self._tables: dict[tuple[str, ...], np.ndarray] = {}
+        # Compiled price columns, in compile_prices order.
+        self._prices = tuple(
+            np.zeros(total, dtype=bool if k == 5 else np.float64) for k in range(6)
+        )
+        self._stored_gb, _, self._read_price, self._decompression_price, _, self._violates = (
+            self._prices
+        )
+        # Per engine: the storage sum of its compiled prices, and the last
+        # window's (duration, storage bill), whose float object windows of
+        # the same width share (a long run keeps one record per window).
         self._storage: list[float] = [0.0] * len(engines)
         self._storage_bill: list[tuple[float, float]] = [(math.nan, 0.0)] * len(engines)
         self._priced: list[CompiledPlacement | None] = [None] * len(engines)
+        self._usage: np.ndarray | None = None
+        # Constraint parts: each engine's validated state last written in
+        # and its tagged maps.
+        self.tenants = None if tenants is None else tuple(tenants)
+        self._parts: list[tuple | None] = [None] * len(engines)
+        # Engines whose pinned codecs are still to be checked against their
+        # profile columns.
+        self._unchecked: set[int] = set()
+        self._tagged: list[tuple | None] = [None] * len(engines)
+        self._tagged_names = (
+            None
+            if tenants is None
+            else [
+                tuple(f"{tenant}{TENANT_SEPARATOR}{name}" for name in a.names)
+                for tenant, a in zip(tenants, arrays)
+            ]
+        )
+        self._sync()
         # The stores and forecasters, and each engine row's row in them.
         self._stores = StoreBlock(stores)
         self._forecasts = ForecastBlock(forecasters)
@@ -1164,26 +1254,414 @@ class SettleBlock:
         """True while every engine still holds the arrays this block bound."""
         clocks = self.months_in_tier
         for engine in self.engines:
-            if engine.months_in_tier.base is not clocks:
+            if engine._block is not self or engine.months_in_tier.base is not clocks:
                 return False
         return self._stores.intact() and self._forecasts.intact()
 
-    def _refresh_prices(self) -> None:
-        """Copy in the prices of every engine whose compiled placement was
-        rebuilt since the last pass."""
-        starts = self._starts
-        for k, engine in enumerate(self.engines):
-            compiled = engine._compiled_placement()
-            if compiled is self._priced[k]:
-                continue
-            rows = slice(starts[k], starts[k + 1])
-            self._read_price[rows] = compiled.read_cost_per_read
-            self._decompression_price[rows] = compiled.decompression_cost_per_read
-            self._violates[rows] = compiled.violates_sla
-            self._storage[k] = np.sum(compiled.storage_per_month)
-            self._storage_bill[k] = (math.nan, 0.0)
-            self._priced[k] = compiled
+    def rows(self, ks: Sequence[int]) -> np.ndarray:
+        """The block rows of engines ``ks``, in that order."""
+        return np.concatenate([self._ranges[k] for k in ks])
 
+    # -- the scheme vocabulary and the codec column --------------------------------
+    def _code(self, scheme: str) -> int:
+        """The vocabulary code of ``scheme``, appending it when new."""
+        code = self._scheme_code.get(scheme)
+        if code is None:
+            code = self._scheme_code[scheme] = len(self._schemes)
+            self._schemes.append(scheme)
+            self._codec_names = None
+        return code
+
+    def _codecs(self, rows: np.ndarray) -> tuple[str | None, ...]:
+        """The live codec of every row in ``rows``."""
+        if self._codec_names is None:
+            # The trailing None is what a -1 code gathers.
+            self._codec_names = np.empty(len(self._schemes) + 1, dtype=object)
+            self._codec_names[:-1] = self._schemes
+        return tuple(self._codec_names[self._codec[rows]].tolist())
+
+    def read_codecs(self, ks: Sequence[int]) -> None:
+        """Re-read the live codec of engines ``ks``' rows from their
+        partitions."""
+        code = self._code
+        for k in ks:
+            self._codec[self._ranges[k]] = [
+                -1 if partition.current_codec is None else code(partition.current_codec)
+                for partition in self.engines[k]._partitions
+            ]
+            self._unchecked.add(k)
+
+    # -- placements and prices -----------------------------------------------------
+    def _sync(self) -> None:
+        """Copy in every placement an engine got outside this block since it
+        was last copied (or written) here."""
+        placements = self._placements
+        for k, engine in enumerate(self.engines):
+            if engine._placement is not placements[k]:
+                self._copy_placement(k)
+
+    def _copy_placement(self, k: int) -> None:
+        """Copy engine ``k``'s placement and codecs in; its prices are
+        compiled at the next use."""
+        engine = self.engines[k]
+        placement = engine._placement
+        rows = slice(self._starts[k], self._starts[k + 1])
+        if placement is None:
+            placed = np.zeros(self._sizes[k], dtype=bool)
+        else:
+            self.tier[rows] = placement.tier
+            self.scheme[rows] = self._recode(placement.schemes)[placement.scheme]
+            self.ratio[rows] = placement.ratio
+            self.decompression[rows] = placement.decompression_s_per_gb
+            placed = (
+                np.ones(self._sizes[k], dtype=bool)
+                if placement.placed is None
+                else placement.placed
+            )
+        self.placed[rows] = placed
+        partitions = engine._partitions
+        for row in np.flatnonzero(~placed).tolist():
+            self.tier[rows.start + row] = partitions[row].current_tier
+        self.read_codecs([k])
+        self._placements[k] = placement
+        self._priced[k] = None
+        self._usage = None
+
+    def _refresh_prices(self, ks: Sequence[int] | None = None) -> None:
+        """Copy in placements as :meth:`_sync` does, and compile the prices
+        of every placed engine (of ``ks``, default all) whose placement or
+        pricing changed since they were last compiled here."""
+        placements, priced = self._placements, self._priced
+        stale = []
+        engines = self.engines
+        for k in range(len(engines)) if ks is None else ks:
+            engine = engines[k]
+            placement = engine._placement
+            if placement is not placements[k]:
+                self._copy_placement(k)
+            if placement is not None and (
+                priced[k] is None or engine._compiled is not priced[k]
+            ):
+                stale.append(k)
+        if stale:
+            self._compile(stale)
+
+    def _compile(self, ks: Sequence[int]) -> None:
+        """Compile the prices of engines ``ks`` from the placement columns
+        and give each engine its compiled placement over them."""
+        engines = self.engines
+        groups: dict[tuple, list[int]] = {}
+        for k in ks:
+            simulator = engines[k].simulator
+            groups.setdefault((id(simulator.tiers), simulator.compute_cost_per_s), []).append(k)
+        for members in groups.values():
+            rows = self.rows(members)
+            unplaced = rows[~self.placed[rows]]
+            if unplaced.size:
+                names = [
+                    engines[self._owner[row]]._arrays.names[row - self._shift[row]]
+                    for row in unplaced.tolist()
+                ]
+                raise KeyError(f"placement missing partitions: {names}")
+            self._price_rows(engines[members[0]].simulator, rows)
+        for k in ks:
+            engine = engines[k]
+            rows = slice(self._starts[k], self._starts[k + 1])
+            self._priced[k] = engine._compiled = CompiledPlacement.from_columns(
+                engine.simulator,
+                engine._arrays,
+                self.tier[rows],
+                [column[rows] for column in self._prices],
+            )
+            self._sum_storage(k)
+
+    def _price_rows(self, simulator: CloudStorageSimulator, rows: np.ndarray) -> None:
+        """Compile the prices of ``rows`` under ``simulator``'s catalog."""
+        prices = compile_prices(
+            simulator.tiers.cost_arrays(),
+            simulator.compute_cost_per_s,
+            self.tier[rows],
+            self.ratio[rows],
+            self.decompression[rows],
+            self._size[rows],
+            self._read_gb[rows],
+            self._threshold[rows],
+        )
+        for column, values in zip(self._prices, prices):
+            column[rows] = values
+
+    def _sum_storage(self, k: int) -> None:
+        """Engine ``k``'s monthly storage total: the sum over its own rows,
+        the same pairwise sum as ``np.sum`` over a compiled placement's own
+        column."""
+        self._storage[k] = self._prices[1][self._starts[k] : self._starts[k + 1]].sum()
+        self._storage_bill[k] = (math.nan, 0.0)
+
+    def tier_usage(self) -> np.ndarray:
+        """Stored GB per engine per catalog tier, ``(engines, tiers)``: each
+        row what that engine's :meth:`~OnlineTieringEngine.tier_usage_gb`
+        returns.  Kept until a placement changes."""
+        self._refresh_prices()
+        if self._usage is None:
+            engines = self.engines
+            count = len(engines[0].tiers)
+            placed = [k for k, engine in enumerate(engines) if engine._placement is not None]
+            usage = np.zeros((len(engines), count), dtype=np.float64)
+            if placed:
+                rows = self.rows(placed)
+                # One bincount keyed by engine x tier adds each bin's rows in
+                # row order, as each engine's own bincount does.
+                usage = np.bincount(
+                    self._owner[rows] * count + self.tier[rows],
+                    weights=self._stored_gb[rows],
+                    minlength=len(engines) * count,
+                ).reshape(len(engines), count)
+            self._usage = usage
+        return self._usage
+
+    # -- the plan pass --------------------------------------------------------------
+    def forecast(self, epoch: int, ks: Sequence[int], rows: np.ndarray) -> np.ndarray:
+        """Projected monthly reads of ``rows`` (engines ``ks``' rows) for
+        ``epoch``, as each engine's :meth:`~OnlineTieringEngine.
+        forecast_monthly` computes them: one EWMA gather and decay over every
+        row, then one window gather and blend per store epoch (a store that
+        has not observed yet has an empty window)."""
+        engines = self.engines
+        forecasts = self._forecasts
+        rates = _decayed(
+            forecasts._value, forecasts._at, self._forecast_row[rows], epoch - 1, forecasts._decay
+        )
+        stores = [engines[k].feature_store for k in ks]
+        epochs = [store._epoch for store in stores]
+        bounds = [0, *accumulate(self._sizes[k] for k in ks)]
+        blend = np.repeat(
+            [engines[k].forecaster.blend for k in ks], [self._sizes[k] for k in ks]
+        )
+        forecast = np.empty_like(rates)
+        for store_epoch in dict.fromkeys(epochs):
+            group = [i for i, e in enumerate(epochs) if e == store_epoch]
+            at = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in group])
+            forecast[at] = window_rates(
+                rates[at], self._window(stores[group[0]], rows[at]), blend[at]
+            )
+        return forecast
+
+    def _window(self, store: FeatureStore, rows: np.ndarray) -> np.ndarray:
+        """``store``'s current window over ``rows`` (block rows)."""
+        return self._stores._window.take(self._store_row[rows], axis=0).take(
+            store._window_columns(), axis=1
+        )
+
+    def _prepare(self, epoch: int, ks: Sequence[int]) -> list[tuple]:
+        """Validate engines ``ks``' constraint state and write what changed
+        into the block; returns each engine's validated parts.  Raises
+        unless every pinned row has a profile for its codec."""
+        self._sync()
+        engines = self.engines
+        parts = []
+        for k in ks:
+            engine = engines[k]
+            own = engine._constraint_parts(epoch, lambda k=k: self._codecs(self._ranges[k]))
+            if own is not self._parts[k]:
+                self._write_parts(k, own)
+            parts.append(own)
+        # A codec the apply pass wrote is a scheme of the engine's profiles,
+        # so only codecs read in, or profiles written in, since the last
+        # check need one: each pinned row's codec, looked up in its engine's
+        # own profile columns.
+        for k, own in zip(ks, parts):
+            if k not in self._unchecked:
+                continue
+            codes = self._codec[self._ranges[k]]
+            pinned = np.flatnonzero(codes >= 0)
+            if pinned.size:
+                schemes, _, _, available = own[4]
+                position = {scheme: i for i, scheme in enumerate(schemes)}
+                # A codec the engine's profiles lack looks up the trailing
+                # all-false column.
+                lookup = np.array(
+                    [position.get(scheme, len(schemes)) for scheme in self._schemes]
+                )
+                offered = np.zeros((len(codes), len(schemes) + 1), dtype=bool)
+                offered[:, :-1] = available
+                missing = pinned[~offered[pinned, lookup[codes[pinned]]]]
+                if missing.size:
+                    row = int(missing[0])
+                    raise ValueError(
+                        f"partition {engines[k]._arrays.names[row]!r} is pinned to "
+                        f"codec {self._schemes[codes[row]]!r} "
+                        "but no profile for that codec was provided"
+                    )
+            self._unchecked.discard(k)
+        return parts
+
+    def _write_parts(self, k: int, parts: tuple) -> None:
+        """Write engine ``k``'s validated constraint state into the block."""
+        profiles, slo, affinity = parts[:3]
+        self._unchecked.add(k)
+        if self.tenants is not None:
+            names = self._tagged_names[k]
+            prefix = f"{self.tenants[k]}{TENANT_SEPARATOR}"
+            self._tagged[k] = (
+                dict(zip(names, profiles.values())),
+                {f"{prefix}{name}": cap for name, cap in slo.items()},
+                {f"{prefix}{name}": allowed for name, allowed in affinity.items()},
+            )
+        self._parts[k] = parts
+
+    def gather(
+        self, epoch: int, ks: Sequence[int], rows: np.ndarray, predicted: np.ndarray
+    ) -> "_Gathered":
+        """Engines ``ks``' rows of a warm-started instance, with their
+        validated constraint parts: the partition columns (``predicted``
+        holds the horizon forecast of ``rows``) and the live codecs."""
+        return _Gathered(
+            parts=self._prepare(epoch, ks),
+            size_gb=self._size[rows],
+            predicted=predicted,
+            threshold=self._threshold[rows],
+            tier=self.tier[rows],
+            read_fraction=self._read_fraction[rows],
+            pushdown=self._pushdown[rows],
+            codecs=self._codecs(rows),
+        )
+
+    def problem(self, epoch: int, k: int, predicted: np.ndarray) -> OptAssignProblem:
+        """Engine ``k``'s own, untagged instance; ``predicted`` is the
+        horizon forecast of its rows."""
+        gathered = self.gather(epoch, [k], self._ranges[k], predicted)
+        engine = self.engines[k]
+        return _assemble(
+            engine,
+            [gathered],
+            engine._arrays.names,
+            engine._arrays.file_ids,
+            gathered.parts[0],
+        )
+
+    def apply(
+        self,
+        epoch: int,
+        ks: Sequence[int],
+        rows: np.ndarray,
+        placement: PlacementColumns,
+        profiles: Sequence[Mapping],
+    ) -> list[MigrationReport]:
+        """Move engines ``ks`` to ``placement`` (columns over ``rows``) and
+        bill the moves in one pass (:meth:`MigrationExecutor.migrate`), then
+        write the placement, codec, clock and price columns.  Returns each
+        engine's report; ``profiles[i]`` is engine ``ks[i]``'s profile table,
+        which its new placement's decisions come from.
+
+        Each engine's new ``placement`` holds copies of its rows: a later
+        plan rewrites the block's columns, never a placement handed out."""
+        engines = self.engines
+        bounds = [0, *accumulate(self._sizes[k] for k in ks)]
+        tier = placement.tier.copy()
+        ratio = placement.ratio.copy()
+        decompression = placement.decompression_s_per_gb.copy()
+        code = self._recode(placement.schemes)[placement.scheme]
+        vocabulary = tuple(self._schemes)
+        old = PlacementColumns(
+            (),
+            self.tier[rows],
+            self.scheme[rows],
+            vocabulary,
+            self.ratio[rows],
+            self.decompression[rows],
+            {},
+            self.placed[rows],
+        )
+        # Rows whose prices change: the moves, and a new ratio or
+        # decompression for a row that keeps its tier and scheme.
+        changed = (ratio != old.ratio) | (decompression != old.decompression_s_per_gb)
+        moves = engines[ks[0]].executor.migrate(
+            self._partitions,
+            self.months_in_tier,
+            rows,
+            self._size[rows],
+            old,
+            placement,
+            [
+                (start, stop, engines[k]._banned_tiers)
+                for k, start, stop in zip(ks, bounds, bounds[1:])
+                if engines[k]._banned_tiers
+            ],
+        )
+        changed[moves.rows] = True
+        moved = rows[moves.rows]
+        self.tier[rows] = tier
+        self.scheme[rows] = code
+        self.ratio[rows] = ratio
+        self.decompression[rows] = decompression
+        self.placed[rows] = True
+        new_code = code[moves.rows]
+        self._codec[moved] = np.where(new_code == self._code(NO_COMPRESSION), -1, new_code)
+        for k, own, start, stop in zip(ks, profiles, bounds, bounds[1:]):
+            engine = engines[k]
+            self._placements[k] = engine._placement = PlacementColumns(
+                engine._arrays.names,
+                tier[start:stop],
+                code[start:stop],
+                vocabulary,
+                ratio[start:stop],
+                decompression[start:stop],
+                own,
+            )
+        self._reprice(ks, rows[changed])
+        columns = moves._replace(rows=moved - self._shift[moved])
+        values = {
+            "moved_gb": columns.moved_gb.tolist(),
+            "migration_cost": (columns.cost + columns.egress_cost).tolist(),
+            "egress_cost": columns.egress_cost.tolist(),
+            "early_deletion_penalty": columns.early_deletion_penalty.tolist(),
+        }
+        spans = np.searchsorted(moves.rows, bounds).tolist()
+        return [
+            MigrationReport(
+                epoch,
+                names=engines[k]._arrays.names,
+                columns=columns,
+                span=(start, stop),
+                totals={
+                    field: float(sum(column[start:stop]))
+                    for field, column in values.items()
+                },
+            )
+            for k, start, stop in zip(ks, spans, spans[1:])
+        ]
+
+    def _recode(self, schemes: tuple[str, ...]) -> np.ndarray:
+        """Codes into ``schemes`` as a gather table into the vocabulary (the
+        trailing entry is what a -1 code gathers)."""
+        table = self._tables.get(schemes)
+        if table is None:
+            table = self._tables[schemes] = np.array(
+                [*map(self._code, schemes), -1], dtype=np.int64
+            )
+        return table
+
+    def _reprice(self, ks: Sequence[int], changed: np.ndarray) -> None:
+        """Compile the prices of the ``changed`` rows of engines ``ks`` just
+        applied; the other rows keep theirs.  An engine placed for the first
+        time, or re-priced since, compiles whole."""
+        engines = self.engines
+        compiled = self._priced
+        whole = [
+            k
+            for k in ks
+            if compiled[k] is None or engines[k]._compiled is not compiled[k]
+        ]
+        if whole:
+            self._compile(whole)
+            changed = changed[~np.isin(self._owner[changed], whole)]
+        if changed.size:
+            self._price_rows(engines[ks[0]].simulator, changed)
+            for k in dict.fromkeys(self._owner[changed].tolist()):
+                self._sum_storage(k)
+        self._usage = None
+
+    # -- the settle pass ------------------------------------------------------------
     def settle(
         self,
         windows: Sequence[StreamWindow],
@@ -1302,6 +1780,190 @@ class SettleBlock:
             cents = float(self._storage[k] * duration)
             self._storage_bill[k] = (duration, cents)
         return cents
+
+
+@dataclass
+class _Gathered:
+    """Engines' rows of a warm-started instance (:meth:`SettleBlock.gather`)
+    and each engine's validated constraint parts."""
+
+    parts: list[tuple]
+    size_gb: np.ndarray
+    predicted: np.ndarray
+    threshold: np.ndarray
+    tier: np.ndarray
+    read_fraction: np.ndarray
+    pushdown: np.ndarray
+    codecs: tuple[str | None, ...]
+
+
+def _assemble(
+    engine: OnlineTieringEngine,
+    gathered: Sequence[_Gathered],
+    names: tuple[str, ...],
+    file_ids: tuple,
+    constraints: tuple,
+) -> OptAssignProblem:
+    """The instance over ``gathered``'s rows, in order, priced by
+    ``engine``'s cost model.  ``constraints`` is its validated
+    ``(profiles, slo, affinity, banned, profile columns, tier mask)``: a
+    lone engine's own parts (reused build to build while they stay valid),
+    or a fleet window's tenants' parts stacked (:meth:`WindowPlan.stack`)."""
+    config = engine.config
+    profiles, slo, affinity, banned, columns, mask = constraints
+
+    def column(field: str) -> np.ndarray:
+        return np.concatenate([getattr(part, field) for part in gathered])
+
+    return OptAssignProblem._assemble(
+        engine.simulator.cost_model(
+            duration_months=config.horizon_months, weights=config.weights
+        ),
+        PartitionArrays(
+            names=names,
+            size_gb=column("size_gb"),
+            predicted_accesses=column("predicted"),
+            latency_threshold_s=column("threshold"),
+            current_tier=column("tier"),
+            read_fraction=column("read_fraction"),
+            pushdown_fraction=column("pushdown"),
+            current_codec=tuple(chain.from_iterable(part.codecs for part in gathered)),
+            file_ids=file_ids,
+        ),
+        profiles,
+        slo,
+        affinity,
+        banned,
+        profile_columns=columns,
+        tier_mask=mask,
+    )
+
+
+class WindowPlan:
+    """One window's re-optimization of a fleet's firing tenants, planned on
+    their blocks' columns.
+
+    ``members`` lists the firing tenants in roster order, each with the
+    :class:`SettleBlock` that holds it and its index there.  Consecutive
+    members of one block form a run (a fleet whose tenants share one block
+    has one run).  The plan forecasts every row of a run in one pass
+    (:meth:`forecast`), assembles the tenant-tagged
+    :class:`~repro.core.optassign.StackedProblem` from the blocks' cached
+    per-tenant parts (:meth:`stack`) and prices and applies every move of a
+    run in one pass (:meth:`apply`) — what ``build_problem``,
+    ``StackedProblem.stack`` and ``apply_assignment`` did one tenant at a
+    time, bit for bit.  The runs in order give the stacked rows: tenants in
+    roster order, each tenant's rows in its engine's order.
+    """
+
+    def __init__(self, epoch: int, members: Sequence[tuple[str, SettleBlock, int]]):
+        self.epoch = epoch
+        self.members = tuple(members)
+        runs: list[tuple[SettleBlock, list[int]]] = []
+        for _, block, k in self.members:
+            if runs and runs[-1][0] is block:
+                runs[-1][1].append(k)
+            else:
+                runs.append((block, [k]))
+        self._runs = [(block, ks, block.rows(ks)) for block, ks in runs]
+        self._predicted: list[np.ndarray] = []
+
+    def forecast(self) -> None:
+        """Forecast every firing row and hand each engine its forecast."""
+        epoch = self.epoch
+        for block, ks, rows in self._runs:
+            rates = block.forecast(epoch, ks, rows)
+            engines = [block.engines[k] for k in ks]
+            # A fleet's tenants share one horizon: they price alike.
+            predicted = rates * engines[0].config.horizon_months
+            if (predicted < 0).any():
+                raise ValueError("predicted_accesses must be non-negative")
+            self._predicted.append(predicted)
+            start = 0
+            for engine in engines:
+                stop = start + len(engine._arrays)
+                engine._pending_forecast = RateColumns(
+                    engine._arrays.names, rates[start:stop]
+                )
+                start = stop
+
+    def stack(self) -> StackedProblem:
+        """The firing tenants' tenant-tagged instance (after :meth:`forecast`)."""
+        epoch = self.epoch
+        gathered = [
+            block.gather(epoch, ks, rows, predicted)
+            for (block, ks, rows), predicted in zip(self._runs, self._predicted)
+        ]
+        profiles: dict[str, dict] = {}
+        slo: dict[str, float] = {}
+        affinity: dict[str, frozenset[str]] = {}
+        spans: list[tuple[int, int]] = []
+        start = 0
+        for _, block, k in self.members:
+            tagged_profiles, tagged_slo, tagged_affinity = block._tagged[k]
+            profiles.update(tagged_profiles)
+            slo.update(tagged_slo)
+            affinity.update(tagged_affinity)
+            spans.append((start, start + block._sizes[k]))
+            start += block._sizes[k]
+        engines = [block.engines[k] for _, block, k in self.members]
+        # Each tenant's cached profile columns and tier mask, stacked as
+        # StackedProblem.stack stacks them.
+        parts = [own for part in gathered for own in part.parts]
+        banned = frozenset().union(*(own[3] for own in parts))
+        problem = _assemble(
+            engines[0],
+            gathered,
+            tuple(
+                chain.from_iterable(block._tagged_names[k] for _, block, k in self.members)
+            ),
+            tuple(chain.from_iterable(engine._arrays.file_ids for engine in engines)),
+            (
+                profiles,
+                slo,
+                affinity,
+                banned,
+                _stack_profile_columns([own[4] for own in parts], spans),
+                _stack_tier_masks([own[5] for own in parts], spans, banned),
+            ),
+        )
+        return StackedProblem(
+            problem=problem,
+            tenants=tuple(name for name, _, _ in self.members),
+            tenant_spans=tuple(spans),
+            tenant_names=tuple(engine._arrays.names for engine in engines),
+            tenant_profiles=tuple(block._parts[k][0] for _, block, k in self.members),
+        )
+
+    def apply(self, assignment) -> list[MigrationReport]:
+        """Apply and bill a solve of :meth:`stack`'s instance; returns each
+        firing tenant's report, in roster order.  Every tenant's policy is
+        notified with the forecast its placement was planned from."""
+        epoch = self.epoch
+        placement = assignment.to_placement()
+        reports: list[MigrationReport] = []
+        start = 0
+        for block, ks, rows in self._runs:
+            stop = start + len(rows)
+            part = PlacementColumns(
+                (),
+                placement.tier[start:stop],
+                placement.scheme[start:stop],
+                placement.schemes,
+                placement.ratio[start:stop],
+                placement.decompression_s_per_gb[start:stop],
+                {},
+            )
+            reports += block.apply(
+                epoch, ks, rows, part, [block._parts[k][0] for k in ks]
+            )
+            start = stop
+        counter = get_metrics().counter("engine.reoptimizations")
+        for (_, block, k), report in zip(self.members, reports):
+            count_moves(report)
+            block.engines[k]._notify_applied(epoch)
+            counter.add()
+        return reports
 
 
 def _observed_rates(

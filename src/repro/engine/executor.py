@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..cloud.simulator import recode
 from ..cloud.tiers import NEW_DATA_TIER
 from ..obs import get_metrics
 
-__all__ = ["MigrationRecord", "MigrationReport", "MigrationExecutor"]
+__all__ = ["MigrationRecord", "MigrationReport", "MigrationExecutor", "MoveColumns"]
 
 
 @dataclass(frozen=True)
@@ -57,39 +57,158 @@ class MigrationRecord:
     egress_cost: float = 0.0
 
 
-@dataclass
-class MigrationReport:
-    """Everything a placement change cost."""
+class MoveColumns(NamedTuple):
+    """The moves of one placement change as columns, in move order.
 
-    epoch: int
-    moves: list[MigrationRecord]
+    ``rows`` holds each move's row in the report's partition names; the
+    other columns are the :class:`MigrationRecord` fields of the same name.
+    """
+
+    rows: np.ndarray
+    from_tier: np.ndarray
+    to_tier: np.ndarray
+    moved_gb: np.ndarray
+    cost: np.ndarray
+    early_deletion_penalty: np.ndarray
+    egress_cost: np.ndarray
+
+
+class MigrationReport:
+    """Everything a placement change cost.
+
+    The executor and the engine's apply pass report their moves as
+    :class:`MoveColumns` over the partition ``names`` (the apply pass hands
+    every tenant of a window the same columns, each report over its own
+    ``span`` of them, with its totals); :attr:`moves` builds one
+    :class:`MigrationRecord` per move on first read and keeps the list, as
+    :attr:`repro.core.optassign.Assignment.choices` does.  A report can also
+    be built from records (``MigrationReport(epoch, moves)``).  Every total
+    is the built-in ``sum`` over one value per move, in move order, whichever
+    form the report holds.
+    """
+
+    __slots__ = ("epoch", "_names", "_columns", "_span", "_moves", "_totals")
+
+    def __init__(
+        self,
+        epoch: int,
+        moves: list[MigrationRecord] | None = None,
+        *,
+        names: Sequence[str] = (),
+        columns: MoveColumns | None = None,
+        span: tuple[int, int] | None = None,
+        totals: dict[str, float] | None = None,
+    ):
+        self.epoch = epoch
+        self._names = names
+        self._columns = columns
+        # The report's moves are columns[start:stop] when several reports
+        # share one set of columns.
+        self._span = span
+        self._moves = moves if moves is not None or columns is not None else []
+        self._totals: dict[str, float] = {} if totals is None else totals
+
+    def _column(self, field: str) -> np.ndarray:
+        values = getattr(self._columns, field)
+        span = self._span
+        return values if span is None else values[span[0] : span[1]]
+
+    @property
+    def moves(self) -> list[MigrationRecord]:
+        """One record per move, in move order."""
+        if self._moves is None:
+            names = self._names
+            self._moves = [
+                MigrationRecord(names[row], *values)
+                for row, *values in zip(
+                    *(self._column(field).tolist() for field in MoveColumns._fields)
+                )
+            ]
+        return self._moves
+
+    def _total(self, field: str) -> float:
+        """The built-in ``sum`` of one value per move, in move order (kept)."""
+        total = self._totals.get(field)
+        if total is None:
+            if self._columns is None:
+                values = [
+                    move.cost + move.egress_cost
+                    if field == "migration_cost"
+                    else getattr(move, field)
+                    for move in self._moves
+                ]
+            elif field == "migration_cost":
+                values = (self._column("cost") + self._column("egress_cost")).tolist()
+            else:
+                values = self._column(field).tolist()
+            total = self._totals[field] = float(sum(values))
+        return total
 
     @property
     def num_moved(self) -> int:
-        return len(self.moves)
+        if self._columns is None:
+            return len(self._moves)
+        return len(self._column("rows"))
 
     @property
     def moved_gb(self) -> float:
-        return float(sum(move.moved_gb for move in self.moves))
+        return self._total("moved_gb")
 
     @property
     def migration_cost(self) -> float:
         """Read-at-source, write-at-destination and cross-provider egress
         charges, in cents."""
-        return float(sum(move.cost + move.egress_cost for move in self.moves))
+        return self._total("migration_cost")
 
     @property
     def egress_cost(self) -> float:
         """Cross-provider egress charges alone, in cents."""
-        return float(sum(move.egress_cost for move in self.moves))
+        return self._total("egress_cost")
 
     @property
     def early_deletion_penalty(self) -> float:
-        return float(sum(move.early_deletion_penalty for move in self.moves))
+        return self._total("early_deletion_penalty")
 
     @property
     def total_cost(self) -> float:
         return self.migration_cost + self.early_deletion_penalty
+
+    def evacuation_cost(self, tiers: "frozenset[int] | set[int]") -> float | None:
+        """The move and egress charges of the moves out of ``tiers``, in
+        cents, or ``None`` when no move left them."""
+        if self._columns is None:
+            charges = [
+                move.cost + move.egress_cost
+                for move in self._moves
+                if move.from_tier in tiers
+            ]
+        else:
+            off = np.isin(self._column("from_tier"), sorted(tiers))
+            charges = (
+                self._column("cost")[off] + self._column("egress_cost")[off]
+            ).tolist()
+        return float(sum(charges)) if charges else None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MigrationReport):
+            return NotImplemented
+        return self.epoch == other.epoch and self.moves == other.moves
+
+    def __repr__(self) -> str:
+        return f"MigrationReport(epoch={self.epoch!r}, moves={self.moves!r})"
+
+
+def count_moves(report: MigrationReport) -> None:
+    """Add one report's moves to the ``migration.*`` counters."""
+    metrics = get_metrics()
+    if metrics.enabled and report.num_moved:
+        metrics.counter("migration.moves").add(report.num_moved)
+        metrics.counter("migration.moved_gb").add(report.moved_gb)
+        metrics.counter("migration.cost_cents").add(report.migration_cost)
+        metrics.counter("migration.egress_cents").add(report.egress_cost)
+        metrics.counter("migration.early_deletion_cents").add(
+            report.early_deletion_penalty
+        )
 
 
 class MigrationExecutor:
@@ -97,6 +216,179 @@ class MigrationExecutor:
 
     def __init__(self, tiers: TierCatalog):
         self.tiers = tiers
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _move_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each tier's early-deletion months and the ``(T, T)`` per-GB egress
+        fee of every move; re-pricing the catalog changes neither."""
+        if self._tables is None:
+            tiers = self.tiers
+            count = len(tiers)
+            self._tables = (
+                np.array([tier.early_deletion_months for tier in tiers], dtype=np.float64),
+                np.array(
+                    [
+                        [tiers.egress_cost_per_gb(source, to) for to in range(count)]
+                        for source in range(count)
+                    ],
+                    dtype=np.float64,
+                ).reshape(count, count),
+            )
+        return self._tables
+
+    def price(
+        self,
+        size_gb: np.ndarray,
+        from_tier: np.ndarray,
+        to_tier: np.ndarray,
+        same_scheme: np.ndarray,
+        old_placed: np.ndarray,
+        old_ratio: np.ndarray,
+        new_ratio: np.ndarray,
+        resident: np.ndarray,
+        waived: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(moved_gb, cost, early_deletion_penalty, egress_cost)`` of every
+        move, one column entry per move: the one move-pricing rule.
+
+        Each argument holds one entry per move: its size, source and
+        destination tier (``NEW_DATA_TIER`` for new data), whether it keeps
+        its scheme, whether the old placement covered it and that placement's
+        ratio (any finite value where it did not), the new ratio, its months
+        in the source tier and (optionally) whether its source tier is
+        waived.
+
+        New data pays the destination write only.  Any other move reads its
+        stored size at the source — the old ratio's size when placed, the
+        new ratio's on a same-scheme move of unplaced data, the uncompressed
+        size otherwise — and writes its new size, pays the source
+        provider's egress on the bytes read, and pays the remaining
+        early-deletion months of a tier it leaves too early unless that
+        tier is waived.  The arithmetic is the per-tier helpers' (e.g.
+        :meth:`~repro.cloud.StorageTier.read_cost_for`), operation for
+        operation, so every entry equals the scalar bill.  ``np.where``
+        computes both branches, so the placeholder entries stay finite.
+        """
+        costs = self.tiers.cost_arrays()
+        early, egress_per_gb = self._move_tables()
+        fresh = from_tier == NEW_DATA_TIER
+        any_fresh = bool(fresh.any())
+        # New data has no source tier; tier 0 stands in for the gathers.
+        source = np.where(fresh, 0, from_tier) if any_fresh else from_tier
+        write_gb = size_gb / new_ratio
+        read_gb = size_gb / old_ratio
+        if not old_placed.all():
+            read_gb = np.where(
+                old_placed, read_gb, np.where(same_scheme, write_gb, size_gb)
+            )
+        write = costs["write_cost"][to_tier] * write_gb
+        # read_cost_for's ``accesses=1.0`` factor is exact and left out.
+        cost = costs["read_cost"][source] * read_gb + write
+        egress = egress_per_gb[source, to_tier] * read_gb
+        moved = read_gb
+        charged = (source != to_tier) & (resident < early[source])
+        if any_fresh:
+            cost = np.where(fresh, write, cost)
+            egress = np.where(fresh, 0.0, egress)
+            moved = np.where(fresh, write_gb, read_gb)
+            charged &= ~fresh
+        if waived is not None:
+            charged &= ~waived
+        penalty = np.zeros(len(size_gb), dtype=np.float64)
+        if charged.any():
+            left = np.where(charged, early[source] - resident, 0.0)
+            penalty = np.where(
+                charged, costs["storage_cost"][source] * size_gb * left, 0.0
+            )
+        return moved, cost, penalty, egress
+
+    def migrate(
+        self,
+        partitions: Sequence[DataPartition],
+        months_in_tier: np.ndarray,
+        rows: np.ndarray,
+        size_gb: np.ndarray,
+        old: PlacementColumns | None,
+        new: PlacementColumns,
+        waivers: Sequence[tuple[int, int, "frozenset[int] | set[int]"]] = (),
+    ) -> MoveColumns:
+        """Move ``rows`` of ``partitions`` from ``old`` to ``new`` and bill
+        the moves: the one move rule, over columns.
+
+        ``old`` and ``new`` hold one entry per row of ``rows`` (entry ``i``
+        is row ``rows[i]`` of ``partitions`` and of the residency clock
+        column ``months_in_tier``), and ``size_gb`` their sizes.  A row
+        ``old`` does not place (every row when it is ``None``) sits at its
+        partition's live tier and codec.  A row moves when its tier or its
+        stored scheme differs (new data always does); :meth:`price` bills
+        every move in one pass, in entry order.  ``waivers`` lists
+        ``(start, stop, tiers)``: the moves of entries ``start:stop`` off
+        ``tiers`` skip the early-deletion penalty.
+
+        Sets each moved partition's ``current_tier`` and ``current_codec``
+        and resets its clock; returns the moves as columns, ``rows`` holding
+        their entries.
+        """
+        count = len(rows)
+        # Where each row lives today and how it is stored, with the stored
+        # scheme as a code into the new placement's vocabulary (-1 = a
+        # scheme the new placement does not use, which is always a move).
+        if old is None:
+            from_tier = np.empty(count, dtype=np.int64)
+            old_scheme = np.empty(count, dtype=np.int64)
+            old_ratio = np.ones(count, dtype=np.float64)
+            placed = np.zeros(count, dtype=bool)
+        else:
+            from_tier = old.tier.copy()
+            old_scheme = recode(old.scheme, old.schemes, new.schemes)
+            old_ratio = old.ratio
+            placed = np.ones(count, dtype=bool) if old.placed is None else old.placed
+        # Without an old entry the partition's own tier and codec say where
+        # and how the data is stored today — a pre-compressed partition
+        # keeping its tier and scheme is not a move.
+        unplaced = np.flatnonzero(~placed)
+        if unplaced.size:
+            new_codes = {scheme: code for code, scheme in enumerate(new.schemes)}
+            for entry, row in zip(unplaced.tolist(), rows[unplaced].tolist()):
+                partition = partitions[row]
+                from_tier[entry] = partition.current_tier
+                old_scheme[entry] = new_codes.get(
+                    partition.current_codec or NO_COMPRESSION, -1
+                )
+        moving = np.flatnonzero((from_tier != new.tier) | (old_scheme != new.scheme))
+        source = from_tier[moving]
+        to_tier = new.tier[moving]
+        codes = new.scheme[moving]
+        moved = rows[moving]
+        waived = None
+        if waivers:
+            waived = np.zeros(len(moving), dtype=bool)
+            for start, stop, tiers in waivers:
+                lo, hi = np.searchsorted(moving, (start, stop)).tolist()
+                waived[lo:hi] = np.isin(source[lo:hi], sorted(tiers))
+        priced = self.price(
+            size_gb[moving],
+            source,
+            to_tier,
+            old_scheme[moving] == codes,
+            placed[moving],
+            old_ratio[moving],
+            new.ratio[moving],
+            months_in_tier[moved],
+            waived,
+        )
+        schemes = new.schemes
+        for row, tier, code in zip(moved.tolist(), to_tier.tolist(), codes.tolist()):
+            partition = partitions[row]
+            partition.current_tier = tier
+            # Record the applied scheme as the partition's current codec: the
+            # paper pins already-compressed partitions to their scheme, so the
+            # next warm-started re-optimization cannot flip codecs at a billed
+            # cost the objective never priced.
+            scheme = schemes[code]
+            partition.current_codec = None if scheme == NO_COMPRESSION else scheme
+        months_in_tier[moved] = 0.0
+        return MoveColumns(moving, source, to_tier, *priced)
 
     def apply(
         self,
@@ -126,8 +418,7 @@ class MigrationExecutor:
         is.
 
         Both placements are read as :class:`~repro.cloud.PlacementColumns`
-        (mappings convert once here); the moved rows come from one vectorized
-        compare, and the per-move arithmetic runs only for them, in row order.
+        (mappings convert once here) and moved by :meth:`migrate`.
         """
         names = tuple(map(attrgetter("name"), partitions))
         new = PlacementColumns.from_mapping(names, new_placement)
@@ -136,120 +427,25 @@ class MigrationExecutor:
             # Validate before anything mutates live state: a partial apply
             # would leave moves un-billed and residency clocks wrong.
             raise KeyError(f"new placement missing partitions: {missing}")
-        if months_in_tier.shape != (len(names),):
+        count = len(names)
+        if months_in_tier.shape != (count,):
             raise ValueError("months_in_tier needs one clock per partition")
         old = (
             None
             if old_placement is None
             else PlacementColumns.from_mapping(names, old_placement)
         )
-        # Where each row lives today and how it is stored, with the stored
-        # scheme as a code into the new placement's vocabulary (-1 = a
-        # scheme the new placement does not use, which is always a move).
-        if old is None:
-            from_tier = np.empty(len(names), dtype=np.int64)
-            old_scheme = np.empty(len(names), dtype=np.int64)
-            unplaced = range(len(names))
-        else:
-            from_tier = old.tier.copy()
-            old_scheme = recode(old.scheme, old.schemes, new.schemes)
-            unplaced = (
-                () if old.placed is None else np.flatnonzero(~old.placed).tolist()
-            )
-        # Without an old entry the partition's own tier and codec say where
-        # and how the data is stored today — a pre-compressed partition
-        # keeping its tier and scheme is not a move.
-        new_codes = {scheme: code for code, scheme in enumerate(new.schemes)}
-        for row in unplaced:
-            partition = partitions[row]
-            from_tier[row] = partition.current_tier
-            old_scheme[row] = new_codes.get(
-                partition.current_codec or NO_COMPRESSION, -1
-            )
-        # New data (NEW_DATA_TIER) always differs from the destination tier.
-        moving = np.flatnonzero((from_tier != new.tier) | (old_scheme != new.scheme))
-
-        moves: list[MigrationRecord] = []
-        for row, source_tier, to_tier, same_scheme, new_ratio, code in zip(
-            moving.tolist(),
-            from_tier[moving].tolist(),
-            new.tier[moving].tolist(),
-            (old_scheme[moving] == new.scheme[moving]).tolist(),
-            new.ratio[moving].tolist(),
-            new.scheme[moving].tolist(),
-        ):
-            partition = partitions[row]
-            name = partition.name
-            write_gb = partition.size_gb / new_ratio
-            if source_tier == NEW_DATA_TIER:
-                moves.append(
-                    MigrationRecord(
-                        partition=name,
-                        from_tier=NEW_DATA_TIER,
-                        to_tier=to_tier,
-                        moved_gb=write_gb,
-                        cost=self.tiers[to_tier].write_cost_for(write_gb),
-                        early_deletion_penalty=0.0,
-                    )
-                )
-            else:
-                source = self.tiers[source_tier]
-                destination = self.tiers[to_tier]
-                if old is not None and (old.placed is None or old.placed[row]):
-                    read_gb = partition.size_gb / float(old.ratio[row])
-                elif same_scheme:
-                    # Same scheme, tier move only: the stored size is the new
-                    # profile's compressed size.
-                    read_gb = write_gb
-                else:
-                    # Old representation unknown — charge the uncompressed
-                    # size (conservative upper bound).
-                    read_gb = partition.size_gb
-                cost = source.read_cost_for(read_gb) + destination.write_cost_for(
-                    write_gb
-                )
-                # Cross-provider moves additionally pay the source provider's
-                # network egress on the bytes read out (stored size at source).
-                egress = self.tiers.egress_cost_per_gb(source_tier, to_tier) * read_gb
-                penalty = 0.0
-                if source_tier != to_tier and not (
-                    waive_early_deletion_tiers
-                    and source_tier in waive_early_deletion_tiers
-                ):
-                    resident = float(months_in_tier[row])
-                    if resident < source.early_deletion_months:
-                        penalty = source.storage_cost_for(
-                            partition.size_gb, source.early_deletion_months - resident
-                        )
-                moves.append(
-                    MigrationRecord(
-                        partition=name,
-                        from_tier=source_tier,
-                        to_tier=to_tier,
-                        moved_gb=read_gb,
-                        cost=cost,
-                        early_deletion_penalty=penalty,
-                        egress_cost=egress,
-                    )
-                )
-            partition.current_tier = to_tier
-            # Record the applied scheme as the partition's current codec: the
-            # paper pins already-compressed partitions to their scheme, so the
-            # next warm-started re-optimization cannot flip codecs at a billed
-            # cost the objective never priced.
-            scheme = new.schemes[code]
-            partition.current_codec = None if scheme == NO_COMPRESSION else scheme
-        months_in_tier[moving] = 0.0
-        report = MigrationReport(epoch=epoch, moves=moves)
-        metrics = get_metrics()
-        if metrics.enabled and report.num_moved:
-            metrics.counter("migration.moves").add(report.num_moved)
-            metrics.counter("migration.moved_gb").add(report.moved_gb)
-            metrics.counter("migration.cost_cents").add(report.migration_cost)
-            metrics.counter("migration.egress_cents").add(report.egress_cost)
-            metrics.counter("migration.early_deletion_cents").add(
-                report.early_deletion_penalty
-            )
+        moves = self.migrate(
+            partitions,
+            months_in_tier,
+            np.arange(count),
+            np.fromiter(map(attrgetter("size_gb"), partitions), np.float64, count),
+            old,
+            new,
+            [(0, count, waive_early_deletion_tiers)] if waive_early_deletion_tiers else (),
+        )
+        report = MigrationReport(epoch, names=names, columns=moves)
+        count_moves(report)
         return report
 
     @staticmethod

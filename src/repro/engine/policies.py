@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import ItemsView, Mapping, ValuesView
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -197,9 +198,18 @@ def drift_score(
     if predicted_total <= 0.0 or observed_total <= 0.0:
         return 1.0
     _, predicted_rates, seen_rates = _aligned(predicted, seen)
-    shape = 0.5 * sum(
-        np.abs(predicted_rates / predicted_total - seen_rates / observed_total).tolist()
+    # A share cannot overflow over a total of at least 1.  Below that,
+    # cancelling rates can sum to a total so small that one does (and
+    # inf - inf gives NaN), which a per-name loop over Python floats does
+    # without a word; so does this.
+    quiet = (
+        np.errstate(over="ignore", invalid="ignore")
+        if predicted_total < 1.0 or observed_total < 1.0
+        else nullcontext()
     )
+    with quiet:
+        shares = np.abs(predicted_rates / predicted_total - seen_rates / observed_total)
+    shape = 0.5 * sum(shares.tolist())
     volume = abs(observed_total - predicted_total) / max(
         observed_total, predicted_total
     )

@@ -5,21 +5,22 @@ per tenant epoch-locked over the same monthly timeline.  Per epoch it
 
 1. asks every tenant's policy whether to re-optimize
    (:meth:`~repro.engine.OnlineTieringEngine.begin_epoch`);
-2. builds the firing tenants' warm-started OPTASSIGN instances, stacks them
-   into one tenant-tagged problem
-   (:class:`~repro.core.optassign.StackedProblem`) and performs a *single*
-   vectorized solve;
+2. plans the firing tenants in one :class:`~repro.engine.WindowPlan` over
+   the fleet's :class:`~repro.engine.SettleBlock` columns (every tenant that
+   shares a ring width and an EWMA alpha is one block): one forecast pass
+   over every firing row of a block, then the warm-started, tenant-tagged
+   instance (:class:`~repro.core.optassign.StackedProblem`) assembled from
+   the blocks' cached per-tenant parts, and a *single* vectorized solve;
 3. arbitrates the shared :class:`~repro.cloud.PoolSet` budgets with
    :func:`~repro.core.optassign.repair_pools` — greedy regret-per-GB
    water-filling across every competing tenant, with the standing placements
-   of non-firing tenants subtracted from each pool's budget first — then
-   splits the placements back and lets each tenant's executor apply and bill
-   its own moves;
+   of non-firing tenants (each block's cached per-tenant tier usage)
+   subtracted from each pool's budget first — then prices every move of the
+   window in one pass and writes the placement, clock and price columns,
+   giving each tenant its own :class:`~repro.engine.MigrationReport`;
 4. settles every tenant (simulator step, feature store, forecaster).  On the
-   windowed timeline the fleet settles all tenants that share a ring width
-   and an EWMA alpha in one pass over one
-   :class:`~repro.engine.SettleBlock`; the dense epoch loop settles each
-   engine in turn.
+   windowed timeline the fleet settles each block in one pass; the dense
+   epoch loop settles each engine in turn, through the same block columns.
 
 With slack pools the arbitration is a no-op and every partition keeps its
 individually-cheapest option, so a fleet run is **bill-exact** against N
@@ -33,10 +34,9 @@ beats carving the pool into static per-tenant slices (see
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 
 from ..cloud import (
     EventBatch,
@@ -64,6 +64,7 @@ from ..engine import (
     SettleBlock,
     StreamWindow,
     TriggerWindow,
+    WindowPlan,
     windowed,
 )
 from .report import FleetReport, PoolUsageRecord
@@ -71,8 +72,6 @@ from .sharding import ShardedFleetSolver, plan_tenant_shards
 from .tenants import FleetConfig, TenantSpec
 
 __all__ = ["FleetScheduler"]
-
-_T = TypeVar("_T")
 
 
 class FleetScheduler:
@@ -166,10 +165,11 @@ class FleetScheduler:
         # pulls their batches itself since run()'s iterators predate them.
         self._chaos_streams: dict[str, object] = {}
         self._pool_records: list[PoolUsageRecord] = []
-        # The live roster's settle blocks with their tenant names, one per
-        # (window width, alpha) group; rebuilt on first use after a roster
-        # change.
+        # The live roster's blocks with their tenant names, one per (window
+        # width, alpha) group, and each tenant's block and index there;
+        # rebuilt on first use after a roster change.
         self._blocks: list[tuple[tuple[str, ...], SettleBlock]] = []
+        self._members: dict[str, tuple[SettleBlock, int]] = {}
         # Incremental fleet solves: one DeltaSolver across epochs, keyed by
         # tenant-tagged names so the varying firing subsets merge into a
         # single fleet-wide cache.  Governed by the *shared* engine config —
@@ -260,7 +260,7 @@ class FleetScheduler:
         self.engines[spec.name] = engine
         self._records[spec.name] = []
         self._policy_names[spec.name] = spec.policy.name
-        self._blocks = []
+        self._blocks, self._members = [], {}
         if stream is not None:
             self._chaos_streams[spec.name] = iter(stream)
         return engine
@@ -278,7 +278,7 @@ class FleetScheduler:
             raise KeyError(f"unknown tenant {name!r}")
         engine = self.engines.pop(name)
         self.tenants = tuple(spec for spec in self.tenants if spec.name != name)
-        self._blocks = []
+        self._blocks, self._members = [], {}
         self._chaos_streams.pop(name, None)
         if self._delta is not None:
             prefix = f"{name}{TENANT_SEPARATOR}"
@@ -286,23 +286,21 @@ class FleetScheduler:
                 {f"{prefix}{partition.name}" for partition in engine._partitions}
             )
 
-    def _map(self, function: Callable[[str], _T], names: Sequence[str]) -> list[_T]:
-        """Build per tenant, threaded when configured.
-
-        Tenant engines share no mutable state with each other, so the results
-        are identical for any worker count; the pool only buys wall-clock.
-        """
-        workers = self.config.max_workers
-        if workers is None or workers <= 1 or len(names) <= 1:
-            return [function(name) for name in names]
-        with ThreadPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            return list(pool.map(function, names))
-
     def _fleet_tier_usage(self, names: Sequence[str]) -> np.ndarray:
-        """Summed stored GB per tier across the named tenants' placements."""
+        """Summed stored GB per tier across the named tenants' placements,
+        added tenant by tenant in the order given.  Each tenant's vector
+        comes from its block's cached per-engine usage
+        (:meth:`~repro.engine.SettleBlock.tier_usage`)."""
+        self._fleet_blocks()
+        members = self._members
         usage = np.zeros(len(self.tiers), dtype=np.float64)
+        by_block: dict[int, np.ndarray] = {}
         for name in names:
-            usage += self.engines[name].tier_usage_gb()
+            block, k = members[name]
+            matrix = by_block.get(id(block))
+            if matrix is None:
+                matrix = by_block[id(block)] = block.tier_usage()
+            usage += matrix[k]
         return usage
 
     def _solve_arbitrated(self, stacked: StackedProblem, reserved_gb):
@@ -413,36 +411,37 @@ class FleetScheduler:
         firing: Sequence[str],
         order: Sequence[str],
         tracer,
-        epoch_span_id,
     ) -> dict[str, object]:
-        """Build → stack → solve → apply for the firing tenants.
+        """Plan → solve → apply for the firing tenants: one pass each.
 
         The shared middle of both timelines (dense :meth:`step_epoch` and
         windowed :meth:`step_window`): identical stacking, pool arbitration,
         delta/sharded routing and chaos degradation either way.  ``epoch`` is
-        the dense month or the window ordinal — the engines' hooks take
-        whichever their timeline uses.  Returns the per-tenant migration
-        reports of an applied solve (empty when placements froze).
+        the dense month or the window ordinal.  A
+        :class:`~repro.engine.WindowPlan` over the tenants' blocks forecasts
+        every firing row and assembles the stacked instance from the blocks'
+        columns, and after the solve prices and applies every move.  Returns
+        the per-tenant migration reports of an applied solve (empty when
+        placements froze).
         """
         migrations: dict[str, object] = {}
         # The last solve's report holds its stacked problem and cost
         # tensors; drop it before this solve builds its own.
         self.last_solve_report = self.last_delta_report = None
-
-        def build(name: str):
-            with tracer.span(
-                "fleet.build_problem", parent_id=epoch_span_id, tenant=name
-            ):
-                return self.engines[name].build_problem(epoch)
-
-        problems = dict(zip(firing, self._map(build, firing)))
-        with tracer.span("fleet.stack", tenants=len(firing)):
-            stacked = StackedProblem.stack(problems)
+        with tracer.span("fleet.build_problem", tenants=len(firing)):
+            self._fleet_blocks()
+            members = self._members
+            plan = WindowPlan(epoch, [(name, *members[name]) for name in firing])
+            with tracer.span("engine.forecast", tenants=len(firing)):
+                plan.forecast()
+            with tracer.span("fleet.stack", tenants=len(firing)):
+                stacked = plan.stack()
         reserved = None
         if self.pools is not None:
-            firing_set = set(firing)
-            standing = [name for name in order if name not in firing_set]
-            reserved = self.pools.usage(self._fleet_tier_usage(standing))
+            with tracer.span("fleet.pool_usage"):
+                firing_set = set(firing)
+                standing = [name for name in order if name not in firing_set]
+                reserved = self.pools.usage(self._fleet_tier_usage(standing))
         with tracer.span("fleet.solve", tenants=len(firing)):
             try:
                 if self._delta is not None:
@@ -461,12 +460,11 @@ class FleetScheduler:
                     self, stacked, reserved, error
                 )
         if assignment is not None:
-            placements = stacked.split_placements(assignment)
-            for name in firing:
-                with tracer.span("fleet.apply", tenant=name):
-                    migrations[name] = self.engines[name].apply_assignment(
-                        epoch, placements[name]
-                    )
+            with tracer.span("fleet.apply", tenants=len(firing)):
+                with tracer.span("engine.migrate", epoch=epoch) as span:
+                    reports = plan.apply(assignment)
+                    span.set(num_moved=sum(report.num_moved for report in reports))
+            migrations = dict(zip(firing, reports))
             if self.chaos is not None:
                 for name in firing:
                     self.chaos.note_migration(
@@ -513,11 +511,6 @@ class FleetScheduler:
 
         tracer = get_tracer()
         with tracer.span("fleet.epoch", epoch=epoch) as epoch_span:
-            # Per-tenant work below may run on thread-pool workers, whose
-            # span stacks start empty — pin their parentage explicitly so the
-            # epoch's span tree survives the thread hop.
-            epoch_span_id = tracer.current_span_id
-
             firing = [
                 name for name in order if self.engines[name].begin_epoch(epoch)
             ]
@@ -532,9 +525,7 @@ class FleetScheduler:
             solve_started = monotonic_s()
             migrations: dict[str, object] = {}
             if firing:
-                migrations = self._reoptimize(
-                    epoch, firing, order, tracer, epoch_span_id
-                )
+                migrations = self._reoptimize(epoch, firing, order, tracer)
             solve_seconds = monotonic_s() - solve_started
 
             for name in order:
@@ -549,9 +540,10 @@ class FleetScheduler:
                         )
                     )
 
-            self._note_pool_usage(
-                epoch, order, len(firing), solve_seconds, tracer, epoch_span
-            )
+            with tracer.span("fleet.pool_usage"):
+                self._note_pool_usage(
+                    epoch, order, len(firing), solve_seconds, tracer, epoch_span
+                )
 
     def _note_pool_usage(
         self, epoch, order, num_fired, solve_seconds, tracer, epoch_span
@@ -644,20 +636,21 @@ class FleetScheduler:
         with tracer.span(
             "fleet.window", index=index, cause=cause
         ) as epoch_span:
-            epoch_span_id = tracer.current_span_id
-            rows = {
-                name: engines[name]._window_rows(window)
-                for name, window in windows.items()
-                if name in engines
-            }
+            with tracer.span("fleet.validate", tenants=len(windows)):
+                rows = {
+                    name: engines[name]._window_rows(window)
+                    for name, window in windows.items()
+                    if name in engines
+                }
+                if self.chaos is not None:
+                    # A tenant this window admits has no engine yet: check
+                    # its events against its spec's partitions.
+                    for spec in self.chaos.joiners_in_window(start, end):
+                        joining = windows.get(spec.name)
+                        if joining is not None and len(joining.events):
+                            arrays = PartitionArrays.from_partitions(spec.partitions)
+                            arrays.event_rows(joining.events)
             if self.chaos is not None:
-                # A tenant this window admits has no engine yet: check its
-                # events against its spec's partitions.
-                for spec in self.chaos.joiners_in_window(start, end):
-                    joining = windows.get(spec.name)
-                    if joining is not None and len(joining.events):
-                        arrays = PartitionArrays.from_partitions(spec.partitions)
-                        arrays.event_rows(joining.events)
                 # Disruptions whose month marks fall inside this window land
                 # at its boundary, before any policy decision or billing.
                 self.chaos.before_fleet_window(self, index, start, end)
@@ -676,24 +669,24 @@ class FleetScheduler:
                     rows[name] = engines[name]._window_rows(windows[name])
 
             force_all = cause == "drift"
-            firing = [
-                name
-                for name in order
-                # begin_window runs for every tenant (timeline validation +
-                # policy bookkeeping) even when a drift close forces firing.
-                if engines[name].begin_window(index) or force_all
-            ]
-            if self.chaos is not None:
-                forced = self.chaos.take_forced_tenants() & set(order)
-                if forced - set(firing):
-                    firing_set = set(firing) | forced
-                    firing = [name for name in order if name in firing_set]
+            with tracer.span("fleet.decide", tenants=len(order)):
+                firing = [
+                    name
+                    for name in order
+                    # begin_window runs for every tenant (timeline
+                    # validation + policy bookkeeping) even when a drift
+                    # close forces firing.
+                    if engines[name].begin_window(index) or force_all
+                ]
+                if self.chaos is not None:
+                    forced = self.chaos.take_forced_tenants() & set(order)
+                    if forced - set(firing):
+                        firing_set = set(firing) | forced
+                        firing = [name for name in order if name in firing_set]
             solve_started = monotonic_s()
             migrations: dict[str, object] = {}
             if firing:
-                migrations = self._reoptimize(
-                    index, firing, order, tracer, epoch_span_id
-                )
+                migrations = self._reoptimize(index, firing, order, tracer)
             solve_seconds = monotonic_s() - solve_started
 
             with tracer.span("fleet.settle", tenants=len(order)):
@@ -708,16 +701,23 @@ class FleetScheduler:
                     for name, record in zip(names, records):
                         self._records[name].append(record)
 
-            self._note_pool_usage(
-                index, order, len(firing), solve_seconds, tracer, epoch_span
-            )
+            with tracer.span("fleet.pool_usage"):
+                self._note_pool_usage(
+                    index, order, len(firing), solve_seconds, tracer, epoch_span
+                )
 
     def _settle_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
-        """The live roster's settle blocks, with each block's tenants.
+        """The blocks the windowed timeline settles through, with each
+        block's tenants (:meth:`_fleet_blocks`)."""
+        return self._fleet_blocks()
+
+    def _fleet_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
+        """The live roster's blocks, with each block's tenants.
 
         Tenants are grouped by feature-store window width and forecaster
-        alpha, in roster order.  The blocks are rebuilt after a roster
-        change, or when an engine no longer holds a block's columns.
+        alpha, in roster order.  The blocks are built at first use and
+        rebuilt after a roster change, or when an engine no longer holds a
+        block's columns.
         """
         if not self._blocks or not all(block.intact() for _, block in self._blocks):
             groups: dict[tuple, list[str]] = {}
@@ -726,9 +726,17 @@ class FleetScheduler:
                 key = (engine.feature_store.window_months, engine.forecaster.alpha)
                 groups.setdefault(key, []).append(spec.name)
             self._blocks = [
-                (tuple(names), SettleBlock([self.engines[name] for name in names]))
+                (
+                    tuple(names),
+                    SettleBlock([self.engines[name] for name in names], tenants=names),
+                )
                 for names in groups.values()
             ]
+            self._members = {
+                name: (block, k)
+                for names, block in self._blocks
+                for k, name in enumerate(names)
+            }
         return self._blocks
 
     def run_streams(

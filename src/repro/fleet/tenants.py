@@ -82,20 +82,20 @@ class FleetConfig:
     """Knobs of the fleet control loop.
 
     ``engine`` is the shared :class:`~repro.engine.EngineConfig` for tenants
-    whose spec carries none.  ``max_workers`` sizes the
-    :mod:`concurrent.futures` thread pool that builds the firing tenants'
-    problems in parallel (``None`` or ``1`` = serial); tenants share no
-    mutable state while they build, so any worker count produces identical
-    results.  Settling is not threaded: the windowed loop settles every
-    tenant in one vectorized pass, and the dense loop settles tenants in
-    turn.
+    whose spec carries none.  ``max_workers`` has no effect: it sized a
+    thread pool for the per-tenant problem builds, which the one plan pass
+    per window (:class:`~repro.engine.WindowPlan`) replaced.  It is still
+    validated (at least 1) and kept for callers that pass it, until a
+    change to the benchmark that passes it can drop it.  Nothing in the
+    loop is threaded: the windowed loop plans and settles every tenant in
+    one vectorized pass each, and the dense loop settles tenants in turn.
 
     ``shards`` switches the stacked solve itself to the multiprocess
     :class:`~repro.fleet.sharding.ShardedFleetSolver` with that many shards
     (``None`` = the in-process single-solve path, bit-identical results
     either way — the equivalence tests enforce it).  ``shard_workers`` caps
     the sharded solver's worker processes (``None`` = one per shard, up to
-    the machine's cores); like ``max_workers`` it only trades wall-clock.
+    the machine's cores); it only trades wall-clock.
     """
 
     engine: EngineConfig = field(default_factory=EngineConfig)
