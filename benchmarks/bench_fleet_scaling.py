@@ -11,21 +11,11 @@ re-optimization three ways:
   :class:`~repro.core.optassign.StackedProblem` solve over every tenant's
   partitions at once (what the :class:`~repro.fleet.FleetScheduler` does).
 
-A second sweep pushes the stacked instance to fleet scale (up to the 1M-row
-headline cell) and times the sharded multiprocess solve
-(:class:`~repro.fleet.ShardedFleetSolver`, shared-memory tensors, lazy
-choice materialization) across worker counts against the single-process
-stacked solve.  ``cores_available`` records ``os.cpu_count()`` so committed
-numbers are interpretable: worker counts above the core count measure the
-shared-memory path's overhead, not parallel speedup.  The cost of
-materializing every one of the lazy map's options (which the solve itself no
-longer pays) is reported separately as ``materialize_all_s``.
-
-Every stacked choice is verified identical (tier, scheme, bit-exact
-objective) to its per-tenant solve before any timing is reported — and every
-sharded row is verified bit-identical to the single-process solve — and the
-results are written to ``BENCH_fleet_scaling.json`` so the perf trajectory is
-tracked across commits.
+``cores_available`` records ``os.cpu_count()`` so committed numbers are
+interpretable.  Every stacked choice is verified identical (tier, scheme,
+bit-exact objective) to its per-tenant solve before any timing is reported,
+and the results are written to ``BENCH_fleet_scaling.json`` so the perf
+trajectory is tracked across commits.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_fleet_scaling.py [--quick]
 
@@ -54,7 +44,6 @@ from repro.cloud import (  # noqa: E402
     CompressionProfile,
     CostModel,
     DataPartition,
-    PartitionArrays,
     PoolSet,
     azure_tier_catalog,
     multi_cloud_catalog,
@@ -68,7 +57,6 @@ from repro.engine import EngineConfig, PeriodicReoptimize  # noqa: E402
 from repro.fleet import (  # noqa: E402
     FleetConfig,
     FleetScheduler,
-    ShardedFleetSolver,
     TenantSpec,
 )
 
@@ -76,14 +64,6 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fleet_scaling.json"
 
 GRID = ((8, 64), (32, 64), (32, 256), (128, 256))
 QUICK_GRID = ((2, 16), (4, 32))
-
-# The sharded multiprocess sweep: (tenants, partitions-per-tenant) cells up
-# to the 1M-row headline, crossed with worker counts.  8192 / 131072 /
-# 1048576 total rows.
-SHARDED_GRID = ((8, 1024), (32, 4096), (64, 16384))
-SHARDED_QUICK_GRID = ((4, 32),)
-SHARD_WORKER_SWEEP = (1, 2, 4)
-SHARDS = 4
 
 
 def _best_of(function, repeats: int, setup=None) -> float:
@@ -289,149 +269,6 @@ def sweep(grid, repeats: int = 3, verify: bool = True) -> list[dict]:
     return rows
 
 
-def fast_tenant_problem(model: CostModel, seed: int, count: int) -> OptAssignProblem:
-    """Columnar twin of :func:`build_tenant_problem` for fleet-scale cells.
-
-    Same distributions, but the columns are drawn as whole numpy vectors and
-    handed to the problem as a :class:`~repro.cloud.PartitionArrays`, so
-    building the 1M-row headline instance costs seconds instead of minutes.
-    (Draw order differs from the scalar builder, so the instances are
-    statistically — not bitwise — equivalent; every timing below compares
-    sharded vs single-process on the *same* instance, which is what matters.)
-    """
-    rng = np.random.default_rng(seed)
-    names = tuple(f"p{index:05d}" for index in range(count))
-    arrays = PartitionArrays(
-        names=names,
-        size_gb=rng.lognormal(3.0, 1.5, count),
-        predicted_accesses=rng.lognormal(1.0, 2.0, count),
-        latency_threshold_s=rng.choice([1.0, 60.0, 7200.0], count),
-        current_tier=rng.integers(-1, 3, count),
-        read_fraction=np.full(count, 1.0),
-        pushdown_fraction=np.zeros(count),
-        current_codec=(None,) * count,
-        file_ids=(frozenset(),) * count,
-    )
-    gzip_ratio = rng.uniform(2.0, 6.0, count)
-    gzip_decomp = rng.uniform(0.5, 2.0, count)
-    snappy_ratio = rng.uniform(1.2, 3.0, count)
-    snappy_decomp = rng.uniform(0.02, 0.3, count)
-    profiles = {
-        names[i]: {
-            "gzip": CompressionProfile(
-                "gzip",
-                ratio=float(gzip_ratio[i]),
-                decompression_s_per_gb=float(gzip_decomp[i]),
-            ),
-            "snappy": CompressionProfile(
-                "snappy",
-                ratio=float(snappy_ratio[i]),
-                decompression_s_per_gb=float(snappy_decomp[i]),
-            ),
-        }
-        for i in range(count)
-    }
-    return OptAssignProblem(arrays, model, profiles)
-
-
-def _cold_caches(problem: OptAssignProblem) -> None:
-    """Drop the problem's tensor caches so every repeat solves cold.
-
-    Rebuilding a 1M-row instance per repeat would dominate the benchmark's
-    runtime; clearing the caches gives each repeat the same cold-solve work
-    without paying the Python-object build again.
-    """
-    problem._tensors = None
-    problem._profile_columns_cache = None
-
-
-def assert_sharded_identical(single, sharded) -> None:
-    """Every sharded choice must equal the single-process choice, bit for bit.
-
-    Both maps iterate in the stacked problem's global row order, so a zipped
-    walk compares name-for-name; comparing ``CandidateOption`` dataclasses
-    hits every field (tier, scheme, objective, breakdown, latency)."""
-    assert len(single.choices) == len(sharded.choices)
-    for (name_a, option_a), (name_b, option_b) in zip(
-        single.choices.items(), sharded.choices.items()
-    ):
-        assert name_a == name_b, (name_a, name_b)
-        assert option_a == option_b, (name_a, option_a, option_b)
-
-
-def sharded_sweep(
-    grid,
-    workers_sweep=SHARD_WORKER_SWEEP,
-    repeats: int = 2,
-    verify: bool = True,
-) -> list[dict]:
-    """Time the sharded multiprocess solve against the single-process solve.
-
-    Worker pools persist across repeats (the production shape: the
-    ``FleetScheduler`` keeps one solver for its whole run), so each worker
-    count gets one untimed warm-up solve to spin the pool up, then the best
-    of ``repeats`` timed cold-cache solves.
-    """
-    model = CostModel(azure_tier_catalog(), duration_months=6.0)
-    rows: list[dict] = []
-    for tenants, per_tenant in grid:
-        problems = {
-            f"tenant_{index:04d}": fast_tenant_problem(
-                model, seed=1000 + index, count=per_tenant
-            )
-            for index in range(tenants)
-        }
-        stacked = StackedProblem.stack(problems)
-        problem = stacked.problem
-        total = tenants * per_tenant
-        reps = 1 if total >= 262_144 else repeats
-
-        single_s = _best_of(
-            lambda _: solve_greedy(problem),
-            reps,
-            setup=lambda: _cold_caches(problem),
-        )
-        single = solve_greedy(problem)
-        _cold_caches(problem)
-
-        for workers in workers_sweep:
-            with ShardedFleetSolver(shards=SHARDS, workers=workers) as solver:
-                solver.solve(problem)  # warm-up: fork the worker pool
-                sharded_s = _best_of(
-                    lambda _: solver.solve(problem),
-                    reps,
-                    setup=lambda: _cold_caches(problem),
-                )
-                report = solver.solve(problem)
-            materialize_s = _best_of(
-                lambda _: list(report.assignment.choices.values()), 1
-            )
-            if verify:
-                assert_sharded_identical(single, report.assignment)
-            row = {
-                "tenants": tenants,
-                "partitions_per_tenant": per_tenant,
-                "total_partitions": total,
-                "shards": SHARDS,
-                "workers": workers,
-                # Per-row so the regression gate can tell whether *this*
-                # timing is reproducible on the current machine.
-                "cores_available": os.cpu_count(),
-                "single_solve_s": single_s,
-                "sharded_solve_s": sharded_s,
-                "speedup": single_s / sharded_s if sharded_s else None,
-                "materialize_all_s": materialize_s,
-                "identical": verify,
-            }
-            rows.append(row)
-            print(
-                f"{total:>8} rows | shards {SHARDS} x workers {workers}: "
-                f"single {single_s:7.2f} s | sharded {sharded_s:7.2f} s | "
-                f"{row['speedup']:5.1f}x | materialize-all {materialize_s:6.2f} s"
-            )
-    return rows
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -444,16 +281,6 @@ def main() -> None:
     grid = QUICK_GRID if args.quick else GRID
     print("Fleet solve scaling: per-tenant scalar vs stacked vectorized")
     rows = sweep(grid, repeats=2 if args.quick else 3)
-
-    print(
-        "\nSharded multiprocess solve: shards x workers x rows "
-        f"(cores available: {os.cpu_count()})"
-    )
-    sharded_rows = sharded_sweep(
-        SHARDED_QUICK_GRID if args.quick else SHARDED_GRID,
-        workers_sweep=(2,) if args.quick else SHARD_WORKER_SWEEP,
-        repeats=1 if args.quick else 2,
-    )
 
     print("\nFleet phases: span-derived per-phase wall clock (contended pool)")
     phase_profile = profile_fleet_phases(months=3 if args.quick else 6)
@@ -473,7 +300,6 @@ def main() -> None:
         "benchmark": "fleet_scaling",
         "cores_available": os.cpu_count(),
         "rows": rows,
-        "sharded_rows": sharded_rows,
         "fleet_phases": phase_profile,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

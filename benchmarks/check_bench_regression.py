@@ -1,12 +1,16 @@
 #!/usr/bin/env python
 """CI perf-regression gate: re-run a benchmark subset against BENCH_*.json.
 
-The repository commits four benchmark trajectories at the repo root:
+This script gates five of the benchmark trajectories committed at the repo
+root:
 
 * ``BENCH_optassign_scaling.json`` — scalar vs vectorized greedy OPTASSIGN;
 * ``BENCH_optassign_delta.json``   — incremental delta solve vs full re-solve;
 * ``BENCH_fleet_scaling.json``     — per-tenant loop vs stacked fleet solve;
-* ``BENCH_engine_online.json``     — online engine bills per policy.
+* ``BENCH_engine_online.json``     — online engine bills per policy;
+* ``BENCH_stream_ingest.json``     — lazy stream generation and windowing.
+
+``BENCH_chaos_overhead.json`` is committed too, but no check here loads it.
 
 This script re-runs a small, representative subset of each sweep on the
 current checkout and fails (non-zero exit) when the code has regressed
@@ -26,10 +30,9 @@ against the committed baseline:
   semantics changed and the baseline must be consciously re-recorded.
 * The delta solver's headline claim — ``>= 3x`` speedup over the full solve
   at 5% drift on 10k partitions — is re-asserted on every run.
-* The sharded fleet solver's headline claim — ``>= 2x`` wall-clock speedup
-  over the single-process stacked solve on the committed 1M-row cell — is
-  gated statically from the committed JSON, and a small sharded cell is
-  re-run live to confirm bit-identical results and sane wall clock.
+* The streaming ingest headline — at least 1M events with flat traced
+  memory — is gated statically from the committed JSON, and the smallest
+  cell is re-run live for its deterministic event and window counts.
 * **Per-phase span timings** (tensor build / greedy / capacity repair / pool
   arbitration, from ``repro.obs`` spans) are compared phase by phase with the
   same 2x-plus-jitter policy, so a regression localises to the phase that
@@ -42,6 +45,7 @@ JSON on a quiet machine and commit it alongside the change::
     PYTHONPATH=src python benchmarks/bench_runtime_scaling.py
     PYTHONPATH=src python benchmarks/bench_fleet_scaling.py
     PYTHONPATH=src python benchmarks/bench_engine_online.py
+    PYTHONPATH=src python benchmarks/bench_stream_ingest.py
 
 Usage::
 
@@ -53,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -157,79 +160,6 @@ def check_fleet() -> None:
         tag = f"fleet[{row['tenants']}x{row['partitions_per_tenant']}]"
         _check(f"{tag} oracle", row["oracle_verified"], "stacked matches per-tenant solves")
         _check_wall_clock(f"{tag} stacked", row["stacked_vectorized_s"], base["stacked_vectorized_s"])
-
-
-def check_sharded() -> None:
-    """Sharded multiprocess fleet solve: exactness, wall clock, 1M headline.
-
-    The headline — ``>= 2x`` over the single-process stacked solve at the
-    largest committed cell — is asserted against the committed JSON rather
-    than re-measured: re-running the 1M-row cell on every CI push is too
-    slow, and the committed numbers (with their recorded ``cores_available``)
-    are the claim being protected.  A small sharded cell is re-run live so
-    the multiprocess path itself (fork, shared memory, reduce) is exercised
-    and stays bit-identical and fast on the current checkout.
-    """
-    from bench_fleet_scaling import sharded_sweep
-
-    print("== sharded multiprocess fleet solve")
-    payload = _load("BENCH_fleet_scaling.json")
-    baseline_rows = payload.get("sharded_rows")
-    if not baseline_rows:
-        raise SystemExit(
-            "baseline has no sharded_rows; re-record BENCH_fleet_scaling.json"
-        )
-
-    headline = max(baseline_rows, key=lambda row: row["total_partitions"])
-    best_speedup = max(
-        row["speedup"]
-        for row in baseline_rows
-        if row["total_partitions"] == headline["total_partitions"]
-    )
-    _check(
-        "sharded[headline] identical",
-        all(
-            row["identical"]
-            for row in baseline_rows
-            if row["total_partitions"] == headline["total_partitions"]
-        ),
-        f"committed {headline['total_partitions']}-row cell matches the "
-        "single-process solve bit for bit",
-    )
-    _check(
-        "sharded[headline] speedup",
-        best_speedup >= 2.0,
-        f"{best_speedup:.1f}x vs single-process at "
-        f"{headline['total_partitions']} rows (floor 2.0x, "
-        f"{payload.get('cores_available')} cores when recorded)",
-    )
-
-    small = min(baseline_rows, key=lambda row: row["total_partitions"])
-    cell = (small["tenants"], small["partitions_per_tenant"])
-    baseline_small = {
-        row["workers"]: row
-        for row in baseline_rows
-        if (row["tenants"], row["partitions_per_tenant"]) == cell
-    }
-    recorded_cores = small.get("cores_available") or payload.get("cores_available")
-    available = os.cpu_count() or 1
-    if recorded_cores is not None and available < recorded_cores:
-        # Fewer cores than the baseline was recorded on: the sharded wall
-        # clocks are not comparable on this machine, so re-running them
-        # would only produce false alarms.  The static headline checks
-        # above still gate the committed numbers.
-        print(
-            f"  [skip] sharded live re-run: {available} core(s) available "
-            f"but baseline recorded on {recorded_cores}; wall clocks not "
-            "comparable (static checks above still apply)"
-        )
-        return
-    for row in sharded_sweep((cell,), workers_sweep=(2,), repeats=2):
-        tag = f"sharded[{row['total_partitions']} rows x {row['workers']}w]"
-        _check(f"{tag} identical", row["identical"], "matches single-process solve")
-        base = baseline_small.get(row["workers"])
-        if base is not None:
-            _check_wall_clock(f"{tag} solve", row["sharded_solve_s"], base["sharded_solve_s"])
 
 
 def check_phases() -> None:
@@ -385,7 +315,6 @@ CHECKS = {
     "optassign": check_optassign,
     "delta": check_delta,
     "fleet": check_fleet,
-    "sharded": check_sharded,
     "engine": check_engine,
     "phases": check_phases,
     "stream": check_stream,

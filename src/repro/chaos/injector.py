@@ -46,7 +46,7 @@ import math
 from dataclasses import replace
 from typing import Iterable, Iterator
 
-from ..core.optassign import InfeasibleError
+from ..core.optassign import InfeasibleError, solve_optassign
 from ..core.optassign.stacked import TENANT_SEPARATOR
 from ..engine.events import EpochBatch
 from ..obs import get_metrics, get_tracer
@@ -461,9 +461,7 @@ class ChaosInjector:
         with get_tracer().span("chaos.degradation", epoch=epoch):
             if scheduler.pools is not None:
                 try:
-                    # Routed through the scheduler so a sharded fleet retries
-                    # on its worker pool (bill-identical either way).
-                    retry = scheduler.solve_unpooled(stacked.problem)
+                    retry = solve_optassign(stacked.problem, prefer="greedy")
                 except InfeasibleError as second_error:
                     error = second_error
                 else:

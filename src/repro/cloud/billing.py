@@ -146,8 +146,9 @@ class CostWeights:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("cost weights must be non-negative")
+        weights = (self.alpha, self.beta, self.gamma)
+        if not all(0 <= weight < math.inf for weight in weights):
+            raise ValueError("cost weights must be non-negative and finite")
 
 
 @dataclass
@@ -229,10 +230,10 @@ class CostModel:
         duration_months: float = 1.0,
         weights: CostWeights | None = None,
     ):
-        if compute_cost_per_s < 0:
-            raise ValueError("compute cost must be non-negative")
-        if duration_months <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 <= compute_cost_per_s < math.inf:
+            raise ValueError("compute cost must be non-negative and finite")
+        if not 0 < duration_months < math.inf:
+            raise ValueError("duration must be positive and finite")
         self.tiers = tiers
         self.compute_cost_per_s = compute_cost_per_s
         self.duration_months = duration_months

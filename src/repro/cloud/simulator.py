@@ -13,6 +13,7 @@ be counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -243,6 +244,8 @@ class CloudStorageSimulator:
     """
 
     def __init__(self, tiers: TierCatalog, compute_cost_per_s: float = 0.001):
+        if not 0 <= compute_cost_per_s < math.inf:
+            raise ValueError("compute cost must be non-negative and finite")
         self.tiers = tiers
         self.compute_cost_per_s = compute_cost_per_s
 

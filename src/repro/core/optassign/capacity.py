@@ -410,9 +410,7 @@ def check_fail_fast_certificates(problem: OptAssignProblem) -> None:
     exhausted-rounds error: hard-mask-empty partitions (SLO/affinity/codec)
     and aggregate capacity shortfall.
 
-    Shared by :func:`solve_optassign` and the sharded fleet solver
-    (:class:`repro.fleet.ShardedFleetSolver`), so both entry points raise
-    the same certificates — messages, metrics counters and all.
+    :func:`solve_optassign` runs it once, before its relaxation loop.
     """
     metrics = get_metrics()
     masked_out = problem.hard_mask_empty_partitions()

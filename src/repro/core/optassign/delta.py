@@ -144,7 +144,6 @@ class DeltaSolver:
         drift_threshold: float = 0.1,
         prefer: str = "greedy",
         tolerance: float = 1e-9,
-        full_solver=None,
     ):
         if drift_threshold < 0.0:
             raise ValueError("drift_threshold must be non-negative")
@@ -156,12 +155,6 @@ class DeltaSolver:
         self.drift_threshold = float(drift_threshold)
         self.prefer = prefer
         self.tolerance = float(tolerance)
-        #: Optional ``(problem, pool_set, reserved_gb) -> SolveReport``
-        #: override for bootstrap/fallback full solves.  The sharded fleet
-        #: solver plugs itself in here so even full epochs fan out across
-        #: worker processes; it must price identically to the facade (the
-        #: sharded solver's equivalence tests are what license this).
-        self.full_solver = full_solver
         self.reset()
 
     def reset(self) -> None:
@@ -576,17 +569,14 @@ class DeltaSolver:
         reserved_gb: np.ndarray | None,
         reason: str,
     ) -> DeltaSolveReport:
-        if self.full_solver is not None:
-            report = self.full_solver(problem, pool_set, reserved_gb)
-        else:
-            post_repair = None
-            if pool_set is not None:
-                post_repair = lambda assignment: repair_pools(  # noqa: E731
-                    assignment, pool_set, reserved_gb=reserved_gb
-                )
-            report = solve_optassign(
-                problem, prefer=self.prefer, post_repair=post_repair
+        post_repair = None
+        if pool_set is not None:
+            post_repair = lambda assignment: repair_pools(  # noqa: E731
+                assignment, pool_set, reserved_gb=reserved_gb
             )
+        report = solve_optassign(
+            problem, prefer=self.prefer, post_repair=post_repair
+        )
         assignment = report.assignment
         self._remember(
             problem,

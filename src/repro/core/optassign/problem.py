@@ -584,9 +584,9 @@ class OptAssignProblem:
         carve exists to save.  Row order is preserved, and the carved
         instance's (smaller) scheme union restricted to one partition's
         available schemes keeps the sorted enumeration order — so vectorized
-        argmin tie-breaks on the carve match the full instance exactly.  Both
-        the incremental delta solver (changed rows) and the sharded fleet
-        solver's pool-arbitration reduce (rows in pooled tiers) rely on that.
+        argmin tie-breaks on the carve match the full instance exactly.  The
+        incremental delta solver re-solves its changed rows on a carve and
+        relies on that.
 
         When this problem's profile columns are cached the carve slices them
         (the rows, then the schemes any carved row has) instead of rebuilding

@@ -82,8 +82,7 @@ class StackedProblem:
     problem: OptAssignProblem
     tenants: tuple[str, ...]
     #: Per-tenant row spans ``(start, stop)`` in the stacked row order, one
-    #: per entry of ``tenants`` — what the splits slice by and the sharded
-    #: fleet solver aligns its shard boundaries to.
+    #: per entry of ``tenants`` — what the splits slice by.
     tenant_spans: tuple[tuple[int, int], ...]
     #: Per-tenant untagged partition names, row-aligned with each span.
     tenant_names: tuple[tuple[str, ...], ...]

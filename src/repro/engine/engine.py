@@ -162,10 +162,12 @@ class EngineConfig:
     delta_drift_threshold: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.horizon_months <= 0:
-            raise ValueError("horizon_months must be positive")
-        if self.window_months <= 0:
+        if not 0 < self.horizon_months < math.inf:
+            raise ValueError("horizon_months must be positive and finite")
+        if not self.window_months > 0:
             raise ValueError("window_months must be positive")
+        if not 0 <= self.compute_cost_per_s < math.inf:
+            raise ValueError("compute_cost_per_s must be non-negative and finite")
         if self.reopt_mode not in ("full", "delta"):
             raise ValueError(
                 f"reopt_mode must be 'full' or 'delta', got {self.reopt_mode!r}"

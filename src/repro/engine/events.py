@@ -215,6 +215,11 @@ class StreamWindow:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("window index must be non-negative")
+        if not (math.isfinite(self.start_month) and math.isfinite(self.end_month)):
+            raise ValueError(
+                f"window bounds must be finite: [{self.start_month}, "
+                f"{self.end_month})"
+            )
         if self.end_month < self.start_month:
             raise ValueError("window must not end before it starts")
         if not isinstance(self.events, EventBatch):
@@ -282,7 +287,7 @@ class CountTrigger:
     cause = "count"
 
     def __init__(self, max_events: int) -> None:
-        if max_events <= 0:
+        if not max_events > 0:
             raise ValueError("max_events must be positive")
         self.max_events = max_events
         self._count = 0
@@ -315,8 +320,10 @@ class TimeTrigger:
     cause = "time"
 
     def __init__(self, width_months: float) -> None:
-        if width_months <= 0:
-            raise ValueError("width_months must be positive")
+        if not 0 < width_months < math.inf:
+            raise ValueError(
+                f"width_months must be positive and finite: {width_months}"
+            )
         self.width_months = width_months
         self._deadline = 0.0
 
@@ -362,10 +369,10 @@ class DriftTrigger:
         check_every: int = 64,
         baseline_provider: "Callable[[], Mapping[str, float] | None] | None" = None,
     ) -> None:
-        if threshold <= 0:
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
-        if min_width_months <= 0:
-            raise ValueError("min_width_months must be positive")
+        if not 0 < min_width_months < math.inf:
+            raise ValueError("min_width_months must be positive and finite")
         if check_every <= 0:
             raise ValueError("check_every must be positive")
         self.threshold = threshold
@@ -519,7 +526,14 @@ def windowed(
     :class:`CountTrigger` firing on a timestamp tie at the window's start) is
     deferred until an event advances the clock — windows always advance
     virtual time, which keeps rates (counts / duration) well-defined.
+
+    A non-finite ``start_month`` or ``horizon_months`` raises ``ValueError``
+    before the first window.
     """
+    if not math.isfinite(start_month):
+        raise ValueError(f"start_month must be finite: {start_month}")
+    if horizon_months is not None and not math.isfinite(horizon_months):
+        raise ValueError(f"horizon_months must be finite: {horizon_months}")
     index = 0
     start = start_month
     pending: list[EventBatch] = []

@@ -9,11 +9,8 @@ online engine:
   policy, event stream, profiles, SLO constraints) and :class:`FleetConfig`;
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler`, the epoch-locked
   control loop: one stacked, pool-arbitrated OPTASSIGN solve per epoch for
-  every tenant whose policy fired, parallel settling of independent tenants;
-* :mod:`repro.fleet.sharding` — :class:`ShardedFleetSolver`, the multiprocess
-  map/reduce form of that stacked solve (shared-memory tensors, per-shard
-  worker argmin, global pool-arbitration reduce), bit-identical to the
-  in-process path and enabled via :attr:`FleetConfig.shards`;
+  every tenant whose policy fired, and one settle pass per window over the
+  fleet's shared state columns;
 * :mod:`repro.fleet.report` — :class:`FleetReport` /
   :class:`PoolUsageRecord`, per-tenant bills plus pool-utilization series.
 
@@ -28,7 +25,6 @@ water-filling arbitration beats static per-tenant pool slices (see
 
 from .report import FleetReport, PoolUsageRecord
 from .scheduler import FleetScheduler
-from .sharding import ShardedFleetSolver, plan_row_shards, plan_tenant_shards
 from .tenants import FleetConfig, TenantSpec
 
 __all__ = [
@@ -36,8 +32,5 @@ __all__ = [
     "FleetReport",
     "FleetScheduler",
     "PoolUsageRecord",
-    "ShardedFleetSolver",
     "TenantSpec",
-    "plan_row_shards",
-    "plan_tenant_shards",
 ]

@@ -68,7 +68,6 @@ from ..engine import (
     windowed,
 )
 from .report import FleetReport, PoolUsageRecord
-from .sharding import ShardedFleetSolver, plan_tenant_shards
 from .tenants import FleetConfig, TenantSpec
 
 __all__ = ["FleetScheduler"]
@@ -175,31 +174,9 @@ class FleetScheduler:
         # single fleet-wide cache.  Governed by the *shared* engine config —
         # there is only one stacked solve to be incremental about, so
         # per-spec ``reopt_mode`` overrides are not consulted here.
-        # The sharded multiprocess solver, when configured; its worker pool
-        # persists across epochs (fork once, solve many) and is released by
-        # close() / the context-manager exit.
-        self._sharded: ShardedFleetSolver | None = (
-            ShardedFleetSolver(
-                shards=self.config.shards, workers=self.config.shard_workers
-            )
-            if self.config.shards is not None
-            else None
-        )
-        shared_mode = self.config.engine.reopt_mode
         self._delta: DeltaSolver | None = (
-            DeltaSolver(
-                drift_threshold=self.config.engine.delta_drift_threshold,
-                # Bootstrap/fallback full solves inside the delta solver fan
-                # out across the same worker pool as full epochs.
-                full_solver=(
-                    None
-                    if self._sharded is None
-                    else lambda problem, pool_set, reserved: self._sharded.solve(
-                        problem, pool_set=pool_set, reserved_gb=reserved
-                    )
-                ),
-            )
-            if shared_mode == "delta"
+            DeltaSolver(drift_threshold=self.config.engine.delta_drift_threshold)
+            if self.config.engine.reopt_mode == "delta"
             else None
         )
         self.last_delta_report = None
@@ -312,59 +289,19 @@ class FleetScheduler:
         prescription), while the facade's up-front fail-fast certificates
         (hard SLO/affinity masks latency relaxation can never fix) still run
         once and surface their pointed diagnostics immediately.
-
-        With ``config.shards`` set the same solve (same certificates, same
-        relaxation ladder, same arbitration — bit-identical by the
-        equivalence tests) runs on the multiprocess sharded solver instead,
-        with shards aligned to tenant boundaries.
         """
-        if self._sharded is not None:
-            report = self._sharded.solve(
-                stacked.problem,
-                pool_set=self.pools,
-                reserved_gb=reserved_gb,
-                plan=plan_tenant_shards(
-                    stacked.tenant_spans, self._sharded.shards
-                ),
+        post_repair = None
+        if self.pools is not None:
+            post_repair = lambda assignment: repair_pools(  # noqa: E731
+                assignment, self.pools, reserved_gb=reserved_gb
             )
-        else:
-            post_repair = None
-            if self.pools is not None:
-                post_repair = lambda assignment: repair_pools(  # noqa: E731
-                    assignment, self.pools, reserved_gb=reserved_gb
-                )
-            report = solve_optassign(
-                stacked.problem, prefer="greedy", post_repair=post_repair
-            )
+        report = solve_optassign(
+            stacked.problem, prefer="greedy", post_repair=post_repair
+        )
         # Kept for the chaos injector's DegradationReport: how far the
         # facade's relaxation ladder had to widen the latency SLAs.
         self.last_solve_report = report
         return report.assignment
-
-    def solve_unpooled(self, problem):
-        """A stacked solve with pool budgets suspended (degradation rung 1).
-
-        The chaos injector's fleet-degradation ladder retries a failed epoch
-        solve without the shared pools; routing the retry through here keeps
-        it on the sharded solver when one is configured, so degraded epochs
-        stay bill-identical to the single-process path too.  Returns the
-        :class:`~repro.core.optassign.SolveReport`.
-        """
-        if self._sharded is not None:
-            return self._sharded.solve(problem)
-        return solve_optassign(problem, prefer="greedy")
-
-    # -- lifecycle ---------------------------------------------------------------
-    def close(self) -> None:
-        """Release the sharded solver's worker processes (idempotent)."""
-        if self._sharded is not None:
-            self._sharded.close()
-
-    def __enter__(self) -> "FleetScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _solve_delta(self, stacked: StackedProblem, firing, reserved_gb):
         """One incremental stacked solve: only drifted rows re-optimize.
@@ -416,7 +353,7 @@ class FleetScheduler:
 
         The shared middle of both timelines (dense :meth:`step_epoch` and
         windowed :meth:`step_window`): identical stacking, pool arbitration,
-        delta/sharded routing and chaos degradation either way.  ``epoch`` is
+        delta routing and chaos degradation either way.  ``epoch`` is
         the dense month or the window ordinal.  A
         :class:`~repro.engine.WindowPlan` over the tenants' blocks forecasts
         every firing row and assembles the stacked instance from the blocks'

@@ -89,27 +89,11 @@ class FleetConfig:
     change to the benchmark that passes it can drop it.  Nothing in the
     loop is threaded: the windowed loop plans and settles every tenant in
     one vectorized pass each, and the dense loop settles tenants in turn.
-
-    ``shards`` switches the stacked solve itself to the multiprocess
-    :class:`~repro.fleet.sharding.ShardedFleetSolver` with that many shards
-    (``None`` = the in-process single-solve path, bit-identical results
-    either way — the equivalence tests enforce it).  ``shard_workers`` caps
-    the sharded solver's worker processes (``None`` = one per shard, up to
-    the machine's cores); it only trades wall-clock.
     """
 
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_workers: int | None = None
-    shards: int | None = None
-    shard_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if self.shard_workers is not None:
-            if self.shards is None:
-                raise ValueError("shard_workers requires shards")
-            if self.shard_workers < 1:
-                raise ValueError("shard_workers must be at least 1")

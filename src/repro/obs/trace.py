@@ -15,10 +15,11 @@ per-phase totals.
 
 Two things keep this honest in this codebase:
 
-* The fleet scheduler dispatches per-tenant work through a thread pool, and
-  a worker thread's stack starts empty — its spans would silently become
-  roots.  Callers that fan out capture ``tracer.current_span_id`` before
-  dispatch and pass it as ``parent_id=`` so the tree survives the hop.
+* Each thread has its own stack, and the id sequence and the record list sit
+  behind a lock, so spans opened on several threads at once keep unique ids
+  and never nest under another thread's span.  The library itself opens
+  every span on the calling thread; a span opened on a fresh thread starts
+  a root there.
 * ``tracemalloc`` exposes a single process-wide peak.  We ``reset_peak()``
   on span entry, which means a parent's recorded peak only covers the tail
   after its last child closed — *innermost* spans are accurate, outer spans
@@ -132,17 +133,12 @@ class Tracer:
             self._memory_started_here = True
 
     # -- span lifecycle ---------------------------------------------------------
-    def span(
-        self, name: str, parent_id: int | None = None, **attrs: Any
-    ) -> Span:
-        """Open a span; nests under the thread's current span unless
-        ``parent_id`` pins it explicitly (needed across thread-pool hops)."""
-        if parent_id is None:
-            parent_id = self.current_span_id
+    def span(self, name: str, **attrs: Any) -> Span:
+        """Open a span; it nests under the thread's current span."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        return Span(self, span_id, parent_id, name, dict(attrs))
+        return Span(self, span_id, self.current_span_id, name, dict(attrs))
 
     @property
     def current_span_id(self) -> int | None:
@@ -173,59 +169,6 @@ class Tracer:
         )
         with self._lock:
             self.spans.append(record)
-
-    # -- cross-process handoff ---------------------------------------------------
-    def adopt(
-        self,
-        records: "list[SpanRecord]",
-        parent_id: int | None = None,
-    ) -> list[SpanRecord]:
-        """Fold spans recorded by *another* tracer into this one's trace.
-
-        The thread-hop pattern (capture ``current_span_id``, pass it as
-        ``parent_id=``) cannot cross a process boundary: a worker process has
-        its own tracer whose spans — and their ids — die with it.  Instead the
-        worker runs a private :class:`Tracer`, ships its (picklable)
-        :class:`SpanRecord` list back, and the parent adopts them here:
-        every record gets a fresh id from this tracer's sequence (keeping
-        exports deterministic), intra-batch parent links are remapped to the
-        fresh ids, and records that were roots in the worker are re-parented
-        under ``parent_id`` — so the exported tree shows the worker's spans
-        exactly where the dispatch happened.
-
-        Records are adopted in the order given; call once per worker, in a
-        deterministic worker order, for reproducible exports.  Returns the
-        adopted (re-based) records.
-        """
-        if not records:
-            return []
-        with self._lock:
-            base = self._next_id
-            self._next_id += len(records)
-        remap = {
-            record.span_id: base + offset
-            for offset, record in enumerate(records)
-        }
-        adopted = [
-            SpanRecord(
-                span_id=remap[record.span_id],
-                parent_id=(
-                    remap[record.parent_id]
-                    if record.parent_id in remap
-                    else parent_id
-                ),
-                name=record.name,
-                start_s=record.start_s,
-                duration_s=record.duration_s,
-                attrs=dict(record.attrs),
-                memory_peak_kb=record.memory_peak_kb,
-                error=record.error,
-            )
-            for record in records
-        ]
-        with self._lock:
-            self.spans.extend(adopted)
-        return adopted
 
     # -- introspection ----------------------------------------------------------
     def records(self) -> list[SpanRecord]:
@@ -278,13 +221,8 @@ class NoopTracer:
     track_memory = False
     current_span_id = None
 
-    def span(self, name: str, parent_id: int | None = None, **attrs: Any) -> NoopSpan:
+    def span(self, name: str, **attrs: Any) -> NoopSpan:
         return NOOP_SPAN
-
-    def adopt(
-        self, records: "list[SpanRecord]", parent_id: int | None = None
-    ) -> list[SpanRecord]:
-        return []
 
     def records(self) -> list[SpanRecord]:
         return []

@@ -181,16 +181,16 @@ class PoissonZipfStream:
     ) -> None:
         if not partitions:
             raise ValueError("at least one partition is required")
-        if rate_per_month <= 0:
-            raise ValueError("rate_per_month must be positive")
-        if horizon_months <= 0:
-            raise ValueError("horizon_months must be positive")
-        if zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be non-negative")
-        if reads_per_event <= 0:
-            raise ValueError("reads_per_event must be positive")
-        if start_month < 0:
-            raise ValueError("start_month must be non-negative")
+        if not 0 < rate_per_month < math.inf:
+            raise ValueError("rate_per_month must be positive and finite")
+        if not 0 < horizon_months < math.inf:
+            raise ValueError("horizon_months must be positive and finite")
+        if not 0 <= zipf_exponent < math.inf:
+            raise ValueError("zipf_exponent must be non-negative and finite")
+        if not 0 < reads_per_event < math.inf:
+            raise ValueError("reads_per_event must be positive and finite")
+        if not 0 <= start_month < math.inf:
+            raise ValueError("start_month must be non-negative and finite")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.partitions = tuple(partitions)

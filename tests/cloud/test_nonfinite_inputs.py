@@ -1,10 +1,12 @@
-"""Partitions, profiles and tiers reject NaN and infinite numbers when built.
+"""Partitions, profiles, tiers, engine configs and cost models reject NaN
+and infinite numbers when built.
 
 Each constructor compares with a test NaN fails, so a NaN or an infinite
-size, prior, ratio, price or latency raises ``ValueError`` where it enters —
-not six latency relaxations later as an infeasible solve naming the wrong
-cause, and not as a tier that silently never fits.  An infinite latency
-threshold ("no SLA") and an infinite tier capacity (unbounded) stay legal.
+size, prior, ratio, price, latency, horizon or compute price raises
+``ValueError`` where it enters — not six latency relaxations later as an
+infeasible solve naming the wrong cause, and not as a tier that silently
+never fits.  An infinite latency threshold ("no SLA") and an infinite tier
+capacity (unbounded) stay legal.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from dataclasses import replace
 import pytest
 
 from repro.cloud import (
+    CloudStorageSimulator,
     CompressionProfile,
+    CostModel,
+    CostWeights,
     DataPartition,
     StorageTier,
     TimedEvent,
     azure_tier_catalog,
 )
-from repro.engine import OnlineTieringEngine, StaticOnce, TimeTrigger
+from repro.engine import EngineConfig, OnlineTieringEngine, StaticOnce, TimeTrigger
 
 NONFINITE = (math.nan, math.inf, -math.inf)
 
@@ -121,3 +126,44 @@ def test_reprice_with_an_infinite_factor_changes_nothing(factor):
         catalog.reprice(**{factor: math.inf})
     assert [(t.storage_cost, t.read_cost, t.write_cost) for t in catalog] == before
     assert catalog.pricing_version == version
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize(
+    "field, prefix",
+    (
+        ("horizon_months", "horizon_months must be positive"),
+        ("compute_cost_per_s", "compute_cost_per_s must be non-negative"),
+    ),
+)
+def test_engine_config_fields(field, prefix, value):
+    """Unchecked, a NaN or infinite horizon ends in an InfeasibleError after
+    six relaxed solves, which names the wrong cause."""
+    with pytest.raises(ValueError, match=prefix):
+        EngineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize(
+    "field, prefix",
+    (
+        ("compute_cost_per_s", "compute cost must be non-negative"),
+        ("duration_months", "duration must be positive"),
+    ),
+)
+def test_cost_model_fields(field, prefix, value):
+    with pytest.raises(ValueError, match=prefix):
+        CostModel(azure_tier_catalog(), **{field: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("field", ("alpha", "beta", "gamma"))
+def test_cost_weights(field, value):
+    with pytest.raises(ValueError, match="cost weights must be non-negative"):
+        CostWeights(**{field: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_simulator_compute_cost(value):
+    with pytest.raises(ValueError, match="compute cost must be non-negative"):
+        CloudStorageSimulator(azure_tier_catalog(), compute_cost_per_s=value)

@@ -6,6 +6,8 @@ exactly** — same bills, same reoptimization points, same forecasts.  The
 windowed timeline is a strict generalization, not a reimplementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,12 @@ class TestStreamWindow:
         with pytest.raises(ValueError):
             StreamWindow(index=0, start_month=2.0, end_month=1.0, events=(),
                          cause="time")
+        for start, end in (
+            (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)
+        ):
+            with pytest.raises(ValueError, match="window bounds must be finite"):
+                StreamWindow(index=0, start_month=start, end_month=end,
+                             events=(), cause="time")
 
 
 class TestCountTrigger:
@@ -75,6 +83,8 @@ class TestCountTrigger:
     def test_validation(self):
         with pytest.raises(ValueError):
             CountTrigger(0)
+        with pytest.raises(ValueError, match="max_events must be positive"):
+            CountTrigger(math.nan)
 
 
 class TestTimeTrigger:
@@ -96,6 +106,9 @@ class TestTimeTrigger:
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeTrigger(0.0)
+        for width in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="width_months must be positive"):
+                TimeTrigger(width)
 
 
 class TestDriftTrigger:
@@ -146,6 +159,11 @@ class TestDriftTrigger:
             DriftTrigger(0.5, min_width_months=0.0)
         with pytest.raises(ValueError):
             DriftTrigger(0.5, check_every=0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            DriftTrigger(math.nan)
+        for width in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="min_width_months must be positive"):
+                DriftTrigger(0.5, min_width_months=width)
 
 
 class TestAnyTrigger:
@@ -180,6 +198,15 @@ class TestWindowedDriver:
         chunks = [EventBatch.from_events(timed(1.0)), EventBatch.from_events(timed(0.5))]
         with pytest.raises(ValueError, match="time-ordered: 0.5 after 1.0"):
             list(windowed(chunks, CountTrigger(10)))
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_rejects_nonfinite_start_and_horizon(self, value):
+        # next(), never list(): a drain to an unchecked infinite horizon
+        # would never end.
+        with pytest.raises(ValueError, match="start_month must be finite"):
+            next(windowed(timed(0.5), TimeTrigger(1.0), start_month=value))
+        with pytest.raises(ValueError, match="horizon_months must be finite"):
+            next(windowed(timed(0.5), TimeTrigger(1.0), horizon_months=value))
 
     def test_rejects_event_before_start_month(self):
         with pytest.raises(ValueError, match="precedes start_month=1.0"):

@@ -2,13 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.cloud import CapacityPool, CostModel, DataPartition, PoolSet, azure_tier_catalog
+from repro.cloud import (
+    CapacityPool,
+    CompressionProfile,
+    CostModel,
+    DataPartition,
+    PoolSet,
+    azure_tier_catalog,
+    multi_cloud_catalog,
+)
 from repro.core.optassign import (
     InfeasibleError,
     OptAssignProblem,
+    StackedProblem,
     repair_pools,
     solve_greedy,
+    solve_optassign,
 )
 
 # Table XII prices: premium storage 15, hot 2.08; premium read 0.004659,
@@ -125,3 +137,82 @@ class TestRepairPools:
         pools = PoolSet.per_tier(problem.cost_model.tiers, {"premium": 10.0})
         with pytest.raises(InfeasibleError, match="pool arbitration failed"):
             repair_pools(solve_greedy(problem), pools)
+
+
+MULTI_CLOUD = multi_cloud_catalog()
+MULTI_CLOUD_MODEL = CostModel(MULTI_CLOUD, duration_months=HORIZON)
+
+
+def random_stacked(num_tenants, rows_per_tenant, seed):
+    rng = np.random.default_rng(seed)
+    problems = {}
+    for j in range(num_tenants):
+        partitions = [
+            DataPartition(
+                name=f"p{i:03d}",
+                size_gb=float(rng.uniform(1.0, 400.0)),
+                predicted_accesses=float(rng.lognormal(1.0, 2.0)),
+                latency_threshold_s=float(rng.choice([1.0, 60.0, 7200.0])),
+                current_tier=int(rng.integers(-1, 3)),
+            )
+            for i in range(rows_per_tenant)
+        ]
+        profiles = {
+            partition.name: {
+                "gzip": CompressionProfile(
+                    "gzip",
+                    ratio=float(rng.uniform(2.0, 6.0)),
+                    decompression_s_per_gb=float(rng.uniform(0.5, 2.0)),
+                )
+            }
+            for partition in partitions
+        }
+        problems[f"t{j}"] = OptAssignProblem(partitions, MULTI_CLOUD_MODEL, profiles)
+    return StackedProblem.stack(problems)
+
+
+def pool_usage_of(problem, assignment, pools):
+    """Per-pool stored GB, summed row by row from the chosen options."""
+    usage = np.zeros(len(MULTI_CLOUD))
+    arrays = problem.partition_arrays()
+    sizes = dict(zip(arrays.names, arrays.size_gb.tolist()))
+    for name, option in assignment.choices.items():
+        ratio = problem._profiles[name][option.scheme].ratio
+        usage[option.tier_index] += sizes[name] / ratio
+    return pools.usage(usage)
+
+
+@given(
+    num_tenants=st.integers(1, 4),
+    rows=st.integers(2, 12),
+    seed=st.integers(0, 1000),
+    budget_factor=st.floats(0.5, 1.5),
+)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_pool_budgets_hold_after_arbitrated_solve(
+    num_tenants, rows, seed, budget_factor
+):
+    # Per-provider budgets at 0.5-1.5x of what the unpooled solve stores:
+    # the arbitrated solve (repair_pools inside the facade's relaxation
+    # loop) either fits every pool or raises.
+    stacked = random_stacked(num_tenants, rows, seed)
+    unpooled = solve_optassign(stacked.problem, prefer="greedy")
+    slack = PoolSet.per_provider(
+        MULTI_CLOUD, {name: 1e12 for name in MULTI_CLOUD.provider_names}
+    )
+    per_pool = pool_usage_of(stacked.problem, unpooled.assignment, slack)
+    budgets = {
+        provider: float(max(used * budget_factor, 1.0))
+        for provider, used in zip(MULTI_CLOUD.provider_names, per_pool)
+    }
+    pools = PoolSet.per_provider(MULTI_CLOUD, budgets)
+    try:
+        report = solve_optassign(
+            stacked.problem,
+            prefer="greedy",
+            post_repair=lambda assignment: repair_pools(assignment, pools),
+        )
+    except InfeasibleError:
+        return  # nothing fit even after the full relaxation ladder
+    usage = pool_usage_of(stacked.problem, report.assignment, pools)
+    assert (usage <= pools.capacities + 1e-6).all(), (usage, pools.capacities)

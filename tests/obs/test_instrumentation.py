@@ -275,7 +275,7 @@ class TestFleetSpans:
             "fleet.settle",
             "optassign.repair_pools",
         } <= names
-        # Thread-pool spans re-attach to the epoch span via parent_id.
+        # The build and settle spans nest directly under the epoch span.
         epoch_ids = {
             r.span_id for r in run.tracer.records() if r.name == "fleet.epoch"
         }

@@ -1,4 +1,4 @@
-"""Tracer/span semantics: nesting, thread hops, errors, the global switch."""
+"""Tracer/span semantics: nesting, per-thread stacks, errors, the global switch."""
 
 import threading
 
@@ -34,23 +34,23 @@ class TestNesting:
         # Children close before parents, but records() re-sorts by id.
         assert [record.name for record in tracer.records()] == ["a", "b", "c"]
 
-    def test_explicit_parent_id_survives_thread_hop(self):
+    def test_span_on_a_fresh_thread_is_a_root(self):
+        # Each thread nests through its own stack: a span opened on another
+        # thread never nests under this thread's open span.
         tracer = Tracer()
-        with tracer.span("fleet.epoch") as epoch:
-            epoch_id = tracer.current_span_id
-            assert epoch_id == epoch.span_id
 
-            def worker():
-                # A fresh thread has an empty stack; without the explicit
-                # parent the span would become a root.
-                with tracer.span("fleet.settle", parent_id=epoch_id):
-                    pass
+        def worker():
+            with tracer.span("worker"):
+                pass
 
+        with tracer.span("fleet.epoch"):
             thread = threading.Thread(target=worker)
             thread.start()
-            thread.join()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
         by_name = {record.name: record for record in tracer.records()}
-        assert by_name["fleet.settle"].parent_id == by_name["fleet.epoch"].span_id
+        assert by_name["worker"].parent_id is None
+        assert by_name["worker"].span_id != by_name["fleet.epoch"].span_id
 
     def test_current_span_id_none_outside_spans(self):
         tracer = Tracer()

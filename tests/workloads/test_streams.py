@@ -188,6 +188,18 @@ class TestPoissonZipfStream:
             PoissonZipfStream(
                 ["a"], rate_per_month=1.0, horizon_months=1.0, chunk_size=0
             )
+        valid = {"rate_per_month": 1.0, "horizon_months": 1.0}
+        prefixes = {
+            "rate_per_month": "rate_per_month must be positive",
+            "horizon_months": "horizon_months must be positive",
+            "start_month": "start_month must be non-negative",
+            "zipf_exponent": "zipf_exponent must be non-negative",
+            "reads_per_event": "reads_per_event must be positive",
+        }
+        for field, prefix in prefixes.items():
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=prefix):
+                    PoissonZipfStream(["a"], **{**valid, field: value})
 
 
 class TestRateModulation:
