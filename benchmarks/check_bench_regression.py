@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """CI perf-regression gate: re-run a benchmark subset against BENCH_*.json.
 
-This script gates five of the benchmark trajectories committed at the repo
+This script gates the six benchmark trajectories committed at the repo
 root:
 
 * ``BENCH_optassign_scaling.json`` — scalar vs vectorized greedy OPTASSIGN;
 * ``BENCH_optassign_delta.json``   — incremental delta solve vs full re-solve;
 * ``BENCH_fleet_scaling.json``     — per-tenant loop vs stacked fleet solve;
 * ``BENCH_engine_online.json``     — online engine bills per policy;
-* ``BENCH_stream_ingest.json``     — lazy stream generation and windowing.
-
-``BENCH_chaos_overhead.json`` is committed too, but no check here loads it.
+* ``BENCH_stream_ingest.json``     — lazy stream generation and windowing;
+* ``BENCH_chaos_overhead.json``    — calm and storm bills with chaos attached
+  (bills only: its timing rows are not gated).
 
 This script re-runs a small, representative subset of each sweep on the
 current checkout and fails (non-zero exit) when the code has regressed
@@ -25,9 +25,11 @@ against the committed baseline:
   remain true: the vectorized / stacked / delta paths must keep reproducing
   the scalar oracle bit-for-bit.
 * **Bills are deterministic**, so the online engine's per-policy
-  ``total_bill_cents`` and ``reoptimizations`` must match the baseline
-  exactly (within float-reassociation epsilon) — any drift means the engine's
-  semantics changed and the baseline must be consciously re-recorded.
+  ``total_bill_cents`` and ``reoptimizations`` and the chaos cells' calm and
+  storm bills must match the baseline exactly (within float-reassociation
+  epsilon) — any drift means the engine's semantics changed and the baseline
+  must be consciously re-recorded.  An empty chaos schedule must leave the
+  bare bill unchanged bit for bit.
 * The delta solver's headline claim — ``>= 3x`` speedup over the full solve
   at 5% drift on 10k partitions — is re-asserted on every run.
 * The streaming ingest headline — at least 1M events with flat traced
@@ -46,6 +48,7 @@ JSON on a quiet machine and commit it alongside the change::
     PYTHONPATH=src python benchmarks/bench_fleet_scaling.py
     PYTHONPATH=src python benchmarks/bench_engine_online.py
     PYTHONPATH=src python benchmarks/bench_stream_ingest.py
+    PYTHONPATH=src python benchmarks/bench_chaos_overhead.py
 
 Usage::
 
@@ -221,6 +224,15 @@ def check_phases() -> None:
     )
 
 
+def _check_bill(label: str, measured: float, expected: float) -> None:
+    relative = abs(measured - expected) / max(abs(expected), 1.0)
+    _check(
+        label,
+        relative <= BILL_REL_TOLERANCE,
+        f"{measured:.4f} vs baseline {expected:.4f} cents (rel {relative:.2e})",
+    )
+
+
 def check_engine() -> None:
     """Online engine: bill-exactness per policy plus total wall clock."""
     from bench_engine_online import build_workload, run_policies
@@ -230,13 +242,8 @@ def check_engine() -> None:
     series, partitions = build_workload()
     for name, result in run_policies(series, partitions).items():
         base = baseline[name]
-        measured = result["total_bill_cents"]
-        expected = base["total_bill_cents"]
-        relative = abs(measured - expected) / max(abs(expected), 1.0)
-        _check(
-            f"engine[{name}] bill",
-            relative <= BILL_REL_TOLERANCE,
-            f"{measured:.4f} vs baseline {expected:.4f} cents (rel {relative:.2e})",
+        _check_bill(
+            f"engine[{name}] bill", result["total_bill_cents"], base["total_bill_cents"]
         )
         _check(
             f"engine[{name}] reopts",
@@ -311,6 +318,42 @@ def check_stream() -> None:
     )
 
 
+def check_chaos() -> None:
+    """Chaos attachment: the engine and fleet cells at the committed size.
+
+    An empty schedule must leave the bare bill unchanged bit for bit, and
+    the bare (calm) and disrupted (storm) bills must match the committed
+    ones.  The cells' timings are not checked.
+    """
+    from bench_chaos_overhead import run_engine, run_fleet, storm_schedule
+
+    from repro.chaos import ChaosInjector, DisruptionSchedule
+
+    print("== chaos attachment (calm identity, calm and storm bills)")
+    payload = _load("BENCH_chaos_overhead.json")
+    size = payload["workload"]
+    months = size["months"]
+    partitions = size["partitions_per_tenant"]
+    runners = {
+        "engine": lambda chaos: run_engine(months, partitions, chaos),
+        "fleet": lambda chaos: run_fleet(
+            months, size["fleet_tenants"], partitions, chaos
+        ),
+    }
+    for label, runner in runners.items():
+        base = payload[label]
+        bare = runner(None)[0].total_bill
+        calm = runner(ChaosInjector(DisruptionSchedule.empty()))[0].total_bill
+        storm = runner(ChaosInjector(storm_schedule()))[0].total_bill
+        _check(
+            f"chaos[{label}] calm identity",
+            calm == bare,
+            f"empty schedule {calm!r} vs bare {bare!r} cents",
+        )
+        _check_bill(f"chaos[{label}] calm bill", bare, base["calm_bill_cents"])
+        _check_bill(f"chaos[{label}] storm bill", storm, base["storm_bill_cents"])
+
+
 CHECKS = {
     "optassign": check_optassign,
     "delta": check_delta,
@@ -318,6 +361,7 @@ CHECKS = {
     "engine": check_engine,
     "phases": check_phases,
     "stream": check_stream,
+    "chaos": check_chaos,
 }
 
 

@@ -1,4 +1,4 @@
-"""Observability walkthrough: trace a solve and a fleet epoch end to end.
+"""Observability walkthrough: trace a solve and a fleet window end to end.
 
 Everything in :mod:`repro.obs` is off by default — the engine, solver and
 fleet scheduler are instrumented, but until a run is wrapped in
@@ -12,10 +12,10 @@ results are bit-identical.  This example turns the lights on twice:
 2. **A drift-triggered fleet run on a contended pool.**  One hot tenant and
    two cold tenants share a performance pool sized below the hot tenant's
    demand; the hot tenant's workload flips mid-run, firing its drift
-   trigger.  The span tree of one re-optimizing epoch covers problem
-   building, the stacked solve, pool arbitration
-   (``optassign.repair_pools``), migration and per-tenant settlement —
-   re-attached across the scheduler's worker threads via explicit parents.
+   trigger.  The span tree of one re-optimizing month (a one-month
+   ``fleet.window``) covers problem building, the stacked solve, pool
+   arbitration (``optassign.repair_pools``), migration and the fleet's
+   settle pass.
 
 The traced run is then exported three ways — human summary tables, a
 lossless JSONL dump (``--out`` writes it; CI validates it against
@@ -55,7 +55,7 @@ REQUIRED_PHASES = (
     "optassign.greedy",
     "optassign.repair_capacity",
     "optassign.repair_pools",
-    "fleet.epoch",
+    "fleet.window",
     "fleet.build_problem",
     "fleet.stack",
     "fleet.solve",
@@ -205,14 +205,14 @@ def main(argv: list[str] | None = None) -> None:
     print(f"\ncapacitated solve over {count} partitions:\n")
     print(obs.render_span_tree(solver_spans))
 
-    # The span tree of one epoch that actually re-optimized: fleet.epoch ->
-    # build/stack/solve/apply plus the per-tenant settles.
+    # The span tree of one month that actually re-optimized: fleet.window ->
+    # build/stack/solve/apply plus the settle.
     fleet_epochs = [
         record
         for record in snap.spans
-        if record.name == "fleet.epoch" and record.attrs.get("num_reoptimized", 0)
+        if record.name == "fleet.window" and record.attrs.get("num_reoptimized", 0)
     ]
-    drifted = fleet_epochs[-1]  # the post-drift re-arbitration epoch
+    drifted = fleet_epochs[-1]  # the post-drift re-arbitration month
     epoch_spans = [
         record
         for record in snap.spans
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> None:
         and _has_ancestor(snap.spans, record, drifted.span_id)
     ]
     print(
-        f"\nfleet epoch {drifted.attrs['epoch']} "
+        f"\nfleet month {drifted.attrs['index']} "
         f"(re-optimized {drifted.attrs['num_reoptimized']} tenants):\n"
     )
     print(obs.render_span_tree(epoch_spans))

@@ -4,13 +4,17 @@
 :class:`~repro.chaos.DisruptionSchedule` and the hosts that honour it — an
 :class:`~repro.engine.OnlineTieringEngine` or a
 :class:`~repro.fleet.FleetScheduler`.  The hosts call a small fixed hook
-surface at their epoch boundaries (``before_engine_epoch`` /
-``before_fleet_epoch``, ``joiners_in_window``, ``take_forced_tenants``,
+surface at their window boundaries (``before_engine_window`` /
+``before_fleet_window``, ``joiners_in_window``, ``take_forced_tenants``,
 ``degrade_fleet_solve``, ``record_frozen_placement``, ``note_migration``,
 ``note_relaxation``);
 everything else — outage bookkeeping, affinity lifting, catalog re-pricing,
 pool resizing, tenant churn, DegradationReport accumulation and ``chaos.*``
 observability — lives here.
+
+Schedules are keyed by integer month marks; a disruption lands at the
+boundary of the window whose ``[start_month, end_month)`` span covers its
+mark, so a dense month ``[e, e + 1)`` applies exactly mark ``e``.
 
 Disruption semantics, in host terms:
 
@@ -18,13 +22,13 @@ Disruption semantics, in host terms:
   (masked infeasible in the next problem build), residency pins stranded
   without a live tier are suspended (recorded as SLO violations), and any
   tenant with residents on the dead tiers is marked for *forced firing* this
-  epoch: the evacuation cannot wait for policy drift.  The executor waives
+  window: the evacuation cannot wait for policy drift.  The executor waives
   early-deletion penalties on moves off banned tiers, so evacuation traffic
   is billed exactly once (move + egress).
 * **Recovery** — tiers are un-banned and suspended pins re-armed, but *no*
   solve is forced: the restored pins make evacuated placements violate
   affinity again, so the next policy-driven re-optimization moves data home
-  (re-admission at reopt time, never mid-epoch).
+  (re-admission at reopt time, never mid-window).
 * **Price shock** — the shared catalog is re-priced in place; engines drop
   their compiled (price-snapshotting) placements so the very next settle
   bills post-shock prices, and delta caches are invalidated selectively:
@@ -32,9 +36,11 @@ Disruption semantics, in host terms:
   when prices only went up, everything when any price dropped.
 * **Pool shock** — the shared pool's budget changes in place; the next
   stacked solve arbitrates against it.
-* **Churn** — ``TenantJoin`` admits a spec mid-run (its epoch stream
-  re-tagged to start at the join epoch) and ``TenantLeave`` retires one,
-  releasing its pool reservations and delta-cache rows.
+* **Churn** — ``TenantJoin`` admits a spec mid-run and ``TenantLeave``
+  retires one, releasing its pool reservations and delta-cache rows.  On
+  dense input the fleet feeds a joiner from its spec's stream, shifted to
+  start at the join month; on stream input the joiner settles empty
+  windows until its own events arrive.
 
 An injector instance is single-run state (outage bookkeeping, forced-tenant
 marks, accumulated reports): attach a fresh one per run.
@@ -43,12 +49,10 @@ marks, accumulated reports): attach a fresh one per run.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..core.optassign import InfeasibleError, solve_optassign
 from ..core.optassign.stacked import TENANT_SEPARATOR
-from ..engine.events import EpochBatch
 from ..obs import get_metrics, get_tracer
 from .events import (
     DisruptionEvent,
@@ -261,73 +265,81 @@ class ChaosInjector:
                 catalog, affected, decreased=event.decreased
             )
 
-    # -- engine host -------------------------------------------------------------
-    def before_engine_epoch(self, engine, epoch: int) -> bool:
-        """Apply the epoch's events to a single engine.
+    # -- window boundaries -------------------------------------------------------
+    @staticmethod
+    def _epochs_in_window(start_month: float, end_month: float) -> range:
+        """Integer schedule marks falling inside ``[start_month, end_month)``.
 
-        Returns True when the engine must re-optimize this epoch regardless
-        of its policy (a forced evacuation is pending).
+        Half-open windows apply each mark exactly once, and a month-aligned
+        window ``[e, e + 1)`` applies exactly mark ``e``.
         """
-        self._epoch = epoch
-        events = self.schedule.at(epoch)
-        if not events:
-            return False
+        return range(math.ceil(start_month), math.ceil(end_month))
+
+    def _apply_marks(
+        self,
+        start_month: float,
+        end_month: float,
+        apply: Callable[[int, DisruptionEvent], bool | None],
+    ) -> bool:
+        """Apply every scheduled disruption whose mark lies in
+        ``[start_month, end_month)`` through ``apply(epoch, event)``, in mark
+        order; True when any ``apply`` returned True."""
         force = False
         tracer = get_tracer()
         metrics = get_metrics()
-        with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
-            for event in events:
+        for epoch in self._epochs_in_window(start_month, end_month):
+            self._epoch = epoch
+            events = self.schedule.at(epoch)
+            if not events:
+                continue
+            with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
+                for event in events:
+                    with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
+                        self.report_for(epoch).events.append(event.describe())
+                        force = bool(apply(epoch, event)) or force
+                    if metrics.enabled:
+                        metrics.counter("chaos.events", kind=event.kind).add(1)
+        return force
+
+    # -- engine host -------------------------------------------------------------
+    def before_engine_window(
+        self, engine, index: int, start_month: float, end_month: float
+    ) -> bool:
+        """Apply the window's disruptions to a single engine.
+
+        Returns True when the engine must re-optimize this window regardless
+        of its policy (a forced evacuation is pending).  A fleet-level event
+        in the window raises before any disruption applies.
+        """
+        for epoch in self._epochs_in_window(start_month, end_month):
+            for event in self.schedule.at(epoch):
                 if isinstance(event, _FLEET_ONLY):
                     raise ValueError(
                         f"{event.kind} events are fleet-level; attach the "
                         "injector to a FleetScheduler instead of a bare engine"
                     )
-                with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
-                    self.report_for(epoch).events.append(event.describe())
-                    if isinstance(event, ProviderOutage):
-                        self._apply_outage({"": engine}, engine.tiers, epoch, event)
-                        force = force or self._evacuating
-                    elif isinstance(event, ProviderRecovery):
-                        self._apply_recovery({"": engine}, engine.tiers, epoch, event)
-                    elif isinstance(event, PriceShock):
-                        self._apply_price_shock(
-                            [engine], engine.tiers, None, epoch, event
-                        )
-                    else:  # pragma: no cover - closed taxonomy
-                        raise TypeError(f"unhandled event {event!r}")
-                if metrics.enabled:
-                    metrics.counter("chaos.events", kind=event.kind).add(1)
-        return force
+        return self._apply_marks(
+            start_month,
+            end_month,
+            lambda epoch, event: self._apply_engine_event(engine, epoch, event),
+        )
 
-    @staticmethod
-    def _epochs_in_window(start_month: float, end_month: float) -> range:
-        """Integer schedule epochs falling inside ``[start_month, end_month)``.
-
-        Disruption schedules stay keyed by integer (month) epochs; on the
-        epoch-free timeline a disruption fires in whichever window's span
-        covers its month mark.  Half-open windows apply each mark exactly
-        once, and month-aligned windows recover the dense ordering exactly.
-        """
-        return range(math.ceil(start_month), math.ceil(end_month))
-
-    def before_engine_window(
-        self, engine, index: int, start_month: float, end_month: float
-    ) -> bool:
-        """Event-time disruption triggering: the windowed twin of
-        :meth:`before_engine_epoch`.
-
-        Applies every scheduled disruption whose integer epoch mark lies
-        inside the window's ``[start_month, end_month)`` span, in mark order.
-        Returns True when any of them forces a re-optimization (a pending
-        evacuation cannot wait for policy drift).
-        """
-        force = False
-        for epoch in self._epochs_in_window(start_month, end_month):
-            force = self.before_engine_epoch(engine, epoch) or force
-        return force
+    def _apply_engine_event(self, engine, epoch: int, event) -> bool:
+        """Apply one disruption to a single engine; True when it forces a
+        re-optimization."""
+        if isinstance(event, ProviderOutage):
+            self._apply_outage({"": engine}, engine.tiers, epoch, event)
+            return self._evacuating
+        if isinstance(event, ProviderRecovery):
+            self._apply_recovery({"": engine}, engine.tiers, epoch, event)
+        elif isinstance(event, PriceShock):
+            self._apply_price_shock([engine], engine.tiers, None, epoch, event)
+        else:  # pragma: no cover - closed taxonomy
+            raise TypeError(f"unhandled event {event!r}")
+        return False
 
     def record_frozen_placement(self, engine, epoch: int, error) -> None:
-        """The engine's solve failed; the epoch bills at the frozen layout."""
+        """The engine's solve failed; the window bills at the frozen layout."""
         self._record_action(
             epoch,
             DegradationAction(
@@ -337,36 +349,16 @@ class ChaosInjector:
         )
 
     # -- fleet host --------------------------------------------------------------
-    def before_fleet_epoch(self, scheduler, epoch: int) -> None:
-        """Apply the epoch's events to the whole fleet (roster may change)."""
-        self._epoch = epoch
-        events = self.schedule.at(epoch)
-        if not events:
-            return
-        tracer = get_tracer()
-        metrics = get_metrics()
-        with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
-            for event in events:
-                with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
-                    self.report_for(epoch).events.append(event.describe())
-                    self._apply_fleet_event(scheduler, epoch, event)
-                if metrics.enabled:
-                    metrics.counter("chaos.events", kind=event.kind).add(1)
-
     def before_fleet_window(
         self, scheduler, index: int, start_month: float, end_month: float
     ) -> None:
-        """Event-time disruption triggering for the fleet host.
-
-        Applies every scheduled disruption whose integer epoch mark lies in
-        ``[start_month, end_month)``, in mark order — the windowed twin of
-        :meth:`before_fleet_epoch`.  ``TenantJoin`` specs carry dense epoch
-        streams; on the windowed timeline the joiner is admitted with no
-        stream and settles empty windows until its own events arrive (the
-        scheduler's windowed path documents this contract).
-        """
-        for epoch in self._epochs_in_window(start_month, end_month):
-            self.before_fleet_epoch(scheduler, epoch)
+        """Apply the window's disruptions to the whole fleet (the roster may
+        change)."""
+        self._apply_marks(
+            start_month,
+            end_month,
+            lambda epoch, event: self._apply_fleet_event(scheduler, epoch, event),
+        )
 
     def joiners_in_window(self, start_month: float, end_month: float) -> list:
         """The specs of the tenants :meth:`before_fleet_window` admits for
@@ -413,9 +405,7 @@ class ChaosInjector:
                 new_capacity = by_name[event.pool] * event.capacity_factor
             pools.set_capacity(event.pool, new_capacity)
         elif isinstance(event, TenantJoin):
-            engine = scheduler.add_tenant(
-                event.spec, stream=self._join_stream(event.spec, epoch)
-            )
+            engine = scheduler.add_tenant(event.spec)
             # The joiner enters the current world: active outages apply.
             if self._outages:
                 engine.set_banned_tiers(self.banned_tiers)
@@ -426,25 +416,8 @@ class ChaosInjector:
         else:  # pragma: no cover - closed taxonomy
             raise TypeError(f"unhandled event {event!r}")
 
-    @staticmethod
-    def _join_stream(spec, start_epoch: int) -> Iterator[EpochBatch]:
-        """The joiner's stream, re-tagged to the fleet's current timeline.
-
-        A spec's own stream starts at epoch 0 (:class:`SeriesStream`
-        semantics); the fleet is already at ``start_epoch``, so both the
-        batch epochs and the events' month stamps are shifted to line up.
-        """
-        for offset, batch in enumerate(spec.make_stream(None)):
-            epoch = start_epoch + offset
-            yield EpochBatch(
-                epoch=epoch,
-                events=tuple(
-                    replace(access, month=epoch) for access in batch.events
-                ),
-            )
-
     def take_forced_tenants(self) -> set[str]:
-        """Tenants that must re-solve this epoch (evacuations); clears them."""
+        """Tenants that must re-solve this window (evacuations); clears them."""
         forced = self._forced_tenants
         self._forced_tenants = set()
         return forced

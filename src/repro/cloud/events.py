@@ -41,7 +41,7 @@ class TimedEvent:
     unit every price in the catalog is quoted against; ``t = 2.5`` is the
     middle of billing month 2.  Continuous workload generators
     (:mod:`repro.workloads.streams`) yield these on the fly, and the
-    epoch-free trigger windows (:mod:`repro.engine.events`) group them into
+    trigger windows (:mod:`repro.engine.events`) group them into
     billable batches without ever materializing a schedule.  Streams move
     events as :class:`EventBatch` columns; a ``TimedEvent`` is what iterating
     a batch yields.

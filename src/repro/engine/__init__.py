@@ -5,8 +5,9 @@ historical trace.  This subpackage turns that into an event-driven,
 rolling-horizon control loop for the production setting where access patterns
 drift and placements must be revisited as new months of telemetry arrive:
 
-* :mod:`repro.engine.events` — epoch-by-epoch event streams (replayed traces,
-  synthetic drifting workloads, dataset catalogs);
+* :mod:`repro.engine.events` — trigger windows over timed event streams, and
+  dense monthly streams (replayed traces, synthetic drifting workloads,
+  dataset catalogs) whose batches step as month-aligned windows;
 * :mod:`repro.engine.features` — the incremental sliding-window
   :class:`FeatureStore` (O(new events) per epoch, not O(trace));
 * :mod:`repro.engine.policies` — when to re-optimize: :class:`StaticOnce`
@@ -40,6 +41,7 @@ from .events import (
     StreamWindow,
     TimeTrigger,
     TriggerWindow,
+    month_window,
     monthly_batches,
     stream_from_catalog,
     windowed,
@@ -69,6 +71,7 @@ __all__ = [
     "SeriesStream",
     "stream_from_catalog",
     "StreamWindow",
+    "month_window",
     "TriggerWindow",
     "CountTrigger",
     "TimeTrigger",

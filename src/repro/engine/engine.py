@@ -1,11 +1,12 @@
 """The online tiering engine: continuous SCOPe over a stream of access events.
 
 :class:`OnlineTieringEngine` wraps the batch components in a rolling-horizon
-control loop.  Per epoch (billing month) it:
+control loop over trigger windows (:mod:`repro.engine.events`).  Per window
+it:
 
 1. asks its :class:`~repro.engine.policies.TieringPolicy` whether to
    re-optimize, using only causally available information (the previous
-   epoch's observations);
+   window's observations);
 2. on re-optimization, forecasts each partition's monthly access rate from
    the feature store's sliding window (warm-started
    :class:`~repro.core.access_predict.WindowedAccessForecaster`), builds an
@@ -13,15 +14,21 @@ control loop.  Per epoch (billing month) it:
    *current* placement (so the objective's tier-change term prices migrations
    truthfully), solves it, and lets the
    :class:`~repro.engine.executor.MigrationExecutor` apply and bill the moves;
-3. steps the :class:`~repro.cloud.CloudStorageSimulator` one month
-   (storage + the epoch's actual reads) and folds the epoch's events into the
-   :class:`~repro.engine.features.FeatureStore` in O(new events).
+3. bills the window (storage for its duration, plus its actual reads) and
+   folds its events into the :class:`~repro.engine.features.FeatureStore` in
+   O(new events).
+
+The engine has one timeline.  A dense monthly stream of
+:class:`~repro.engine.events.EpochBatch` objects runs through the same loop:
+each batch is its month's window (:func:`~repro.engine.events.
+month_window`), so :meth:`~OnlineTieringEngine.run` and
+:meth:`~OnlineTieringEngine.step` only convert and delegate.
 
 Per-partition state lives in row-aligned numpy columns, in the row order of
 the engine's cached :class:`~repro.cloud.PartitionArrays`: the engine
 resolves its partitions to feature-store and forecaster rows once, at
-construction.  On the windowed timeline those columns belong to a
-:class:`SettleBlock`, which concatenates the state of one or more engines —
+construction.  Those columns belong to a :class:`SettleBlock`, which
+concatenates the state of one or more engines —
 the feature-store ring, lifetime and last-access columns, the forecaster's
 value and epoch columns, the residency clocks (``months_in_tier``) and the
 compiled per-row prices — and settles all of them in one pass: it maps every
@@ -97,7 +104,7 @@ from ..core.optassign import (
 from ..core.optassign.stacked import _stack_profile_columns, _stack_tier_masks
 from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
-from .events import EpochBatch, StreamWindow, TriggerWindow, windowed
+from .events import EpochBatch, StreamWindow, TriggerWindow, month_window, windowed
 from .executor import MigrationExecutor, MigrationReport, count_moves
 from .features import FeatureStore, StoreBlock
 from .policies import RateColumns, TieringPolicy
@@ -181,9 +188,9 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class EpochRecord:
-    """What one epoch cost and what the engine did during it.
+    """What one window cost and what the engine did during it.
 
-    ``wall_clock_s`` is the engine's own time for the epoch.  A window that a
+    ``wall_clock_s`` is the engine's own time for the window.  A window that a
     :class:`SettleBlock` settled together with other engines' windows counts
     the shared pass split evenly across the engines it settled, so a fleet's
     summed settle time is the time its passes took.
@@ -206,7 +213,7 @@ class EpochRecord:
 
     @property
     def bill_total(self) -> float:
-        """Everything billed this epoch, in cents."""
+        """Everything billed this window, in cents."""
         return (
             self.storage_cost
             + self.read_cost
@@ -218,13 +225,11 @@ class EpochRecord:
 
 @dataclass(slots=True)
 class WindowRecord(EpochRecord):
-    """An :class:`EpochRecord` for one epoch-free trigger window.
+    """An :class:`EpochRecord` that locates its window on the clock.
 
-    ``epoch`` holds the window's ordinal index; ``start_month`` /
-    ``end_month`` locate it on the virtual wall clock and ``cause`` names the
-    trigger that closed it.  Extending :class:`EpochRecord` keeps windowed
-    runs first-class citizens of :class:`EngineReport` (totals, summaries and
-    comparisons work unchanged).
+    ``epoch`` holds the window's ordinal index (a dense batch's epoch);
+    ``start_month`` / ``end_month`` locate it on the virtual wall clock and
+    ``cause`` names the trigger that closed it.  Every step returns one.
     """
 
     start_month: float = 0.0
@@ -323,10 +328,10 @@ class OnlineTieringEngine:
         executor billing cross-provider egress on every such move.
     chaos:
         Optional :class:`~repro.chaos.ChaosInjector` applying a
-        :class:`~repro.chaos.DisruptionSchedule` at epoch boundaries (provider
-        outages, price shocks).  Without one — the calm run — every chaos code
-        path is inert and the engine's bills are bit-identical to the
-        pre-chaos code.
+        :class:`~repro.chaos.DisruptionSchedule` at window boundaries
+        (provider outages, price shocks).  Without one — the calm run —
+        every chaos code path is inert and the engine's bills are
+        bit-identical to the pre-chaos code.
     """
 
     def __init__(
@@ -398,7 +403,6 @@ class OnlineTieringEngine:
         self.months_in_tier = np.array(
             [0.0 if partition.is_new else float("inf") for partition in self._partitions]
         )
-        self._last_epoch = -1
         self._last_window = -1
         self._window_clock = 0.0
         self._last_observed: RateColumns | None = None
@@ -431,65 +435,26 @@ class OnlineTieringEngine:
 
     # -- the control loop -------------------------------------------------------
     def run(self, stream: Iterable[EpochBatch]) -> EngineReport:
-        """Consume the stream epoch by epoch and return the end-to-end report.
+        """Consume a dense monthly stream and return the end-to-end report.
 
-        The engine lives on a single continuous timeline: ``run`` may be
-        called again with a stream whose epochs continue the previous one
-        (picking up placement, features, drift observations and residency
-        clocks where they left off).  Once the engine has consumed a batch,
-        epochs must advance by exactly one month — billing, residency clocks
-        and forecast decay all assume a dense monthly timeline, so a gap (or
-        a repeated/earlier epoch) raises *before* anything is billed or
-        migrated and the engine's state is never half-advanced.  Quiet
-        months are modelled as batches with no events (every provided stream
-        yields them), not as skipped epochs.
+        Each batch is stepped as its month's window (:meth:`step`).  The
+        engine lives on a single continuous timeline: ``run`` may be called
+        again — or after :meth:`run_stream` over month-aligned windows — with
+        batches that continue it, picking up placement, features, drift
+        observations and residency clocks where they left off.  A batch that
+        does not continue the timeline (a gap, or a repeated or earlier
+        epoch) raises *before* anything is billed or migrated, and the
+        engine's state is never half-advanced.  Quiet months are modelled as
+        batches with no events (every provided stream yields them), not as
+        skipped epochs.
         """
         records = [self.step(batch) for batch in stream]
         return EngineReport(policy=self.policy.name, records=records)
 
-    def step(self, batch: EpochBatch) -> EpochRecord:
-        """Consume a single epoch batch: the body of :meth:`run`'s loop.
-
-        Equivalent to ``begin_epoch`` → (``build_problem`` →
-        ``solve_optassign`` → ``apply_assignment`` when the policy fires) →
-        ``settle``.  External schedulers (the fleet layer) call those hooks
-        individually so the solve can be batched across engines; everything
-        else should call ``step`` or ``run``.
-        """
-        started = monotonic_s()
-        with get_tracer().span("engine.epoch", epoch=batch.epoch) as span:
-            migration: MigrationReport | None = None
-            reoptimized = False
-            force_fire = False
-            if self.chaos is not None:
-                force_fire = self.chaos.before_engine_epoch(self, batch.epoch)
-            if self.begin_epoch(batch.epoch) or force_fire:
-                problem = self.build_problem(batch.epoch)
-                try:
-                    assignment = self.solve_problem(problem)
-                except InfeasibleError as error:
-                    # Graceful degradation is a chaos-run contract only: a calm
-                    # run keeps its loud fail-fast certificates.  With chaos
-                    # attached and a standing placement to fall back on, the
-                    # epoch is billed at the frozen layout and the failure is
-                    # recorded as a structured DegradationReport.
-                    if self.chaos is None or self.placement is None:
-                        raise
-                    self.chaos.record_frozen_placement(self, batch.epoch, error)
-                else:
-                    migration = self.apply_assignment(
-                        batch.epoch, assignment.to_placement()
-                    )
-                    reoptimized = True
-                    if self.chaos is not None:
-                        self.chaos.note_migration(
-                            batch.epoch, migration, self._banned_tiers
-                        )
-            record = self.settle(
-                batch, migration=migration, reoptimized=reoptimized, started=started
-            )
-            span.set(reoptimized=reoptimized)
-        return record
+    def step(self, batch: EpochBatch) -> WindowRecord:
+        """Consume one epoch batch: :meth:`step_window` over its month's
+        window (:func:`~repro.engine.events.month_window`)."""
+        return self.step_window(month_window(batch))
 
     def solve_problem(self, problem: OptAssignProblem):
         """Solve a built instance under the configured ``reopt_mode``.
@@ -516,15 +481,15 @@ class OnlineTieringEngine:
             self.last_delta_report = report
             return report.assignment
 
-    # -- the epoch-free control loop ---------------------------------------------
-    # The windowed timeline generalizes the dense monthly grid: trigger
-    # windows (event-count / wall-clock / drift-score, see
+    # -- the windowed control loop ----------------------------------------------
+    # Trigger windows (event-count / wall-clock / drift-score, see
     # :mod:`repro.engine.events`) close batches at arbitrary points of
-    # virtual time.  An engine commits to one timeline on first use — mixing
-    # step() and step_window() raises, because residency clocks, feature
-    # epochs and forecast decay cannot straddle two clocks.  Month-aligned
-    # ``TimeTrigger(1.0)`` windows reproduce the dense path bit-exactly (the
-    # oracle lock in tests/engine/test_windows.py).
+    # virtual time, and a dense batch is a one-month window.  Windows must
+    # continue the one timeline: consecutive indices, each starting where
+    # the last ended (``window_clock``).  Month-aligned ``TimeTrigger(1.0)``
+    # windows over a timed stream bill exactly as the dense batches of
+    # ``monthly_batches`` over it (the oracle lock in
+    # tests/engine/test_windows.py).
 
     def run_stream(
         self,
@@ -536,9 +501,8 @@ class OnlineTieringEngine:
     ) -> EngineReport:
         """Consume a continuous timed-event stream under a trigger window.
 
-        The streaming analogue of :meth:`run`: cuts ``events`` (time-ordered
-        :class:`repro.cloud.TimedEvent`, e.g. a
-        :class:`repro.workloads.PoissonZipfStream`) into
+        Cuts ``events`` (time-ordered :class:`repro.cloud.TimedEvent`, e.g.
+        a :class:`repro.workloads.PoissonZipfStream`) into
         :class:`~repro.engine.events.StreamWindow` batches with
         :func:`~repro.engine.events.windowed` and steps each one.  Only the
         open window is ever materialized, so RAM stays flat at millions of
@@ -574,7 +538,11 @@ class OnlineTieringEngine:
                 member.baseline_provider = provider
 
     def step_window(self, window: StreamWindow) -> WindowRecord:
-        """Consume one closed trigger window: the epoch-free :meth:`step`.
+        """Consume one closed trigger window: the body of the control loop.
+
+        Equivalent to ``begin_window`` → (``build_problem`` →
+        ``solve_problem`` → ``apply_assignment`` when the policy fires) →
+        ``settle_window``.
 
         A window whose ``cause`` is ``"drift"`` forces a re-optimization even
         if the policy would not fire — the trigger has already detected drift
@@ -603,6 +571,11 @@ class OnlineTieringEngine:
                 try:
                     assignment = self.solve_problem(problem)
                 except InfeasibleError as error:
+                    # Graceful degradation is a chaos-run contract only: a calm
+                    # run keeps its loud fail-fast certificates.  With chaos
+                    # attached and a standing placement to fall back on, the
+                    # window is billed at the frozen layout and the failure is
+                    # recorded as a structured DegradationReport.
                     if self.chaos is None or self.placement is None:
                         raise
                     self.chaos.record_frozen_placement(self, window.index, error)
@@ -620,19 +593,31 @@ class OnlineTieringEngine:
         get_metrics().counter("engine.window_closes", cause=window.cause).add()
         return record
 
-    def _validate_window(self, index: int) -> None:
-        """Raise unless ``index`` continues the windowed timeline."""
-        if self._last_epoch >= 0:
+    # -- external-scheduling hooks ----------------------------------------------
+    # ``step_window`` composes the hooks; the fleet scheduler
+    # (:mod:`repro.fleet`) window-locks many engines and calls
+    # ``begin_window`` per engine, but plans its firing engines together in
+    # one :class:`WindowPlan` and settles them in one :class:`SettleBlock`
+    # pass instead of their ``build_problem``, ``apply_assignment`` and
+    # ``settle_window``.
+
+    def _validate_window(self, index: int, start_month: float | None = None) -> None:
+        """Raise unless window ``index`` — starting at ``start_month``, when
+        given — continues the timeline: after the first window, each window
+        takes the next index and starts at :attr:`window_clock`."""
+        last = self._last_window
+        if last >= 0 and (
+            index != last + 1
+            or (start_month is not None and start_month != self._window_clock)
+        ):
+            got = f"window {index}"
+            if start_month is not None:
+                got += f" at month {start_month}"
             raise ValueError(
-                "this engine is on the dense monthly timeline (step was "
-                "called); epoch-free window stepping cannot be mixed in — "
-                "the two clocks would disagree"
-            )
-        if self._last_window >= 0 and index != self._last_window + 1:
-            raise ValueError(
-                f"stream windows must be consecutive (got window {index} "
-                f"after {self._last_window}); windowed() yields gap-free "
-                "indices"
+                f"stream windows must be consecutive (got {got} after window "
+                f"{last}, which ended at month {self._window_clock}); dense "
+                "epochs advance one month at a time — model quiet months as "
+                "empty batches, not gaps"
             )
 
     def _window_rows(self, window: StreamWindow) -> np.ndarray:
@@ -642,7 +627,7 @@ class OnlineTieringEngine:
         out of order and ``KeyError`` for an event naming an unknown
         partition."""
         index = window.index
-        self._validate_window(index)
+        self._validate_window(index, window.start_month)
         self.feature_store._check_complete_batch(index)
         self.forecaster._check_epoch(index)
         events = window.events
@@ -651,9 +636,13 @@ class OnlineTieringEngine:
         return self._arrays.event_rows(events)
 
     def begin_window(self, index: int) -> bool:
-        """Validate the window and ask the policy whether to re-optimize.
+        """Validate the window index and ask the policy whether to
+        re-optimize.
 
-        The windowed twin of :meth:`begin_epoch`: the policy sees the window
+        Raises before anything is billed or migrated when ``index`` does not
+        continue the timeline; mutates no engine state (the policy may
+        update its own drift bookkeeping) and fires without consulting the
+        policy before the first placement.  The policy sees the window
         ordinal as its epoch and the previous window's observed *monthly
         rates* (counts scaled by window duration), so periodic policies tick
         per window and drift policies compare rate against forecast rate.
@@ -685,13 +674,12 @@ class OnlineTieringEngine:
         """Bill one trigger window and fold its events into the engine state.
 
         Storage accrues for exactly ``window.duration_months``; reads are
-        billed per event in stream order (the identical arithmetic to a
-        dense epoch — a month-aligned window settles bit-exactly like
-        :meth:`settle`).  The feature store and forecaster receive observed
-        **monthly rates** — window counts divided by the window's duration —
-        so windows of different widths remain comparable; for the degenerate
-        zero-width flush window raw counts are folded as-is.  Residency
-        clocks advance by the window's fractional duration.
+        billed per event in stream order.  The feature store and forecaster
+        receive observed **monthly rates** — window counts divided by the
+        window's duration — so windows of different widths remain
+        comparable; for the degenerate zero-width flush window raw counts are
+        folded as-is.  Residency clocks advance by the window's fractional
+        duration.
 
         The engine settles as a :class:`SettleBlock` of one, the same pass a
         fleet runs over all of its tenants.
@@ -717,131 +705,13 @@ class OnlineTieringEngine:
 
     @property
     def window_clock(self) -> float:
-        """Virtual time (months) the windowed timeline has settled through."""
+        """Virtual time (months) the timeline has settled through."""
         return self._window_clock
 
     @property
     def last_applied_forecast(self) -> RateColumns | None:
         """The monthly-rate forecast behind the most recent applied placement."""
         return self._last_applied_forecast
-
-    def _observed(
-        self, rows: np.ndarray, reads: np.ndarray, duration: float
-    ) -> RateColumns:
-        """The reads of each row the events touched, per month of
-        ``duration``, in first-read order (:func:`_observed_rates`)."""
-        touched, rates = _observed_rates(rows, reads, duration)
-        return RateColumns(self._arrays.names, rates, touched)
-
-    # -- external-scheduling hooks ----------------------------------------------
-    # ``step`` composes these hooks: ``begin_epoch`` (validation + policy
-    # check, no state change), then on firing ``build_problem`` and
-    # ``apply_assignment`` with an externally computed placement, then
-    # ``settle``.  The fleet scheduler (:mod:`repro.fleet`) epoch-locks many
-    # engines and calls ``begin_epoch`` and ``settle`` per engine, but plans
-    # its firing engines together in one :class:`WindowPlan` instead of
-    # their ``build_problem`` and ``apply_assignment``.
-
-    def _validate_epoch(self, epoch: int) -> None:
-        """Raise unless ``epoch`` continues the dense monthly timeline."""
-        if self._last_window >= 0:
-            raise ValueError(
-                "this engine is on the epoch-free windowed timeline "
-                "(step_window was called); dense epoch stepping cannot be "
-                "mixed in — the two clocks would disagree"
-            )
-        if self._last_epoch >= 0 and epoch != self._last_epoch + 1:
-            raise ValueError(
-                f"stream epochs must advance one month at a time (got "
-                f"{epoch} after {self._last_epoch}); model quiet months "
-                "as empty batches, not gaps"
-            )
-
-    def begin_epoch(self, epoch: int) -> bool:
-        """Validate the epoch and ask the policy whether to re-optimize.
-
-        Raises before anything is billed or migrated when ``epoch`` does not
-        continue the engine's dense monthly timeline.  Mutates no engine
-        state (the policy may update its own drift bookkeeping).
-        """
-        self._validate_epoch(epoch)
-        if self.placement is None:
-            return True
-        tracer = get_tracer()
-        with tracer.span(
-            "engine.policy_decision", epoch=epoch, policy=self.policy.name
-        ) as span:
-            fire = self.policy.should_reoptimize(epoch, self._last_observed)
-            if tracer.enabled:
-                span.set(fire=fire)
-                score = getattr(self.policy, "last_score", None)
-                if score is not None:
-                    get_metrics().gauge(
-                        "engine.drift_score", policy=self.policy.name
-                    ).set(score)
-        return fire
-
-    def settle(
-        self,
-        batch: EpochBatch,
-        migration: MigrationReport | None = None,
-        reoptimized: bool = False,
-        started: float | None = None,
-    ) -> EpochRecord:
-        """Bill the epoch and fold its events into the engine's state.
-
-        Steps the simulator one month against the (possibly just-changed)
-        placement, feeds the feature store and forecaster, advances the
-        residency clocks and returns the epoch's record.  ``migration`` is
-        the report of this epoch's re-optimization, if one was applied.
-        """
-        epoch = batch.epoch
-        self._validate_epoch(epoch)
-        tracer = get_tracer()
-        with tracer.span("engine.settle", epoch=epoch):
-            events = EventBatch.from_events(batch.events)
-            with tracer.span("engine.ingest") as ingest_span:
-                rows = self._arrays.event_rows(events)
-                step = self._compiled_placement().step(events, rows=rows)
-                ingest_span.set(events=len(events))
-
-            observed = self._observed(rows, events.reads, 1.0)
-            with tracer.span("engine.feature_store"):
-                # Event by event: a batch may read a partition many times,
-                # and each lifetime total adds its reads in event order.
-                self.feature_store.observe(batch)
-                self.forecaster.update_rows(
-                    epoch, self._forecast_rows[observed.rows], observed.rates
-                )
-            MigrationExecutor.tick(self.months_in_tier)
-            self._last_observed = observed
-            self._last_epoch = epoch
-            # A forecast built for this epoch is stale once the epoch
-            # settles; if a solve failed between build_problem and here,
-            # dropping it keeps the apply_assignment guard honest for later
-            # epochs.
-            self._pending_forecast = None
-            if tracer.enabled:
-                get_metrics().gauge("engine.window_fill").set(
-                    self.feature_store.window_fill
-                )
-
-        return EpochRecord(
-            epoch=epoch,
-            reoptimized=reoptimized,
-            storage_cost=step.bill.storage,
-            read_cost=step.bill.read,
-            decompression_cost=step.bill.decompression,
-            migration_cost=migration.migration_cost if migration else 0.0,
-            early_deletion_penalty=(
-                migration.early_deletion_penalty if migration else 0.0
-            ),
-            num_moved=migration.num_moved if migration else 0,
-            moved_gb=migration.moved_gb if migration else 0.0,
-            access_count=step.access_count,
-            latency_violations=step.latency_violations,
-            wall_clock_s=monotonic_s() - started if started is not None else 0.0,
-        )
 
     # -- chaos-facing state -------------------------------------------------------
     # The chaos injector manipulates tier eligibility and residency pins
@@ -1095,7 +965,7 @@ class OnlineTieringEngine:
         planned from."""
         self.policy.notify_reoptimized(epoch, self._pending_forecast)
         # The forecast this placement was planned from doubles as the drift
-        # baseline for epoch-free DriftTriggers (see run_stream).  It is
+        # baseline for DriftTriggers (see run_stream).  It is
         # read-only, so policy and trigger share it without a copy.
         self._last_applied_forecast = self._pending_forecast
         self._pending_forecast = None

@@ -2,12 +2,25 @@
 
 The batch pipeline consumes a complete historical trace in one shot; the
 online engine consumes the same :class:`repro.cloud.AccessEvent` objects
-*epoch by epoch* (an epoch is one billing month).  An event stream is simply
-an iterable of :class:`EpochBatch` objects with strictly increasing epochs —
-the engine never looks ahead, so any policy evaluated on a stream is causally
-honest.
+window by window.  The engine has one timeline: a continuous stream of
+:class:`repro.cloud.TimedEvent` (from :mod:`repro.workloads.streams`) is cut
+into :class:`StreamWindow` batches by a pluggable **trigger** —
 
-Three epoch-batch sources are provided:
+* :class:`CountTrigger` closes a window after a fixed number of events;
+* :class:`TimeTrigger` closes on a virtual wall-clock width;
+* :class:`DriftTrigger` closes when the observed access mix drifts past a
+  score threshold against a baseline forecast;
+* :class:`AnyTrigger` composes several (first to fire wins).
+
+:func:`windowed` cuts windows lazily: it works on columnar
+:class:`repro.cloud.EventBatch` chunks (see :class:`TriggerWindow`) in
+O(chunk + window) memory.
+
+A dense monthly stream is an iterable of :class:`EpochBatch` objects (an
+epoch is one billing month) with consecutive epochs — the engine never
+looks ahead, so any policy evaluated on a stream is causally honest.  Each
+batch is the month-aligned window :func:`month_window` makes of it, and the
+engine steps it as such.  Three epoch-batch sources are provided:
 
 * :class:`ReplayStream` — replays a recorded flat trace (e.g. the one a batch
   simulation used), grouping events by month;
@@ -17,23 +30,8 @@ Three epoch-batch sources are provided:
 * :func:`stream_from_catalog` — wraps a :class:`repro.cloud.DatasetCatalog`'s
   recorded ``monthly_reads`` histories as a stream.
 
-**Epoch-free triggering** (ROADMAP item 2) generalizes the dense monthly
-grid: a continuous stream of :class:`repro.cloud.TimedEvent` (from
-:mod:`repro.workloads.streams`) is cut into :class:`StreamWindow` batches by
-a pluggable **trigger** —
-
-* :class:`CountTrigger` closes a window after a fixed number of events;
-* :class:`TimeTrigger` closes on a virtual wall-clock width (month-aligned
-  ``TimeTrigger(1.0)`` reproduces the dense-epoch grid bit-exactly — the
-  oracle lock in ``tests/engine/test_windows.py``);
-* :class:`DriftTrigger` closes when the observed access mix drifts past a
-  score threshold against a baseline forecast;
-* :class:`AnyTrigger` composes several (first to fire wins).
-
-:func:`windowed` cuts windows lazily: it works on columnar
-:class:`repro.cloud.EventBatch` chunks (see :class:`TriggerWindow`) in
-O(chunk + window) memory.  :func:`monthly_batches` adapts a timed stream
-back onto the dense monthly grid for oracle comparisons.
+:func:`monthly_batches` adapts a timed stream onto the monthly grid, for the
+oracle comparisons that pin ``TimeTrigger(1.0)`` runs to dense ones.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ __all__ = [
     "SeriesStream",
     "stream_from_catalog",
     "StreamWindow",
+    "month_window",
     "TriggerWindow",
     "CountTrigger",
     "TimeTrigger",
@@ -187,7 +186,7 @@ def stream_from_catalog(
 
 
 # ---------------------------------------------------------------------------
-# Epoch-free trigger windows
+# Trigger windows
 # ---------------------------------------------------------------------------
 
 
@@ -195,12 +194,12 @@ def stream_from_catalog(
 class StreamWindow:
     """A closed trigger window: the timed events in ``[start_month, end_month)``.
 
-    The epoch-free analogue of :class:`EpochBatch`: ``index`` is the window's
-    ordinal (windows are consecutive and gap-free), ``cause`` names the
-    trigger that closed it (``"count"``, ``"time"``, ``"drift"``,
-    ``"horizon"`` or ``"flush"``).  Storage is billed for
-    ``duration_months``, reads for the events — the same arithmetic as a
-    dense epoch, just over an arbitrary-width slice of virtual time.
+    The unit the engine steps: ``index`` is the window's ordinal (windows
+    are consecutive and gap-free), ``cause`` names the trigger that closed
+    it (``"count"``, ``"time"``, ``"drift"``, ``"horizon"`` or
+    ``"flush"``).  Storage is billed for ``duration_months``, reads for the
+    events; a dense :class:`EpochBatch` is the one-month window
+    :func:`month_window` makes of it.
     ``events`` is a columnar :class:`repro.cloud.EventBatch`; any other
     iterable of events is converted with
     :meth:`~repro.cloud.EventBatch.from_events`.
@@ -236,6 +235,19 @@ class StreamWindow:
     def reads_by_partition(self) -> dict[str, float]:
         """Aggregated read counts per partition for this window."""
         return self.events.reads_by_partition()
+
+
+def month_window(batch: EpochBatch) -> StreamWindow:
+    """The month-aligned window of a dense epoch batch: window ``epoch``
+    over ``[epoch, epoch + 1)``, closed by time, holding the batch's events
+    in order."""
+    return StreamWindow(
+        index=batch.epoch,
+        start_month=float(batch.epoch),
+        end_month=float(batch.epoch + 1),
+        events=EventBatch.from_events(batch.events),
+        cause="time",
+    )
 
 
 class TriggerWindow(Protocol):
@@ -310,11 +322,10 @@ class TimeTrigger:
     """Close a window every ``width_months`` of virtual wall clock (``"time"``).
 
     Boundaries are laid end to end from the stream's start: quiet stretches
-    emit empty windows, exactly like the dense monthly grid does.  With
+    emit empty windows, as quiet months yield empty batches.  With
     ``width_months=1.0`` from ``start_month=0.0`` the boundaries are the
-    integers, and the windows reproduce dense epochs **bit-exactly** (adding
-    1.0 to an integral float is exact, and dividing counts by a duration of
-    exactly 1.0 is the identity).
+    integers (adding 1.0 to an integral float is exact), so each window spans
+    the month :func:`month_window` gives the dense batch of that month.
     """
 
     cause = "time"
@@ -527,13 +538,15 @@ def windowed(
     deferred until an event advances the clock — windows always advance
     virtual time, which keeps rates (counts / duration) well-defined.
 
-    A non-finite ``start_month`` or ``horizon_months`` raises ``ValueError``
-    before the first window.
+    A non-finite ``start_month``, or a ``horizon_months`` that is not
+    positive and finite, raises ``ValueError`` before the first window.
     """
     if not math.isfinite(start_month):
         raise ValueError(f"start_month must be finite: {start_month}")
-    if horizon_months is not None and not math.isfinite(horizon_months):
-        raise ValueError(f"horizon_months must be finite: {horizon_months}")
+    if horizon_months is not None and not 0 < horizon_months < math.inf:
+        raise ValueError(
+            f"horizon_months must be finite and positive: {horizon_months}"
+        )
     index = 0
     start = start_month
     pending: list[EventBatch] = []

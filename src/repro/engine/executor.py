@@ -452,8 +452,7 @@ class MigrationExecutor:
     def tick(months_in_tier: np.ndarray, months: float = 1.0) -> None:
         """Advance every partition's tier-residency clock by ``months``.
 
-        The dense epoch loop ticks one month at a time; the epoch-free
-        windowed loop ticks each window's fractional duration.
+        The engine ticks each window's duration (a dense month's is 1).
         """
         if months < 0:
             raise ValueError("months must be non-negative")

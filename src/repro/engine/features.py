@@ -9,7 +9,7 @@ one row per registered partition.
 
 The engine registers its partitions once and then works on rows only, and
 reads the window back with :meth:`FeatureStore.window_matrix` (one gather).
-On the windowed timeline the engine's store joins a :class:`StoreBlock`,
+The engine's store joins a :class:`StoreBlock`,
 which concatenates the columns of several stores and folds a window's
 per-row reads into all of them at once (zeroing the ring column that slides
 out, plus a fancy add over the rows read).  :meth:`FeatureStore.observe_rows`

@@ -19,6 +19,7 @@ information: the epoch number and the previous epoch's observed accesses.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import nullcontext
@@ -289,8 +290,9 @@ class PeriodicReoptimize(TieringPolicy):
     name = "periodic"
 
     def __init__(self, period_months: int):
-        if period_months <= 0:
-            raise ValueError("period_months must be positive")
+        # NaN fails the comparison too.
+        if not 0 < period_months < math.inf:
+            raise ValueError("period_months must be positive and finite")
         self.period_months = period_months
         self._last_reoptimized: int | None = None
 
@@ -327,8 +329,8 @@ class DriftTriggered(TieringPolicy):
     def __init__(self, threshold: float = 0.4, min_gap_months: int = 1):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        if min_gap_months < 1:
-            raise ValueError("min_gap_months must be at least 1")
+        if not 1 <= min_gap_months < math.inf:
+            raise ValueError("min_gap_months must be at least 1 and finite")
         self.threshold = threshold
         self.min_gap_months = min_gap_months
         self.last_score = 0.0

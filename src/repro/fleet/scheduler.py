@@ -1,10 +1,13 @@
 """The fleet scheduler: N tenants, one catalog, shared capacity pools.
 
 :class:`FleetScheduler` drives one :class:`~repro.engine.OnlineTieringEngine`
-per tenant epoch-locked over the same monthly timeline.  Per epoch it
+per tenant window-locked over one timeline: a shared trigger cuts the merged
+tenant streams into windows (:meth:`FleetScheduler.run_streams`), and a dense
+monthly run steps each month as a one-month window
+(:meth:`FleetScheduler.run`).  Per window it
 
 1. asks every tenant's policy whether to re-optimize
-   (:meth:`~repro.engine.OnlineTieringEngine.begin_epoch`);
+   (:meth:`~repro.engine.OnlineTieringEngine.begin_window`);
 2. plans the firing tenants in one :class:`~repro.engine.WindowPlan` over
    the fleet's :class:`~repro.engine.SettleBlock` columns (every tenant that
    shares a ring width and an EWMA alpha is one block): one forecast pass
@@ -18,9 +21,8 @@ per tenant epoch-locked over the same monthly timeline.  Per epoch it
    subtracted from each pool's budget first — then prices every move of the
    window in one pass and writes the placement, clock and price columns,
    giving each tenant its own :class:`~repro.engine.MigrationReport`;
-4. settles every tenant (simulator step, feature store, forecaster).  On the
-   windowed timeline the fleet settles each block in one pass; the dense
-   epoch loop settles each engine in turn, through the same block columns.
+4. settles every tenant (billing, feature store, forecaster) in one pass
+   per block.
 
 With slack pools the arbitration is a no-op and every partition keeps its
 individually-cheapest option, so a fleet run is **bill-exact** against N
@@ -34,6 +36,7 @@ beats carving the pool into static per-tenant slices (see
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,6 +68,7 @@ from ..engine import (
     StreamWindow,
     TriggerWindow,
     WindowPlan,
+    month_window,
     windowed,
 )
 from .report import FleetReport, PoolUsageRecord
@@ -74,7 +78,7 @@ __all__ = ["FleetScheduler"]
 
 
 class FleetScheduler:
-    """Epoch-locked multi-tenant tiering over shared capacity pools.
+    """Window-locked multi-tenant tiering over shared capacity pools.
 
     Parameters
     ----------
@@ -96,7 +100,7 @@ class FleetScheduler:
         be stacked into one solve.
     chaos:
         Optional :class:`~repro.chaos.ChaosInjector` applying a
-        :class:`~repro.chaos.DisruptionSchedule` at epoch boundaries —
+        :class:`~repro.chaos.DisruptionSchedule` at window boundaries —
         provider outages (with forced evacuation), price shocks, pool shocks
         and tenant churn.  Without one every chaos code path is inert and
         fleet bills are bit-identical to the pre-chaos code.
@@ -160,9 +164,10 @@ class FleetScheduler:
         self._policy_names: dict[str, str] = {
             spec.name: spec.policy.name for spec in self.tenants
         }
-        # Streams for tenants joined mid-run (chaos TenantJoin): step_epoch
-        # pulls their batches itself since run()'s iterators predate them.
-        self._chaos_streams: dict[str, object] = {}
+        # Spec streams of chaos TenantJoin tenants on dense input, each with
+        # its join month: step_epoch feeds them since run()'s iterators
+        # predate them.
+        self._join_streams: dict[str, tuple[int, list[EpochBatch]]] = {}
         self._pool_records: list[PoolUsageRecord] = []
         # The live roster's blocks with their tenant names, one per (window
         # width, alpha) group, and each tenant's block and index there;
@@ -212,15 +217,13 @@ class FleetScheduler:
         )
 
     # -- tenant churn ----------------------------------------------------------
-    def add_tenant(self, spec: TenantSpec, stream=None) -> OnlineTieringEngine:
+    def add_tenant(self, spec: TenantSpec) -> OnlineTieringEngine:
         """Admit a tenant mid-run (chaos ``TenantJoin`` or manual onboarding).
 
         The spec is validated exactly as at construction (unique never-used
-        name, unshared policy, fleet-identical pricing).  ``stream`` supplies
-        the tenant's epoch batches when the fleet is driven through
-        :meth:`run` — its batches must continue the fleet's current epoch
-        numbering; callers driving :meth:`step_epoch` directly may instead
-        include the tenant in their own ``batches`` mapping.
+        name, unshared policy, fleet-identical pricing).  Callers stepping
+        the fleet include the tenant in their windows or batches from then
+        on; a tenant they leave out settles empty windows.
         """
         if spec.name in self._records:
             raise ValueError(
@@ -238,8 +241,6 @@ class FleetScheduler:
         self._records[spec.name] = []
         self._policy_names[spec.name] = spec.policy.name
         self._blocks, self._members = [], {}
-        if stream is not None:
-            self._chaos_streams[spec.name] = iter(stream)
         return engine
 
     def remove_tenant(self, name: str) -> None:
@@ -256,7 +257,7 @@ class FleetScheduler:
         engine = self.engines.pop(name)
         self.tenants = tuple(spec for spec in self.tenants if spec.name != name)
         self._blocks, self._members = [], {}
-        self._chaos_streams.pop(name, None)
+        self._join_streams.pop(name, None)
         if self._delta is not None:
             prefix = f"{name}{TENANT_SEPARATOR}"
             self._delta.forget(
@@ -351,10 +352,7 @@ class FleetScheduler:
     ) -> dict[str, object]:
         """Plan → solve → apply for the firing tenants: one pass each.
 
-        The shared middle of both timelines (dense :meth:`step_epoch` and
-        windowed :meth:`step_window`): identical stacking, pool arbitration,
-        delta routing and chaos degradation either way.  ``epoch`` is
-        the dense month or the window ordinal.  A
+        ``epoch`` is the window ordinal.  A
         :class:`~repro.engine.WindowPlan` over the tenants' blocks forecasts
         every firing row and assembles the stacked instance from the blocks'
         columns, and after the solve prices and applies every move.  Returns
@@ -415,79 +413,12 @@ class FleetScheduler:
         # pending forecasts are dropped by settle.
         return migrations
 
-    # -- one epoch -------------------------------------------------------------
-    def step_epoch(self, batches: Mapping[str, EpochBatch]) -> None:
-        """Advance every tenant one epoch (all batches must share the epoch)."""
-        if not batches:
-            raise ValueError("at least one tenant batch is required")
-        epochs = {batch.epoch for batch in batches.values()}
-        if len(epochs) != 1:
-            raise ValueError(
-                f"fleet epochs are locked: got mixed epochs {sorted(epochs)}"
-            )
-        epoch = epochs.pop()
-        if self.chaos is not None:
-            # Disruptions land at the epoch boundary, before any policy
-            # decision or billing: churn changes the roster below, outages
-            # mask tiers and mark evacuating tenants for forced firing.
-            self.chaos.before_fleet_epoch(self, epoch)
-        order = [spec.name for spec in self.tenants]
-        batches = dict(batches)
-        # Tenants joined mid-run feed from their own chaos streams; tenants
-        # that departed may still appear in the caller's mapping (run()'s
-        # original iterators keep yielding) and are simply ignored.
-        for name, iterator in list(self._chaos_streams.items()):
-            if name not in batches:
-                batch = next(iterator, None)
-                batches[name] = (
-                    batch if batch is not None else EpochBatch(epoch=epoch, events=())
-                )
-        missing = [name for name in order if name not in batches]
-        if missing:
-            raise KeyError(f"batches missing tenants: {missing}")
-
-        tracer = get_tracer()
-        with tracer.span("fleet.epoch", epoch=epoch) as epoch_span:
-            firing = [
-                name for name in order if self.engines[name].begin_epoch(epoch)
-            ]
-            if self.chaos is not None:
-                # Tenants with residents on a just-dead provider's tiers must
-                # re-solve this epoch regardless of what their policy said:
-                # forced evacuation cannot wait for drift.
-                forced = self.chaos.take_forced_tenants() & set(order)
-                if forced - set(firing):
-                    firing_set = set(firing) | forced
-                    firing = [name for name in order if name in firing_set]
-            solve_started = monotonic_s()
-            migrations: dict[str, object] = {}
-            if firing:
-                migrations = self._reoptimize(epoch, firing, order, tracer)
-            solve_seconds = monotonic_s() - solve_started
-
-            for name in order:
-                started = monotonic_s()
-                with tracer.span("fleet.settle", tenant=name):
-                    self._records[name].append(
-                        self.engines[name].settle(
-                            batches[name],
-                            migration=migrations.get(name),
-                            reoptimized=name in migrations,
-                            started=started,
-                        )
-                    )
-
-            with tracer.span("fleet.pool_usage"):
-                self._note_pool_usage(
-                    epoch, order, len(firing), solve_seconds, tracer, epoch_span
-                )
-
     def _note_pool_usage(
-        self, epoch, order, num_fired, solve_seconds, tracer, epoch_span
+        self, epoch, order, num_fired, solve_seconds, tracer, window_span
     ) -> None:
-        """Record the epoch's stacked-solve + pool telemetry (both timelines).
+        """Record the window's stacked-solve + pool telemetry.
 
-        The per-epoch record always carries the stacked-solve telemetry
+        The per-window record always carries the stacked-solve telemetry
         (solve wall clock is invisible to per-tenant settle timings); the
         pool columns are empty for a pool-less fleet.
         """
@@ -506,7 +437,7 @@ class FleetScheduler:
             # long run keeps one record per window.
             capacity = self._pool_records[-1].capacity_gb
         if tracer.enabled:
-            epoch_span.set(num_reoptimized=num_fired)
+            window_span.set(num_reoptimized=num_fired)
             metrics = get_metrics()
             for pool_name, used_gb in used.items():
                 metrics.gauge("fleet.pool.used_gb", pool=pool_name).set(
@@ -527,19 +458,19 @@ class FleetScheduler:
             )
         )
 
-    # -- one epoch-free window ---------------------------------------------------
+    # -- one window --------------------------------------------------------------
     def step_window(self, windows: Mapping[str, StreamWindow]) -> None:
         """Advance every tenant one trigger window (window-locked fleet).
 
-        The epoch-free twin of :meth:`step_epoch`: all provided windows must
-        share the same ``(index, start, end)`` span — the fleet closes its
-        windows on one shared trigger over the *merged* tenant stream (see
-        :meth:`run_streams`), so tenants stay lock-stepped exactly as on the
-        monthly grid.  Live tenants missing from ``windows`` (e.g. just
-        admitted by a chaos ``TenantJoin``, whose dense spec streams have no
-        place on the windowed timeline) settle an empty window: storage
-        accrues, no reads.  Windows may carry different vocabularies; each
-        tenant's events are resolved through its own engine's rows.
+        All provided windows must share the same ``(index, start, end)``
+        span — the fleet closes its windows on one shared trigger over the
+        *merged* tenant stream (see :meth:`run_streams`), or steps a dense
+        month as one window (:meth:`step_epoch`), so tenants stay
+        lock-stepped.  Live tenants missing from ``windows`` (e.g. just
+        admitted by a chaos ``TenantJoin`` on stream input) settle an empty
+        window: storage accrues, no reads.  Windows may carry different
+        vocabularies; each tenant's events are resolved through its own
+        engine's rows.
 
         Every live tenant's window is validated — its place on the tenant's
         timeline and every event's partition — before any disruption,
@@ -572,7 +503,7 @@ class FleetScheduler:
         tracer = get_tracer()
         with tracer.span(
             "fleet.window", index=index, cause=cause
-        ) as epoch_span:
+        ) as window_span:
             with tracer.span("fleet.validate", tenants=len(windows)):
                 rows = {
                     name: engines[name]._window_rows(window)
@@ -640,12 +571,12 @@ class FleetScheduler:
 
             with tracer.span("fleet.pool_usage"):
                 self._note_pool_usage(
-                    index, order, len(firing), solve_seconds, tracer, epoch_span
+                    index, order, len(firing), solve_seconds, tracer, window_span
                 )
 
     def _settle_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
-        """The blocks the windowed timeline settles through, with each
-        block's tenants (:meth:`_fleet_blocks`)."""
+        """The blocks a window settles through, with each block's tenants
+        (:meth:`_fleet_blocks`)."""
         return self._fleet_blocks()
 
     def _fleet_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
@@ -735,9 +666,45 @@ class FleetScheduler:
             )
         return self.report()
 
-    # -- the run loop ------------------------------------------------------------
+    # -- dense monthly input -------------------------------------------------------
+    def step_epoch(self, batches: Mapping[str, EpochBatch]) -> None:
+        """Advance every tenant one month: :meth:`step_window` over the
+        month's window (:func:`~repro.engine.month_window`).
+
+        All batches must share one epoch, and every live tenant needs one;
+        batches of tenants that have left are ignored.  A tenant a chaos
+        ``TenantJoin`` admits feeds from its own spec stream, shifted to
+        start at its join month, wherever ``batches`` has none for it: the
+        stream starts in the month whose mark the join falls on.
+        """
+        if not batches:
+            raise ValueError("at least one tenant batch is required")
+        epochs = {batch.epoch for batch in batches.values()}
+        if len(epochs) != 1:
+            raise ValueError(
+                f"fleet epochs are locked: got mixed epochs {sorted(epochs)}"
+            )
+        epoch = epochs.pop()
+        batches = dict(batches)
+        streams = self._join_streams
+        if self.chaos is not None:
+            for spec in self.chaos.joiners_in_window(epoch, epoch + 1):
+                streams.setdefault(spec.name, (epoch, list(spec.make_stream(None))))
+        for name, (joined, stream) in streams.items():
+            if name not in batches:
+                offset = epoch - joined
+                events = stream[offset].events if offset < len(stream) else ()
+                batches[name] = EpochBatch(
+                    epoch=epoch,
+                    events=tuple(replace(event, month=epoch) for event in events),
+                )
+        missing = [spec.name for spec in self.tenants if spec.name not in batches]
+        if missing:
+            raise KeyError(f"batches missing tenants: {missing}")
+        self.step_window({name: month_window(batch) for name, batch in batches.items()})
+
     def run(self, num_epochs: int | None = None) -> FleetReport:
-        """Drive every tenant's stream to exhaustion, epoch-locked.
+        """Drive every tenant's stream to exhaustion, one month at a time.
 
         All tenant streams must cover the same epochs (quiet months are empty
         batches, exactly as for the single-tenant engine); ``num_epochs``

@@ -87,8 +87,8 @@ class FleetConfig:
     per window (:class:`~repro.engine.WindowPlan`) replaced.  It is still
     validated (at least 1) and kept for callers that pass it, until a
     change to the benchmark that passes it can drop it.  Nothing in the
-    loop is threaded: the windowed loop plans and settles every tenant in
-    one vectorized pass each, and the dense loop settles tenants in turn.
+    loop is threaded: each window plans and settles every tenant in one
+    vectorized pass each.
     """
 
     engine: EngineConfig = field(default_factory=EngineConfig)

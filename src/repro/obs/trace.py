@@ -8,8 +8,8 @@ tracer asks for it, the ``tracemalloc`` peak) for one named phase::
         span.set(relaxation_rounds=rounds)
 
 Spans nest through a thread-local stack: a span opened while another is
-active becomes its child, so one engine epoch produces a tree —
-``engine.epoch`` → ``engine.solve`` → ``optassign.greedy`` — that the
+active becomes its child, so one engine window produces a tree —
+``engine.window`` → ``engine.solve`` → ``optassign.greedy`` — that the
 exporters in :mod:`repro.obs.export` can render as a tree or aggregate into
 per-phase totals.
 

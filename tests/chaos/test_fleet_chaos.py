@@ -14,8 +14,14 @@ from repro.chaos import (
     TenantJoin,
     TenantLeave,
 )
-from repro.cloud import DataPartition, PoolSet, multi_cloud_catalog
-from repro.engine import EngineConfig, StaticOnce, StreamWindow
+from repro.cloud import DataPartition, PoolSet, TimedEvent, multi_cloud_catalog
+from repro.engine import (
+    EngineConfig,
+    SeriesStream,
+    StaticOnce,
+    StreamWindow,
+    TimeTrigger,
+)
 from repro.engine.policies import PeriodicReoptimize
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
 from repro.workloads import generate_fleet_workload
@@ -52,7 +58,7 @@ def make_specs(num=2, offset=0, config=FULL_CONFIG):
     ]
 
 
-def run_fleet(schedule, config=FULL_CONFIG, capacities=None, pools=True):
+def make_fleet(schedule, config=FULL_CONFIG, capacities=None, pools=True):
     catalog = multi_cloud_catalog()
     chaos = ChaosInjector(schedule) if schedule is not None else None
     pool_set = None
@@ -67,6 +73,11 @@ def run_fleet(schedule, config=FULL_CONFIG, capacities=None, pools=True):
         config=FleetConfig(engine=config),
         chaos=chaos,
     )
+    return scheduler, chaos, catalog
+
+
+def run_fleet(schedule, config=FULL_CONFIG, capacities=None, pools=True):
+    scheduler, chaos, catalog = make_fleet(schedule, config, capacities, pools)
     report = scheduler.run(num_epochs=MONTHS)
     return scheduler, chaos, report, catalog
 
@@ -148,6 +159,52 @@ class TestFleetChurn:
             )
         )
         assert "tenant_001" not in scheduler.engines
+
+    def test_joiner_feeds_its_spec_stream_on_dense_input_only(self):
+        """The one way dense and stream input differ: on dense input a
+        joiner settles its spec's series from its join month; on stream
+        input, with no stream of its own, it settles empty windows."""
+        join = 2
+
+        def schedule():
+            return DisruptionSchedule(
+                [TenantJoin(epoch=join, spec=make_specs(1, offset=10)[0])]
+            )
+
+        joiner = make_specs(1, offset=10)[0]
+        _, _, dense, _ = run_fleet(schedule())
+        expected = [
+            sum(round(event.reads) for event in batch.events)
+            for batch in SeriesStream(joiner.series)
+        ][: MONTHS - join]
+        records = dense.tenant_reports[joiner.name].records
+        assert [record.access_count for record in records] == expected
+        assert sum(expected) > 0
+
+        scheduler, _, _ = make_fleet(schedule())
+        specs = scheduler.tenants
+        streams = {
+            spec.name: [
+                TimedEvent(float(batch.epoch), event.partition, event.reads)
+                for batch in SeriesStream(spec.series)
+                for event in batch.events
+            ]
+            for spec in specs
+        }
+        report = scheduler.run_streams(
+            streams, TimeTrigger(1.0), horizon_months=float(MONTHS)
+        )
+        records = report.tenant_reports[joiner.name].records
+        assert [record.epoch for record in records] == list(range(join, MONTHS))
+        for record in records:
+            assert record.access_count == 0
+            assert record.read_cost == record.decompression_cost == 0.0
+            assert record.storage_cost > 0.0
+        # The tenants with streams bill as on dense input.
+        for spec in specs:
+            assert [
+                record.bill_total for record in report.tenant_reports[spec.name].records
+            ] == [record.bill_total for record in dense.tenant_reports[spec.name].records]
 
     def test_rejoining_a_used_name_is_rejected(self):
         rejoin = make_specs(1, offset=1)[0]  # regenerates tenant_001's spec

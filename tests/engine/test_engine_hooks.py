@@ -1,10 +1,11 @@
-"""The engine's external-scheduling hooks (begin_epoch / build_problem /
-apply_assignment / settle) and their equivalence to run().
+"""The engine's external-scheduling hooks (begin_window / build_problem /
+apply_assignment / settle_window) and their equivalence to run().
 
 The fleet scheduler replaces the per-engine solve with a stacked one by
-calling these hooks directly, so their composition must reproduce ``run``
-exactly and each hook must keep its contract (validation before billing,
-no state mutation in ``begin_epoch``, policy notification on apply).
+calling ``begin_window`` directly, so the hooks' composition over
+month-aligned windows must reproduce ``run`` exactly and each hook must keep
+its contract (validation before billing, no state mutation in
+``begin_window``, policy notification on apply).
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.engine import (
     PeriodicReoptimize,
     SeriesStream,
     StaticOnce,
+    month_window,
 )
 from repro.workloads import DriftSegment, generate_drifting_reads
 
@@ -69,17 +71,20 @@ class TestHookComposition:
         engine = build_engine(workload, DriftTriggered(threshold=0.3))
         records = []
         for batch in SeriesStream(series):
+            window = month_window(batch)
             migration = None
             reoptimized = False
-            if engine.begin_epoch(batch.epoch):
-                problem = engine.build_problem(batch.epoch)
+            if engine.begin_window(window.index):
+                problem = engine.build_problem(window.index)
                 solved = solve_optassign(problem)
                 migration = engine.apply_assignment(
-                    batch.epoch, solved.assignment.to_placement()
+                    window.index, solved.assignment.to_placement()
                 )
                 reoptimized = True
             records.append(
-                engine.settle(batch, migration=migration, reoptimized=reoptimized)
+                engine.settle_window(
+                    window, migration=migration, reoptimized=reoptimized
+                )
             )
 
         assert len(records) == len(reference.records)
@@ -106,7 +111,7 @@ class TestBeginEpoch:
         engine = build_engine(workload, StaticOnce())
         engine.step(EpochBatch(epoch=0, events=()))
         with pytest.raises(ValueError, match="one month at a time"):
-            engine.begin_epoch(2)
+            engine.begin_window(2)
 
     def test_fires_on_bootstrap_without_consulting_policy(self, workload):
         class ExplodingPolicy(StaticOnce):
@@ -114,12 +119,12 @@ class TestBeginEpoch:
                 raise AssertionError("policy must not be consulted at bootstrap")
 
         engine = build_engine(workload, ExplodingPolicy())
-        assert engine.begin_epoch(0) is True
+        assert engine.begin_window(0) is True
 
     def test_does_not_advance_engine_state(self, workload):
         engine = build_engine(workload, StaticOnce())
-        assert engine.begin_epoch(0) is True
-        assert engine.begin_epoch(0) is True  # repeatable: nothing advanced
+        assert engine.begin_window(0) is True
+        assert engine.begin_window(0) is True  # repeatable: nothing advanced
         assert engine.placement is None
 
 
@@ -129,20 +134,20 @@ class TestSettle:
         engine = build_engine(workload, StaticOnce())
         engine.step(EpochBatch(epoch=0, events=()))
         with pytest.raises(ValueError, match="one month at a time"):
-            engine.settle(EpochBatch(epoch=5, events=()))
+            engine.settle_window(month_window(EpochBatch(epoch=5, events=())))
 
     def test_wall_clock_zero_without_started(self, workload):
         engine = build_engine(workload, StaticOnce())
         record = engine.step(EpochBatch(epoch=0, events=()))
         assert record.wall_clock_s > 0.0  # step passes its own start time
-        record = engine.settle(EpochBatch(epoch=1, events=()))
+        record = engine.settle_window(month_window(EpochBatch(epoch=1, events=())))
         assert record.wall_clock_s == 0.0
 
 
 class TestApplyAssignment:
     def test_requires_a_preceding_build_problem(self, workload):
         engine = build_engine(workload, PeriodicReoptimize(1))
-        assert engine.begin_epoch(0)
+        assert engine.begin_window(0)
         problem = engine.build_problem(0)
         placement = solve_optassign(problem).assignment.to_placement()
         engine.apply_assignment(0, placement)
@@ -160,7 +165,7 @@ class TestApplyAssignment:
                 captured[epoch] = dict(predicted_monthly)
 
         engine = build_engine(workload, RecordingPolicy(1))
-        assert engine.begin_epoch(0)
+        assert engine.begin_window(0)
         problem = engine.build_problem(0)
         solved = solve_optassign(problem)
         engine.apply_assignment(0, solved.assignment.to_placement())

@@ -1,5 +1,6 @@
 """Policy trigger logic: StaticOnce, PeriodicReoptimize, DriftTriggered."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,8 +41,10 @@ class TestPeriodicReoptimize:
         assert fired == [0, 3, 6, 9]
 
     def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            PeriodicReoptimize(0)
+        # NaN fails every comparison; accepted, it would fire only at bootstrap.
+        for period in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="period_months must be positive"):
+                PeriodicReoptimize(period)
 
 
 class TestDriftScore:
@@ -116,8 +119,10 @@ class TestDriftTriggered:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             DriftTriggered(threshold=0.0)
-        with pytest.raises(ValueError):
-            DriftTriggered(threshold=0.4, min_gap_months=0)
+        # A NaN gap would never hold a fire back: a gap of 0.
+        for gap in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="min_gap_months must be at least 1"):
+                DriftTriggered(threshold=0.4, min_gap_months=gap)
 
 
 class TestPartitionDriftScores:

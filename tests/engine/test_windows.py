@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.cloud import DataPartition, EventBatch, TimedEvent, azure_tier_catalog
+from repro.cloud import (
+    AccessEvent,
+    DataPartition,
+    EventBatch,
+    TimedEvent,
+    azure_tier_catalog,
+)
 from repro.engine import (
     AnyTrigger,
     CountTrigger,
@@ -199,12 +205,13 @@ class TestWindowedDriver:
         with pytest.raises(ValueError, match="time-ordered: 0.5 after 1.0"):
             list(windowed(chunks, CountTrigger(10)))
 
-    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, -1.0, 0.0))
     def test_rejects_nonfinite_start_and_horizon(self, value):
         # next(), never list(): a drain to an unchecked infinite horizon
-        # would never end.
-        with pytest.raises(ValueError, match="start_month must be finite"):
-            next(windowed(timed(0.5), TimeTrigger(1.0), start_month=value))
+        # would never end, and an empty horizon would yield no window.
+        if not math.isfinite(value):
+            with pytest.raises(ValueError, match="start_month must be finite"):
+                next(windowed(timed(0.5), TimeTrigger(1.0), start_month=value))
         with pytest.raises(ValueError, match="horizon_months must be finite"):
             next(windowed(timed(0.5), TimeTrigger(1.0), horizon_months=value))
 
@@ -348,21 +355,100 @@ class TestDenseOracleEquivalence:
         assert all(r.cause == "time" for r in window_report.records[:-1])
 
 
+class TestDenseMonthFold:
+    """A dense month folds the feature store through the window's per-row
+    ``bincount``: each row's reads add up first, then join its lifetime."""
+
+    @staticmethod
+    def engines():
+        tiers = azure_tier_catalog(include_premium=False)
+        partitions = [
+            DataPartition(name, size_gb=100.0, predicted_accesses=1.0, current_tier=0)
+            for name in ("a", "b")
+        ]
+        return [
+            OnlineTieringEngine(
+                partitions,
+                tiers,
+                PeriodicReoptimize(period_months=1),
+                EngineConfig(horizon_months=3.0, window_months=3),
+            )
+            for _ in range(2)
+        ]
+
+    def test_lifetime_adds_the_month_sum(self):
+        dense, windows = self.engines()
+        dense_report = dense.run(
+            [
+                EpochBatch(0, (AccessEvent(0, "a", 1 / 3),)),
+                EpochBatch(1, (AccessEvent(1, "a", 0.3), AccessEvent(1, "a", 0.6))),
+            ]
+        )
+        # Event by event it would be (1/3 + 0.3) + 0.6, one ulp lower.
+        assert dense.feature_store.lifetime_reads("a") == 1 / 3 + (0.3 + 0.6)
+        window_report = windows.run_stream(
+            timed(0.0, reads=1 / 3) + timed(1.0, reads=0.3) + timed(1.5, reads=0.6),
+            TimeTrigger(1.0),
+            horizon_months=2.0,
+        )
+        assert dense.feature_store.window_series("a") == (
+            windows.feature_store.window_series("a")
+        )
+        assert np.array_equal(
+            dense.forecast_monthly(2).dense(), windows.forecast_monthly(2).dense()
+        )
+        assert [record.bill_total for record in dense_report.records] == [
+            record.bill_total for record in window_report.records
+        ]
+        assert dense_report.total_bill == window_report.total_bill
+
+
 class TestWindowedEngineBehaviour:
     def test_timeline_mixing_raises_both_ways(self, oracle_setup):
+        # One clock: a dense batch continues a month-aligned windowed run
+        # and bills as that month's window would, and a window continues a
+        # dense run.  A batch or window that does not start at the window
+        # clock raises before anything is billed, either way round.
         partitions, tiers, stream = oracle_setup
+        month = list(monthly_batches(stream, num_epochs=3))[2]
+        reference = make_engine(partitions, tiers)
+        want = reference.run_stream(stream, TimeTrigger(1.0), horizon_months=3.0)
+
         engine = make_engine(partitions, tiers)
         engine.run_stream(stream, TimeTrigger(1.0), horizon_months=2.0)
-        with pytest.raises(ValueError, match="epoch-free windowed timeline"):
-            engine.step(EpochBatch(epoch=2, events=()))
+        with pytest.raises(ValueError, match="consecutive"):
+            engine.step(EpochBatch(epoch=3, events=()))
+        with pytest.raises(ValueError, match="at month 2.5"):
+            engine.step_window(
+                StreamWindow(index=2, start_month=2.5, end_month=3.0,
+                             events=(), cause="time")
+            )
+        assert engine.window_clock == 2.0
+        got = engine.step(month)
+        theirs = want.records[2]
+        assert (got.epoch, got.start_month, got.end_month) == (2, 2.0, 3.0)
+        assert got.reoptimized == theirs.reoptimized
+        assert got.storage_cost == theirs.storage_cost
+        assert got.read_cost == theirs.read_cost
+        assert got.decompression_cost == theirs.decompression_cost
+        assert got.migration_cost == theirs.migration_cost
+        assert got.access_count == theirs.access_count
+        assert engine.placement == reference.placement
 
         engine = make_engine(partitions, tiers)
         engine.run(monthly_batches(stream, num_epochs=2))
-        with pytest.raises(ValueError, match="dense monthly timeline"):
+        with pytest.raises(ValueError, match="one month at a time"):
             engine.step_window(
                 StreamWindow(index=0, start_month=0.0, end_month=1.0,
                              events=(), cause="time")
             )
+        assert engine.window_clock == 2.0
+        record = engine.step_window(
+            StreamWindow(index=2, start_month=2.0, end_month=2.5,
+                         events=(), cause="time")
+        )
+        assert record.duration_months == 0.5
+        assert engine.window_clock == 2.5
 
     def test_windows_must_be_consecutive(self, oracle_setup):
         partitions, tiers, stream = oracle_setup

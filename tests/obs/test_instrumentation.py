@@ -102,7 +102,7 @@ class TestEngineSpans:
             report = run_engine()
         names = {record.name for record in run.tracer.records()}
         assert {
-            "engine.epoch",
+            "engine.window",
             "engine.ingest",
             "engine.feature_store",
             "engine.policy_decision",
@@ -120,9 +120,9 @@ class TestEngineSpans:
             "optassign.batch_tensors",
             "optassign.greedy",
         } <= names
-        epochs = [r for r in run.tracer.records() if r.name == "engine.epoch"]
+        epochs = [r for r in run.tracer.records() if r.name == "engine.window"]
         assert len(epochs) == MONTHS
-        # Every epoch span carries its epoch index and nests the settle.
+        # Every month's window span nests the settle.
         settle_parents = {
             r.parent_id for r in run.tracer.records() if r.name == "engine.settle"
         }
@@ -267,7 +267,7 @@ class TestFleetSpans:
             scheduler.run(num_epochs=6)
         names = {record.name for record in run.tracer.records()}
         assert {
-            "fleet.epoch",
+            "fleet.window",
             "fleet.build_problem",
             "fleet.stack",
             "fleet.solve",
@@ -275,9 +275,9 @@ class TestFleetSpans:
             "fleet.settle",
             "optassign.repair_pools",
         } <= names
-        # The build and settle spans nest directly under the epoch span.
+        # The build and settle spans nest directly under the window span.
         epoch_ids = {
-            r.span_id for r in run.tracer.records() if r.name == "fleet.epoch"
+            r.span_id for r in run.tracer.records() if r.name == "fleet.window"
         }
         for record in run.tracer.records():
             if record.name in ("fleet.build_problem", "fleet.settle"):

@@ -22,9 +22,11 @@ from repro.engine import (
     EpochBatch,
     MigrationExecutor,
     PartitionFeatures,
+    RateColumns,
     StreamWindow,
     WindowRecord,
 )
+from repro.engine.engine import _observed_rates
 from repro.obs.clock import monotonic_s
 
 
@@ -39,12 +41,13 @@ def reference_settle_window(
     state, alone: the compiled billing step, then ``observe_rows``,
     ``update_rows`` and a clock tick on the engine's own objects."""
     index = window.index
-    engine._validate_window(index)
+    engine._validate_window(index, window.start_month)
     duration = window.duration_months
     events = window.events
     rows = engine._arrays.event_rows(events)
     step = engine._compiled_placement().step(events, storage_months=duration, rows=rows)
-    observed = engine._observed(rows, events.reads, duration)
+    touched, rates = _observed_rates(rows, events.reads, duration)
+    observed = RateColumns(engine._arrays.names, rates, touched)
     engine.feature_store.observe_rows(
         index, engine._store_rows[observed.rows], observed.rates
     )
