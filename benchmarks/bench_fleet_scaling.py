@@ -34,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro import obs  # noqa: E402
 from repro.cloud import (  # noqa: E402
@@ -59,6 +60,7 @@ from repro.fleet import (  # noqa: E402
     FleetScheduler,
     TenantSpec,
 )
+from oracles.results import scalar_greedy  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fleet_scaling.json"
 
@@ -198,7 +200,7 @@ def build_tenant_problem(model: CostModel, seed: int, count: int) -> OptAssignPr
 def verify_stacked_matches_oracle(stacked_assignment, stacked, problems) -> None:
     split = stacked.split_choices(stacked_assignment)
     for tenant, problem in problems.items():
-        oracle = solve_greedy(problem, vectorized=False)
+        oracle = scalar_greedy(problem)
         for name, choice in oracle.choices.items():
             mine = split[tenant][name]
             assert mine.tier_index == choice.tier_index, (tenant, name)
@@ -220,7 +222,7 @@ def sweep(grid, repeats: int = 3, verify: bool = True) -> list[dict]:
 
         scalar_s = _best_of(
             lambda problems: [
-                solve_greedy(problem, vectorized=False)
+                scalar_greedy(problem)
                 for problem in problems.values()
             ],
             1 if tenants * per_tenant >= 16_384 else repeats,

@@ -62,6 +62,7 @@ from repro.core.optassign import (  # noqa: E402
 )
 from repro.engine import FeatureStore  # noqa: E402
 from oracles.engine_state import ScalarFeatureStore  # noqa: E402
+from oracles.results import scalar_greedy  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_optassign_scaling.json"
 OUTPUT_DELTA = Path(__file__).resolve().parent.parent / "BENCH_optassign_delta.json"
@@ -196,7 +197,7 @@ def sweep_greedy(sizes, repeats: int = 3) -> list[dict]:
         scalar_repeats = 1 if count >= 20_000 else repeats
         scalar_problem = OptAssignProblem(partitions, model, profiles)
         scalar_s = _best_of(
-            lambda: solve_greedy(scalar_problem, vectorized=False), scalar_repeats
+            lambda: scalar_greedy(scalar_problem), scalar_repeats
         )
         # Both paths get a prebuilt problem; resetting the columnar caches
         # before each vectorized run keeps the timing the honest one-shot
@@ -208,13 +209,13 @@ def sweep_greedy(sizes, repeats: int = 3) -> list[dict]:
             vectorized_problem._arrays = None
             vectorized_problem._profile_columns_cache = None
             vectorized_problem._tensors = None
-            solve_greedy(vectorized_problem, vectorized=True)
+            solve_greedy(vectorized_problem)
 
         vectorized_s = _best_of(_cold_solve, repeats)
         warm_s = _best_of(lambda: solve_greedy(vectorized_problem), repeats)
 
         fast = solve_greedy(vectorized_problem)
-        reference = solve_greedy(scalar_problem, vectorized=False)
+        reference = scalar_greedy(scalar_problem)
         identical = all(
             fast.choices[name].tier_index == reference.choices[name].tier_index
             and fast.choices[name].scheme == reference.choices[name].scheme

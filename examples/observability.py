@@ -191,8 +191,8 @@ def main(argv: list[str] | None = None) -> None:
         _banner("2. Drift-triggered fleet run on a contended capacity pool")
         scheduler = build_fleet(months)
         report = scheduler.run(num_epochs=months)
-        # The fleet plans its tenants together; a lone engine builds and
-        # applies its own instance (engine.build_problem, engine.migrate).
+        # The fleet plans its tenants together; a lone engine plans as the
+        # one member of its own block (engine.build_problem, engine.migrate).
         spec = scheduler.tenants[0]
         OnlineTieringEngine(
             spec.partitions,

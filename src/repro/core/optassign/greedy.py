@@ -7,21 +7,18 @@ lake is exactly this pay-per-use setting, and the greedy solver is what scales
 to hundreds of PB-sized datasets (their 463-dataset account optimises in a few
 seconds; ours is well under that).
 
-Two implementations are provided and kept in lock-step:
-
-* the **vectorized** default — a masked argmin over the problem's
-  :meth:`~repro.core.optassign.OptAssignProblem.batch_tensors` cost tensor,
-  one numpy pass for the whole instance, whose chosen cells are gathered
-  straight into the columnar :class:`~repro.core.optassign.Assignment`;
-* the **scalar** reference (``vectorized=False``) — the original per-partition
-  ``min(options_for(...))`` loop, kept as the oracle the fast path is
-  validated against (same assignments bit for bit, see
-  ``tests/optassign/test_vectorized_equivalence.py``).
+The solve is a masked argmin over the problem's
+:meth:`~repro.core.optassign.OptAssignProblem.batch_tensors` cost tensor, one
+numpy pass for the whole instance, whose chosen cells are gathered straight
+into the columnar :class:`~repro.core.optassign.Assignment`.  Its oracle is
+the original per-partition ``min(options_for(...))`` loop, which lives with
+the tests (``scalar_greedy`` in ``tests/oracles/results.py``; same
+assignments bit for bit, see ``tests/optassign/test_vectorized_equivalence.py``).
 
 Because the tensor's flattened (tier, scheme) axis enumerates candidates in
 exactly the scalar loop's order (tiers outer, sorted schemes inner) and each
 cell is computed with the same operation order as the scalar arithmetic, ties
-break identically and the two paths return the *same* assignment, not merely
+break identically and the two return the *same* assignment, not merely
 equally-good ones.
 """
 
@@ -31,7 +28,7 @@ import numpy as np
 
 from ...obs import get_tracer
 from .errors import InfeasibleError
-from .problem import CandidateOption, OptAssignProblem
+from .problem import OptAssignProblem
 from .result import (
     DECOMPRESSION,
     LATENCY,
@@ -49,7 +46,6 @@ __all__ = ["solve_greedy"]
 def solve_greedy(
     problem: OptAssignProblem,
     enforce_unbounded: bool = True,
-    vectorized: bool = True,
 ) -> Assignment:
     """Pick the minimum-objective feasible option for every partition.
 
@@ -62,10 +58,6 @@ def solve_greedy(
         finite tier capacities, because greedy is only *optimal* without
         capacity coupling.  Pass False to use it as a heuristic anyway (the
         capacity-aware wrapper does this as a fallback and then repairs).
-    vectorized:
-        When True (default) solve via one masked argmin over the batch cost
-        tensor; when False run the scalar per-partition reference loop.  The
-        two produce identical assignments.
 
     Raises
     ------
@@ -80,16 +72,12 @@ def solve_greedy(
             "greedy OPTASSIGN is only optimal without capacity constraints; "
             "use solve_optassign (ILP) for capacity-bounded instances"
         )
-    if vectorized:
-        # Warm the tensor cache *before* opening the greedy span so the build
-        # is traced as its own `optassign.batch_tensors` phase (a sibling,
-        # not a child inflating the greedy timing).
-        problem.batch_tensors()
-    with get_tracer().span("optassign.greedy", vectorized=vectorized):
-        if vectorized:
-            assignment, infeasible = _vectorized_assignment(problem)
-        else:
-            choices, infeasible = _scalar_choices(problem)
+    # Warm the tensor cache *before* opening the greedy span so the build is
+    # traced as its own `optassign.batch_tensors` phase (a sibling, not a
+    # child inflating the greedy timing).
+    problem.batch_tensors()
+    with get_tracer().span("optassign.greedy"):
+        assignment, infeasible = _vectorized_assignment(problem)
     if infeasible:
         raise InfeasibleError(
             "no feasible (tier, scheme) option exists for partitions: "
@@ -97,24 +85,7 @@ def solve_greedy(
             "relax latency thresholds, loosen SLO/affinity constraints or "
             "add faster tiers"
         )
-    if not vectorized:
-        return Assignment.from_choices(problem, choices, solver="greedy")
     return assignment
-
-
-def _scalar_choices(
-    problem: OptAssignProblem,
-) -> tuple[dict[str, CandidateOption], list[str]]:
-    """The reference oracle: enumerate options per partition, take the min."""
-    choices: dict[str, CandidateOption] = {}
-    infeasible: list[str] = []
-    for partition in problem.partitions:
-        options = problem.options_for(partition)
-        if not options:
-            infeasible.append(partition.name)
-            continue
-        choices[partition.name] = min(options, key=lambda option: option.objective)
-    return choices, infeasible
 
 
 def _vectorized_assignment(

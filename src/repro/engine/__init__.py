@@ -25,7 +25,6 @@ end-to-end bill / wall-clock benchmark.
 from .engine import (
     EngineConfig,
     EngineReport,
-    EpochRecord,
     OnlineTieringEngine,
     SettleBlock,
     WindowPlan,
@@ -61,7 +60,6 @@ from .policies import (
 __all__ = [
     "EngineConfig",
     "EngineReport",
-    "EpochRecord",
     "WindowRecord",
     "OnlineTieringEngine",
     "SettleBlock",

@@ -48,18 +48,17 @@ EWMA alpha in one block.  The touched rows reach each policy as
 column.
 
 The block also owns its engines' placement, codec and compiled price
-columns, and plans with them.  A fleet window re-optimizes its firing
-tenants in one :class:`WindowPlan`: one forecast pass over every firing row
-of a block (the EWMA gather and decay, then one window gather and blend per
-store epoch, through :func:`~repro.core.access_predict.forecast.
-window_rates`, the rule a forecaster's own ``forecast_rows`` ends in), the
-stacked instance assembled from the parts the block caches per validated
-constraint state, and after the solve one move pass over every firing row
-(:meth:`MigrationExecutor.migrate`) whose moves write the placement, codec,
-clock and price columns.  A lone engine keeps :meth:`~OnlineTieringEngine.
-build_problem` and :meth:`~OnlineTieringEngine.apply_assignment` for its
-untagged instance; its build assembles through its block too, and its
-apply (:meth:`MigrationExecutor.apply`) moves through the same ``migrate``.
+columns, and plans with them.  Every re-optimization is a
+:class:`WindowPlan`: one forecast pass over every firing row of a block (the
+EWMA gather and decay, then one window gather and blend per store epoch,
+through :func:`~repro.core.access_predict.forecast.window_rates`, the rule a
+forecaster's own ``forecast_rows`` ends in), the instance assembled from the
+parts the block caches per validated constraint state, and after the solve
+one move pass over every firing row (:meth:`MigrationExecutor.migrate`)
+whose moves write the placement, codec, clock and price columns.  A fleet
+window plans its firing tenants together; a lone engine plans as the one
+member of its block of one, whose empty tenant tag leaves its instance
+untagged.
 
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
@@ -87,7 +86,7 @@ from ..cloud import (
     TierCatalog,
     TimedEvent,
 )
-from ..cloud.events import EventBatch, first_occurrence
+from ..cloud.events import first_occurrence
 from ..cloud.objects import NO_COMPRESSION
 from ..cloud.simulator import compile_prices
 from ..core.access_predict import WindowedAccessForecaster
@@ -111,7 +110,6 @@ from .policies import RateColumns, TieringPolicy
 
 __all__ = [
     "EngineConfig",
-    "EpochRecord",
     "WindowRecord",
     "EngineReport",
     "OnlineTieringEngine",
@@ -187,8 +185,12 @@ class EngineConfig:
 
 
 @dataclass(slots=True)
-class EpochRecord:
+class WindowRecord:
     """What one window cost and what the engine did during it.
+
+    ``epoch`` holds the window's ordinal index (a dense batch's epoch);
+    ``start_month`` / ``end_month`` locate it on the virtual wall clock and
+    ``cause`` names the trigger that closed it.  Every step returns one.
 
     ``wall_clock_s`` is the engine's own time for the window.  A window that a
     :class:`SettleBlock` settled together with other engines' windows counts
@@ -210,6 +212,9 @@ class EpochRecord:
     access_count: int
     latency_violations: int
     wall_clock_s: float
+    start_month: float = 0.0
+    end_month: float = 0.0
+    cause: str = ""
 
     @property
     def bill_total(self) -> float:
@@ -222,20 +227,6 @@ class EpochRecord:
             + self.early_deletion_penalty
         )
 
-
-@dataclass(slots=True)
-class WindowRecord(EpochRecord):
-    """An :class:`EpochRecord` that locates its window on the clock.
-
-    ``epoch`` holds the window's ordinal index (a dense batch's epoch);
-    ``start_month`` / ``end_month`` locate it on the virtual wall clock and
-    ``cause`` names the trigger that closed it.  Every step returns one.
-    """
-
-    start_month: float = 0.0
-    end_month: float = 0.0
-    cause: str = ""
-
     @property
     def duration_months(self) -> float:
         return self.end_month - self.start_month
@@ -246,7 +237,7 @@ class EngineReport:
     """The outcome of running one policy over one stream."""
 
     policy: str
-    records: list[EpochRecord]
+    records: list[WindowRecord]
 
     @property
     def num_epochs(self) -> int:
@@ -395,7 +386,8 @@ class OnlineTieringEngine:
         self._forecast_rows = self.forecaster.rows(names)
         self._placement: PlacementColumns | None = None
         # The block whose columns this engine holds (and its index there),
-        # and the block of one it settles windows through on its own.
+        # and the block of one it plans and settles windows through on its
+        # own.
         self._block: SettleBlock | None = None
         self._block_k = 0
         self._own_block: SettleBlock | None = None
@@ -408,11 +400,8 @@ class OnlineTieringEngine:
         self._last_observed: RateColumns | None = None
         self._pending_forecast: RateColumns | None = None
         self._last_applied_forecast: RateColumns | None = None
-        self._delta: DeltaSolver | None = (
-            DeltaSolver(drift_threshold=self.config.delta_drift_threshold)
-            if self.config.reopt_mode == "delta"
-            else None
-        )
+        # Built at the first delta solve: a fleet tenant never solves alone.
+        self._delta: DeltaSolver | None = None
         self.last_delta_report = None
 
     @property
@@ -461,22 +450,24 @@ class OnlineTieringEngine:
 
         ``"full"`` runs :func:`solve_optassign` from scratch.  ``"delta"``
         hands the instance to the engine's persistent
-        :class:`~repro.core.optassign.DeltaSolver`; the policy's
+        :class:`~repro.core.optassign.DeltaSolver`, built at the first delta
+        solve; the policy's
         per-partition drift scores (when it has them — see
         :meth:`~repro.engine.policies.TieringPolicy.drifted_partitions`)
         widen the changed-row set, and a ``profile_provider`` forces every
         row changed since refreshed profiles reprice all candidate options.
         The delta report lands in :attr:`last_delta_report` for inspection.
         """
-        with get_tracer().span("engine.solve", mode=self.config.reopt_mode):
-            if self._delta is None:
+        config = self.config
+        with get_tracer().span("engine.solve", mode=config.reopt_mode):
+            if config.reopt_mode == "full":
                 return solve_optassign(problem).assignment
+            if self._delta is None:
+                self._delta = DeltaSolver(drift_threshold=config.delta_drift_threshold)
             if self._profile_provider is not None:
                 changed = set(problem.partition_names)
             else:
-                changed = self.policy.drifted_partitions(
-                    self.config.delta_drift_threshold
-                )
+                changed = self.policy.drifted_partitions(config.delta_drift_threshold)
             report = self._delta.solve(problem, changed=changed)
             self.last_delta_report = report
             return report.assignment
@@ -512,7 +503,7 @@ class OnlineTieringEngine:
         last *applied* forecast, closing the loop drift detection needs.
         """
         self._wire_drift_baseline(trigger)
-        records: list[EpochRecord] = [
+        records: list[WindowRecord] = [
             self.step_window(window)
             for window in windowed(
                 events,
@@ -540,9 +531,11 @@ class OnlineTieringEngine:
     def step_window(self, window: StreamWindow) -> WindowRecord:
         """Consume one closed trigger window: the body of the control loop.
 
-        Equivalent to ``begin_window`` → (``build_problem`` →
-        ``solve_problem`` → ``apply_assignment`` when the policy fires) →
-        ``settle_window``.
+        In order: ``begin_window``; when the policy fires, the lone
+        re-optimization (:meth:`_reoptimize`: a one-member
+        :class:`WindowPlan` over the engine's own :class:`SettleBlock`,
+        ``solve_problem`` and the plan's apply); then the window's settle
+        through the same block.
 
         A window whose ``cause`` is ``"drift"`` forces a re-optimization even
         if the policy would not fire — the trigger has already detected drift
@@ -557,7 +550,6 @@ class OnlineTieringEngine:
             "engine.window", index=window.index, cause=window.cause
         ) as span:
             migration: MigrationReport | None = None
-            reoptimized = False
             force_fire = window.cause == "drift"
             if self.chaos is not None:
                 force_fire = (
@@ -567,39 +559,49 @@ class OnlineTieringEngine:
                     or force_fire
                 )
             if self.begin_window(window.index) or force_fire:
-                problem = self.build_problem(window.index)
-                try:
-                    assignment = self.solve_problem(problem)
-                except InfeasibleError as error:
-                    # Graceful degradation is a chaos-run contract only: a calm
-                    # run keeps its loud fail-fast certificates.  With chaos
-                    # attached and a standing placement to fall back on, the
-                    # window is billed at the frozen layout and the failure is
-                    # recorded as a structured DegradationReport.
-                    if self.chaos is None or self.placement is None:
-                        raise
-                    self.chaos.record_frozen_placement(self, window.index, error)
-                else:
-                    migration = self.apply_assignment(
-                        window.index, assignment.to_placement()
-                    )
-                    reoptimized = True
-                    if self.chaos is not None:
-                        self.chaos.note_migration(
-                            window.index, migration, self._banned_tiers
-                        )
+                migration = self._reoptimize(window)
+            reoptimized = migration is not None
             record = self._settle_window(window, rows, migration, reoptimized, started)
             span.set(reoptimized=reoptimized)
         get_metrics().counter("engine.window_closes", cause=window.cause).add()
         return record
 
+    def _reoptimize(self, window: StreamWindow) -> MigrationReport | None:
+        """Plan → solve → apply one lone re-optimization, the lone twin of
+        the fleet's: a :class:`WindowPlan` whose one member is this engine,
+        with the empty tenant tag, in its own block.  Returns the migration
+        report, or ``None`` when a chaos run froze the placement."""
+        epoch = window.index
+        tracer = get_tracer()
+        plan = WindowPlan(epoch, [("", self._lone_block(), 0)])
+        with tracer.span("engine.build_problem", epoch=epoch):
+            with tracer.span("engine.forecast"):
+                plan.forecast()
+            problem = plan.stack().problem
+        try:
+            assignment = self.solve_problem(problem)
+        except InfeasibleError as error:
+            # Graceful degradation is a chaos-run contract only: a calm run
+            # keeps its loud fail-fast certificates.  With chaos attached and
+            # a standing placement to fall back on, the window is billed at
+            # the frozen layout and the failure is recorded as a structured
+            # DegradationReport.
+            if self.chaos is None or self.placement is None:
+                raise
+            self.chaos.record_frozen_placement(self, epoch, error)
+            return None
+        with tracer.span("engine.migrate", epoch=epoch) as span:
+            (migration,) = plan.apply(assignment)
+            span.set(num_moved=migration.num_moved)
+        if self.chaos is not None:
+            self.chaos.note_migration(epoch, migration, self._banned_tiers)
+        return migration
+
     # -- external-scheduling hooks ----------------------------------------------
-    # ``step_window`` composes the hooks; the fleet scheduler
-    # (:mod:`repro.fleet`) window-locks many engines and calls
-    # ``begin_window`` per engine, but plans its firing engines together in
-    # one :class:`WindowPlan` and settles them in one :class:`SettleBlock`
-    # pass instead of their ``build_problem``, ``apply_assignment`` and
-    # ``settle_window``.
+    # The fleet scheduler (:mod:`repro.fleet`) window-locks many engines and
+    # calls ``begin_window`` per engine, then plans its firing engines
+    # together in one :class:`WindowPlan` and settles them in one
+    # :class:`SettleBlock` pass: ``step_window`` does the same for one engine.
 
     def _validate_window(self, index: int, start_month: float | None = None) -> None:
         """Raise unless window ``index`` — starting at ``start_month``, when
@@ -664,14 +666,16 @@ class OnlineTieringEngine:
                     ).set(score)
         return fire
 
-    def settle_window(
+    def _settle_window(
         self,
         window: StreamWindow,
-        migration: MigrationReport | None = None,
-        reoptimized: bool = False,
-        started: float | None = None,
+        rows: np.ndarray,
+        migration: MigrationReport | None,
+        reoptimized: bool,
+        started: float | None,
     ) -> WindowRecord:
-        """Bill one trigger window and fold its events into the engine state.
+        """Bill one trigger window and fold its events (their ``rows``,
+        resolved by :meth:`_window_rows`) into the engine state.
 
         Storage accrues for exactly ``window.duration_months``; reads are
         billed per event in stream order.  The feature store and forecaster
@@ -681,27 +685,20 @@ class OnlineTieringEngine:
         folded as-is.  Residency clocks advance by the window's fractional
         duration.
 
-        The engine settles as a :class:`SettleBlock` of one, the same pass a
-        fleet runs over all of its tenants.
+        The engine settles as its :class:`SettleBlock` of one, the same pass
+        a fleet runs over all of its tenants.
         """
-        return self._settle_window(
-            window, self._window_rows(window), migration, reoptimized, started
-        )
+        return self._lone_block().settle(
+            [window], [rows], [migration], [reoptimized], started
+        )[0]
 
-    def _settle_window(
-        self,
-        window: StreamWindow,
-        rows: np.ndarray,
-        migration: MigrationReport | None,
-        reoptimized: bool,
-        started: float | None,
-    ) -> WindowRecord:
-        """:meth:`settle_window` for a window whose event ``rows`` are
-        resolved already (:meth:`_window_rows`)."""
+    def _lone_block(self) -> SettleBlock:
+        """The block of one this engine plans and settles through on its
+        own, built anew when it went stale."""
         block = self._own_block
         if block is None or not block.intact():
             block = self._own_block = SettleBlock([self])
-        return block.settle([window], [rows], [migration], [reoptimized], started)[0]
+        return block
 
     @property
     def window_clock(self) -> float:
@@ -738,7 +735,9 @@ class OnlineTieringEngine:
 
     @property
     def delta_solver(self) -> DeltaSolver | None:
-        """The persistent delta solver in ``reopt_mode="delta"`` (else None)."""
+        """The persistent delta solver in ``reopt_mode="delta"``, from the
+        engine's first solve on (else None: a fleet solves its tenants with
+        its own)."""
         return self._delta
 
     def partitions_on_tiers(self, tier_indices: Iterable[int]) -> list[str]:
@@ -816,64 +815,6 @@ class OnlineTieringEngine:
         return self._compiled
 
     # -- re-optimization ---------------------------------------------------------
-    def forecast_monthly(self, epoch: int) -> RateColumns:
-        """Projected monthly reads per partition, from windowed features.
-
-        Uses only information available *before* ``epoch``: the feature
-        store's sliding window and the forecaster's warm EWMA state (seeded
-        with the priors at construction).  One column over every row.
-        """
-        window = self.feature_store.window_matrix(self._store_rows)
-        rates = self.forecaster.forecast_rows(
-            self._forecast_rows, window, epoch=epoch - 1
-        )
-        return RateColumns(self._arrays.names, rates)
-
-    def build_problem(self, epoch: int) -> OptAssignProblem:
-        """The OPTASSIGN instance this epoch's re-optimization would solve.
-
-        Forecasts monthly rates from the feature store, scales them to the
-        planning horizon, prices against the engine's cost model and warm
-        starts from the current placement (so staying put is free and every
-        move must earn back its own cost over the horizon).  The forecast is
-        remembered so that :meth:`apply_assignment` can hand it to the policy.
-        """
-        tracer = get_tracer()
-        with tracer.span("engine.build_problem", epoch=epoch):
-            with tracer.span("engine.forecast"):
-                predicted_monthly = self.forecast_monthly(epoch)
-            problem = self._assemble_problem(epoch, predicted_monthly)
-        self._pending_forecast = predicted_monthly
-        return problem
-
-    def _assemble_problem(
-        self, epoch: int, predicted_monthly: RateColumns
-    ) -> OptAssignProblem:
-        """The instance as columns over the engine's rows of its block.
-
-        ``predicted_monthly`` is a forecast over every row.  The block
-        assembles it (:meth:`SettleBlock.problem`) as it assembles a fleet's
-        stacked instance: the horizon forecast, the warm-start tier (where
-        the data lives today, so staying put is free and every move must
-        earn back its own cost over the horizon) and the live codecs, which
-        a lone build re-reads from the partitions, beside the validated
-        constraint state (:meth:`_constraint_parts`).
-        """
-        predicted = predicted_monthly.dense() * self.config.horizon_months
-        if (predicted < 0).any():
-            raise ValueError("predicted_accesses must be non-negative")
-        block, k = self._bound_block()
-        block.read_codecs([k])
-        return block.problem(epoch, k, predicted)
-
-    def _bound_block(self) -> tuple[SettleBlock, int]:
-        """The intact block holding this engine, and its index there — a
-        block of one of its own when no block holds it."""
-        block = self._block
-        if block is None or not block.intact():
-            block = self._own_block = SettleBlock([self])
-        return block, self._block_k
-
     def _constraint_parts(self, epoch: int, codecs: Callable[[], tuple]) -> tuple:
         """``(profiles, slo, affinity, banned, profile columns, tier mask)``
         validated for ``epoch``'s build; ``codecs`` gives the live codec of
@@ -921,45 +862,6 @@ class OnlineTieringEngine:
         self._validated = (_snapshot(constraints), parts)
         return parts
 
-    def apply_assignment(
-        self, epoch: int, new_placement: Mapping[str, PlacementDecision]
-    ) -> MigrationReport:
-        """Apply and bill a solved placement, completing a re-optimization.
-
-        ``new_placement`` is usually ``report.assignment.to_placement()`` of
-        a solve over :meth:`build_problem`'s instance.  (A fleet applies its
-        tenants' slices of a stacked solve in one :class:`WindowPlan` pass
-        instead.)  The policy is notified with the forecast the problem was
-        built from,
-        so every ``apply_assignment`` requires a fresh preceding
-        :meth:`build_problem` (notifying with a stale forecast would corrupt
-        a drift policy's baseline silently).
-        """
-        if self._pending_forecast is None:
-            raise ValueError(
-                "apply_assignment requires a preceding build_problem for "
-                "this re-optimization (the policy must be notified with the "
-                "forecast the applied placement was planned from)"
-            )
-        with get_tracer().span("engine.migrate", epoch=epoch) as span:
-            placement = PlacementColumns.from_mapping(self._arrays.names, new_placement)
-            # Moves *off* a banned (dead) tier are forced evacuations, not
-            # voluntary early deletions — the minimum-residency penalty is
-            # waived for them.  Empty banned set (every calm run): no waiver.
-            migration = self.executor.apply(
-                self._partitions,
-                self._placement,
-                placement,
-                self.months_in_tier,
-                epoch=epoch,
-                waive_early_deletion_tiers=self._banned_tiers or None,
-            )
-            span.set(num_moved=migration.num_moved)
-        self.placement = placement
-        self._notify_applied(epoch)
-        get_metrics().counter("engine.reoptimizations").add()
-        return migration
-
     def _notify_applied(self, epoch: int) -> None:
         """Hand the policy the forecast the just-applied placement was
         planned from."""
@@ -992,21 +894,21 @@ class SettleBlock:
     it places, hands each engine a :class:`~repro.cloud.PlacementColumns` of
     its own (copies of its rows) and keeps a
     :class:`~repro.cloud.CompiledPlacement` over its row range of the price
-    columns.  A placement an engine got any other way (its own
-    ``apply_assignment``, the ``placement`` setter) is copied in, and its
-    prices compiled, at the block's next use; so are the prices of an
-    engine whose pricing was invalidated.  Beside them the block keeps each
-    engine's validated constraint parts (profile table, SLO and affinity
-    maps, banned tiers, profile columns, tier mask) and, for named tenants,
-    its tagged names and maps.
+    columns.  A placement an engine got any other way (the ``placement``
+    setter) is copied in, with its rows' codecs, and its prices compiled, at
+    the block's next use; so are the prices of an engine whose pricing was
+    invalidated.  Beside them the block keeps each engine's validated
+    constraint parts (profile table, SLO and affinity maps, banned tiers,
+    profile columns, tier mask) and its tagged names and maps.
 
     The engines must share a feature-store window width and an EWMA alpha,
     the two values one ring slide and one EWMA step assume.  A block stays
     valid while every engine still holds the arrays it handed out
     (:meth:`intact`); an engine adopted by another block, or whose store or
     forecaster grew, leaves it stale, and its owner builds a new one.
-    ``tenants`` names the engines when the block plans a fleet's stacked,
-    tenant-tagged instances.
+    ``tenants`` names the engines (a fleet's tenants), whose instances the
+    block tags ``tenant::name``; without it every engine has the empty
+    tenant, which tags nothing (a lone engine's block of one).
     """
 
     def __init__(
@@ -1091,20 +993,19 @@ class SettleBlock:
         self._usage: np.ndarray | None = None
         # Constraint parts: each engine's validated state last written in
         # and its tagged maps.
-        self.tenants = None if tenants is None else tuple(tenants)
+        self.tenants = ("",) * len(engines) if tenants is None else tuple(tenants)
+        self._prefixes = [
+            f"{tenant}{TENANT_SEPARATOR}" if tenant else "" for tenant in self.tenants
+        ]
         self._parts: list[tuple | None] = [None] * len(engines)
         # Engines whose pinned codecs are still to be checked against their
         # profile columns.
         self._unchecked: set[int] = set()
         self._tagged: list[tuple | None] = [None] * len(engines)
-        self._tagged_names = (
-            None
-            if tenants is None
-            else [
-                tuple(f"{tenant}{TENANT_SEPARATOR}{name}" for name in a.names)
-                for tenant, a in zip(tenants, arrays)
-            ]
-        )
+        self._tagged_names = [
+            tuple(f"{prefix}{name}" for name in a.names)
+            for prefix, a in zip(self._prefixes, arrays)
+        ]
         self._sync()
         # The stores and forecasters, and each engine row's row in them.
         self._stores = StoreBlock(stores)
@@ -1152,17 +1053,6 @@ class SettleBlock:
             self._codec_names[:-1] = self._schemes
         return tuple(self._codec_names[self._codec[rows]].tolist())
 
-    def read_codecs(self, ks: Sequence[int]) -> None:
-        """Re-read the live codec of engines ``ks``' rows from their
-        partitions."""
-        code = self._code
-        for k in ks:
-            self._codec[self._ranges[k]] = [
-                -1 if partition.current_codec is None else code(partition.current_codec)
-                for partition in self.engines[k]._partitions
-            ]
-            self._unchecked.add(k)
-
     # -- placements and prices -----------------------------------------------------
     def _sync(self) -> None:
         """Copy in every placement an engine got outside this block since it
@@ -1173,8 +1063,8 @@ class SettleBlock:
                 self._copy_placement(k)
 
     def _copy_placement(self, k: int) -> None:
-        """Copy engine ``k``'s placement and codecs in; its prices are
-        compiled at the next use."""
+        """Copy engine ``k``'s placement in and re-read its partitions'
+        codecs; its prices are compiled at the next use."""
         engine = self.engines[k]
         placement = engine._placement
         rows = slice(self._starts[k], self._starts[k + 1])
@@ -1194,7 +1084,12 @@ class SettleBlock:
         partitions = engine._partitions
         for row in np.flatnonzero(~placed).tolist():
             self.tier[rows.start + row] = partitions[row].current_tier
-        self.read_codecs([k])
+        code = self._code
+        self._codec[rows] = [
+            -1 if partition.current_codec is None else code(partition.current_codec)
+            for partition in partitions
+        ]
+        self._unchecked.add(k)
         self._placements[k] = placement
         self._priced[k] = None
         self._usage = None
@@ -1294,10 +1189,10 @@ class SettleBlock:
     # -- the plan pass --------------------------------------------------------------
     def forecast(self, epoch: int, ks: Sequence[int], rows: np.ndarray) -> np.ndarray:
         """Projected monthly reads of ``rows`` (engines ``ks``' rows) for
-        ``epoch``, as each engine's :meth:`~OnlineTieringEngine.
-        forecast_monthly` computes them: one EWMA gather and decay over every
-        row, then one window gather and blend per store epoch (a store that
-        has not observed yet has an empty window)."""
+        ``epoch``, as each engine's forecaster computes them over its store's
+        window (``forecast_rows`` at ``epoch - 1``): one EWMA gather and
+        decay over every row, then one window gather and blend per store
+        epoch (a store that has not observed yet has an empty window)."""
         engines = self.engines
         forecasts = self._forecasts
         rates = _decayed(
@@ -1371,14 +1266,12 @@ class SettleBlock:
         """Write engine ``k``'s validated constraint state into the block."""
         profiles, slo, affinity = parts[:3]
         self._unchecked.add(k)
-        if self.tenants is not None:
-            names = self._tagged_names[k]
-            prefix = f"{self.tenants[k]}{TENANT_SEPARATOR}"
-            self._tagged[k] = (
-                dict(zip(names, profiles.values())),
-                {f"{prefix}{name}": cap for name, cap in slo.items()},
-                {f"{prefix}{name}": allowed for name, allowed in affinity.items()},
-            )
+        prefix = self._prefixes[k]
+        self._tagged[k] = (
+            dict(zip(self._tagged_names[k], profiles.values())),
+            {f"{prefix}{name}": cap for name, cap in slo.items()},
+            {f"{prefix}{name}": allowed for name, allowed in affinity.items()},
+        )
         self._parts[k] = parts
 
     def gather(
@@ -1396,19 +1289,6 @@ class SettleBlock:
             read_fraction=self._read_fraction[rows],
             pushdown=self._pushdown[rows],
             codecs=self._codecs(rows),
-        )
-
-    def problem(self, epoch: int, k: int, predicted: np.ndarray) -> OptAssignProblem:
-        """Engine ``k``'s own, untagged instance; ``predicted`` is the
-        horizon forecast of its rows."""
-        gathered = self.gather(epoch, [k], self._ranges[k], predicted)
-        engine = self.engines[k]
-        return _assemble(
-            engine,
-            [gathered],
-            engine._arrays.names,
-            engine._arrays.file_ids,
-            gathered.parts[0],
         )
 
     def apply(
@@ -1447,6 +1327,10 @@ class SettleBlock:
         # Rows whose prices change: the moves, and a new ratio or
         # decompression for a row that keeps its tier and scheme.
         changed = (ratio != old.ratio) | (decompression != old.decompression_s_per_gb)
+        # Moves *off* a banned (dead) tier are forced evacuations, not
+        # voluntary early deletions: their minimum-residency penalty is
+        # waived, or the outage would be billed twice.  A calm run bans
+        # nothing and waives nothing.
         moves = engines[ks[0]].executor.migrate(
             self._partitions,
             self.months_in_tier,
@@ -1669,63 +1553,24 @@ class _Gathered:
     codecs: tuple[str | None, ...]
 
 
-def _assemble(
-    engine: OnlineTieringEngine,
-    gathered: Sequence[_Gathered],
-    names: tuple[str, ...],
-    file_ids: tuple,
-    constraints: tuple,
-) -> OptAssignProblem:
-    """The instance over ``gathered``'s rows, in order, priced by
-    ``engine``'s cost model.  ``constraints`` is its validated
-    ``(profiles, slo, affinity, banned, profile columns, tier mask)``: a
-    lone engine's own parts (reused build to build while they stay valid),
-    or a fleet window's tenants' parts stacked (:meth:`WindowPlan.stack`)."""
-    config = engine.config
-    profiles, slo, affinity, banned, columns, mask = constraints
-
-    def column(field: str) -> np.ndarray:
-        return np.concatenate([getattr(part, field) for part in gathered])
-
-    return OptAssignProblem._assemble(
-        engine.simulator.cost_model(
-            duration_months=config.horizon_months, weights=config.weights
-        ),
-        PartitionArrays(
-            names=names,
-            size_gb=column("size_gb"),
-            predicted_accesses=column("predicted"),
-            latency_threshold_s=column("threshold"),
-            current_tier=column("tier"),
-            read_fraction=column("read_fraction"),
-            pushdown_fraction=column("pushdown"),
-            current_codec=tuple(chain.from_iterable(part.codecs for part in gathered)),
-            file_ids=file_ids,
-        ),
-        profiles,
-        slo,
-        affinity,
-        banned,
-        profile_columns=columns,
-        tier_mask=mask,
-    )
-
-
 class WindowPlan:
-    """One window's re-optimization of a fleet's firing tenants, planned on
-    their blocks' columns.
+    """One window's re-optimization of its firing engines, planned on their
+    blocks' columns: the only way an engine plans.
 
-    ``members`` lists the firing tenants in roster order, each with the
-    :class:`SettleBlock` that holds it and its index there.  Consecutive
-    members of one block form a run (a fleet whose tenants share one block
-    has one run).  The plan forecasts every row of a run in one pass
-    (:meth:`forecast`), assembles the tenant-tagged
+    ``members`` lists the firing engines — a fleet's tenants in roster
+    order, or a lone engine as the one member of its block of one — each
+    with its tenant name, the :class:`SettleBlock` that holds it and its
+    index there.  Consecutive members of one block form a run (a fleet whose
+    tenants share one block has one run).  The plan forecasts every row of a
+    run in one pass (:meth:`forecast`), assembles the
     :class:`~repro.core.optassign.StackedProblem` from the blocks' cached
     per-tenant parts (:meth:`stack`) and prices and applies every move of a
-    run in one pass (:meth:`apply`) — what ``build_problem``,
-    ``StackedProblem.stack`` and ``apply_assignment`` did one tenant at a
-    time, bit for bit.  The runs in order give the stacked rows: tenants in
-    roster order, each tenant's rows in its engine's order.
+    run in one pass (:meth:`apply`) — what each engine's own forecast, the
+    object build, ``StackedProblem.stack`` and the per-partition scan do one
+    tenant at a time, bit for bit (the references in
+    ``tests/oracles/plan.py``).  The runs in order give the stacked rows:
+    members in order, each member's rows in its engine's order, named as
+    its block tags them (a lone engine's block leaves them untagged).
     """
 
     def __init__(self, epoch: int, members: Sequence[tuple[str, SettleBlock, int]]):
@@ -1760,7 +1605,8 @@ class WindowPlan:
                 start = stop
 
     def stack(self) -> StackedProblem:
-        """The firing tenants' tenant-tagged instance (after :meth:`forecast`)."""
+        """The firing engines' instance (after :meth:`forecast`), priced by
+        the first member's cost model (a fleet's tenants price alike)."""
         epoch = self.epoch
         gathered = [
             block.gather(epoch, ks, rows, predicted)
@@ -1783,21 +1629,38 @@ class WindowPlan:
         # StackedProblem.stack stacks them.
         parts = [own for part in gathered for own in part.parts]
         banned = frozenset().union(*(own[3] for own in parts))
-        problem = _assemble(
-            engines[0],
-            gathered,
-            tuple(
-                chain.from_iterable(block._tagged_names[k] for _, block, k in self.members)
+        config = engines[0].config
+
+        def column(field: str) -> np.ndarray:
+            return np.concatenate([getattr(part, field) for part in gathered])
+
+        problem = OptAssignProblem._assemble(
+            engines[0].simulator.cost_model(
+                duration_months=config.horizon_months, weights=config.weights
             ),
-            tuple(chain.from_iterable(engine._arrays.file_ids for engine in engines)),
-            (
-                profiles,
-                slo,
-                affinity,
-                banned,
-                _stack_profile_columns([own[4] for own in parts], spans),
-                _stack_tier_masks([own[5] for own in parts], spans, banned),
+            PartitionArrays(
+                names=tuple(
+                    chain.from_iterable(
+                        block._tagged_names[k] for _, block, k in self.members
+                    )
+                ),
+                size_gb=column("size_gb"),
+                predicted_accesses=column("predicted"),
+                latency_threshold_s=column("threshold"),
+                current_tier=column("tier"),
+                read_fraction=column("read_fraction"),
+                pushdown_fraction=column("pushdown"),
+                current_codec=tuple(chain.from_iterable(part.codecs for part in gathered)),
+                file_ids=tuple(
+                    chain.from_iterable(engine._arrays.file_ids for engine in engines)
+                ),
             ),
+            profiles,
+            slo,
+            affinity,
+            banned,
+            profile_columns=_stack_profile_columns([own[4] for own in parts], spans),
+            tier_mask=_stack_tier_masks([own[5] for own in parts], spans, banned),
         )
         return StackedProblem(
             problem=problem,

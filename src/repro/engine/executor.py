@@ -8,6 +8,9 @@ charges exactly those costs, mutates the live partitions' ``current_tier``
 and resets their tier-residency clocks, so policies are compared on *true
 end-to-end bills* — a policy that thrashes data between tiers loses to one
 that stays put, even if each of its placements is individually optimal.
+Its :meth:`~MigrationExecutor.migrate` is the one move rule, over columns:
+every re-optimization — a fleet's window or a lone engine's — applies
+through it in :meth:`repro.engine.SettleBlock.apply`.
 
 Compression changes are treated as moves too: re-encoding a partition means
 reading the old representation and writing the new one, even within a tier.
@@ -24,12 +27,11 @@ engine conservatively against churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..cloud import DataPartition, PlacementColumns, PlacementDecision, TierCatalog
+from ..cloud import DataPartition, PlacementColumns, TierCatalog
 from ..cloud.objects import NO_COMPRESSION
 from ..cloud.simulator import recode
 from ..cloud.tiers import NEW_DATA_TIER
@@ -76,10 +78,10 @@ class MoveColumns(NamedTuple):
 class MigrationReport:
     """Everything a placement change cost.
 
-    The executor and the engine's apply pass report their moves as
-    :class:`MoveColumns` over the partition ``names`` (the apply pass hands
-    every tenant of a window the same columns, each report over its own
-    ``span`` of them, with its totals); :attr:`moves` builds one
+    The engine's apply pass (:meth:`repro.engine.SettleBlock.apply`)
+    reports its moves as :class:`MoveColumns` over the partition ``names``
+    (it hands every engine of a window the same columns, each report over
+    its own ``span`` of them, with its totals); :attr:`moves` builds one
     :class:`MigrationRecord` per move on first read and keeps the list, as
     :attr:`repro.core.optassign.Assignment.choices` does.  A report can also
     be built from records (``MigrationReport(epoch, moves)``).  Every total
@@ -389,64 +391,6 @@ class MigrationExecutor:
             partition.current_codec = None if scheme == NO_COMPRESSION else scheme
         months_in_tier[moved] = 0.0
         return MoveColumns(moving, source, to_tier, *priced)
-
-    def apply(
-        self,
-        partitions: Sequence[DataPartition],
-        old_placement: Mapping[str, PlacementDecision] | None,
-        new_placement: Mapping[str, PlacementDecision],
-        months_in_tier: np.ndarray,
-        epoch: int = 0,
-        waive_early_deletion_tiers: "frozenset[int] | set[int] | None" = None,
-    ) -> MigrationReport:
-        """Move every partition to its new placement and bill the moves.
-
-        ``old_placement`` is ``None`` for the initial placement of newly
-        ingested data (everything pays only its destination write cost).
-        ``months_in_tier`` is the residency clock column, one float64 per
-        partition in ``partitions`` order.  Mutates each partition's
-        ``current_tier`` and resets the clock of moved partitions; unmoved
-        partitions (same tier, same scheme) cost nothing.
-
-        ``waive_early_deletion_tiers`` names source tiers whose outbound
-        moves skip the early-deletion penalty.  A *forced evacuation* off a
-        dead provider's tiers is not a voluntary early deletion: charging the
-        remaining-months penalty there, on top of the evacuation move itself
-        (and a second migration if the partition later returns after
-        recovery), would double-bill the outage.  The residency clock still
-        resets — the waiver changes who eats the penalty, not where the data
-        is.
-
-        Both placements are read as :class:`~repro.cloud.PlacementColumns`
-        (mappings convert once here) and moved by :meth:`migrate`.
-        """
-        names = tuple(map(attrgetter("name"), partitions))
-        new = PlacementColumns.from_mapping(names, new_placement)
-        missing = new.unplaced()
-        if missing:
-            # Validate before anything mutates live state: a partial apply
-            # would leave moves un-billed and residency clocks wrong.
-            raise KeyError(f"new placement missing partitions: {missing}")
-        count = len(names)
-        if months_in_tier.shape != (count,):
-            raise ValueError("months_in_tier needs one clock per partition")
-        old = (
-            None
-            if old_placement is None
-            else PlacementColumns.from_mapping(names, old_placement)
-        )
-        moves = self.migrate(
-            partitions,
-            months_in_tier,
-            np.arange(count),
-            np.fromiter(map(attrgetter("size_gb"), partitions), np.float64, count),
-            old,
-            new,
-            [(0, count, waive_early_deletion_tiers)] if waive_early_deletion_tiers else (),
-        )
-        report = MigrationReport(epoch, names=names, columns=moves)
-        count_moves(report)
-        return report
 
     @staticmethod
     def tick(months_in_tier: np.ndarray, months: float = 1.0) -> None:

@@ -26,8 +26,9 @@ monthly run steps each month as a one-month window
 
 With slack pools the arbitration is a no-op and every partition keeps its
 individually-cheapest option, so a fleet run is **bill-exact** against N
-independent single-tenant engine runs — the scalar per-tenant path stays the
-oracle (``tests/fleet/test_fleet_invariants.py``).  Under contention the
+independent single-tenant engine runs (``tests/fleet/test_fleet_invariants.py``),
+and the per-tenant plan in ``tests/oracles/plan.py`` stays the oracle of the
+plan pass (``tests/fleet/test_plan_pass.py``).  Under contention the
 shared budget is water-filled across tenants by regret per GB, which strictly
 beats carving the pool into static per-tenant slices (see
 ``examples/fleet_tiering.py``).

@@ -28,6 +28,7 @@ from repro.engine import (
     SeriesStream,
 )
 from repro.engine.policies import PeriodicReoptimize
+from oracles.results import mapping_apply
 
 MONTHS = 8
 
@@ -299,7 +300,8 @@ class TestEarlyDeletionWaiverRegression:
         months = np.array([1.0])  # well inside the 6-month minimum
         old = {"frozen": PlacementDecision(tier_index=archive)}
         new = {"frozen": PlacementDecision(tier_index=0)}
-        waived = executor.apply(
+        waived = mapping_apply(
+            executor,
             [partition], old, new, months.copy(),
             waive_early_deletion_tiers={archive},
         )
@@ -310,7 +312,7 @@ class TestEarlyDeletionWaiverRegression:
         partition2 = DataPartition(
             "frozen", size_gb=100.0, predicted_accesses=0.0, current_tier=archive
         )
-        charged = executor.apply([partition2], old, new, months.copy())
+        charged = mapping_apply(executor, [partition2], old, new, months.copy())
         assert charged.early_deletion_penalty > 0.0
 
     def test_round_trip_after_recovery_bills_each_leg_once(self, archive_tiers):
@@ -324,7 +326,8 @@ class TestEarlyDeletionWaiverRegression:
         )
         executor = MigrationExecutor(archive_tiers)
         months = np.array([1.0])
-        out = executor.apply(
+        out = mapping_apply(
+            executor,
             [partition],
             {"frozen": PlacementDecision(tier_index=archive)},
             {"frozen": PlacementDecision(tier_index=0)},
@@ -334,7 +337,8 @@ class TestEarlyDeletionWaiverRegression:
         # Provider recovers within the window; the partition moves home.
         # The return leg is a plain move: hot tiers have no minimum-storage
         # window, so no second penalty and no re-billing of the outage leg.
-        back = executor.apply(
+        back = mapping_apply(
+            executor,
             [partition],
             {"frozen": PlacementDecision(tier_index=0)},
             {"frozen": PlacementDecision(tier_index=archive)},
@@ -358,7 +362,8 @@ class TestEarlyDeletionWaiverRegression:
             "frozen", size_gb=100.0, predicted_accesses=0.0, current_tier=archive
         )
         executor = MigrationExecutor(archive_tiers)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             {"frozen": PlacementDecision(tier_index=archive)},
             {"frozen": PlacementDecision(tier_index=0)},

@@ -328,6 +328,22 @@ class TestDeltaEquivalenceUnderChaos:
         self.assert_equivalent(schedule)
 
 
+class TestTenantEnginesHoldNoDeltaSolver:
+    def test_a_price_shock_reprices_the_fleet_solver_alone(self):
+        """A delta fleet solves every window with its own solver, so its
+        tenant engines never build one, and a price shock has only the
+        fleet's to reprice."""
+        scheduler, _, report, _ = run_fleet(
+            DisruptionSchedule(
+                [PriceShock(epoch=2, provider="aws_s3", storage_factor=5.0)]
+            ),
+            config=DELTA_CONFIG,
+        )
+        assert report.total_reoptimizations > len(scheduler.engines)
+        assert scheduler._delta is not None
+        assert all(engine.delta_solver is None for engine in scheduler.engines.values())
+
+
 class TestDegradedWindowReportsItsOwnRelaxation:
     def test_unpooled_retry_after_a_relaxed_window(self):
         """Window 0's pooled solve widens tenant a's latency SLA; window 1's

@@ -30,6 +30,7 @@ from repro.cloud import (
     multi_cloud_catalog,
 )
 from repro.engine import MigrationExecutor
+from oracles.results import mapping_apply
 
 
 @pytest.fixture
@@ -223,7 +224,9 @@ class TestEgressBilling:
         executor = MigrationExecutor(catalog)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=1)}
-        report = executor.apply([partition], old, new, months_in_tier=np.array([99.0]))
+        report = mapping_apply(
+            executor, [partition], old, new, months_in_tier=np.array([99.0])
+        )
         (move,) = report.moves
         assert move.egress_cost == pytest.approx(5.0 * 10.0)
         assert move.cost == pytest.approx(0.1 * 10.0 + 0.1 * 10.0)
@@ -236,7 +239,8 @@ class TestEgressBilling:
         j = catalog.global_index("aws_s3", "glacier_instant")
         partition = DataPartition("p", size_gb=10.0, predicted_accesses=1.0, current_tier=i)
         executor = MigrationExecutor(catalog)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             {"p": PlacementDecision(tier_index=i)},
             {"p": PlacementDecision(tier_index=j)},
@@ -253,7 +257,8 @@ class TestEgressBilling:
             current_codec="gzip",
         )
         executor = MigrationExecutor(catalog)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             {"p": PlacementDecision(tier_index=0, profile=gzip)},
             {"p": PlacementDecision(tier_index=1, profile=gzip)},

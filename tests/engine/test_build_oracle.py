@@ -1,8 +1,9 @@
-"""The engine's columnar problem build against the object build it replaced.
+"""A lone engine's planned instance against the object build it replaced.
 
-``OnlineTieringEngine.build_problem`` assembles the warm-started OPTASSIGN
-instance as columns over the engine's cached partition arrays and reuses the
-validated constraint state between builds.  The oracle
+A lone engine plans through a one-member :class:`~repro.engine.WindowPlan`
+over its block of one: ``forecast`` then ``stack().problem`` assembles the
+warm-started, untagged OPTASSIGN instance as columns over the block and
+reuses the validated constraint state between plans.  The oracle
 (``tests/oracles/problems.py``) copies every partition twice and validates two
 problems per build.  Both must agree bit for bit — every array column, the
 profile / SLO / affinity / banned-tier state and every ``batch_tensors()``
@@ -28,9 +29,9 @@ from repro.engine import (
     EngineConfig,
     OnlineTieringEngine,
     PeriodicReoptimize,
-    RateColumns,
     SeriesStream,
 )
+from oracles.plan import lone_problem, reference_forecast
 from oracles.problems import object_build_problem
 
 MONTHS = 4
@@ -131,8 +132,9 @@ def make_engine(partitions=None, tiers=None, **kwargs) -> OnlineTieringEngine:
 
 
 def check_build(engine: OnlineTieringEngine, epoch: int):
-    """Build through the engine, then through the oracle with the same forecast."""
-    fast = engine.build_problem(epoch)
+    """Plan through the engine, then build through the oracle with the same
+    forecast."""
+    fast = lone_problem(engine, epoch)
     oracle = object_build_problem(engine, epoch, engine._pending_forecast)
     assert_bit_identical(fast, oracle)
     return fast
@@ -189,10 +191,13 @@ class TestColumnarBuildMatchesObjectBuild:
     def test_unchanged_constraints_reuse_the_validated_state(self):
         partitions = make_partitions()
         engine = make_engine(partitions)
-        first = check_build(engine, 0)
-        second = check_build(engine, 0)
-        assert second._profiles is first._profiles
-        assert second._profile_columns() is first._profile_columns()
+        check_build(engine, 0)
+        first = engine._lone_block()._parts[0]
+        check_build(engine, 0)
+        second = engine._lone_block()._parts[0]
+        # The plans stack the same validated profile table and columns.
+        assert second[0] is first[0]
+        assert second[4] is first[4]
 
 
 class TestConstraintChangesRevalidate:
@@ -290,24 +295,30 @@ class TestBuildErrors:
         )
         check_build(engine, 0)
         with pytest.raises(ValueError, match="pinned to codec"):
-            engine.build_problem(1)
+            lone_problem(engine, 1)
         with pytest.raises(ValueError, match="pinned to codec"):
-            object_build_problem(engine, 1, engine.forecast_monthly(1))
+            object_build_problem(engine, 1, reference_forecast(engine, 1))
 
     def test_pinned_codec_without_profile_on_the_reused_state(self):
-        engine = make_engine()
-        check_build(engine, 0)
+        partitions = make_partitions()
+        engine = make_engine(partitions)
+        run_epochs(engine, partitions, 1)
+        check_build(engine, 1)
         engine._partitions[2].current_codec = "zstd"
+        # Handing the placement back makes the block copy it in, re-reading
+        # every partition's codec.
+        engine.placement = dict(engine.placement)
         with pytest.raises(ValueError, match="pinned to codec 'zstd'"):
-            engine.build_problem(0)
+            lone_problem(engine, 1)
 
     def test_negative_forecast_rejected(self):
         engine = make_engine()
-        forecast = dict(engine.forecast_monthly(0))
+        forecast = dict(reference_forecast(engine, 0))
         forecast["p1"] = -1.0
+        engine._lone_block().forecast = lambda epoch, ks, rows: np.array(
+            [forecast[name] for name in engine._arrays.names]
+        )
         with pytest.raises(ValueError, match="non-negative"):
-            engine._assemble_problem(
-                0, RateColumns.from_mapping(engine._arrays.names, forecast)
-            )
+            lone_problem(engine, 0)
         with pytest.raises(ValueError, match="non-negative"):
             object_build_problem(engine, 0, forecast)

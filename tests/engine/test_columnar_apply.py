@@ -1,6 +1,7 @@
 """Columnar placements through the executor and the compiled billing step.
 
-``MigrationExecutor.apply`` finds moved rows with one vectorized compare and
+``MigrationExecutor.migrate`` finds moved rows with one vectorized compare
+(placements handed to it keyed by name through ``mapping_apply``) and
 ``CompiledPlacement`` reads the placement columns; both must reproduce the
 per-partition scan and the per-name build in ``tests/oracles/results.py``
 bit for bit, whatever form the placements arrive in (dicts, partial dicts,
@@ -30,7 +31,7 @@ from repro.cloud import (
     multi_cloud_catalog,
 )
 from repro.engine import MigrationExecutor
-from oracles.results import per_name_compiled_arrays, scan_apply
+from oracles.results import mapping_apply, per_name_compiled_arrays, scan_apply
 
 CATALOGS = {"azure": azure_tier_catalog(), "multi": multi_cloud_catalog()}
 
@@ -116,8 +117,14 @@ class TestExecutorColumns:
             epoch=epoch,
             waive_early_deletion_tiers=waive,
         )
-        got = MigrationExecutor(tiers).apply(
-            partitions, old, new, clocks, epoch=epoch, waive_early_deletion_tiers=waive
+        got = mapping_apply(
+            MigrationExecutor(tiers),
+            partitions,
+            old,
+            new,
+            clocks,
+            epoch=epoch,
+            waive_early_deletion_tiers=waive,
         )
         assert got.epoch == want.epoch
         assert [record_bits(m) for m in got.moves] == [record_bits(m) for m in want.moves]
@@ -133,8 +140,12 @@ class TestExecutorColumns:
                       DataPartition("b", size_gb=1.0, predicted_accesses=1.0)]
         months = np.array([3.0, 4.0])
         with pytest.raises(KeyError, match="new placement missing partitions"):
-            MigrationExecutor(azure_tier_catalog()).apply(
-                partitions, None, {"a": PlacementDecision(0)}, months
+            mapping_apply(
+                MigrationExecutor(azure_tier_catalog()),
+                partitions,
+                None,
+                {"a": PlacementDecision(0)},
+                months,
             )
         assert [p.current_tier for p in partitions] == [-1, -1]
         assert months.tolist() == [3.0, 4.0]

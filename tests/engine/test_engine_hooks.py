@@ -1,27 +1,24 @@
-"""The engine's external-scheduling hooks (begin_window / build_problem /
-apply_assignment / settle_window) and their equivalence to run().
+"""The engine's external-scheduling hook ``begin_window``, stepping, and
+the policy notification of a re-optimization.
 
-The fleet scheduler replaces the per-engine solve with a stacked one by
-calling ``begin_window`` directly, so the hooks' composition over
-month-aligned windows must reproduce ``run`` exactly and each hook must keep
-its contract (validation before billing, no state mutation in
-``begin_window``, policy notification on apply).
+The fleet scheduler calls ``begin_window`` per engine before it plans its
+firing engines together, so the hook must keep its contract (validation
+before billing, no state mutation, no policy consulted at bootstrap); a
+step must equal ``run``; and every applied re-optimization must hand the
+policy the forecast its placement was planned from.
 """
 
 import numpy as np
 import pytest
 
 from repro.cloud import DataPartition, azure_tier_catalog
-from repro.core.optassign import solve_optassign
 from repro.engine import (
-    DriftTriggered,
     EngineConfig,
     EpochBatch,
     OnlineTieringEngine,
     PeriodicReoptimize,
     SeriesStream,
     StaticOnce,
-    month_window,
 )
 from repro.workloads import DriftSegment, generate_drifting_reads
 
@@ -62,40 +59,6 @@ def build_engine(workload, policy):
 
 
 class TestHookComposition:
-    def test_manual_hooks_reproduce_run(self, workload):
-        partitions, series = workload
-        reference = build_engine(workload, DriftTriggered(threshold=0.3)).run(
-            SeriesStream(series)
-        )
-
-        engine = build_engine(workload, DriftTriggered(threshold=0.3))
-        records = []
-        for batch in SeriesStream(series):
-            window = month_window(batch)
-            migration = None
-            reoptimized = False
-            if engine.begin_window(window.index):
-                problem = engine.build_problem(window.index)
-                solved = solve_optassign(problem)
-                migration = engine.apply_assignment(
-                    window.index, solved.assignment.to_placement()
-                )
-                reoptimized = True
-            records.append(
-                engine.settle_window(
-                    window, migration=migration, reoptimized=reoptimized
-                )
-            )
-
-        assert len(records) == len(reference.records)
-        for mine, theirs in zip(records, reference.records):
-            assert mine.reoptimized == theirs.reoptimized
-            assert mine.storage_cost == theirs.storage_cost
-            assert mine.read_cost == theirs.read_cost
-            assert mine.decompression_cost == theirs.decompression_cost
-            assert mine.migration_cost == theirs.migration_cost
-            assert mine.moved_gb == theirs.moved_gb
-
     def test_step_equals_run(self, workload):
         _, series = workload
         by_run = build_engine(workload, PeriodicReoptimize(3)).run(SeriesStream(series))
@@ -104,6 +67,8 @@ class TestHookComposition:
         assert [record.bill_total for record in by_step] == [
             record.bill_total for record in by_run.records
         ]
+        # Each step times itself from its own start.
+        assert all(record.wall_clock_s > 0.0 for record in by_step)
 
 
 class TestBeginEpoch:
@@ -128,33 +93,8 @@ class TestBeginEpoch:
         assert engine.placement is None
 
 
-class TestSettle:
-    def test_settle_validates_epoch_too(self, workload):
-        _, series = workload
-        engine = build_engine(workload, StaticOnce())
-        engine.step(EpochBatch(epoch=0, events=()))
-        with pytest.raises(ValueError, match="one month at a time"):
-            engine.settle_window(month_window(EpochBatch(epoch=5, events=())))
-
-    def test_wall_clock_zero_without_started(self, workload):
-        engine = build_engine(workload, StaticOnce())
-        record = engine.step(EpochBatch(epoch=0, events=()))
-        assert record.wall_clock_s > 0.0  # step passes its own start time
-        record = engine.settle_window(month_window(EpochBatch(epoch=1, events=())))
-        assert record.wall_clock_s == 0.0
-
-
 class TestApplyAssignment:
-    def test_requires_a_preceding_build_problem(self, workload):
-        engine = build_engine(workload, PeriodicReoptimize(1))
-        assert engine.begin_window(0)
-        problem = engine.build_problem(0)
-        placement = solve_optassign(problem).assignment.to_placement()
-        engine.apply_assignment(0, placement)
-        # The forecast was consumed: re-applying without a fresh
-        # build_problem would notify the policy with a stale baseline.
-        with pytest.raises(ValueError, match="preceding build_problem"):
-            engine.apply_assignment(0, placement)
+    """The apply step of a re-optimization."""
 
     def test_policy_notified_with_problem_forecast(self, workload):
         captured = {}
@@ -165,13 +105,13 @@ class TestApplyAssignment:
                 captured[epoch] = dict(predicted_monthly)
 
         engine = build_engine(workload, RecordingPolicy(1))
-        assert engine.begin_window(0)
-        problem = engine.build_problem(0)
-        solved = solve_optassign(problem)
-        engine.apply_assignment(0, solved.assignment.to_placement())
+        record = engine.step(EpochBatch(epoch=0, events=()))
+        assert record.reoptimized
         assert 0 in captured
         # the bootstrap forecast is the seeded prior monthly rate
         assert captured[0]["d0"] == pytest.approx(60.0)
+        assert engine.last_applied_forecast is not None
+        assert dict(engine.last_applied_forecast) == captured[0]
 
 
 class TestTierUsage:

@@ -1,4 +1,8 @@
-"""MigrationExecutor: billing moves, residency clocks, early-deletion penalties."""
+"""MigrationExecutor: billing moves, residency clocks, early-deletion penalties.
+
+Placements are handed to the executor's move rule keyed by partition name
+(``mapping_apply`` in ``tests/oracles/results.py``).
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from repro.cloud import (
 )
 from repro.cloud.tiers import NEW_DATA_TIER
 from repro.engine import MigrationExecutor
+from oracles.results import mapping_apply
 
 
 @pytest.fixture
@@ -37,7 +42,8 @@ class TestApply:
         partition = make_partition(tier=NEW_DATA_TIER)
         executor = MigrationExecutor(tiers)
         months = clocks(INF)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition], None, {"p": PlacementDecision(tier_index=1)}, months
         )
         assert report.num_moved == 1
@@ -53,7 +59,7 @@ class TestApply:
         executor = MigrationExecutor(tiers)
         months = clocks(7.0)
         placement = {"p": PlacementDecision(tier_index=0)}
-        report = executor.apply([partition], placement, placement, months)
+        report = mapping_apply(executor, [partition], placement, placement, months)
         assert report.num_moved == 0
         assert report.total_cost == 0.0
         assert months[0] == 7.0  # residency clock untouched
@@ -63,7 +69,7 @@ class TestApply:
         executor = MigrationExecutor(tiers)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=1)}
-        report = executor.apply([partition], old, new, clocks(INF))
+        report = mapping_apply(executor, [partition], old, new, clocks(INF))
         assert report.migration_cost == pytest.approx(
             tiers[0].read_cost_for(100.0) + tiers[1].write_cost_for(100.0)
         )
@@ -75,7 +81,7 @@ class TestApply:
         gzip = CompressionProfile(scheme="gzip", ratio=4.0, decompression_s_per_gb=1.0)
         old = {"p": PlacementDecision(tier_index=0)}
         new = {"p": PlacementDecision(tier_index=0, profile=gzip)}
-        report = executor.apply([partition], old, new, clocks(INF))
+        report = mapping_apply(executor, [partition], old, new, clocks(INF))
         assert report.num_moved == 1
         # read 100 GB uncompressed out, write 25 GB compressed back
         assert report.migration_cost == pytest.approx(
@@ -87,7 +93,8 @@ class TestApply:
         partition = make_partition(tier=archive)
         executor = MigrationExecutor(tiers)
         months = clocks(2.0)  # archive demands 6 months residency
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             {"p": PlacementDecision(tier_index=archive)},
             {"p": PlacementDecision(tier_index=0)},
@@ -101,7 +108,8 @@ class TestApply:
         archive = tiers.index_of("archive")
         partition = make_partition(tier=archive)
         executor = MigrationExecutor(tiers)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             {"p": PlacementDecision(tier_index=archive)},
             {"p": PlacementDecision(tier_index=0)},
@@ -113,7 +121,8 @@ class TestApply:
         partition = make_partition(tier=NEW_DATA_TIER)
         executor = MigrationExecutor(tiers)
         gzip = CompressionProfile(scheme="gzip", ratio=4.0, decompression_s_per_gb=1.0)
-        executor.apply(
+        mapping_apply(
+            executor,
             [partition],
             None,
             {"p": PlacementDecision(tier_index=0, profile=gzip)},
@@ -124,7 +133,8 @@ class TestApply:
     def test_uncompressed_placement_leaves_codec_unpinned(self, tiers):
         partition = make_partition(tier=NEW_DATA_TIER)
         executor = MigrationExecutor(tiers)
-        executor.apply(
+        mapping_apply(
+            executor,
             [partition], None, {"p": PlacementDecision(tier_index=0)}, clocks(INF)
         )
         assert partition.current_codec is None
@@ -144,7 +154,8 @@ class TestApply:
         )
         executor = MigrationExecutor(tiers)
         months = clocks(9.0)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition], None, {"p": PlacementDecision(tier_index=0, profile=gzip)}, months
         )
         assert report.num_moved == 0
@@ -163,7 +174,8 @@ class TestApply:
             current_codec="gzip",
         )
         executor = MigrationExecutor(tiers)
-        report = executor.apply(
+        report = mapping_apply(
+            executor,
             [partition],
             None,
             {"p": PlacementDecision(tier_index=1, profile=gzip)},
@@ -178,7 +190,7 @@ class TestApply:
     def test_missing_partition_in_new_placement_raises(self, tiers):
         executor = MigrationExecutor(tiers)
         with pytest.raises(KeyError):
-            executor.apply([make_partition()], None, {}, clocks(INF))
+            mapping_apply(executor, [make_partition()], None, {}, clocks(INF))
 
     def test_incomplete_placement_raises_before_mutating_anything(self, tiers):
         """Validation must precede mutation — a partial apply would leave
@@ -188,7 +200,8 @@ class TestApply:
         executor = MigrationExecutor(tiers)
         months = clocks(5.0, 5.0)
         with pytest.raises(KeyError):
-            executor.apply(
+            mapping_apply(
+                executor,
                 [first, second], None, {"a": PlacementDecision(tier_index=1)}, months
             )
         assert first.current_tier == 0

@@ -353,13 +353,16 @@ class TestLoneEngineIsABlockOfOne:
             assert got == expected
 
     def test_settle_window_runs_the_same_pass(self):
+        """A lone engine plans and settles through one block of one, window
+        after window."""
         engine = solo_engine(3, 0.4, False, "static")
         engine.step_window(
             next(tenant_windows(["t0"], [(0.5, "time", [[(0, 1.0)]])]))["t0"]
         )
         block = engine._own_block
         assert isinstance(block, SettleBlock) and block.engines == (engine,)
-        record = engine.settle_window(
+        assert engine._block is block and block.tenants == ("",)
+        record = engine.step_window(
             StreamWindow(1, 0.5, 0.75, (TimedEvent(0.6, "p1", 2.0),), "time")
         )
         assert engine._own_block is block

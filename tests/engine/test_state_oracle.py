@@ -41,6 +41,7 @@ from oracles.engine_state import (
     dict_drift_score,
     dict_partition_drift_scores,
 )
+from oracles.plan import reference_forecast
 
 NAMES = tuple(f"p{i}" for i in range(10))
 SUMMATION_TRAP = (1e16, 1.0, -1e16)
@@ -374,14 +375,15 @@ class TestEngineState:
         oracle_store = ScalarFeatureStore(window_months=window_months)
         months = {p.name: 0.0 if p.is_new else float("inf") for p in parts}
         moves = []
-        apply = engine.executor.apply
+        reoptimize = engine._reoptimize
 
-        def recording_apply(*args, **kwargs):
-            report = apply(*args, **kwargs)
-            moves.extend(move.partition for move in report.moves)
+        def recording_reoptimize(window):
+            report = reoptimize(window)
+            if report is not None:
+                moves.extend(move.partition for move in report.moves)
             return report
 
-        engine.executor.apply = recording_apply
+        engine._reoptimize = recording_reoptimize
         predicted = observed = None
         start = 0.0
         for index, (duration, picks, cause) in enumerate(steps):
@@ -443,7 +445,7 @@ class TestEngineState:
                 assert bits(engine.feature_store.lifetime_reads(name)) == bits(
                     oracle_store.lifetime_reads(name)
                 )
-            assert map_bits(engine.forecast_monthly(index + 1)) == map_bits(
+            assert map_bits(reference_forecast(engine, index + 1)) == map_bits(
                 oracle_forecaster.forecast_monthly(
                     names, oracle_store.window_series_map(names), epoch=index
                 )

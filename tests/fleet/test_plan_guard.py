@@ -1,12 +1,15 @@
-"""A fleet plans each solving window in one pass, never one tenant at a time.
+"""Every re-optimization plans in one pass, never one tenant at a time.
 
 Over pooled fleet runs (full and delta, periodic and drift policies,
-count-triggered windows) no tenant's ``build_problem`` or
-``apply_assignment`` runs and ``StackedProblem.stack`` is never called: each
-window that re-solves forecasts, stacks and applies once through a
+count-triggered windows) no tenant engine re-optimizes or solves on its own
+and ``StackedProblem.stack`` is never called: each window that re-solves
+forecasts, stacks and applies once through a
 :class:`~repro.engine.WindowPlan`, and a window with no firing tenant does
-no plan work.  Calls are counted in a child interpreter, as in
-``test_settle_pass.py``, so the patched classes never leak into this one.
+no plan work.  A lone engine over the same kind of windows plans the same
+way: each window that re-solves runs one ``_reoptimize`` — one forecast, one
+stack and one apply of its one-member plan — and a quiet window none.
+Calls are counted in a child interpreter, as in ``test_settle_pass.py``, so
+the patched classes never leak into this one.
 """
 
 from __future__ import annotations
@@ -16,10 +19,40 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_columnar_fleet import CASES
+from repro.cloud import multi_cloud_catalog
+from repro.engine import (
+    CountTrigger,
+    DriftTriggered,
+    EngineConfig,
+    OnlineTieringEngine,
+    PeriodicReoptimize,
+    StaticOnce,
+)
+from repro.workloads import PoissonZipfStream
+from test_columnar_fleet import CASES, MONTHS, tenant_partitions
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
+
+
+def run_alone(reopt_mode: str, policy: str) -> None:
+    """One engine over count-triggered windows of its own stream."""
+    partitions = tenant_partitions("solo")
+    engine = OnlineTieringEngine(
+        partitions,
+        multi_cloud_catalog(),
+        {
+            "periodic": lambda: PeriodicReoptimize(period_months=1),
+            "drift": lambda: DriftTriggered(threshold=0.05),
+            "static": StaticOnce,
+        }[policy](),
+        EngineConfig(horizon_months=3.0, window_months=3, reopt_mode=reopt_mode),
+    )
+    stream = PoissonZipfStream(
+        [p.name for p in partitions], rate_per_month=500.0, horizon_months=MONTHS, seed=0
+    )
+    engine.run_stream(stream, CountTrigger(100), horizon_months=MONTHS)
+
 
 COUNTING_SCRIPT = f"""
 import json, sys
@@ -41,32 +74,42 @@ def count(owner, name, static=False):
 
     setattr(owner, name, classmethod(counted) if static else counted)
 
-count(OnlineTieringEngine, "build_problem")
-count(OnlineTieringEngine, "apply_assignment")
+count(OnlineTieringEngine, "_reoptimize")
+count(OnlineTieringEngine, "solve_problem")
 count(StackedProblem, "stack", static=True)
 for name in ("forecast", "stack", "apply"):
     count(WindowPlan, name)
 count(SettleBlock, "forecast")
 
 import test_columnar_fleet as fleet
+import test_plan_guard as guard
 
 windows = []
-step_window = FleetScheduler.step_window
 
-def counted_step_window(self, tenant_windows):
-    before = dict(calls)
-    step_window(self, tenant_windows)
-    solving = self._pool_records[-1].num_reoptimized > 0
-    windows.append((solving, {{k: v - before.get(k, 0) for k, v in calls.items()}}))
+def counting(step, solved):
+    def counted_step(self, window):
+        before = dict(calls)
+        record = step(self, window)
+        counted = {{k: v - before.get(k, 0) for k, v in calls.items()}}
+        windows.append((solved(self, record), counted))
+        return record
+    return counted_step
 
-FleetScheduler.step_window = counted_step_window
+FleetScheduler.step_window = counting(
+    FleetScheduler.step_window,
+    lambda scheduler, _: scheduler._pool_records[-1].num_reoptimized > 0,
+)
+OnlineTieringEngine.step_window = counting(
+    OnlineTieringEngine.step_window, lambda _, record: record.reoptimized
+)
 
 results = {{}}
 for mode, policy in [*fleet.CASES, ("full", "static")]:
-    calls.clear()
-    windows.clear()
-    fleet.run_fleet(mode, policy)
-    results[f"{{mode}}/{{policy}}"] = list(windows)
+    for host, run in (("fleet", fleet.run_fleet), ("alone", guard.run_alone)):
+        calls.clear()
+        windows.clear()
+        run(mode, policy)
+        results[f"{{host}}/{{mode}}/{{policy}}"] = list(windows)
 print(json.dumps(results))
 """
 
@@ -79,13 +122,17 @@ def test_one_plan_pass_per_solving_window():
         check=True,
     )
     results = json.loads(completed.stdout.strip().splitlines()[-1])
-    assert set(results) == {f"{mode}/{policy}" for mode, policy in CASES} | {"full/static"}
+    cases = [*CASES, ("full", "static")]
+    assert set(results) == {
+        f"{host}/{mode}/{policy}" for host in ("fleet", "alone") for mode, policy in cases
+    }
     for case, windows in results.items():
+        alone = case.startswith("alone/")
         solving = [counted for is_solving, counted in windows if is_solving]
         assert solving, case
         for counted in solving:
-            assert counted.get("OnlineTieringEngine.build_problem", 0) == 0, case
-            assert counted.get("OnlineTieringEngine.apply_assignment", 0) == 0, case
+            assert counted.get("OnlineTieringEngine._reoptimize", 0) == int(alone), case
+            assert counted.get("OnlineTieringEngine.solve_problem", 0) == int(alone), case
             assert counted.get("StackedProblem.stack", 0) == 0, case
             for step in ("forecast", "stack", "apply"):
                 assert counted[f"WindowPlan.{step}"] == 1, case
@@ -93,5 +140,8 @@ def test_one_plan_pass_per_solving_window():
         for is_solving, counted in windows:
             if not is_solving:
                 assert not any(counted.values()), case
-    static = results["full/static"]
-    assert [is_solving for is_solving, _ in static] == [True] + [False] * (len(static) - 1)
+    for host in ("fleet", "alone"):
+        static = results[f"{host}/full/static"]
+        assert [is_solving for is_solving, _ in static] == [True] + [False] * (
+            len(static) - 1
+        )

@@ -24,6 +24,7 @@ from repro.core.optassign import (
     solve_greedy,
 )
 from repro.engine import OnlineTieringEngine, PeriodicReoptimize, SeriesStream
+from oracles.plan import lone_problem
 from oracles.problems import codec_allowed_loop, untag_split_placements
 
 #: Scheme sets per tenant: tenants differ, and so do rows within a tenant.
@@ -238,9 +239,9 @@ class TestOneAssembler:
         engine = OnlineTieringEngine(
             partitions, model.tiers, PeriodicReoptimize(1)
         )
-        validated = engine.build_problem(0)
+        validated = lone_problem(engine, 0)
         engine.step(next(iter(SeriesStream({p.name: [1.0] for p in partitions}))))
-        reused = engine.build_problem(1)
+        reused = lone_problem(engine, 1)
         built = {
             "carve": base.carve([0, 2, 5]),
             "relaxed": base.relaxed(2.0),

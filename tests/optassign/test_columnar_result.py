@@ -43,6 +43,7 @@ from oracles.results import (
     eager_greedy_choices,
     per_name_constraint_changes,
     row_split_placements,
+    scalar_greedy,
 )
 
 SCHEMES = ("gzip", "snappy", "zstd")
@@ -165,7 +166,7 @@ class TestGreedyView:
             )
             for partition in problem.partitions
         }
-        assignment = solve_greedy(problem, vectorized=False)
+        assignment = scalar_greedy(problem)
         for name, option in scalar.items():
             assert option_bits(assignment.choices[name]) == option_bits(option)
 

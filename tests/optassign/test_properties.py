@@ -41,6 +41,7 @@ from repro.core.optassign import (
     repair_capacity,
     solve_greedy,
 )
+from oracles.results import scalar_greedy
 
 SLO_CAP_CHOICES = (0.05, 0.1, 0.2, 1.0, 3600.0)
 PROVIDER_NAMES = ("aws_s3", "azure_blob", "gcp_gcs")
@@ -269,11 +270,11 @@ class TestVectorizedScalarEquivalence:
         fast_error = reference_error = None
         fast = reference = None
         try:
-            fast = solve_greedy(problem, vectorized=True)
+            fast = solve_greedy(problem)
         except InfeasibleError as error:
             fast_error = str(error)
         try:
-            reference = solve_greedy(problem, vectorized=False)
+            reference = scalar_greedy(problem)
         except InfeasibleError as error:
             reference_error = str(error)
         assert fast_error == reference_error

@@ -27,6 +27,7 @@ from repro.core.optassign import (
     solve_ilp,
     solve_optassign,
 )
+from oracles.results import scalar_greedy
 
 
 def random_instance(seed, count=200, pin_codecs=True, tight_latency=False):
@@ -139,8 +140,8 @@ class TestVectorizedGreedyEqualsScalar:
         partitions, profiles = random_instance(seed=seed, count=250)
         model = CostModel(azure_tier_catalog(), duration_months=6.0)
         problem = OptAssignProblem(partitions, model, profiles)
-        fast = solve_greedy(problem, vectorized=True)
-        reference = solve_greedy(problem, vectorized=False)
+        fast = solve_greedy(problem)
+        reference = scalar_greedy(problem)
         for name in problem.partition_names:
             chosen, expected = fast.choices[name], reference.choices[name]
             assert chosen.tier_index == expected.tier_index
@@ -154,8 +155,8 @@ class TestVectorizedGreedyEqualsScalar:
         partitions, _ = random_instance(seed=5, count=150, pin_codecs=False)
         model = CostModel(azure_tier_catalog(include_premium=False), duration_months=3.0)
         problem = OptAssignProblem(partitions, model)
-        fast = solve_greedy(problem, vectorized=True)
-        reference = solve_greedy(problem, vectorized=False)
+        fast = solve_greedy(problem)
+        reference = scalar_greedy(problem)
         assert {n: (c.tier_index, c.scheme) for n, c in fast.choices.items()} == {
             n: (c.tier_index, c.scheme) for n, c in reference.choices.items()
         }
@@ -166,9 +167,9 @@ class TestVectorizedGreedyEqualsScalar:
         model = CostModel(azure_tier_catalog(), duration_months=6.0)
         problem = OptAssignProblem(partitions, model, profiles)
         with pytest.raises(ValueError) as fast_error:
-            solve_greedy(problem, vectorized=True)
+            solve_greedy(problem)
         with pytest.raises(ValueError) as reference_error:
-            solve_greedy(problem, vectorized=False)
+            scalar_greedy(problem)
         assert str(fast_error.value) == str(reference_error.value)
 
     def test_accepts_partition_arrays_input(self):

@@ -1,14 +1,20 @@
-"""The per-tenant plan a fleet window ran before the block plan pass.
+"""The per-engine plans a re-optimization ran before the block plan pass.
 
-:func:`reference_reoptimize` is the fleet re-optimization as it was, one
-firing tenant at a time: each engine's ``forecast_monthly``, the object build
-of its instance (:func:`oracles.problems.object_build_problem`),
-``StackedProblem.stack`` over the instances, the same solve, then
-``split_placements`` and the per-partition scan (:func:`oracles.results.
-scan_apply`) per tenant, with the placement handed back through the
-engine's ``placement`` setter.  :func:`plan_each_tenant` installs it on a
-fleet in place of its :class:`~repro.engine.WindowPlan`
-(``tests/fleet/test_plan_pass.py``).
+:func:`reference_forecast` is one engine's forecast over its own feature
+store and forecaster (the store's window matrix, then the forecaster's
+``forecast_rows`` at ``epoch - 1``).  :func:`reference_reoptimize` is the
+fleet re-optimization as it was, one firing tenant at a time: each engine's
+reference forecast, the object build of its instance
+(:func:`oracles.problems.object_build_problem`), ``StackedProblem.stack``
+over the instances, the same solve, then ``split_placements`` and the
+per-partition scan (:func:`oracles.results.scan_apply`) per tenant, with the
+placement handed back through the engine's ``placement`` setter.
+:func:`plan_each_tenant` installs it on a fleet in place of its
+:class:`~repro.engine.WindowPlan` (``tests/fleet/test_plan_pass.py``), and
+:func:`plan_alone` installs the same steps for one untagged engine in place
+of its one-member plan (``tests/engine/test_plan_alone.py``), and
+:func:`lone_problem` is the instance that plan assembles, for tests that
+compare it with the object build.
 """
 
 from __future__ import annotations
@@ -19,8 +25,52 @@ from oracles.problems import object_build_problem
 from oracles.results import scan_apply
 from repro.cloud import CloudStorageSimulator
 from repro.core.optassign import InfeasibleError, StackedProblem
+from repro.engine import RateColumns, WindowPlan
 from repro.engine.executor import count_moves
 from repro.obs import get_metrics
+
+
+def reference_forecast(engine, epoch: int) -> RateColumns:
+    """Projected monthly reads of every partition of ``engine`` for
+    ``epoch``, from what was known before it: its store's sliding window and
+    its forecaster's EWMA state, as one column over every row."""
+    window = engine.feature_store.window_matrix(engine._store_rows)
+    rates = engine.forecaster.forecast_rows(
+        engine._forecast_rows, window, epoch=epoch - 1
+    )
+    return RateColumns(engine._arrays.names, rates)
+
+
+def lone_problem(engine, epoch: int):
+    """The instance a lone ``engine`` solves at ``epoch``: the forecast and
+    stack of its one-member :class:`~repro.engine.WindowPlan`, which leave
+    the forecast pending on the engine."""
+    plan = WindowPlan(epoch, [("", engine._lone_block(), 0)])
+    plan.forecast()
+    return plan.stack().problem
+
+
+def scan_and_hand_back(engine, placement, epoch: int):
+    """Apply ``placement`` to ``engine`` by the per-partition scan, write
+    the clocks back, hand the placement back through the ``placement``
+    setter and notify the policy; returns the migration report."""
+    names = engine._arrays.names
+    months = dict(zip(names, engine.months_in_tier.tolist()))
+    report = scan_apply(
+        engine.tiers,
+        engine._partitions,
+        None if engine.placement is None else dict(engine.placement),
+        dict(placement),
+        months,
+        epoch=epoch,
+        waive_early_deletion_tiers=engine.banned_tiers or None,
+    )
+    engine.months_in_tier[:] = [months[partition] for partition in names]
+    engine.placement = placement
+    count_moves(report)
+    engine._notify_applied(epoch)
+    get_metrics().counter("engine.reoptimizations").add()
+    return report
 
 
 def reference_tier_usage(scheduler, names) -> np.ndarray:
@@ -43,7 +93,7 @@ def reference_reoptimize(scheduler, epoch, firing, order, tracer) -> dict:
     problems = {}
     for name in firing:
         engine = scheduler.engines[name]
-        forecast = engine.forecast_monthly(epoch)
+        forecast = reference_forecast(engine, epoch)
         problems[name] = object_build_problem(engine, epoch, forecast)
         engine._pending_forecast = forecast
     stacked = StackedProblem.stack(problems)
@@ -68,24 +118,9 @@ def reference_reoptimize(scheduler, epoch, firing, order, tracer) -> dict:
         return migrations
     placements = stacked.split_placements(assignment)
     for name in firing:
-        engine = scheduler.engines[name]
-        names = engine._arrays.names
-        months = dict(zip(names, engine.months_in_tier.tolist()))
-        report = scan_apply(
-            engine.tiers,
-            engine._partitions,
-            None if engine.placement is None else dict(engine.placement),
-            dict(placements[name]),
-            months,
-            epoch=epoch,
-            waive_early_deletion_tiers=engine.banned_tiers or None,
+        migrations[name] = scan_and_hand_back(
+            scheduler.engines[name], placements[name], epoch
         )
-        engine.months_in_tier[:] = [months[partition] for partition in names]
-        engine.placement = placements[name]
-        count_moves(report)
-        engine._notify_applied(epoch)
-        get_metrics().counter("engine.reoptimizations").add()
-        migrations[name] = report
     if scheduler.chaos is not None:
         for name in firing:
             scheduler.chaos.note_migration(
@@ -102,3 +137,32 @@ def plan_each_tenant(scheduler) -> None:
         scheduler, epoch, firing, order, tracer
     )
     scheduler._fleet_tier_usage = lambda names: reference_tier_usage(scheduler, names)
+
+
+def reference_reoptimize_alone(engine, window):
+    """``OnlineTieringEngine._reoptimize`` step by step: the reference
+    forecast, the object build, the engine's own ``solve_problem`` (a chaos
+    run freezes the placement on ``InfeasibleError``), the per-partition
+    scan, the ``placement`` setter and the policy notification."""
+    epoch = window.index
+    forecast = reference_forecast(engine, epoch)
+    problem = object_build_problem(engine, epoch, forecast)
+    engine._pending_forecast = forecast
+    try:
+        assignment = engine.solve_problem(problem)
+    except InfeasibleError as error:
+        if engine.chaos is None or engine.placement is None:
+            raise
+        engine.chaos.record_frozen_placement(engine, epoch, error)
+        return None
+    report = scan_and_hand_back(engine, assignment.to_placement(), epoch)
+    if engine.chaos is not None:
+        engine.chaos.note_migration(epoch, report, engine.banned_tiers)
+    return report
+
+
+def plan_alone(engine) -> None:
+    """Make a lone ``engine`` re-optimize through
+    :func:`reference_reoptimize_alone` instead of its one-member
+    :class:`~repro.engine.WindowPlan`."""
+    engine._reoptimize = lambda window: reference_reoptimize_alone(engine, window)

@@ -1,14 +1,18 @@
 """Object-at-a-time oracles for the columnar solve results.
 
 These are the per-row implementations the library replaced with columns:
-the eager greedy compose (one ``CandidateOption`` + ``CostBreakdown`` per
-row), the repair pass that copies the choice dict and ``replace``-s moved
-rows, the per-row stacked split into ``PlacementDecision`` maps, the
-executor's per-partition scan, the per-name ``CompiledPlacement`` build, the
-``Assignment`` aggregates summed over option objects, and the delta solver's
-per-name constraint scan.  The columnar paths must reproduce them bit for bit
-(``tests/optassign/test_columnar_result.py``,
-``tests/engine/test_columnar_apply.py``).
+the scalar greedy (``min`` over each partition's options), the eager greedy
+compose (one ``CandidateOption`` + ``CostBreakdown`` per row), the repair
+pass that copies the choice dict and ``replace``-s moved rows, the per-row
+stacked split into ``PlacementDecision`` maps, the executor's per-partition
+scan, the per-name ``CompiledPlacement`` build, the ``Assignment``
+aggregates summed over option objects, and the delta solver's per-name
+constraint scan.  The columnar paths must reproduce them bit for bit
+(``tests/optassign/test_vectorized_equivalence.py``,
+``tests/optassign/test_columnar_result.py``,
+``tests/engine/test_columnar_apply.py``).  :func:`mapping_apply` moves a
+name-keyed placement through the executor's column move rule, for tests
+that price single moves.
 """
 
 from __future__ import annotations
@@ -22,13 +26,42 @@ from repro.cloud import (
     CostBreakdown,
     DataPartition,
     PartitionArrays,
+    PlacementColumns,
     PlacementDecision,
     TierCatalog,
 )
 from repro.cloud.objects import NO_COMPRESSION
 from repro.cloud.tiers import NEW_DATA_TIER
-from repro.core.optassign import CandidateOption, InfeasibleError, OptAssignProblem
-from repro.engine import MigrationRecord, MigrationReport
+from repro.core.optassign import (
+    Assignment,
+    CandidateOption,
+    InfeasibleError,
+    OptAssignProblem,
+)
+from repro.engine import MigrationExecutor, MigrationRecord, MigrationReport
+from repro.engine.executor import count_moves
+
+
+def scalar_greedy(problem: OptAssignProblem) -> Assignment:
+    """The greedy solve one partition at a time: enumerate each partition's
+    options and take the minimum objective; raises the message
+    :func:`~repro.core.optassign.solve_greedy` raises."""
+    choices: dict[str, CandidateOption] = {}
+    infeasible: list[str] = []
+    for partition in problem.partitions:
+        options = problem.options_for(partition)
+        if not options:
+            infeasible.append(partition.name)
+            continue
+        choices[partition.name] = min(options, key=lambda option: option.objective)
+    if infeasible:
+        raise InfeasibleError(
+            "no feasible (tier, scheme) option exists for partitions: "
+            f"{infeasible[:5]}{'...' if len(infeasible) > 5 else ''}; "
+            "relax latency thresholds, loosen SLO/affinity constraints or "
+            "add faster tiers"
+        )
+    return Assignment.from_choices(problem, choices, solver="greedy")
 
 
 def eager_greedy_choices(problem: OptAssignProblem) -> dict[str, CandidateOption]:
@@ -293,6 +326,52 @@ def scan_apply(
         partition.current_codec = None if scheme == NO_COMPRESSION else scheme
         months_in_tier[name] = 0.0
     return MigrationReport(epoch=epoch, moves=moves)
+
+
+def mapping_apply(
+    executor: MigrationExecutor,
+    partitions: Sequence[DataPartition],
+    old_placement: Mapping[str, PlacementDecision] | None,
+    new_placement: Mapping[str, PlacementDecision],
+    months_in_tier: np.ndarray,
+    epoch: int = 0,
+    waive_early_deletion_tiers=None,
+) -> MigrationReport:
+    """Move every partition to its new placement through ``executor``'s
+    column move rule (:meth:`~repro.engine.MigrationExecutor.migrate`), with
+    both placements keyed by partition name.
+
+    ``old_placement`` is ``None`` for newly ingested data; ``months_in_tier``
+    holds one residency clock per partition, in ``partitions`` order.  Moves
+    off ``waive_early_deletion_tiers`` skip the early-deletion penalty.
+    Raises before anything mutates when the new placement misses a partition
+    or the clocks do not match the partitions.
+    """
+    names = tuple(partition.name for partition in partitions)
+    new = PlacementColumns.from_mapping(names, new_placement)
+    missing = new.unplaced()
+    if missing:
+        raise KeyError(f"new placement missing partitions: {missing}")
+    count = len(names)
+    if months_in_tier.shape != (count,):
+        raise ValueError("months_in_tier needs one clock per partition")
+    old = (
+        None
+        if old_placement is None
+        else PlacementColumns.from_mapping(names, old_placement)
+    )
+    moves = executor.migrate(
+        partitions,
+        months_in_tier,
+        np.arange(count),
+        np.array([partition.size_gb for partition in partitions], dtype=np.float64),
+        old,
+        new,
+        [(0, count, waive_early_deletion_tiers)] if waive_early_deletion_tiers else (),
+    )
+    report = MigrationReport(epoch, names=names, columns=moves)
+    count_moves(report)
+    return report
 
 
 def per_name_compiled_arrays(
