@@ -153,7 +153,7 @@ class CostWeights:
 
 @dataclass
 class BatchCostTensors:
-    """The full (partitions x tiers x schemes) cost/latency evaluation.
+    """The full (tiers x schemes x partitions) cost/latency evaluation.
 
     Produced by :meth:`CostModel.batch_tensors`; every entry agrees with the
     scalar :meth:`CostModel.placement_breakdown` /
@@ -163,10 +163,17 @@ class BatchCostTensors:
     tolerance.
 
     Shapes: ``storage``, ``read``, ``write``, ``objective`` and ``latency_s``
-    are ``(N, T, K)``; ``stored_gb``, ``decompression`` and ``decompression_s``
-    are ``(N, K)`` because decompression does not depend on the tier;
-    ``feasible`` is the ``(N, T, K)`` conjunction of the latency SLA, codec
-    pinning and per-partition scheme availability.
+    are C-contiguous ``(T, K, N)`` arrays; ``stored_gb``, ``decompression``
+    and ``decompression_s`` are C-contiguous ``(K, N)`` because decompression
+    does not depend on the tier; ``feasible`` is the ``(T, K, N)``
+    conjunction of the latency SLA, codec pinning, per-partition scheme
+    availability and tier eligibility.  Index a cell as ``[t, k, n]``.
+
+    The layout is candidate-major, partition-minor because numpy pays per
+    inner loop: with the few schemes innermost, every broadcast ran ``N * T``
+    loops of ``K`` elements, while partitions innermost gives ``T * K``
+    loops of ``N`` elements each, and the solvers' argmin over the
+    flattened ``(T * K, N)`` candidates reduces over whole rows.
     """
 
     schemes: tuple[str, ...]
@@ -181,29 +188,20 @@ class BatchCostTensors:
     feasible: np.ndarray
 
     @property
-    def num_partitions(self) -> int:
+    def num_tiers(self) -> int:
         return self.objective.shape[0]
 
     @property
-    def num_tiers(self) -> int:
+    def num_schemes(self) -> int:
         return self.objective.shape[1]
 
     @property
-    def num_schemes(self) -> int:
+    def num_partitions(self) -> int:
         return self.objective.shape[2]
 
     def masked_objective(self) -> np.ndarray:
         """Objective with infeasible cells set to ``+inf`` (argmin-ready)."""
         return np.where(self.feasible, self.objective, np.inf)
-
-    def breakdown_at(self, n: int, t: int, k: int) -> CostBreakdown:
-        """The unweighted billed breakdown of one (partition, tier, scheme) cell."""
-        return CostBreakdown(
-            storage=float(self.storage[n, t, k]),
-            read=float(self.read[n, t, k]),
-            write=float(self.write[n, t, k]),
-            decompression=float(self.decompression[n, k]),
-        )
 
 
 class CostModel:
@@ -324,14 +322,14 @@ class CostModel:
         tier_allowed: np.ndarray | None = None,
         codec_allowed: np.ndarray | None = None,
     ) -> BatchCostTensors:
-        """Evaluate every (partition, tier, scheme) placement in one pass.
+        """Evaluate every (tier, scheme, partition) placement in one pass.
 
         Parameters
         ----------
         arrays:
             The partitions, columnar.
         schemes:
-            Names of the ``K`` compression schemes spanning the last tensor
+            Names of the ``K`` compression schemes spanning the middle tensor
             axis, in the order of the ``ratio`` columns.
         ratio, decompression_s_per_gb:
             ``(N, K)`` compression ratios ``R^k_n`` and decompression speeds
@@ -351,7 +349,15 @@ class CostModel:
 
         The arithmetic mirrors :meth:`placement_breakdown` /
         :meth:`placement_objective` operation for operation, so each tensor
-        cell is bit-identical to the scalar result for the same placement.
+        cell is bit-identical to the scalar result for the same placement
+        (operands of a ``+`` or ``*`` may swap, which is exact; no sum or
+        product is regrouped).
+
+        The ``(N, ...)`` inputs are transposed into C-contiguous ``(..., N)``
+        columns first, so that every tensor comes out C-contiguous
+        ``(T, K, N)`` (see :class:`BatchCostTensors`): numpy gives a
+        broadcast's output the strides of its operands, and one transposed
+        operand would make every tensor built from it strided.
         """
         ratio = np.asarray(ratio, dtype=np.float64)
         decompression_s_per_gb = np.asarray(decompression_s_per_gb, dtype=np.float64)
@@ -362,45 +368,49 @@ class CostModel:
             )
         if decompression_s_per_gb.shape != ratio.shape:
             raise ValueError("decompression_s_per_gb must match ratio's shape")
+        if tier_allowed is not None:
+            tier_allowed = np.asarray(tier_allowed, dtype=bool)
+            if tier_allowed.shape != (len(arrays), len(self.tiers)):
+                raise ValueError(
+                    f"tier_allowed must have shape ({len(arrays)}, "
+                    f"{len(self.tiers)}), got {tier_allowed.shape}"
+                )
+        ratio = np.ascontiguousarray(ratio.T)
+        decompression_s_per_gb = np.ascontiguousarray(decompression_s_per_gb.T)
 
         costs = self.tiers.cost_arrays()
-        stored_gb = arrays.size_gb[:, None] / ratio
-        storage = (
-            costs["storage_cost"][None, :, None]
-            * stored_gb[:, None, :]
-            * self.duration_months
-        )
+        stored_gb = arrays.size_gb / ratio
+        storage = costs["storage_cost"][:, None, None] * stored_gb
+        storage *= self.duration_months
 
-        delta = self.tiers.change_cost_matrix()
         source_rows = np.where(
             arrays.current_tier < 0, len(self.tiers), arrays.current_tier
         )
-        change_per_gb = delta[source_rows]
-        write = change_per_gb[:, :, None] * stored_gb[:, None, :]
+        change_per_gb = self.tiers.change_cost_matrix().T.take(source_rows, axis=1)
+        write = change_per_gb[:, None, :] * stored_gb
 
         read_gb_uncompressed = arrays.read_gb_per_access
-        read_gb = read_gb_uncompressed[:, None] / ratio
+        read_gb = read_gb_uncompressed / ratio
         effective_accesses = arrays.effective_accesses
-        read = (
-            costs["read_cost"][None, :, None]
-            * read_gb[:, None, :]
-            * effective_accesses[:, None, None]
-        )
+        read = costs["read_cost"][:, None, None] * read_gb
+        read *= effective_accesses
 
-        decompression_s = decompression_s_per_gb * read_gb_uncompressed[:, None]
-        decompression = (
-            self.compute_cost_per_s * decompression_s * effective_accesses[:, None]
-        )
+        decompression_s = decompression_s_per_gb * read_gb_uncompressed
+        decompression = self.compute_cost_per_s * decompression_s
+        decompression *= effective_accesses
 
+        # (alpha * storage + gamma * write) + beta * (read + decompression),
+        # summed in place through one scratch tensor.
         weights = self.weights
-        objective = (
-            weights.alpha * storage
-            + weights.gamma * write
-            + weights.beta * (read + decompression[:, None, :])
-        )
+        objective = weights.alpha * storage
+        scratch = weights.gamma * write
+        objective += scratch
+        np.add(read, decompression, out=scratch)
+        scratch *= weights.beta
+        objective += scratch
 
-        latency = decompression_s[:, None, :] + costs["latency_s"][None, :, None]
-        feasible = latency <= arrays.latency_threshold_s[:, None, None]
+        latency = costs["latency_s"][:, None, None] + decompression_s
+        feasible = latency <= arrays.latency_threshold_s
 
         allowed = (
             self._batch_codec_allowed(arrays, schemes)
@@ -409,16 +419,9 @@ class CostModel:
         )
         if scheme_available is not None:
             allowed = allowed & scheme_available
-        feasible = feasible & allowed[:, None, :]
-
+        feasible &= np.ascontiguousarray(allowed.T)
         if tier_allowed is not None:
-            tier_allowed = np.asarray(tier_allowed, dtype=bool)
-            if tier_allowed.shape != (len(arrays), len(self.tiers)):
-                raise ValueError(
-                    f"tier_allowed must have shape ({len(arrays)}, "
-                    f"{len(self.tiers)}), got {tier_allowed.shape}"
-                )
-            feasible = feasible & tier_allowed[:, :, None]
+            feasible &= np.ascontiguousarray(tier_allowed.T)[:, None, :]
 
         return BatchCostTensors(
             schemes=tuple(schemes),

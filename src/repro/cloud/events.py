@@ -269,7 +269,7 @@ class EventBatch:
         the batch, where :meth:`for_tenant` selects one tenant at a time."""
         if self.tenant is None:
             return {self.tenants[0]: self} if len(self) else {}
-        order = np.argsort(self.tenant, kind="stable")
+        order = stable_order(self.tenant)
         ends = np.cumsum(np.bincount(self.tenant, minlength=len(self.tenants)))
         t, code, reads = self.t[order], self.code[order], self.reads[order]
         parts = {}
@@ -304,10 +304,37 @@ class EventBatch:
         )
 
 
+#: Keys below this bound fit ``uint16``, which numpy's stable sort radix-sorts.
+RADIX_KEY_BOUND = 1 << 16
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
+
+    Keys below :data:`RADIX_KEY_BOUND` (block rows, vocab and tenant codes
+    of a window) are sorted as ``uint16``, for which numpy's stable sort is
+    a radix sort, several times faster than its comparison sort on
+    ``intp``.  A stable order is unique, so both give the same permutation.
+    """
+    if len(keys) and keys.max() < RADIX_KEY_BOUND:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def first_occurrence(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of ``codes`` in order of first occurrence."""
-    distinct, first = np.unique(codes, return_index=True)
-    return distinct[np.argsort(first, kind="stable")]
+    """The distinct values of ``codes`` (non-negative integers) in order of
+    first occurrence.
+
+    In a stable sort of ``codes`` each run of equal values starts at its
+    first occurrence; marking those positions keeps them in event order.
+    """
+    order = stable_order(codes)
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keep = np.zeros(len(codes), dtype=bool)
+    keep[order[first]] = True
+    return codes[keep]
 
 
 class _Table:

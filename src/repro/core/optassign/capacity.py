@@ -127,7 +127,7 @@ def _repair_groups_impl(
     current_tier = assignment.tier.copy()
     current_scheme = recode(assignment.scheme, assignment.schemes, tensors.schemes)
     rows = np.arange(num_partitions)
-    stored = tensors.stored_gb[rows, current_scheme]
+    stored = tensors.stored_gb[current_scheme, rows]
     tier_usage = np.bincount(current_tier, weights=stored, minlength=tensors.num_tiers)
     grouped_tiers = group_of_tier >= 0
     usage = np.bincount(
@@ -158,12 +158,12 @@ def _repair_groups_impl(
         closed_tiers[grouped_tiers] = closed[group_of_tier[grouped_tiers]]
 
         members = np.flatnonzero(group_of_tier[current_tier] == target)
-        alternatives = masked[members].copy()
-        alternatives[:, closed_tiers, :] = np.inf
-        flat = alternatives.reshape(len(members), -1)
-        best = np.argmin(flat, axis=1)
-        best_objective = flat[np.arange(len(members)), best]
-        current_objective = masked[members, current_tier[members], current_scheme[members]]
+        alternatives = masked[:, :, members]
+        alternatives[closed_tiers] = np.inf
+        flat = alternatives.reshape(-1, len(members))
+        best = np.argmin(flat, axis=0)
+        best_objective = flat[best, np.arange(len(members))]
+        current_objective = masked[current_tier[members], current_scheme[members], members]
         freed = stored[members]
         regret = best_objective - current_objective
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,7 +180,7 @@ def _repair_groups_impl(
             new_scheme = int(best[position] % tensors.num_schemes)
             need -= freed[position]
             usage[target] -= freed[position]
-            new_stored = float(tensors.stored_gb[index, new_scheme])
+            new_stored = float(tensors.stored_gb[new_scheme, index])
             destination = int(group_of_tier[new_tier])
             if destination >= 0:
                 usage[destination] += new_stored
@@ -197,12 +197,12 @@ def _repair_groups_impl(
     index = np.fromiter(sorted(moved), dtype=np.int64, count=len(moved))
     tier = current_tier[index]
     scheme = current_scheme[index]
-    priced[OBJECTIVE, index] = tensors.objective[index, tier, scheme]
-    priced[STORAGE, index] = tensors.storage[index, tier, scheme]
-    priced[READ, index] = tensors.read[index, tier, scheme]
-    priced[WRITE, index] = tensors.write[index, tier, scheme]
-    priced[DECOMPRESSION, index] = tensors.decompression[index, scheme]
-    priced[LATENCY, index] = tensors.latency_s[index, tier, scheme]
+    priced[OBJECTIVE, index] = tensors.objective[tier, scheme, index]
+    priced[STORAGE, index] = tensors.storage[tier, scheme, index]
+    priced[READ, index] = tensors.read[tier, scheme, index]
+    priced[WRITE, index] = tensors.write[tier, scheme, index]
+    priced[DECOMPRESSION, index] = tensors.decompression[scheme, index]
+    priced[LATENCY, index] = tensors.latency_s[tier, scheme, index]
     return (
         Assignment(
             problem,

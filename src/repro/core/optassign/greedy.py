@@ -15,11 +15,16 @@ the original per-partition ``min(options_for(...))`` loop, which lives with
 the tests (``scalar_greedy`` in ``tests/oracles/results.py``; same
 assignments bit for bit, see ``tests/optassign/test_vectorized_equivalence.py``).
 
-Because the tensor's flattened (tier, scheme) axis enumerates candidates in
-exactly the scalar loop's order (tiers outer, sorted schemes inner) and each
-cell is computed with the same operation order as the scalar arithmetic, ties
-break identically and the two return the *same* assignment, not merely
-equally-good ones.
+The tensors are laid out ``(T, K, N)``, partitions innermost, so the
+candidates of partition ``n`` are column ``n`` of the ``(T * K, N)`` view and
+the argmin runs down axis 0.  Row ``t * K + k`` of that view is tier ``t``
+with scheme ``k``: the candidate axis enumerates exactly the scalar loop's
+order (tiers outer, sorted schemes inner), argmin keeps the first of equal
+minima as ``min()`` does, and each cell is computed with the same operation
+order as the scalar arithmetic.  So ties break identically and the two
+return the *same* assignment, not merely equally-good ones
+(``tests/optassign/test_tensor_layout.py`` pins a tie across two tiers and
+two schemes behind a masked cheaper cell).
 """
 
 from __future__ import annotations
@@ -91,18 +96,23 @@ def solve_greedy(
 def _vectorized_assignment(
     problem: OptAssignProblem,
 ) -> tuple[Assignment | None, list[str]]:
-    """Masked argmin over the (N, T, K) objective tensor, gathered as columns."""
+    """Masked argmin over the (T, K, N) objective tensor, gathered as columns."""
     tensors = problem.batch_tensors()
     num_partitions = tensors.num_partitions
     num_schemes = tensors.num_schemes
 
     # Flattening (T, K) in C order enumerates candidates tier-major with
     # sorted schemes inside each tier — the scalar loop's order — so argmin's
-    # first-minimum rule reproduces min()'s tie-breaking exactly.
-    flat = tensors.masked_objective().reshape(num_partitions, -1)
-    best = np.argmin(flat, axis=1)
+    # first-minimum rule down the candidate axis reproduces min()'s
+    # tie-breaking exactly.
+    masked = tensors.masked_objective()
+    best = np.argmin(masked.reshape(-1, num_partitions), axis=0)
+    # Partition n's chosen cell [tier, scheme, n] sits at best[n] * N + n of
+    # every flattened (T, K, N) tensor, and at scheme * N + n of a (K, N)
+    # column: one flat index gathers each priced row with `take`.
     rows = np.arange(num_partitions)
-    best_objective = flat[rows, best]
+    cell = best * num_partitions + rows
+    best_objective = masked.take(cell)
     if not np.isfinite(best_objective).all():
         names = problem.partition_arrays().names
         return None, [names[i] for i in np.flatnonzero(~np.isfinite(best_objective))]
@@ -111,9 +121,11 @@ def _vectorized_assignment(
     scheme = best % num_schemes
     priced = np.empty((len(PRICED_FIELDS), num_partitions), dtype=np.float64)
     priced[OBJECTIVE] = best_objective
-    priced[STORAGE] = tensors.storage[rows, tier, scheme]
-    priced[READ] = tensors.read[rows, tier, scheme]
-    priced[WRITE] = tensors.write[rows, tier, scheme]
-    priced[DECOMPRESSION] = tensors.decompression[rows, scheme]
-    priced[LATENCY] = tensors.latency_s[rows, tier, scheme]
+    tensors.storage.take(cell, out=priced[STORAGE])
+    tensors.read.take(cell, out=priced[READ])
+    tensors.write.take(cell, out=priced[WRITE])
+    tensors.decompression.take(
+        scheme * num_partitions + rows, out=priced[DECOMPRESSION]
+    )
+    tensors.latency_s.take(cell, out=priced[LATENCY])
     return Assignment(problem, tier, scheme, tensors.schemes, priced, "greedy"), []

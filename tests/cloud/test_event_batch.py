@@ -17,7 +17,7 @@ from repro.cloud import (
     iter_batches,
     merge_batches,
 )
-from repro.cloud.events import first_occurrence
+from repro.cloud.events import first_occurrence, stable_order
 
 
 def events(*rows, tenant=None):
@@ -82,6 +82,42 @@ class TestAggregation:
         got = first_occurrence(np.array(codes, dtype=np.intp))
         assert got.dtype == np.intp
         assert got.tolist() == list(dict.fromkeys(codes))
+
+    @staticmethod
+    def assert_sorts_as_the_comparison_sort(keys):
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+        distinct, first = np.unique(keys, return_index=True)
+        want = distinct[np.argsort(first, kind="stable")]
+        got = first_occurrence(keys)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 40), max_size=60),
+        offset=st.sampled_from([0, 65_495, 65_496, 65_536, 1 << 40]),
+    )
+    def test_radix_and_comparison_paths_match_the_old_expressions(self, codes, offset):
+        self.assert_sorts_as_the_comparison_sort(np.array(codes, dtype=np.intp) + offset)
+
+    @pytest.mark.parametrize("top", [65_535, 65_536])
+    def test_keys_at_the_uint16_bound(self, top):
+        # 65,535 is the largest key the radix sort takes; 65,536 would wrap
+        # to 0 as uint16 and tie with the real 0s.
+        keys = np.array([top, 3, top, 0, 3, top - 1, 0, top], dtype=np.intp)
+        self.assert_sorts_as_the_comparison_sort(keys)
+        assert first_occurrence(keys).tolist() == [top, 3, 0, top - 1]
+
+    def test_by_tenant_with_a_tenant_code_past_the_uint16_bound(self):
+        tenants = tuple(f"t{i}" for i in range(65_537))
+        batch = EventBatch(
+            [0.1, 0.2, 0.3, 0.4], [0, 1, 2, 0], [1.0, 2.0, 3.0, 4.0], ("a", "b", "c"),
+            tenant=[65_536, 0, 65_536, 1], tenants=tenants,
+        )
+        split = batch.by_tenant()
+        assert list(split) == ["t0", "t1", "t65536"]
+        for name, part in split.items():
+            assert list(part) == list(batch.for_tenant(name))
 
     def test_reads_by_partition_in_first_occurrence_order(self):
         batch = EventBatch.from_events(

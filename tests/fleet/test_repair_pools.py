@@ -83,10 +83,10 @@ class TestRepairPools:
         index = problem.partition_names.index("p0")
         scheme = tensors.schemes.index(moved.scheme)
         assert moved.objective == float(
-            tensors.objective[index, moved.tier_index, scheme]
+            tensors.objective[moved.tier_index, scheme, index]
         )
         assert moved.latency_s == float(
-            tensors.latency_s[index, moved.tier_index, scheme]
+            tensors.latency_s[moved.tier_index, scheme, index]
         )
 
     def test_eviction_cascade_across_pools_terminates(self):

@@ -316,8 +316,9 @@ class TestCarveSlicesProfileColumns:
         assert carved._profile_columns_cache is not None
         self.assert_columns_equal(carved._profile_columns(), self.per_row_columns(carved))
         assert carved.batch_tensors().objective.tobytes() == (
-            problem.batch_tensors().objective[np.asarray(rows)]
-            [:, :, [problem.scheme_union().index(s) for s in carved.scheme_union()]]
+            problem.batch_tensors().objective
+            [:, [problem.scheme_union().index(s) for s in carved.scheme_union()]]
+            [:, :, np.asarray(rows)]
         ).tobytes()
 
     def test_a_scheme_no_carved_row_has_drops_out(self):

@@ -198,7 +198,7 @@ class TestGreedyFeasibility:
             assignment = solve_greedy(problem)
         except InfeasibleError:
             # The raise must be justified: some partition has no feasible cell.
-            feasible_any = problem.batch_tensors().feasible.any(axis=(1, 2))
+            feasible_any = problem.batch_tensors().feasible.any(axis=(0, 1))
             assert not feasible_any.all()
             return
         for name, option in assignment.choices.items():

@@ -120,18 +120,23 @@ class TestBatchTensorsAgainstScalar:
             for option in options:
                 t, k = option.tier_index, scheme_index[option.scheme]
                 seen.add((t, k))
-                assert tensors.objective[n, t, k] == option.objective
-                assert tensors.storage[n, t, k] == option.breakdown.storage
-                assert tensors.read[n, t, k] == option.breakdown.read
-                assert tensors.write[n, t, k] == option.breakdown.write
-                assert tensors.decompression[n, k] == option.breakdown.decompression
-                assert tensors.latency_s[n, t, k] == option.latency_s
-                assert bool(tensors.feasible[n, t, k]) == option.feasible
+                assert tensors.objective[t, k, n] == option.objective
+                assert tensors.storage[t, k, n] == option.breakdown.storage
+                assert tensors.read[t, k, n] == option.breakdown.read
+                assert tensors.write[t, k, n] == option.breakdown.write
+                assert tensors.decompression[k, n] == option.breakdown.decompression
+                assert tensors.latency_s[t, k, n] == option.latency_s
+                assert bool(tensors.feasible[t, k, n]) == option.feasible
+                profile = problem.profile_for(partition.name, option.scheme)
+                assert tensors.stored_gb[k, n] == profile.compressed_gb(partition.size_gb)
+                assert tensors.decompression_s[k, n] == profile.decompression_seconds(
+                    partition.read_gb_per_access
+                )
             # Cells for schemes this partition has no profile for are masked.
             for t in range(tensors.num_tiers):
                 for k in range(tensors.num_schemes):
                     if (t, k) not in seen:
-                        assert not tensors.feasible[n, t, k]
+                        assert not tensors.feasible[t, k, n]
 
 
 class TestVectorizedGreedyEqualsScalar:

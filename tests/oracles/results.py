@@ -2,10 +2,11 @@
 
 These are the per-row implementations the library replaced with columns:
 the scalar greedy (``min`` over each partition's options), the eager greedy
-compose (one ``CandidateOption`` + ``CostBreakdown`` per row), the repair
-pass that copies the choice dict and ``replace``-s moved rows, the per-row
-stacked split into ``PlacementDecision`` maps, the executor's per-partition
-scan, the per-name ``CompiledPlacement`` build, the ``Assignment``
+compose (one ``CandidateOption`` + ``CostBreakdown`` per row, and the
+one-cell :func:`breakdown_at`), the repair pass that copies the choice dict
+and ``replace``-s moved rows, the per-row stacked split into
+``PlacementDecision`` maps, the executor's per-partition scan, the
+per-name ``CompiledPlacement`` build, the ``Assignment``
 aggregates summed over option objects, and the delta solver's per-name
 constraint scan.  The columnar paths must reproduce them bit for bit
 (``tests/optassign/test_vectorized_equivalence.py``,
@@ -23,6 +24,7 @@ from typing import Mapping, MutableMapping, Sequence
 import numpy as np
 
 from repro.cloud import (
+    BatchCostTensors,
     CostBreakdown,
     DataPartition,
     PartitionArrays,
@@ -70,19 +72,19 @@ def eager_greedy_choices(problem: OptAssignProblem) -> dict[str, CandidateOption
     arrays = problem.partition_arrays()
     num_partitions = tensors.num_partitions
     num_schemes = tensors.num_schemes
-    flat = tensors.masked_objective().reshape(num_partitions, -1)
-    best = np.argmin(flat, axis=1)
+    flat = tensors.masked_objective().reshape(-1, num_partitions)
+    best = np.argmin(flat, axis=0)
     rows = np.arange(num_partitions)
-    best_objective = flat[rows, best]
+    best_objective = flat[best, rows]
     if not np.isfinite(best_objective).all():
         raise InfeasibleError("infeasible rows")
     tier_index = best // num_schemes
     scheme_index = best % num_schemes
-    storage = tensors.storage[rows, tier_index, scheme_index].tolist()
-    read = tensors.read[rows, tier_index, scheme_index].tolist()
-    write = tensors.write[rows, tier_index, scheme_index].tolist()
-    decompression = tensors.decompression[rows, scheme_index].tolist()
-    latency = tensors.latency_s[rows, tier_index, scheme_index].tolist()
+    storage = tensors.storage[tier_index, scheme_index, rows].tolist()
+    read = tensors.read[tier_index, scheme_index, rows].tolist()
+    write = tensors.write[tier_index, scheme_index, rows].tolist()
+    decompression = tensors.decompression[scheme_index, rows].tolist()
+    latency = tensors.latency_s[tier_index, scheme_index, rows].tolist()
     objective = best_objective.tolist()
     tiers = tier_index.tolist()
     scheme_names = [tensors.schemes[k] for k in scheme_index.tolist()]
@@ -106,6 +108,16 @@ def eager_greedy_choices(problem: OptAssignProblem) -> dict[str, CandidateOption
         )
         for i, name in enumerate(arrays.names)
     }
+
+
+def breakdown_at(tensors: BatchCostTensors, t: int, k: int, n: int) -> CostBreakdown:
+    """The unweighted billed breakdown of one (tier, scheme, partition) cell."""
+    return CostBreakdown(
+        storage=float(tensors.storage[t, k, n]),
+        read=float(tensors.read[t, k, n]),
+        write=float(tensors.write[t, k, n]),
+        decompression=float(tensors.decompression[k, n]),
+    )
 
 
 def dict_repair_groups(
@@ -133,7 +145,7 @@ def dict_repair_groups(
         count=num_partitions,
     )
     rows = np.arange(num_partitions)
-    stored = tensors.stored_gb[rows, current_scheme]
+    stored = tensors.stored_gb[current_scheme, rows]
     tier_usage = np.bincount(current_tier, weights=stored, minlength=tensors.num_tiers)
     grouped_tiers = group_of_tier >= 0
     usage = np.bincount(
@@ -158,12 +170,12 @@ def dict_repair_groups(
         closed_tiers = np.zeros(tensors.num_tiers, dtype=bool)
         closed_tiers[grouped_tiers] = closed[group_of_tier[grouped_tiers]]
         members = np.flatnonzero(group_of_tier[current_tier] == target)
-        alternatives = masked[members].copy()
-        alternatives[:, closed_tiers, :] = np.inf
-        flat = alternatives.reshape(len(members), -1)
-        best = np.argmin(flat, axis=1)
-        best_objective = flat[np.arange(len(members)), best]
-        current_objective = masked[members, current_tier[members], current_scheme[members]]
+        alternatives = masked[:, :, members]
+        alternatives[closed_tiers] = np.inf
+        flat = alternatives.reshape(-1, len(members))
+        best = np.argmin(flat, axis=0)
+        best_objective = flat[best, np.arange(len(members))]
+        current_objective = masked[current_tier[members], current_scheme[members], members]
         freed = stored[members]
         regret = best_objective - current_objective
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,7 +191,7 @@ def dict_repair_groups(
             new_scheme = int(best[position] % tensors.num_schemes)
             need -= freed[position]
             usage[target] -= freed[position]
-            new_stored = float(tensors.stored_gb[index, new_scheme])
+            new_stored = float(tensors.stored_gb[new_scheme, index])
             destination = int(group_of_tier[new_tier])
             if destination >= 0:
                 usage[destination] += new_stored
@@ -198,9 +210,9 @@ def dict_repair_groups(
             choices[name],
             tier_index=tier,
             scheme=tensors.schemes[scheme],
-            objective=float(tensors.objective[index, tier, scheme]),
-            breakdown=tensors.breakdown_at(index, tier, scheme),
-            latency_s=float(tensors.latency_s[index, tier, scheme]),
+            objective=float(tensors.objective[tier, scheme, index]),
+            breakdown=breakdown_at(tensors, tier, scheme, index),
+            latency_s=float(tensors.latency_s[tier, scheme, index]),
         )
     return repaired, rounds, len(moved)
 
