@@ -271,7 +271,7 @@ def sweep_greedy(sizes, repeats: int = 3) -> list[dict]:
 
 
 def sweep_delta(
-    count: int, fractions=DELTA_FRACTIONS, repeats: int = 3, threshold: float = 0.1
+    count: int, fractions=DELTA_FRACTIONS, repeats: int = 5, threshold: float = 0.1
 ) -> list[dict]:
     """Incremental delta epochs vs the full vectorized solve.
 
@@ -280,7 +280,9 @@ def sweep_delta(
     changes nothing), then scale ``fraction`` of the rows' access forecasts
     3x — far past the drift threshold — keep every other row bit-identical,
     and time (a) one delta solve against the warm cache vs (b) one full
-    ``solve_optassign`` on the same instance.  Both timings get a prebuilt
+    ``solve_optassign`` on the same instance, best of ``repeats`` each, the
+    repeats of the two alternating so that a slow spell of the machine
+    slows both sides of the speedup alike.  Both timings get a prebuilt
     columnar instance whose cost tensors and profile columns are reset to
     cold before every timed repeat, mirroring what a fresh re-optimization
     epoch actually pays; the delta cache is restored (inside the timed
@@ -356,9 +358,6 @@ def sweep_delta(
             solver._stored = snapshot[4].copy()
             return solver.solve(delta_problem)
 
-        delta_s = _best_of(_delta_once, repeats)
-        delta_report = _delta_once()
-
         full_problem = make_problem(drifted_arrays)
 
         def _full_once():
@@ -367,7 +366,12 @@ def sweep_delta(
             full_problem._profile_columns_cache = None
             solve_optassign(full_problem, prefer="greedy")
 
-        full_s = _best_of(_full_once, repeats)
+        delta_times, full_times = [], []
+        for _ in range(repeats):
+            delta_times.append(_timed(_delta_once, "bench.repeat")[1])
+            full_times.append(_timed(_full_once, "bench.repeat")[1])
+        delta_s, full_s = min(delta_times), min(full_times)
+        delta_report = _delta_once()
         full_report = solve_optassign(full_problem, prefer="greedy")
 
         identical = all(

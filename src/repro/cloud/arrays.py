@@ -50,6 +50,9 @@ class PartitionArrays:
     _lookups: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _last_lookup: tuple[tuple[str, ...], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def from_partitions(cls, partitions: Sequence[DataPartition]) -> "PartitionArrays":
@@ -104,29 +107,6 @@ class PartitionArrays:
             for i in range(len(self.names))
         ]
 
-    def take(self, indices: Sequence[int] | np.ndarray) -> "PartitionArrays":
-        """A row subset as a new :class:`PartitionArrays` (order preserved).
-
-        The numeric columns are numpy fancy-indexed; the object columns are
-        gathered in one list pass.  This is what lets the incremental delta
-        solver carve the changed rows out of a large instance without
-        materialising per-row :class:`DataPartition` objects for the
-        unchanged majority.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        positions = idx.tolist()
-        return PartitionArrays(
-            names=tuple(self.names[i] for i in positions),
-            size_gb=self.size_gb[idx],
-            predicted_accesses=self.predicted_accesses[idx],
-            latency_threshold_s=self.latency_threshold_s[idx],
-            current_tier=self.current_tier[idx],
-            read_fraction=self.read_fraction[idx],
-            pushdown_fraction=self.pushdown_fraction[idx],
-            current_codec=tuple(self.current_codec[i] for i in positions),
-            file_ids=tuple(self.file_ids[i] for i in positions),
-        )
-
     # -- container protocol ---------------------------------------------------
     def __len__(self) -> int:
         return len(self.names)
@@ -137,7 +117,7 @@ class PartitionArrays:
     def row_index(self) -> dict[str, int]:
         """``name -> row index`` (built once, cached)."""
         if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.names)}
+            self._index = dict(zip(self.names, range(len(self.names))))
         return self._index
 
     def index_of(self, name: str) -> int:
@@ -148,8 +128,13 @@ class PartitionArrays:
         """Row index of every name in ``vocab`` (``-1`` where unknown).
 
         The gather table that maps an :class:`~repro.cloud.EventBatch`'s
-        name codes onto these rows; built once per vocab and cached.
+        name codes onto these rows; built once per vocab and cached.  The
+        windows of one merged stream share one vocab object until it grows,
+        so the last vocab is checked by identity before the cache hashes one.
         """
+        last = self._last_lookup
+        if last is not None and last[0] is vocab:
+            return last[1]
         lookup = self._lookups.get(vocab)
         if lookup is None:
             index = self.row_index()
@@ -157,6 +142,7 @@ class PartitionArrays:
             if len(self._lookups) >= 64:
                 self._lookups.clear()
             self._lookups[vocab] = lookup
+        self._last_lookup = (vocab, lookup)
         return lookup
 
     def event_rows(self, events) -> np.ndarray:

@@ -327,7 +327,10 @@ class CostModel:
         Parameters
         ----------
         arrays:
-            The partitions, columnar.
+            The partitions, columnar: a :class:`PartitionArrays`, or a view
+            with its numeric columns and length (the delta solver passes its
+            changed rows gathered that way); ``current_codec`` is read only
+            when ``codec_allowed`` is not given.
         schemes:
             Names of the ``K`` compression schemes spanning the middle tensor
             axis, in the order of the ``ratio`` columns.

@@ -196,11 +196,32 @@ class EventBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["EventBatch"]) -> "EventBatch":
-        """The batches' events in order, as one batch."""
+        """The batches' events in order, as one batch.
+
+        Pieces that share one ``vocab`` and one ``tenants`` (the pieces of
+        one merged stream, until its vocab grows) keep their codes, so their
+        columns are joined as they are; otherwise every piece is re-coded
+        into a merged vocab, which gives the same batch when they do share.
+        """
         if len(batches) == 1:
             return batches[0]
         if not batches:
             return cls.empty()
+        first = batches[0]
+        vocab, tenants = first.vocab, first.tenants
+        if all(
+            batch.vocab == vocab and batch.tenants == tenants for batch in batches
+        ):
+            return cls._of(
+                np.concatenate([batch.t for batch in batches]),
+                np.concatenate([batch.code for batch in batches]),
+                np.concatenate([batch.reads for batch in batches]),
+                vocab,
+                None
+                if len(tenants) == 1
+                else np.concatenate([batch.tenant_codes() for batch in batches]),
+                tenants,
+            )
         recoder = _Recoder()
         columns = [recoder.columns(batch) for batch in batches]
         return recoder.batch(*(np.concatenate(column) for column in zip(*columns)))

@@ -9,10 +9,13 @@ features and chosen columns between solves and, on the next instance,
    moved past a configurable relative drift threshold, plus every partition
    with a structural change (new name, different size / latency SLA /
    read-pattern columns, codec pin, SLO cap, provider affinity, an externally
-   moved ``current_tier``) and every name the caller flags explicitly (a
-   :class:`~repro.engine.DriftTriggered` policy's per-partition scores);
-2. solves a carved-out subproblem over only those rows (the same vectorized
-   masked-argmin greedy as the full path, so tie-breaks are identical);
+   moved ``current_tier``) and every row the caller flags explicitly (the
+   rows a :class:`~repro.engine.DriftTriggered` policy's per-partition
+   scores put past the threshold) — in one scan whose findings the cache
+   update reuses;
+2. prices and solves only those rows, straight from the instance's columns
+   gathered by row (the same vectorized masked-argmin greedy as the full
+   path over the same cells, so tie-breaks are identical);
 3. **pins** every other partition to its standing choice from the cache
    (gathered and scattered as columns, never per row);
 4. checks tier capacities and shared pool budgets against the composed
@@ -66,24 +69,54 @@ downstream consumers use (the engine's executor and simulator bill from it
 truthfully); treat the per-row cents on pinned rows as approximate within
 the bound above, and re-price against a fresh problem where exact accounting
 matters.  A repair pass re-prices only the rows it moves.
+
+Why rows re-solve
+-----------------
+
+With observability on, every re-solved row is counted once in the
+``optassign.delta.rows_by_reason`` counter, under the first of
+:data:`RESOLVE_REASONS` that holds for it: ``novel`` (not in the cache),
+``forced`` (marked by :meth:`DeltaSolver.invalidate` or
+:meth:`DeltaSolver.note_repricing`), ``banned_tier`` (pinned on a banned
+tier, or every row when a ban lifts), ``constraint`` (an SLO cap,
+provider affinity or compression profile edit), ``structural`` (size,
+latency SLA, read pattern, current tier or codec), ``hint`` (flagged by
+the caller), ``drift`` (forecast moved past ``tau``) and ``full`` (a row
+only a full solve re-solved: a fallback, or a cache a pricing change
+flushed).  The counts add up to ``optassign.delta.rows_resolved``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ...cloud import PoolSet
+from ...cloud import PartitionArrays, PoolSet
 from ...obs import get_metrics, get_tracer
 from .capacity import SolveReport, repair_capacity, repair_pools, solve_optassign
 from .errors import InfeasibleError
-from .greedy import solve_greedy
-from .problem import OptAssignProblem
-from .result import Assignment
+from .greedy import greedy_columns
+from .problem import OptAssignProblem, profile_columns
+from .result import OBJECTIVE, Assignment
 
-__all__ = ["DeltaSolver", "DeltaSolveReport"]
+__all__ = ["DeltaSolver", "DeltaSolveReport", "RESOLVE_REASONS"]
+
+#: Why a row re-solves, in the order a re-solved row is counted under the
+#: first reason that holds for it (see the module docstring).
+RESOLVE_REASONS = (
+    "novel",
+    "forced",
+    "banned_tier",
+    "constraint",
+    "structural",
+    "hint",
+    "drift",
+    "full",
+)
 
 
 @dataclass
@@ -111,6 +144,73 @@ class DeltaSolveReport:
         return self.num_pinned / total if total else 0.0
 
 
+class _Changes(NamedTuple):
+    """One scan of an instance against the cache
+    (:meth:`DeltaSolver._detect_changes`), kept for the cache update."""
+
+    #: (N,) bool: the rows to re-solve.
+    changed: np.ndarray
+    #: The cache row of every instance row (0 where the row is novel).
+    rows: np.ndarray
+    #: True when the instance's rows are the cache's rows, in order.
+    aligned: bool
+    #: (N,) bool: the rows the cache does not hold.
+    missing: np.ndarray
+    #: ``(reason, mask or None)`` in :data:`RESOLVE_REASONS` order; their
+    #: union is ``changed``.
+    reasons: tuple[tuple[str, np.ndarray | None], ...]
+    #: (N,) bool: rows whose codec differs from the cache's (``None`` when
+    #: no row's does).
+    codecs: np.ndarray | None
+    #: Instance names whose SLO cap or provider affinity differs from the
+    #: cache's.
+    slo: list[str]
+    affinity: list[str]
+
+
+class _RowColumns:
+    """Some rows of a :class:`~repro.cloud.PartitionArrays`, as
+    :meth:`~repro.cloud.CostModel.batch_tensors` reads them: the numeric
+    columns gathered by row, and the rows' names and codecs gathered only
+    if something asks for them."""
+
+    __slots__ = (
+        "size_gb",
+        "predicted_accesses",
+        "latency_threshold_s",
+        "current_tier",
+        "read_fraction",
+        "pushdown_fraction",
+        "_arrays",
+        "_rows",
+    )
+
+    def __init__(self, arrays: PartitionArrays, rows: np.ndarray):
+        self.size_gb = arrays.size_gb[rows]
+        self.predicted_accesses = arrays.predicted_accesses[rows]
+        self.latency_threshold_s = arrays.latency_threshold_s[rows]
+        self.current_tier = arrays.current_tier[rows]
+        self.read_fraction = arrays.read_fraction[rows]
+        self.pushdown_fraction = arrays.pushdown_fraction[rows]
+        self._arrays = arrays
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def names(self) -> list[str]:
+        return list(map(self._arrays.names.__getitem__, self._rows.tolist()))
+
+    @property
+    def current_codec(self) -> list[str | None]:
+        return list(map(self._arrays.current_codec.__getitem__, self._rows.tolist()))
+
+    # The derived columns, computed as the arrays compute them.
+    effective_accesses = PartitionArrays.effective_accesses
+    read_gb_per_access = PartitionArrays.read_gb_per_access
+
+
 class DeltaSolver:
     """Stateful incremental OPTASSIGN over a sequence of related instances.
 
@@ -131,12 +231,18 @@ class DeltaSolver:
         Slack (GB) applied to capacity/pool budget checks, mirroring
         :func:`repair_capacity`.
 
-    The cache is keyed by partition *name*: instances may cover different
-    subsets between calls (the fleet scheduler stacks only the tenants whose
-    policies fired), and rows absent from an instance simply keep their
-    cached state until they reappear.  All instances must price against the
-    same catalog object, horizon, compute price and objective weights — a
-    changed pricing signature flushes the cache and runs a full solve.
+    The cache holds one row per partition name it has seen: instances may
+    cover different subsets between calls (the fleet scheduler stacks only
+    the tenants whose policies fired), and rows absent from an instance
+    simply keep their cached state until they reappear.  Each solve maps
+    the instance's rows onto the cache once — by position when the instance
+    repeats the cached names, else by name — and works on rows from there:
+    caller hints are row indices of the instance, and the changed rows are
+    priced from the instance's columns gathered by row.  :meth:`invalidate`
+    and :meth:`forget` take names, since they outlive any one instance.  All
+    instances must price against the same catalog object, horizon, compute
+    price and objective weights — a changed pricing signature flushes the
+    cache and runs a full solve.
     """
 
     def __init__(
@@ -263,21 +369,23 @@ class DeltaSolver:
     def solve(
         self,
         problem: OptAssignProblem,
-        changed: "set[str] | list[str] | tuple[str, ...] | None" = None,
+        changed: Sequence[int] | np.ndarray | None = None,
         pool_set: PoolSet | None = None,
         reserved_gb: np.ndarray | None = None,
     ) -> DeltaSolveReport:
         """Solve ``problem`` incrementally against the cached previous epoch.
 
-        ``changed`` adds names to the changed-row set on top of the solver's
-        own drift detection (it can only widen the set, never pin a row the
-        detector flagged).  ``pool_set`` / ``reserved_gb`` carry the fleet's
-        shared budgets, checked exactly as :func:`repair_pools` would and
-        repaired only on violation.
+        ``changed`` adds rows of ``problem`` (indices into its
+        ``partition_arrays()``) to the changed-row set on top of the solver's
+        own drift detection: it can only widen the set, never pin a row the
+        detector flagged.  A row outside the instance raises ``ValueError``.
+        ``pool_set`` / ``reserved_gb`` carry the fleet's shared budgets,
+        checked exactly as :func:`repair_pools` would and repaired only on
+        violation.
         """
         tracer = get_tracer()
         with tracer.span("optassign.delta_solve") as span:
-            report = self._solve(problem, changed, pool_set, reserved_gb)
+            report, found = self._solve(problem, changed, pool_set, reserved_gb)
             if tracer.enabled:
                 span.set(
                     mode=report.mode,
@@ -286,7 +394,8 @@ class DeltaSolver:
                     num_pinned=report.num_pinned,
                     repaired=report.repaired,
                 )
-                metrics = get_metrics()
+            metrics = get_metrics()
+            if metrics.enabled:
                 metrics.counter("optassign.delta.rows_resolved").add(
                     report.num_changed
                 )
@@ -299,62 +408,64 @@ class DeltaSolver:
                     metrics.counter(
                         "optassign.delta.full_solves", reason=report.reason
                     ).add()
+                for reason, count in _resolved_by(report, found).items():
+                    metrics.counter(
+                        "optassign.delta.rows_by_reason", reason=reason
+                    ).add(count)
             return report
 
     def _solve(
         self,
         problem: OptAssignProblem,
-        changed: "set[str] | list[str] | tuple[str, ...] | None" = None,
-        pool_set: PoolSet | None = None,
-        reserved_gb: np.ndarray | None = None,
-    ) -> DeltaSolveReport:
+        changed: Sequence[int] | np.ndarray | None,
+        pool_set: PoolSet | None,
+        reserved_gb: np.ndarray | None,
+    ) -> tuple[DeltaSolveReport, _Changes | None]:
+        """The report, and the scan it came from (``None`` when the cache
+        was empty)."""
         arrays = problem.partition_arrays()
-        row_index = arrays.row_index()
-        if changed is not None:
-            unknown = [name for name in changed if name not in row_index]
-            if unknown:
-                raise ValueError(
-                    f"changed names unknown to the problem: {sorted(unknown)[:5]}"
-                )
+        total = len(arrays)
+        hint = _hint_rows(changed, total)
         pricing = self._pricing_signature(problem)
         if self._names is None:
-            return self._full(problem, pool_set, reserved_gb, "bootstrap")
+            return self._full(problem, pool_set, reserved_gb, "bootstrap"), None
         if pricing != self._pricing:
             self.reset()
-            return self._full(problem, pool_set, reserved_gb, "pricing changed")
+            return self._full(problem, pool_set, reserved_gb, "pricing changed"), None
 
-        changed_mask, rows, missing = self._detect_changes(
-            problem, arrays, changed or None
-        )
-        num_changed = int(changed_mask.sum())
-        total = len(arrays)
+        found = self._detect_changes(problem, arrays, hint)
+        changed_mask = found.changed
+        num_changed = int(np.count_nonzero(changed_mask))
         if num_changed == total:
-            return self._full(problem, pool_set, reserved_gb, "every row changed")
+            report = self._full(
+                problem, pool_set, reserved_gb, "every row changed", found
+            )
+            return report, found
 
-        # Pinned rows are gathered from the cache; the changed rows are solved
-        # on a carved-out subproblem and scattered over them.  The subproblem
-        # uses the same vectorized masked-argmin greedy as the full path
-        # (per-partition argmins are independent, and restricting the sorted
-        # scheme union to one partition's available schemes preserves
-        # enumeration order), so its choices are exactly what the full solve
-        # would pick pre-repair.
+        # Pinned rows are gathered from the cache; the changed rows are
+        # priced and chosen on their own and scattered over them.  Their
+        # cells are the ones the full solve would price (the same columns
+        # and masks, and the scheme axis cut to the schemes any changed row
+        # has, which keeps each row's candidates in enumeration order), so
+        # the greedy picks exactly what the full solve would pre-repair.
+        rows = found.rows
         tier = self._tier[rows]
         scheme = self._scheme[rows]
         priced = self._priced[:, rows]
         stored = self._stored[rows]
         changed_rows = np.flatnonzero(changed_mask)
         if changed_rows.size:
-            sub = problem.carve(changed_rows)
-            try:
-                solved = solve_greedy(sub, enforce_unbounded=False)
-            except InfeasibleError:
-                return self._full(
-                    problem, pool_set, reserved_gb, "changed rows infeasible"
+            solved = self._solve_rows(problem, arrays, changed_rows)
+            if solved is None:
+                report = self._full(
+                    problem, pool_set, reserved_gb, "changed rows infeasible", found
                 )
-            tier[changed_rows] = solved.tier
-            scheme[changed_rows] = self._codes_for(solved.schemes)[solved.scheme]
-            priced[:, changed_rows] = solved.priced
-            stored[changed_rows] = solved.stored_gb()
+                return report, found
+            solved_tier, solved_scheme, solved_priced, solved_stored = solved
+            tier[changed_rows] = solved_tier
+            scheme[changed_rows] = solved_scheme
+            priced[:, changed_rows] = solved_priced
+            stored[changed_rows] = solved_stored
 
         assignment = Assignment(problem, tier, scheme, self._schemes, priced, "delta")
         updated = changed_mask
@@ -371,9 +482,10 @@ class DeltaSolver:
                         tolerance=self.tolerance,
                     )
             except InfeasibleError:
-                return self._full(
-                    problem, pool_set, reserved_gb, "budget repair infeasible"
+                report = self._full(
+                    problem, pool_set, reserved_gb, "budget repair infeasible", found
                 )
+                return report, found
             repaired = True
             # Repair may evict a pinned row to a fresh, fresh-priced option;
             # such a row's feature baseline rebases to this epoch too.
@@ -387,17 +499,9 @@ class DeltaSolver:
             stored = assignment.stored_gb()
 
         self._remember(
-            problem,
-            arrays,
-            tier,
-            scheme,
-            priced,
-            stored,
-            pricing,
-            updated=updated,
-            gathered=(rows, missing),
+            problem, arrays, tier, scheme, priced, stored, pricing, updated, found
         )
-        return DeltaSolveReport(
+        report = DeltaSolveReport(
             assignment=assignment,
             mode="delta",
             reason="",
@@ -405,6 +509,70 @@ class DeltaSolver:
             num_pinned=total - num_changed,
             repaired=repaired,
         )
+        return report, found
+
+    def _solve_rows(
+        self, problem: OptAssignProblem, arrays: PartitionArrays, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(tier, scheme code, priced, stored GB)`` of the greedy's choice
+        for ``rows`` of ``problem`` alone, or ``None`` when a row has no
+        feasible cell.
+
+        Every input is the instance's own, gathered by row: the numeric
+        columns, the profile columns and the codec and tier masks, on the
+        schemes any of the rows has — what a carve of the rows into an
+        instance of their own would price.  An instance whose profile
+        columns nobody built yet (a standalone solve) builds them, and the
+        codec mask, for the rows alone.
+        """
+        columns = _RowColumns(arrays, rows)
+        cached = problem._profile_columns_cache
+        if cached is None:
+            names = columns.names
+            profiles = problem._profiles
+            schemes = tuple(
+                sorted({scheme for name in names for scheme in profiles[name]})
+            )
+            schemes, ratio, decompression, available = profile_columns(
+                names, profiles, schemes
+            )
+            codecs = None
+        else:
+            schemes, ratio, decompression, available = cached
+            available = available[rows]
+            keep = np.flatnonzero(available.any(axis=0))
+            if len(keep) < len(schemes):
+                schemes = tuple(schemes[k] for k in keep.tolist())
+                available = available[:, keep]
+                cells = np.ix_(rows, keep)
+            else:
+                cells = rows
+            ratio, decompression = ratio[cells], decompression[cells]
+            codecs = problem._codec_mask()[cells]
+        tier_mask = problem._tier_mask()
+        tracer = get_tracer()
+        with tracer.span("optassign.batch_tensors") as span:
+            tensors = problem.cost_model.batch_tensors(
+                columns,
+                schemes,
+                ratio,
+                decompression,
+                available,
+                tier_allowed=None if tier_mask is None else tier_mask[rows],
+                codec_allowed=codecs,
+            )
+            span.set(
+                partitions=tensors.num_partitions,
+                tiers=tensors.num_tiers,
+                schemes=tensors.num_schemes,
+            )
+        with tracer.span("optassign.greedy"):
+            tier, scheme, priced = greedy_columns(tensors)
+        if not np.isfinite(priced[OBJECTIVE]).all():
+            return None
+        count = len(rows)
+        stored = tensors.stored_gb.take(scheme * count + np.arange(count))
+        return tier, self._codes_for(schemes)[scheme], priced, stored
 
     # -- change detection -------------------------------------------------------
     def _pricing_signature(self, problem: OptAssignProblem) -> tuple:
@@ -423,17 +591,20 @@ class DeltaSolver:
     def _detect_changes(
         self,
         problem: OptAssignProblem,
-        arrays,
-        flagged,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(changed mask, cache row of every instance row, novel-row mask).
+        arrays: PartitionArrays,
+        hint: np.ndarray | None,
+    ) -> _Changes:
+        """Scan the instance against the cache: which rows change, why, and
+        what the cache update needs (see :class:`_Changes`).
 
-        The cache rows gather the pinned columns into the *new* row order;
-        they are only meaningful where the novel mask is False.
+        ``hint`` holds validated row indices of the instance.  The cache
+        rows gather the pinned columns into the *new* row order; they are
+        only meaningful where the novel mask is False.
         """
         names = arrays.names
         total = len(names)
-        if names == self._names:
+        aligned = names == self._names
+        if aligned:
             rows = np.arange(total)
             cached = self._features
             cached_codec = self._codec
@@ -453,23 +624,24 @@ class DeltaSolver:
         # whose sole moving feature is the access forecast.  (A row that
         # migrated last epoch is therefore re-solved once more the epoch
         # after, when its warm start first reflects the move.)
+        pinned_tier = self._tier[rows]
         structural = (
             (arrays.size_gb != cached["size_gb"])
             | (arrays.latency_threshold_s != cached["latency_threshold_s"])
             | (arrays.read_fraction != cached["read_fraction"])
             | (arrays.pushdown_fraction != cached["pushdown_fraction"])
             | (arrays.current_tier != cached["current_tier"])
+            | (arrays.current_tier != pinned_tier)
         )
-        pinned_tier = self._tier[rows]
-        moved = arrays.current_tier != pinned_tier
-
-        changed = missing | drifted | structural | moved
+        codecs = None
         if arrays.current_codec != cached_codec:
-            for i, (new_codec, old_codec) in enumerate(
-                zip(arrays.current_codec, cached_codec)
-            ):
-                if new_codec != old_codec:
-                    changed[i] = True
+            codecs = np.fromiter(
+                map(operator.ne, arrays.current_codec, cached_codec),
+                dtype=bool,
+                count=total,
+            )
+            structural |= codecs
+
         # Hard-constraint edits (SLO caps, provider affinity) can invalidate a
         # standing placement, and a refreshed compression profile reprices a
         # row's entire candidate set, so an edited row is always re-solved.
@@ -478,38 +650,75 @@ class DeltaSolver:
         # case (constraints and profile tables are usually the same objects)
         # is a C-level items() containment, and only a mismatch pays a
         # per-name pass — over the sparse constraint maps, not every row.
-        row_index = arrays.row_index()
-        for fresh, cached_map in (
-            (problem._latency_slo, self._slo),
-            (problem._provider_affinity, self._affinity),
-        ):
-            for name in _restricted_differences(fresh, cached_map, row_index):
-                changed[row_index[name]] = True
+        def differences(fresh: dict, cached: dict) -> list[str]:
+            if not fresh and not cached:
+                return []
+            return _restricted_differences(fresh, cached, arrays.row_index())
+
+        slo = differences(problem._latency_slo, self._slo)
+        affinity = differences(problem._provider_affinity, self._affinity)
         profiles = problem._profiles
+        edited_profiles: list[str] = []
         if not profiles.items() <= self._profiles.items():
             cached_profiles = self._profiles
-            for i, name in enumerate(names):
-                if profiles[name] != cached_profiles.get(name):
-                    changed[i] = True
-        if flagged:
-            changed[np.fromiter(map(row_index.__getitem__, flagged), dtype=np.int64)] = True
-        for name in self._forced:
-            row = row_index.get(name)
-            if row is not None:
-                changed[row] = True
+            edited_profiles = [
+                name for name in names if profiles[name] != cached_profiles.get(name)
+            ]
+        constraint = None
+        if slo or affinity or edited_profiles:
+            row_index = arrays.row_index()
+            constraint = np.zeros(total, dtype=bool)
+            constraint[
+                np.fromiter(
+                    map(row_index.__getitem__, chain(slo, affinity, edited_profiles)),
+                    dtype=np.intp,
+                )
+            ] = True
+        forced = None
+        if self._forced:
+            row_index = arrays.row_index()
+            forced = np.zeros(total, dtype=bool)
+            for name in self._forced:
+                row = row_index.get(name)
+                if row is not None:
+                    forced[row] = True
+        hinted = None
+        if hint is not None:
+            hinted = np.zeros(total, dtype=bool)
+            hinted[hint] = True
+        evacuate = None
         banned = problem.banned_tiers
         if self._banned - banned:
             # Bans were lifted (provider recovery): a newly available tier
             # can attract partitions pinned anywhere, so nothing stays pinned.
-            changed[:] = True
+            evacuate = np.ones(total, dtype=bool)
         elif banned:
             # A pinned row sitting on a banned tier must evacuate — checked
             # unconditionally (not just against the ban *diff*) so rows whose
             # instance skipped the epoch the ban landed still re-solve.
-            changed |= np.isin(
+            evacuate = np.isin(
                 pinned_tier, np.fromiter(sorted(banned), dtype=np.int64)
             )
-        return changed, rows, missing
+        changed = missing | structural | drifted
+        for mask in (forced, evacuate, constraint, hinted):
+            if mask is not None:
+                changed |= mask
+        reasons = tuple(
+            zip(
+                RESOLVE_REASONS,
+                (missing, forced, evacuate, constraint, structural, hinted, drifted),
+            )
+        )
+        return _Changes(
+            changed,
+            rows,
+            aligned,
+            missing,
+            reasons,
+            codecs,
+            slo,
+            affinity,
+        )
 
     def _gather(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(cache row of each name, novel-name mask); novel names map to 0."""
@@ -568,7 +777,10 @@ class DeltaSolver:
         pool_set: PoolSet | None,
         reserved_gb: np.ndarray | None,
         reason: str,
+        found: _Changes | None = None,
     ) -> DeltaSolveReport:
+        """The full facade's solve, folded into the cache (``found`` is the
+        scan of a non-empty cache)."""
         post_repair = None
         if pool_set is not None:
             post_repair = lambda assignment: repair_pools(  # noqa: E731
@@ -578,21 +790,22 @@ class DeltaSolver:
             problem, prefer=self.prefer, post_repair=post_repair
         )
         assignment = report.assignment
+        arrays = problem.partition_arrays()
         self._remember(
             problem,
-            problem.partition_arrays(),
+            arrays,
             assignment.tier,
             self._codes_for(assignment.schemes)[assignment.scheme],
             assignment.priced,
             assignment.stored_gb(),
             self._pricing_signature(problem),
+            found=found,
         )
-        total = len(problem.partition_arrays())
         return DeltaSolveReport(
             assignment=assignment,
             mode="full",
             reason=reason,
-            num_changed=total,
+            num_changed=len(arrays),
             num_pinned=0,
             repaired=assignment.solver.endswith(("+repair", "+pools")),
             full_report=report,
@@ -601,16 +814,23 @@ class DeltaSolver:
     def _remember(
         self,
         problem: OptAssignProblem,
-        arrays,
+        arrays: PartitionArrays,
         tier: np.ndarray,
         scheme: np.ndarray,
         priced: np.ndarray,
         stored: np.ndarray,
         pricing: tuple,
         updated: np.ndarray | None = None,
-        gathered: tuple[np.ndarray, np.ndarray] | None = None,
+        found: _Changes | None = None,
     ) -> None:
-        """Fold the solved instance's columns into the cache (wholesale or merge).
+        """Fold the solved instance's columns into the cache.
+
+        An empty cache takes the instance wholesale.  Otherwise ``found``,
+        the scan :meth:`_detect_changes` made of this instance, says where
+        each row goes (known rows are overwritten in place, novel rows
+        appended; rows outside the instance keep their cached state) and
+        which codecs, constraints and profile tables differ, so only those
+        are written.
 
         ``updated`` (a per-row bool mask) restricts *feature* writes to the
         rows that were actually re-solved: a pinned row must keep the feature
@@ -618,17 +838,16 @@ class DeltaSolver:
         just under the threshold every epoch — would ratchet the baseline
         along with it and never trigger a re-solve.  Everything else in the
         cache (tier, scheme, priced and stored columns, codecs, constraints)
-        is written wholesale: for pinned rows the new values equal the cached
-        ones by construction, so only features differ.  ``gathered`` is the
-        ``(cache rows, novel mask)`` pair change detection already computed.
-        The cache owns copies: the caller's assignment keeps its columns.
+        is written for every row: for pinned rows the new values equal the
+        cached ones by construction, so only features differ.  The cache
+        owns copies: the caller's assignment keeps its columns.
         """
         self._pricing = pricing
         self._banned = problem.banned_tiers
-        row_index = arrays.row_index()
         # Rows covered by this instance were just (re-)solved; forced marks
         # for names outside it stay armed until their tenant next fires.
         if self._forced:
+            row_index = arrays.row_index()
             self._forced = {name for name in self._forced if name not in row_index}
         features = {
             "size_gb": arrays.size_gb,
@@ -638,17 +857,10 @@ class DeltaSolver:
             "pushdown_fraction": arrays.pushdown_fraction,
             "current_tier": arrays.current_tier,
         }
-        names = arrays.names
-        if self._names is None or names == self._names:
-            if self._names is not None and updated is not None:
-                rows = np.flatnonzero(updated)
-                for key, column in features.items():
-                    self._features[key][rows] = column[rows]
-            else:
-                self._features = {
-                    key: column.copy() for key, column in features.items()
-                }
-            self._names = names
+        if self._names is None:
+            self._features = {key: column.copy() for key, column in features.items()}
+            self._names = arrays.names
+            self._index = None
             self._codec = arrays.current_codec
             self._tier = tier.copy()
             self._scheme = scheme.copy()
@@ -658,10 +870,26 @@ class DeltaSolver:
             self._affinity = dict(problem._provider_affinity)
             self._profiles = dict(problem._profiles)
             return
-        # Merge path: the instance covers a different name set (the fleet's
-        # firing subset).  Known rows are overwritten in place, novel rows
-        # appended; rows outside the instance keep their cached state.
-        positions, missing = gathered if gathered is not None else self._gather(names)
+        self._remember_constraints(problem, found)
+        if found.aligned:
+            # The instance holds the cached rows in cache order: its columns
+            # replace the cache's outright.
+            if updated is None:
+                self._features = {
+                    key: column.copy() for key, column in features.items()
+                }
+            else:
+                rows = np.flatnonzero(updated)
+                for key, column in features.items():
+                    self._features[key][rows] = column[rows]
+            if found.codecs is not None:
+                self._codec = arrays.current_codec
+            self._tier = tier.copy()
+            self._scheme = scheme.copy()
+            self._priced = priced.copy()
+            self._stored = stored.copy()
+            return
+        positions, missing = found.rows, found.missing
         known = np.flatnonzero(~missing)
         if known.size:
             at = positions[known]
@@ -676,13 +904,16 @@ class DeltaSolver:
             self._scheme[at] = scheme[known]
             self._priced[:, at] = priced[:, known]
             self._stored[at] = stored[known]
-            positions_list = at.tolist()
-            fresh = list(map(arrays.current_codec.__getitem__, known.tolist()))
-            if fresh != list(map(self._codec.__getitem__, positions_list)):
-                merged = list(self._codec)
-                for position, codec in zip(positions_list, fresh):
-                    merged[position] = codec
-                self._codec = tuple(merged)
+            if found.codecs is not None:
+                recoded = np.flatnonzero(found.codecs & ~missing)
+                if recoded.size:
+                    merged = list(self._codec)
+                    codecs = arrays.current_codec
+                    for position, row in zip(
+                        positions[recoded].tolist(), recoded.tolist()
+                    ):
+                        merged[position] = codecs[row]
+                    self._codec = tuple(merged)
         novel = np.flatnonzero(missing)
         if novel.size:
             for key, column in features.items():
@@ -697,19 +928,68 @@ class DeltaSolver:
             self._codec = self._codec + tuple(
                 arrays.current_codec[row] for row in novel_rows
             )
-            self._names = self._names + tuple(names[row] for row in novel_rows)
+            self._names = self._names + tuple(arrays.names[row] for row in novel_rows)
             self._index = None
-        self._profiles.update(problem._profiles)
-        for fresh, cached in (
-            (problem._latency_slo, self._slo),
-            (problem._provider_affinity, self._affinity),
+
+    def _remember_constraints(self, problem: OptAssignProblem, found: _Changes) -> None:
+        """Write the SLO caps and affinities the scan found different (the
+        others already equal the instance's), and the instance's profile
+        tables: equal tables too, so that the next scan's containment test
+        meets the same objects and takes the identity shortcut.  An aligned
+        instance holds every cached name, so its table map is the cache's
+        (a copy, the fastest way to write every entry)."""
+        if found.aligned:
+            self._profiles = dict(problem._profiles)
+        else:
+            self._profiles.update(problem._profiles)
+        for fresh, cached, differing in (
+            (problem._latency_slo, self._slo, found.slo),
+            (problem._provider_affinity, self._affinity, found.affinity),
         ):
-            for name in _restricted_differences(fresh, cached, row_index):
+            for name in differing:
                 value = fresh.get(name)
                 if value is None:
                     del cached[name]
                 else:
                     cached[name] = value
+
+
+def _hint_rows(changed, total: int) -> np.ndarray | None:
+    """``changed`` as validated row indices of a ``total``-row instance, or
+    ``None`` when it flags nothing."""
+    if changed is None:
+        return None
+    rows = np.asarray(changed)
+    if not rows.size:
+        return None
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"changed must hold row indices, got dtype {rows.dtype}")
+    outside = rows[(rows < 0) | (rows >= total)]
+    if outside.size:
+        raise ValueError(
+            f"changed rows unknown to the problem (it has {total} rows): "
+            f"{sorted(set(outside.tolist()))[:5]}"
+        )
+    return rows
+
+
+def _resolved_by(report: DeltaSolveReport, found: _Changes | None) -> dict[str, int]:
+    """The re-solved rows of ``report`` counted once each, under their first
+    reason in :data:`RESOLVE_REASONS` order (reasons with no row left out)."""
+    if found is None:
+        # No cache to compare with: a bootstrap's rows are all novel, and a
+        # pricing change flushed the cache and re-solved every row in full.
+        reason = "novel" if report.reason == "bootstrap" else "full"
+        return {reason: report.num_changed}
+    counts: dict[str, int] = {}
+    left = np.ones(len(found.changed), dtype=bool)
+    for reason, mask in found.reasons:
+        if mask is not None:
+            counts[reason] = int(np.count_nonzero(mask & left))
+            left &= ~mask
+    flagged = len(left) - int(np.count_nonzero(left))
+    counts["full"] = report.num_changed - flagged
+    return {reason: count for reason, count in counts.items() if count}
 
 
 def _restricted_differences(

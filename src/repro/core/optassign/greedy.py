@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...cloud import BatchCostTensors
 from ...obs import get_tracer
 from .errors import InfeasibleError
 from .problem import OptAssignProblem
@@ -98,6 +99,21 @@ def _vectorized_assignment(
 ) -> tuple[Assignment | None, list[str]]:
     """Masked argmin over the (T, K, N) objective tensor, gathered as columns."""
     tensors = problem.batch_tensors()
+    tier, scheme, priced = greedy_columns(tensors)
+    infeasible = ~np.isfinite(priced[OBJECTIVE])
+    if infeasible.any():
+        names = problem.partition_arrays().names
+        return None, [names[i] for i in np.flatnonzero(infeasible)]
+    return Assignment(problem, tier, scheme, tensors.schemes, priced, "greedy"), []
+
+
+def greedy_columns(
+    tensors: BatchCostTensors,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tier, scheme, priced)`` of every partition's first cheapest
+    feasible cell: the greedy's choice as columns, ``scheme`` coding into
+    ``tensors.schemes``.  A partition with no feasible cell gets an
+    infinite priced objective."""
     num_partitions = tensors.num_partitions
     num_schemes = tensors.num_schemes
 
@@ -112,15 +128,10 @@ def _vectorized_assignment(
     # column: one flat index gathers each priced row with `take`.
     rows = np.arange(num_partitions)
     cell = best * num_partitions + rows
-    best_objective = masked.take(cell)
-    if not np.isfinite(best_objective).all():
-        names = problem.partition_arrays().names
-        return None, [names[i] for i in np.flatnonzero(~np.isfinite(best_objective))]
-
     tier = best // num_schemes
     scheme = best % num_schemes
     priced = np.empty((len(PRICED_FIELDS), num_partitions), dtype=np.float64)
-    priced[OBJECTIVE] = best_objective
+    masked.take(cell, out=priced[OBJECTIVE])
     tensors.storage.take(cell, out=priced[STORAGE])
     tensors.read.take(cell, out=priced[READ])
     tensors.write.take(cell, out=priced[WRITE])
@@ -128,4 +139,4 @@ def _vectorized_assignment(
         scheme * num_partitions + rows, out=priced[DECOMPRESSION]
     )
     tensors.latency_s.take(cell, out=priced[LATENCY])
-    return Assignment(problem, tier, scheme, tensors.schemes, priced, "greedy"), []
+    return tier, scheme, priced

@@ -55,6 +55,28 @@ def check_pinned_codecs(
             )
 
 
+def profile_columns(
+    names: Sequence[str],
+    profiles: Mapping[str, Mapping[str, CompressionProfile]],
+    schemes: tuple[str, ...],
+) -> ProfileColumns:
+    """The named rows' profile columns over ``schemes`` (which must hold
+    every scheme their tables have), built one row at a time: ``ratio`` 1
+    and ``decompression_s_per_gb`` 0 where a row has no profile."""
+    index = {scheme: k for k, scheme in enumerate(schemes)}
+    shape = (len(names), len(schemes))
+    ratio = np.ones(shape, dtype=np.float64)
+    decompression = np.zeros(shape, dtype=np.float64)
+    available = np.zeros(shape, dtype=bool)
+    for n, name in enumerate(names):
+        for scheme, profile in profiles[name].items():
+            k = index[scheme]
+            ratio[n, k] = profile.ratio
+            decompression[n, k] = profile.decompression_s_per_gb
+            available[n, k] = True
+    return schemes, ratio, decompression, available
+
+
 @dataclass(frozen=True)
 class CandidateOption:
     """One feasible-or-not (tier, scheme) choice for one partition."""
@@ -210,7 +232,7 @@ class OptAssignProblem:
     ) -> "OptAssignProblem":
         """An instance from already-validated parts, skipping ``__init__``.
 
-        The one construction shortcut behind :meth:`carve`, :meth:`relaxed`,
+        The one construction shortcut behind :meth:`relaxed`,
         :meth:`~repro.core.optassign.StackedProblem.stack` and the online
         engine's columnar build.  Every part must already have passed
         ``__init__``'s validation against this catalog (profiles carrying the
@@ -264,10 +286,10 @@ class OptAssignProblem:
         """The placement units, materialised on demand.
 
         Problems assembled from a :class:`PartitionArrays` (the stacked fleet
-        fast path, delta subproblems, relaxed copies) carry only the columnar
-        view; the :class:`DataPartition` objects are built lazily here, so
-        the vectorized solve paths — which read the columns directly — never
-        pay the per-row object construction at fleet scale.
+        fast path, relaxed copies) carry only the columnar view; the
+        :class:`DataPartition` objects are built lazily here, so the
+        vectorized solve paths — which read the columns directly — never pay
+        the per-row object construction at fleet scale.
         """
         if self._partitions_list is None:
             self._partitions_list = self._arrays.to_partitions()
@@ -378,23 +400,12 @@ class OptAssignProblem:
     def _profile_columns(self) -> ProfileColumns:
         """(schemes, ratio (N,K), decompression_s_per_gb (N,K), available (N,K))."""
         if self._profile_columns_cache is None:
-            names = self.partition_arrays().names
             schemes = tuple(
                 sorted({scheme for table in self._profiles.values() for scheme in table})
             )
-            index = {scheme: k for k, scheme in enumerate(schemes)}
-            shape = (len(names), len(schemes))
-            ratio = np.ones(shape, dtype=np.float64)
-            decompression = np.zeros(shape, dtype=np.float64)
-            available = np.zeros(shape, dtype=bool)
-            profiles = self._profiles
-            for n, name in enumerate(names):
-                for scheme, profile in profiles[name].items():
-                    k = index[scheme]
-                    ratio[n, k] = profile.ratio
-                    decompression[n, k] = profile.decompression_s_per_gb
-                    available[n, k] = True
-            self._profile_columns_cache = (schemes, ratio, decompression, available)
+            self._profile_columns_cache = profile_columns(
+                self.partition_arrays().names, self._profiles, schemes
+            )
         return self._profile_columns_cache
 
     def _slo_vector(self) -> np.ndarray | None:
@@ -573,59 +584,6 @@ class OptAssignProblem:
             latency_slo_s=self._latency_slo,
             provider_affinity=self._provider_affinity,
             banned_tiers=self._banned_tiers,
-        )
-
-    def carve(self, rows: Sequence[int] | np.ndarray) -> "OptAssignProblem":
-        """The given rows as a standalone instance (shared profile tables).
-
-        Assembled through :meth:`_assemble`: every row was already validated
-        by this problem's constructor, so re-validation (and the
-        per-partition profile-table copies) would only burn the time the
-        carve exists to save.  Row order is preserved, and the carved
-        instance's (smaller) scheme union restricted to one partition's
-        available schemes keeps the sorted enumeration order — so vectorized
-        argmin tie-breaks on the carve match the full instance exactly.  The
-        incremental delta solver re-solves its changed rows on a carve and
-        relies on that.
-
-        When this problem's profile columns are cached the carve slices them
-        (the rows, then the schemes any carved row has) instead of rebuilding
-        them row by row; the slice equals the per-row build.
-        """
-        sub_arrays = self.partition_arrays().take(rows)
-        names = sub_arrays.names
-        index = np.asarray(rows, dtype=np.int64)
-        tier_mask = self._tier_mask()
-        if tier_mask is not None:
-            tier_mask = tier_mask[index]
-        columns = None
-        if self._profile_columns_cache is not None:
-            schemes, ratio, decompression, available = self._profile_columns_cache
-            sub_available = available[index]
-            keep = np.flatnonzero(sub_available.any(axis=0))
-            columns = (
-                tuple(schemes[k] for k in keep.tolist()),
-                ratio[np.ix_(index, keep)],
-                decompression[np.ix_(index, keep)],
-                sub_available[:, keep],
-            )
-        return OptAssignProblem._assemble(
-            self.cost_model,
-            sub_arrays,
-            {name: self._profiles[name] for name in names},
-            {
-                name: cap
-                for name in names
-                if (cap := self._latency_slo.get(name)) is not None
-            },
-            {
-                name: allowed
-                for name in names
-                if (allowed := self._provider_affinity.get(name)) is not None
-            },
-            self._banned_tiers,
-            profile_columns=columns,
-            tier_mask=tier_mask,
         )
 
     def relaxed(self, latency_factor: float) -> "OptAssignProblem":

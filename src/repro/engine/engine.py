@@ -451,12 +451,13 @@ class OnlineTieringEngine:
         ``"full"`` runs :func:`solve_optassign` from scratch.  ``"delta"``
         hands the instance to the engine's persistent
         :class:`~repro.core.optassign.DeltaSolver`, built at the first delta
-        solve; the policy's
-        per-partition drift scores (when it has them — see
-        :meth:`~repro.engine.policies.TieringPolicy.drifted_partitions`)
-        widen the changed-row set, and a ``profile_provider`` forces every
-        row changed since refreshed profiles reprice all candidate options.
-        The delta report lands in :attr:`last_delta_report` for inspection.
+        solve; the rows the policy's per-partition drift scores flag (when
+        it has them — see
+        :meth:`~repro.engine.policies.TieringPolicy.drifted_rows`; the
+        instance's rows are the engine's) widen the changed-row set, and a
+        ``profile_provider`` forces every row changed since refreshed
+        profiles reprice all candidate options.  The delta report lands in
+        :attr:`last_delta_report` for inspection.
         """
         config = self.config
         with get_tracer().span("engine.solve", mode=config.reopt_mode):
@@ -465,9 +466,9 @@ class OnlineTieringEngine:
             if self._delta is None:
                 self._delta = DeltaSolver(drift_threshold=config.delta_drift_threshold)
             if self._profile_provider is not None:
-                changed = set(problem.partition_names)
+                changed = np.arange(len(problem.partition_arrays()))
             else:
-                changed = self.policy.drifted_partitions(config.delta_drift_threshold)
+                changed = self.policy.drifted_rows(config.delta_drift_threshold)
             report = self._delta.solve(problem, changed=changed)
             self.last_delta_report = report
             return report.assignment

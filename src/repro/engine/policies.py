@@ -89,11 +89,9 @@ class RateColumns(Mapping):
         dense[self.rows] = self.rates
         return dense
 
-    def keys_where(self, mask: np.ndarray) -> list[str]:
-        """The names of the entries ``mask`` selects, in order."""
-        rows = np.flatnonzero(mask) if self.rows is None else self.rows[mask]
-        names = self.names
-        return [names[row] for row in rows.tolist()]
+    def rows_where(self, mask: np.ndarray) -> np.ndarray:
+        """The rows of ``names`` whose entries ``mask`` selects, in order."""
+        return np.flatnonzero(mask) if self.rows is None else self.rows[mask]
 
     # -- Mapping protocol --------------------------------------------------------
     def _position(self) -> dict[str, int]:
@@ -226,7 +224,9 @@ def partition_drift_scores(
     the union of names (a partition missing from one side scores 1.0 unless
     both sides are zero).  This is exactly the relative-move metric the
     incremental :class:`~repro.core.optassign.DeltaSolver` thresholds on, so
-    a policy's scores can feed the delta solver's changed-row set directly.
+    a policy's scores can feed the delta solver's changed-row set directly:
+    rates over one row space (an engine's) give scores on that row space,
+    whose rows are the solver's rows.
     """
     predicted, seen = _one_space(predicted_monthly, observed)
     rows, predicted_rates, seen_rates = _aligned(predicted, seen)
@@ -255,12 +255,16 @@ class TieringPolicy(ABC):
         access rates the optimizer was given, so drift-aware policies can
         compare future observations against them."""
 
-    def drifted_partitions(self, threshold: float) -> "set[str] | None":
-        """Names whose accesses drifted past ``threshold`` since the last
+    def drifted_rows(self, threshold: float) -> np.ndarray | None:
+        """Rows whose accesses drifted past ``threshold`` since the last
         re-optimization, or ``None`` when the policy carries no per-partition
-        signal.  An incremental engine (``reopt_mode="delta"``) feeds this
-        into the :class:`~repro.core.optassign.DeltaSolver` changed-row set;
-        ``None`` means the solver's own feature-drift detector decides alone.
+        signal.  A row indexes the names of the rates the policy was given;
+        an engine gives rates over its partitions in row order, so these are
+        the engine's rows.  An incremental engine (``reopt_mode="delta"``)
+        feeds them into the :class:`~repro.core.optassign.DeltaSolver`
+        changed-row set (a fleet offsets each tenant's rows to its span of
+        the stacked instance); ``None`` means the solver's own feature-drift
+        detector decides alone.
         """
         return None
 
@@ -374,15 +378,16 @@ class DriftTriggered(TieringPolicy):
             return False
         return self.last_score > self.threshold
 
-    def drifted_partitions(self, threshold: float) -> "set[str] | None":
-        """The partitions whose last-epoch reads moved past ``threshold``
-        relative to the last optimization's forecast — the changed-row hint
-        for an incremental re-solve.  ``None`` until the first scores exist
+    def drifted_rows(self, threshold: float) -> np.ndarray | None:
+        """The rows of :attr:`last_partition_scores` (indices into its
+        ``names``) whose last-epoch reads moved past ``threshold`` relative
+        to the last optimization's forecast — the changed-row hint for an
+        incremental re-solve.  ``None`` until the first scores exist
         (bootstrap epochs re-solve everything anyway)."""
         scores = self.last_partition_scores
         if not scores:
             return None
-        return set(scores.keys_where(scores.rates > threshold))
+        return scores.rows_where(scores.rates > threshold)
 
     def notify_reoptimized(
         self, epoch: int, predicted_monthly: Mapping[str, float]

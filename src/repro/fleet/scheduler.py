@@ -305,30 +305,26 @@ class FleetScheduler:
         self.last_solve_report = report
         return report.assignment
 
-    def _solve_delta(self, stacked: StackedProblem, firing, reserved_gb):
+    def _solve_delta(self, stacked: StackedProblem, reserved_gb):
         """One incremental stacked solve: only drifted rows re-optimize.
 
-        The firing tenants' policies contribute per-partition drift hints
-        (tenant-tagged to match the stacked name space); the delta solver's
-        own feature detector widens the set with structural changes it spots
-        itself.  Pool budgets are checked against the composed placement and
-        repaired only on violation — bootstrap epochs and unfixable
-        violations fall back to the full arbitrated solve inside the solver.
+        The firing tenants' policies contribute per-partition drift hints as
+        rows of their engines, offset to each tenant's span of the stacked
+        instance; the delta solver's own feature detector widens the set
+        with structural changes it spots itself.  Pool budgets are checked
+        against the composed placement and repaired only on violation —
+        bootstrap epochs and unfixable violations fall back to the full
+        arbitrated solve inside the solver.
         """
         threshold = self.config.engine.delta_drift_threshold
-        changed: set[str] = set()
-        for name in firing:
-            hint = self.engines[name].policy.drifted_partitions(threshold)
-            if hint:
-                changed.update(
-                    f"{name}{TENANT_SEPARATOR}{partition}" for partition in hint
-                )
-        if changed:
-            rows = stacked.problem.partition_arrays().row_index()
-            changed = {name for name in changed if name in rows}
+        hints = []
+        for name, (start, _) in zip(stacked.tenants, stacked.tenant_spans):
+            rows = self.engines[name].policy.drifted_rows(threshold)
+            if rows is not None and rows.size:
+                hints.append(rows + start)
         report = self._delta.solve(
             stacked.problem,
-            changed=changed or None,
+            changed=np.concatenate(hints) if hints else None,
             pool_set=self.pools,
             reserved_gb=reserved_gb,
         )
@@ -381,7 +377,7 @@ class FleetScheduler:
         with tracer.span("fleet.solve", tenants=len(firing)):
             try:
                 if self._delta is not None:
-                    assignment = self._solve_delta(stacked, firing, reserved)
+                    assignment = self._solve_delta(stacked, reserved)
                 else:
                     assignment = self._solve_arbitrated(stacked, reserved)
             except InfeasibleError as error:

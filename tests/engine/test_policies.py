@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles.delta import row_hint_names
 from repro.engine import (
     DriftTriggered,
     PeriodicReoptimize,
+    RateColumns,
     StaticOnce,
     drift_score,
     partition_drift_scores,
@@ -147,27 +150,41 @@ class TestPartitionDriftScores:
 class TestDriftTriggeredPartitionHints:
     def test_no_hint_before_any_observation(self):
         policy = DriftTriggered(threshold=0.4)
-        assert policy.drifted_partitions(0.1) is None
+        assert policy.drifted_rows(0.1) is None
 
     def test_hint_names_only_the_drifted_partitions(self):
         policy = DriftTriggered(threshold=0.4)
         policy.notify_reoptimized(0, {"a": 10.0, "b": 5.0, "c": 2.0})
         policy.should_reoptimize(1, {"a": 10.0, "b": 20.0, "c": 2.0})
-        assert policy.drifted_partitions(0.1) == {"b"}
+        assert policy.drifted_rows(0.1).tolist() == [1]
+        assert row_hint_names(policy, 0.1) == {"b"}
+
+    def test_hint_rows_are_the_engine_rows(self):
+        # An engine hands over rates over its own names: the hint's rows
+        # index those names directly, observed-only rows included.
+        names = ("a", "b", "c", "d")
+        policy = DriftTriggered(threshold=0.4)
+        policy.notify_reoptimized(0, RateColumns(names, np.array([10.0, 5.0, 2.0, 0.0])))
+        policy.should_reoptimize(
+            1, RateColumns(names, np.array([30.0, 4.0]), np.array([3, 1]))
+        )
+        assert policy.last_partition_scores.names is names
+        assert sorted(policy.drifted_rows(0.1).tolist()) == [0, 1, 2, 3]
+        assert sorted(policy.drifted_rows(0.5).tolist()) == [0, 2, 3]
 
     def test_hint_respects_the_threshold(self):
         policy = DriftTriggered(threshold=0.4)
         policy.notify_reoptimized(0, {"a": 10.0, "b": 10.0})
         policy.should_reoptimize(1, {"a": 11.0, "b": 30.0})
         # a moved ~9%, b ~67%: a stays pinned at tau=0.2, both flagged at 0.05.
-        assert policy.drifted_partitions(0.2) == {"b"}
-        assert policy.drifted_partitions(0.05) == {"a", "b"}
+        assert row_hint_names(policy, 0.2) == {"b"}
+        assert row_hint_names(policy, 0.05) == {"a", "b"}
 
     def test_scores_update_even_inside_the_refractory_gap(self):
         policy = DriftTriggered(threshold=0.2, min_gap_months=4)
         policy.notify_reoptimized(0, {"a": 10.0})
         assert not policy.should_reoptimize(2, {"a": 100.0})  # gap suppresses
-        assert policy.drifted_partitions(0.1) == {"a"}
+        assert row_hint_names(policy, 0.1) == {"a"}
 
     def test_hint_after_a_later_reoptimization_matches_eager_scoring(self):
         # Scores are derived on the first hint request; a re-optimization
@@ -180,7 +197,7 @@ class TestDriftTriggeredPartitionHints:
         policy.notify_reoptimized(1, {"a": 11.0, "b": 30.0, "c": 0.0, "d": 2.0})
         eager = partition_drift_scores(predicted, observed)
         for threshold in (0.05, 0.2, 0.9):
-            assert policy.drifted_partitions(threshold) == {
+            assert row_hint_names(policy, threshold) == {
                 name for name, score in eager.items() if score > threshold
             }
         assert policy.last_partition_scores == eager
@@ -195,5 +212,5 @@ class TestDriftTriggeredPartitionHints:
         assert policy.last_partition_scores == {"a": 0.0}
 
     def test_base_policy_has_no_per_partition_signal(self):
-        assert StaticOnce().drifted_partitions(0.1) is None
-        assert PeriodicReoptimize(2).drifted_partitions(0.1) is None
+        assert StaticOnce().drifted_rows(0.1) is None
+        assert PeriodicReoptimize(2).drifted_rows(0.1) is None

@@ -41,6 +41,7 @@ from oracles.engine_state import (
     dict_drift_score,
     dict_partition_drift_scores,
 )
+from oracles.delta import row_hint_names
 from oracles.plan import reference_forecast
 
 NAMES = tuple(f"p{i}" for i in range(10))
@@ -145,13 +146,13 @@ class TestDriftScores:
             scored = dict_partition_drift_scores(predicted, dict(rates_seen))
             want = dict_drift_score(predicted, dict(rates_seen))
             assert bits(policy.last_score) == bits(want)
-            assert policy.drifted_partitions(hint) == (
+            assert row_hint_names(policy, hint) == (
                 {name for name, score in scored.items() if score > hint}
                 if scored
                 else None
             )
         if scored is None:
-            assert policy.drifted_partitions(0.1) is None
+            assert policy.drifted_rows(0.1) is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -424,7 +425,9 @@ class TestEngineState:
                     dict_drift_score(predicted, observed)
                 )
                 scores = dict_partition_drift_scores(predicted, observed)
-                assert engine.policy.drifted_partitions(hint) == {
+                # The hint's rows are the engine's rows.
+                rows = engine.policy.drifted_rows(hint)
+                assert {engine._arrays.names[row] for row in rows.tolist()} == {
                     name for name, score in scores.items() if score > hint
                 }
             if record.reoptimized:

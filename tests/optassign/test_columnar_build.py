@@ -25,7 +25,7 @@ from repro.core.optassign import (
 )
 from repro.engine import OnlineTieringEngine, PeriodicReoptimize, SeriesStream
 from oracles.plan import lone_problem
-from oracles.problems import codec_allowed_loop, untag_split_placements
+from oracles.problems import carve, codec_allowed_loop, untag_split_placements
 
 #: Scheme sets per tenant: tenants differ, and so do rows within a tenant.
 TENANT_SCHEMES = {
@@ -184,7 +184,7 @@ class TestTierMasks:
     def test_carve_slices_and_relaxed_carries_the_masks(self, constrained):
         stacked = StackedProblem.stack(constrained).problem
         rows = [0, 4, 9, 15, 16, 27]
-        carved = stacked.carve(rows)
+        carved = carve(stacked, rows)
         assert carved._tier_mask().tobytes() == uncached(carved)._tier_mask().tobytes()
         assert carved.batch_tensors().feasible.tobytes() == (
             uncached(carved).batch_tensors().feasible.tobytes()
@@ -243,7 +243,7 @@ class TestOneAssembler:
         engine.step(next(iter(SeriesStream({p.name: [1.0] for p in partitions}))))
         reused = lone_problem(engine, 1)
         built = {
-            "carve": base.carve([0, 2, 5]),
+            "carve": carve(base, [0, 2, 5]),
             "relaxed": base.relaxed(2.0),
             "stack": stacked.problem,
             "engine (validated)": validated,

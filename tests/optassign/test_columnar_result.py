@@ -37,6 +37,7 @@ from repro.core.optassign import (
 )
 from repro.core.optassign.capacity import _repair_groups_impl
 from repro.core.optassign.delta import _restricted_differences
+from oracles.problems import carve
 from oracles.results import (
     dict_aggregates,
     dict_repair_groups,
@@ -312,7 +313,7 @@ class TestCarveSlicesProfileColumns:
         rows = data.draw(
             st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True)
         )
-        carved = problem.carve(np.asarray(rows))
+        carved = carve(problem, np.asarray(rows))
         assert carved._profile_columns_cache is not None
         self.assert_columns_equal(carved._profile_columns(), self.per_row_columns(carved))
         assert carved.batch_tensors().objective.tobytes() == (
@@ -329,13 +330,13 @@ class TestCarveSlicesProfileColumns:
                     "p2": {"zstd": CompressionProfile("zstd", 4.0, 0.25)}}
         problem = OptAssignProblem(partitions, model, profiles)
         assert problem.scheme_union() == ("gzip", "none", "zstd")
-        carved = problem.carve(np.array([2, 1]))
+        carved = carve(problem, np.array([2, 1]))
         assert carved.scheme_union() == ("none", "zstd")
         self.assert_columns_equal(carved._profile_columns(), self.per_row_columns(carved))
 
     def test_uncached_parent_keeps_the_per_row_build(self):
         problem = random_problem(5, 6)
-        carved = problem.carve(np.array([0, 3]))
+        carved = carve(problem, np.array([0, 3]))
         assert carved._profile_columns_cache is None
         self.assert_columns_equal(carved._profile_columns(), self.per_row_columns(carved))
 
@@ -429,7 +430,7 @@ class TestDeltaColumns:
         # rows), repair, and see which pinned objects were replaced.
         changed = {problem.partition_names[evicted[0]]}
         composed = dict(previous)
-        sub = drifted.carve(np.array(sorted(evicted[:1])))
+        sub = carve(drifted, np.array(sorted(evicted[:1])))
         composed.update(eager_greedy_choices(sub))
         composed = {name: composed[name] for name in problem.partition_names}
         repaired, _, evictions = dict_repair_groups(
@@ -540,7 +541,13 @@ class TestDeltaChangeDetection:
         outside = [n for n in solver._names if n.startswith("t1::")]
         solver.invalidate(draw_names() | set(outside[:2]))
         flagged = draw_names() or None
-        got = solver._detect_changes(edited, edited.partition_arrays(), flagged)[0]
+        row_index = edited.partition_arrays().row_index()
+        hint = (
+            None
+            if flagged is None
+            else np.array([row_index[name] for name in sorted(flagged)])
+        )
+        got = solver._detect_changes(edited, edited.partition_arrays(), hint)[0]
         want = baseline | per_name_constraint_changes(solver, edited, flagged)
         assert got.tolist() == want.tolist()
 

@@ -167,12 +167,16 @@ class TestDeltaBasics:
         assert_same_assignment(report.assignment, full.assignment)
 
     def test_unknown_changed_name_rejected(self):
+        # Hints are rows of the instance: one past its six rows (or before
+        # them) is unknown to it.
         partitions = build_partitions(6)
         profiles = build_profiles(partitions)
         solver = DeltaSolver()
         solver.solve(build_problem(partitions, profiles))
         with pytest.raises(ValueError, match="unknown"):
-            solver.solve(build_problem(partitions, profiles), changed={"nope"})
+            solver.solve(build_problem(partitions, profiles), changed=[6])
+        with pytest.raises(ValueError, match="unknown"):
+            solver.solve(build_problem(partitions, profiles), changed=[-1])
 
     def test_pricing_change_flushes_the_cache(self):
         partitions = build_partitions(12)
@@ -266,9 +270,7 @@ class TestChangeDetection:
         solver = DeltaSolver(drift_threshold=0.1)
         catalog = azure_tier_catalog()
         placed, _ = stabilize(solver, partitions, profiles, catalog=catalog)
-        report = solver.solve(
-            build_problem(placed, profiles, catalog), changed={placed[4].name}
-        )
+        report = solver.solve(build_problem(placed, profiles, catalog), changed=[4])
         assert report.mode == "delta"
         assert report.num_changed == 1
 
@@ -279,7 +281,7 @@ class TestChangeDetection:
         catalog = azure_tier_catalog()
         placed, _ = stabilize(solver, partitions, profiles, catalog=catalog)
         problem = build_problem(placed, profiles, catalog)
-        report = solver.solve(problem, changed=set(problem.partition_names))
+        report = solver.solve(problem, changed=np.arange(len(placed)))
         assert report.mode == "full"
         assert report.reason == "every row changed"
         assert_same_assignment(
@@ -563,6 +565,6 @@ class TestDeltaProperties:
             for i, p in enumerate(placed)
         ]
         problem = build_problem(drifted, profiles, catalog)
-        report = solver.solve(problem, changed=set(problem.partition_names))
+        report = solver.solve(problem, changed=np.arange(count))
         full = solve_optassign(problem, prefer="greedy")
         assert_same_assignment(report.assignment, full.assignment)

@@ -104,7 +104,7 @@ def reference_reoptimize(scheduler, epoch, firing, order, tracer) -> dict:
         reserved = scheduler.pools.usage(reference_tier_usage(scheduler, standing))
     try:
         if scheduler._delta is not None:
-            assignment = scheduler._solve_delta(stacked, firing, reserved)
+            assignment = scheduler._solve_delta(stacked, reserved)
         else:
             assignment = scheduler._solve_arbitrated(stacked, reserved)
     except InfeasibleError as error:
