@@ -49,17 +49,14 @@ from repro.cloud import (  # noqa: E402
     azure_tier_catalog,
     multi_cloud_catalog,
 )
-from repro.core.optassign import (  # noqa: E402
-    OptAssignProblem,
-    StackedProblem,
-    solve_greedy,
-)
+from repro.core.optassign import OptAssignProblem, solve_greedy  # noqa: E402
 from repro.engine import EngineConfig, PeriodicReoptimize  # noqa: E402
 from repro.fleet import (  # noqa: E402
     FleetConfig,
     FleetScheduler,
     TenantSpec,
 )
+from oracles.problems import split_choices, stack  # noqa: E402
 from oracles.results import scalar_greedy  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fleet_scaling.json"
@@ -198,7 +195,7 @@ def build_tenant_problem(model: CostModel, seed: int, count: int) -> OptAssignPr
 
 
 def verify_stacked_matches_oracle(stacked_assignment, stacked, problems) -> None:
-    split = stacked.split_choices(stacked_assignment)
+    split = split_choices(stacked, stacked_assignment)
     for tenant, problem in problems.items():
         oracle = scalar_greedy(problem)
         for name, choice in oracle.choices.items():
@@ -237,7 +234,7 @@ def sweep(grid, repeats: int = 3, verify: bool = True) -> list[dict]:
         )
 
         def stacked_solve(problems):
-            stacked = StackedProblem.stack(problems)
+            stacked = stack(problems)
             assignment = solve_greedy(stacked.problem)
             return stacked, assignment
 

@@ -5,12 +5,12 @@
 :class:`~repro.engine.OnlineTieringEngine` or a
 :class:`~repro.fleet.FleetScheduler`.  The hosts call a small fixed hook
 surface at their window boundaries (``before_engine_window`` /
-``before_fleet_window``, ``joiners_in_window``, ``take_forced_tenants``,
-``degrade_fleet_solve``, ``record_frozen_placement``, ``note_migration``,
-``note_relaxation``);
-everything else — outage bookkeeping, affinity lifting, catalog re-pricing,
-pool resizing, tenant churn, DegradationReport accumulation and ``chaos.*``
-observability — lives here.
+``before_fleet_window``, ``joiners_in_window``, ``take_forced_tenants``)
+and around their one solve (``degrade_solve`` when it is infeasible, then
+``note_migration`` and ``note_relaxation``, each keyed by the window index
+the host passes); everything else — outage bookkeeping, affinity lifting,
+catalog re-pricing, pool resizing, tenant churn, DegradationReport
+accumulation and ``chaos.*`` observability — lives here.
 
 Schedules are keyed by integer month marks; a disruption lands at the
 boundary of the window whose ``[start_month, end_month)`` span covers its
@@ -29,11 +29,12 @@ Disruption semantics, in host terms:
   solve is forced: the restored pins make evacuated placements violate
   affinity again, so the next policy-driven re-optimization moves data home
   (re-admission at reopt time, never mid-window).
-* **Price shock** — the shared catalog is re-priced in place; engines drop
-  their compiled (price-snapshotting) placements so the very next settle
-  bills post-shock prices, and delta caches are invalidated selectively:
-  only rows whose standing choice sits on a re-priced tier must re-solve
-  when prices only went up, everything when any price dropped.
+* **Price shock** — the shared catalog is re-priced in place, which bumps
+  its ``pricing_version``: settle blocks compile their engines' prices
+  again, so the very next settle bills post-shock prices, and the host's
+  delta solver is invalidated selectively: only rows whose standing choice
+  sits on a re-priced tier must re-solve when prices only went up,
+  everything when any price dropped.
 * **Pool shock** — the shared pool's budget changes in place; the next
   stacked solve arbitrates against it.
 * **Churn** — ``TenantJoin`` admits a spec mid-run and ``TenantLeave``
@@ -49,7 +50,7 @@ marks, accumulated reports): attach a fresh one per run.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..core.optassign import InfeasibleError, solve_optassign
 from ..core.optassign.stacked import TENANT_SEPARATOR
@@ -88,7 +89,6 @@ class ChaosInjector:
         # recovery); the union across active outages is the banned set.
         self._outages: dict[str, tuple[int, ...]] = {}
         self._forced_tenants: set[str] = set()
-        self._epoch = -1
 
     # -- shared bookkeeping ------------------------------------------------------
     @property
@@ -229,9 +229,9 @@ class ChaosInjector:
             # Pins stranded by a *different*, still-active outage stay lifted.
             self._lift_stranded(engine, catalog)
 
-    def _apply_price_shock(
-        self, engines: Iterable, catalog, fleet_delta, epoch: int, event
-    ) -> None:
+    def _apply_price_shock(self, catalog, delta, event) -> None:
+        """Re-price ``catalog`` in place and note it on the host's delta
+        solver (``None`` when the host solves in full)."""
         if event.tier_names is not None:
             names = event.tier_names
         elif event.provider is not None:
@@ -251,19 +251,8 @@ class ChaosInjector:
             read_factor=event.read_factor,
             write_factor=event.write_factor,
         )
-        for engine in engines:
-            # The compiled placement snapshots prices; dropping it makes the
-            # very next settle bill at post-shock rates.
-            engine.invalidate_pricing()
-            delta = engine.delta_solver
-            if delta is not None:
-                delta.note_repricing(
-                    catalog, affected, decreased=event.decreased
-                )
-        if fleet_delta is not None:
-            fleet_delta.note_repricing(
-                catalog, affected, decreased=event.decreased
-            )
+        if delta is not None:
+            delta.note_repricing(catalog, affected, decreased=event.decreased)
 
     # -- window boundaries -------------------------------------------------------
     @staticmethod
@@ -288,7 +277,6 @@ class ChaosInjector:
         tracer = get_tracer()
         metrics = get_metrics()
         for epoch in self._epochs_in_window(start_month, end_month):
-            self._epoch = epoch
             events = self.schedule.at(epoch)
             if not events:
                 continue
@@ -333,20 +321,10 @@ class ChaosInjector:
         if isinstance(event, ProviderRecovery):
             self._apply_recovery({"": engine}, engine.tiers, epoch, event)
         elif isinstance(event, PriceShock):
-            self._apply_price_shock([engine], engine.tiers, None, epoch, event)
+            self._apply_price_shock(engine.tiers, engine._delta, event)
         else:  # pragma: no cover - closed taxonomy
             raise TypeError(f"unhandled event {event!r}")
         return False
-
-    def record_frozen_placement(self, engine, epoch: int, error) -> None:
-        """The engine's solve failed; the window bills at the frozen layout."""
-        self._record_action(
-            epoch,
-            DegradationAction(
-                kind="placement_frozen",
-                detail=f"re-optimization infeasible, placement frozen: {error}",
-            ),
-        )
 
     # -- fleet host --------------------------------------------------------------
     def before_fleet_window(
@@ -380,13 +358,7 @@ class ChaosInjector:
         elif isinstance(event, ProviderRecovery):
             self._apply_recovery(scheduler.engines, catalog, epoch, event)
         elif isinstance(event, PriceShock):
-            self._apply_price_shock(
-                scheduler.engines.values(),
-                catalog,
-                scheduler._delta,
-                epoch,
-                event,
-            )
+            self._apply_price_shock(catalog, scheduler._delta, event)
         elif isinstance(event, PoolShock):
             pools = scheduler.pools
             if pools is None:
@@ -422,24 +394,29 @@ class ChaosInjector:
         self._forced_tenants = set()
         return forced
 
-    def degrade_fleet_solve(self, scheduler, stacked, reserved, error):
-        """The stacked solve failed: walk the fleet's degradation ladder.
+    # -- both hosts ----------------------------------------------------------------
+    def degrade_solve(self, index: int, stacked, engines, error, pools=None):
+        """A host's solve of window ``index`` raised ``error``: walk the one
+        degradation ladder.  Returns the retry's ``(assignment, latency
+        relaxation)``, or ``None`` when the firing engines froze.
 
-        Rung 1 — when shared pool budgets are in play, retry the solve with
-        them suspended (tier feasibility, SLOs and the relaxation ladder
-        still apply).  Rung 2 — freeze: return None so the scheduler applies
-        nothing and every tenant bills at its standing placement.
+        Rung 1 — when shared ``pools`` are in play, re-solve the stacked
+        instance with them suspended (tier feasibility, SLOs and the
+        relaxation ladder still apply).  Rung 2 — freeze: the host applies
+        nothing and every firing engine bills at its standing placement.  A
+        firing engine with no placement to freeze at (a bootstrap) cannot
+        freeze, so the last error is raised again.  Actions are keyed by
+        ``index``, as the host's other notes are.
         """
-        epoch = self._epoch
-        with get_tracer().span("chaos.degradation", epoch=epoch):
-            if scheduler.pools is not None:
+        with get_tracer().span("chaos.degradation", epoch=index):
+            if pools is not None:
                 try:
-                    retry = solve_optassign(stacked.problem, prefer="greedy")
+                    retry = solve_optassign(stacked.problem)
                 except InfeasibleError as second_error:
                     error = second_error
                 else:
                     self._record_action(
-                        epoch,
+                        index,
                         DegradationAction(
                             kind="pool_budget_suspended",
                             detail=(
@@ -448,15 +425,16 @@ class ChaosInjector:
                             ),
                         ),
                     )
-                    self.note_relaxation(epoch, retry.latency_relaxation)
-                    return retry.assignment
+                    return retry.assignment, retry.latency_relaxation
+            if any(engine.placement is None for engine in engines):
+                raise error
             self._record_action(
-                epoch,
+                index,
                 DegradationAction(
                     kind="placement_frozen",
                     detail=(
-                        "stacked solve infeasible even without pool budgets; "
-                        f"standing placements frozen: {error}"
+                        "re-optimization infeasible; standing placements "
+                        f"frozen: {error}"
                     ),
                 ),
             )

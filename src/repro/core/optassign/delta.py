@@ -105,6 +105,11 @@ from .result import OBJECTIVE, Assignment
 
 __all__ = ["DeltaSolver", "DeltaSolveReport", "RESOLVE_REASONS"]
 
+#: The solver of every full solve, and the slack (GB) of the budget checks
+#: (see :class:`DeltaSolver`).
+_FULL_SOLVER = "greedy"
+_TOLERANCE_GB = 1e-9
+
 #: Why a row re-solves, in the order a re-solved row is counted under the
 #: first reason that holds for it (see the module docstring).
 RESOLVE_REASONS = (
@@ -222,14 +227,10 @@ class DeltaSolver:
         ``0.0`` re-solves every row whose forecast moved at all — making the
         delta solve bit-exact against the full solve at the cost of its
         speedup.  Must stay below ``1/3`` for the documented regret bound.
-    prefer:
-        Solver preference forwarded to :func:`solve_optassign` whenever a
-        full solve runs (bootstrap and fallbacks).  Defaults to ``"greedy"``
-        — the vectorized argmin + repair path the delta subproblems also use,
-        so full and delta epochs price identically.
-    tolerance:
-        Slack (GB) applied to capacity/pool budget checks, mirroring
-        :func:`repair_capacity`.
+
+    Every full solve (bootstrap and fallbacks) runs the greedy solver, the
+    path the delta subproblems also use, so full and delta epochs price
+    identically; the budget checks allow :func:`repair_capacity`'s slack.
 
     The cache holds one row per partition name it has seen: instances may
     cover different subsets between calls (the fleet scheduler stacks only
@@ -245,12 +246,7 @@ class DeltaSolver:
     cache and runs a full solve.
     """
 
-    def __init__(
-        self,
-        drift_threshold: float = 0.1,
-        prefer: str = "greedy",
-        tolerance: float = 1e-9,
-    ):
+    def __init__(self, drift_threshold: float = 0.1):
         if drift_threshold < 0.0:
             raise ValueError("drift_threshold must be non-negative")
         if drift_threshold >= 1.0 / 3.0:
@@ -259,8 +255,6 @@ class DeltaSolver:
                 f"guarantee degenerates past it), got {drift_threshold}"
             )
         self.drift_threshold = float(drift_threshold)
-        self.prefer = prefer
-        self.tolerance = float(tolerance)
         self.reset()
 
     def reset(self) -> None:
@@ -473,13 +467,13 @@ class DeltaSolver:
         if self._budgets_violated(problem, tier, stored, pool_set, reserved_gb):
             try:
                 if problem.has_finite_capacity():
-                    assignment = repair_capacity(assignment, tolerance=self.tolerance)
+                    assignment = repair_capacity(assignment, tolerance=_TOLERANCE_GB)
                 if pool_set is not None:
                     assignment = repair_pools(
                         assignment,
                         pool_set,
                         reserved_gb=reserved_gb,
-                        tolerance=self.tolerance,
+                        tolerance=_TOLERANCE_GB,
                     )
             except InfeasibleError:
                 report = self._full(
@@ -760,13 +754,13 @@ class DeltaSolver:
         usage = np.bincount(tier, weights=stored, minlength=num_tiers)
         if problem.has_finite_capacity():
             capacities = problem.cost_model.tiers.cost_arrays()["capacity_gb"]
-            if (usage > capacities + self.tolerance).any():
+            if (usage > capacities + _TOLERANCE_GB).any():
                 return True
         if pool_set is not None:
             budgets = pool_set.capacities
             if reserved_gb is not None:
                 budgets = np.maximum(budgets - np.asarray(reserved_gb, dtype=np.float64), 0.0)
-            if (pool_set.usage(usage) > budgets + self.tolerance).any():
+            if (pool_set.usage(usage) > budgets + _TOLERANCE_GB).any():
                 return True
         return False
 
@@ -787,7 +781,7 @@ class DeltaSolver:
                 assignment, pool_set, reserved_gb=reserved_gb
             )
         report = solve_optassign(
-            problem, prefer=self.prefer, post_repair=post_repair
+            problem, prefer=_FULL_SOLVER, post_repair=post_repair
         )
         assignment = report.assignment
         arrays = problem.partition_arrays()

@@ -232,9 +232,8 @@ class OptAssignProblem:
     ) -> "OptAssignProblem":
         """An instance from already-validated parts, skipping ``__init__``.
 
-        The one construction shortcut behind :meth:`relaxed`,
-        :meth:`~repro.core.optassign.StackedProblem.stack` and the online
-        engine's columnar build.  Every part must already have passed
+        The one construction shortcut behind :meth:`relaxed` and the online
+        engine's columnar build (:meth:`repro.engine.WindowPlan.stack`).  Every part must already have passed
         ``__init__``'s validation against this catalog (profiles carrying the
         ``"none"`` scheme, SLO/affinity keyed by known names, banned tiers in
         range); re-validating per row is exactly the cost these callers exist

@@ -29,6 +29,7 @@ from .engine import (
     SettleBlock,
     WindowPlan,
     WindowRecord,
+    solve_stacked,
 )
 from .events import (
     AnyTrigger,
@@ -64,6 +65,7 @@ __all__ = [
     "OnlineTieringEngine",
     "SettleBlock",
     "WindowPlan",
+    "solve_stacked",
     "EpochBatch",
     "ReplayStream",
     "SeriesStream",

@@ -83,6 +83,7 @@ from ..cloud import (
     PartitionArrays,
     PlacementColumns,
     PlacementDecision,
+    PoolSet,
     TierCatalog,
     TimedEvent,
 )
@@ -93,11 +94,13 @@ from ..core.access_predict import WindowedAccessForecaster
 from ..core.access_predict.forecast import ForecastBlock, _decayed, window_rates
 from ..core.optassign import (
     TENANT_SEPARATOR,
+    Assignment,
     DeltaSolver,
     InfeasibleError,
     OptAssignProblem,
     ProfileTable,
     StackedProblem,
+    repair_pools,
     solve_optassign,
 )
 from ..core.optassign.stacked import _stack_profile_columns, _stack_tier_masks
@@ -115,6 +118,7 @@ __all__ = [
     "OnlineTieringEngine",
     "SettleBlock",
     "WindowPlan",
+    "solve_stacked",
 ]
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -345,7 +349,6 @@ class OnlineTieringEngine:
         self.policy = policy
         self._partitions = [replace(partition) for partition in partitions]
         self._arrays = PartitionArrays.from_partitions(self._partitions)
-        self._compiled: CompiledPlacement | None = None
         self._profiles = profiles
         self._profile_provider = profile_provider
         self._latency_slo = dict(latency_slo_s) if latency_slo_s else None
@@ -402,7 +405,6 @@ class OnlineTieringEngine:
         self._last_applied_forecast: RateColumns | None = None
         # Built at the first delta solve: a fleet tenant never solves alone.
         self._delta: DeltaSolver | None = None
-        self.last_delta_report = None
 
     @property
     def placement(self) -> PlacementColumns | None:
@@ -420,7 +422,6 @@ class OnlineTieringEngine:
             if placement is None
             else PlacementColumns.from_mapping(self._arrays.names, placement)
         )
-        self._compiled = None
 
     # -- the control loop -------------------------------------------------------
     def run(self, stream: Iterable[EpochBatch]) -> EngineReport:
@@ -444,34 +445,6 @@ class OnlineTieringEngine:
         """Consume one epoch batch: :meth:`step_window` over its month's
         window (:func:`~repro.engine.events.month_window`)."""
         return self.step_window(month_window(batch))
-
-    def solve_problem(self, problem: OptAssignProblem):
-        """Solve a built instance under the configured ``reopt_mode``.
-
-        ``"full"`` runs :func:`solve_optassign` from scratch.  ``"delta"``
-        hands the instance to the engine's persistent
-        :class:`~repro.core.optassign.DeltaSolver`, built at the first delta
-        solve; the rows the policy's per-partition drift scores flag (when
-        it has them — see
-        :meth:`~repro.engine.policies.TieringPolicy.drifted_rows`; the
-        instance's rows are the engine's) widen the changed-row set, and a
-        ``profile_provider`` forces every row changed since refreshed
-        profiles reprice all candidate options.  The delta report lands in
-        :attr:`last_delta_report` for inspection.
-        """
-        config = self.config
-        with get_tracer().span("engine.solve", mode=config.reopt_mode):
-            if config.reopt_mode == "full":
-                return solve_optassign(problem).assignment
-            if self._delta is None:
-                self._delta = DeltaSolver(drift_threshold=config.delta_drift_threshold)
-            if self._profile_provider is not None:
-                changed = np.arange(len(problem.partition_arrays()))
-            else:
-                changed = self.policy.drifted_rows(config.delta_drift_threshold)
-            report = self._delta.solve(problem, changed=changed)
-            self.last_delta_report = report
-            return report.assignment
 
     # -- the windowed control loop ----------------------------------------------
     # Trigger windows (event-count / wall-clock / drift-score, see
@@ -535,8 +508,8 @@ class OnlineTieringEngine:
         In order: ``begin_window``; when the policy fires, the lone
         re-optimization (:meth:`_reoptimize`: a one-member
         :class:`WindowPlan` over the engine's own :class:`SettleBlock`,
-        ``solve_problem`` and the plan's apply); then the window's settle
-        through the same block.
+        :func:`solve_stacked` and the plan's apply); then the window's
+        settle through the same block.
 
         A window whose ``cause`` is ``"drift"`` forces a re-optimization even
         if the policy would not fire — the trigger has already detected drift
@@ -568,34 +541,41 @@ class OnlineTieringEngine:
         return record
 
     def _reoptimize(self, window: StreamWindow) -> MigrationReport | None:
-        """Plan → solve → apply one lone re-optimization, the lone twin of
-        the fleet's: a :class:`WindowPlan` whose one member is this engine,
-        with the empty tenant tag, in its own block.  Returns the migration
-        report, or ``None`` when a chaos run froze the placement."""
+        """Plan → solve → apply one lone re-optimization, in the steps and
+        the order of the fleet's: a :class:`WindowPlan` whose one member is
+        this engine, with the empty tenant tag, in its own block; the one
+        solve of its instance (:func:`solve_stacked`), degraded by the
+        chaos ladder on a chaos run; the plan's apply; then the chaos
+        notes.  Returns the migration report, or ``None`` when a chaos run
+        froze the placement."""
         epoch = window.index
         tracer = get_tracer()
+        config = self.config
         plan = WindowPlan(epoch, [("", self._lone_block(), 0)])
         with tracer.span("engine.build_problem", epoch=epoch):
             with tracer.span("engine.forecast"):
                 plan.forecast()
-            problem = plan.stack().problem
-        try:
-            assignment = self.solve_problem(problem)
-        except InfeasibleError as error:
-            # Graceful degradation is a chaos-run contract only: a calm run
-            # keeps its loud fail-fast certificates.  With chaos attached and
-            # a standing placement to fall back on, the window is billed at
-            # the frozen layout and the failure is recorded as a structured
-            # DegradationReport.
-            if self.chaos is None or self.placement is None:
-                raise
-            self.chaos.record_frozen_placement(self, epoch, error)
+            stacked = plan.stack()
+        if config.reopt_mode == "delta" and self._delta is None:
+            self._delta = DeltaSolver(drift_threshold=config.delta_drift_threshold)
+        with tracer.span("engine.solve", mode=config.reopt_mode):
+            try:
+                solved = solve_stacked(stacked, [self], self._delta)
+            except InfeasibleError as error:
+                # Graceful degradation is a chaos-run contract only: a calm
+                # run keeps its loud fail-fast certificates.
+                if self.chaos is None:
+                    raise
+                solved = self.chaos.degrade_solve(epoch, stacked, [self], error)
+        if solved is None:
             return None
+        assignment, relaxation = solved
         with tracer.span("engine.migrate", epoch=epoch) as span:
             (migration,) = plan.apply(assignment)
             span.set(num_moved=migration.num_moved)
         if self.chaos is not None:
             self.chaos.note_migration(epoch, migration, self._banned_tiers)
+            self.chaos.note_relaxation(epoch, relaxation)
         return migration
 
     # -- external-scheduling hooks ----------------------------------------------
@@ -725,22 +705,6 @@ class OnlineTieringEngine:
         """Replace the banned-tier set (a provider outage's dead tiers)."""
         self._banned_tiers = frozenset(int(index) for index in banned)
 
-    def invalidate_pricing(self) -> None:
-        """Drop price-derived caches after an in-place catalog re-pricing.
-
-        The compiled placement snapshots the catalog's price vectors at
-        compile time; recompiling against the live (just-repriced) catalog is
-        what makes the *next* settle bill at post-shock prices.
-        """
-        self._compiled = None
-
-    @property
-    def delta_solver(self) -> DeltaSolver | None:
-        """The persistent delta solver in ``reopt_mode="delta"``, from the
-        engine's first solve on (else None: a fleet solves its tenants with
-        its own)."""
-        return self._delta
-
     def partitions_on_tiers(self, tier_indices: Iterable[int]) -> list[str]:
         """Names of partitions currently placed on any of the given tiers."""
         wanted = sorted(set(int(index) for index in tier_indices))
@@ -799,21 +763,17 @@ class OnlineTieringEngine:
         return self._compiled_placement().tier_usage_gb()
 
     def _compiled_placement(self) -> CompiledPlacement:
-        """The applied placement compiled for billing (cached).
+        """The applied placement compiled for billing.
 
-        The compiled placement answers billing queries with vectorized
-        gathers; it is dropped whenever a re-optimization moves data or the
-        catalog is re-priced, and rebuilt here on next use.
+        The block that holds this engine keeps it, compiled again whenever a
+        re-optimization moved data or the catalog was re-priced; without
+        such a block it is compiled afresh.
         """
-        if self._compiled is None:
-            block = self._block
-            if block is not None and block.intact():
-                block._refresh_prices([self._block_k])
-            else:
-                self._compiled = self.simulator.compile_placement(
-                    self._arrays, self.placement
-                )
-        return self._compiled
+        block = self._block
+        if block is None or not block.intact():
+            return self.simulator.compile_placement(self._arrays, self.placement)
+        block._refresh_prices([self._block_k])
+        return block._priced[self._block_k]
 
     # -- re-optimization ---------------------------------------------------------
     def _constraint_parts(self, epoch: int, codecs: Callable[[], tuple]) -> tuple:
@@ -897,8 +857,9 @@ class SettleBlock:
     :class:`~repro.cloud.CompiledPlacement` over its row range of the price
     columns.  A placement an engine got any other way (the ``placement``
     setter) is copied in, with its rows' codecs, and its prices compiled, at
-    the block's next use; so are the prices of an engine whose pricing was
-    invalidated.  Beside them the block keeps each engine's validated
+    the block's next use; so are the prices of an engine whose catalog was
+    re-priced since they were compiled (its ``pricing_version`` moved).
+    Beside them the block keeps each engine's validated
     constraint parts (profile table, SLO and affinity maps, banned tiers,
     profile columns, tier mask) and its tagged names and maps.
 
@@ -991,6 +952,8 @@ class SettleBlock:
         self._storage: list[float] = [0.0] * len(engines)
         self._storage_bill: list[tuple[float, float]] = [(math.nan, 0.0)] * len(engines)
         self._priced: list[CompiledPlacement | None] = [None] * len(engines)
+        # The catalog pricing_version each engine's prices were compiled at.
+        self._versions: list[int] = [0] * len(engines)
         self._usage: np.ndarray | None = None
         # Constraint parts: each engine's validated state last written in
         # and its tagged maps.
@@ -1098,21 +1061,26 @@ class SettleBlock:
     def _refresh_prices(self, ks: Sequence[int] | None = None) -> None:
         """Copy in placements as :meth:`_sync` does, and compile the prices
         of every placed engine (of ``ks``, default all) whose placement or
-        pricing changed since they were last compiled here."""
-        placements, priced = self._placements, self._priced
+        catalog prices changed since they were last compiled here."""
+        placements = self._placements
         stale = []
         engines = self.engines
         for k in range(len(engines)) if ks is None else ks:
-            engine = engines[k]
-            placement = engine._placement
+            placement = engines[k]._placement
             if placement is not placements[k]:
                 self._copy_placement(k)
-            if placement is not None and (
-                priced[k] is None or engine._compiled is not priced[k]
-            ):
+            if placement is not None and self._stale_prices(k):
                 stale.append(k)
         if stale:
             self._compile(stale)
+
+    def _stale_prices(self, k: int) -> bool:
+        """True when engine ``k``'s prices were never compiled here, or its
+        catalog was re-priced since."""
+        return (
+            self._priced[k] is None
+            or self._versions[k] != self.engines[k].tiers.pricing_version
+        )
 
     def _compile(self, ks: Sequence[int]) -> None:
         """Compile the prices of engines ``ks`` from the placement columns
@@ -1135,12 +1103,13 @@ class SettleBlock:
         for k in ks:
             engine = engines[k]
             rows = slice(self._starts[k], self._starts[k + 1])
-            self._priced[k] = engine._compiled = CompiledPlacement.from_columns(
+            self._priced[k] = CompiledPlacement.from_columns(
                 engine.simulator,
                 engine._arrays,
                 self.tier[rows],
                 [column[rows] for column in self._prices],
             )
+            self._versions[k] = engine.tiers.pricing_version
             self._sum_storage(k)
 
     def _price_rows(self, simulator: CloudStorageSimulator, rows: np.ndarray) -> None:
@@ -1403,12 +1372,7 @@ class SettleBlock:
         applied; the other rows keep theirs.  An engine placed for the first
         time, or re-priced since, compiles whole."""
         engines = self.engines
-        compiled = self._priced
-        whole = [
-            k
-            for k in ks
-            if compiled[k] is None or engines[k]._compiled is not compiled[k]
-        ]
+        whole = [k for k in ks if self._stale_prices(k)]
         if whole:
             self._compile(whole)
             changed = changed[~np.isin(self._owner[changed], whole)]
@@ -1567,11 +1531,13 @@ class WindowPlan:
     :class:`~repro.core.optassign.StackedProblem` from the blocks' cached
     per-tenant parts (:meth:`stack`) and prices and applies every move of a
     run in one pass (:meth:`apply`) — what each engine's own forecast, the
-    object build, ``StackedProblem.stack`` and the per-partition scan do one
-    tenant at a time, bit for bit (the references in
+    object build, a stack of the per-tenant instances and the per-partition
+    scan do one tenant at a time, bit for bit (the references in
     ``tests/oracles/plan.py``).  The runs in order give the stacked rows:
     members in order, each member's rows in its engine's order, named as
     its block tags them (a lone engine's block leaves them untagged).
+    Between :meth:`stack` and :meth:`apply` every host solves the instance
+    through :func:`solve_stacked`.
     """
 
     def __init__(self, epoch: int, members: Sequence[tuple[str, SettleBlock, int]]):
@@ -1626,8 +1592,8 @@ class WindowPlan:
             spans.append((start, start + block._sizes[k]))
             start += block._sizes[k]
         engines = [block.engines[k] for _, block, k in self.members]
-        # Each tenant's cached profile columns and tier mask, stacked as
-        # StackedProblem.stack stacks them.
+        # Each tenant's cached profile columns and tier mask, stacked onto
+        # the scheme union.
         parts = [own for part in gathered for own in part.parts]
         banned = frozenset().union(*(own[3] for own in parts))
         config = engines[0].config
@@ -1667,8 +1633,6 @@ class WindowPlan:
             problem=problem,
             tenants=tuple(name for name, _, _ in self.members),
             tenant_spans=tuple(spans),
-            tenant_names=tuple(engine._arrays.names for engine in engines),
-            tenant_profiles=tuple(block._parts[k][0] for _, block, k in self.members),
         )
 
     def apply(self, assignment) -> list[MigrationReport]:
@@ -1700,6 +1664,60 @@ class WindowPlan:
             block.engines[k]._notify_applied(epoch)
             counter.add()
         return reports
+
+
+def solve_stacked(
+    stacked: StackedProblem,
+    engines: Sequence[OnlineTieringEngine],
+    delta: DeltaSolver | None = None,
+    pools: PoolSet | None = None,
+    reserved_gb: np.ndarray | None = None,
+) -> tuple[Assignment, float]:
+    """The one solve of a window's instance: its assignment and the latency
+    relaxation it needed (1.0 = none).  A lone engine and a fleet solve
+    through it alike.
+
+    ``engines`` are the firing engines, one per tenant span of ``stacked``.
+    Without a ``delta`` solver this is
+    :func:`~repro.core.optassign.solve_optassign` (the greedy solver on an
+    uncapacitated catalog, such as every fleet's), with
+    :func:`~repro.core.optassign.repair_pools` inside its relaxation loop
+    when ``pools`` are given: an unfixable pool relaxes latency exactly as
+    solver infeasibility does, while the fail-fast certificates run once.
+    With one, it is that solver's incremental solve, fed each engine's
+    drift-hint rows offset by its span: the rows its policy's
+    per-partition scores flag (:meth:`~repro.engine.policies.TieringPolicy.
+    drifted_rows`), or every row of an engine with a ``profile_provider``,
+    whose refreshed profiles can reprice every candidate.  ``reserved_gb``
+    is the pool capacity the placements outside the instance hold.  Raises
+    :class:`~repro.core.optassign.InfeasibleError` when no relaxation
+    helps.
+    """
+    problem = stacked.problem
+    if delta is None:
+        post_repair = None
+        if pools is not None:
+            post_repair = lambda assignment: repair_pools(  # noqa: E731
+                assignment, pools, reserved_gb=reserved_gb
+            )
+        report = solve_optassign(problem, post_repair=post_repair)
+        return report.assignment, report.latency_relaxation
+    hints = []
+    for engine, (start, stop) in zip(engines, stacked.tenant_spans):
+        if engine._profile_provider is not None:
+            hints.append(np.arange(start, stop))
+            continue
+        rows = engine.policy.drifted_rows(delta.drift_threshold)
+        if rows is not None and rows.size:
+            hints.append(rows + start)
+    report = delta.solve(
+        problem,
+        changed=np.concatenate(hints) if hints else None,
+        pool_set=pools,
+        reserved_gb=reserved_gb,
+    )
+    full = report.full_report
+    return report.assignment, 1.0 if full is None else full.latency_relaxation
 
 
 def _observed_rates(

@@ -78,15 +78,13 @@ class MoveColumns(NamedTuple):
 class MigrationReport:
     """Everything a placement change cost.
 
-    The engine's apply pass (:meth:`repro.engine.SettleBlock.apply`)
-    reports its moves as :class:`MoveColumns` over the partition ``names``
-    (it hands every engine of a window the same columns, each report over
-    its own ``span`` of them, with its totals); :attr:`moves` builds one
+    The moves are :class:`MoveColumns` over the partition ``names``: the
+    engine's apply pass (:meth:`repro.engine.SettleBlock.apply`) hands
+    every engine of a window the same columns, each report over its own
+    ``span`` of them, with its totals.  :attr:`moves` builds one
     :class:`MigrationRecord` per move on first read and keeps the list, as
-    :attr:`repro.core.optassign.Assignment.choices` does.  A report can also
-    be built from records (``MigrationReport(epoch, moves)``).  Every total
-    is the built-in ``sum`` over one value per move, in move order, whichever
-    form the report holds.
+    :attr:`repro.core.optassign.Assignment.choices` does.  Every total is
+    the built-in ``sum`` over one value per move, in move order.
     """
 
     __slots__ = ("epoch", "_names", "_columns", "_span", "_moves", "_totals")
@@ -94,10 +92,8 @@ class MigrationReport:
     def __init__(
         self,
         epoch: int,
-        moves: list[MigrationRecord] | None = None,
-        *,
-        names: Sequence[str] = (),
-        columns: MoveColumns | None = None,
+        names: Sequence[str],
+        columns: MoveColumns,
         span: tuple[int, int] | None = None,
         totals: dict[str, float] | None = None,
     ):
@@ -107,7 +103,7 @@ class MigrationReport:
         # The report's moves are columns[start:stop] when several reports
         # share one set of columns.
         self._span = span
-        self._moves = moves if moves is not None or columns is not None else []
+        self._moves: list[MigrationRecord] | None = None
         self._totals: dict[str, float] = {} if totals is None else totals
 
     def _column(self, field: str) -> np.ndarray:
@@ -132,14 +128,7 @@ class MigrationReport:
         """The built-in ``sum`` of one value per move, in move order (kept)."""
         total = self._totals.get(field)
         if total is None:
-            if self._columns is None:
-                values = [
-                    move.cost + move.egress_cost
-                    if field == "migration_cost"
-                    else getattr(move, field)
-                    for move in self._moves
-                ]
-            elif field == "migration_cost":
+            if field == "migration_cost":
                 values = (self._column("cost") + self._column("egress_cost")).tolist()
             else:
                 values = self._column(field).tolist()
@@ -148,8 +137,6 @@ class MigrationReport:
 
     @property
     def num_moved(self) -> int:
-        if self._columns is None:
-            return len(self._moves)
         return len(self._column("rows"))
 
     @property
@@ -178,17 +165,8 @@ class MigrationReport:
     def evacuation_cost(self, tiers: "frozenset[int] | set[int]") -> float | None:
         """The move and egress charges of the moves out of ``tiers``, in
         cents, or ``None`` when no move left them."""
-        if self._columns is None:
-            charges = [
-                move.cost + move.egress_cost
-                for move in self._moves
-                if move.from_tier in tiers
-            ]
-        else:
-            off = np.isin(self._column("from_tier"), sorted(tiers))
-            charges = (
-                self._column("cost")[off] + self._column("egress_cost")[off]
-            ).tolist()
+        off = np.isin(self._column("from_tier"), sorted(tiers))
+        charges = (self._column("cost")[off] + self._column("egress_cost")[off]).tolist()
         return float(sum(charges)) if charges else None
 
     def __eq__(self, other) -> bool:

@@ -13,7 +13,9 @@ monthly run steps each month as a one-month window
    shares a ring width and an EWMA alpha is one block): one forecast pass
    over every firing row of a block, then the warm-started, tenant-tagged
    instance (:class:`~repro.core.optassign.StackedProblem`) assembled from
-   the blocks' cached per-tenant parts, and a *single* vectorized solve;
+   the blocks' cached per-tenant parts, and a *single* vectorized solve
+   through :func:`~repro.engine.solve_stacked`, the solve a lone engine
+   runs too;
 3. arbitrates the shared :class:`~repro.cloud.PoolSet` budgets with
    :func:`~repro.core.optassign.repair_pools` — greedy regret-per-GB
    water-filling across every competing tenant, with the standing placements
@@ -53,14 +55,7 @@ from ..cloud import (
 )
 from ..obs import get_metrics, get_tracer
 from ..obs.clock import monotonic_s
-from ..core.optassign import (
-    TENANT_SEPARATOR,
-    DeltaSolver,
-    InfeasibleError,
-    StackedProblem,
-    repair_pools,
-    solve_optassign,
-)
+from ..core.optassign import TENANT_SEPARATOR, DeltaSolver, InfeasibleError
 from ..engine import (
     EngineReport,
     EpochBatch,
@@ -70,6 +65,7 @@ from ..engine import (
     TriggerWindow,
     WindowPlan,
     month_window,
+    solve_stacked,
     windowed,
 )
 from .report import FleetReport, PoolUsageRecord
@@ -98,7 +94,9 @@ class FleetScheduler:
         Fleet knobs; its ``engine`` config is the default for specs without
         their own.  All tenants must price placements identically (same
         horizon, objective weights and compute price) so their problems can
-        be stacked into one solve.
+        be stacked into one solve, and a spec's own config must solve as
+        that one solve does (the fleet's ``reopt_mode`` and
+        ``delta_drift_threshold``).
     chaos:
         Optional :class:`~repro.chaos.ChaosInjector` applying a
         :class:`~repro.chaos.DisruptionSchedule` at window boundaries —
@@ -153,7 +151,7 @@ class FleetScheduler:
             first.name,
             self._pricing_of(first),
         )
-        for spec in self.tenants[1:]:
+        for spec in self.tenants:
             self._check_pricing(spec)
 
         self.engines: dict[str, OnlineTieringEngine] = {
@@ -177,16 +175,13 @@ class FleetScheduler:
         self._members: dict[str, tuple[SettleBlock, int]] = {}
         # Incremental fleet solves: one DeltaSolver across epochs, keyed by
         # tenant-tagged names so the varying firing subsets merge into a
-        # single fleet-wide cache.  Governed by the *shared* engine config —
-        # there is only one stacked solve to be incremental about, so
-        # per-spec ``reopt_mode`` overrides are not consulted here.
+        # single fleet-wide cache.  Governed by the shared engine config,
+        # which every spec's own config must match (_check_pricing).
         self._delta: DeltaSolver | None = (
             DeltaSolver(drift_threshold=self.config.engine.delta_drift_threshold)
             if self.config.engine.reopt_mode == "delta"
             else None
         )
-        self.last_delta_report = None
-        self.last_solve_report = None
 
     # -- helpers ---------------------------------------------------------------
     def _pricing_of(self, spec: TenantSpec) -> tuple:
@@ -198,12 +193,27 @@ class FleetScheduler:
         )
 
     def _check_pricing(self, spec: TenantSpec) -> None:
+        """Raise unless ``spec`` prices placements as the first tenant does
+        and its own config, if any, solves as the fleet's one solver does."""
         first_name, reference = self._pricing_reference
         if self._pricing_of(spec) != reference:
             raise ValueError(
                 f"tenants {first_name!r} and {spec.name!r} price placements "
                 "differently (horizon, compute price or weights); stacked "
                 "fleet solves require identical pricing"
+            )
+        own, fleet = spec.config, self.config.engine
+        if own is not None and (own.reopt_mode, own.delta_drift_threshold) != (
+            fleet.reopt_mode,
+            fleet.delta_drift_threshold,
+        ):
+            raise ValueError(
+                f"tenant {spec.name!r} solves with reopt_mode="
+                f"{own.reopt_mode!r} and delta_drift_threshold="
+                f"{own.delta_drift_threshold!r}, but the fleet solves every "
+                f"tenant in one stacked solve with reopt_mode="
+                f"{fleet.reopt_mode!r} and delta_drift_threshold="
+                f"{fleet.delta_drift_threshold!r}"
             )
 
     def _make_engine(self, spec: TenantSpec) -> OnlineTieringEngine:
@@ -222,9 +232,10 @@ class FleetScheduler:
         """Admit a tenant mid-run (chaos ``TenantJoin`` or manual onboarding).
 
         The spec is validated exactly as at construction (unique never-used
-        name, unshared policy, fleet-identical pricing).  Callers stepping
-        the fleet include the tenant in their windows or batches from then
-        on; a tenant they leave out settles empty windows.
+        name, unshared policy, fleet-identical pricing and solver settings).
+        Callers stepping the fleet include the tenant in their windows or
+        batches from then on; a tenant they leave out settles empty
+        windows.
         """
         if spec.name in self._records:
             raise ValueError(
@@ -282,64 +293,6 @@ class FleetScheduler:
             usage += matrix[k]
         return usage
 
-    def _solve_arbitrated(self, stacked: StackedProblem, reserved_gb):
-        """One stacked solve with pool arbitration inside the facade's loop.
-
-        Pool arbitration rides ``solve_optassign``'s own latency-relaxation
-        loop via its ``post_repair`` hook: an unfixable pool relaxes latency
-        exactly as tier-capacity infeasibility does (the paper's
-        prescription), while the facade's up-front fail-fast certificates
-        (hard SLO/affinity masks latency relaxation can never fix) still run
-        once and surface their pointed diagnostics immediately.
-        """
-        post_repair = None
-        if self.pools is not None:
-            post_repair = lambda assignment: repair_pools(  # noqa: E731
-                assignment, self.pools, reserved_gb=reserved_gb
-            )
-        report = solve_optassign(
-            stacked.problem, prefer="greedy", post_repair=post_repair
-        )
-        # Kept for the chaos injector's DegradationReport: how far the
-        # facade's relaxation ladder had to widen the latency SLAs.
-        self.last_solve_report = report
-        return report.assignment
-
-    def _solve_delta(self, stacked: StackedProblem, reserved_gb):
-        """One incremental stacked solve: only drifted rows re-optimize.
-
-        The firing tenants' policies contribute per-partition drift hints as
-        rows of their engines, offset to each tenant's span of the stacked
-        instance; the delta solver's own feature detector widens the set
-        with structural changes it spots itself.  Pool budgets are checked
-        against the composed placement and repaired only on violation —
-        bootstrap epochs and unfixable violations fall back to the full
-        arbitrated solve inside the solver.
-        """
-        threshold = self.config.engine.delta_drift_threshold
-        hints = []
-        for name, (start, _) in zip(stacked.tenants, stacked.tenant_spans):
-            rows = self.engines[name].policy.drifted_rows(threshold)
-            if rows is not None and rows.size:
-                hints.append(rows + start)
-        report = self._delta.solve(
-            stacked.problem,
-            changed=np.concatenate(hints) if hints else None,
-            pool_set=self.pools,
-            reserved_gb=reserved_gb,
-        )
-        self.last_delta_report = report
-        return report.assignment
-
-    def _last_relaxation(self) -> float:
-        """Latency-relaxation factor of the epoch's stacked solve (1.0 = none)."""
-        if self._delta is not None:
-            report = self.last_delta_report
-            full = report.full_report if report is not None else None
-            return full.latency_relaxation if full is not None else 1.0
-        report = self.last_solve_report
-        return report.latency_relaxation if report is not None else 1.0
-
     def _reoptimize(
         self,
         epoch: int,
@@ -347,19 +300,18 @@ class FleetScheduler:
         order: Sequence[str],
         tracer,
     ) -> dict[str, object]:
-        """Plan → solve → apply for the firing tenants: one pass each.
+        """Plan → solve → apply for the firing tenants: one pass each, in
+        the steps and the order of a lone engine's.
 
         ``epoch`` is the window ordinal.  A
         :class:`~repro.engine.WindowPlan` over the tenants' blocks forecasts
         every firing row and assembles the stacked instance from the blocks'
-        columns, and after the solve prices and applies every move.  Returns
-        the per-tenant migration reports of an applied solve (empty when
-        placements froze).
+        columns; :func:`~repro.engine.solve_stacked` solves it against the
+        shared pools less what the standing placements hold (a chaos run
+        degrades an infeasible solve through the injector's ladder); the
+        plan then prices and applies every move.  Returns the per-tenant
+        migration reports of an applied solve (empty when placements froze).
         """
-        migrations: dict[str, object] = {}
-        # The last solve's report holds its stacked problem and cost
-        # tensors; drop it before this solve builds its own.
-        self.last_solve_report = self.last_delta_report = None
         with tracer.span("fleet.build_problem", tenants=len(firing)):
             self._fleet_blocks()
             members = self._members
@@ -374,40 +326,35 @@ class FleetScheduler:
                 firing_set = set(firing)
                 standing = [name for name in order if name not in firing_set]
                 reserved = self.pools.usage(self._fleet_tier_usage(standing))
+        engines = [self.engines[name] for name in firing]
         with tracer.span("fleet.solve", tenants=len(firing)):
             try:
-                if self._delta is not None:
-                    assignment = self._solve_delta(stacked, reserved)
-                else:
-                    assignment = self._solve_arbitrated(stacked, reserved)
+                solved = solve_stacked(
+                    stacked, engines, self._delta, self.pools, reserved
+                )
             except InfeasibleError as error:
-                # Chaos runs degrade instead of crashing: retry with
-                # pool budgets suspended, then freeze the standing
-                # placements — either way a structured
-                # DegradationReport records what gave.  Calm runs
-                # keep their loud fail-fast certificates.
+                # Calm runs keep their loud fail-fast certificates.
                 if self.chaos is None:
                     raise
-                assignment = self.chaos.degrade_fleet_solve(
-                    self, stacked, reserved, error
+                solved = self.chaos.degrade_solve(
+                    epoch, stacked, engines, error, self.pools
                 )
-        if assignment is not None:
-            with tracer.span("fleet.apply", tenants=len(firing)):
-                with tracer.span("engine.migrate", epoch=epoch) as span:
-                    reports = plan.apply(assignment)
-                    span.set(num_moved=sum(report.num_moved for report in reports))
-            migrations = dict(zip(firing, reports))
-            if self.chaos is not None:
-                for name in firing:
-                    self.chaos.note_migration(
-                        epoch,
-                        migrations[name],
-                        self.engines[name].banned_tiers,
-                        tenant=name,
-                    )
-                self.chaos.note_relaxation(epoch, self._last_relaxation())
-        # else: frozen placements — nothing applied, the firing engines'
-        # pending forecasts are dropped by settle.
+        if solved is None:
+            # Frozen placements: nothing applied; the firing engines'
+            # pending forecasts are dropped by settle.
+            return {}
+        assignment, relaxation = solved
+        with tracer.span("fleet.apply", tenants=len(firing)):
+            with tracer.span("engine.migrate", epoch=epoch) as span:
+                reports = plan.apply(assignment)
+                span.set(num_moved=sum(report.num_moved for report in reports))
+        migrations = dict(zip(firing, reports))
+        if self.chaos is not None:
+            for name, engine in zip(firing, engines):
+                self.chaos.note_migration(
+                    epoch, migrations[name], engine.banned_tiers, tenant=name
+                )
+            self.chaos.note_relaxation(epoch, relaxation)
         return migrations
 
     def _note_pool_usage(

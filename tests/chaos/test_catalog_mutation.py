@@ -4,8 +4,11 @@ banned tiers in problems, and the delta solver's selective invalidation."""
 import numpy as np
 import pytest
 
+from oracles.problems import stack
 from repro.cloud import (
+    AccessEvent,
     CapacityPool,
+    CloudStorageSimulator,
     CostModel,
     DataPartition,
     PoolSet,
@@ -17,7 +20,8 @@ from repro.core.optassign import (
     OptAssignProblem,
     solve_optassign,
 )
-from repro.core.optassign.stacked import StackedProblem
+from repro.engine import EpochBatch, OnlineTieringEngine, StaticOnce, month_window
+from repro.fleet import FleetScheduler, TenantSpec
 
 
 @pytest.fixture
@@ -132,6 +136,79 @@ class TestReprice:
             )
 
 
+class TestPricesFollowTheCatalog:
+    """An in-place reprice that no injector announces still bills the next
+    window at the new prices: a settle block compiles an engine's prices
+    again once its catalog's ``pricing_version`` has moved."""
+
+    @staticmethod
+    def partitions(prefix=""):
+        return [
+            DataPartition(
+                f"{prefix}p{i}", size_gb=100.0 * (i + 1), predicted_accesses=float(i)
+            )
+            for i in range(4)
+        ]
+
+    @staticmethod
+    def month(partitions, epoch):
+        return EpochBatch(
+            epoch=epoch,
+            events=tuple(AccessEvent(epoch, p.name, 1.0) for p in partitions),
+        )
+
+    @staticmethod
+    def fresh_bill(engine, batch):
+        """The batch billed by the engine's placement compiled afresh."""
+        step = (
+            CloudStorageSimulator(engine.tiers)
+            .compile_placement(engine._arrays, engine.placement)
+            .step(month_window(batch).events)
+        )
+        return (step.bill.storage, step.bill.read, step.bill.decompression)
+
+    def test_a_lone_engine_bills_a_direct_reprice(self):
+        catalog = multi_cloud_catalog()
+        partitions = self.partitions()
+        engine = OnlineTieringEngine(partitions, catalog, StaticOnce())
+        for epoch in range(2):
+            before = engine.step(self.month(partitions, epoch))
+        catalog.reprice(storage_factor=2.0)
+        batch = self.month(partitions, 2)
+        record = engine.step(batch)
+        assert record.storage_cost == 2.0 * before.storage_cost
+        assert (
+            record.storage_cost,
+            record.read_cost,
+            record.decompression_cost,
+        ) == self.fresh_bill(engine, batch)
+
+    def test_a_fleet_bills_a_direct_reprice(self):
+        catalog = multi_cloud_catalog()
+        tenants = {name: self.partitions(name) for name in ("a", "b")}
+        fleet = FleetScheduler(
+            [
+                TenantSpec(name, partitions, StaticOnce(), stream=iter(()))
+                for name, partitions in tenants.items()
+            ],
+            catalog,
+        )
+        for epoch in range(2):
+            fleet.step_epoch(
+                {name: self.month(partitions, epoch) for name, partitions in tenants.items()}
+            )
+        catalog.reprice(read_factor=3.0, storage_factor=0.5)
+        batches = {name: self.month(partitions, 2) for name, partitions in tenants.items()}
+        fleet.step_epoch(batches)
+        for name, records in fleet.report().tenant_reports.items():
+            last = records.records[-1]
+            assert (
+                last.storage_cost,
+                last.read_cost,
+                last.decompression_cost,
+            ) == self.fresh_bill(fleet.engines[name], batches[name])
+
+
 class TestPoolResize:
     def test_set_capacity_in_place(self):
         catalog = multi_cloud_catalog()
@@ -199,7 +276,7 @@ class TestBannedTiers:
         assert problem.relaxed(2.0).banned_tiers == frozenset({0})
 
     def test_stack_unions_bans(self, catalog):
-        stacked = StackedProblem.stack(
+        stacked = stack(
             {
                 "a": make_problem(catalog, banned=[0]),
                 "b": make_problem(catalog, banned=[1]),

@@ -249,6 +249,22 @@ class TestDegradation:
         ]
         assert frozen, "expected a placement_frozen degradation action"
 
+    def test_a_relaxed_solve_is_recorded(self):
+        """A lone engine notes its solve's latency relaxation as a fleet
+        does: a partition faster than every tier is placed once the SLA is
+        widened x2, and that window's report says so."""
+        catalog = multi_cloud_catalog()
+        chaos = ChaosInjector(DisruptionSchedule.empty())
+        fast = DataPartition(
+            "fast", size_gb=50.0, predicted_accesses=5.0, latency_threshold_s=0.003
+        )
+        engine = OnlineTieringEngine([fast], catalog, PeriodicReoptimize(2), chaos=chaos)
+        engine.run(SeriesStream({"fast": [5.0] * 3}, num_epochs=3))
+        assert [
+            (report.epoch, [(action.kind, action.amount) for action in report.actions])
+            for report in chaos.reports
+        ] == [(0, [("latency_relaxed", 2.0)]), (2, [("latency_relaxed", 2.0)])]
+
     def test_calm_engine_still_fails_fast(self):
         catalog = multi_cloud_catalog()
         engine = OnlineTieringEngine(

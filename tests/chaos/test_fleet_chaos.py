@@ -15,8 +15,10 @@ from repro.chaos import (
     TenantLeave,
 )
 from repro.cloud import DataPartition, PoolSet, TimedEvent, multi_cloud_catalog
+from repro.core.optassign import InfeasibleError
 from repro.engine import (
     EngineConfig,
+    OnlineTieringEngine,
     SeriesStream,
     StaticOnce,
     StreamWindow,
@@ -263,15 +265,21 @@ class TestDeltaEquivalenceUnderChaos:
     re-solve bill on every disruption type (threshold 0, rel 1e-6)."""
 
     def assert_equivalent(self, schedule_builder, **kwargs):
-        _, _, full, _ = run_fleet(schedule_builder(), config=FULL_CONFIG, **kwargs)
-        _, _, delta, _ = run_fleet(schedule_builder(), config=DELTA_CONFIG, **kwargs)
+        """``schedule_builder(config)`` builds the schedule for a fleet
+        whose engines run ``config`` (a joiner's spec must match it)."""
+        _, _, full, _ = run_fleet(
+            schedule_builder(FULL_CONFIG), config=FULL_CONFIG, **kwargs
+        )
+        _, _, delta, _ = run_fleet(
+            schedule_builder(DELTA_CONFIG), config=DELTA_CONFIG, **kwargs
+        )
         assert delta.total_bill == pytest.approx(
             full.total_bill, rel=COST_RTOL
         )
 
     def test_outage_and_recovery(self):
         self.assert_equivalent(
-            lambda: DisruptionSchedule(
+            lambda config: DisruptionSchedule(
                 [
                     ProviderOutage(epoch=2, provider="azure_blob"),
                     ProviderRecovery(epoch=4, provider="azure_blob"),
@@ -281,28 +289,28 @@ class TestDeltaEquivalenceUnderChaos:
 
     def test_price_shock_increase(self):
         self.assert_equivalent(
-            lambda: DisruptionSchedule(
+            lambda config: DisruptionSchedule(
                 [PriceShock(epoch=2, provider="aws_s3", storage_factor=5.0)]
             )
         )
 
     def test_price_shock_decrease(self):
         self.assert_equivalent(
-            lambda: DisruptionSchedule(
+            lambda config: DisruptionSchedule(
                 [PriceShock(epoch=2, storage_factor=0.25, read_factor=0.5)]
             )
         )
 
     def test_pool_shock(self):
         self.assert_equivalent(
-            lambda: DisruptionSchedule(
+            lambda config: DisruptionSchedule(
                 [PoolShock(epoch=2, pool="azure_blob", capacity_gb=120.0)]
             )
         )
 
     def test_churn(self):
-        def schedule():
-            joiner = make_specs(1, offset=10)[0]
+        def schedule(config):
+            joiner = make_specs(1, offset=10, config=config)[0]
             return DisruptionSchedule(
                 [
                     TenantJoin(epoch=2, spec=joiner),
@@ -313,8 +321,8 @@ class TestDeltaEquivalenceUnderChaos:
         self.assert_equivalent(schedule)
 
     def test_combined_storm(self):
-        def schedule():
-            joiner = make_specs(1, offset=11)[0]
+        def schedule(config):
+            joiner = make_specs(1, offset=11, config=config)[0]
             return DisruptionSchedule(
                 [
                     ProviderOutage(epoch=1, provider="azure_blob"),
@@ -341,7 +349,7 @@ class TestTenantEnginesHoldNoDeltaSolver:
         )
         assert report.total_reoptimizations > len(scheduler.engines)
         assert scheduler._delta is not None
-        assert all(engine.delta_solver is None for engine in scheduler.engines.values())
+        assert all(engine._delta is None for engine in scheduler.engines.values())
 
 
 class TestDegradedWindowReportsItsOwnRelaxation:
@@ -392,3 +400,91 @@ class TestDegradedWindowReportsItsOwnRelaxation:
         assert [(a.kind, a.amount) for a in first.actions] == [("latency_relaxed", 2.0)]
         assert second.epoch == 1
         assert [a.kind for a in second.actions] == ["pool_budget_suspended"]
+
+
+class TestOneDegradationLadder:
+    def test_a_frozen_bootstrap_raises_as_the_lone_engine_does(self):
+        """Only azure_blob/premium meets a 0.01 s cap, and its provider is
+        down from the start: the first solve is infeasible and no tenant has
+        a placement to freeze at, so the fleet raises instead of billing
+        nothing, as a lone engine on the same input does."""
+        catalog = multi_cloud_catalog()
+        partitions = [
+            DataPartition(f"p{i}", size_gb=10.0, predicted_accesses=3.0) for i in range(3)
+        ]
+        slo = {partition.name: 0.01 for partition in partitions}
+        series = {partition.name: [9.0] * 3 for partition in partitions}
+
+        def outage():
+            return ChaosInjector(
+                DisruptionSchedule([ProviderOutage(epoch=0, provider="azure_blob")])
+            )
+
+        fleet = FleetScheduler(
+            [
+                TenantSpec(
+                    "t", partitions, StaticOnce(), series=series, latency_slo_s=slo
+                )
+            ],
+            catalog,
+            chaos=outage(),
+        )
+        with pytest.raises(InfeasibleError, match="never-relaxed"):
+            fleet.run()
+        assert fleet.engines["t"].placement is None
+        engine = OnlineTieringEngine(
+            partitions, catalog, StaticOnce(), latency_slo_s=slo, chaos=outage()
+        )
+        with pytest.raises(InfeasibleError, match="never-relaxed"):
+            engine.run(SeriesStream(series))
+
+    def test_actions_are_keyed_by_the_window_index(self):
+        """Half-month windows: the pool shock's mark 1 lands in window 2,
+        and the pooled solves of windows 2 and 3 both fall back to the
+        unpooled retry; each window's rung lands in that window's report,
+        beside its relaxation notes, while the shock itself stays under its
+        month mark."""
+        catalog = multi_cloud_catalog()
+        fast = DataPartition(
+            "fast", size_gb=50.0, predicted_accesses=5.0, latency_threshold_s=0.003
+        )
+        slow = [
+            DataPartition(f"b{i}", size_gb=40.0, predicted_accesses=1.0) for i in range(2)
+        ]
+        specs = [
+            TenantSpec("a", [fast], StaticOnce(), stream=iter(())),
+            TenantSpec("b", slow, PeriodicReoptimize(1), stream=iter(())),
+        ]
+        chaos = ChaosInjector(
+            DisruptionSchedule(
+                [
+                    PoolShock(epoch=1, pool=name, capacity_gb=1.0)
+                    for name in catalog.provider_names
+                ]
+            )
+        )
+        scheduler = FleetScheduler(
+            specs,
+            catalog,
+            pools=PoolSet.per_provider(
+                catalog, {name: SLACK for name in catalog.provider_names}
+            ),
+            config=FleetConfig(engine=EngineConfig(horizon_months=3.0)),
+            chaos=chaos,
+        )
+        for index in range(4):
+            scheduler.step_window(
+                {
+                    name: StreamWindow(index, index / 2, (index + 1) / 2, (), "time")
+                    for name in ("a", "b")
+                }
+            )
+        assert [
+            (report.epoch, len(report.events), [action.kind for action in report.actions])
+            for report in chaos.reports
+        ] == [
+            (0, 0, ["latency_relaxed"]),
+            (1, len(catalog.provider_names), []),
+            (2, 0, ["pool_budget_suspended"]),
+            (3, 0, ["pool_budget_suspended"]),
+        ]

@@ -9,6 +9,7 @@ the end-to-end run feasible and actually pins rows on quiet epochs.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cloud import DataPartition, azure_tier_catalog
 from repro.engine import (
     DriftTriggered,
@@ -103,13 +104,16 @@ class TestDeltaModeEquivalence:
         _, full = run_engine(
             drifting_workload, PeriodicReoptimize(period_months=2), reopt_mode="full"
         )
-        engine, delta = run_engine(
-            drifting_workload,
-            PeriodicReoptimize(period_months=2),
-            reopt_mode="delta",
-            delta_drift_threshold=0.1,
-        )
-        assert engine.last_delta_report is not None
+        with obs.observed() as run:
+            _, delta = run_engine(
+                drifting_workload,
+                PeriodicReoptimize(period_months=2),
+                reopt_mode="delta",
+                delta_drift_threshold=0.1,
+            )
+        names = [record.name for record in run.tracer.records()]
+        # Every re-optimization solved through the delta solver.
+        assert names.count("optassign.delta_solve") == delta.num_reoptimizations
         # The delta engine may place slightly differently (pinned rows keep
         # their standing placement under sub-threshold drift), but the bill
         # must stay within the coarse regret envelope of the full engine.
@@ -117,7 +121,10 @@ class TestDeltaModeEquivalence:
         assert delta.num_epochs == full.num_epochs
 
     def test_full_mode_has_no_delta_solver(self, drifting_workload):
-        engine, _ = run_engine(
-            drifting_workload, PeriodicReoptimize(period_months=3), reopt_mode="full"
-        )
-        assert engine.last_delta_report is None
+        with obs.observed() as run:
+            engine, _ = run_engine(
+                drifting_workload, PeriodicReoptimize(period_months=3), reopt_mode="full"
+            )
+        assert engine._delta is None
+        names = [record.name for record in run.tracer.records()]
+        assert "optassign.delta_solve" not in names

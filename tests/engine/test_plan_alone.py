@@ -4,8 +4,9 @@ A lone :class:`~repro.engine.OnlineTieringEngine` re-optimizes through a
 :class:`~repro.engine.WindowPlan` whose one member is itself, in its block
 of one.  The reference (``plan_alone`` in ``tests/oracles/plan.py``) runs
 the steps a lone engine ran before: the reference forecast, the object build
-of its instance, the engine's own ``solve_problem``, the per-partition scan,
-the ``placement`` setter and the policy notification.  Hypothesis drives two
+of its instance, the one solve (``solve_stacked``, which the engine runs
+too), the per-partition scan, the ``placement`` setter and the policy
+notification.  Hypothesis drives two
 identical engines over the same windows — one through its plan, one through
 the reference — and requires, after every window, bit-identical records,
 placements (ratio and decompression bits too), residency clocks, every

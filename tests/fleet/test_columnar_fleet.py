@@ -23,7 +23,7 @@ from repro.engine import (
     PeriodicReoptimize,
     StaticOnce,
 )
-from repro.fleet import FleetScheduler, TenantSpec
+from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
 from repro.workloads import PoissonZipfStream, tenant_rate_skew
 
 TENANTS = ("acme", "globex", "initech", "umbrella")
@@ -78,7 +78,9 @@ def run_fleet(reopt_mode: str, policy: str) -> int:
     ]
     usage_gb = sum(p.size_gb for t in TENANTS for p in tenant_partitions(t))
     pools = PoolSet.per_tier(catalog, {catalog[0].name: 0.2 * usage_gb})
-    scheduler = FleetScheduler(specs, catalog, pools=pools)
+    scheduler = FleetScheduler(
+        specs, catalog, pools=pools, config=FleetConfig(engine=config)
+    )
     report = scheduler.run_streams(streams, CountTrigger(400), horizon_months=MONTHS)
     return sum(usage.num_reoptimized for usage in report.pool_usage)
 

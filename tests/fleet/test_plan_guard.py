@@ -1,15 +1,18 @@
-"""Every re-optimization plans in one pass, never one tenant at a time.
+"""Every re-optimization plans and solves in one pass, never one tenant at
+a time.
 
 Over pooled fleet runs (full and delta, periodic and drift policies,
-count-triggered windows) no tenant engine re-optimizes or solves on its own
-and ``StackedProblem.stack`` is never called: each window that re-solves
-forecasts, stacks and applies once through a
-:class:`~repro.engine.WindowPlan`, and a window with no firing tenant does
-no plan work.  A lone engine over the same kind of windows plans the same
-way: each window that re-solves runs one ``_reoptimize`` — one forecast, one
-stack and one apply of its one-member plan — and a quiet window none.
-Calls are counted in a child interpreter, as in ``test_settle_pass.py``, so
-the patched classes never leak into this one.
+count-triggered windows) no tenant engine re-optimizes on its own: each
+window that re-solves forecasts, stacks, solves (``solve_stacked``) and
+applies once through a :class:`~repro.engine.WindowPlan`, and a window with
+no firing tenant does no plan work.  A lone engine over the same kind of
+windows plans the same way: each window that re-solves runs one
+``_reoptimize`` — one forecast, one stack, one ``solve_stacked`` and one
+apply of its one-member plan — and a quiet window none.  (The per-tenant
+stack is an oracle under ``tests/oracles/``, which the library cannot
+import: ``tools/check_banned_patterns.py``.)  Calls are counted in a child
+interpreter, as in ``test_settle_pass.py``, so the patched classes never
+leak into this one.
 """
 
 from __future__ import annotations
@@ -57,26 +60,27 @@ def run_alone(reopt_mode: str, policy: str) -> None:
 COUNTING_SCRIPT = f"""
 import json, sys
 sys.path[:0] = [{str(SRC)!r}, {str(HERE)!r}]
-from repro.core.optassign import StackedProblem
+import repro.engine.engine as engine_module
+import repro.fleet.scheduler as scheduler_module
 from repro.engine import OnlineTieringEngine, SettleBlock, WindowPlan
 from repro.fleet import FleetScheduler
 
 calls = {{}}
 
-def count(owner, name, static=False):
-    original = owner.__dict__[name]
-    function = original.__func__ if static else original
-    key = f"{{owner.__name__}}.{{name}}"
+def count(owner, name, key=None):
+    function = getattr(owner, name)
+    key = key or f"{{owner.__name__}}.{{name}}"
 
     def counted(*args, **kwargs):
         calls[key] = calls.get(key, 0) + 1
         return function(*args, **kwargs)
 
-    setattr(owner, name, classmethod(counted) if static else counted)
+    setattr(owner, name, counted)
 
 count(OnlineTieringEngine, "_reoptimize")
-count(OnlineTieringEngine, "solve_problem")
-count(StackedProblem, "stack", static=True)
+# The one solve, as each host module binds it.
+count(engine_module, "solve_stacked", "solve_stacked")
+count(scheduler_module, "solve_stacked", "solve_stacked")
 for name in ("forecast", "stack", "apply"):
     count(WindowPlan, name)
 count(SettleBlock, "forecast")
@@ -132,8 +136,7 @@ def test_one_plan_pass_per_solving_window():
         assert solving, case
         for counted in solving:
             assert counted.get("OnlineTieringEngine._reoptimize", 0) == int(alone), case
-            assert counted.get("OnlineTieringEngine.solve_problem", 0) == int(alone), case
-            assert counted.get("StackedProblem.stack", 0) == 0, case
+            assert counted["solve_stacked"] == 1, case
             for step in ("forecast", "stack", "apply"):
                 assert counted[f"WindowPlan.{step}"] == 1, case
             assert counted["SettleBlock.forecast"] == 1, case  # one block

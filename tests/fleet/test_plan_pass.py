@@ -3,8 +3,9 @@
 A fleet forecasts, builds and applies every firing tenant of a window in one
 :class:`~repro.engine.WindowPlan` over its blocks' columns.  The reference
 (``tests/oracles/plan.py``) is the per-tenant plan: each engine's
-``forecast_monthly``, the object build of its instance,
-``StackedProblem.stack``, ``split_placements`` and the per-partition scan.
+``forecast_monthly``, the object build of its instance, the oracle
+``stack``, the same ``solve_stacked``, ``split_placements`` and the
+per-partition scan.
 Hypothesis drives two identical fleets over the same windows or epochs — one
 through the plan pass, one through the reference — and requires, window by
 window, bit-identical stacked instances (names, columns, maps and their
@@ -23,12 +24,15 @@ from __future__ import annotations
 
 import copy
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, astuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles.plan
 from oracles.plan import plan_each_tenant
 from oracles.results import scan_apply
 from repro.chaos import (
@@ -65,6 +69,7 @@ from repro.engine import (
     StreamWindow,
 )
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
+from repro.fleet import scheduler as scheduler_module
 
 NAMES = ("p0", "p1", "p2", "p3", "p4", "p5")
 READS = (0.0, 1.0, 2.5, 6.0, 20.0)
@@ -241,17 +246,26 @@ def build_fleet(tenants, chaos_kinds, mode, pools):
     return scheduler
 
 
-def record_stacked(scheduler) -> list:
-    """Keep every stacked instance the fleet solves."""
-    seen = []
-    for attribute in ("_solve_arbitrated", "_solve_delta"):
-        solve = getattr(scheduler, attribute)
+def record_stacked(fleets, stack: ExitStack) -> list[list]:
+    """Keep every stacked instance each fleet solves, while ``stack`` is
+    open: the fleet's ``solve_stacked`` and the reference plan's are
+    wrapped, and each call goes to the fleet whose engines it solves."""
+    seen = [[] for _ in fleets]
 
-        def recording(stacked, *args, solve=solve):
-            seen.append(stacked)
-            return solve(stacked, *args)
+    def recording(solve):
+        def recorded(stacked, engines, *args):
+            (k,) = [
+                k for k, fleet in enumerate(fleets) if engines[0] in fleet.engines.values()
+            ]
+            seen[k].append(stacked)
+            return solve(stacked, engines, *args)
 
-        setattr(scheduler, attribute, recording)
+        return recorded
+
+    for module in (scheduler_module, oracles.plan):
+        stack.enter_context(
+            mock.patch.object(module, "solve_stacked", recording(module.solve_stacked))
+        )
     return seen
 
 
@@ -300,8 +314,6 @@ def stacked_view(stacked) -> dict:
         "model": (model.duration_months, model.compute_cost_per_s, model.weights),
         "tenants": stacked.tenants,
         "spans": stacked.tenant_spans,
-        "tenant_names": stacked.tenant_names,
-        "tenant_profiles": stacked.tenant_profiles,
     }
 
 
@@ -426,51 +438,52 @@ class TestPlanPassMatchesEachTenant:
         each = build_fleet(tenants, chaos_kinds, mode, pools)
         plan_each_tenant(each)
         fleets = (plan, each)
-        stacked = [record_stacked(fleet) for fleet in fleets]
-        migrations = [record_migrations(fleet) for fleet in fleets]
-        names = [f"t{k}" for k in range(len(tenants))] + [JOINER]
-        for inputs in steps_of(names, steps, dense):
-            outcomes = []
-            for fleet in fleets:
-                live = {name: value for name, value in inputs.items() if name in fleet.engines}
-                try:
-                    if dense:
-                        fleet.step_epoch(live)
+        with ExitStack() as patches:
+            stacked = record_stacked(fleets, patches)
+            migrations = [record_migrations(fleet) for fleet in fleets]
+            names = [f"t{k}" for k in range(len(tenants))] + [JOINER]
+            for inputs in steps_of(names, steps, dense):
+                outcomes = []
+                for fleet in fleets:
+                    live = {name: value for name, value in inputs.items() if name in fleet.engines}
+                    try:
+                        if dense:
+                            fleet.step_epoch(live)
+                        else:
+                            fleet.step_window(live)
+                    except Exception as error:  # both fleets must fail alike
+                        outcomes.append(repr(error))
                     else:
-                        fleet.step_window(live)
-                except Exception as error:  # both fleets must fail alike
-                    outcomes.append(repr(error))
-                else:
-                    outcomes.append(None)
-            assert outcomes[0] == outcomes[1]
-            if outcomes[0] is not None:
-                return
-            assert [stacked_view(s) for s in stacked[0]] == [
-                stacked_view(s) for s in stacked[1]
-            ]
-            assert [migration_view(m) for m in migrations[0]] == [
-                migration_view(m) for m in migrations[1]
-            ]
-            assert fleet_view(plan) == fleet_view(each)
-            check_prices(plan)
-        got, want = plan.report(), each.report()
-        assert records_view(got) == records_view(want)
-        assert bits(got.total_bill) == bits(want.total_bill)
-        assert [
-            (record.used_gb, record.capacity_gb, record.num_reoptimized)
-            for record in got.pool_usage
-        ] == [
-            (record.used_gb, record.capacity_gb, record.num_reoptimized)
-            for record in want.pool_usage
-        ]
-        if plan.chaos is not None:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1]
+                if outcomes[0] is not None:
+                    return
+                assert [stacked_view(s) for s in stacked[0]] == [
+                    stacked_view(s) for s in stacked[1]
+                ]
+                assert [migration_view(m) for m in migrations[0]] == [
+                    migration_view(m) for m in migrations[1]
+                ]
+                assert fleet_view(plan) == fleet_view(each)
+                check_prices(plan)
+            got, want = plan.report(), each.report()
+            assert records_view(got) == records_view(want)
+            assert bits(got.total_bill) == bits(want.total_bill)
             assert [
-                (r.epoch, r.events, r.actions, r.slo_violations, bits(r.bill_impact_cents))
-                for r in plan.chaos.reports
+                (record.used_gb, record.capacity_gb, record.num_reoptimized)
+                for record in got.pool_usage
             ] == [
-                (r.epoch, r.events, r.actions, r.slo_violations, bits(r.bill_impact_cents))
-                for r in each.chaos.reports
+                (record.used_gb, record.capacity_gb, record.num_reoptimized)
+                for record in want.pool_usage
             ]
+            if plan.chaos is not None:
+                assert [
+                    (r.epoch, r.events, r.actions, r.slo_violations, bits(r.bill_impact_cents))
+                    for r in plan.chaos.reports
+                ] == [
+                    (r.epoch, r.events, r.actions, r.slo_violations, bits(r.bill_impact_cents))
+                    for r in each.chaos.reports
+                ]
 
 
 # -- the pricing battery -----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.problems import stack
 from repro.cloud import (
     CapacityPool,
     CompressionProfile,
@@ -17,7 +18,6 @@ from repro.cloud import (
 from repro.core.optassign import (
     InfeasibleError,
     OptAssignProblem,
-    StackedProblem,
     repair_pools,
     solve_greedy,
     solve_optassign,
@@ -168,7 +168,7 @@ def random_stacked(num_tenants, rows_per_tenant, seed):
             for partition in partitions
         }
         problems[f"t{j}"] = OptAssignProblem(partitions, MULTI_CLOUD_MODEL, profiles)
-    return StackedProblem.stack(problems)
+    return stack(problems)
 
 
 def pool_usage_of(problem, assignment, pools):

@@ -1,5 +1,6 @@
 """FleetScheduler behaviour: validation, epoch locking, oracle equality."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -90,6 +91,40 @@ class TestValidation:
         specs[1].config = EngineConfig(horizon_months=12.0, window_months=6)
         with pytest.raises(ValueError, match="identical pricing"):
             FleetScheduler(specs, multi_cloud_catalog())
+
+    @pytest.mark.parametrize(
+        "setting", [{"reopt_mode": "delta"}, {"delta_drift_threshold": 0.2}]
+    )
+    def test_solver_settings_the_fleet_ignores_are_rejected(self, fleet_workload, setting):
+        """The fleet solves every tenant with its own solver settings, so a
+        spec asking for others (the first tenant's too) raises."""
+        specs = make_specs(fleet_workload)
+        specs[0].config = replace(CONFIG, **setting)
+        with pytest.raises(ValueError, match="one stacked solve"):
+            FleetScheduler(specs, multi_cloud_catalog())
+        # Accepted once the fleet solves with those settings too.
+        for spec in specs:
+            spec.config = specs[0].config
+        FleetScheduler(
+            specs, multi_cloud_catalog(), config=FleetConfig(engine=specs[0].config)
+        )
+
+    @pytest.mark.parametrize(
+        "setting", [{"reopt_mode": "delta"}, {"delta_drift_threshold": 0.2}]
+    )
+    def test_add_tenant_rejects_solver_settings_the_fleet_ignores(
+        self, fleet_workload, setting
+    ):
+        specs = make_specs(fleet_workload)
+        scheduler = FleetScheduler(specs[:2], multi_cloud_catalog())
+        joiner = specs[2]
+        joiner.config = replace(CONFIG, **setting)
+        with pytest.raises(ValueError, match="one stacked solve"):
+            scheduler.add_tenant(joiner)
+        assert joiner.name not in scheduler.engines
+        joiner.config = CONFIG
+        scheduler.add_tenant(joiner)
+        assert joiner.name in scheduler.engines
 
 
 class TestTenantSpec:

@@ -7,6 +7,7 @@ choice for choice — the per-tenant path is the oracle.
 import numpy as np
 import pytest
 
+from oracles.problems import split_choices, split_placements, stack, untag
 from repro.cloud import (
     CompressionProfile,
     CostModel,
@@ -16,7 +17,6 @@ from repro.cloud import (
 )
 from repro.core.optassign import (
     OptAssignProblem,
-    StackedProblem,
     TENANT_SEPARATOR,
     solve_greedy,
 )
@@ -57,7 +57,7 @@ def model():
 class TestStacking:
     def test_tagged_names_and_order(self, model):
         problems = {"acme": tenant_problem(model, 1), "globex": tenant_problem(model, 2)}
-        stacked = StackedProblem.stack(problems)
+        stacked = stack(problems)
         assert stacked.tenants == ("acme", "globex")
         names = stacked.problem.partition_names
         assert names[0] == f"acme{TENANT_SEPARATOR}p00"
@@ -65,34 +65,34 @@ class TestStacking:
         assert len(names) == 12
 
     def test_untag_round_trip(self):
-        tenant, name = StackedProblem.untag("acme::partition::odd")
+        tenant, name = untag("acme::partition::odd")
         assert tenant == "acme"
         assert name == "partition::odd"  # split once, from the left
 
     def test_untag_requires_tag(self):
         with pytest.raises(ValueError, match="no tenant tag"):
-            StackedProblem.untag("plain_name")
+            untag("plain_name")
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
-            StackedProblem.stack({})
+            stack({})
 
     def test_tenant_name_with_separator_rejected(self, model):
         with pytest.raises(ValueError, match="may not contain"):
-            StackedProblem.stack({"a::b": tenant_problem(model, 1)})
+            stack({"a::b": tenant_problem(model, 1)})
 
     def test_different_catalog_objects_rejected(self):
         model_a = CostModel(azure_tier_catalog(), duration_months=6.0)
         model_b = CostModel(azure_tier_catalog(), duration_months=6.0)
         with pytest.raises(ValueError, match="different tier catalogs"):
-            StackedProblem.stack(
+            stack(
                 {"a": tenant_problem(model_a, 1), "b": tenant_problem(model_b, 2)}
             )
 
     def test_different_pricing_rejected(self, model):
         other = CostModel(model.tiers, duration_months=12.0)
         with pytest.raises(ValueError, match="identical pricing"):
-            StackedProblem.stack(
+            stack(
                 {"a": tenant_problem(model, 1), "b": tenant_problem(other, 2)}
             )
 
@@ -109,7 +109,7 @@ class TestStacking:
             latency_slo_s={"x": 0.05},
             provider_affinity={"x": "aws_s3"},
         )
-        stacked = StackedProblem.stack({"t": problem})
+        stacked = stack({"t": problem})
         tagged = f"t{TENANT_SEPARATOR}x"
         assert stacked.problem.slo_cap_for(tagged) == 0.05
         assert stacked.problem.providers_allowed_for(tagged) == frozenset({"aws_s3"})
@@ -121,8 +121,8 @@ class TestStackedSolveIsPerTenantSolve:
             f"tenant_{i}": tenant_problem(model, seed=10 + i, count=8)
             for i in range(3)
         }
-        stacked = StackedProblem.stack(problems)
-        split = stacked.split_choices(solve_greedy(stacked.problem))
+        stacked = stack(problems)
+        split = split_choices(stacked, solve_greedy(stacked.problem))
         for tenant, problem in problems.items():
             independent = solve_greedy(problem)
             assert set(split[tenant]) == set(independent.choices)
@@ -141,8 +141,8 @@ class TestStackedSolveIsPerTenantSolve:
             "with": tenant_problem(model, 5, with_profiles=True),
             "without": tenant_problem(model, 6, with_profiles=False),
         }
-        stacked = StackedProblem.stack(problems)
-        split = stacked.split_choices(solve_greedy(stacked.problem))
+        stacked = stack(problems)
+        split = split_choices(stacked, solve_greedy(stacked.problem))
         for tenant, problem in problems.items():
             independent = solve_greedy(problem)
             for name, choice in independent.choices.items():
@@ -151,10 +151,10 @@ class TestStackedSolveIsPerTenantSolve:
 
     def test_split_placements_mirror_choices(self, model):
         problems = {"a": tenant_problem(model, 3), "b": tenant_problem(model, 4)}
-        stacked = StackedProblem.stack(problems)
+        stacked = stack(problems)
         assignment = solve_greedy(stacked.problem)
-        choices = stacked.split_choices(assignment)
-        placements = stacked.split_placements(assignment)
+        choices = split_choices(stacked, assignment)
+        placements = split_placements(stacked, assignment)
         for tenant in problems:
             for name, choice in choices[tenant].items():
                 decision = placements[tenant][name]

@@ -20,12 +20,19 @@ from repro.cloud import (
 from repro.core.optassign import (
     Assignment,
     OptAssignProblem,
-    StackedProblem,
     solve_greedy,
 )
 from repro.engine import OnlineTieringEngine, PeriodicReoptimize, SeriesStream
 from oracles.plan import lone_problem
-from oracles.problems import carve, codec_allowed_loop, untag_split_placements
+from oracles.problems import (
+    carve,
+    codec_allowed_loop,
+    split_choices,
+    split_placements,
+    stack,
+    tenant_names,
+    untag_split_placements,
+)
 
 #: Scheme sets per tenant: tenants differ, and so do rows within a tenant.
 TENANT_SCHEMES = {
@@ -72,7 +79,7 @@ def model():
 
 @pytest.fixture
 def stacked(model):
-    return StackedProblem.stack(
+    return stack(
         {
             tenant: tenant_problem(model, schemes, seed=3 * index)
             for index, (tenant, schemes) in enumerate(TENANT_SCHEMES.items())
@@ -164,7 +171,7 @@ class TestTierMasks:
         }
 
     def test_stack_concatenates_the_tenant_masks(self, constrained):
-        stacked = StackedProblem.stack(constrained).problem
+        stacked = stack(constrained).problem
         want = uncached(stacked)
         assert stacked._tier_mask().tobytes() == want._tier_mask().tobytes()
         assert not stacked._tier_mask()[:, 1].any()
@@ -175,14 +182,14 @@ class TestTierMasks:
         assert "capped::p4" in stacked.hard_mask_empty_partitions()
 
     def test_unconstrained_stack_has_no_mask(self, multi_model):
-        stacked = StackedProblem.stack(
+        stacked = stack(
             {"a": constrained_problem(multi_model, 5), "b": constrained_problem(multi_model, 6)}
         ).problem
         assert stacked._tier_mask() is None
         assert uncached(stacked)._tier_mask() is None
 
     def test_carve_slices_and_relaxed_carries_the_masks(self, constrained):
-        stacked = StackedProblem.stack(constrained).problem
+        stacked = stack(constrained).problem
         rows = [0, 4, 9, 15, 16, 27]
         carved = carve(stacked, rows)
         assert carved._tier_mask().tobytes() == uncached(carved)._tier_mask().tobytes()
@@ -201,7 +208,7 @@ class TestTierMasks:
 class TestSplitBySpans:
     def test_placements_equal_the_untagging_split(self, stacked):
         assignment = solve_greedy(stacked.problem)
-        assert stacked.split_placements(assignment) == untag_split_placements(
+        assert split_placements(stacked, assignment) == untag_split_placements(
             stacked, assignment
         )
 
@@ -212,9 +219,9 @@ class TestSplitBySpans:
             dict(reversed(list(solved.choices.items()))),
             solver="manual",
         )
-        split = stacked.split_placements(assignment)
+        split = split_placements(stacked, assignment)
         assert split == untag_split_placements(stacked, assignment)
-        for tenant, names in zip(stacked.tenants, stacked.tenant_names):
+        for tenant, names in zip(stacked.tenants, tenant_names(stacked)):
             assert tuple(split[tenant]) == names  # row order, per tenant
 
     def test_partition_names_containing_the_separator(self, model):
@@ -222,10 +229,10 @@ class TestSplitBySpans:
             DataPartition("a::b", size_gb=5.0, predicted_accesses=3.0),
             DataPartition("c", size_gb=7.0, predicted_accesses=0.0),
         ]
-        stacked = StackedProblem.stack({"t": OptAssignProblem(partitions, model)})
+        stacked = stack({"t": OptAssignProblem(partitions, model)})
         assignment = solve_greedy(stacked.problem)
-        assert set(stacked.split_placements(assignment)["t"]) == {"a::b", "c"}
-        assert set(stacked.split_choices(assignment)["t"]) == {"a::b", "c"}
+        assert set(split_placements(stacked, assignment)["t"]) == {"a::b", "c"}
+        assert set(split_choices(stacked, assignment)["t"]) == {"a::b", "c"}
 
 
 class TestOneAssembler:

@@ -31,13 +31,12 @@ from repro.core.optassign import (
     DeltaSolver,
     InfeasibleError,
     OptAssignProblem,
-    StackedProblem,
     repair_pools,
     solve_greedy,
 )
 from repro.core.optassign.capacity import _repair_groups_impl
 from repro.core.optassign.delta import _restricted_differences
-from oracles.problems import carve
+from oracles.problems import carve, split_choices, split_placements, stack, tenant_names
 from oracles.results import (
     dict_aggregates,
     dict_repair_groups,
@@ -255,10 +254,10 @@ class TestSplitColumns:
             f"t{k}": random_problem(seed + k, 1 + (seed + k) % 9, catalog)
             for k in range(tenants)
         }
-        stacked = StackedProblem.stack(problems)
+        stacked = stack(problems)
         assignment = solve_greedy(stacked.problem)
         want = row_split_placements(stacked, eager_greedy_choices(stacked.problem))
-        got = stacked.split_placements(assignment)
+        got = split_placements(stacked, assignment)
         assert got == want
         for tenant, decisions in want.items():
             columns = got[tenant]
@@ -273,13 +272,13 @@ class TestSplitColumns:
 
     def test_split_choices_carry_untagged_names(self):
         catalog = azure_tier_catalog()
-        stacked = StackedProblem.stack(
+        stacked = stack(
             {"a": random_problem(1, 3, catalog), "b": random_problem(2, 2, catalog)}
         )
         assignment = solve_greedy(stacked.problem)
         eager = eager_greedy_choices(stacked.problem)
-        split = stacked.split_choices(assignment)
-        for tenant, names in zip(stacked.tenants, stacked.tenant_names):
+        split = split_choices(stacked, assignment)
+        for tenant, names in zip(stacked.tenants, tenant_names(stacked)):
             for name in names:
                 want = replace(eager[f"{tenant}::{name}"], partition=name)
                 assert option_bits(split[tenant][name]) == option_bits(want)
@@ -461,7 +460,7 @@ class TestDeltaColumns:
             op = data.draw(st.sampled_from(["solve", "solve", "forget", "invalidate", "reprice"]))
             if op == "solve":
                 chosen = [t for t in tenants if rng.uniform() < 0.7] or ["t0"]
-                stacked = StackedProblem.stack(
+                stacked = stack(
                     {t: with_accesses(tenants[t], rng.choice([1.0, 1.05, 3.0],
                                                               size=4 + int(t[1])))
                      for t in chosen}
@@ -514,8 +513,8 @@ class TestDeltaChangeDetection:
         tenants = {f"t{k}": random_problem(seed + k, 5, catalog, prefix=f"t{k}_")
                    for k in range(3)}
         solver = DeltaSolver(drift_threshold=0.1)
-        solver.solve(StackedProblem.stack(tenants).problem)
-        subset = StackedProblem.stack({"t0": tenants["t0"], "t2": tenants["t2"]}).problem
+        solver.solve(stack(tenants).problem)
+        subset = stack({"t0": tenants["t0"], "t2": tenants["t2"]}).problem
         baseline = solver._detect_changes(subset, subset.partition_arrays(), None)[0]
 
         names = subset.partition_names
@@ -555,7 +554,7 @@ class TestDeltaChangeDetection:
         catalog = multi_cloud_catalog()
         tenants = {f"t{k}": random_problem(30 + k, 5, catalog, prefix=f"t{k}_")
                    for k in range(3)}
-        stacked = StackedProblem.stack(tenants).problem
+        stacked = stack(tenants).problem
         slo = {name: 3600.0 for name in stacked.partition_names[::2]}
         affinity = {name: frozenset(["aws_s3"]) for name in stacked.partition_names[1::3]}
         solver = DeltaSolver()
@@ -563,7 +562,7 @@ class TestDeltaChangeDetection:
             stacked.cost_model, stacked.partition_arrays(), stacked._profiles, slo,
             affinity, frozenset(),
         ))
-        subset = StackedProblem.stack({"t1": tenants["t1"]}).problem
+        subset = stack({"t1": tenants["t1"]}).problem
         names = subset.partition_names
         row_index = subset.partition_arrays().row_index()
         sub_slo = {n: c for n, c in slo.items() if n in row_index}
@@ -580,7 +579,7 @@ class TestDeltaChangeDetection:
         catalog = multi_cloud_catalog()
         tenants = {f"t{k}": random_problem(40 + k, 4, catalog, prefix=f"t{k}_")
                    for k in range(2)}
-        stacked = StackedProblem.stack(tenants).problem
+        stacked = stack(tenants).problem
         slo = {name: 3600.0 for name in stacked.partition_names}
         with_slo = OptAssignProblem._assemble(
             stacked.cost_model, stacked.partition_arrays(), stacked._profiles, slo,
@@ -588,7 +587,7 @@ class TestDeltaChangeDetection:
         )
         solver = DeltaSolver()
         solver.solve(with_slo)
-        one = StackedProblem.stack({"t0": tenants["t0"]}).problem  # no SLO caps
+        one = stack({"t0": tenants["t0"]}).problem  # no SLO caps
         got = solver._detect_changes(one, one.partition_arrays(), None)[0]
         assert got.all()
         assert per_name_constraint_changes(solver, one).all()

@@ -44,6 +44,7 @@ from repro.core.optassign import (
 from repro.core.optassign.delta import RESOLVE_REASONS
 from repro.engine import DriftTriggered, EngineConfig, EpochBatch, OnlineTieringEngine
 from repro.fleet import FleetConfig, FleetScheduler, TenantSpec
+from repro.fleet import scheduler as scheduler_module
 
 SCHEMES = ("gzip", "snappy", "zstd")
 
@@ -232,33 +233,35 @@ class TestRowHints:
             config=FleetConfig(engine=EngineConfig(horizon_months=3.0, reopt_mode="delta")),
         )
         seen = []
-        solve_delta = fleet._solve_delta
+        solve_stacked = scheduler_module.solve_stacked
         delta_solve = fleet._delta.solve
 
-        def recording_solve_delta(stacked, reserved):
+        def recording_solve_stacked(stacked, *args):
             threshold = fleet.config.engine.delta_drift_threshold
             seen.append([stacked, fleet_hint_names(fleet, stacked, threshold), None])
-            return solve_delta(stacked, reserved)
+            return solve_stacked(stacked, *args)
 
         def recording_delta_solve(problem, changed=None, **kwargs):
             seen[-1][2] = changed
             return delta_solve(problem, changed=changed, **kwargs)
 
-        fleet._solve_delta = recording_solve_delta
         fleet._delta.solve = recording_delta_solve
-        for epoch, per_tenant in enumerate(epochs):
-            fleet.step_epoch(
-                {
-                    spec.name: EpochBatch(
-                        epoch=epoch,
-                        events=tuple(
-                            AccessEvent(epoch, spec.partitions[k % len(spec.partitions)].name, r)
-                            for k, r in picks
-                        ),
-                    )
-                    for spec, picks in zip(specs, per_tenant)
-                }
-            )
+        with mock.patch.object(scheduler_module, "solve_stacked", recording_solve_stacked):
+            for epoch, per_tenant in enumerate(epochs):
+                fleet.step_epoch(
+                    {
+                        spec.name: EpochBatch(
+                            epoch=epoch,
+                            events=tuple(
+                                AccessEvent(
+                                    epoch, spec.partitions[k % len(spec.partitions)].name, r
+                                )
+                                for k, r in picks
+                            ),
+                        )
+                        for spec, picks in zip(specs, per_tenant)
+                    }
+                )
         assert seen
         for stacked, want, changed in seen:
             names = stacked.problem.partition_arrays().names
@@ -311,7 +314,7 @@ class TestRowHints:
             if want is None:
                 assert changed is None
                 continue
-            rows = sorted(changed.tolist())
+            rows = [] if changed is None else sorted(changed.tolist())
             assert len(set(rows)) == len(rows)
             assert {names[row] for row in rows} == want
 

@@ -5,7 +5,7 @@ A drift policy's hint used to be a set of partition names
 the tenant and kept those its stacked instance holds
 (:func:`fleet_hint_names`), and the delta solver mapped the names back to
 rows.  The library now passes rows all the way
-(``DriftTriggered.drifted_rows``, ``FleetScheduler._solve_delta``), pinned
+(``DriftTriggered.drifted_rows``, ``repro.engine.solve_stacked``), pinned
 against these in ``tests/optassign/test_delta_rows.py``.
 """
 

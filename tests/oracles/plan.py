@@ -5,8 +5,10 @@ store and forecaster (the store's window matrix, then the forecaster's
 ``forecast_rows`` at ``epoch - 1``).  :func:`reference_reoptimize` is the
 fleet re-optimization as it was, one firing tenant at a time: each engine's
 reference forecast, the object build of its instance
-(:func:`oracles.problems.object_build_problem`), ``StackedProblem.stack``
-over the instances, the same solve, then ``split_placements`` and the
+(:func:`oracles.problems.object_build_problem`), the stack of the instances
+(:func:`oracles.problems.stack`), the same solve and degradation calls as
+the library's (:func:`~repro.engine.solve_stacked`,
+``ChaosInjector.degrade_solve``), then ``split_placements`` and the
 per-partition scan (:func:`oracles.results.scan_apply`) per tenant, with the
 placement handed back through the engine's ``placement`` setter.
 :func:`plan_each_tenant` installs it on a fleet in place of its
@@ -21,11 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles.problems import object_build_problem
+from oracles.problems import object_build_problem, split_placements, stack
 from oracles.results import scan_apply
 from repro.cloud import CloudStorageSimulator
-from repro.core.optassign import InfeasibleError, StackedProblem
-from repro.engine import RateColumns, WindowPlan
+from repro.core.optassign import DeltaSolver, InfeasibleError, StackedProblem
+from repro.engine import RateColumns, WindowPlan, solve_stacked
 from repro.engine.executor import count_moves
 from repro.obs import get_metrics
 
@@ -89,34 +91,34 @@ def reference_tier_usage(scheduler, names) -> np.ndarray:
 
 def reference_reoptimize(scheduler, epoch, firing, order, tracer) -> dict:
     """``FleetScheduler._reoptimize``, one firing tenant at a time."""
-    scheduler.last_solve_report = scheduler.last_delta_report = None
     problems = {}
     for name in firing:
         engine = scheduler.engines[name]
         forecast = reference_forecast(engine, epoch)
         problems[name] = object_build_problem(engine, epoch, forecast)
         engine._pending_forecast = forecast
-    stacked = StackedProblem.stack(problems)
+    stacked = stack(problems)
     reserved = None
     if scheduler.pools is not None:
         firing_set = set(firing)
         standing = [name for name in order if name not in firing_set]
         reserved = scheduler.pools.usage(reference_tier_usage(scheduler, standing))
+    engines = [scheduler.engines[name] for name in firing]
     try:
-        if scheduler._delta is not None:
-            assignment = scheduler._solve_delta(stacked, reserved)
-        else:
-            assignment = scheduler._solve_arbitrated(stacked, reserved)
+        solved = solve_stacked(
+            stacked, engines, scheduler._delta, scheduler.pools, reserved
+        )
     except InfeasibleError as error:
         if scheduler.chaos is None:
             raise
-        assignment = scheduler.chaos.degrade_fleet_solve(
-            scheduler, stacked, reserved, error
+        solved = scheduler.chaos.degrade_solve(
+            epoch, stacked, engines, error, scheduler.pools
         )
     migrations = {}
-    if assignment is None:
+    if solved is None:
         return migrations
-    placements = stacked.split_placements(assignment)
+    assignment, relaxation = solved
+    placements = split_placements(stacked, assignment)
     for name in firing:
         migrations[name] = scan_and_hand_back(
             scheduler.engines[name], placements[name], epoch
@@ -126,7 +128,7 @@ def reference_reoptimize(scheduler, epoch, firing, order, tracer) -> dict:
             scheduler.chaos.note_migration(
                 epoch, migrations[name], scheduler.engines[name].banned_tiers, tenant=name
             )
-        scheduler.chaos.note_relaxation(epoch, scheduler._last_relaxation())
+        scheduler.chaos.note_relaxation(epoch, relaxation)
     return migrations
 
 
@@ -141,23 +143,32 @@ def plan_each_tenant(scheduler) -> None:
 
 def reference_reoptimize_alone(engine, window):
     """``OnlineTieringEngine._reoptimize`` step by step: the reference
-    forecast, the object build, the engine's own ``solve_problem`` (a chaos
-    run freezes the placement on ``InfeasibleError``), the per-partition
-    scan, the ``placement`` setter and the policy notification."""
+    forecast, the object build, the one solve of it as the engine's one
+    untagged tenant (:func:`~repro.engine.solve_stacked`, with the engine's
+    delta solver in delta mode; a chaos run degrades through
+    ``ChaosInjector.degrade_solve``), the per-partition scan, the
+    ``placement`` setter and the policy notification."""
     epoch = window.index
     forecast = reference_forecast(engine, epoch)
     problem = object_build_problem(engine, epoch, forecast)
     engine._pending_forecast = forecast
+    stacked = StackedProblem(problem, ("",), ((0, len(engine._arrays)),))
+    config = engine.config
+    if config.reopt_mode == "delta" and engine._delta is None:
+        engine._delta = DeltaSolver(drift_threshold=config.delta_drift_threshold)
     try:
-        assignment = engine.solve_problem(problem)
+        solved = solve_stacked(stacked, [engine], engine._delta)
     except InfeasibleError as error:
-        if engine.chaos is None or engine.placement is None:
+        if engine.chaos is None:
             raise
-        engine.chaos.record_frozen_placement(engine, epoch, error)
+        solved = engine.chaos.degrade_solve(epoch, stacked, [engine], error)
+    if solved is None:
         return None
+    assignment, relaxation = solved
     report = scan_and_hand_back(engine, assignment.to_placement(), epoch)
     if engine.chaos is not None:
         engine.chaos.note_migration(epoch, report, engine.banned_tiers)
+        engine.chaos.note_relaxation(epoch, relaxation)
     return report
 
 

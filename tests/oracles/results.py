@@ -23,6 +23,7 @@ from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
+from oracles.problems import tenant_names
 from repro.cloud import (
     BatchCostTensors,
     CostBreakdown,
@@ -40,8 +41,8 @@ from repro.core.optassign import (
     InfeasibleError,
     OptAssignProblem,
 )
-from repro.engine import MigrationExecutor, MigrationRecord, MigrationReport
-from repro.engine.executor import count_moves
+from repro.engine import MigrationExecutor, MigrationReport
+from repro.engine.executor import MoveColumns, count_moves
 
 
 def scalar_greedy(problem: OptAssignProblem) -> Assignment:
@@ -251,7 +252,7 @@ def row_split_placements(
     profiles = stacked.problem._profiles
     split: dict[str, dict[str, PlacementDecision]] = {}
     for tenant, (start, stop), names in zip(
-        stacked.tenants, stacked.tenant_spans, stacked.tenant_names
+        stacked.tenants, stacked.tenant_spans, tenant_names(stacked)
     ):
         placements = split[tenant] = {}
         for tagged, name in zip(tagged_names[start:stop], names):
@@ -272,12 +273,15 @@ def scan_apply(
     epoch: int = 0,
     waive_early_deletion_tiers=None,
 ) -> MigrationReport:
-    """The executor's per-partition scan: compare, bill and move row by row."""
+    """The executor's per-partition scan: compare, bill and move row by row.
+
+    The moves are gathered one record-shaped tuple at a time and handed to
+    the report as :class:`~repro.engine.executor.MoveColumns`."""
     missing = [p.name for p in partitions if p.name not in new_placement]
     if missing:
         raise KeyError(f"new placement missing partitions: {missing}")
-    moves: list[MigrationRecord] = []
-    for partition in partitions:
+    moves: list[tuple] = []
+    for row, partition in enumerate(partitions):
         name = partition.name
         new = new_placement[name]
         old = old_placement.get(name) if old_placement is not None else None
@@ -290,13 +294,14 @@ def scan_apply(
         if from_tier == NEW_DATA_TIER:
             stored_gb = new.profile.compressed_gb(partition.size_gb)
             moves.append(
-                MigrationRecord(
-                    partition=name,
-                    from_tier=NEW_DATA_TIER,
-                    to_tier=new.tier_index,
-                    moved_gb=stored_gb,
-                    cost=tiers[new.tier_index].write_cost_for(stored_gb),
-                    early_deletion_penalty=0.0,
+                (
+                    row,
+                    NEW_DATA_TIER,
+                    new.tier_index,
+                    stored_gb,
+                    tiers[new.tier_index].write_cost_for(stored_gb),
+                    0.0,
+                    0.0,
                 )
             )
         elif from_tier != new.tier_index or old_scheme != new.profile.scheme:
@@ -321,15 +326,7 @@ def scan_apply(
                         partition.size_gb, source.early_deletion_months - resident
                     )
             moves.append(
-                MigrationRecord(
-                    partition=name,
-                    from_tier=from_tier,
-                    to_tier=new.tier_index,
-                    moved_gb=read_gb,
-                    cost=cost,
-                    early_deletion_penalty=penalty,
-                    egress_cost=egress,
-                )
+                (row, from_tier, new.tier_index, read_gb, cost, penalty, egress)
             )
         else:
             continue
@@ -337,7 +334,17 @@ def scan_apply(
         scheme = new.profile.scheme
         partition.current_codec = None if scheme == NO_COMPRESSION else scheme
         months_in_tier[name] = 0.0
-    return MigrationReport(epoch=epoch, moves=moves)
+    columns = list(zip(*moves)) or [()] * len(MoveColumns._fields)
+    return MigrationReport(
+        epoch,
+        names=tuple(partition.name for partition in partitions),
+        columns=MoveColumns(
+            *(
+                np.array(column, dtype=np.int64 if k < 3 else np.float64)
+                for k, column in enumerate(columns)
+            )
+        ),
+    )
 
 
 def mapping_apply(

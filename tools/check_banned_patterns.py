@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Static lint: ban global-RNG draws, and bare clocks inside ``src/repro``.
+"""Static lint: ban global-RNG draws, bare clocks inside ``src/repro``, and
+test-oracle imports into the library.
 
 **RNG rule** — the repro code must be deterministic per-seed: every random
 draw goes through an explicitly seeded ``numpy.random.default_rng(seed)``
@@ -25,6 +26,12 @@ fragment the time base — phase timings stop matching the span exports that
 benchmarks and the CI regression gate compare.  Benchmarks, tests and
 examples are exempt (they time *around* the library, through the span API
 where it matters).
+
+**Oracle boundary rule** — nothing under ``src/repro/`` may import
+``oracles`` or ``tests``.  The scalar and per-row reference implementations
+the library replaced live in ``tests/oracles/`` as test oracles; a library
+import of them would pull test-only code back into the library and let a
+fast path be checked against itself.
 
 The check is AST-based, so mentions in comments and docstrings don't trip it.
 
@@ -52,14 +59,34 @@ ALLOWED_STDLIB_RANDOM = {"Random", "SystemRandom", "getstate", "setstate"}
 BANNED_CLOCKS = {"time", "perf_counter", "monotonic", "perf_counter_ns",
                  "monotonic_ns", "time_ns"}
 
+# Top-level packages src/repro may not import: the test oracles and tests.
+TEST_PACKAGES = {"oracles", "tests"}
+
+
+def _repo_parts(path: Path) -> tuple[str, ...]:
+    """``path``'s parts relative to the repository root (as given when it
+    lies outside)."""
+    try:
+        return path.resolve().relative_to(ROOT).parts
+    except ValueError:
+        return path.parts
+
 
 def _clock_rule_applies(path: Path) -> bool:
     """True for files under ``src/repro/`` except ``src/repro/obs/``."""
-    try:
-        parts = path.resolve().relative_to(ROOT).parts
-    except ValueError:
-        parts = path.parts
+    parts = _repo_parts(path)
     return parts[:2] == ("src", "repro") and parts[:3] != ("src", "repro", "obs")
+
+
+def _oracle_imports(node: ast.AST) -> list[str]:
+    """The modules of ``TEST_PACKAGES`` an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [node.module]
+    else:
+        return []
+    return [name for name in names if name.split(".")[0] in TEST_PACKAGES]
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -84,8 +111,15 @@ def scan_file(path: Path) -> list[str]:
     numpy_aliases = {"numpy"}
     imports_stdlib_random = False
     clock_rule = _clock_rule_applies(path)
+    boundary_rule = _repo_parts(path)[:2] == ("src", "repro")
     violations: list[str] = []
     for node in ast.walk(tree):
+        if boundary_rule:
+            for module in _oracle_imports(node):
+                violations.append(
+                    f"{path}:{node.lineno}: library import of `{module}` — "
+                    f"test oracles stay under tests/, src/repro may not use them"
+                )
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "numpy":
