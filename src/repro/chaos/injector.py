@@ -14,7 +14,12 @@ accumulation and ``chaos.*`` observability — lives here.
 
 Schedules are keyed by integer month marks; a disruption lands at the
 boundary of the window whose ``[start_month, end_month)`` span covers its
-mark, so a dense month ``[e, e + 1)`` applies exactly mark ``e``.
+mark, so a dense month ``[e, e + 1)`` applies exactly mark ``e``.  Every
+record of a window's chaos (each event's description, the actions and SLO
+violations its application takes, and the solve's ladder, relaxation and
+evacuation notes) is filed under that window's index, so one disruption's
+record is one report; on month-aligned windows the index is the mark.
+Spans and error text name the mark.
 
 Disruption semantics, in host terms:
 
@@ -81,8 +86,8 @@ class ChaosInjector:
                 f"ChaosInjector needs a DisruptionSchedule, got {schedule!r}"
             )
         self.schedule = schedule
-        #: One :class:`DegradationReport` per epoch that saw any chaos
-        #: activity, in epoch order.
+        #: One :class:`DegradationReport` per window index that saw any
+        #: chaos activity, in window order.
         self.reports: list[DegradationReport] = []
         self._reports_by_epoch: dict[int, DegradationReport] = {}
         # provider -> the tier indices its outage banned (unban set at
@@ -99,7 +104,7 @@ class ChaosInjector:
         )
 
     def report_for(self, epoch: int) -> DegradationReport:
-        """The epoch's report, created on first use."""
+        """The report of window index ``epoch``, created on first use."""
         report = self._reports_by_epoch.get(epoch)
         if report is None:
             report = DegradationReport(epoch=epoch)
@@ -161,8 +166,9 @@ class ChaosInjector:
         ]
         return engine.lift_provider_affinity(stranded)
 
-    def _apply_outage(self, engines: dict, catalog, epoch: int, event) -> None:
+    def _apply_outage(self, engines: dict, catalog, index: int, event) -> None:
         """Ban the provider's tiers on every engine; mark evacuating tenants.
+        The stranded pins and the actions go to window ``index``'s report.
 
         ``engines`` maps tenant name -> engine; the single-engine host
         passes ``{"": engine}`` and the empty tenant tag is stripped from
@@ -170,7 +176,7 @@ class ChaosInjector:
         """
         dead = self._dead_tiers(catalog, event.provider)
         self._outages[event.provider] = tuple(dead)
-        report = self.report_for(epoch)
+        report = self.report_for(index)
         banned = self.banned_tiers
         evacuating: list[str] = []
         stranded_all: list[str] = []
@@ -187,7 +193,7 @@ class ChaosInjector:
         if stranded_all:
             report.slo_violations.extend(stranded_all)
             self._record_action(
-                epoch,
+                index,
                 DegradationAction(
                     kind="affinity_lifted",
                     detail=(
@@ -199,7 +205,7 @@ class ChaosInjector:
             )
         if evacuating:
             self._record_action(
-                epoch,
+                index,
                 DegradationAction(
                     kind="forced_evacuation",
                     detail=(
@@ -216,10 +222,10 @@ class ChaosInjector:
                 )
         self._evacuating = bool(evacuating)
 
-    def _apply_recovery(self, engines: dict, catalog, epoch: int, event) -> None:
+    def _apply_recovery(self, engines: dict, catalog, mark: int, event) -> None:
         if event.provider not in self._outages:
             raise ValueError(
-                f"provider {event.provider!r} is not down at epoch {epoch}"
+                f"provider {event.provider!r} is not down at epoch {mark}"
             )
         del self._outages[event.provider]
         banned = self.banned_tiers
@@ -266,25 +272,27 @@ class ChaosInjector:
 
     def _apply_marks(
         self,
+        index: int,
         start_month: float,
         end_month: float,
         apply: Callable[[int, DisruptionEvent], bool | None],
     ) -> bool:
-        """Apply every scheduled disruption whose mark lies in
-        ``[start_month, end_month)`` through ``apply(epoch, event)``, in mark
-        order; True when any ``apply`` returned True."""
+        """Apply every scheduled disruption whose mark lies in window
+        ``index``'s span ``[start_month, end_month)`` through
+        ``apply(mark, event)``, in mark order, describing each in the
+        window's report; True when any ``apply`` returned True."""
         force = False
         tracer = get_tracer()
         metrics = get_metrics()
-        for epoch in self._epochs_in_window(start_month, end_month):
-            events = self.schedule.at(epoch)
+        for mark in self._epochs_in_window(start_month, end_month):
+            events = self.schedule.at(mark)
             if not events:
                 continue
-            with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
+            with tracer.span("chaos.apply", epoch=mark, events=len(events)):
                 for event in events:
-                    with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
-                        self.report_for(epoch).events.append(event.describe())
-                        force = bool(apply(epoch, event)) or force
+                    with tracer.span("chaos.event", kind=event.kind, epoch=mark):
+                        self.report_for(index).events.append(event.describe())
+                        force = bool(apply(mark, event)) or force
                     if metrics.enabled:
                         metrics.counter("chaos.events", kind=event.kind).add(1)
         return force
@@ -307,19 +315,20 @@ class ChaosInjector:
                         "injector to a FleetScheduler instead of a bare engine"
                     )
         return self._apply_marks(
+            index,
             start_month,
             end_month,
-            lambda epoch, event: self._apply_engine_event(engine, epoch, event),
+            lambda mark, event: self._apply_engine_event(engine, index, mark, event),
         )
 
-    def _apply_engine_event(self, engine, epoch: int, event) -> bool:
-        """Apply one disruption to a single engine; True when it forces a
-        re-optimization."""
+    def _apply_engine_event(self, engine, index: int, mark: int, event) -> bool:
+        """Apply one disruption of mark ``mark`` to a single engine in window
+        ``index``; True when it forces a re-optimization."""
         if isinstance(event, ProviderOutage):
-            self._apply_outage({"": engine}, engine.tiers, epoch, event)
+            self._apply_outage({"": engine}, engine.tiers, index, event)
             return self._evacuating
         if isinstance(event, ProviderRecovery):
-            self._apply_recovery({"": engine}, engine.tiers, epoch, event)
+            self._apply_recovery({"": engine}, engine.tiers, mark, event)
         elif isinstance(event, PriceShock):
             self._apply_price_shock(engine.tiers, engine._delta, event)
         else:  # pragma: no cover - closed taxonomy
@@ -333,9 +342,10 @@ class ChaosInjector:
         """Apply the window's disruptions to the whole fleet (the roster may
         change)."""
         self._apply_marks(
+            index,
             start_month,
             end_month,
-            lambda epoch, event: self._apply_fleet_event(scheduler, epoch, event),
+            lambda mark, event: self._apply_fleet_event(scheduler, index, mark, event),
         )
 
     def joiners_in_window(self, start_month: float, end_month: float) -> list:
@@ -350,13 +360,13 @@ class ChaosInjector:
         ]
 
     def _apply_fleet_event(
-        self, scheduler, epoch: int, event: DisruptionEvent
+        self, scheduler, index: int, mark: int, event: DisruptionEvent
     ) -> None:
         catalog = scheduler.tiers
         if isinstance(event, ProviderOutage):
-            self._apply_outage(scheduler.engines, catalog, epoch, event)
+            self._apply_outage(scheduler.engines, catalog, index, event)
         elif isinstance(event, ProviderRecovery):
-            self._apply_recovery(scheduler.engines, catalog, epoch, event)
+            self._apply_recovery(scheduler.engines, catalog, mark, event)
         elif isinstance(event, PriceShock):
             self._apply_price_shock(catalog, scheduler._delta, event)
         elif isinstance(event, PoolShock):

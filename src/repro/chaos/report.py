@@ -4,7 +4,7 @@ When a disruption makes the current instance unsolvable as-specified, the
 engine and fleet never crash mid-run (that is the calm-run contract, kept
 loud and fail-fast); instead the injector walks a graceful-degradation
 ladder and records every rung it had to take in a :class:`DegradationReport`
-— one per affected epoch, accumulated on
+— one per affected window, accumulated on
 :attr:`repro.chaos.ChaosInjector.reports`.
 
 Each rung is a :class:`DegradationAction` with a closed ``kind`` vocabulary:
@@ -68,13 +68,14 @@ class DegradationAction:
 
 @dataclass
 class DegradationReport:
-    """Everything chaos did to (and cost) one epoch.
+    """Everything chaos did to (and cost) one window.
 
-    ``events`` are the human-readable descriptions of the disruption events
-    applied at the epoch; ``actions`` the degradation rungs taken;
-    ``slo_violations`` the partitions whose hard constraints (residency
-    pins) were suspended; ``bill_impact_cents`` the evacuation traffic the
-    epoch's disruptions charged.
+    ``epoch`` is the window's index (on month-aligned windows, its month
+    mark).  ``events`` are the human-readable descriptions of the disruption
+    events applied at the window's boundary; ``actions`` the degradation
+    rungs taken; ``slo_violations`` the partitions whose hard constraints
+    (residency pins) were suspended; ``bill_impact_cents`` the evacuation
+    traffic the window's disruptions charged.
     """
 
     epoch: int

@@ -187,7 +187,9 @@ class WindowedAccessForecaster:
 
         ``window_series`` maps partitions to their dense recent-months series;
         a partition it lacks, or whose series is empty, gets the EWMA alone.
-        Partitions without state forecast from a zero rate.
+        Partitions without state forecast from a zero rate.  Each series is
+        summed by :func:`window_sums`, the series padded with zeros at the
+        end to the longest one's length, which leaves every sum exact.
         """
         names = list(names)
         rows = np.fromiter(
@@ -197,13 +199,13 @@ class WindowedAccessForecaster:
         rates = np.zeros(len(names), dtype=np.float64)
         rates[known] = self._rates(rows[known], epoch)
         if window_series is not None:
-            series = [window_series.get(name) for name in names]
-            windowed = np.array([bool(values) for values in series], dtype=bool)
-            means = np.array(
-                [sum(values) / len(values) if values else 0.0 for values in series],
-                dtype=np.float64,
-            )
-            rates = np.where(windowed, _blend(self.blend, rates, means), rates)
+            series = [window_series.get(name) or () for name in names]
+            lengths = np.fromiter(map(len, series), np.intp, len(series))
+            window = np.zeros((len(series), lengths.max(initial=0)))
+            for row, values in enumerate(series):
+                window[row, : len(values)] = values
+            means = window_sums(window) / np.maximum(lengths, 1)
+            rates = np.where(lengths > 0, _blend(self.blend, rates, means), rates)
         return dict(zip(names, np.maximum(rates, 0.0).tolist()))
 
     def __contains__(self, name: str) -> bool:
@@ -227,15 +229,28 @@ def window_rates(
     (when ``window`` has a month in it), clamped at zero.
 
     ``window`` holds one row per rate (oldest month first); ``blend`` is one
-    weight or one per row.  A forecaster's :meth:`~WindowedAccessForecaster.
+    weight or one per row.  A row's mean is its :func:`window_sums` over the
+    window width.  A forecaster's :meth:`~WindowedAccessForecaster.
     forecast_rows` and the engine's block forecast both end here.
     """
     if window is not None and window.shape[1]:
-        # The built-in ``sum`` per row, in order: from Python 3.12 on it
-        # compensates, which no plain numpy sum reproduces.
-        sums = np.fromiter(map(sum, window.tolist()), np.float64, len(window))
-        rates = _blend(blend, rates, sums / window.shape[1])
+        rates = _blend(blend, rates, window_sums(window) / window.shape[1])
     return np.maximum(rates, 0.0)
+
+
+def window_sums(window: np.ndarray) -> np.ndarray:
+    """Each row of ``window`` summed left to right from 0.0, one vector add
+    per column: Python 3.11's built-in ``sum`` of the row, bit for bit, on
+    every Python version.
+
+    The one window-sum rule of the forecast and the feature store.  Neither
+    numpy's ``sum`` (it blocks rows of eight and more) nor the built-in of
+    Python 3.12 and later (it compensates) keeps it.
+    """
+    sums = np.zeros(len(window), dtype=np.float64)
+    for column in window.T:
+        sums += column
+    return sums
 
 
 def _blend(

@@ -9,6 +9,8 @@ one row per registered partition.
 
 The engine registers its partitions once and then works on rows only, and
 reads the window back with :meth:`FeatureStore.window_matrix` (one gather).
+Window totals sum that matrix's rows oldest first, by the forecast's rule
+(:func:`~repro.core.access_predict.forecast.window_sums`).
 The engine's store joins a :class:`StoreBlock`,
 which concatenates the columns of several stores and folds a window's
 per-row reads into all of them at once (zeroing the ring column that slides
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.access_predict.forecast import reject_negative
+from ..core.access_predict.forecast import reject_negative, window_sums
 from .events import EpochBatch
 
 __all__ = ["PartitionFeatures", "FeatureStore"]
@@ -248,11 +250,14 @@ class FeatureStore:
 
     # -- queries ----------------------------------------------------------------
     def window_reads(self, name: str) -> float:
-        """Total reads of ``name`` within the current window."""
+        """Total reads of ``name`` within the current window: its window
+        series summed oldest first by
+        :func:`~repro.core.access_predict.forecast.window_sums`, the
+        forecast's window sum."""
         row = self._index.get(name)
         if row is None:
             return 0.0
-        return float(self._window[row].sum())
+        return float(window_sums(self.window_matrix(np.array([row])))[0])
 
     def lifetime_reads(self, name: str) -> float:
         row = self._index.get(name)
@@ -291,24 +296,30 @@ class FeatureStore:
     ) -> dict[str, tuple[float, ...]]:
         """:meth:`window_series` for many partitions in one vectorized gather."""
         names = list(names)
+        return dict(zip(names, map(tuple, self._named_window(names).tolist())))
+
+    def _named_window(self, names: list[str]) -> np.ndarray:
+        """:meth:`window_matrix` over ``names``; unknown names read zeros."""
         rows = np.fromiter(
             (self._index.get(name, -1) for name in names), dtype=np.intp, count=len(names)
         )
         matrix = self.window_matrix(np.maximum(rows, 0))
         matrix[rows < 0] = 0.0
-        return dict(zip(names, map(tuple, matrix.tolist())))
+        return matrix
 
     def snapshot(self, names: Iterable[str]) -> dict[str, PartitionFeatures]:
-        """Windowed features for ``names`` (used at re-optimization points)."""
+        """Windowed features for ``names`` (used at re-optimization points);
+        each ``window_reads`` is summed as :meth:`window_reads` sums it."""
         names = list(names)
-        series_map = self.window_series_map(names)
+        matrix = self._named_window(names)
         features: dict[str, PartitionFeatures] = {}
-        for name in names:
-            series = series_map[name]
+        for name, series, reads in zip(
+            names, matrix.tolist(), window_sums(matrix).tolist()
+        ):
             features[name] = PartitionFeatures(
                 name=name,
-                window_reads=float(sum(series)),
-                window_series=series,
+                window_reads=reads,
+                window_series=tuple(series),
                 lifetime_reads=self.lifetime_reads(name),
                 epochs_since_access=self.epochs_since_access(name),
             )

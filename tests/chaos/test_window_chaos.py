@@ -67,6 +67,16 @@ def run_windowed(schedule, trigger=None):
     return engine, chaos, report
 
 
+def assert_one_outage_report(chaos, window):
+    """The run's one chaos report is window ``window``'s, and it holds the
+    outage's description, its forced evacuation and the traffic billed."""
+    (report,) = chaos.reports
+    assert report.epoch == window
+    assert report.events == ["provider 'azure_blob' outage at epoch 2"]
+    assert report.action_kinds == ("forced_evacuation",)
+    assert report.bill_impact_cents > 0.0
+
+
 class TestEpochsInWindow:
     def test_half_open_spans_apply_each_mark_once(self):
         spans = [(0.0, 0.7), (0.7, 2.0), (2.0, 2.0), (2.0, 3.5), (3.5, 6.0)]
@@ -118,6 +128,16 @@ class TestEngineWindowChaos:
         fired = [r for r in report.records if r.start_month <= 2.0 < r.end_month]
         assert len(fired) == 1
         assert fired[0].reoptimized
+
+    def test_an_outage_is_one_report_under_its_window_index(self):
+        """The mark-2 outage lands in window 1, [1.5, 3.0): its description,
+        its evacuation and the evacuation's traffic are one report, keyed
+        by the window index."""
+        schedule = DisruptionSchedule(
+            [ProviderOutage(epoch=2, provider="azure_blob")]
+        )
+        _, chaos, _ = run_windowed(schedule, trigger=TimeTrigger(1.5))
+        assert_one_outage_report(chaos, window=1)
 
     def test_count_trigger_windows_still_apply_every_mark(self):
         schedule = DisruptionSchedule(
@@ -182,6 +202,16 @@ class TestFleetWindowChaos:
                 if r.start_month <= 2.0 < r.end_month
             ]
             assert fired and fired[0].reoptimized
+
+    def test_an_outage_is_one_report_under_its_window_index(self):
+        schedule = DisruptionSchedule(
+            [ProviderOutage(epoch=2, provider="azure_blob")]
+        )
+        scheduler, chaos = self.make_scheduler(schedule)
+        scheduler.run_streams(
+            self.fleet_streams(), TimeTrigger(1.5), horizon_months=float(MONTHS)
+        )
+        assert_one_outage_report(chaos, window=1)
 
     def test_fleet_month_aligned_chaos_matches_dense(self):
         schedule = DisruptionSchedule(

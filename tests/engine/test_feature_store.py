@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cloud import AccessEvent
+from repro.core.access_predict import WindowedAccessForecaster
+from repro.core.access_predict.forecast import window_sums
 from repro.engine import EpochBatch, FeatureStore, SeriesStream
 from oracles.engine_state import ScalarFeatureStore
 
@@ -117,6 +119,25 @@ class TestSnapshot:
         assert snap["b"].epochs_since_access == 0.0
         assert snap["c"].lifetime_reads == 0.0
         assert store.tracked_partitions() == ["a", "b"]
+
+    def test_window_reads_are_the_forecast_window_sum(self):
+        """The ring row holds 1e16, 0.5, 1.0 in column order; oldest first
+        the window is 0.5, 1.0, 1e16, whose left-to-right sum keeps the
+        1.5 that a sum in column order rounds away."""
+        store = FeatureStore(window_months=3)
+        for epoch, reads in ((1, 0.5), (2, 1.0), (3, 1e16)):
+            store.observe_counts(epoch, {"a": reads})
+        want = ((0.0 + 0.5) + 1.0) + 1e16
+        assert want == 1.0000000000000002e16
+        window = store.window_matrix(store.register(["a"]))
+        assert window_sums(window).tolist() == [want]
+        assert store.window_reads("a") == want
+        assert store.snapshot(["a"])["a"].window_reads == want
+        # At blend 0 the forecast is the window mean, from the same sum.
+        forecaster = WindowedAccessForecaster(blend=0.0)
+        forecaster.seed({"a": 0.0})
+        got = forecaster.forecast_rows(forecaster.rows(["a"]), window)
+        assert got.tolist() == [want / 3]
 
 
 class TestRingBufferEqualsScalarOracle:

@@ -6,9 +6,15 @@ implementations they replaced; every float here must match them bit for bit
 — forecasts, drift scores, drifted-partition hints, window series, lifetime
 reads and residency clocks — over silent partitions, gaps wider than the
 window, zero-width windows, fractional rates, warm caller-supplied
-forecasters and dict inputs.  Rows such as ``[1e16, 1.0, -1e16]`` sum
-differently left to right and compensated, so a numpy sum standing in for
-the built-in ``sum`` fails here on Python 3.12 and later.
+forecasters and dict inputs.  A forecast's window sum is one rule on every
+Python version: left to right from 0.0 (``window_sums``; the oracle's
+``left_to_right_sum``), which is Python 3.11's built-in ``sum``.  Rows such
+as ``[1e16, 1.0, -1e16]`` sum differently left to right and compensated,
+and nine entries differently left to right and in numpy's blocks of eight,
+so a compensated sum (the built-in of Python 3.12 and later) or a numpy sum
+standing in for the rule fails here on every version.  The drift totals
+keep the built-in ``sum`` of the running Python, in the oracle as in the
+library.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import struct
 from typing import Mapping
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import AccessEvent, DataPartition, TimedEvent, azure_tier_catalog
 from repro.core.access_predict import WindowedAccessForecaster
+from repro.core.access_predict.forecast import window_sums
 from repro.engine import (
     DriftTrigger,
     DriftTriggered,
@@ -40,14 +47,17 @@ from oracles.engine_state import (
     ScalarFeatureStore,
     dict_drift_score,
     dict_partition_drift_scores,
+    left_to_right_sum,
 )
 from oracles.delta import row_hint_names
 from oracles.plan import reference_forecast
 
 NAMES = tuple(f"p{i}" for i in range(10))
+# Left to right it sums to 0.0; the compensated built-in of Python 3.12+
+# gives 1.0.
 SUMMATION_TRAP = (1e16, 1.0, -1e16)
-# Left to right it sums to 0.0; numpy's blocked sum (eight rows and up) and
-# the compensated built-in of Python 3.12+ both give 7.0.
+# Left to right it sums to 0.0; numpy's blocked sum (eight entries and up)
+# and the compensated built-in of Python 3.12+ both give 7.0.
 BLOCKED_TRAP = (1e16,) + (1.0,) * 7 + (-1e16,)
 
 rates = st.one_of(
@@ -189,14 +199,65 @@ def window_matrices(draw):
     return np.array(values, dtype=np.float64).reshape(rows, months)
 
 
+# Entries of summed rows: the traps' entries, signed zeros and magnitudes
+# far apart, so that summing in any other order shows.
+sum_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 0.1, 3e-300, -2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def summed_windows(draw):
+    """A window 1 to 12 months wide (numpy blocks rows of eight and more)
+    whose rows are drawn entries, all-zero rows or rows led by -0.0."""
+    width = draw(st.integers(1, 12))
+    entries = st.lists(sum_entries, min_size=width, max_size=width)
+    row = st.one_of(
+        entries,
+        st.sampled_from([[0.0] * width, [-0.0] * width]),
+        entries.map(lambda values: [-0.0, *values[1:]]),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=np.float64)
+
+
 class TestForecaster:
+    @settings(max_examples=200, deadline=None)
+    @given(window=summed_windows())
+    @example(window=np.array([SUMMATION_TRAP, SUMMATION_TRAP[::-1]]))
+    @example(window=np.array([BLOCKED_TRAP, BLOCKED_TRAP[::-1]]))
+    @example(window=np.array([[-0.0] * 9, [-0.0] + [0.0] * 8, [0.0] * 9]))
+    def test_window_sums_are_the_left_to_right_rule(self, window):
+        want = [left_to_right_sum(row) for row in window.tolist()]
+        assert [bits(v) for v in window_sums(window).tolist()] == [bits(v) for v in want]
+        # With blend 0 a forecast is each row's window mean alone, through
+        # the rows and through the names, whole and cut short.
+        names = [f"r{k}" for k in range(len(window))]
+        fast = WindowedAccessForecaster(blend=0.0)
+        oracle = DictForecaster(blend=0.0)
+        for forecaster in (fast, oracle):
+            forecaster.seed(dict.fromkeys(names, 0.0))
+        series = dict(zip(names, map(tuple, window.tolist())))
+        got = fast.forecast_rows(fast.rows(names), window)
+        assert [bits(v) for v in got.tolist()] == list(
+            map_bits(oracle.forecast_monthly(names, series)).values()
+        )
+        ragged = {name: series[name][: 1 + k] for k, name in enumerate(names)}
+        for window_series in (series, ragged):
+            assert map_bits(fast.forecast_monthly(names, window_series)) == map_bits(
+                oracle.forecast_monthly(names, window_series)
+            )
+
     def test_window_mean_of_the_summation_traps(self):
         # With blend 0 the forecast is each row's window mean alone.
         forecaster = WindowedAccessForecaster(blend=0.0)
         for trap in (SUMMATION_TRAP, BLOCKED_TRAP):
             matrix = np.array([trap, trap[::-1]])
             got = forecaster.forecast_rows(np.zeros(2, dtype=np.intp), matrix)
-            want = [sum(trap) / len(trap), sum(trap[::-1]) / len(trap)]
+            want = [
+                left_to_right_sum(trap) / len(trap),
+                left_to_right_sum(trap[::-1]) / len(trap),
+            ]
             assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
 
     @settings(max_examples=120, deadline=None)

@@ -107,6 +107,16 @@ def settle_each_engine(scheduler) -> None:
     scheduler._settle_blocks = blocks
 
 
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` taken left to right from 0.0: the window
+    sum rule, which is Python 3.11's built-in ``sum`` of floats (3.12 and
+    later compensate)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def dict_drift_score(
     predicted_monthly: Mapping[str, float], observed: Mapping[str, float]
 ) -> float:
@@ -240,7 +250,8 @@ class DictForecaster:
 
         When ``window_series`` supplies a dense recent-months series per
         partition (the engine's feature-store window), the forecast blends
-        the EWMA with the window mean; otherwise it is the EWMA alone.
+        the EWMA with the window mean (the series summed by
+        :func:`left_to_right_sum`); otherwise it is the EWMA alone.
         Multiply by the horizon length to get ``predicted_accesses`` for
         OPTASSIGN.
         """
@@ -249,7 +260,7 @@ class DictForecaster:
             rate = self.rate(name, epoch)
             series = window_series.get(name) if window_series is not None else None
             if series:  # an empty window carries no signal — keep the EWMA/prior
-                mean = sum(series) / len(series)
+                mean = left_to_right_sum(series) / len(series)
                 rate = self.blend * rate + (1.0 - self.blend) * mean
             forecasts[name] = max(rate, 0.0)
         return forecasts
