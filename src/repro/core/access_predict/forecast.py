@@ -224,13 +224,13 @@ class WindowedAccessForecaster:
 
 
 def window_rates(
-    rates: np.ndarray, window: np.ndarray | None, blend: float | np.ndarray
+    rates: np.ndarray, window: np.ndarray | None, blend: float
 ) -> np.ndarray:
     """The forecast rule: EWMA ``rates`` blended with each row's window mean
     (when ``window`` has a month in it), clamped at zero.
 
-    ``window`` holds one row per rate (oldest month first); ``blend`` is one
-    weight or one per row.  A row's mean is its :func:`window_sums` over the
+    ``window`` holds one row per rate (oldest month first); ``blend`` is the
+    one weight of every row.  A row's mean is its :func:`window_sums` over the
     window width.  A forecaster's :meth:`~WindowedAccessForecaster.
     forecast_rows` and the engine's block forecast both end here.
     """
@@ -254,9 +254,7 @@ def window_sums(window: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _blend(
-    blend: float | np.ndarray, rates: np.ndarray, means: np.ndarray
-) -> np.ndarray:
+def _blend(blend: float, rates: np.ndarray, means: np.ndarray) -> np.ndarray:
     return blend * rates + (1.0 - blend) * means
 
 

@@ -20,10 +20,10 @@ identically-named partitions of different tenants cannot collide; a lone
 engine's instance is the one tenant ``""``, which tags nothing.
 
 The instance is assembled straight from the engines' block columns
-(:meth:`repro.engine.WindowPlan.stack`): each block keeps its engines'
+(:meth:`repro.engine.WindowPlan.stack`): a block keeps its engines'
 profile columns laid on a block-wide scheme axis (:func:`place_profile_columns`,
-when an engine's validated parts change), the plan lays each run of firing
-rows onto the instance's axis with the same helper, and each tenant's cached
+when an engine's validated parts change), the plan lays the firing rows
+onto the instance's axis with the same helper, and each tenant's cached
 tier mask is stacked by :func:`_stack_tier_masks`.  The per-tenant stack it
 replaced lives with the test oracles.
 """
@@ -69,8 +69,8 @@ def place_profile_columns(
     ``schemes``; a scheme off ``schemes`` is dropped, which callers do only
     for a scheme none of the rows has.  A settle block lays each engine's
     validated columns onto its block-wide axis this way (and its own
-    columns onto a grown axis), and a plan lays each run of firing rows of
-    a block onto the instance's axis.
+    columns onto a grown axis), and a plan lays its block's firing rows
+    onto the instance's axis.
     """
     own, *laid = columns
     laid = [column.take(rows, axis=0) for column in laid]

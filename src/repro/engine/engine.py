@@ -41,24 +41,26 @@ operation each.  The ring and EWMA folds are those of
 their arithmetic with a single store's and forecaster's own folds.  Each
 engine's :class:`FeatureStore`, forecaster and
 ``months_in_tier`` keep their objects and their own epochs, but hold row
-ranges (views) of the block's columns.  A lone engine settles through a
-block of one; a fleet settles every tenant that shares a ring width and an
-EWMA alpha in one block.  The touched rows reach each policy as
+ranges (views) of the block's columns.  A block's engines share one
+catalog, compute price, ring width, EWMA alpha and forecast blend.  A lone
+engine settles through a block of one; a fleet, which runs one
+:class:`EngineConfig`, settles all of its tenants in one block.  The
+touched rows reach each policy as
 :class:`~repro.engine.policies.RateColumns`; forecasts come back as one
 column.
 
 The block also owns its engines' placement, codec and compiled price
 columns, and plans with them.  Every re-optimization is a
-:class:`WindowPlan`: one forecast pass over every firing row of a block (the
-EWMA gather and decay, then one window gather and blend per store epoch,
-through :func:`~repro.core.access_predict.forecast.window_rates`, the rule a
-forecaster's own ``forecast_rows`` ends in), the instance assembled from the
-parts the block caches per validated constraint state, and after the solve
-one move pass over every firing row (:meth:`MigrationExecutor.migrate`)
-whose moves write the placement, codec, clock and price columns.  A fleet
-window plans its firing tenants together; a lone engine plans as the one
-member of its block of one, whose empty tenant tag leaves its instance
-untagged.
+:class:`WindowPlan` over one block: one forecast pass over every firing row
+(the EWMA gather and decay, then one window gather and blend per store
+epoch, through :func:`~repro.core.access_predict.forecast.window_rates`, the
+rule a forecaster's own ``forecast_rows`` ends in), the instance assembled
+from the parts the block caches per validated constraint state, and after
+the solve one move pass over every firing row
+(:meth:`MigrationExecutor.migrate`) whose moves write the placement, codec,
+clock and price columns.  A fleet window plans its firing tenants together;
+a lone engine plans as the one firing engine of its block of one, whose
+empty tenant tag leaves its instance untagged.
 
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
@@ -71,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
+from numbers import Integral
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,9 +156,12 @@ class EngineConfig:
 
     ``horizon_months`` is the billing horizon each re-optimization plans for
     (predicted monthly rates are scaled by it); ``window_months`` is the
-    feature store's sliding window.  ``prior_monthly_accesses`` substitutes
-    for history at the bootstrap optimization: by default each partition's
-    ``predicted_accesses`` field is interpreted as its prior *monthly* rate.
+    feature store's sliding window, a whole number of months.  History is
+    empty at the bootstrap optimization, so each partition's
+    ``predicted_accesses`` seeds the forecaster as its prior *monthly* rate
+    (a caller-supplied warm forecaster keeps the partitions it already
+    tracks).  ``forecast_alpha`` (in (0, 1]) and ``forecast_blend`` (in
+    [0, 1]) are the forecaster's EWMA weight and its EWMA-vs-window blend.
 
     ``reopt_mode`` selects how re-optimizations solve: ``"full"`` runs the
     complete :func:`~repro.core.optassign.solve_optassign` facade every time;
@@ -178,8 +184,17 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not 0 < self.horizon_months < math.inf:
             raise ValueError("horizon_months must be positive and finite")
-        if not self.window_months > 0:
-            raise ValueError("window_months must be positive")
+        window = self.window_months
+        if not (isinstance(window, Integral) and window >= 1):
+            raise ValueError(f"window_months must be an integer >= 1, got {window!r}")
+        if not 0.0 < self.forecast_alpha <= 1.0:
+            raise ValueError(
+                f"forecast_alpha must be in (0, 1], got {self.forecast_alpha!r}"
+            )
+        if not 0.0 <= self.forecast_blend <= 1.0:
+            raise ValueError(
+                f"forecast_blend must be in [0, 1], got {self.forecast_blend!r}"
+            )
         if not 0 <= self.compute_cost_per_s < math.inf:
             raise ValueError("compute_cost_per_s must be non-negative and finite")
         if self.reopt_mode not in ("full", "delta"):
@@ -511,8 +526,8 @@ class OnlineTieringEngine:
         """Consume one closed trigger window: the body of the control loop.
 
         In order: ``begin_window``; when the policy fires, the lone
-        re-optimization (:meth:`_reoptimize`: a one-member
-        :class:`WindowPlan` over the engine's own :class:`SettleBlock`,
+        re-optimization (:meth:`_reoptimize`: a :class:`WindowPlan` over
+        the engine's own :class:`SettleBlock` of one,
         :func:`solve_stacked` and the plan's apply); then the window's
         settle through the same block.
 
@@ -547,8 +562,8 @@ class OnlineTieringEngine:
 
     def _reoptimize(self, window: StreamWindow) -> MigrationReport | None:
         """Plan → solve → apply one lone re-optimization, in the steps and
-        the order of the fleet's: a :class:`WindowPlan` whose one member is
-        this engine, with the empty tenant tag, in its own block; the one
+        the order of the fleet's: a :class:`WindowPlan` over this engine's
+        own block of one, whose tenant tag is empty; the one
         solve of its instance (:func:`solve_stacked`), degraded by the
         chaos ladder on a chaos run; the plan's apply; then the chaos
         notes.  Returns the migration report, or ``None`` when a chaos run
@@ -556,7 +571,7 @@ class OnlineTieringEngine:
         epoch = window.index
         tracer = get_tracer()
         config = self.config
-        plan = WindowPlan(epoch, [("", self._lone_block(), 0)])
+        plan = WindowPlan(epoch, self._lone_block(), [0])
         with tracer.span("engine.build_problem", epoch=epoch):
             with tracer.span("engine.forecast"):
                 plan.forecast()
@@ -871,8 +886,10 @@ class SettleBlock:
     laid when the engine's validated parts are written, and all laid again
     when the axis grows.
 
-    The engines must share a feature-store window width and an EWMA alpha,
-    the two values one ring slide and one EWMA step assume.  A block stays
+    The engines must share a feature-store window width, an EWMA alpha and
+    a forecast blend — the values one ring slide, one EWMA step and one
+    blend assume — and one catalog object and compute price, which every
+    move and price of the block is computed with.  A block stays
     valid while every engine still holds the arrays it handed out
     (:meth:`intact`); an engine adopted by another block, or whose store or
     forecaster grew, leaves it stale, and its owner builds a new one.
@@ -890,17 +907,29 @@ class SettleBlock:
             raise ValueError("a settle block needs at least one engine")
         stores = [engine.feature_store for engine in engines]
         forecasters = [engine.forecaster for engine in engines]
-        width, alpha = stores[0].window_months, forecasters[0].alpha
+        first = forecasters[0]
+        width = stores[0].window_months
         if any(
-            store.window_months != width or forecaster.alpha != alpha
+            (store.window_months, forecaster.alpha, forecaster.blend)
+            != (width, first.alpha, first.blend)
             for store, forecaster in zip(stores, forecasters)
         ):
             raise ValueError(
                 "engines settled in one block must share window_months and "
-                "the forecaster's alpha"
+                "the forecaster's alpha and blend"
             )
         if len({id(forecaster) for forecaster in forecasters}) != len(engines):
             raise ValueError("engines settled in one block need their own forecasters")
+        simulator = engines[0].simulator
+        if any(
+            engine.simulator.tiers is not simulator.tiers
+            or engine.simulator.compute_cost_per_s != simulator.compute_cost_per_s
+            for engine in engines
+        ):
+            raise ValueError(
+                "engines settled in one block must share one catalog object "
+                "and compute_cost_per_s"
+            )
         self.engines = tuple(engines)
         # Engine k owns block rows _starts[k]:_starts[k + 1]; _owner and
         # _shift give each block row's engine and that engine's first row.
@@ -1112,20 +1141,15 @@ class SettleBlock:
         """Compile the prices of engines ``ks`` from the placement columns
         and give each engine its compiled placement over them."""
         engines = self.engines
-        groups: dict[tuple, list[int]] = {}
-        for k in ks:
-            simulator = engines[k].simulator
-            groups.setdefault((id(simulator.tiers), simulator.compute_cost_per_s), []).append(k)
-        for members in groups.values():
-            rows = self.rows(members)
-            unplaced = rows[~self.placed[rows]]
-            if unplaced.size:
-                names = [
-                    engines[self._owner[row]]._arrays.names[row - self._shift[row]]
-                    for row in unplaced.tolist()
-                ]
-                raise KeyError(f"placement missing partitions: {names}")
-            self._price_rows(engines[members[0]].simulator, rows)
+        rows = self.rows(ks)
+        unplaced = rows[~self.placed[rows]]
+        if unplaced.size:
+            names = [
+                engines[self._owner[row]]._arrays.names[row - self._shift[row]]
+                for row in unplaced.tolist()
+            ]
+            raise KeyError(f"placement missing partitions: {names}")
+        self._price_rows(rows)
         for k in ks:
             engine = engines[k]
             rows = slice(self._starts[k], self._starts[k + 1])
@@ -1138,8 +1162,9 @@ class SettleBlock:
             self._versions[k] = engine.tiers.pricing_version
             self._sum_storage(k)
 
-    def _price_rows(self, simulator: CloudStorageSimulator, rows: np.ndarray) -> None:
-        """Compile the prices of ``rows`` under ``simulator``'s catalog."""
+    def _price_rows(self, rows: np.ndarray) -> None:
+        """Compile the prices of ``rows`` under the block's catalog."""
+        simulator = self.engines[0].simulator
         prices = compile_prices(
             simulator.tiers.cost_arrays(),
             simulator.compute_cost_per_s,
@@ -1187,8 +1212,9 @@ class SettleBlock:
         """Projected monthly reads of ``rows`` (engines ``ks``' rows) for
         ``epoch``, as each engine's forecaster computes them over its store's
         window (``forecast_rows`` at ``epoch - 1``): one EWMA gather and
-        decay over every row, then one window gather and blend per store
-        epoch (a store that has not observed yet has an empty window)."""
+        decay over every row, then one window gather and blend, with the
+        block's one blend, per store epoch (a store that has not observed
+        yet has an empty window)."""
         engines = self.engines
         forecasts = self._forecasts
         rates = _decayed(
@@ -1197,15 +1223,13 @@ class SettleBlock:
         stores = [engines[k].feature_store for k in ks]
         epochs = [store._epoch for store in stores]
         bounds = [0, *accumulate(self._sizes[k] for k in ks)]
-        blend = np.repeat(
-            [engines[k].forecaster.blend for k in ks], [self._sizes[k] for k in ks]
-        )
+        blend = engines[0].forecaster.blend
         forecast = np.empty_like(rates)
         for store_epoch in dict.fromkeys(epochs):
             group = [i for i, e in enumerate(epochs) if e == store_epoch]
             at = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in group])
             forecast[at] = window_rates(
-                rates[at], self._window(stores[group[0]], rows[at]), blend[at]
+                rates[at], self._window(stores[group[0]], rows[at]), blend
             )
         return forecast
 
@@ -1285,23 +1309,6 @@ class SettleBlock:
         for column, values in zip(self._profile[1:], placed[1:]):
             column[rows] = values
 
-    def gather(
-        self, epoch: int, ks: Sequence[int], rows: np.ndarray, predicted: np.ndarray
-    ) -> "_Gathered":
-        """Engines ``ks``' rows of a warm-started instance, with their
-        validated constraint parts: the partition columns (``predicted``
-        holds the horizon forecast of ``rows``) and the live codecs."""
-        return _Gathered(
-            parts=self._prepare(epoch, ks),
-            size_gb=self._size[rows],
-            predicted=predicted,
-            threshold=self._threshold[rows],
-            tier=self.tier[rows],
-            read_fraction=self._read_fraction[rows],
-            pushdown=self._pushdown[rows],
-            codecs=self._codecs(rows),
-        )
-
     def apply(
         self,
         epoch: int,
@@ -1342,7 +1349,7 @@ class SettleBlock:
         # voluntary early deletions: their minimum-residency penalty is
         # waived, or the outage would be billed twice.  A calm run bans
         # nothing and waives nothing.
-        moves = engines[ks[0]].executor.migrate(
+        moves = engines[0].executor.migrate(
             self._partitions,
             self.months_in_tier,
             rows,
@@ -1412,13 +1419,12 @@ class SettleBlock:
         """Compile the prices of the ``changed`` rows of engines ``ks`` just
         applied; the other rows keep theirs.  An engine placed for the first
         time, or re-priced since, compiles whole."""
-        engines = self.engines
         whole = [k for k in ks if self._stale_prices(k)]
         if whole:
             self._compile(whole)
             changed = changed[~np.isin(self._owner[changed], whole)]
         if changed.size:
-            self._price_rows(engines[ks[0]].simulator, changed)
+            self._price_rows(changed)
             for k in dict.fromkeys(self._owner[changed].tolist()):
                 self._sum_storage(k)
         self._usage = None
@@ -1544,137 +1550,87 @@ class SettleBlock:
         return cents
 
 
-@dataclass
-class _Gathered:
-    """Engines' rows of a warm-started instance (:meth:`SettleBlock.gather`)
-    and each engine's validated constraint parts."""
-
-    parts: list[tuple]
-    size_gb: np.ndarray
-    predicted: np.ndarray
-    threshold: np.ndarray
-    tier: np.ndarray
-    read_fraction: np.ndarray
-    pushdown: np.ndarray
-    codecs: tuple[str | None, ...]
-
-
 class WindowPlan:
     """One window's re-optimization of its firing engines, planned on their
-    blocks' columns: the only way an engine plans.
+    block's columns: the only way an engine plans.
 
-    ``members`` lists the firing engines — a fleet's tenants in roster
-    order, or a lone engine as the one member of its block of one — each
-    with its tenant name, the :class:`SettleBlock` that holds it and its
-    index there.  Consecutive members of one block form a run (a fleet whose
-    tenants share one block has one run).  The plan forecasts every row of a
-    run in one pass (:meth:`forecast`), assembles the
-    :class:`~repro.core.optassign.StackedProblem` from the blocks' cached
-    per-tenant parts (:meth:`stack`) and prices and applies every move of a
-    run in one pass (:meth:`apply`) — what each engine's own forecast, the
-    object build, a stack of the per-tenant instances and the per-partition
-    scan do one tenant at a time, bit for bit (the references in
-    ``tests/oracles/plan.py``).  The runs in order give the stacked rows:
-    members in order, each member's rows in its engine's order, named as
-    its block tags them (a lone engine's block leaves them untagged).
-    Between :meth:`stack` and :meth:`apply` every host solves the instance
-    through :func:`solve_stacked`.
+    ``ks`` are the firing engines' indices in ``block``, in block order — a
+    fleet's firing tenants in roster order, or ``[0]`` for a lone engine in
+    its block of one.  The plan forecasts every firing row in one pass
+    (:meth:`forecast`), assembles the
+    :class:`~repro.core.optassign.StackedProblem` from the block's cached
+    per-tenant parts (:meth:`stack`) and prices and applies every move in
+    one pass (:meth:`apply`) — what each engine's own forecast, the object
+    build, a stack of the per-tenant instances and the per-partition scan
+    do one tenant at a time, bit for bit (the references in
+    ``tests/oracles/plan.py``).  The stacked rows are the firing engines'
+    rows of the block, in order, named as the block tags them (a lone
+    engine's block leaves them untagged).  Between :meth:`stack` and
+    :meth:`apply` every host solves the instance through
+    :func:`solve_stacked`.
     """
 
-    def __init__(self, epoch: int, members: Sequence[tuple[str, SettleBlock, int]]):
+    def __init__(self, epoch: int, block: SettleBlock, ks: Sequence[int]):
         self.epoch = epoch
-        self.members = tuple(members)
-        runs: list[tuple[SettleBlock, list[int]]] = []
-        for _, block, k in self.members:
-            if runs and runs[-1][0] is block:
-                runs[-1][1].append(k)
-            else:
-                runs.append((block, [k]))
-        self._runs = [(block, ks, block.rows(ks)) for block, ks in runs]
-        self._predicted: list[np.ndarray] = []
+        self.block = block
+        self.ks = tuple(ks)
+        self._rows = block.rows(self.ks)
+        self._predicted: np.ndarray | None = None
 
     def forecast(self) -> None:
         """Forecast every firing row and hand each engine its forecast."""
-        epoch = self.epoch
-        for block, ks, rows in self._runs:
-            rates = block.forecast(epoch, ks, rows)
-            engines = [block.engines[k] for k in ks]
-            # A fleet's tenants share one horizon: they price alike.
-            predicted = rates * engines[0].config.horizon_months
-            if (predicted < 0).any():
-                raise ValueError("predicted_accesses must be non-negative")
-            self._predicted.append(predicted)
-            start = 0
-            for engine in engines:
-                stop = start + len(engine._arrays)
-                engine._pending_forecast = RateColumns(
-                    engine._arrays.names, rates[start:stop]
-                )
-                start = stop
+        block = self.block
+        rates = block.forecast(self.epoch, self.ks, self._rows)
+        engines = [block.engines[k] for k in self.ks]
+        predicted = rates * engines[0].config.horizon_months
+        if (predicted < 0).any():
+            raise ValueError("predicted_accesses must be non-negative")
+        self._predicted = predicted
+        start = 0
+        for engine in engines:
+            stop = start + len(engine._arrays)
+            engine._pending_forecast = RateColumns(engine._arrays.names, rates[start:stop])
+            start = stop
 
     def stack(self) -> StackedProblem:
         """The firing engines' instance (after :meth:`forecast`), priced by
-        the first member's cost model (a fleet's tenants price alike)."""
-        epoch = self.epoch
-        gathered = [
-            block.gather(epoch, ks, rows, predicted)
-            for (block, ks, rows), predicted in zip(self._runs, self._predicted)
-        ]
+        the first firing engine's cost model (a fleet's engines run one
+        config)."""
+        block, ks, rows = self.block, self.ks, self._rows
+        parts = block._prepare(self.epoch, ks)
         profiles: dict[str, dict] = {}
         slo: dict[str, float] = {}
         affinity: dict[str, frozenset[str]] = {}
         spans: list[tuple[int, int]] = []
         start = 0
-        for _, block, k in self.members:
+        for k in ks:
             tagged_profiles, tagged_slo, tagged_affinity = block._tagged[k]
             profiles.update(tagged_profiles)
             slo.update(tagged_slo)
             affinity.update(tagged_affinity)
             spans.append((start, start + block._sizes[k]))
             start += block._sizes[k]
-        engines = [block.engines[k] for _, block, k in self.members]
+        engines = [block.engines[k] for k in ks]
         # The scheme axis is the sorted union of the schemes some firing row
-        # has: the firing engines' own schemes.  Each run's rows of its
+        # has: the firing engines' own schemes.  The firing rows of the
         # block's profile columns are laid onto it, and their codecs coded
         # on it from the block's codes.
-        schemes = tuple(
-            sorted(
-                set().union(*(block._offered[k] for _, block, k in self.members))
-            )
-        )
-        runs = [
-            place_profile_columns(block._profile, rows, schemes)[1:]
-            for block, _, rows in self._runs
-        ]
-        profile_columns = (schemes, *map(np.concatenate, zip(*runs)))
-        codes = np.concatenate(
-            [block._codec_codes(rows, schemes) for block, _, rows in self._runs]
-        )
-        # Each tenant's cached tier mask, stacked.
-        parts = [own for part in gathered for own in part.parts]
+        schemes = tuple(sorted(set().union(*(block._offered[k] for k in ks))))
         banned = frozenset().union(*(own[3] for own in parts))
         config = engines[0].config
-
-        def column(field: str) -> np.ndarray:
-            return np.concatenate([getattr(part, field) for part in gathered])
-
         problem = OptAssignProblem._assemble(
             engines[0].simulator.cost_model(
                 duration_months=config.horizon_months, weights=config.weights
             ),
             PartitionArrays(
-                names=tuple(
-                    chain.from_iterable(
-                        block._tagged_names[k] for _, block, k in self.members
-                    )
-                ),
-                size_gb=column("size_gb"),
-                predicted_accesses=column("predicted"),
-                latency_threshold_s=column("threshold"),
-                current_tier=column("tier"),
-                read_fraction=column("read_fraction"),
-                pushdown_fraction=column("pushdown"),
-                current_codec=tuple(chain.from_iterable(part.codecs for part in gathered)),
+                names=tuple(chain.from_iterable(block._tagged_names[k] for k in ks)),
+                size_gb=block._size[rows],
+                predicted_accesses=self._predicted,
+                latency_threshold_s=block._threshold[rows],
+                current_tier=block.tier[rows],
+                read_fraction=block._read_fraction[rows],
+                pushdown_fraction=block._pushdown[rows],
+                current_codec=block._codecs(rows),
                 file_ids=tuple(
                     chain.from_iterable(engine._arrays.file_ids for engine in engines)
                 ),
@@ -1683,43 +1639,33 @@ class WindowPlan:
             slo,
             affinity,
             banned,
-            profile_columns=profile_columns,
+            profile_columns=place_profile_columns(block._profile, rows, schemes),
+            # Each tenant's cached tier mask, stacked.
             tier_mask=_stack_tier_masks([own[5] for own in parts], spans, banned),
-            codec_mask=codec_mask(codes, len(schemes)),
+            codec_mask=codec_mask(block._codec_codes(rows, schemes), len(schemes)),
         )
         return StackedProblem(
             problem=problem,
-            tenants=tuple(name for name, _, _ in self.members),
+            tenants=tuple(block.tenants[k] for k in ks),
             tenant_spans=tuple(spans),
         )
 
     def apply(self, assignment) -> list[MigrationReport]:
         """Apply and bill a solve of :meth:`stack`'s instance; returns each
-        firing tenant's report, in roster order.  Every tenant's policy is
+        firing engine's report, in block order.  Every engine's policy is
         notified with the forecast its placement was planned from."""
-        epoch = self.epoch
-        placement = assignment.to_placement()
-        reports: list[MigrationReport] = []
-        start = 0
-        for block, ks, rows in self._runs:
-            stop = start + len(rows)
-            part = PlacementColumns(
-                (),
-                placement.tier[start:stop],
-                placement.scheme[start:stop],
-                placement.schemes,
-                placement.ratio[start:stop],
-                placement.decompression_s_per_gb[start:stop],
-                {},
-            )
-            reports += block.apply(
-                epoch, ks, rows, part, [block._parts[k][0] for k in ks]
-            )
-            start = stop
+        block, ks = self.block, self.ks
+        reports = block.apply(
+            self.epoch,
+            ks,
+            self._rows,
+            assignment.to_placement(),
+            [block._parts[k][0] for k in ks],
+        )
         counter = get_metrics().counter("engine.reoptimizations")
-        for (_, block, k), report in zip(self.members, reports):
+        for k, report in zip(ks, reports):
             count_moves(report)
-            block.engines[k]._notify_applied(epoch)
+            block.engines[k]._notify_applied(self.epoch)
             counter.add()
         return reports
 

@@ -9,22 +9,24 @@ monthly run steps each month as a one-month window
 1. asks every tenant's policy whether to re-optimize
    (:meth:`~repro.engine.OnlineTieringEngine.begin_window`);
 2. plans the firing tenants in one :class:`~repro.engine.WindowPlan` over
-   the fleet's :class:`~repro.engine.SettleBlock` columns (every tenant that
-   shares a ring width and an EWMA alpha is one block): one forecast pass
-   over every firing row of a block, then the warm-started, tenant-tagged
-   instance (:class:`~repro.core.optassign.StackedProblem`) assembled from
-   the blocks' cached per-tenant parts, and a *single* vectorized solve
-   through :func:`~repro.engine.solve_stacked`, the solve a lone engine
-   runs too;
+   the columns of the fleet's one :class:`~repro.engine.SettleBlock` (the
+   live roster, in roster order): one forecast pass over every firing row,
+   then the warm-started, tenant-tagged instance
+   (:class:`~repro.core.optassign.StackedProblem`) assembled from the
+   block's cached per-tenant parts, and a *single* vectorized solve through
+   :func:`~repro.engine.solve_stacked`, the solve a lone engine runs too;
 3. arbitrates the shared :class:`~repro.cloud.PoolSet` budgets with
    :func:`~repro.core.optassign.repair_pools` — greedy regret-per-GB
    water-filling across every competing tenant, with the standing placements
-   of non-firing tenants (each block's cached per-tenant tier usage)
+   of non-firing tenants (the block's cached per-tenant tier usage)
    subtracted from each pool's budget first — then prices every move of the
    window in one pass and writes the placement, clock and price columns,
    giving each tenant its own :class:`~repro.engine.MigrationReport`;
 4. settles every tenant (billing, feature store, forecaster) in one pass
-   per block.
+   over the block.
+
+The fleet runs one :class:`~repro.engine.EngineConfig`: every tenant's
+engine, the block and the fleet's one solver are built from it.
 
 With slack pools the arbitration is a no-op and every partition keeps its
 individually-cheapest option, so a fleet run is **bill-exact** against N
@@ -39,7 +41,7 @@ beats carving the pool into static per-tenant slices (see
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -91,12 +93,12 @@ class FleetScheduler:
         Optional shared GB budgets spanning tenants, resolved against
         ``tiers``.
     config:
-        Fleet knobs; its ``engine`` config is the default for specs without
-        their own.  All tenants must price placements identically (same
-        horizon, objective weights and compute price) so their problems can
-        be stacked into one solve, and a spec's own config must solve as
-        that one solve does (the fleet's ``reopt_mode`` and
-        ``delta_drift_threshold``).
+        Fleet knobs; its ``engine`` config is the config of specs without
+        their own.  A fleet runs one engine config, the first tenant's: it
+        stacks every firing tenant into one instance priced one way, solves
+        it with one solver and settles every tenant in one block, so any
+        spec whose config differs from it in any field raises
+        ``ValueError`` naming those fields.
     chaos:
         Optional :class:`~repro.chaos.ChaosInjector` applying a
         :class:`~repro.chaos.DisruptionSchedule` at window boundaries —
@@ -146,13 +148,11 @@ class FleetScheduler:
         self.pools = pools
         self.chaos = chaos
 
+        # The fleet's one engine config: the first tenant's.
         first = self.tenants[0]
-        self._pricing_reference: tuple[str, tuple] = (
-            first.name,
-            self._pricing_of(first),
-        )
+        self._engine_config = first.config or self.config.engine
         for spec in self.tenants:
-            self._check_pricing(spec)
+            self._check_config(spec)
 
         self.engines: dict[str, OnlineTieringEngine] = {
             spec.name: self._make_engine(spec) for spec in self.tenants
@@ -168,54 +168,34 @@ class FleetScheduler:
         # predate them.
         self._join_streams: dict[str, tuple[int, list[EpochBatch]]] = {}
         self._pool_records: list[PoolUsageRecord] = []
-        # The live roster's blocks with their tenant names, one per (window
-        # width, alpha) group, each tenant's block and index there, and its
-        # row of the blocks' stacked usage; rebuilt on first use after a
-        # roster change.
-        self._blocks: list[tuple[tuple[str, ...], SettleBlock]] = []
-        self._members: dict[str, tuple[SettleBlock, int]] = {}
-        self._usage_rows: dict[str, int] = {}
+        # The live roster's one settle block, in roster order; rebuilt on
+        # first use after a roster change.
+        self._block: SettleBlock | None = None
         # Incremental fleet solves: one DeltaSolver across epochs, keyed by
         # tenant-tagged names so the varying firing subsets merge into a
-        # single fleet-wide cache.  Governed by the shared engine config,
-        # which every spec's own config must match (_check_pricing).
+        # single fleet-wide cache.
         self._delta: DeltaSolver | None = (
-            DeltaSolver(drift_threshold=self.config.engine.delta_drift_threshold)
-            if self.config.engine.reopt_mode == "delta"
+            DeltaSolver(drift_threshold=self._engine_config.delta_drift_threshold)
+            if self._engine_config.reopt_mode == "delta"
             else None
         )
 
     # -- helpers ---------------------------------------------------------------
-    def _pricing_of(self, spec: TenantSpec) -> tuple:
-        engine_config = spec.config or self.config.engine
-        return (
-            engine_config.horizon_months,
-            engine_config.compute_cost_per_s,
-            engine_config.weights,
-        )
-
-    def _check_pricing(self, spec: TenantSpec) -> None:
-        """Raise unless ``spec`` prices placements as the first tenant does
-        and its own config, if any, solves as the fleet's one solver does."""
-        first_name, reference = self._pricing_reference
-        if self._pricing_of(spec) != reference:
+    def _check_config(self, spec: TenantSpec) -> None:
+        """Raise unless ``spec``'s engine config (the fleet's ``engine``
+        config when it has none) equals the fleet's one config; the error
+        names every field that differs."""
+        own, fleet = spec.config or self.config.engine, self._engine_config
+        if own != fleet:
+            differ = [
+                field.name
+                for field in fields(fleet)
+                if getattr(own, field.name) != getattr(fleet, field.name)
+            ]
             raise ValueError(
-                f"tenants {first_name!r} and {spec.name!r} price placements "
-                "differently (horizon, compute price or weights); stacked "
-                "fleet solves require identical pricing"
-            )
-        own, fleet = spec.config, self.config.engine
-        if own is not None and (own.reopt_mode, own.delta_drift_threshold) != (
-            fleet.reopt_mode,
-            fleet.delta_drift_threshold,
-        ):
-            raise ValueError(
-                f"tenant {spec.name!r} solves with reopt_mode="
-                f"{own.reopt_mode!r} and delta_drift_threshold="
-                f"{own.delta_drift_threshold!r}, but the fleet solves every "
-                f"tenant in one stacked solve with reopt_mode="
-                f"{fleet.reopt_mode!r} and delta_drift_threshold="
-                f"{fleet.delta_drift_threshold!r}"
+                f"tenant {spec.name!r} has an engine config that differs from "
+                f"the fleet's in {', '.join(differ)}; a fleet plans, solves and "
+                "settles every tenant with one EngineConfig"
             )
 
     def _make_engine(self, spec: TenantSpec) -> OnlineTieringEngine:
@@ -223,7 +203,7 @@ class FleetScheduler:
             spec.partitions,
             self.tiers,
             spec.policy,
-            config=spec.config or self.config.engine,
+            config=self._engine_config,
             profiles=spec.profiles,
             latency_slo_s=spec.latency_slo_s,
             provider_affinity=spec.provider_affinity,
@@ -234,7 +214,8 @@ class FleetScheduler:
         """Admit a tenant mid-run (chaos ``TenantJoin`` or manual onboarding).
 
         The spec is validated exactly as at construction (unique never-used
-        name, unshared policy, fleet-identical pricing and solver settings).
+        name, unshared policy, the fleet's one engine config) before
+        anything changes.
         Callers stepping the fleet include the tenant in their windows or
         batches from then on; a tenant they leave out settles empty
         windows.
@@ -248,13 +229,13 @@ class FleetScheduler:
                 f"tenant {spec.name!r} shares a policy instance with an "
                 "existing tenant; policies are stateful"
             )
-        self._check_pricing(spec)
+        self._check_config(spec)
         engine = self._make_engine(spec)
         self.tenants = self.tenants + (spec,)
         self.engines[spec.name] = engine
         self._records[spec.name] = []
         self._policy_names[spec.name] = spec.policy.name
-        self._blocks, self._members = [], {}
+        self._block = None
         return engine
 
     def remove_tenant(self, name: str) -> None:
@@ -270,7 +251,7 @@ class FleetScheduler:
             raise KeyError(f"unknown tenant {name!r}")
         engine = self.engines.pop(name)
         self.tenants = tuple(spec for spec in self.tenants if spec.name != name)
-        self._blocks, self._members = [], {}
+        self._block = None
         self._join_streams.pop(name, None)
         if self._delta is not None:
             prefix = f"{name}{TENANT_SEPARATOR}"
@@ -278,23 +259,23 @@ class FleetScheduler:
                 {f"{prefix}{partition.name}" for partition in engine._partitions}
             )
 
-    def _fleet_tier_usage(self, names: Sequence[str]) -> np.ndarray:
+    def _fleet_tier_usage(self, names: Iterable[str]) -> np.ndarray:
         """Summed stored GB per tier across the named tenants' placements,
-        added tenant by tenant in the order given.
+        added tenant by tenant in roster order.
 
-        The tenants' rows of their blocks' cached per-engine usage
+        The tenants' rows of the block's cached per-engine usage
         (:meth:`~repro.engine.SettleBlock.tier_usage`) are summed in one
         cumulative sum down the rows (``np.add.accumulate``, numpy's
         ``cumsum``), which is the ``+=`` loop from a zero vector bit for
         bit: that loop's first add, 0.0 plus a non-negative ``bincount``
         row, is the row itself.
         """
-        blocks = self._fleet_blocks()
-        if not names:
+        block = self._fleet_block()
+        named = set(names)
+        rows = [k for k, name in enumerate(block.tenants) if name in named]
+        if not rows:
             return np.zeros(len(self.tiers), dtype=np.float64)
-        matrix = np.concatenate([block.tier_usage() for _, block in blocks])
-        rows = [*map(self._usage_rows.__getitem__, names)]
-        return np.add.accumulate(matrix.take(rows, axis=0), axis=0)[-1]
+        return np.add.accumulate(block.tier_usage().take(rows, axis=0), axis=0)[-1]
 
     def _reoptimize(
         self,
@@ -307,18 +288,19 @@ class FleetScheduler:
         the steps and the order of a lone engine's.
 
         ``epoch`` is the window ordinal.  A
-        :class:`~repro.engine.WindowPlan` over the tenants' blocks forecasts
-        every firing row and assembles the stacked instance from the blocks'
+        :class:`~repro.engine.WindowPlan` over the fleet's block forecasts
+        every firing row and assembles the stacked instance from the block's
         columns; :func:`~repro.engine.solve_stacked` solves it against the
         shared pools less what the standing placements hold (a chaos run
         degrades an infeasible solve through the injector's ladder); the
         plan then prices and applies every move.  Returns the per-tenant
         migration reports of an applied solve (empty when placements froze).
         """
+        firing_set = set(firing)
         with tracer.span("fleet.build_problem", tenants=len(firing)):
-            self._fleet_blocks()
-            members = self._members
-            plan = WindowPlan(epoch, [(name, *members[name]) for name in firing])
+            block = self._fleet_block()
+            ks = [k for k, name in enumerate(block.tenants) if name in firing_set]
+            plan = WindowPlan(epoch, block, ks)
             with tracer.span("engine.forecast", tenants=len(firing)):
                 plan.forecast()
             with tracer.span("fleet.stack", tenants=len(firing)):
@@ -326,7 +308,6 @@ class FleetScheduler:
         reserved = None
         if self.pools is not None:
             with tracer.span("fleet.pool_usage"):
-                firing_set = set(firing)
                 standing = [name for name in order if name not in firing_set]
                 reserved = self.pools.usage(self._fleet_tier_usage(standing))
         engines = [self.engines[name] for name in firing]
@@ -429,10 +410,8 @@ class FleetScheduler:
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
         drift, and the stacked solve re-arbitrates the pools for everyone.
-        After the solve, one pass per :class:`~repro.engine.SettleBlock`
-        settles every tenant: the tenants that share a ring width and an
-        EWMA alpha (all of them, unless tenant configs differ there) are
-        billed and folded together.
+        After the solve, one pass over the fleet's
+        :class:`~repro.engine.SettleBlock` bills and folds every tenant.
         """
         if not windows:
             raise ValueError("at least one tenant window is required")
@@ -505,62 +484,32 @@ class FleetScheduler:
             solve_seconds = monotonic_s() - solve_started
 
             with tracer.span("fleet.settle", tenants=len(order)):
-                for names, block in self._settle_blocks():
-                    records = block.settle(
-                        [windows[name] for name in names],
-                        [rows[name] for name in names],
-                        [migrations.get(name) for name in names],
-                        [name in migrations for name in names],
-                        started=monotonic_s(),
-                    )
-                    for name, record in zip(names, records):
-                        self._records[name].append(record)
+                records = self._fleet_block().settle(
+                    [windows[name] for name in order],
+                    [rows[name] for name in order],
+                    [migrations.get(name) for name in order],
+                    [name in migrations for name in order],
+                    started=monotonic_s(),
+                )
+                for name, record in zip(order, records):
+                    self._records[name].append(record)
 
             with tracer.span("fleet.pool_usage"):
                 self._note_pool_usage(
                     index, order, len(firing), solve_seconds, tracer, window_span
                 )
 
-    def _settle_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
-        """The blocks a window settles through, with each block's tenants
-        (:meth:`_fleet_blocks`)."""
-        return self._fleet_blocks()
-
-    def _fleet_blocks(self) -> list[tuple[tuple[str, ...], SettleBlock]]:
-        """The live roster's blocks, with each block's tenants.
-
-        Tenants are grouped by feature-store window width and forecaster
-        alpha, in roster order.  The blocks are built at first use and
-        rebuilt after a roster change, or when an engine no longer holds a
-        block's columns.
-        """
-        if not self._blocks or not all(block.intact() for _, block in self._blocks):
-            groups: dict[tuple, list[str]] = {}
-            for spec in self.tenants:
-                engine = self.engines[spec.name]
-                key = (engine.feature_store.window_months, engine.forecaster.alpha)
-                groups.setdefault(key, []).append(spec.name)
-            self._blocks = [
-                (
-                    tuple(names),
-                    SettleBlock([self.engines[name] for name in names], tenants=names),
-                )
-                for names in groups.values()
-            ]
-            self._members = {
-                name: (block, k)
-                for names, block in self._blocks
-                for k, name in enumerate(names)
-            }
-            # Each tenant's row of its blocks' usage matrices stacked in
-            # block order.
-            self._usage_rows = {
-                name: row
-                for row, name in enumerate(
-                    name for names, _ in self._blocks for name in names
-                )
-            }
-        return self._blocks
+    def _fleet_block(self) -> SettleBlock:
+        """The live roster's one settle block, its tenants in roster order:
+        built at first use and rebuilt after a roster change, or when an
+        engine no longer holds the block's columns."""
+        block = self._block
+        if block is None or not block.intact():
+            names = [spec.name for spec in self.tenants]
+            block = self._block = SettleBlock(
+                [self.engines[name] for name in names], tenants=names
+            )
+        return block
 
     def run_streams(
         self,

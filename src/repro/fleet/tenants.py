@@ -42,9 +42,13 @@ class TenantSpec:
         one of ``series`` / ``stream`` must be given.
     stream:
         An explicit epoch-batch iterable instead of ``series``.
-    profiles, config, latency_slo_s, provider_affinity:
-        Forwarded to the tenant's engine; ``config`` falls back to the
-        fleet's shared :attr:`FleetConfig.engine` when ``None``.
+    profiles, latency_slo_s, provider_affinity:
+        Forwarded to the tenant's engine.
+    config:
+        The tenant's engine config, :attr:`FleetConfig.engine` when
+        ``None``.  A fleet runs one engine config, so it must equal every
+        other tenant's: the fleet rejects a spec whose config differs in any
+        field (:class:`~repro.fleet.FleetScheduler`).
     """
 
     name: str
@@ -81,8 +85,9 @@ class TenantSpec:
 class FleetConfig:
     """Knobs of the fleet control loop.
 
-    ``engine`` is the shared :class:`~repro.engine.EngineConfig` for tenants
-    whose spec carries none.  ``max_workers`` has no effect: it sized a
+    ``engine`` is the :class:`~repro.engine.EngineConfig` of tenants whose
+    spec carries none; the fleet runs the first tenant's config, which every
+    other tenant's must equal.  ``max_workers`` has no effect: it sized a
     thread pool for the per-tenant problem builds, which the one plan pass
     per window (:class:`~repro.engine.WindowPlan`) replaced.  It is still
     validated (at least 1) and kept for callers that pass it, until a

@@ -1,22 +1,23 @@
 """One settle pass over many engines against each engine settling alone.
 
-A fleet settles every tenant that shares a ring width and an EWMA alpha in
-one :class:`~repro.engine.SettleBlock` pass; a lone engine settles through a
+A fleet runs one engine config and settles all of its tenants in one
+:class:`~repro.engine.SettleBlock` pass; a lone engine settles through a
 block of one.  The reference is the per-engine window settle in
 ``tests/oracles/engine_state.py``.  Hypothesis drives two identical fleets
-(or engines) over the same windows — one through the blocks, one through the
+(or engines) over the same windows — one through the block, one through the
 reference — and after every window requires bit-identical records and bills,
 feature-store rings, lifetime and last-access columns, forecaster values and
 epochs, residency clocks and each policy's observed rate columns.  The draws
 cover tenants with no events, zero-read events, zero-width flush windows,
-per-tenant vocabularies, tenants whose configs differ in ``window_months``
-and ``forecast_alpha``, full and delta mode, and windowed chaos: a price
+per-tenant vocabularies, fleets of either ``window_months`` and
+``forecast_alpha``, full and delta mode, and windowed chaos: a price
 shock, an outage and its recovery, a tenant leaving and a tenant joining.
+A spec whose config differs from the fleet's in any field is rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from repro.chaos import (
     TenantJoin,
     TenantLeave,
 )
-from repro.cloud import DataPartition, EventBatch, TimedEvent, multi_cloud_catalog
+from repro.cloud import (
+    CostWeights,
+    DataPartition,
+    EventBatch,
+    TimedEvent,
+    multi_cloud_catalog,
+)
 from repro.core.access_predict import WindowedAccessForecaster
 from repro.engine import (
     CountTrigger,
@@ -83,14 +90,13 @@ def make_policy(kind: str):
     return StaticOnce()
 
 
-tenant_specs = st.lists(
-    st.tuples(
-        st.sampled_from((2, 3)),  # window_months
-        st.sampled_from((0.4, 0.15)),  # forecast_alpha
-        st.sampled_from(("periodic", "drift", "static")),
-    ),
-    min_size=1,
-    max_size=3,
+# One (window_months, forecast_alpha) per fleet, and a policy per tenant.
+tenant_specs = st.tuples(st.sampled_from((2, 3)), st.sampled_from((0.4, 0.15))).flatmap(
+    lambda config: st.lists(
+        st.sampled_from(("periodic", "drift", "static")).map(lambda kind: (*config, kind)),
+        min_size=1,
+        max_size=3,
+    )
 )
 window_events = st.lists(
     st.tuples(st.integers(0, len(NAMES) - 1), st.sampled_from(READS)), max_size=8
@@ -129,7 +135,10 @@ def engine_config(window_months: int, alpha: float, mode: str) -> EngineConfig:
 
 
 def build_fleet(tenants, chaos_kinds, mode):
+    """A fleet of ``tenants`` — ``(window_months, alpha, policy)`` each, one
+    ``(window_months, alpha)`` for all — whose joiner runs the same config."""
     names = [f"t{k}" for k in range(len(tenants))]
+    window_months, alpha = tenants[0][:2]
     specs = [
         TenantSpec(
             name=name,
@@ -157,7 +166,7 @@ def build_fleet(tenants, chaos_kinds, mode):
                     partitions=partitions(prefix_of(JOINER)),
                     policy=PeriodicReoptimize(1),
                     stream=iter(()),
-                    config=engine_config(3, 0.4, mode),
+                    config=engine_config(window_months, alpha, mode),
                 ),
             )
         )
@@ -165,7 +174,7 @@ def build_fleet(tenants, chaos_kinds, mode):
     scheduler = FleetScheduler(
         specs,
         multi_cloud_catalog(),
-        config=FleetConfig(engine=engine_config(3, 0.4, mode)),
+        config=FleetConfig(engine=engine_config(window_months, alpha, mode)),
         chaos=chaos,
     )
     return scheduler
@@ -302,7 +311,7 @@ class TestFleetPassMatchesEachEngineAlone:
         assert reports[0].total_bill == reports[1].total_bill
 
 
-def solo_engine(window_months, alpha, warm, kind):
+def solo_engine(window_months, alpha, warm, kind, catalog=None):
     forecaster = None
     if warm:
         # A name the engine does not know comes first, so the engine's
@@ -312,7 +321,7 @@ def solo_engine(window_months, alpha, warm, kind):
         forecaster.update(-4, {"p1": 2.5, "elsewhere": 1.0})
     return OnlineTieringEngine(
         partitions(),
-        multi_cloud_catalog(),
+        catalog or multi_cloud_catalog(),
         make_policy(kind),
         config=engine_config(window_months, alpha, "full"),
         forecaster=forecaster,
@@ -371,7 +380,8 @@ class TestLoneEngineIsABlockOfOne:
 
 class TestBlockMembership:
     def test_engines_hold_views_of_the_block_columns(self):
-        engines = [solo_engine(3, 0.4, False, "static") for _ in range(2)]
+        catalog = multi_cloud_catalog()
+        engines = [solo_engine(3, 0.4, False, "static", catalog) for _ in range(2)]
         block = SettleBlock(engines)
         assert block.intact()
         for engine in engines:
@@ -403,6 +413,25 @@ class TestBlockMembership:
         ]
         with pytest.raises(ValueError, match="own forecasters"):
             SettleBlock(twins)
+
+    def test_block_needs_one_blend_catalog_and_compute_price(self):
+        """Every move and price of a block is computed with its first
+        engine's catalog, and every forecast with one blend."""
+        catalog = multi_cloud_catalog()
+
+        def engine(tiers=catalog, **config):
+            return OnlineTieringEngine(
+                partitions(), tiers, StaticOnce(), config=EngineConfig(**config)
+            )
+
+        with pytest.raises(ValueError, match="alpha and blend"):
+            SettleBlock([engine(), engine(forecast_blend=1.0)])
+        with pytest.raises(ValueError, match="one catalog object"):
+            SettleBlock([engine(), engine(multi_cloud_catalog())])
+        with pytest.raises(ValueError, match="compute_cost_per_s"):
+            SettleBlock([engine(), engine(compute_cost_per_s=0.002)])
+        block = SettleBlock([engine(), engine()])
+        assert block.intact() and len(block.engines) == 2
 
     def test_store_folded_outside_the_block_slides_on_its_own(self):
         """A store observed directly through epoch 1, then settled from
@@ -441,13 +470,102 @@ class TestBlockMembership:
             alone.step_window(windows)
             assert fleet_state(block) == fleet_state(alone)
 
-    def test_mixed_configs_settle_in_one_block_per_group(self):
-        tenants = [(3, 0.4, "static"), (2, 0.4, "static"), (3, 0.4, "static"), (3, 0.15, "static")]
-        scheduler = build_fleet(tenants, (), "full")
-        names = [f"t{k}" for k in range(len(tenants))]
-        scheduler.step_window(next(tenant_windows(names, [(0.5, "time", [[]] * 4)])))
-        groups = [names_ for names_, _ in scheduler._blocks]
-        assert groups == [("t0", "t2"), ("t1",), ("t3",)]
+
+#: A value other than ``engine_config(3, 0.4, "full")``'s for every field.
+DIFFERENT = {
+    "horizon_months": 4.0,
+    "window_months": 2,
+    "compute_cost_per_s": 0.002,
+    "weights": CostWeights(alpha=2.0),
+    "forecast_alpha": 0.15,
+    "forecast_blend": 1.0,
+    "reopt_mode": "delta",
+    "delta_drift_threshold": 0.2,
+}
+
+
+def config_spec(name, config):
+    return TenantSpec(
+        name=name,
+        partitions=partitions(prefix_of(name)),
+        policy=StaticOnce(),
+        stream=iter(()),
+        config=config,
+    )
+
+
+class TestOneEngineConfigPerFleet:
+    @pytest.mark.parametrize("field", [field.name for field in fields(EngineConfig)])
+    def test_a_spec_differing_in_one_field_is_rejected(self, field):
+        """At construction, from ``add_tenant`` and from a chaos
+        ``TenantJoin``: the error names the field alone, and the roster,
+        the engines and the block stay as they were."""
+        base = engine_config(3, 0.4, "full")
+        other = replace(base, **{field: DIFFERENT[field]})
+
+        def rejected(name):
+            return (
+                f"tenant '{name}' has an engine config that differs from the "
+                f"fleet's in {field};"
+            )
+
+        with pytest.raises(ValueError, match=rejected("t1")):
+            FleetScheduler(
+                [config_spec("t0", base), config_spec("t1", other)],
+                multi_cloud_catalog(),
+                config=FleetConfig(engine=base),
+            )
+        for via in ("add_tenant", "join"):
+            join = TenantJoin(epoch=1, spec=config_spec(JOINER, other))
+            scheduler = FleetScheduler(
+                [config_spec("t0", base), config_spec("t1", base)],
+                multi_cloud_catalog(),
+                config=FleetConfig(engine=base),
+                chaos=ChaosInjector(DisruptionSchedule([join])) if via == "join" else None,
+            )
+            windows = tenant_windows(
+                ["t0", "t1"], [(1.0, "time", [[(0, 1.0)], []]), (0.5, "time", [[], []])]
+            )
+            scheduler.step_window(next(windows))
+            roster, engines = scheduler.tenants, dict(scheduler.engines)
+            block = scheduler._block
+            with pytest.raises(ValueError, match=rejected(JOINER)):
+                if via == "join":
+                    scheduler.step_window(next(windows))
+                else:
+                    scheduler.add_tenant(join.spec)
+            assert scheduler.tenants == roster and scheduler.engines == engines
+            assert scheduler._block is block and block.intact()
+            assert block.tenants == ("t0", "t1")
+
+    def test_equal_configs_and_the_fleet_default_are_accepted(self):
+        base = engine_config(3, 0.4, "full")
+        # An equal config in a distinct object.
+        fleet = FleetScheduler(
+            [config_spec("t0", base), config_spec("t1", replace(base))],
+            multi_cloud_catalog(),
+        )
+        fleet.add_tenant(config_spec(JOINER, replace(base)))
+        # Specs without a config run the fleet's engine config, and are
+        # compared as that.
+        default = FleetScheduler(
+            [config_spec("t0", None), config_spec("t1", replace(base))],
+            multi_cloud_catalog(),
+            config=FleetConfig(engine=replace(base)),
+        )
+        default.add_tenant(config_spec(JOINER, None))
+        for scheduler in (fleet, default):
+            assert all(engine.config == base for engine in scheduler.engines.values())
+            scheduler.step_window(
+                next(tenant_windows(["t0", "t1", JOINER], [(0.5, "time", [[]] * 3)]))
+            )
+            assert scheduler._block.tenants == ("t0", "t1", JOINER)
+        with pytest.raises(ValueError, match="differs from the fleet's in horizon_months"):
+            FleetScheduler(
+                [config_spec("t0", base), config_spec("t1", None)],
+                multi_cloud_catalog(),
+                config=FleetConfig(engine=replace(base, horizon_months=6.0)),
+            )
 
 
 class TestRejectedWindowChangesNothing:

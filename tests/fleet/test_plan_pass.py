@@ -1,7 +1,7 @@
 """One plan pass per fleet window against the per-tenant plan it replaced.
 
 A fleet forecasts, builds and applies every firing tenant of a window in one
-:class:`~repro.engine.WindowPlan` over its blocks' columns.  The reference
+:class:`~repro.engine.WindowPlan` over its block's columns.  The reference
 (``tests/oracles/plan.py``) is the per-tenant plan: each engine's
 ``forecast_monthly``, the object build of its instance, the oracle
 ``stack``, the same ``solve_stacked``, ``split_placements`` and the
@@ -13,10 +13,11 @@ order, profile columns, tier mask, banned tiers), migration reports record
 by record, records and bills, placements, residency clocks, partitions'
 tier and codec, forecasts and policy baselines, tier usage, and block
 prices equal to a placement compiled afresh.  The draws cover full and delta
-mode, pools with and without contention, new data, pinned codecs, tenants
-with different scheme sets and configs (several blocks), both timelines and
-chaos (an outage and its recovery, price and pool shocks, a tenant leaving
-and one joining) and tenants banning different tiers.  A second battery prices random placement changes through
+mode, fleets of either ring width, alpha and blend, pools with and without
+contention, new data, pinned codecs, tenants with different scheme sets,
+both timelines and chaos (an outage and its recovery, price and pool
+shocks, a tenant leaving and one joining) and tenants banning different
+tiers.  A second battery prices random placement changes through
 a block against the per-partition scan.
 """
 
@@ -134,16 +135,19 @@ def engine_config(window_months, alpha, blend, mode):
     )
 
 
-tenant_specs = st.lists(
-    st.tuples(
-        st.sampled_from((2, 3)),  # window_months
-        st.sampled_from((0.4, 0.15)),  # forecast_alpha
-        st.sampled_from((0.6, 1.0)),  # forecast_blend
-        st.sampled_from(("periodic", "drift", "static")),
-        st.sampled_from(sorted(SCHEMES)),
-    ),
-    min_size=1,
-    max_size=4,
+# One (window_months, forecast_alpha, forecast_blend) per fleet, and a
+# policy and a scheme kind per tenant.
+tenant_specs = st.tuples(
+    st.sampled_from((2, 3)), st.sampled_from((0.4, 0.15)), st.sampled_from((0.6, 1.0))
+).flatmap(
+    lambda config: st.lists(
+        st.tuples(
+            st.sampled_from(("periodic", "drift", "static")),
+            st.sampled_from(sorted(SCHEMES)),
+        ).map(lambda tenant: (*config, *tenant)),
+        min_size=1,
+        max_size=4,
+    )
 )
 events = st.lists(
     st.tuples(st.integers(0, len(NAMES) - 1), st.sampled_from(READS)), max_size=6
@@ -183,8 +187,12 @@ def fleet_runs(draw):
 
 
 def build_fleet(tenants, chaos_kinds, mode, pools):
+    """A fleet of ``tenants`` — ``(window_months, alpha, blend, policy,
+    kind)`` each, one ``(window_months, alpha, blend)`` for all — whose
+    joiner runs the same config."""
     catalog = multi_cloud_catalog()
     names = [f"t{k}" for k in range(len(tenants))]
+    config = engine_config(*tenants[0][:3], mode)
     specs = [
         TenantSpec(
             name=name,
@@ -229,7 +237,7 @@ def build_fleet(tenants, chaos_kinds, mode, pools):
                     policy=PeriodicReoptimize(1),
                     stream=iter(()),
                     profiles=profiles(JOINER, 2),
-                    config=engine_config(3, 0.4, 0.6, mode),
+                    config=config,
                 ),
             )
         )
@@ -238,7 +246,7 @@ def build_fleet(tenants, chaos_kinds, mode, pools):
         specs,
         catalog,
         pools=pool_set,
-        config=FleetConfig(engine=engine_config(3, 0.4, 0.6, mode)),
+        config=FleetConfig(engine=config),
         chaos=chaos,
     )
     if "ban" in chaos_kinds:
@@ -311,7 +319,7 @@ def stacked_view(stacked) -> dict:
         "banned": problem.banned_tiers,
         "columns": (schemes, bits(ratio), bits(decompression), bits(available)),
         "mask": None if mask is None else (mask.shape, bits(mask)),
-        # The plan codes its mask from the blocks' codec codes; the oracle's
+        # The plan codes its mask from the block's codec codes; the oracle's
         # instance codes its codec names.
         "codec_mask": (problem._codec_mask().shape, bits(problem._codec_mask())),
         "model": (model.duration_months, model.compute_cost_per_s, model.weights),

@@ -89,7 +89,7 @@ class TestValidation:
     def test_mismatched_pricing_rejected(self, fleet_workload):
         specs = make_specs(fleet_workload)
         specs[1].config = EngineConfig(horizon_months=12.0, window_months=6)
-        with pytest.raises(ValueError, match="identical pricing"):
+        with pytest.raises(ValueError, match="differs from the fleet's in horizon_months;"):
             FleetScheduler(specs, multi_cloud_catalog())
 
     @pytest.mark.parametrize(
@@ -100,7 +100,9 @@ class TestValidation:
         spec asking for others (the first tenant's too) raises."""
         specs = make_specs(fleet_workload)
         specs[0].config = replace(CONFIG, **setting)
-        with pytest.raises(ValueError, match="one stacked solve"):
+        with pytest.raises(
+            ValueError, match=f"differs from the fleet's in {', '.join(setting)};"
+        ):
             FleetScheduler(specs, multi_cloud_catalog())
         # Accepted once the fleet solves with those settings too.
         for spec in specs:
@@ -119,7 +121,9 @@ class TestValidation:
         scheduler = FleetScheduler(specs[:2], multi_cloud_catalog())
         joiner = specs[2]
         joiner.config = replace(CONFIG, **setting)
-        with pytest.raises(ValueError, match="one stacked solve"):
+        with pytest.raises(
+            ValueError, match=f"differs from the fleet's in {', '.join(setting)};"
+        ):
             scheduler.add_tenant(joiner)
         assert joiner.name not in scheduler.engines
         joiner.config = CONFIG

@@ -436,6 +436,7 @@ class TestBlockPlacedProfileColumns:
     def test_each_engine_reads_its_per_row_columns_on_the_block_axis(self, order):
         from repro.engine import SettleBlock
 
+        catalog = multi_cloud_catalog()
         engines = []
         for index, schemes in enumerate(TENANT_SCHEMES.values()):
             problem = tenant_problem(
@@ -444,7 +445,7 @@ class TestBlockPlacedProfileColumns:
             engines.append(
                 OnlineTieringEngine(
                     problem.partitions,
-                    multi_cloud_catalog(),
+                    catalog,
                     PeriodicReoptimize(1),
                     profiles=problem._profiles,
                 )

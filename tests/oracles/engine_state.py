@@ -80,31 +80,27 @@ def reference_settle_window(
     )
 
 
-class _OneEngine:
-    """A stand-in settle block that settles one engine alone."""
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def settle(self, windows, rows, migrations, reoptimized, started=None):
-        return [
-            reference_settle_window(
-                self.engine, windows[0], migrations[0], reoptimized[0], started
-            )
-        ]
-
-
 def settle_each_engine(scheduler) -> None:
     """Make ``scheduler`` settle every tenant's window alone through
-    :func:`reference_settle_window`, in roster order."""
+    :func:`reference_settle_window`, in roster order: its block's settle
+    pass is replaced, while the block still plans and prices."""
+    fleet_block = scheduler._fleet_block
 
-    def blocks():
-        return [
-            ((spec.name,), _OneEngine(scheduler.engines[spec.name]))
-            for spec in scheduler.tenants
-        ]
+    def block():
+        block = fleet_block()
 
-    scheduler._settle_blocks = blocks
+        def settle(windows, rows, migrations, reoptimized, started=None):
+            return [
+                reference_settle_window(engine, window, migration, fired, started)
+                for engine, window, migration, fired in zip(
+                    block.engines, windows, migrations, reoptimized
+                )
+            ]
+
+        block.settle = settle
+        return block
+
+    scheduler._fleet_block = block
 
 
 def left_to_right_sum(values: Iterable[float]) -> float:

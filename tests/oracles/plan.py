@@ -14,7 +14,7 @@ placement handed back through the engine's ``placement`` setter.
 :func:`plan_each_tenant` installs it on a fleet in place of its
 :class:`~repro.engine.WindowPlan` (``tests/fleet/test_plan_pass.py``), and
 :func:`plan_alone` installs the same steps for one untagged engine in place
-of its one-member plan (``tests/engine/test_plan_alone.py``), and
+of its plan over its block of one (``tests/engine/test_plan_alone.py``), and
 :func:`lone_problem` is the instance that plan assembles, for tests that
 compare it with the object build.
 """
@@ -45,9 +45,9 @@ def reference_forecast(engine, epoch: int) -> RateColumns:
 
 def lone_problem(engine, epoch: int):
     """The instance a lone ``engine`` solves at ``epoch``: the forecast and
-    stack of its one-member :class:`~repro.engine.WindowPlan`, which leave
-    the forecast pending on the engine."""
-    plan = WindowPlan(epoch, [("", engine._lone_block(), 0)])
+    stack of its :class:`~repro.engine.WindowPlan` over its block of one,
+    which leave the forecast pending on the engine."""
+    plan = WindowPlan(epoch, engine._lone_block(), [0])
     plan.forecast()
     return plan.stack().problem
 
