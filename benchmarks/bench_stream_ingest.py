@@ -26,7 +26,12 @@ stream``).  Results are committed to ``BENCH_stream_ingest.json``.
 Run with:  PYTHONPATH=src python benchmarks/bench_stream_ingest.py [--quick]
 
 ``--quick`` runs one small cell and writes no JSON — CI smoke uses it to
-exercise the path on every push without timing anybody.
+exercise the path on every push without timing anybody.  It then runs a
+second, merged cell: eight such streams, one per tenant, through
+:func:`~repro.workloads.merge_streams` under the same trigger.  Their
+thinned chunks hold far fewer than ``CHUNK_SIZE`` events, so the merge's
+``CHUNK_SIZE`` strides engage; the cell checks that every generated event
+is windowed and that memory stays flat, as the single-stream cell does.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.workloads import (  # noqa: E402
     compose_modulations,
     diurnal_modulation,
     flash_crowd,
+    merge_streams,
 )
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_stream_ingest.json"
@@ -64,9 +70,14 @@ FLAT_GROWTH_LIMIT_MB = 5.0
 
 CELLS = (250_000, 1_000_000)
 QUICK_CELL = 100_000
+QUICK_WINDOW_EVENTS = 20_000
+# Tenant streams in the quick merged cell.
+MERGED_SOURCES = 8
 
 
-def make_stream(num_events: int, seed: int = 7) -> PoissonZipfStream:
+def make_stream(
+    num_events: int, seed: int = 7, tenant: str | None = None
+) -> PoissonZipfStream:
     """A modulated Zipf stream whose mean event count is ``num_events``."""
     return PoissonZipfStream(
         [f"p{i:03d}" for i in range(NUM_PARTITIONS)],
@@ -78,10 +89,11 @@ def make_stream(num_events: int, seed: int = 7) -> PoissonZipfStream:
             diurnal_modulation(amplitude=0.5),
             flash_crowd(start_month=6.0, magnitude=4.0, duration_months=0.25),
         ),
+        tenant=tenant,
     )
 
 
-def timed_pass(stream: PoissonZipfStream, window_events: int) -> dict:
+def timed_pass(stream: object, window_events: int) -> dict:
     """Generation and windowed-ingest throughput, no profiler attached."""
     started = time.perf_counter()
     total_events = sum(1 for _ in stream)
@@ -110,7 +122,7 @@ def timed_pass(stream: PoissonZipfStream, window_events: int) -> dict:
     }
 
 
-def profiled_pass(stream: PoissonZipfStream, window_events: int) -> dict:
+def profiled_pass(stream: object, window_events: int) -> dict:
     """Windowed ingest under tracemalloc: per-window-close memory checkpoints."""
     tracemalloc.start()
     try:
@@ -138,15 +150,12 @@ def profiled_pass(stream: PoissonZipfStream, window_events: int) -> dict:
     }
 
 
-def run_cell(num_events: int, window_events: int = WINDOW_EVENTS, seed: int = 7) -> dict:
-    stream = make_stream(num_events, seed=seed)
-    row = {
-        "num_events_target": num_events,
-        "window_events": window_events,
-        "seed": seed,
-    }
-    row.update(timed_pass(stream, window_events))
-    row.update(profiled_pass(stream, window_events))
+def measure(stream: object, row: dict, expected_events: int | None = None) -> dict:
+    """Time and profile ``stream`` into ``row``, print it and exit nonzero
+    unless every generated event (``expected_events`` of them, when given)
+    is windowed and memory stays flat."""
+    row.update(timed_pass(stream, row["window_events"]))
+    row.update(profiled_pass(stream, row["window_events"]))
     print(
         f"{row['total_events']:>9} events | gen {row['gen_wall_s']:6.2f} s "
         f"({row['gen_events_per_s']:>10.0f} ev/s) | windowed "
@@ -154,6 +163,13 @@ def run_cell(num_events: int, window_events: int = WINDOW_EVENTS, seed: int = 7)
         f"peak {row['mem_peak_mb']:6.1f} MB | growth {row['mem_growth_mb']:+5.2f} MB "
         f"({'flat' if row['memory_flat'] else 'GROWING'})"
     )
+    expected = row["total_events"] if expected_events is None else expected_events
+    if not row["total_events"] == row["windowed_events"] == expected:
+        raise SystemExit(
+            f"{expected} events generated, but {row['total_events']} streamed "
+            f"and {row['windowed_events']} windowed — the ingest path lost or "
+            "duplicated events"
+        )
     if not row["memory_flat"]:
         raise SystemExit(
             f"streaming ingest memory grew {row['mem_growth_mb']:.2f} MB "
@@ -161,6 +177,40 @@ def run_cell(num_events: int, window_events: int = WINDOW_EVENTS, seed: int = 7)
             "path is accumulating per-event state"
         )
     return row
+
+
+def run_cell(num_events: int, window_events: int = WINDOW_EVENTS, seed: int = 7) -> dict:
+    row = {
+        "num_events_target": num_events,
+        "window_events": window_events,
+        "seed": seed,
+    }
+    return measure(make_stream(num_events, seed=seed), row)
+
+
+def run_merged_cell(
+    num_events: int, window_events: int = QUICK_WINDOW_EVENTS, seed: int = 7
+) -> dict:
+    """:data:`MERGED_SOURCES` tenant streams sharing ``num_events`` events,
+    merged into one stream and windowed as one."""
+    streams = [
+        make_stream(num_events // MERGED_SOURCES, seed=seed + k, tenant=f"t{k}")
+        for k in range(MERGED_SOURCES)
+    ]
+    sizes = [len(chunk) for stream in streams for chunk in stream.chunks()]
+    merged = merge_streams(*streams)
+    strides = sum(1 for _ in merged.chunks())
+    print(
+        f"{MERGED_SOURCES} sources: {len(sizes)} chunks of "
+        f"{statistics.median(sizes):.0f} events (median) merged into {strides} chunks"
+    )
+    row = {
+        "num_events_target": num_events,
+        "window_events": window_events,
+        "seed": seed,
+        "sources": MERGED_SOURCES,
+    }
+    return measure(merged, row, expected_events=sum(sizes))
 
 
 def main() -> None:
@@ -174,7 +224,8 @@ def main() -> None:
 
     print("Streaming ingest: lazy generation + trigger windowing")
     if args.quick:
-        run_cell(QUICK_CELL, window_events=20_000)
+        run_cell(QUICK_CELL, window_events=QUICK_WINDOW_EVENTS)
+        run_merged_cell(QUICK_CELL)
         print("\n--quick: skipping JSON output")
         return
 

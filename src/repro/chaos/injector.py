@@ -5,7 +5,8 @@
 :class:`~repro.engine.OnlineTieringEngine` or a
 :class:`~repro.fleet.FleetScheduler`.  The hosts call a small fixed hook
 surface at their window boundaries (``before_engine_window`` /
-``before_fleet_window``, ``joiners_in_window``, ``take_forced_tenants``)
+``before_fleet_window``, ``check_fleet_window``, ``joiners_in_window``,
+``take_forced_tenants``)
 and around their one solve (``degrade_solve`` when it is infeasible, then
 ``note_migration`` and ``note_relaxation``, each keyed by the window index
 the host passes); everything else — outage bookkeeping, affinity lifting,
@@ -350,14 +351,57 @@ class ChaosInjector:
 
     def joiners_in_window(self, start_month: float, end_month: float) -> list:
         """The specs of the tenants :meth:`before_fleet_window` admits for
-        the span ``[start_month, end_month)``, in mark order.  Pure: the
-        fleet checks their windows before any disruption applies."""
+        the span ``[start_month, end_month)``, in mark order.  Pure."""
         return [
             event.spec
             for epoch in self._epochs_in_window(start_month, end_month)
             for event in self.schedule.at(epoch)
             if isinstance(event, TenantJoin)
         ]
+
+    def check_fleet_window(
+        self, scheduler, start_month: float, end_month: float
+    ) -> list:
+        """Raise what :meth:`before_fleet_window` would raise on the churn
+        and pool shocks of the span ``[start_month, end_month)``, applying
+        nothing: each ``TenantJoin`` against the fleet's admission checks
+        and each ``TenantLeave`` against the roster, both as the window's
+        earlier joins and leaves change them, and each ``PoolShock``
+        against the fleet's pools.  Returns the joiners' specs in mark
+        order, so the fleet can check their windows too."""
+        used = set(scheduler._records)
+        roster = {spec.name: spec for spec in scheduler.tenants}
+        joiners = []
+        for epoch in self._epochs_in_window(start_month, end_month):
+            for event in self.schedule.at(epoch):
+                if isinstance(event, TenantJoin):
+                    spec = event.spec
+                    scheduler._check_admission(spec, used, roster.values())
+                    used.add(spec.name)
+                    roster[spec.name] = spec
+                    joiners.append(spec)
+                elif isinstance(event, TenantLeave):
+                    if roster.pop(event.tenant, None) is None:
+                        raise KeyError(f"unknown tenant {event.tenant!r}")
+                elif isinstance(event, PoolShock):
+                    self._shocked_capacity(scheduler.pools, event)
+        return joiners
+
+    @staticmethod
+    def _shocked_capacity(pools, event: PoolShock) -> float:
+        """The budget ``event`` gives its pool; raises when the fleet has
+        no pools or no pool of that name."""
+        if pools is None:
+            raise ValueError(
+                f"pool shock on {event.pool!r} but the fleet has no "
+                "shared capacity pools"
+            )
+        by_name = {pool.name: pool.capacity_gb for pool in pools}
+        if event.pool not in by_name:
+            raise KeyError(f"unknown pool {event.pool!r}; have {sorted(by_name)}")
+        if event.capacity_gb is not None:
+            return event.capacity_gb
+        return by_name[event.pool] * event.capacity_factor
 
     def _apply_fleet_event(
         self, scheduler, index: int, mark: int, event: DisruptionEvent
@@ -370,22 +414,8 @@ class ChaosInjector:
         elif isinstance(event, PriceShock):
             self._apply_price_shock(catalog, scheduler._delta, event)
         elif isinstance(event, PoolShock):
-            pools = scheduler.pools
-            if pools is None:
-                raise ValueError(
-                    f"pool shock on {event.pool!r} but the fleet has no "
-                    "shared capacity pools"
-                )
-            if event.capacity_gb is not None:
-                new_capacity = event.capacity_gb
-            else:
-                by_name = {pool.name: pool.capacity_gb for pool in pools}
-                if event.pool not in by_name:
-                    raise KeyError(
-                        f"unknown pool {event.pool!r}; have {sorted(by_name)}"
-                    )
-                new_capacity = by_name[event.pool] * event.capacity_factor
-            pools.set_capacity(event.pool, new_capacity)
+            capacity = self._shocked_capacity(scheduler.pools, event)
+            scheduler.pools.set_capacity(event.pool, capacity)
         elif isinstance(event, TenantJoin):
             engine = scheduler.add_tenant(event.spec)
             # The joiner enters the current world: active outages apply.

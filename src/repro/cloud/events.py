@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
-"""Events per chunk when object streams are batched."""
+"""Events per chunk when object streams are batched, and the fewest events
+a merged chunk holds (:func:`merge_batches`), but the last."""
 
 
 @dataclass(frozen=True)
@@ -443,52 +444,111 @@ def iter_batches(source: object) -> Iterator[EventBatch]:
 def merge_batches(sources: Sequence[object]) -> Iterator[EventBatch]:
     """Merge time-ordered event sources into one time-ordered chunk stream.
 
-    A chunked k-way merge.  One chunk per source is buffered; each step
-    emits every buffered event strictly before the *frontier* — the
-    smallest last-buffered time over sources not yet exhausted, before
-    which every source has delivered all its events — ordered by a stable
-    sort over the buffers taken in source order.  Ties therefore go to the
-    lower source index, as with :func:`heapq.merge`.  The sources whose
-    buffers reached the frontier are then refilled.  Memory is O(sources x
-    chunk); the stream is never sorted as a whole.
+    A chunked k-way merge in strides of :data:`CHUNK_SIZE` events.  The
+    *frontier* is the smallest last-pulled time over sources not yet
+    exhausted: every source has delivered all its events before it.  Each
+    step refills the sources at the frontier, one chunk at a time, until
+    :data:`CHUNK_SIZE` events precede the frontier or every source has
+    ended, then emits every held event strictly before the frontier: the
+    pieces before it, taken in source order, are joined once and ordered
+    by a stable sort (unless one source holds them all, whose pieces are
+    in order already).  Ties therefore go to the lower source index, as with
+    :func:`heapq.merge`, and a step never splits the events of one time.
+    So every merged chunk but the last holds at least :data:`CHUNK_SIZE`
+    events, whatever the sources' chunk sizes, and the merge reads up to
+    :data:`CHUNK_SIZE` events ahead of what it has emitted: it holds
+    :data:`CHUNK_SIZE` events plus about one chunk per source, and never
+    sorts the stream as a whole.
+
+    Each source is checked as it is pulled: a chunk that goes backwards,
+    within itself or against that source's last time, raises
+    ``ValueError`` naming the source index and both times.
     """
     readers = [iter_batches(source) for source in sources]
     recoder = _Recoder()
-    buffers: list[tuple | None] = [None] * len(readers)
-    live = set(range(len(readers)))
+    # Each source's pulled, unemitted column pieces, in time order, and its
+    # cursor: the (piece, offset) of its first event at or past ``reached``.
+    pieces: list[list[tuple]] = [[] for _ in readers]
+    cursors = [(0, 0)] * len(readers)
+    last = [-math.inf] * len(readers)
+    live = list(range(len(readers)))
+    held = 0
+    ahead = 0  # held events strictly before ``reached``
+    reached = -math.inf
 
     def pull(i: int) -> None:
+        nonlocal held
         batch = next(readers[i], None)
         if batch is None:
-            live.discard(i)
+            live.remove(i)
             return
-        columns = recoder.columns(batch)
-        held = buffers[i]
-        buffers[i] = (
-            columns
-            if held is None
-            else tuple(np.concatenate(pair) for pair in zip(held, columns))
-        )
+        t = batch.t
+        if t[0] < last[i] or (t[1:] < t[:-1]).any():
+            times = np.concatenate(([last[i]], t))
+            at = int(np.flatnonzero(times[1:] < times[:-1])[0])
+            raise ValueError(
+                f"source {i}: events must be time-ordered: "
+                f"{float(times[at + 1])} after {float(times[at])}"
+            )
+        pieces[i].append(recoder.columns(batch))
+        last[i] = float(t[-1])
+        held += len(t)
+
+    def reach(frontier: float) -> None:
+        """Move every cursor past the held events before ``frontier``.
+
+        The frontier only rises and pulled events land at or past it, so
+        each piece is passed over once per step, however long a run of
+        tied times the sources' chunks cut into pieces."""
+        nonlocal ahead, reached
+        for i, pulled in enumerate(pieces):
+            k, offset = cursors[i]
+            while k < len(pulled):
+                t = pulled[k][0]
+                cut = len(t) if t[-1] < frontier else int(t.searchsorted(frontier))
+                ahead += cut - offset
+                offset = cut
+                if cut < len(t):
+                    break
+                k, offset = k + 1, 0
+            cursors[i] = (k, offset)
+        reached = frontier
 
     for i in range(len(readers)):
         pull(i)
     while True:
-        frontier = min((buffers[i][0][-1] for i in live), default=np.inf)
+        while live:
+            frontier = min(last[i] for i in live)
+            # ``held`` bounds ``ahead``, so the cursors wait until it could pass.
+            if held >= CHUNK_SIZE:
+                if frontier > reached:
+                    reach(frontier)
+                if ahead >= CHUNK_SIZE:
+                    break
+            for i in [i for i in live if last[i] == frontier]:
+                pull(i)
+        if not live:
+            frontier = math.inf
+        if frontier > reached:
+            reach(frontier)
         parts = []
-        for i, held in enumerate(buffers):
-            if held is None:
-                continue
-            cut = int(np.searchsorted(held[0], frontier, side="left"))
-            if cut:
-                parts.append(tuple(column[:cut] for column in held))
-                buffers[i] = (
-                    tuple(column[cut:] for column in held)
-                    if cut < len(held[0])
-                    else None
-                )
+        senders = 0
+        for i, pulled in enumerate(pieces):
+            k, offset = cursors[i]
+            parts += pulled[:k]
+            rest = pulled[k:]
+            if offset:
+                piece = rest[0]
+                parts.append(tuple(column[:offset] for column in piece))
+                rest[0] = tuple(column[offset:] for column in piece)
+            senders += bool(k or offset)
+            pieces[i] = rest
+            cursors[i] = (0, 0)
         if parts:
             t, code, reads, tenant = (np.concatenate(c) for c in zip(*parts))
-            if len(parts) > 1:
+            held -= ahead
+            ahead = 0
+            if senders > 1:
                 order = np.argsort(t, kind="stable")
                 t, code, reads, tenant = (
                     t[order], code[order], reads[order], tenant[order]
@@ -496,6 +556,3 @@ def merge_batches(sources: Sequence[object]) -> Iterator[EventBatch]:
             yield recoder.batch(t, code, reads, tenant)
         if not live:
             return
-        for i in list(live):
-            if buffers[i][0][-1] == frontier:
-                pull(i)

@@ -198,6 +198,23 @@ class FleetScheduler:
                 "settles every tenant with one EngineConfig"
             )
 
+    def _check_admission(
+        self, spec: TenantSpec, used: Iterable[str], roster: Iterable[TenantSpec]
+    ) -> None:
+        """Raise unless ``spec`` may join a fleet whose tenants have ever
+        used the names ``used`` and whose live specs are ``roster``: a
+        never-used name, an unshared policy and the fleet's one config."""
+        if spec.name in used:
+            raise ValueError(
+                f"tenant name {spec.name!r} is (or was) already in the fleet"
+            )
+        if any(spec.policy is existing.policy for existing in roster):
+            raise ValueError(
+                f"tenant {spec.name!r} shares a policy instance with an "
+                "existing tenant; policies are stateful"
+            )
+        self._check_config(spec)
+
     def _make_engine(self, spec: TenantSpec) -> OnlineTieringEngine:
         return OnlineTieringEngine(
             spec.partitions,
@@ -220,16 +237,7 @@ class FleetScheduler:
         batches from then on; a tenant they leave out settles empty
         windows.
         """
-        if spec.name in self._records:
-            raise ValueError(
-                f"tenant name {spec.name!r} is (or was) already in the fleet"
-            )
-        if any(spec.policy is existing.policy for existing in self.tenants):
-            raise ValueError(
-                f"tenant {spec.name!r} shares a policy instance with an "
-                "existing tenant; policies are stateful"
-            )
-        self._check_config(spec)
+        self._check_admission(spec, self._records, self.tenants)
         engine = self._make_engine(spec)
         self.tenants = self.tenants + (spec,)
         self.engines[spec.name] = engine
@@ -404,8 +412,12 @@ class FleetScheduler:
         timeline and every event's partition — before any disruption,
         policy decision, migration or fold, and so is the window of a tenant
         a chaos ``TenantJoin`` admits in this window, against its spec's
-        partitions.  A bad window raises with the whole fleet unchanged and
-        the corrected window is accepted after.
+        partitions.  So are the window's churn and pool shocks, in mark
+        order (:meth:`~repro.chaos.ChaosInjector.check_fleet_window`): a
+        joiner against :meth:`add_tenant`'s checks, a leave against the
+        roster and a pool shock against the pools.  A bad window raises
+        with the whole fleet unchanged and the corrected window is accepted
+        after.
 
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
@@ -437,9 +449,11 @@ class FleetScheduler:
                     if name in engines
                 }
                 if self.chaos is not None:
-                    # A tenant this window admits has no engine yet: check
-                    # its events against its spec's partitions.
-                    for spec in self.chaos.joiners_in_window(start, end):
+                    # The window's churn and pool shocks, before any of its
+                    # disruptions applies; a tenant it admits has no engine
+                    # yet, so its events are checked against its spec's
+                    # partitions.
+                    for spec in self.chaos.check_fleet_window(self, start, end):
                         joining = windows.get(spec.name)
                         if joining is not None and len(joining.events):
                             arrays = PartitionArrays.from_partitions(spec.partitions)
@@ -530,8 +544,10 @@ class FleetScheduler:
         every closed window is split back into per-tenant windows for
         :meth:`step_window` by one stable sort on the tenant column — so a
         count trigger counts fleet-wide events and a time trigger keeps the
-        familiar lock-step grid.  Memory stays O(streams x chunk + open
-        window), never O(stream).
+        familiar lock-step grid.  The merge reads up to
+        :data:`~repro.cloud.CHUNK_SIZE` events ahead, so memory stays
+        ``CHUNK_SIZE`` events plus about one chunk per stream, plus the
+        open window, never O(stream).
 
         A :class:`~repro.engine.DriftTrigger` used here needs an explicit
         ``baseline_provider``: the merged stream spans tenants, and which

@@ -387,7 +387,10 @@ class merge_streams:
     A re-iterable wrapper over :func:`repro.cloud.merge_batches`: each pass
     re-reads the underlying streams, so the merge inherits their
     re-iterability.  Ties are broken by stream position (stable), which
-    keeps merged sequences deterministic.  Memory is O(streams x chunk).
+    keeps merged sequences deterministic.  The merge emits chunks of at
+    least :data:`~repro.cloud.CHUNK_SIZE` events (but the last) and reads
+    up to ``CHUNK_SIZE`` events ahead, so it holds ``CHUNK_SIZE`` events
+    plus about one chunk per stream.
     """
 
     def __init__(self, *streams: Iterable[TimedEvent]) -> None:

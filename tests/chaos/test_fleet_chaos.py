@@ -2,6 +2,8 @@
 firing — and the oracle lock: delta-mode solves with selective invalidation
 must bill exactly what full re-solves bill under every disruption type."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -218,6 +220,88 @@ class TestFleetChurn:
         )
         with pytest.raises(ValueError, match="already in the fleet"):
             run_fleet(schedule)
+
+
+def joiner(offset=2, **config):
+    return make_specs(1, offset=offset, config=replace(FULL_CONFIG, **config))[0]
+
+
+def shared_policy_joiners():
+    first, second = make_specs(2, offset=2)
+    second.policy = first.policy
+    return [TenantJoin(epoch=2, spec=first), TenantJoin(epoch=2, spec=second)]
+
+
+class TestBadChurnOrPoolShockAppliesNothing:
+    """A window whose marks hold a join, leave or pool shock that cannot
+    apply raises before any of its disruptions applies: the price shock
+    (and, on a pooled fleet, the pool shock) marked before it leave the
+    catalog, the roster and the pool budgets as they were."""
+
+    @pytest.mark.parametrize(
+        "bad, pools, error, match",
+        [
+            ([TenantJoin(epoch=2, spec=joiner(window_months=3))], True,
+             ValueError, "differs from the fleet's in window_months"),
+            ([TenantLeave(epoch=2, tenant="nobody")], True,
+             KeyError, "unknown tenant 'nobody'"),
+            ([PoolShock(epoch=2, pool="azure_blob", capacity_factor=0.5)], False,
+             ValueError, "no shared capacity pools"),
+            ([PoolShock(epoch=2, pool="nowhere", capacity_gb=5.0)], True,
+             KeyError, "unknown pool 'nowhere'"),
+            # The roster as the window's own churn changes it.
+            ([TenantLeave(epoch=2, tenant="tenant_001"),
+              TenantJoin(epoch=2, spec=make_specs(1, offset=1)[0])], True,
+             ValueError, "already in the fleet"),
+            ([TenantJoin(epoch=2, spec=joiner()),
+              TenantJoin(epoch=2, spec=joiner())], True,
+             ValueError, "already in the fleet"),
+            (shared_policy_joiners(), True, ValueError, "shares a policy instance"),
+            ([TenantLeave(epoch=2, tenant="tenant_001"),
+              TenantLeave(epoch=2, tenant="tenant_001")], True,
+             KeyError, "unknown tenant 'tenant_001'"),
+        ],
+        ids=[
+            "join-config", "leave-unknown", "pool-shock-no-pools", "pool-unknown",
+            "rejoin-in-window", "join-twice", "join-shared-policy", "leave-twice",
+        ],
+    )
+    def test_window_raises_with_the_fleet_unchanged(self, bad, pools, error, match):
+        earlier = [PriceShock(epoch=2, storage_factor=1.5)]
+        if pools:
+            earlier.append(PoolShock(epoch=2, pool="aws_s3", capacity_factor=0.5))
+        scheduler, chaos, catalog = make_fleet(
+            DisruptionSchedule(earlier + bad), pools=pools
+        )
+        version = catalog.pricing_version
+        roster = scheduler.tenants
+        budgets = None if scheduler.pools is None else list(scheduler.pools)
+        with pytest.raises(error, match=match):
+            scheduler.run(num_epochs=MONTHS)
+        assert catalog.pricing_version == version
+        assert scheduler.tenants == roster
+        assert list(scheduler.engines) == [spec.name for spec in roster]
+        if budgets is not None:
+            assert list(scheduler.pools) == budgets
+            assert scheduler.pools.capacities.tolist() == [
+                pool.capacity_gb for pool in budgets
+            ]
+        assert 2 not in {report.epoch for report in chaos.reports}
+        assert [
+            len(tenant.records) for tenant in scheduler.report().tenant_reports.values()
+        ] == [2, 2]
+
+    def test_a_tenant_may_join_and_leave_in_one_window(self):
+        schedule = DisruptionSchedule(
+            [
+                TenantJoin(epoch=2, spec=joiner()),
+                TenantLeave(epoch=2, tenant="tenant_002"),
+                TenantLeave(epoch=2, tenant="tenant_001"),
+            ]
+        )
+        scheduler, _, report, _ = run_fleet(schedule)
+        assert list(scheduler.engines) == ["tenant_000"]
+        assert report.tenant_reports["tenant_001"].num_epochs == 2
 
 
 class TestPoolShockAndDegradation:

@@ -188,18 +188,71 @@ class TestIterBatches:
         assert names == ["a", "b", "c"]
 
 
+def hundreds(offset, total=20_000, size=100):
+    """A source of ``total`` events in ``size``-event chunks, one every
+    millimonth from ``offset`` millimonths on."""
+    for start in range(0, total, size):
+        t = (np.arange(start, start + size) + offset) / 1000.0
+        yield EventBatch(t, np.zeros(size, dtype=int), np.ones(size), ["a"])
+
+
 class TestMergeBatches:
     def test_memory_stays_bounded_by_the_chunks(self):
         # Two long sources in 100-event chunks: no emitted chunk holds more
-        # than the buffered chunks, however long the streams run.
-        def source(offset):
-            for start in range(0, 20_000, 100):
-                t = (np.arange(start, start + 100) + offset) / 1000.0
-                yield EventBatch(t, np.zeros(100, dtype=int), np.ones(100), ["a"])
-
-        sizes = [len(chunk) for chunk in merge_batches([source(0.0), source(0.5)])]
+        # than one stride plus one chunk per source, however long the
+        # streams run.
+        sizes = [len(chunk) for chunk in merge_batches([hundreds(0.0), hundreds(0.5)])]
         assert sum(sizes) == 40_000
-        assert max(sizes) <= 400
+        assert max(sizes) <= CHUNK_SIZE + 2 * 100
+
+    def test_small_chunks_merge_in_strides(self):
+        # Four sources of 100-event chunks: every merged chunk but the last
+        # holds at least CHUNK_SIZE events, not one source chunk's worth.
+        sizes = [
+            len(chunk)
+            for chunk in merge_batches([hundreds(k / 4) for k in range(4)])
+        ]
+        assert sum(sizes) == 80_000
+        assert len(sizes) > 1
+        assert min(sizes[:-1]) >= CHUNK_SIZE
+
+    def test_long_ties_in_one_event_chunks(self):
+        # 5,000 one-event chunks per source at one time: the stride is
+        # reached inside the tie run, which is emitted whole, lower source
+        # first, with each piece passed over once (not once per pull).
+        def source(name, after):
+            tied = [EventBatch([0.5], [0], [1.0], [name]) for _ in range(5_000)]
+            return tied + [EventBatch([after], [0], [1.0], [name])]
+
+        merged = list(merge_batches([source("a", 0.7), source("b", 0.6)]))
+        assert [len(chunk) for chunk in merged] == [10_000, 2]
+        names = [event.partition for chunk in merged for event in chunk]
+        assert names == ["a"] * 5_000 + ["b"] * 5_000 + ["b", "a"]
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_a_source_going_backwards_in_a_chunk_raises(self, alone):
+        # Sorted together with another source's chunk, the 0.3 would come
+        # out in order; the merge checks each source as it is pulled.
+        backwards = EventBatch([0.1, 0.5, 0.3], [0, 0, 0], [1.0] * 3, ["a"])
+        sources = [[backwards]] if alone else [hundreds(0.0, total=1_000), [backwards]]
+        index = 0 if alone else 1
+        with pytest.raises(
+            ValueError, match=f"source {index}: events must be time-ordered: 0.3 after 0.5"
+        ):
+            list(merge_batches(sources))
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_a_source_going_backwards_across_its_chunks_raises(self, alone):
+        first = EventBatch([0.1, 0.5], [0, 0], [1.0] * 2, ["a"])
+        second = EventBatch([0.3, 0.6], [0, 0], [1.0] * 2, ["a"])
+        sources = [[first, second]]
+        if not alone:
+            sources.insert(0, hundreds(0.0, total=1_000))
+        index = 0 if alone else 1
+        with pytest.raises(
+            ValueError, match=f"source {index}: events must be time-ordered: 0.3 after 0.5"
+        ):
+            list(merge_batches(sources))
 
 
 class TestColumnarBilling:

@@ -6,7 +6,9 @@ across streams, fractional and zero reads, an optional horizon, a
 trigger (count, time, drift and compositions) the columnar merge +
 ``windowed`` must cut the same windows with the same causes and the same
 events in the same order as ``heapq.merge`` + the per-event loop in
-``tests/oracles/streams.py``; a fleet driven both ways must split the same
+``tests/oracles/streams.py`` (and sources longer than ``CHUNK_SIZE``, tied
+on a coarse grid, must merge as ``heapq.merge`` does across the merge's
+strides); a fleet driven both ways must split the same
 per-tenant events and settle identical records and bills; and the columnar
 billing step must equal the per-event billing loop.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +34,7 @@ from oracles.streams import (
     scalar_windowed,
 )
 from repro.cloud import (
+    CHUNK_SIZE,
     CloudStorageSimulator,
     DataPartition,
     EventBatch,
@@ -195,6 +199,43 @@ class TestWindowsMatchPerEventOracle:
         streams = timed_streams(raw, 0.0, tenants=("a", None, "c"))
         merged = merge_streams(*(chunked(events, chunk_size) for events in streams))
         assert list(merged) == list(heap_merge(*streams))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lengths=st.lists(
+            st.integers(min_value=CHUNK_SIZE + 1, max_value=2 * CHUNK_SIZE),
+            min_size=2,
+            max_size=3,
+        ),
+        chunk_size=st.sampled_from((7, 1000, CHUNK_SIZE)),
+    )
+    def test_long_merges_match_heap_merge(self, seed, lengths, chunk_size):
+        """Sources longer than ``CHUNK_SIZE`` on a 1/64-month grid, so the
+        merge takes several strides and each stride ends at a time that
+        several sources share: the merge still equals ``heapq.merge``."""
+        rng = np.random.default_rng(seed)
+        streams = [
+            [
+                TimedEvent(t=k / 64, partition=NAMES[code], reads=READS[pick], tenant=tenant)
+                for k, code, pick in zip(
+                    np.sort(rng.integers(0, 192, size=n)).tolist(),
+                    rng.integers(0, len(NAMES), size=n).tolist(),
+                    rng.integers(0, len(READS), size=n).tolist(),
+                )
+            ]
+            for n, tenant in zip(lengths, ("a", None, "c"))
+        ]
+        merged = list(
+            merge_streams(*(chunked(events, chunk_size) for events in streams)).chunks()
+        )
+        assert len(merged) > 1
+        times = [{event.t for event in events} for events in streams]
+        for chunk, following in zip(merged, merged[1:]):
+            assert len(chunk) >= CHUNK_SIZE
+            assert chunk.t[-1] < following.t[0]
+            assert sum(float(following.t[0]) in own for own in times) >= 2
+        assert [event for chunk in merged for event in chunk] == list(heap_merge(*streams))
 
 
 def tenant_partitions():
