@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -41,21 +40,12 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 
 from repro import obs  # noqa: E402
 from repro.cloud import (  # noqa: E402
-    CapacityPool,
     CompressionProfile,
     CostModel,
     DataPartition,
-    PoolSet,
     azure_tier_catalog,
-    multi_cloud_catalog,
 )
 from repro.core.optassign import OptAssignProblem, solve_greedy  # noqa: E402
-from repro.engine import EngineConfig, PeriodicReoptimize  # noqa: E402
-from repro.fleet import (  # noqa: E402
-    FleetConfig,
-    FleetScheduler,
-    TenantSpec,
-)
 from oracles.problems import split_choices, stack  # noqa: E402
 from oracles.results import scalar_greedy  # noqa: E402
 
@@ -82,86 +72,6 @@ def _best_of(function, repeats: int, setup=None) -> float:
             function(state)
         best = min(best, tracer.records()[-1].duration_s)
     return best
-
-
-# The fleet/solver phases the per-phase regression gate tracks; identical to
-# the span names the live telemetry exports.
-FLEET_PHASES = (
-    "fleet.build_problem",
-    "fleet.stack",
-    "fleet.solve",
-    "fleet.apply",
-    "fleet.settle",
-    "optassign.repair_pools",
-)
-
-
-def profile_fleet_phases(
-    months: int = 6, hot_parts: int = 4, cold_parts: int = 4
-) -> dict:
-    """Per-phase wall clock of one instrumented contended-pool fleet run.
-
-    One hot tenant and two cold tenants share a performance pool sized to
-    1.25x the hot tenant's demand, so pool arbitration
-    (``optassign.repair_pools``) does real water-filling work.  The run
-    executes under an enabled tracer and the span durations are aggregated
-    with :func:`repro.obs.phase_totals` — the same phase names the live
-    telemetry exports, which is what lets ``check_bench_regression.py``
-    compare them.
-    """
-    catalog = multi_cloud_catalog()
-    engine_config = EngineConfig(horizon_months=6.0, window_months=6)
-    specs = []
-    for name in ("hot", "cold_a", "cold_b"):
-        hot = name == "hot"
-        count = hot_parts if hot else cold_parts
-        partitions = [
-            DataPartition(
-                f"{name}_{index:02d}",
-                size_gb=200.0 if hot else 500.0,
-                predicted_accesses=1500.0 if hot else 0.2,
-                latency_threshold_s=1.0 if hot else math.inf,
-            )
-            for index in range(count)
-        ]
-        series = {
-            partition.name: [1500.0 if hot else 0.2] * months
-            for partition in partitions
-        }
-        specs.append(
-            TenantSpec(
-                name=name,
-                partitions=partitions,
-                policy=PeriodicReoptimize(2),
-                series=series,
-                config=engine_config,
-            )
-        )
-    pools = PoolSet(
-        catalog,
-        [
-            CapacityPool(
-                "performance",
-                ("azure_blob/premium", "azure_blob/hot"),
-                1.25 * hot_parts * 200.0,
-            )
-        ],
-    )
-    with obs.observed() as run:
-        scheduler = FleetScheduler(
-            specs,
-            catalog,
-            pools=pools,
-            config=FleetConfig(engine=engine_config, max_workers=2),
-        )
-        report = scheduler.run(num_epochs=months)
-    totals = obs.phase_totals(run.tracer.records())
-    return {
-        "tenants": len(specs),
-        "months": months,
-        "total_bill": report.total_bill,
-        "phases": {name: totals[name] for name in FLEET_PHASES if name in totals},
-    }
 
 
 def build_tenant_problem(model: CostModel, seed: int, count: int) -> OptAssignProblem:
@@ -281,17 +191,6 @@ def main() -> None:
     print("Fleet solve scaling: per-tenant scalar vs stacked vectorized")
     rows = sweep(grid, repeats=2 if args.quick else 3)
 
-    print("\nFleet phases: span-derived per-phase wall clock (contended pool)")
-    phase_profile = profile_fleet_phases(months=3 if args.quick else 6)
-    for name, stats in sorted(phase_profile["phases"].items()):
-        print(
-            f"{name:28s} total {stats['total_s'] * 1e3:8.2f} ms  "
-            f"count {stats['count']:3d}  mean {stats['mean_s'] * 1e3:7.2f} ms"
-        )
-    missing = [name for name in FLEET_PHASES if name not in phase_profile["phases"]]
-    if missing:
-        raise SystemExit(f"fleet phase spans missing from the profile: {missing}")
-
     if args.quick:
         print("\n--quick: skipping JSON output")
         return
@@ -299,7 +198,6 @@ def main() -> None:
         "benchmark": "fleet_scaling",
         "cores_available": os.cpu_count(),
         "rows": rows,
-        "fleet_phases": phase_profile,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {OUTPUT.name}")

@@ -38,10 +38,10 @@ against the committed baseline:
 * The streaming ingest headline — at least 1M events with flat traced
   memory — is gated statically from the committed JSON, and the smallest
   cell is re-run live for its deterministic event and window counts.
-* **Per-phase span timings** (tensor build / greedy / capacity repair / pool
-  arbitration, from ``repro.obs`` spans) are compared phase by phase with the
-  same 2x-plus-jitter policy, so a regression localises to the phase that
-  caused it.
+* **Per-phase span timings** of the solver (tensor build / greedy / capacity
+  repair / solve, from ``repro.obs`` spans) are compared phase by phase with
+  the same 2x-plus-jitter policy, so a regression localises to the phase
+  that caused it.  The fleet layers are timed by ``e2ebench`` instead.
 
 Re-baselining: when a change legitimately shifts these numbers (new cost
 model, different workload seed, faster algorithm), regenerate the committed
@@ -187,18 +187,20 @@ def check_fleet() -> None:
 
 
 def check_phases() -> None:
-    """Span-derived per-phase timings (tensor build / greedy / repair / pools).
+    """Span-derived per-phase timings of the solver (tensor build / greedy /
+    repair).
 
     The phase names are the exact span names the live telemetry exports
     (``repro.obs``), so the regression gate and a production trace disagree
     about nothing: a phase that regresses in CI is the same phase an operator
     would see ballooning in a span dump.  Same 2x-plus-jitter policy as the
-    end-to-end wall clocks.
+    end-to-end wall clocks.  The fleet layers are timed at full size by
+    ``e2ebench`` (``--trace 1``), whose traced bill lock also checks that
+    instrumentation leaves the bill alone.
     """
-    from bench_fleet_scaling import FLEET_PHASES, profile_fleet_phases
     from bench_runtime_scaling import SOLVER_PHASES, profile_solver_phases
 
-    print("== per-phase span timings (solver + fleet)")
+    print("== per-phase span timings (solver)")
     solver_base = _load("BENCH_optassign_scaling.json").get("solver_phases")
     if solver_base is None:
         raise SystemExit(
@@ -217,32 +219,6 @@ def check_phases() -> None:
                 measured["phases"][name]["total_s"],
                 solver_base["phases"][name]["total_s"],
             )
-
-    fleet_base = _load("BENCH_fleet_scaling.json").get("fleet_phases")
-    if fleet_base is None:
-        raise SystemExit(
-            "baseline has no fleet_phases; re-record BENCH_fleet_scaling.json"
-        )
-    fleet_measured = profile_fleet_phases(months=fleet_base["months"])
-    for name in FLEET_PHASES:
-        _check(
-            f"phase[{name}] present",
-            name in fleet_measured["phases"],
-            "span recorded by the instrumented fleet run",
-        )
-        if name in fleet_measured["phases"] and name in fleet_base["phases"]:
-            _check_wall_clock(
-                f"phase[{name}]",
-                fleet_measured["phases"][name]["total_s"],
-                fleet_base["phases"][name]["total_s"],
-            )
-    _check(
-        "phase[fleet] bill",
-        fleet_measured["total_bill"] == fleet_base["total_bill"],
-        f"{fleet_measured['total_bill']:.4f} vs baseline "
-        f"{fleet_base['total_bill']:.4f} cents (instrumentation must not "
-        "change the bill)",
-    )
 
 
 def _check_bill(label: str, measured: float, expected: float) -> None:

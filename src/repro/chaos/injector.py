@@ -75,9 +75,6 @@ from .report import DegradationAction, DegradationReport
 
 __all__ = ["ChaosInjector"]
 
-_FLEET_ONLY = (PoolShock, TenantJoin, TenantLeave)
-
-
 class ChaosInjector:
     """Applies a :class:`DisruptionSchedule` to one engine- or fleet-run."""
 
@@ -119,8 +116,10 @@ class ChaosInjector:
         if metrics.enabled:
             metrics.counter("chaos.degradations", action=action.kind).add(1)
 
-    def _dead_tiers(self, catalog, provider: str) -> list[int]:
-        """The catalog tier indices an outage of ``provider`` takes down.
+    @staticmethod
+    def _dead_tiers(catalog, provider: str, outages: dict) -> list[int]:
+        """The catalog tier indices an outage of ``provider`` takes down
+        while ``outages`` (provider -> its dead tiers) are active.
 
         Validated here — not in the problem constructor — so a bad schedule
         raises at the epoch boundary with an outage-shaped message instead
@@ -138,7 +137,8 @@ class ChaosInjector:
                 f"{list(catalog.provider_names)}"
             )
         dead = tier_indices_of(provider)
-        if len(self.banned_tiers | set(dead)) >= len(catalog):
+        banned = {index for tiers in outages.values() for index in tiers}
+        if len(banned | set(dead)) >= len(catalog):
             raise ValueError(
                 f"outage of provider {provider!r} would take down every tier "
                 "in the catalog; nothing could host the evacuated data"
@@ -175,7 +175,7 @@ class ChaosInjector:
         passes ``{"": engine}`` and the empty tenant tag is stripped from
         recorded partition names.
         """
-        dead = self._dead_tiers(catalog, event.provider)
+        dead = self._dead_tiers(catalog, event.provider, self._outages)
         self._outages[event.provider] = tuple(dead)
         report = self.report_for(index)
         banned = self.banned_tiers
@@ -236,24 +236,22 @@ class ChaosInjector:
             # Pins stranded by a *different*, still-active outage stay lifted.
             self._lift_stranded(engine, catalog)
 
+    @staticmethod
+    def _shocked_tiers(catalog, event: PriceShock) -> tuple[str, ...] | None:
+        """The names of the tiers ``event`` re-prices (``None``: every
+        tier); raises for a provider scope the catalog cannot resolve."""
+        if event.provider is None:
+            return event.tier_names
+        tier_indices_of = getattr(catalog, "tier_indices_of", None)
+        if tier_indices_of is None:
+            raise ValueError("provider-scoped price shocks need a MultiProviderCatalog")
+        return tuple(catalog[index].name for index in tier_indices_of(event.provider))
+
     def _apply_price_shock(self, catalog, delta, event) -> None:
         """Re-price ``catalog`` in place and note it on the host's delta
         solver (``None`` when the host solves in full)."""
-        if event.tier_names is not None:
-            names = event.tier_names
-        elif event.provider is not None:
-            tier_indices_of = getattr(catalog, "tier_indices_of", None)
-            if tier_indices_of is None:
-                raise ValueError(
-                    "provider-scoped price shocks need a MultiProviderCatalog"
-                )
-            names = tuple(
-                catalog[index].name for index in tier_indices_of(event.provider)
-            )
-        else:
-            names = None
         affected = catalog.reprice(
-            names,
+            self._shocked_tiers(catalog, event),
             storage_factor=event.storage_factor,
             read_factor=event.read_factor,
             write_factor=event.write_factor,
@@ -262,6 +260,35 @@ class ChaosInjector:
             delta.note_repricing(catalog, affected, decreased=event.decreased)
 
     # -- window boundaries -------------------------------------------------------
+    def _check_marks(
+        self,
+        catalog,
+        start_month: float,
+        end_month: float,
+        check: Callable[[DisruptionEvent], None],
+    ) -> None:
+        """Raise what applying the disruptions of the span ``[start_month,
+        end_month)`` would raise, in mark order, applying nothing: each
+        outage against ``catalog`` and the outages active before it (the
+        window's own outages and recoveries included) and each price
+        shock's tiers against ``catalog``; ``check(event)`` checks every
+        other event.  A schedule pairs every recovery with an earlier
+        outage, so a recovery needs no check."""
+        outages = dict(self._outages)
+        for epoch in self._epochs_in_window(start_month, end_month):
+            for event in self.schedule.at(epoch):
+                if isinstance(event, ProviderOutage):
+                    outages[event.provider] = tuple(
+                        self._dead_tiers(catalog, event.provider, outages)
+                    )
+                elif isinstance(event, ProviderRecovery):
+                    outages.pop(event.provider, None)
+                elif isinstance(event, PriceShock):
+                    for name in self._shocked_tiers(catalog, event) or ():
+                        catalog.index_of(name)  # KeyError, as reprice raises
+                else:
+                    check(event)
+
     @staticmethod
     def _epochs_in_window(start_month: float, end_month: float) -> range:
         """Integer schedule marks falling inside ``[start_month, end_month)``.
@@ -305,16 +332,19 @@ class ChaosInjector:
         """Apply the window's disruptions to a single engine.
 
         Returns True when the engine must re-optimize this window regardless
-        of its policy (a forced evacuation is pending).  A fleet-level event
-        in the window raises before any disruption applies.
+        of its policy (a forced evacuation is pending).  A window holding a
+        fleet-level event, or a disruption that cannot apply
+        (:meth:`_check_marks`), raises before any of its disruptions
+        applies.
         """
-        for epoch in self._epochs_in_window(start_month, end_month):
-            for event in self.schedule.at(epoch):
-                if isinstance(event, _FLEET_ONLY):
-                    raise ValueError(
-                        f"{event.kind} events are fleet-level; attach the "
-                        "injector to a FleetScheduler instead of a bare engine"
-                    )
+
+        def fleet_level(event: DisruptionEvent) -> None:
+            raise ValueError(
+                f"{event.kind} events are fleet-level; attach the "
+                "injector to a FleetScheduler instead of a bare engine"
+            )
+
+        self._check_marks(engine.tiers, start_month, end_month, fleet_level)
         return self._apply_marks(
             index,
             start_month,
@@ -362,29 +392,33 @@ class ChaosInjector:
     def check_fleet_window(
         self, scheduler, start_month: float, end_month: float
     ) -> list:
-        """Raise what :meth:`before_fleet_window` would raise on the churn
-        and pool shocks of the span ``[start_month, end_month)``, applying
-        nothing: each ``TenantJoin`` against the fleet's admission checks
-        and each ``TenantLeave`` against the roster, both as the window's
-        earlier joins and leaves change them, and each ``PoolShock``
-        against the fleet's pools.  Returns the joiners' specs in mark
-        order, so the fleet can check their windows too."""
+        """Raise what :meth:`before_fleet_window` would raise on the
+        disruptions of the span ``[start_month, end_month)``, in mark
+        order, applying nothing: the outages and price shocks as
+        :meth:`_check_marks` checks them, each ``TenantJoin`` against the
+        fleet's admission checks and each ``TenantLeave`` against the
+        roster, both as the window's earlier joins and leaves change them,
+        and each ``PoolShock`` against the fleet's pools.  Returns the
+        joiners' specs in mark order, so the fleet can check their windows
+        too."""
         used = set(scheduler._records)
         roster = {spec.name: spec for spec in scheduler.tenants}
         joiners = []
-        for epoch in self._epochs_in_window(start_month, end_month):
-            for event in self.schedule.at(epoch):
-                if isinstance(event, TenantJoin):
-                    spec = event.spec
-                    scheduler._check_admission(spec, used, roster.values())
-                    used.add(spec.name)
-                    roster[spec.name] = spec
-                    joiners.append(spec)
-                elif isinstance(event, TenantLeave):
-                    if roster.pop(event.tenant, None) is None:
-                        raise KeyError(f"unknown tenant {event.tenant!r}")
-                elif isinstance(event, PoolShock):
-                    self._shocked_capacity(scheduler.pools, event)
+
+        def churn(event: DisruptionEvent) -> None:
+            if isinstance(event, TenantJoin):
+                spec = event.spec
+                scheduler._check_admission(spec, used, roster.values())
+                used.add(spec.name)
+                roster[spec.name] = spec
+                joiners.append(spec)
+            elif isinstance(event, TenantLeave):
+                if roster.pop(event.tenant, None) is None:
+                    raise KeyError(f"unknown tenant {event.tenant!r}")
+            elif isinstance(event, PoolShock):
+                self._shocked_capacity(scheduler.pools, event)
+
+        self._check_marks(scheduler.tiers, start_month, end_month, churn)
         return joiners
 
     @staticmethod
@@ -466,7 +500,7 @@ class ChaosInjector:
                         ),
                     )
                     return retry.assignment, retry.latency_relaxation
-            if any(engine.placement is None for engine in engines):
+            if not all(engine.has_placement for engine in engines):
                 raise error
             self._record_action(
                 index,

@@ -546,41 +546,9 @@ class CompiledPlacement:
         missing = columns.unplaced()
         if missing:
             raise KeyError(f"placement missing partitions: {missing}")
-        self._bind(
-            simulator,
-            arrays,
-            columns.tier,
-            compile_prices(
-                simulator.tiers.cost_arrays(),
-                simulator.compute_cost_per_s,
-                columns.tier,
-                columns.ratio,
-                columns.decompression_s_per_gb,
-                arrays.size_gb,
-                arrays.read_gb_per_access,
-                arrays.latency_threshold_s,
-            ),
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        simulator: CloudStorageSimulator,
-        arrays: PartitionArrays,
-        tier_index: np.ndarray,
-        prices: Sequence[np.ndarray],
-    ) -> "CompiledPlacement":
-        """A compiled placement over columns :func:`compile_prices` already
-        computed (``prices`` in its return order), kept as given — views
-        stay views."""
-        compiled = cls.__new__(cls)
-        compiled._bind(simulator, arrays, tier_index, prices)
-        return compiled
-
-    def _bind(self, simulator, arrays, tier_index, prices) -> None:
         self.simulator = simulator
         self.arrays = arrays
-        self.tier_index = tier_index
+        self.tier_index = columns.tier
         (
             self.stored_gb,
             self.storage_per_month,
@@ -588,7 +556,16 @@ class CompiledPlacement:
             self.decompression_cost_per_read,
             self.latency_s,
             self.violates_sla,
-        ) = prices
+        ) = compile_prices(
+            simulator.tiers.cost_arrays(),
+            simulator.compute_cost_per_s,
+            columns.tier,
+            columns.ratio,
+            columns.decompression_s_per_gb,
+            arrays.size_gb,
+            arrays.read_gb_per_access,
+            arrays.latency_threshold_s,
+        )
 
     def tier_usage_gb(self) -> np.ndarray:
         """Stored GB per catalog tier under this placement.

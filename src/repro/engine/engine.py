@@ -49,18 +49,21 @@ touched rows reach each policy as
 :class:`~repro.engine.policies.RateColumns`; forecasts come back as one
 column.
 
-The block also owns its engines' placement, codec and compiled price
-columns, and plans with them.  Every re-optimization is a
+The block's placement columns are the one record of where each partition
+lives and which codec it is pinned to: an engine's ``placement`` is read
+from them and its setter writes into them, the partitions an engine was
+given are never rewritten, and the block's price columns are the engine's
+only compiled prices.  Every re-optimization is a
 :class:`WindowPlan` over one block: one forecast pass over every firing row
 (the EWMA gather and decay, then one window gather and blend per store
 epoch, through :func:`~repro.core.access_predict.forecast.window_rates`, the
 rule a forecaster's own ``forecast_rows`` ends in), the instance assembled
 from the parts the block caches per validated constraint state, and after
 the solve one move pass over every firing row
-(:meth:`MigrationExecutor.migrate`) whose moves write the placement, codec,
-clock and price columns.  A fleet window plans its firing tenants together;
-a lone engine plans as the one firing engine of its block of one, whose
-empty tenant tag leaves its instance untagged.
+(:meth:`MigrationExecutor.migrate`), after which the placement, codec,
+clock and price columns are written.  A fleet window plans its firing
+tenants together; a lone engine plans as the one firing engine of its
+block of one, whose empty tenant tag leaves its instance untagged.
 
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
@@ -80,7 +83,6 @@ import numpy as np
 
 from ..cloud import (
     CloudStorageSimulator,
-    CompiledPlacement,
     CostWeights,
     DataPartition,
     PartitionArrays,
@@ -130,9 +132,6 @@ __all__ = [
 ]
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
-
-#: A block's record of an engine placement it has not copied in yet.
-_UNSYNCED = object()
 
 
 def _snapshot(constraints: tuple) -> tuple:
@@ -317,9 +316,11 @@ class OnlineTieringEngine:
     partitions:
         The placement units (datasets or G-PART partitions).  Their
         ``predicted_accesses`` is read as the prior *monthly* rate used to
-        bootstrap the first optimization; their ``current_tier`` is where the
-        data lives at epoch 0 (``NEW_DATA_TIER`` for fresh ingests).  The
-        engine works on copies — callers' objects are never mutated.
+        bootstrap the first optimization; their ``current_tier`` and
+        ``current_codec`` say where the data lives and how it is stored at
+        epoch 0 (``NEW_DATA_TIER`` for fresh ingests), until a placement
+        covers them.  The engine keeps copies and never rewrites them — the
+        placement record is its block's (:attr:`placement`).
     tiers:
         The tier catalog prices every decision: placements, reads, moves.
     policy:
@@ -407,10 +408,9 @@ class OnlineTieringEngine:
         names = self._arrays.names
         self._store_rows = self.feature_store.register(names)
         self._forecast_rows = self.forecaster.rows(names)
-        self._placement: PlacementColumns | None = None
-        # The block whose columns this engine holds (and its index there),
-        # and the block of one it plans and settles windows through on its
-        # own.
+        # The block whose columns this engine holds (and its index there):
+        # they record where each partition lives.  And the block of one it
+        # plans and settles windows through on its own.
         self._block: SettleBlock | None = None
         self._block_k = 0
         self._own_block: SettleBlock | None = None
@@ -431,17 +431,25 @@ class OnlineTieringEngine:
         """The applied placement, a ``Mapping[str, PlacementDecision]`` kept
         as columns in partition order (``None`` before the first apply).
 
-        Its columns are its own: the next re-optimization replaces the
-        placement, so one kept from before still reads as it was."""
-        return self._placement
+        It is built on read, as copies of this engine's rows of its
+        :class:`SettleBlock`: the next re-optimization rewrites the block,
+        so a placement kept from before still reads as it was.  Setting it
+        writes through to the block (:meth:`SettleBlock.write_placement`;
+        the engine's block of one is built when it has none)."""
+        block = self._block
+        return None if block is None else block.read_placement(self._block_k)
 
     @placement.setter
     def placement(self, placement: Mapping[str, PlacementDecision] | None) -> None:
-        self._placement = (
-            None
-            if placement is None
-            else PlacementColumns.from_mapping(self._arrays.names, placement)
-        )
+        block = self._block or self._lone_block()
+        block.write_placement(self._block_k, placement)
+
+    @property
+    def has_placement(self) -> bool:
+        """True once a placement was applied or set (:attr:`placement` is
+        not ``None``), without building it."""
+        block = self._block
+        return block is not None and block._held[self._block_k]
 
     # -- the control loop -------------------------------------------------------
     def run(self, stream: Iterable[EpochBatch]) -> EngineReport:
@@ -651,7 +659,7 @@ class OnlineTieringEngine:
         per window and drift policies compare rate against forecast rate.
         """
         self._validate_window(index)
-        if self.placement is None:
+        if not self.has_placement:
             return True
         tracer = get_tracer()
         with tracer.span(
@@ -728,13 +736,13 @@ class OnlineTieringEngine:
     def partitions_on_tiers(self, tier_indices: Iterable[int]) -> list[str]:
         """Names of partitions currently placed on any of the given tiers."""
         wanted = sorted(set(int(index) for index in tier_indices))
-        placement = self._placement
-        if not wanted or placement is None:
+        if not wanted or not self.has_placement:
             return []
-        hit = np.isin(placement.tier, np.asarray(wanted, dtype=np.int64))
-        if placement.placed is not None:
-            hit &= placement.placed
-        return [placement.names[row] for row in np.flatnonzero(hit).tolist()]
+        block = self._block
+        rows = block._ranges[self._block_k]
+        hit = np.isin(block.tier[rows], np.asarray(wanted, dtype=np.int64))
+        hit &= block.placed[rows]
+        return [self._arrays.names[row] for row in np.flatnonzero(hit).tolist()]
 
     def lift_provider_affinity(self, names: Iterable[str]) -> list[str]:
         """Suspend residency pins for ``names``; returns the names lifted.
@@ -772,28 +780,14 @@ class OnlineTieringEngine:
         return restored
 
     def tier_usage_gb(self) -> np.ndarray:
-        """Stored GB per catalog tier under the current placement.
+        """Stored GB per catalog tier under the current placement: this
+        engine's row of its block's usage (:meth:`SettleBlock.tier_usage`).
 
-        Zeros before the first re-optimization (nothing is placed yet).  The
-        fleet layer sums this across engines to account shared
-        :class:`~repro.cloud.CapacityPool` budgets.
+        Zeros before the first re-optimization (nothing is placed yet).
         """
-        if self.placement is None:
+        if not self.has_placement:
             return np.zeros(len(self.tiers), dtype=np.float64)
-        return self._compiled_placement().tier_usage_gb()
-
-    def _compiled_placement(self) -> CompiledPlacement:
-        """The applied placement compiled for billing.
-
-        The block that holds this engine keeps it, compiled again whenever a
-        re-optimization moved data or the catalog was re-priced; without
-        such a block it is compiled afresh.
-        """
-        block = self._block
-        if block is None or not block.intact():
-            return self.simulator.compile_placement(self._arrays, self.placement)
-        block._refresh_prices([self._block_k])
-        return block._priced[self._block_k]
+        return self._block.tier_usage()[self._block_k].copy()
 
     # -- re-optimization ---------------------------------------------------------
     def _constraint_parts(self, epoch: int, codecs: Callable[[], tuple]) -> tuple:
@@ -867,19 +861,24 @@ class SettleBlock:
     ``months_in_tier`` objects (and their own epochs), but they hold row
     ranges (views) of the block's columns, so one fold updates all of them.
 
-    The block also owns each engine's placement columns — tier, scheme code,
-    ratio, decompression — the live codec of every row, and the compiled
+    The block's placement columns are the one record of where each
+    partition lives and how it is stored: tier, scheme code, ratio,
+    decompression, whether a placement covers the row, and the codec every
+    row is pinned to.  A row a placement covers is stored with its
+    placement's scheme (``"none"`` is no codec); a row none covers keeps the
+    tier and codec its partition was given.  Beside them sit the compiled
     price columns (:func:`~repro.cloud.simulator.compile_prices`: stored GB,
     storage per month, read and decompression cost per read, latency and the
-    SLA flag).  The plan pass (:class:`WindowPlan`) writes them for the rows
-    it places, hands each engine a :class:`~repro.cloud.PlacementColumns` of
-    its own (copies of its rows) and keeps a
-    :class:`~repro.cloud.CompiledPlacement` over its row range of the price
-    columns.  A placement an engine got any other way (the ``placement``
-    setter) is copied in, with its rows' codecs, and its prices compiled, at
-    the block's next use; so are the prices of an engine whose catalog was
-    re-priced since they were compiled (its ``pricing_version`` moved).
-    Beside them the block keeps each engine's validated
+    SLA flag), the engines' only compiled prices.  The plan pass
+    (:class:`WindowPlan`) writes the placement columns for the rows it
+    places (:meth:`apply`); an engine's ``placement`` is read from them
+    (:meth:`read_placement`) and its setter writes into them
+    (:meth:`write_placement`).  The prices of an engine whose placement was
+    set, or whose catalog was re-priced (its ``pricing_version`` moved),
+    since they were compiled are compiled again at the block's next use.
+    A new block takes each engine's record from the block that held it
+    before (a fleet's block before a roster change, say), or from its
+    partitions as given.  Beside them the block keeps each engine's validated
     constraint parts (profile table, SLO and affinity maps, banned tiers,
     profile columns, tier mask) and its tagged names and maps, and every
     engine's profile columns laid on one sorted block-wide scheme axis:
@@ -905,6 +904,8 @@ class SettleBlock:
     ):
         if not engines:
             raise ValueError("a settle block needs at least one engine")
+        # The block that held each engine's placement record before this one.
+        sources = [(engine._block, engine._block_k) for engine in engines]
         stores = [engine.feature_store for engine in engines]
         forecasters = [engine.forecaster for engine in engines]
         first = forecasters[0]
@@ -952,30 +953,30 @@ class SettleBlock:
             engine.months_in_tier = self.months_in_tier[start:stop]
             engine._block, engine._block_k = self, k
         total = len(self.months_in_tier)
-        # The partitions, and their static columns.
-        self._partitions = [
-            partition for engine in engines for partition in engine._partitions
-        ]
+        # The partitions' static columns.
         arrays = [engine._arrays for engine in engines]
         self._size = np.concatenate([a.size_gb for a in arrays])
         self._read_gb = np.concatenate([a.read_gb_per_access for a in arrays])
         self._threshold = np.concatenate([a.latency_threshold_s for a in arrays])
         self._read_fraction = np.concatenate([a.read_fraction for a in arrays])
         self._pushdown = np.concatenate([a.pushdown_fraction for a in arrays])
-        # Placement columns (``tier`` is where each row lives today: the
-        # placement's tier, else its partition's) and each row's live codec,
-        # as codes into the append-only scheme vocabulary (-1 = none).
+        # Placement columns (``tier`` and ``scheme`` say where each row lives
+        # today and how it is stored) and each row's pinned codec, as codes
+        # into the append-only scheme vocabulary (-1 = none); per engine,
+        # whether it holds a placement and the profile table its placed
+        # rows' decisions come from.
         self._schemes: list[str] = []
         self._scheme_code: dict[str, int] = {}
         self._codec_names: np.ndarray | None = None
+        self._tables: dict[tuple[str, ...], np.ndarray] = {}
         self.tier = np.empty(total, dtype=np.int64)
-        self.scheme = np.full(total, -1, dtype=np.int64)
+        self.scheme = np.empty(total, dtype=np.int64)
         self.ratio = np.ones(total, dtype=np.float64)
         self.decompression = np.zeros(total, dtype=np.float64)
         self.placed = np.zeros(total, dtype=bool)
-        self._codec = np.full(total, -1, dtype=np.int64)
-        self._placements: list[object] = [_UNSYNCED] * len(engines)
-        self._tables: dict[tuple[str, ...], np.ndarray] = {}
+        self._codec = np.empty(total, dtype=np.int64)
+        self._held = [False] * len(engines)
+        self._decisions: list[Mapping | None] = [None] * len(engines)
         # Compiled price columns, in compile_prices order.
         self._prices = tuple(
             np.zeros(total, dtype=bool if k == 5 else np.float64) for k in range(6)
@@ -988,9 +989,9 @@ class SettleBlock:
         # the same width share (a long run keeps one record per window).
         self._storage: list[float] = [0.0] * len(engines)
         self._storage_bill: list[tuple[float, float]] = [(math.nan, 0.0)] * len(engines)
-        self._priced: list[CompiledPlacement | None] = [None] * len(engines)
-        # The catalog pricing_version each engine's prices were compiled at.
-        self._versions: list[int] = [0] * len(engines)
+        # The catalog pricing_version each engine's prices were compiled at
+        # (None: not compiled since its placement was last set).
+        self._versions: list[int | None] = [None] * len(engines)
         self._usage: np.ndarray | None = None
         # Constraint parts: each engine's validated state last written in
         # and its tagged maps.
@@ -1012,7 +1013,8 @@ class SettleBlock:
             tuple(f"{prefix}{name}" for name in a.names)
             for prefix, a in zip(self._prefixes, arrays)
         ]
-        self._sync()
+        for k, (source, j) in enumerate(sources):
+            self.write_placement(k, None if source is None else source.read_placement(j))
         # The stores and forecasters, and each engine row's row in them.
         self._stores = StoreBlock(stores)
         self._forecasts = ForecastBlock(forecasters)
@@ -1073,93 +1075,93 @@ class SettleBlock:
         return table.take(self._codec.take(rows))
 
     # -- placements and prices -----------------------------------------------------
-    def _sync(self) -> None:
-        """Copy in every placement an engine got outside this block since it
-        was last copied (or written) here."""
-        placements = self._placements
-        for k, engine in enumerate(self.engines):
-            if engine._placement is not placements[k]:
-                self._copy_placement(k)
-
-    def _copy_placement(self, k: int) -> None:
-        """Copy engine ``k``'s placement in and re-read its partitions'
-        codecs; its prices are compiled at the next use."""
-        engine = self.engines[k]
-        placement = engine._placement
+    def read_placement(self, k: int) -> PlacementColumns | None:
+        """Engine ``k``'s placement, as copies of its rows (``None`` when it
+        holds none)."""
+        if not self._held[k]:
+            return None
         rows = slice(self._starts[k], self._starts[k + 1])
-        if placement is None:
-            placed = np.zeros(self._sizes[k], dtype=bool)
-        else:
-            self.tier[rows] = placement.tier
-            self.scheme[rows] = self._recode(placement.schemes)[placement.scheme]
-            self.ratio[rows] = placement.ratio
-            self.decompression[rows] = placement.decompression_s_per_gb
-            placed = (
-                np.ones(self._sizes[k], dtype=bool)
-                if placement.placed is None
-                else placement.placed
+        placed = self.placed[rows]
+        return PlacementColumns(
+            self.engines[k]._arrays.names,
+            self.tier[rows].copy(),
+            self.scheme[rows].copy(),
+            tuple(self._schemes),
+            self.ratio[rows].copy(),
+            self.decompression[rows].copy(),
+            self._decisions[k],
+            None if placed.all() else placed.copy(),
+        )
+
+    def write_placement(
+        self, k: int, placement: Mapping[str, PlacementDecision] | None
+    ) -> None:
+        """Make ``placement`` engine ``k``'s: each row it places is stored
+        with its scheme (``"none"`` is no codec), and a row it leaves out
+        lives as its partition was given, on that tier, pinned to that codec
+        and stored under its scheme; ``None`` leaves the engine without a
+        placement.  The engine's prices are compiled at the next use.
+        Raises ``ValueError``, changing nothing, when a placed row's tier is
+        not one of the catalog's."""
+        arrays = self.engines[k]._arrays
+        columns = PlacementColumns.from_mapping(arrays.names, placement or {})
+        placed = np.ones(len(arrays), dtype=bool) if columns.placed is None else columns.placed
+        tier, count = columns.tier, len(self.engines[k].tiers)
+        unknown = np.flatnonzero(placed & ((tier < 0) | (tier >= count)))
+        if unknown.size:
+            row = int(unknown[0])
+            raise ValueError(
+                f"partition {arrays.names[row]!r} is placed on tier {int(tier[row])}, "
+                f"which the catalog lacks (it has tiers 0 to {count - 1})"
             )
+        rows = self._ranges[k]
+        code = self._recode(columns.schemes)[columns.scheme]
+        self.tier[rows] = tier
+        self.scheme[rows] = code
+        self.ratio[rows] = columns.ratio
+        self.decompression[rows] = columns.decompression_s_per_gb
         self.placed[rows] = placed
-        partitions = engine._partitions
-        for row in np.flatnonzero(~placed).tolist():
-            self.tier[rows.start + row] = partitions[row].current_tier
-        code = self._code
-        self._codec[rows] = [
-            -1 if partition.current_codec is None else code(partition.current_codec)
-            for partition in partitions
-        ]
+        self._codec[rows] = np.where(code == self._code(NO_COMPRESSION), -1, code)
+        given = np.flatnonzero(~placed)
+        codecs = [arrays.current_codec[row] for row in given.tolist()]
+        self.tier[rows[given]] = arrays.current_tier[given]
+        self.scheme[rows[given]] = [self._code(c or NO_COMPRESSION) for c in codecs]
+        self._codec[rows[given]] = [-1 if c is None else self._code(c) for c in codecs]
+        self._held[k] = placement is not None
+        self._decisions[k] = columns.profiles
         self._unchecked.add(k)
-        self._placements[k] = placement
-        self._priced[k] = None
+        self._versions[k] = None
         self._usage = None
 
-    def _refresh_prices(self, ks: Sequence[int] | None = None) -> None:
-        """Copy in placements as :meth:`_sync` does, and compile the prices
-        of every placed engine (of ``ks``, default all) whose placement or
-        catalog prices changed since they were last compiled here."""
-        placements = self._placements
-        stale = []
-        engines = self.engines
-        for k in range(len(engines)) if ks is None else ks:
-            placement = engines[k]._placement
-            if placement is not placements[k]:
-                self._copy_placement(k)
-            if placement is not None and self._stale_prices(k):
-                stale.append(k)
+    def _refresh_prices(self) -> None:
+        """Compile the prices of every engine that holds a placement and
+        whose prices are stale (:meth:`_stale`)."""
+        stale = self._stale([k for k, held in enumerate(self._held) if held])
         if stale:
             self._compile(stale)
 
-    def _stale_prices(self, k: int) -> bool:
-        """True when engine ``k``'s prices were never compiled here, or its
-        catalog was re-priced since."""
-        return (
-            self._priced[k] is None
-            or self._versions[k] != self.engines[k].tiers.pricing_version
-        )
+    def _stale(self, ks: Sequence[int]) -> list[int]:
+        """The engines of ``ks`` whose prices were not compiled here since
+        their placement was last set, or were compiled before their catalog
+        was re-priced."""
+        version = self.engines[0].tiers.pricing_version
+        return [k for k in ks if self._versions[k] != version]
 
     def _compile(self, ks: Sequence[int]) -> None:
-        """Compile the prices of engines ``ks`` from the placement columns
-        and give each engine its compiled placement over them."""
-        engines = self.engines
+        """Compile the prices of engines ``ks`` from the placement columns."""
         rows = self.rows(ks)
         unplaced = rows[~self.placed[rows]]
         if unplaced.size:
+            engines = self.engines
             names = [
                 engines[self._owner[row]]._arrays.names[row - self._shift[row]]
                 for row in unplaced.tolist()
             ]
             raise KeyError(f"placement missing partitions: {names}")
         self._price_rows(rows)
+        version = self.engines[0].tiers.pricing_version
         for k in ks:
-            engine = engines[k]
-            rows = slice(self._starts[k], self._starts[k + 1])
-            self._priced[k] = CompiledPlacement.from_columns(
-                engine.simulator,
-                engine._arrays,
-                self.tier[rows],
-                [column[rows] for column in self._prices],
-            )
-            self._versions[k] = engine.tiers.pricing_version
+            self._versions[k] = version
             self._sum_storage(k)
 
     def _price_rows(self, rows: np.ndarray) -> None:
@@ -1193,7 +1195,7 @@ class SettleBlock:
         if self._usage is None:
             engines = self.engines
             count = len(engines[0].tiers)
-            placed = [k for k, engine in enumerate(engines) if engine._placement is not None]
+            placed = [k for k, held in enumerate(self._held) if held]
             usage = np.zeros((len(engines), count), dtype=np.float64)
             if placed:
                 rows = self.rows(placed)
@@ -1243,7 +1245,6 @@ class SettleBlock:
         """Validate engines ``ks``' constraint state and write what changed
         into the block; returns each engine's validated parts.  Raises
         unless every pinned row has a profile for its codec."""
-        self._sync()
         engines = self.engines
         parts = []
         for k in ks:
@@ -1323,20 +1324,17 @@ class SettleBlock:
         engine's report; ``profiles[i]`` is engine ``ks[i]``'s profile table,
         which its new placement's decisions come from.
 
-        Each engine's new ``placement`` holds copies of its rows: a later
-        plan rewrites the block's columns, never a placement handed out."""
+        The moves are priced from the placement columns, which hold every
+        row's tier and stored scheme (a row never placed as its partition
+        was given); every row is then pinned to its new scheme."""
         engines = self.engines
         bounds = [0, *accumulate(self._sizes[k] for k in ks)]
-        tier = placement.tier.copy()
-        ratio = placement.ratio.copy()
-        decompression = placement.decompression_s_per_gb.copy()
         code = self._recode(placement.schemes)[placement.scheme]
-        vocabulary = tuple(self._schemes)
         old = PlacementColumns(
             (),
             self.tier[rows],
             self.scheme[rows],
-            vocabulary,
+            tuple(self._schemes),
             self.ratio[rows],
             self.decompression[rows],
             {},
@@ -1344,13 +1342,13 @@ class SettleBlock:
         )
         # Rows whose prices change: the moves, and a new ratio or
         # decompression for a row that keeps its tier and scheme.
-        changed = (ratio != old.ratio) | (decompression != old.decompression_s_per_gb)
+        changed = placement.ratio != old.ratio
+        changed |= placement.decompression_s_per_gb != old.decompression_s_per_gb
         # Moves *off* a banned (dead) tier are forced evacuations, not
         # voluntary early deletions: their minimum-residency penalty is
         # waived, or the outage would be billed twice.  A calm run bans
         # nothing and waives nothing.
         moves = engines[0].executor.migrate(
-            self._partitions,
             self.months_in_tier,
             rows,
             self._size[rows],
@@ -1364,24 +1362,15 @@ class SettleBlock:
         )
         changed[moves.rows] = True
         moved = rows[moves.rows]
-        self.tier[rows] = tier
+        self.tier[rows] = placement.tier
         self.scheme[rows] = code
-        self.ratio[rows] = ratio
-        self.decompression[rows] = decompression
+        self.ratio[rows] = placement.ratio
+        self.decompression[rows] = placement.decompression_s_per_gb
         self.placed[rows] = True
-        new_code = code[moves.rows]
-        self._codec[moved] = np.where(new_code == self._code(NO_COMPRESSION), -1, new_code)
-        for k, own, start, stop in zip(ks, profiles, bounds, bounds[1:]):
-            engine = engines[k]
-            self._placements[k] = engine._placement = PlacementColumns(
-                engine._arrays.names,
-                tier[start:stop],
-                code[start:stop],
-                vocabulary,
-                ratio[start:stop],
-                decompression[start:stop],
-                own,
-            )
+        self._codec[rows] = np.where(code == self._code(NO_COMPRESSION), -1, code)
+        for k, own in zip(ks, profiles):
+            self._held[k] = True
+            self._decisions[k] = own
         self._reprice(ks, rows[changed])
         columns = moves._replace(rows=moved - self._shift[moved])
         values = {
@@ -1419,7 +1408,7 @@ class SettleBlock:
         """Compile the prices of the ``changed`` rows of engines ``ks`` just
         applied; the other rows keep theirs.  An engine placed for the first
         time, or re-priced since, compiles whole."""
-        whole = [k for k in ks if self._stale_prices(k)]
+        whole = self._stale(ks)
         if whole:
             self._compile(whole)
             changed = changed[~np.isin(self._owner[changed], whole)]

@@ -4,18 +4,20 @@ Re-optimizing is free on paper; in a real object store every move is billed:
 the data is read out of its source tier, written into its destination tier,
 and tiers with a minimum residency (Azure archive: 6 months) charge the
 remaining storage months when data leaves early.  :class:`MigrationExecutor`
-charges exactly those costs, mutates the live partitions' ``current_tier``
-and resets their tier-residency clocks, so policies are compared on *true
-end-to-end bills* — a policy that thrashes data between tiers loses to one
-that stays put, even if each of its placements is individually optimal.
-Its :meth:`~MigrationExecutor.migrate` is the one move rule, over columns:
+charges exactly those costs and resets the moved rows' tier-residency
+clocks, so policies are compared on *true end-to-end bills* — a policy that
+thrashes data between tiers loses to one that stays put, even if each of
+its placements is individually optimal.  Its
+:meth:`~MigrationExecutor.migrate` is the one move rule, over columns:
 every re-optimization — a fleet's window or a lone engine's — applies
-through it in :meth:`repro.engine.SettleBlock.apply`.
+through it in :meth:`repro.engine.SettleBlock.apply`, which then records
+where each row lives in the block's placement columns.  The executor
+writes no :class:`~repro.cloud.DataPartition`.
 
 Compression changes are treated as moves too: re-encoding a partition means
 reading the old representation and writing the new one, even within a tier.
-After a placement is applied the partition's ``current_codec`` records the
-scheme it is stored with, so subsequent re-optimizations pin
+After a placement is applied the block records the scheme each row is
+stored with as its codec, so subsequent re-optimizations pin
 already-compressed partitions to their scheme (the paper's last ILP
 constraint) instead of flipping codecs at a billed cost the objective never
 priced.  The one transition that remains billed-but-unpriced is compressing
@@ -31,8 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..cloud import DataPartition, PlacementColumns, TierCatalog
-from ..cloud.objects import NO_COMPRESSION
+from ..cloud import PlacementColumns, TierCatalog
 from ..cloud.simulator import recode
 from ..cloud.tiers import NEW_DATA_TIER
 from ..obs import get_metrics
@@ -192,7 +193,8 @@ def count_moves(report: MigrationReport) -> None:
 
 
 class MigrationExecutor:
-    """Applies a new placement to the live partition state, charging for moves."""
+    """Prices and bills the moves of a placement change, and resets the moved
+    rows' residency clocks."""
 
     def __init__(self, tiers: TierCatalog):
         self.tiers = tiers
@@ -284,61 +286,39 @@ class MigrationExecutor:
 
     def migrate(
         self,
-        partitions: Sequence[DataPartition],
         months_in_tier: np.ndarray,
         rows: np.ndarray,
         size_gb: np.ndarray,
-        old: PlacementColumns | None,
+        old: PlacementColumns,
         new: PlacementColumns,
         waivers: Sequence[tuple[int, int, "frozenset[int] | set[int]"]] = (),
     ) -> MoveColumns:
-        """Move ``rows`` of ``partitions`` from ``old`` to ``new`` and bill
-        the moves: the one move rule, over columns.
+        """Move ``rows`` from ``old`` to ``new`` and bill the moves: the one
+        move rule, over columns.
 
         ``old`` and ``new`` hold one entry per row of ``rows`` (entry ``i``
-        is row ``rows[i]`` of ``partitions`` and of the residency clock
-        column ``months_in_tier``), and ``size_gb`` their sizes.  A row
-        ``old`` does not place (every row when it is ``None``) sits at its
-        partition's live tier and codec.  A row moves when its tier or its
-        stored scheme differs (new data always does); :meth:`price` bills
-        every move in one pass, in entry order.  ``waivers`` lists
-        ``(start, stop, tiers)``: the moves of entries ``start:stop`` off
-        ``tiers`` skip the early-deletion penalty.
+        is row ``rows[i]`` of the residency clock column ``months_in_tier``),
+        and ``size_gb`` their sizes.  ``old`` says where every entry lives
+        today and with which scheme it is stored; its ``placed`` marks the
+        entries an earlier placement covered (an entry it does not cover is
+        stored as its partition was given: that tier and codec, ``"none"``
+        for no codec).  A row moves when its tier or its stored scheme
+        differs (new data always does); :meth:`price` bills every move in
+        one pass, in entry order.  ``waivers`` lists ``(start, stop,
+        tiers)``: the moves of entries ``start:stop`` off ``tiers`` skip the
+        early-deletion penalty.
 
-        Sets each moved partition's ``current_tier`` and ``current_codec``
-        and resets its clock; returns the moves as columns, ``rows`` holding
-        their entries.
+        Resets each moved row's clock; returns the moves as columns,
+        ``rows`` holding their entries.
         """
-        count = len(rows)
-        # Where each row lives today and how it is stored, with the stored
-        # scheme as a code into the new placement's vocabulary (-1 = a
-        # scheme the new placement does not use, which is always a move).
-        if old is None:
-            from_tier = np.empty(count, dtype=np.int64)
-            old_scheme = np.empty(count, dtype=np.int64)
-            old_ratio = np.ones(count, dtype=np.float64)
-            placed = np.zeros(count, dtype=bool)
-        else:
-            from_tier = old.tier.copy()
-            old_scheme = recode(old.scheme, old.schemes, new.schemes)
-            old_ratio = old.ratio
-            placed = np.ones(count, dtype=bool) if old.placed is None else old.placed
-        # Without an old entry the partition's own tier and codec say where
-        # and how the data is stored today — a pre-compressed partition
-        # keeping its tier and scheme is not a move.
-        unplaced = np.flatnonzero(~placed)
-        if unplaced.size:
-            new_codes = {scheme: code for code, scheme in enumerate(new.schemes)}
-            for entry, row in zip(unplaced.tolist(), rows[unplaced].tolist()):
-                partition = partitions[row]
-                from_tier[entry] = partition.current_tier
-                old_scheme[entry] = new_codes.get(
-                    partition.current_codec or NO_COMPRESSION, -1
-                )
-        moving = np.flatnonzero((from_tier != new.tier) | (old_scheme != new.scheme))
-        source = from_tier[moving]
+        # The stored scheme as a code into the new placement's vocabulary
+        # (-1 = a scheme the new placement does not use, which is always a
+        # move).
+        old_scheme = recode(old.scheme, old.schemes, new.schemes)
+        placed = np.ones(len(rows), dtype=bool) if old.placed is None else old.placed
+        moving = np.flatnonzero((old.tier != new.tier) | (old_scheme != new.scheme))
+        source = old.tier[moving]
         to_tier = new.tier[moving]
-        codes = new.scheme[moving]
         moved = rows[moving]
         waived = None
         if waivers:
@@ -350,23 +330,13 @@ class MigrationExecutor:
             size_gb[moving],
             source,
             to_tier,
-            old_scheme[moving] == codes,
+            old_scheme[moving] == new.scheme[moving],
             placed[moving],
-            old_ratio[moving],
+            old.ratio[moving],
             new.ratio[moving],
             months_in_tier[moved],
             waived,
         )
-        schemes = new.schemes
-        for row, tier, code in zip(moved.tolist(), to_tier.tolist(), codes.tolist()):
-            partition = partitions[row]
-            partition.current_tier = tier
-            # Record the applied scheme as the partition's current codec: the
-            # paper pins already-compressed partitions to their scheme, so the
-            # next warm-started re-optimization cannot flip codecs at a billed
-            # cost the objective never priced.
-            scheme = schemes[code]
-            partition.current_codec = None if scheme == NO_COMPRESSION else scheme
         months_in_tier[moved] = 0.0
         return MoveColumns(moving, source, to_tier, *priced)
 

@@ -412,12 +412,13 @@ class FleetScheduler:
         timeline and every event's partition — before any disruption,
         policy decision, migration or fold, and so is the window of a tenant
         a chaos ``TenantJoin`` admits in this window, against its spec's
-        partitions.  So are the window's churn and pool shocks, in mark
-        order (:meth:`~repro.chaos.ChaosInjector.check_fleet_window`): a
-        joiner against :meth:`add_tenant`'s checks, a leave against the
-        roster and a pool shock against the pools.  A bad window raises
-        with the whole fleet unchanged and the corrected window is accepted
-        after.
+        partitions.  So are the window's disruptions, in mark order
+        (:meth:`~repro.chaos.ChaosInjector.check_fleet_window`): an outage
+        against the catalog and the outages before it, a price shock's
+        tiers, a joiner against :meth:`add_tenant`'s checks,
+        a leave against the roster and a pool shock against the pools.  A
+        bad window raises with the whole fleet unchanged and the corrected
+        window is accepted after.
 
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
@@ -449,10 +450,9 @@ class FleetScheduler:
                     if name in engines
                 }
                 if self.chaos is not None:
-                    # The window's churn and pool shocks, before any of its
-                    # disruptions applies; a tenant it admits has no engine
-                    # yet, so its events are checked against its spec's
-                    # partitions.
+                    # The window's disruptions, before any of them applies;
+                    # a tenant it admits has no engine yet, so its events
+                    # are checked against its spec's partitions.
                     for spec in self.chaos.check_fleet_window(self, start, end):
                         joining = windows.get(spec.name)
                         if joining is not None and len(joining.events):

@@ -293,6 +293,49 @@ class TestFleetOnlyEventsRejected:
             run_engine(schedule)
 
 
+class TestBadWindowAppliesNothing:
+    """The lone engine's twin of the fleet's bad-window battery: a window
+    holding an outage or price shock that cannot apply, or a fleet-level
+    event, raises before any of its disruptions applies, so the valid price
+    shock marked before it leaves the catalog, the banned tiers and the
+    reports as they were."""
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            ([ProviderOutage(epoch=2, provider="nowhere")], ValueError,
+             "unknown provider 'nowhere'"),
+            ([PriceShock(epoch=2, tier_names=("no_such_tier",), read_factor=2.0)],
+             KeyError, "no_such_tier"),
+            ([PriceShock(epoch=2, provider="nowhere", read_factor=2.0)], ValueError,
+             "not in tuple"),
+            ([ProviderOutage(epoch=2, provider="aws_s3"),
+              ProviderOutage(epoch=2, provider="azure_blob"),
+              ProviderOutage(epoch=2, provider="gcp_gcs")], ValueError,
+             "take down every tier"),
+            ([TenantLeave(epoch=2, tenant="t")], ValueError, "fleet-level"),
+        ],
+        ids=[
+            "outage-unknown", "shock-unknown-tier", "shock-unknown-provider",
+            "outage-of-everything", "fleet-event",
+        ],
+    )
+    def test_window_raises_with_the_engine_unchanged(self, bad, error, match):
+        catalog = multi_cloud_catalog()
+        chaos = ChaosInjector(
+            DisruptionSchedule([PriceShock(epoch=2, storage_factor=1.5), *bad])
+        )
+        engine = OnlineTieringEngine(
+            make_partitions(), catalog, PeriodicReoptimize(2), chaos=chaos
+        )
+        with pytest.raises(error, match=match):
+            engine.run(SeriesStream(make_series(), num_epochs=MONTHS))
+        assert catalog.pricing_version == 0
+        assert engine.banned_tiers == frozenset()
+        assert chaos.reports == []
+        assert engine.window_clock == 2.0
+
+
 class TestEarlyDeletionWaiverRegression:
     """The ISSUE's audited bugfix: a forced evacuation off a tier with a
     minimum-storage window must not be charged the early-deletion penalty on

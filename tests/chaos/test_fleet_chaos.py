@@ -226,6 +226,22 @@ def joiner(offset=2, **config):
     return make_specs(1, offset=offset, config=replace(FULL_CONFIG, **config))[0]
 
 
+#: Outages and price shocks the catalog or the outages before them reject,
+#: with the error their apply raises.
+BAD_CATALOG_MARKS = [
+    ([ProviderOutage(epoch=2, provider="nowhere")], ValueError, "unknown provider 'nowhere'"),
+    ([PriceShock(epoch=2, tier_names=("no_such_tier",), read_factor=2.0)],
+     KeyError, "no_such_tier"),
+    ([PriceShock(epoch=2, provider="nowhere", read_factor=2.0)], ValueError, "not in tuple"),
+    ([ProviderOutage(epoch=2, provider="aws_s3"),
+      ProviderOutage(epoch=2, provider="azure_blob"),
+      ProviderOutage(epoch=2, provider="gcp_gcs")], ValueError, "take down every tier"),
+]
+BAD_CATALOG_IDS = [
+    "outage-unknown", "shock-unknown-tier", "shock-unknown-provider", "outage-of-everything",
+]
+
+
 def shared_policy_joiners():
     first, second = make_specs(2, offset=2)
     second.policy = first.policy
@@ -233,10 +249,12 @@ def shared_policy_joiners():
 
 
 class TestBadChurnOrPoolShockAppliesNothing:
-    """A window whose marks hold a join, leave or pool shock that cannot
-    apply raises before any of its disruptions applies: the price shock
-    (and, on a pooled fleet, the pool shock) marked before it leave the
-    catalog, the roster and the pool budgets as they were."""
+    """A window whose marks hold a join, leave, pool shock, outage or
+    price shock that cannot apply raises before any of its
+    disruptions applies: the price shock (and, on a pooled fleet, the pool
+    shock) marked before it leave the catalog, the roster, the pool
+    budgets, every engine's banned tiers and the chaos reports as they
+    were."""
 
     @pytest.mark.parametrize(
         "bad, pools, error, match",
@@ -260,10 +278,12 @@ class TestBadChurnOrPoolShockAppliesNothing:
             ([TenantLeave(epoch=2, tenant="tenant_001"),
               TenantLeave(epoch=2, tenant="tenant_001")], True,
              KeyError, "unknown tenant 'tenant_001'"),
+            *((bad, True, error, match) for bad, error, match in BAD_CATALOG_MARKS),
         ],
         ids=[
             "join-config", "leave-unknown", "pool-shock-no-pools", "pool-unknown",
             "rejoin-in-window", "join-twice", "join-shared-policy", "leave-twice",
+            *BAD_CATALOG_IDS,
         ],
     )
     def test_window_raises_with_the_fleet_unchanged(self, bad, pools, error, match):
@@ -276,9 +296,12 @@ class TestBadChurnOrPoolShockAppliesNothing:
         version = catalog.pricing_version
         roster = scheduler.tenants
         budgets = None if scheduler.pools is None else list(scheduler.pools)
+        banned = [engine.banned_tiers for engine in scheduler.engines.values()]
         with pytest.raises(error, match=match):
             scheduler.run(num_epochs=MONTHS)
         assert catalog.pricing_version == version
+        assert [engine.banned_tiers for engine in scheduler.engines.values()] == banned
+        assert chaos.reports == []
         assert scheduler.tenants == roster
         assert list(scheduler.engines) == [spec.name for spec in roster]
         if budgets is not None:

@@ -304,12 +304,19 @@ class TestBuildErrors:
         engine = make_engine(partitions)
         run_epochs(engine, partitions, 1)
         check_build(engine, 1)
-        engine._partitions[2].current_codec = "zstd"
-        # Handing the placement back makes the block copy it in, re-reading
-        # every partition's codec.
-        engine.placement = dict(engine.placement)
+        # A placement handed back through the setter pins each placed row to
+        # its scheme, as an applied move would: a scheme the engine's
+        # profiles lack cannot be planned from.
+        placement = dict(engine.placement)
+        placement["p2"] = PlacementDecision(
+            placement["p2"].tier_index,
+            CompressionProfile("zstd", ratio=4.0, decompression_s_per_gb=0.5),
+        )
+        engine.placement = placement
         with pytest.raises(ValueError, match="pinned to codec 'zstd'"):
             lone_problem(engine, 1)
+        with pytest.raises(ValueError, match="pinned to codec 'zstd'"):
+            object_build_problem(engine, 1, reference_forecast(engine, 1))
 
     def test_negative_forecast_rejected(self):
         engine = make_engine()

@@ -11,7 +11,7 @@ policy the forecast its placement was planned from.
 import numpy as np
 import pytest
 
-from repro.cloud import DataPartition, azure_tier_catalog
+from repro.cloud import DataPartition, PlacementDecision, azure_tier_catalog
 from repro.engine import (
     EngineConfig,
     EpochBatch,
@@ -127,3 +127,20 @@ class TestTierUsage:
         assert usage.sum() == pytest.approx(
             sum(partition.size_gb for partition in partitions)
         )
+
+
+class TestPlacementSetter:
+    def test_a_tier_the_catalog_lacks_is_rejected(self, workload):
+        """The setter checks each placed row's tier against the catalog and
+        raises, naming the partition and the tier, with nothing written."""
+        engine = build_engine(workload, StaticOnce())
+        with pytest.raises(ValueError, match="partition 'd0' is placed on tier 99"):
+            engine.placement = {"d0": PlacementDecision(99)}
+        assert engine.placement is None
+        engine.step(EpochBatch(epoch=0, events=()))
+        placed, usage = dict(engine.placement), engine.tier_usage_gb()
+        bad = {**placed, "d3": PlacementDecision(3)}
+        with pytest.raises(ValueError, match="partition 'd3' is placed on tier 3"):
+            engine.placement = bad
+        assert dict(engine.placement) == placed
+        assert engine.tier_usage_gb().tolist() == usage.tolist()

@@ -10,7 +10,8 @@ notification.  Hypothesis drives two
 identical engines over the same windows — one through its plan, one through
 the reference — and requires, after every window, bit-identical records,
 placements (ratio and decompression bits too), residency clocks, every
-partition's tier and codec and the policy baseline.  The draws cover full
+row's recorded tier and codec and the policy baseline, and partitions that
+stay as given (``check_placement_record``).  The draws cover full
 and delta mode, periodic and drift policies and time- and count-triggered
 windows, over a capacitated multi-cloud catalog with precompressed
 partitions, calm or under a storm: a provider outage (whose evacuations
@@ -27,7 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.plan import plan_alone
+from oracles.plan import check_placement_record, placement_record, plan_alone
 from repro.chaos import (
     ChaosInjector,
     DisruptionSchedule,
@@ -134,7 +135,7 @@ def engine_view(engine: OnlineTieringEngine) -> dict:
             bits(placement.decompression_s_per_gb),
         ),
         "months_in_tier": bits(engine.months_in_tier),
-        "partitions": [(p.current_tier, p.current_codec) for p in engine._partitions],
+        "record": placement_record(engine),
         "baseline": (
             policy._last_reoptimized,
             None if baseline is None else (baseline.names, bits(baseline.dense())),
@@ -199,5 +200,7 @@ class TestLonePlanMatchesThePerEngineReference:
             if isinstance(outcomes[0], str):
                 return
             assert engine_view(plan) == engine_view(alone)
+            for engine in (plan, alone):
+                check_placement_record(engine, partitions())
         if storm:
             assert plan.chaos.summary() == alone.chaos.summary()

@@ -10,11 +10,15 @@ Hypothesis drives two identical fleets over the same windows or epochs — one
 through the plan pass, one through the reference — and requires, window by
 window, bit-identical stacked instances (names, columns, maps and their
 order, profile columns, tier mask, banned tiers), migration reports record
-by record, records and bills, placements, residency clocks, partitions'
-tier and codec, forecasts and policy baselines, tier usage, and block
-prices equal to a placement compiled afresh.  The draws cover full and delta
-mode, fleets of either ring width, alpha and blend, pools with and without
-contention, new data, pinned codecs, tenants with different scheme sets,
+by record, records and bills, placements, residency clocks, each row's
+recorded tier and codec, forecasts and policy baselines, tier usage, and
+block prices equal to a placement compiled afresh.  Every engine keeps one
+record of where its partitions live: its partitions stay as given
+(``check_placement_record``), and a block built after a roster change holds
+every surviving engine's record, clocks and prices as the block before it
+did.  The draws cover full and delta mode, fleets of either ring width,
+alpha and blend, pools with and without contention, new data, pinned
+codecs, tenants with different scheme sets,
 both timelines and chaos (an outage and its recovery, price and pool
 shocks, a tenant leaving and one joining) and tenants banning different
 tiers.  A second battery prices random placement changes through
@@ -34,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles.plan
-from oracles.plan import plan_each_tenant
+from oracles.plan import check_placement_record, placement_record, plan_each_tenant
 from oracles.results import scan_apply
 from repro.chaos import (
     ChaosInjector,
@@ -365,7 +369,7 @@ def engine_view(engine) -> dict:
         if placement is None
         else (dict(placement), bits(placement.ratio), bits(placement.decompression_s_per_gb)),
         "months_in_tier": bits(engine.months_in_tier),
-        "partitions": [(p.current_tier, p.current_codec) for p in engine._partitions],
+        "record": placement_record(engine),
         "pending": forecast_view(engine._pending_forecast),
         "applied": forecast_view(engine.last_applied_forecast),
         "baseline": None if baseline is None else dict(baseline),
@@ -377,25 +381,72 @@ def fleet_view(scheduler) -> dict:
     return {name: engine_view(engine) for name, engine in scheduler.engines.items()}
 
 
+PRICES = (
+    "stored_gb",
+    "storage_per_month",
+    "read_cost_per_read",
+    "decompression_cost_per_read",
+    "latency_s",
+    "violates_sla",
+)
+
+
+def block_prices(block, k: int) -> dict:
+    """Engine ``k``'s tier and compiled price columns in ``block``, compiled
+    first when they are stale."""
+    stale = block._stale([k])
+    if stale:
+        block._compile(stale)
+    rows = block._ranges[k]
+    return {
+        "tier_index": bits(block.tier[rows]),
+        **{field: bits(column[rows]) for field, column in zip(PRICES, block._prices)},
+    }
+
+
 def check_prices(scheduler) -> None:
-    """Every engine's compiled prices equal a placement compiled afresh."""
+    """Every engine's block prices equal its placement compiled afresh."""
     for engine in scheduler.engines.values():
         if engine.placement is None:
             continue
-        held = engine._compiled_placement()
         fresh = CloudStorageSimulator(
             engine.tiers, engine.config.compute_cost_per_s
         ).compile_placement(engine._arrays, dict(engine.placement))
-        for field in (
-            "tier_index",
-            "stored_gb",
-            "storage_per_month",
-            "read_cost_per_read",
-            "decompression_cost_per_read",
-            "latency_s",
-            "violates_sla",
-        ):
-            assert bits(getattr(held, field)) == bits(getattr(fresh, field)), field
+        assert block_prices(engine._block, engine._block_k) == {
+            field: bits(getattr(fresh, field)) for field in ("tier_index", *PRICES)
+        }
+
+
+def guard_block_builds(scheduler) -> None:
+    """Check every block ``scheduler`` builds against the blocks that held
+    its engines before: each engine's placement record, codecs, clocks and
+    prices carry over bit for bit."""
+    build = scheduler._fleet_block
+
+    def block():
+        before = [(engine._block, engine._block_k) for engine in scheduler.engines.values()]
+        new = build()
+        for (old, j), engine in zip(before, scheduler.engines.values()):
+            if old is not None and old is not new:
+                k = engine._block_k
+                theirs, ours = old._ranges[j], new._ranges[k]
+                assert (new._held[k], new.read_placement(k)) == (
+                    old._held[j],
+                    old.read_placement(j),
+                )
+                assert [new._schemes[c] for c in new.scheme[ours].tolist()] == [
+                    old._schemes[c] for c in old.scheme[theirs].tolist()
+                ]
+                assert new._codecs(ours) == old._codecs(theirs)
+                for column in ("tier", "ratio", "decompression", "placed", "months_in_tier"):
+                    assert bits(getattr(new, column)[ours]) == bits(
+                        getattr(old, column)[theirs]
+                    ), column
+                if new._held[k]:
+                    assert block_prices(new, k) == block_prices(old, j)
+        return new
+
+    scheduler._fleet_block = block
 
 
 def steps_of(names, steps, dense):
@@ -449,6 +500,15 @@ class TestPlanPassMatchesEachTenant:
         each = build_fleet(tenants, chaos_kinds, mode, pools)
         plan_each_tenant(each)
         fleets = (plan, each)
+        given = {
+            name: partitions(name, kind)
+            for name, kind in [
+                *((f"t{k}", tenant[4]) for k, tenant in enumerate(tenants)),
+                (JOINER, 2),
+            ]
+        }
+        for fleet in fleets:
+            guard_block_builds(fleet)
         with ExitStack() as patches:
             stacked = record_stacked(fleets, patches)
             migrations = [record_migrations(fleet) for fleet in fleets]
@@ -477,6 +537,9 @@ class TestPlanPassMatchesEachTenant:
                 ]
                 assert fleet_view(plan) == fleet_view(each)
                 check_prices(plan)
+                for fleet in fleets:
+                    for name, engine in fleet.engines.items():
+                        check_placement_record(engine, given[name])
             got, want = plan.report(), each.report()
             assert records_view(got) == records_view(want)
             assert bits(got.total_bill) == bits(want.total_bill)
@@ -565,9 +628,6 @@ class TestBlockPricingMatchesTheScan:
         engines, wants = [], []
         for parts, table, old, new, clocks, banned in specs:
             engine = OnlineTieringEngine(parts, catalog, StaticOnce(), profiles=table)
-            for partition, twin in zip(engine._partitions, parts):
-                partition.current_tier = twin.current_tier
-                partition.current_codec = twin.current_codec
             engine.months_in_tier[:] = clocks
             engine.set_banned_tiers(banned)
             if old is not None:
@@ -615,21 +675,26 @@ class TestBlockPricingMatchesTheScan:
             ]
             for total in ("moved_gb", "migration_cost", "egress_cost", "early_deletion_penalty"):
                 assert bits(getattr(report, total)) == bits(getattr(want, total)), total
-            assert [(p.current_tier, p.current_codec) for p in engine._partitions] == [
-                (p.current_tier, p.current_codec) for p in parts
-            ]
+            # A moved row is recorded where the scan moves its partition;
+            # every row lives where the new placement puts it.
+            tiers, codecs, _ = placement_record(engine)
+            for move in want.moves:
+                row = engine._arrays.names.index(move.partition)
+                moved = parts[row]
+                assert (tiers[row], codecs[row]) == (moved.current_tier, moved.current_codec)
             assert engine.months_in_tier.tolist() == [
                 months[name] for name in engine._arrays.names
             ]
             assert dict(engine.placement) == specs[k][3]
+            check_placement_record(engine, specs[k][0])
         for k, engine in enumerate(engines):
             if engine.placement is not None and not engine.placement.unplaced():
-                held = engine._compiled_placement()
                 fresh = engine.simulator.compile_placement(
                     engine._arrays, dict(engine.placement)
                 )
-                assert bits(held.storage_per_month) == bits(fresh.storage_per_month)
-                assert bits(held.read_cost_per_read) == bits(fresh.read_cost_per_read)
+                prices = block_prices(block, k)
+                assert prices["storage_per_month"] == bits(fresh.storage_per_month)
+                assert prices["read_cost_per_read"] == bits(fresh.read_cost_per_read)
 
     def test_evacuation_charges_read_the_columns(self):
         catalog = multi_cloud_catalog()

@@ -38,14 +38,16 @@ def reference_settle_window(
     started: float | None = None,
 ) -> WindowRecord:
     """Bill one engine's window and fold its events into that engine's
-    state, alone: the compiled billing step, then ``observe_rows``,
-    ``update_rows`` and a clock tick on the engine's own objects."""
+    state, alone: the billing step of its placement compiled afresh, then
+    ``observe_rows``, ``update_rows`` and a clock tick on the engine's own
+    objects."""
     index = window.index
     engine._validate_window(index, window.start_month)
     duration = window.duration_months
     events = window.events
     rows = engine._arrays.event_rows(events)
-    step = engine._compiled_placement().step(events, storage_months=duration, rows=rows)
+    compiled = engine.simulator.compile_placement(engine._arrays, engine.placement)
+    step = compiled.step(events, storage_months=duration, rows=rows)
     touched, rates = _observed_rates(rows, events.reads, duration)
     observed = RateColumns(engine._arrays.names, rates, touched)
     engine.feature_store.observe_rows(

@@ -16,16 +16,20 @@ placement handed back through the engine's ``placement`` setter.
 :func:`plan_alone` installs the same steps for one untagged engine in place
 of its plan over its block of one (``tests/engine/test_plan_alone.py``), and
 :func:`lone_problem` is the instance that plan assembles, for tests that
-compare it with the object build.
+compare it with the object build.  :func:`check_placement_record` checks the
+rule both plans keep for where each partition lives.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from oracles.problems import object_build_problem, split_placements, stack
 from oracles.results import scan_apply
 from repro.cloud import CloudStorageSimulator
+from repro.cloud.objects import NO_COMPRESSION
 from repro.core.optassign import DeltaSolver, InfeasibleError, StackedProblem
 from repro.engine import RateColumns, WindowPlan, solve_stacked
 from repro.engine.executor import count_moves
@@ -53,14 +57,16 @@ def lone_problem(engine, epoch: int):
 
 
 def scan_and_hand_back(engine, placement, epoch: int):
-    """Apply ``placement`` to ``engine`` by the per-partition scan, write
-    the clocks back, hand the placement back through the ``placement``
-    setter and notify the policy; returns the migration report."""
+    """Apply ``placement`` to ``engine`` by the per-partition scan (over
+    copies of the partitions it was given, which stand where its placement
+    leaves a row), write the clocks back, hand the placement back through
+    the ``placement`` setter and notify the policy; returns the migration
+    report."""
     names = engine._arrays.names
     months = dict(zip(names, engine.months_in_tier.tolist()))
     report = scan_apply(
         engine.tiers,
-        engine._partitions,
+        [replace(partition) for partition in engine._partitions],
         None if engine.placement is None else dict(engine.placement),
         dict(placement),
         months,
@@ -73,6 +79,39 @@ def scan_and_hand_back(engine, placement, epoch: int):
     engine._notify_applied(epoch)
     get_metrics().counter("engine.reoptimizations").add()
     return report
+
+
+def placement_record(engine) -> tuple | None:
+    """Where ``engine``'s block records each of its rows living, the codec
+    it records each pinned to and whether a placement covers it (``None``
+    before the engine has a block)."""
+    block = engine._block
+    if block is None:
+        return None
+    rows = block._ranges[engine._block_k]
+    return block.tier[rows].tolist(), block._codecs(rows), block.placed[rows].tolist()
+
+
+def check_placement_record(engine, given) -> None:
+    """``engine`` keeps one record of where its partitions live, which both
+    plans keep alike: its partitions are still ``given``, field for field;
+    its block records each row its placement covers on that placement's
+    tier, pinned to its scheme (``"none"`` is no codec), and every other row
+    on the tier and codec its partition was given."""
+    assert engine._partitions == given
+    record = placement_record(engine)
+    if record is None:
+        return
+    placement = engine.placement or {}
+    for partition, tier, codec, placed in zip(given, *record):
+        decision = placement.get(partition.name)
+        assert placed == (decision is not None)
+        if decision is None:
+            assert (tier, codec) == (partition.current_tier, partition.current_codec)
+        else:
+            scheme = decision.profile.scheme
+            pinned = None if scheme == NO_COMPRESSION else scheme
+            assert (tier, codec) == (decision.tier_index, pinned)
 
 
 def reference_tier_usage(scheduler, names) -> np.ndarray:

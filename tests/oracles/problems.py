@@ -71,7 +71,9 @@ def object_build_problem(
         banned_tiers=engine._banned_tiers or None,
     )
     if engine.placement is not None:
-        problem = problem.with_current_placement(engine.placement)
+        # A placed partition lives on its placement's tier, pinned to its
+        # scheme; the others keep the tier and codec they were given.
+        problem = problem.with_current_placement(engine.placement, pin_codecs=True)
     return problem
 
 

@@ -13,7 +13,8 @@ constraint scan.  The columnar paths must reproduce them bit for bit
 ``tests/optassign/test_columnar_result.py``,
 ``tests/engine/test_columnar_apply.py``).  :func:`mapping_apply` moves a
 name-keyed placement through the executor's column move rule, for tests
-that price single moves.
+that price single moves, and records each move on the partition, as the
+per-partition scan does.
 """
 
 from __future__ import annotations
@@ -361,13 +362,15 @@ def mapping_apply(
 ) -> MigrationReport:
     """Move every partition to its new placement through ``executor``'s
     column move rule (:meth:`~repro.engine.MigrationExecutor.migrate`), with
-    both placements keyed by partition name.
+    both placements keyed by partition name, then set each moved
+    partition's ``current_tier`` and ``current_codec``.
 
-    ``old_placement`` is ``None`` for newly ingested data; ``months_in_tier``
-    holds one residency clock per partition, in ``partitions`` order.  Moves
-    off ``waive_early_deletion_tiers`` skip the early-deletion penalty.
-    Raises before anything mutates when the new placement misses a partition
-    or the clocks do not match the partitions.
+    ``old_placement`` is ``None`` for newly ingested data; a partition it
+    leaves out is where its ``current_tier`` and ``current_codec`` say.
+    ``months_in_tier`` holds one residency clock per partition, in
+    ``partitions`` order.  Moves off ``waive_early_deletion_tiers`` skip the
+    early-deletion penalty.  Raises before anything mutates when the new
+    placement misses a partition or the clocks do not match the partitions.
     """
     names = tuple(partition.name for partition in partitions)
     new = PlacementColumns.from_mapping(names, new_placement)
@@ -377,13 +380,20 @@ def mapping_apply(
     count = len(names)
     if months_in_tier.shape != (count,):
         raise ValueError("months_in_tier needs one clock per partition")
-    old = (
-        None
-        if old_placement is None
-        else PlacementColumns.from_mapping(names, old_placement)
+    old = PlacementColumns.from_mapping(names, old_placement or {})
+    placed = np.ones(count, dtype=bool) if old.placed is None else old.placed
+    tier, scheme, schemes = old.tier.copy(), old.scheme.copy(), list(old.schemes)
+    for row in np.flatnonzero(~placed).tolist():
+        partition = partitions[row]
+        stored = partition.current_codec or NO_COMPRESSION
+        if stored not in schemes:
+            schemes.append(stored)
+        tier[row] = partition.current_tier
+        scheme[row] = schemes.index(stored)
+    old = PlacementColumns(
+        names, tier, scheme, tuple(schemes), old.ratio, old.decompression_s_per_gb, {}, placed
     )
     moves = executor.migrate(
-        partitions,
         months_in_tier,
         np.arange(count),
         np.array([partition.size_gb for partition in partitions], dtype=np.float64),
@@ -391,6 +401,10 @@ def mapping_apply(
         new,
         [(0, count, waive_early_deletion_tiers)] if waive_early_deletion_tiers else (),
     )
+    for row, to_tier in zip(moves.rows.tolist(), moves.to_tier.tolist()):
+        stored = new.schemes[new.scheme[row]]
+        partitions[row].current_tier = to_tier
+        partitions[row].current_codec = None if stored == NO_COMPRESSION else stored
     report = MigrationReport(epoch, names=names, columns=moves)
     count_moves(report)
     return report
