@@ -10,9 +10,11 @@ RAM as a 100k one, only more wall clock.
 Each cell drives a :class:`~repro.workloads.PoissonZipfStream` (diurnal +
 flash-crowd modulated, Zipf-skewed over 64 partitions) twice:
 
-* a **timed pass** — raw generation throughput, then a second pass cut into
-  :class:`~repro.engine.CountTrigger` windows (the engine's ingest shape),
-  both without any memory profiler attached;
+* a **timed pass** — raw generation throughput, counted as ``len(chunk)``
+  over ``stream.chunks()`` (the columnar batches ``windowed`` and the fleet
+  read, so it times the generator and builds no ``TimedEvent``), then a
+  second pass cut into :class:`~repro.engine.CountTrigger` windows (the
+  engine's ingest shape), both without any memory profiler attached;
 * a **profiled pass** — the same windowed ingest under :mod:`tracemalloc`,
   snapshotting traced memory at every window close.  ``mem_growth_mb``
   compares the mean of the second half of those checkpoints against the
@@ -96,7 +98,7 @@ def make_stream(
 def timed_pass(stream: object, window_events: int) -> dict:
     """Generation and windowed-ingest throughput, no profiler attached."""
     started = time.perf_counter()
-    total_events = sum(1 for _ in stream)
+    total_events = sum(len(chunk) for chunk in stream.chunks())
     gen_wall_s = time.perf_counter() - started
 
     started = time.perf_counter()

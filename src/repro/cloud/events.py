@@ -140,7 +140,9 @@ class EventBatch:
 
     @classmethod
     def _of(cls, t, code, reads, vocab, tenant, tenants) -> "EventBatch":
-        """Wrap columns derived from already-validated batches, unchecked."""
+        """Wrap columns unchecked: columns derived from already-validated
+        batches, or valid by construction, as a ``PoissonZipfStream``
+        chunk's are (its constructor's checks bound every column)."""
         batch = cls.__new__(cls)
         batch.t = t
         batch.code = code

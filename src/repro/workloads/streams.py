@@ -60,6 +60,12 @@ DAYS_PER_MONTH = 30.0
 TRACE_COLUMNS: tuple[str, ...] = ("t", "partition", "reads")
 """Column order of the CSV trace format (see ``schemas/access_trace.schema.json``)."""
 
+_SCREEN_SLACK = 1.0 + 2.0**-30
+"""Relative slack on a chunk's thinning bound, so that a peak which bounds
+``fn`` only up to a last-bit error (a sine's exact maximum against
+``np.sin``, say) can never screen out a candidate the full acceptance test
+keeps."""
+
 
 # ---------------------------------------------------------------------------
 # Rate modulation
@@ -70,20 +76,35 @@ TRACE_COLUMNS: tuple[str, ...] = ("t", "partition", "reads")
 class RateModulation:
     """A multiplicative, time-varying factor applied to a stream's base rate.
 
-    ``fn`` maps an array of event times (months) to non-negative multipliers;
-    ``ceiling`` is an upper bound on ``fn`` over the whole horizon, used as
-    the thinning envelope (arrivals are drawn at ``base_rate * ceiling`` and
-    accepted with probability ``fn(t) / ceiling``).  A ``ceiling`` below the
-    true supremum silently under-generates — the constructors below compute
-    it exactly.
+    ``fn`` maps an array of event times (months) to non-negative multipliers,
+    one per time: it must be pointwise, since a stream evaluates it on a
+    subset of its candidates only.  ``ceiling`` is an upper bound on ``fn``
+    over the whole horizon, used as the thinning envelope (arrivals are drawn
+    at ``base_rate * ceiling`` and accepted with probability
+    ``fn(t) / ceiling``).  A ``ceiling`` below the true supremum silently
+    under-generates — the constructors below compute it exactly.
+
+    ``peak``, when given, maps a span ``(first, last)`` of months to an
+    upper bound of ``fn`` over ``[first, last]``, float for float: ``fn(t)
+    <= peak(first, last)`` for every float ``t`` in the span.  ``None``
+    means the ceiling.  A stream rejects, without evaluating ``fn``, every
+    candidate of a chunk that even the chunk's peak could not accept, so a
+    peak below ``fn`` under-generates exactly as a low ceiling does.
+    :func:`flash_crowd` and :func:`compose_modulations` derive it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     ceiling: float
+    peak: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.ceiling <= 0:
-            raise ValueError("modulation ceiling must be positive")
+        if not 0 < self.ceiling < math.inf:
+            raise ValueError("modulation ceiling must be positive and finite")
+
+    def bound(self, first: float, last: float) -> float:
+        """An upper bound of ``fn`` over ``[first, last]``: the peak there,
+        or the ceiling when the modulation has no peak."""
+        return self.ceiling if self.peak is None else self.peak(first, last)
 
 
 def diurnal_modulation(
@@ -92,12 +113,15 @@ def diurnal_modulation(
     """A sinusoidal day/night cycle: ``1 + amplitude * sin(2πt / period)``.
 
     ``amplitude`` must lie in ``[0, 1]`` so the rate never goes negative; the
-    default period is one virtual day (1/30 month).
+    default period is one virtual day (1/30 month) and must be positive and
+    finite.  It has no ``peak``, so its bound over any span is its ceiling,
+    ``1 + amplitude``: a chunk of candidate arrivals usually covers whole
+    cycles.
     """
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("amplitude must be in [0, 1]")
-    if period_months <= 0:
-        raise ValueError("period_months must be positive")
+    if not 0 < period_months < math.inf:
+        raise ValueError("period_months must be positive and finite")
     omega = 2.0 * math.pi / period_months
 
     def fn(t: np.ndarray) -> np.ndarray:
@@ -112,23 +136,44 @@ def flash_crowd(
     """A flash crowd: rate multiplied by ``magnitude`` for a bounded burst.
 
     Outside ``[start_month, start_month + duration_months)`` the factor is 1.
+    ``start_month`` and ``magnitude`` must be finite, ``duration_months``
+    positive and finite.  Its peak over a span is ``magnitude`` when the
+    span meets the burst and 1 otherwise.
     """
-    if magnitude < 1.0:
-        raise ValueError("magnitude must be >= 1 (use modulation < 1 for lulls)")
-    if duration_months <= 0:
-        raise ValueError("duration_months must be positive")
+    if not -math.inf < start_month < math.inf:
+        raise ValueError("start_month must be finite")
+    if not 1.0 <= magnitude < math.inf:
+        raise ValueError(
+            "magnitude must be >= 1 and finite (use modulation < 1 for lulls)"
+        )
+    if not 0 < duration_months < math.inf:
+        raise ValueError("duration_months must be positive and finite")
     end_month = start_month + duration_months
 
     def fn(t: np.ndarray) -> np.ndarray:
         return np.where((t >= start_month) & (t < end_month), magnitude, 1.0)
 
-    return RateModulation(fn=fn, ceiling=magnitude)
+    def peak(first: float, last: float) -> float:
+        return magnitude if first < end_month and last >= start_month else 1.0
+
+    return RateModulation(fn=fn, ceiling=magnitude, peak=peak)
 
 
 def compose_modulations(*modulations: RateModulation) -> RateModulation:
-    """The pointwise product of several modulations (ceilings multiply)."""
+    """The pointwise product of several modulations (ceilings multiply).
+
+    Its peak multiplies the members' bounds (:meth:`RateModulation.bound`)
+    in the order ``fn`` multiplies their factors, so rounding keeps the
+    product of bounds a bound of the product, float for float.
+    """
     if not modulations:
         raise ValueError("at least one modulation is required")
+    for modulation in modulations:
+        if not isinstance(modulation, RateModulation):
+            raise TypeError(
+                f"compose_modulations takes RateModulation values, not "
+                f"{modulation!r}"
+            )
     if len(modulations) == 1:
         return modulations[0]
 
@@ -138,8 +183,14 @@ def compose_modulations(*modulations: RateModulation) -> RateModulation:
             out = out * modulation.fn(t)
         return out
 
+    def peak(first: float, last: float) -> float:
+        out = modulations[0].bound(first, last)
+        for modulation in modulations[1:]:
+            out = out * modulation.bound(first, last)
+        return out
+
     ceiling = math.prod(m.ceiling for m in modulations)
-    return RateModulation(fn=fn, ceiling=ceiling)
+    return RateModulation(fn=fn, ceiling=ceiling, peak=peak)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +214,13 @@ class PoissonZipfStream:
     are drawn at the envelope rate ``rate_per_month * modulation.ceiling``
     and kept with probability ``modulation.fn(t) / ceiling`` — an exact
     simulation of the inhomogeneous process, still in O(chunk) memory.
+    Each chunk first screens its candidates against the modulation's bound
+    over the chunk's span (:meth:`RateModulation.bound`): a candidate whose
+    acceptance uniform is at or above ``bound / ceiling`` (raised by a
+    relative ``2**-30``) fails the test above whatever ``fn`` gives, so it
+    is rejected without evaluating ``fn``.  The screen changes no draw, no
+    chunk boundary and no event; it saves ``fn`` evaluations away from a
+    flash crowd's burst.
     """
 
     def __init__(
@@ -193,6 +251,10 @@ class PoissonZipfStream:
             raise ValueError("start_month must be non-negative and finite")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        if modulation is not None and not isinstance(modulation, RateModulation):
+            raise TypeError(
+                f"modulation must be a RateModulation or None, not {modulation!r}"
+            )
         self.partitions = tuple(partitions)
         self.rate_per_month = float(rate_per_month)
         self.horizon_months = float(horizon_months)
@@ -241,43 +303,56 @@ class PoissonZipfStream:
         """The stream as :class:`~repro.cloud.EventBatch` chunks, one per draw.
 
         A fresh generator per pass, derived from the stored seed, makes the
-        stream re-iterable with an identical sequence.
+        stream re-iterable with an identical sequence.  The constructor's
+        checks make every chunk's columns valid (finite, non-negative,
+        non-decreasing times, codes inside the vocab, one finite positive
+        read count), so chunks are wrapped unchecked.
         """
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, 0xA11CE]).generate_state(4)
         )
-        ceiling = self.modulation.ceiling if self.modulation is not None else 1.0
-        envelope_rate = self.rate_per_month * ceiling
+        modulation = self.modulation
+        ceiling = modulation.ceiling if modulation is not None else 1.0
+        scale = 1.0 / (self.rate_per_month * ceiling)
         end = self.start_month + self.horizon_months
         t = self.start_month
         vocab = self._vocab
         tenants = (self.tenant,)
         while t < end:
-            gaps = rng.exponential(1.0 / envelope_rate, size=self.chunk_size)
-            times = t + np.cumsum(gaps)
+            times = rng.standard_exponential(self.chunk_size)
+            times *= scale
+            np.cumsum(times, out=times)
+            times += t
             t = float(times[-1])
-            keep = times < end
-            times = times[keep]
-            if times.size == 0:
-                continue
-            if self.modulation is not None:
-                accept = rng.uniform(size=times.size) < (
-                    self.modulation.fn(times) / ceiling
-                )
-                times = times[accept]
+            if t >= end:
+                times = times[times < end]
+                if times.size == 0:
+                    continue
+            if modulation is not None:
+                accept = rng.random(times.size)
+                first, last = float(times[0]), float(times[-1])
+                bound = modulation.bound(first, last) / ceiling * _SCREEN_SLACK
+                if bound < 1.0:
+                    # No uniform at or above the bound passes the test below.
+                    screened = np.flatnonzero(accept < bound)
+                    times = times[screened]
+                    accept = accept[screened]
+                if times.size:
+                    times = times[accept < modulation.fn(times) / ceiling]
                 if times.size == 0:
                     continue
             choices = np.searchsorted(
-                self._cumulative, rng.uniform(size=times.size), side="right"
+                self._cumulative, rng.random(times.size), side="right"
             )
             if self._codes is not None:
                 choices = self._codes[choices]
-            yield EventBatch(
+            yield EventBatch._of(
                 times,
                 choices,
                 np.full(times.size, self.reads_per_event),
                 vocab,
-                tenants=tenants,
+                None,
+                tenants,
             )
 
     def __iter__(self) -> Iterator[TimedEvent]:
@@ -300,7 +375,8 @@ class TraceStream:
     number.  Only one row is held in memory at a time.
 
     ``time_scale`` rescales the trace's time unit into months (e.g. a trace
-    timestamped in days replays with ``time_scale=1/30``).
+    timestamped in days replays with ``time_scale=1/30``); it must be
+    positive and finite.
     """
 
     def __init__(
@@ -310,8 +386,8 @@ class TraceStream:
         time_scale: float = 1.0,
         tenant: str | None = None,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not 0 < time_scale < math.inf:
+            raise ValueError("time_scale must be positive and finite")
         self.path = Path(path)
         self.time_scale = float(time_scale)
         self.tenant = tenant
@@ -415,13 +491,17 @@ def tenant_rate_skew(
 
     The first tenant in ``tenants`` is the heaviest; ``exponent=0`` gives an
     even split.  Returns ``{tenant: rate_per_month}`` summing to the total.
+    The total must be positive and finite, the exponent non-negative and
+    finite, and each tenant named once.
     """
-    if total_rate_per_month <= 0:
-        raise ValueError("total_rate_per_month must be positive")
+    if not 0 < total_rate_per_month < math.inf:
+        raise ValueError("total_rate_per_month must be positive and finite")
     if not tenants:
         raise ValueError("at least one tenant is required")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
+    if len(set(tenants)) != len(tenants):
+        raise ValueError("tenant names must be unique")
+    if not 0 <= exponent < math.inf:
+        raise ValueError("exponent must be non-negative and finite")
     ranks = np.arange(1, len(tenants) + 1, dtype=float)
     weights = 1.0 / ranks**exponent if exponent > 0 else np.ones(len(tenants))
     weights /= weights.sum()

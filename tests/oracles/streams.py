@@ -23,7 +23,10 @@ from repro.engine.policies import drift_score
 
 def scalar_poisson_zipf(stream) -> Iterator[TimedEvent]:
     """A :class:`~repro.workloads.PoissonZipfStream` pass, one event object
-    per draw: the same RNG calls in the same order as ``chunks()``."""
+    per draw: the same draws in the same order as ``chunks()``.  It
+    thins without the screen, calling ``exponential``, ``uniform`` and the
+    modulation's ``fn`` on every candidate, and names partitions from
+    ``stream.partitions``, not from the stream's vocab codes."""
     rng = np.random.default_rng(
         np.random.SeedSequence([stream.seed, 0xA11CE]).generate_state(4)
     )

@@ -201,6 +201,15 @@ class TestPoissonZipfStream:
                 with pytest.raises(ValueError, match=prefix):
                     PoissonZipfStream(["a"], **{**valid, field: value})
 
+    def test_modulation_factory_rejected(self):
+        with pytest.raises(TypeError, match="modulation must be a RateModulation"):
+            PoissonZipfStream(
+                ["a"],
+                rate_per_month=1.0,
+                horizon_months=1.0,
+                modulation=diurnal_modulation,
+            )
+
 
 class TestRateModulation:
     def test_ceiling_must_be_positive(self):
@@ -227,6 +236,46 @@ class TestRateModulation:
         t = np.array([0.25])
         expected = burst.fn(t) * cycle.fn(t)
         assert combo.fn(t) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf])
+    def test_ceiling_must_be_finite(self, ceiling):
+        with pytest.raises(ValueError, match="ceiling must be positive and finite"):
+            RateModulation(fn=np.ones_like, ceiling=ceiling)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_diurnal_period_must_be_finite(self, period):
+        with pytest.raises(ValueError, match="period_months must be positive and finite"):
+            diurnal_modulation(amplitude=0.5, period_months=period)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start_month", math.nan),
+            ("start_month", math.inf),
+            ("start_month", -math.inf),
+            ("magnitude", math.nan),
+            ("magnitude", math.inf),
+            ("duration_months", math.nan),
+            ("duration_months", math.inf),
+        ],
+    )
+    def test_flash_crowd_parameters_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            flash_crowd(**{"start_month": 0.5, field: value})
+
+    @pytest.mark.parametrize("magnitudes", [(1e200, 1e200), (1e300, 1e10, 1.0)])
+    def test_compose_rejects_infinite_ceiling(self, magnitudes):
+        with pytest.raises(ValueError, match="ceiling must be positive and finite"):
+            compose_modulations(*(flash_crowd(0.5, m) for m in magnitudes))
+
+    @pytest.mark.parametrize(
+        "members",
+        [(diurnal_modulation,), (diurnal_modulation(), flash_crowd)],
+        ids=["factory-alone", "factory-with-modulation"],
+    )
+    def test_compose_rejects_factories(self, members):
+        with pytest.raises(TypeError, match="takes RateModulation values"):
+            compose_modulations(*members)
 
     def test_compose_requires_arguments(self):
         with pytest.raises(ValueError):
@@ -333,6 +382,11 @@ class TestTraceStream:
         with pytest.raises(ValueError):
             TraceStream(tmp_path / "x.csv", time_scale=0.0)
 
+    @pytest.mark.parametrize("time_scale", [math.nan, math.inf])
+    def test_non_finite_time_scale_rejected(self, tmp_path, time_scale):
+        with pytest.raises(ValueError, match="time_scale must be positive and finite"):
+            TraceStream(tmp_path / "x.csv", time_scale=time_scale)
+
 
 class TestMergeStreams:
     def test_merged_stream_is_time_ordered_and_complete(self):
@@ -404,3 +458,21 @@ class TestTenantRateSkew:
             tenant_rate_skew(1.0, [])
         with pytest.raises(ValueError):
             tenant_rate_skew(1.0, ["a"], exponent=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_rate_per_month", math.nan),
+            ("total_rate_per_month", math.inf),
+            ("exponent", math.nan),
+            ("exponent", math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"total_rate_per_month": 90.0, "tenants": ["a", "b"], field: value}
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            tenant_rate_skew(**kwargs)
+
+    def test_repeated_tenant_rejected(self):
+        with pytest.raises(ValueError, match="tenant names must be unique"):
+            tenant_rate_skew(90.0, ["a", "a", "b"])
