@@ -335,10 +335,10 @@ RADIX_KEY_BOUND = 1 << 16
 def stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
 
-    Keys below :data:`RADIX_KEY_BOUND` (block rows, vocab and tenant codes
-    of a window) are sorted as ``uint16``, for which numpy's stable sort is
-    a radix sort, several times faster than its comparison sort on
-    ``intp``.  A stable order is unique, so both give the same permutation.
+    Keys below :data:`RADIX_KEY_BOUND` (the tenant codes of a batch) are
+    sorted as ``uint16``, for which numpy's stable sort is a radix sort,
+    several times faster than its comparison sort on ``intp``.  A stable
+    order is unique, so both give the same permutation.
     """
     if len(keys) and keys.max() < RADIX_KEY_BOUND:
         keys = keys.astype(np.uint16)
@@ -349,16 +349,19 @@ def first_occurrence(codes: np.ndarray) -> np.ndarray:
     """The distinct values of ``codes`` (non-negative integers) in order of
     first occurrence.
 
-    In a stable sort of ``codes`` each run of equal values starts at its
-    first occurrence; marking those positions keeps them in event order.
+    ``np.minimum.at`` leaves each value's slot of a buffer over ``[0,
+    codes.max()]`` at the position of its first occurrence, and every other
+    slot at ``len(codes)``; the positions below that, sorted, gather the
+    values in event order.  Only the distinct values' positions are sorted,
+    not the events.  The scatter is fast from numpy 1.25, whose ``ufunc.at``
+    has a fast path; on older numpy it is slower than a stable sort.
     """
-    order = stable_order(codes)
-    ordered = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    keep = np.zeros(len(codes), dtype=bool)
-    keep[order[first]] = True
-    return codes[keep]
+    count = len(codes)
+    first = np.full(int(codes.max()) + 1 if count else 0, count, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(count))
+    positions = first[first < count]
+    positions.sort()
+    return codes[positions]
 
 
 class _Table:

@@ -990,8 +990,11 @@ class SettleBlock:
         self._storage: list[float] = [0.0] * len(engines)
         self._storage_bill: list[tuple[float, float]] = [(math.nan, 0.0)] * len(engines)
         # The catalog pricing_version each engine's prices were compiled at
-        # (None: not compiled since its placement was last set).
+        # (None: not compiled since its placement was last set), and the one
+        # at which _refresh_prices last found none stale (None: a placement
+        # was written since).
         self._versions: list[int | None] = [None] * len(engines)
+        self._fresh_at: int | None = None
         self._usage: np.ndarray | None = None
         # Constraint parts: each engine's validated state last written in
         # and its tagged maps.
@@ -1131,14 +1134,22 @@ class SettleBlock:
         self._decisions[k] = columns.profiles
         self._unchecked.add(k)
         self._versions[k] = None
+        self._fresh_at = None
         self._usage = None
 
     def _refresh_prices(self) -> None:
         """Compile the prices of every engine that holds a placement and
-        whose prices are stale (:meth:`_stale`)."""
+        whose prices are stale (:meth:`_stale`).  Returns at once when no
+        placement was written and the catalog was not re-priced since the
+        last walk over the engines: an apply compiles the engines it places
+        (:meth:`_reprice`), so only those two leave prices stale."""
+        version = self.engines[0].tiers.pricing_version
+        if self._fresh_at == version:
+            return
         stale = self._stale([k for k, held in enumerate(self._held) if held])
         if stale:
             self._compile(stale)
+        self._fresh_at = version
 
     def _stale(self, ks: Sequence[int]) -> list[int]:
         """The engines of ``ks`` whose prices were not compiled here since
@@ -1468,8 +1479,8 @@ class SettleBlock:
                 bills = [
                     (
                         self._storage_cents(k, duration),
-                        float(read_cost[start:stop] @ reads[start:stop]),
-                        float(decompression_cost[start:stop] @ reads[start:stop]),
+                        float(read_cost[start:stop].dot(reads[start:stop])),
+                        float(decompression_cost[start:stop].dot(reads[start:stop])),
                     )
                     for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))
                 ]

@@ -462,6 +462,11 @@ class FleetScheduler:
                 # Disruptions whose month marks fall inside this window land
                 # at its boundary, before any policy decision or billing.
                 self.chaos.before_fleet_window(self, index, start, end)
+            # The window's one check of its block, now that its chaos has
+            # applied: a block an engine no longer holds is built anew at
+            # its next use (a join or leave has dropped it already).
+            if self._block is not None and not self._block.intact():
+                self._block = None
             order = [spec.name for spec in self.tenants]
             windows = dict(windows)
             for name in order:
@@ -515,10 +520,11 @@ class FleetScheduler:
 
     def _fleet_block(self) -> SettleBlock:
         """The live roster's one settle block, its tenants in roster order:
-        built at first use and rebuilt after a roster change, or when an
-        engine no longer holds the block's columns."""
+        built at first use and rebuilt after a roster change, or after
+        :meth:`step_window`'s once-per-window check found that an engine no
+        longer holds the block's columns."""
         block = self._block
-        if block is None or not block.intact():
+        if block is None:
             names = [spec.name for spec in self.tenants]
             block = self._block = SettleBlock(
                 [self.engines[name] for name in names], tenants=names

@@ -221,6 +221,11 @@ class PoissonZipfStream:
     is rejected without evaluating ``fn``.  The screen changes no draw, no
     chunk boundary and no event; it saves ``fn`` evaluations away from a
     flash crowd's burst.
+
+    A chunk's mean span, ``chunk_size / (rate_per_month * ceiling)``, must
+    move the clock near ``start_month + horizon_months`` (be at least half
+    an ulp there), or :meth:`chunks` could never reach the horizon: such a
+    stream raises ``ValueError`` at construction.
     """
 
     def __init__(
@@ -265,6 +270,24 @@ class PoissonZipfStream:
         self.start_month = float(start_month)
         self.tenant = tenant
         self.chunk_size = int(chunk_size)
+        # A chunk moves the clock by the sum of its gaps, whose mean is
+        # ``span``.  Every clock value chunks() steps from lies below the
+        # horizon's end, so at most ``last``, whose ulp bounds theirs: a span
+        # that moves ``last`` is at least half an ulp of each, and any chunk
+        # whose gaps sum past their mean (more than a third of them) moves
+        # the clock.  A shorter span would leave it standing near the end,
+        # and chunks() would never return.
+        ceiling = modulation.ceiling if modulation is not None else 1.0
+        span = self.chunk_size / (self.rate_per_month * ceiling)
+        last = math.nextafter(self.start_month + self.horizon_months, 0.0)
+        if not last + span > last:
+            raise ValueError(
+                f"a chunk of {self.chunk_size} candidates at the envelope rate "
+                f"spans {span!r} months on average, under half an ulp of the "
+                f"clock near the horizon's end (month {last!r}), so the "
+                "stream could never reach it; raise chunk_size or lower "
+                "rate_per_month or start_month"
+            )
         # Popularity is fixed per stream (not per pass): Zipf weights over a
         # seeded shuffle of the partition list, precomputed as a cumulative
         # distribution for O(log n) sampling via searchsorted.

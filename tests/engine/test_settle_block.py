@@ -38,6 +38,7 @@ from repro.cloud import (
     CostWeights,
     DataPartition,
     EventBatch,
+    PlacementDecision,
     TimedEvent,
     multi_cloud_catalog,
 )
@@ -566,6 +567,118 @@ class TestOneEngineConfigPerFleet:
                 multi_cloud_catalog(),
                 config=FleetConfig(engine=replace(base, horizon_months=6.0)),
             )
+
+
+class TestSettleAfterChanges:
+    """A block walks its engines' prices only when a placement was written
+    or the catalog re-priced since its last walk, and checks once per
+    window, after the window's chaos, that its engines still hold its
+    columns.  A settle after each such change bills as each engine alone,
+    at the new prices, on the live roster."""
+
+    # Every window reads the same events, so a read bill that moves between
+    # windows moved with the prices.  Month 1 (a chaos mark at epoch 1)
+    # lands at window 2, month 2 at window 4.
+    STEPS = [(0.5, "time", [[(0, 1.0), (4, 2.5)], [(1, 4.0), (3, 1.0)], [(2, 1.0)]])] * 6
+
+    def run_pair(self, events=(), between=lambda scheduler, index: None, kinds=None):
+        """Two fleets (t0 static, t1 periodic, whose joiner runs periodic
+        too) over :attr:`STEPS`, one settling through its block and one
+        through each engine alone, compared after every window;
+        ``between(scheduler, index)`` runs on both before window
+        ``index``.  Returns the block fleet."""
+        fleets = []
+        for _ in range(2):
+            scheduler = build_fleet(
+                [(3, 0.4, "static"), (3, 0.4, "periodic")], kinds or (), "full"
+            )
+            if events:
+                scheduler.chaos = ChaosInjector(DisruptionSchedule(list(events)))
+            fleets.append(scheduler)
+        block, alone = fleets
+        settle_each_engine(alone)
+        for index, windows in enumerate(tenant_windows(["t0", "t1", JOINER], self.STEPS)):
+            for scheduler in fleets:
+                between(scheduler, index)
+                scheduler.step_window(windows)
+            assert fleet_state(block) == fleet_state(alone)
+            assert record_view(block.report()) == record_view(alone.report())
+        return block
+
+    @staticmethod
+    def read_costs(scheduler, tenant):
+        return [r.read_cost for r in scheduler.report().tenant_reports[tenant].records]
+
+    def test_settle_after_write_placement_bills_the_new_placement(self):
+        count = len(multi_cloud_catalog())
+
+        def move(scheduler, index):
+            if index == 2:
+                engine = scheduler.engines["t0"]
+                engine.placement = {
+                    name: PlacementDecision((engine.placement[name].tier_index + 1) % count)
+                    for name in engine.placement
+                }
+
+        block = self.run_pair(between=move)
+        costs = self.read_costs(block, "t0")
+        assert costs[1] == costs[0] != costs[2] == costs[3]
+        assert not any(r.reoptimized for r in block.report().tenant_reports["t0"].records[1:])
+
+    def test_settle_after_a_plan_bills_the_applied_placement(self):
+        block = self.run_pair()
+        records = block.report().tenant_reports["t1"].records
+        assert [r.reoptimized for r in records] == [True, False] * 3
+        moved = [i for i, r in enumerate(records) if r.num_moved and i > 0]
+        assert moved
+        costs = self.read_costs(block, "t1")
+        assert costs[moved[0]] != costs[moved[0] - 1]
+
+    def test_settle_after_a_price_shock_bills_the_new_prices(self):
+        shock = PriceShock(epoch=1, storage_factor=1.7, read_factor=2.0)
+        block = self.run_pair(events=[shock])
+        # t0 never moves after its first window; t1 re-plans in window 2.
+        records = block.report().tenant_reports["t0"].records
+        assert not any(r.reoptimized for r in records[1:])
+        assert records[2].storage_cost > records[1].storage_cost
+        costs = self.read_costs(block, "t0")
+        assert costs[0] == costs[1] < costs[2] == costs[3]
+
+    def test_join_and_leave_settle_on_the_rebuilt_block(self):
+        blocks = []
+
+        def note(scheduler, index):
+            blocks.append((index, scheduler._block))
+
+        block = self.run_pair(between=note, kinds=("join", "leave"))
+        # build_fleet's join is marked at epoch 1 (window 2) and the leave
+        # of t1 at epoch 2 (window 4); seen[i] is the block window i found.
+        seen = [b for index, b in blocks[::2]]
+        assert seen[0] is None and seen[1] is seen[2] and seen[3] is seen[4]
+        assert len({id(seen[1]), id(seen[3]), id(block._block)}) == 3
+        assert seen[1].tenants == ("t0", "t1")
+        assert seen[3].tenants == ("t0", "t1", JOINER)
+        assert block._block.tenants == ("t0", JOINER) == tuple(block.engines)
+        assert block._block.engines == (block.engines["t0"], block.engines[JOINER])
+
+    def test_chaos_window_after_a_store_grew_settles_on_a_new_block(self):
+        """A store that grows between windows leaves the block stale with
+        the roster unchanged; the next window, a price shock's, rebuilds
+        the block before it plans or settles."""
+        stale = []
+
+        def grow(scheduler, index):
+            if index == 2:
+                old = scheduler._block
+                scheduler.engines["t1"].feature_store.register(
+                    [f"extra{k}" for k in range(64)]
+                )
+                stale.append(old is not None and not old.intact())
+
+        shock = PriceShock(epoch=1, read_factor=1.5)
+        block = self.run_pair(events=[shock], between=grow)
+        assert stale == [True, True]
+        assert block._block.intact()
 
 
 class TestRejectedWindowChangesNothing:

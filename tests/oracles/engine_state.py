@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.engine import (
     EpochBatch,
     MigrationExecutor,
@@ -26,8 +28,21 @@ from repro.engine import (
     StreamWindow,
     WindowRecord,
 )
-from repro.engine.engine import _observed_rates
 from repro.obs.clock import monotonic_s
+
+from oracles.streams import sorted_first_occurrence
+
+
+def reference_observed_rates(
+    rows: np.ndarray, reads: np.ndarray, duration: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the events touched, in first-read order (by the stable sort
+    of :func:`~oracles.streams.sorted_first_occurrence`), and each one's
+    reads per month of ``duration`` (raw counts for a zero-width window),
+    added in event order."""
+    touched = sorted_first_occurrence(rows)
+    counts = np.bincount(rows, weights=reads)[touched]
+    return touched, (counts / duration if duration > 0 else counts)
 
 
 def reference_settle_window(
@@ -48,7 +63,7 @@ def reference_settle_window(
     rows = engine._arrays.event_rows(events)
     compiled = engine.simulator.compile_placement(engine._arrays, engine.placement)
     step = compiled.step(events, storage_months=duration, rows=rows)
-    touched, rates = _observed_rates(rows, events.reads, duration)
+    touched, rates = reference_observed_rates(rows, events.reads, duration)
     observed = RateColumns(engine._arrays.names, rates, touched)
     engine.feature_store.observe_rows(
         index, engine._store_rows[observed.rows], observed.rates

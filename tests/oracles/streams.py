@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.cloud import TimedEvent
+from repro.cloud.events import stable_order
 from repro.engine import StreamWindow
 from repro.engine.policies import drift_score
 
@@ -57,6 +58,21 @@ def scalar_poisson_zipf(stream) -> Iterator[TimedEvent]:
                 reads=stream.reads_per_event,
                 tenant=stream.tenant,
             )
+
+
+def sorted_first_occurrence(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` (non-negative integers) in order of
+    first occurrence, by a stable sort of the events: in it each run of
+    equal values starts at that value's first occurrence, and marking those
+    positions keeps them in event order.  The library's
+    :func:`~repro.cloud.events.first_occurrence` scatters instead."""
+    order = stable_order(codes)
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keep = np.zeros(len(codes), dtype=bool)
+    keep[order[first]] = True
+    return codes[keep]
 
 
 def heap_merge(*streams: Iterable[TimedEvent]) -> Iterator[TimedEvent]:

@@ -210,6 +210,69 @@ class TestPoissonZipfStream:
                 modulation=diurnal_modulation,
             )
 
+    def test_stream_whose_chunks_cannot_advance_the_clock_raises(self):
+        # Each one-candidate chunk spans 1e-6 months on average, under half
+        # an ulp of a clock near 1e12 (6.1e-5): chunks() would never end.
+        with pytest.raises(ValueError, match="under half an ulp"):
+            PoissonZipfStream(
+                ["a"],
+                rate_per_month=1e6,
+                horizon_months=1.0,
+                start_month=1e12,
+                chunk_size=1,
+            )
+        # An end past the largest float (start + horizon overflows) too.
+        with pytest.raises(ValueError, match="under half an ulp"):
+            PoissonZipfStream(
+                ["a"], rate_per_month=1.0, horizon_months=1e308, start_month=1e308
+            )
+
+    @pytest.mark.parametrize(
+        "chunk_size, modulation",
+        [
+            (1, None),
+            (64, None),
+            (1, flash_crowd(2.0**33, magnitude=4.0, duration_months=1.0)),
+        ],
+    )
+    def test_clock_bound_is_half_an_ulp_of_its_last_value(self, chunk_size, modulation):
+        """A mean chunk span just under half an ulp of the last clock value
+        below the horizon's end raises; one just over it runs to the
+        horizon.  Candidates come at the envelope rate, so a modulation's
+        ceiling shortens the span."""
+        start = 2.0**33
+        horizon = 2000 * math.ulp(start)
+        last = math.nextafter(start + horizon, 0.0)
+        ceiling = modulation.ceiling if modulation is not None else 1.0
+        half = math.ulp(last) / 2
+
+        def stream(span_in_half_ulps):
+            return PoissonZipfStream(
+                ["a", "b"],
+                rate_per_month=chunk_size / (span_in_half_ulps * half * ceiling),
+                horizon_months=horizon,
+                start_month=start,
+                chunk_size=chunk_size,
+                modulation=modulation,
+            )
+
+        with pytest.raises(ValueError, match="under half an ulp"):
+            stream(0.99)
+        chunks = list(stream(1.01).chunks())
+        t = np.concatenate([chunk.t for chunk in chunks])
+        assert (np.diff(t) >= 0).all()
+        assert start <= t[0] and t[-1] < start + horizon
+        assert t[-1] > start + 0.9 * horizon
+        if modulation is not None:
+            # Without the ceiling's factor the same rate is inside the bound.
+            PoissonZipfStream(
+                ["a"],
+                rate_per_month=chunk_size / (0.99 * half * ceiling),
+                horizon_months=horizon,
+                start_month=start,
+                chunk_size=chunk_size,
+            )
+
 
 class TestRateModulation:
     def test_ceiling_must_be_positive(self):
